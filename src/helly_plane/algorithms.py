@@ -9,7 +9,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import chain, combinations
 from typing import Sequence
 
 from .errors import (
@@ -22,7 +22,7 @@ from .errors import (
     TheoremFalsified,
     ZeroDirection,
 )
-from .norms import UnitBall, gauge
+from .norms import UnitBall, gauge, subset_gauges
 from .scalars import DEFAULT_TOL, Scalar, eq, ge
 from .vectors import Vec2, VectorMultiset, vsum
 
@@ -61,7 +61,10 @@ class RotationTrace:
 
 @dataclass
 class SignVector:
+    """The chosen signs and how many odd subsets their check covered."""
+
     signs: list[int]
+    odd_subsets_checked: int
 
 
 def _rotation_snapshot(angles, fixed_axis, order):
@@ -175,11 +178,12 @@ def choose_signs(
                 size = rng.randrange(1, n + 1, 2)
                 yield tuple(sorted(rng.sample(range(n), size)))
         subsets = _sampled()
-    for t in subsets:
-        total = vsum(signed[i] for i in t)
-        if not ge(gauge(ball, total), 1, tol):
+    checked = 0
+    for t, g in subset_gauges(ball, signed, subsets):
+        if not ge(g, 1, tol):
             raise TheoremFalsified(f"odd subset {t} has signed sum of norm < 1")
-    return SignVector(signs)
+        checked += 1
+    return SignVector(signs, checked)
 
 
 def _grid_fraction(rng: random.Random, radius: Fraction, grid: int = 10**6) -> Fraction:
@@ -271,16 +275,14 @@ def _check_generic(
     eps: Fraction,
 ) -> None:
     for v, w in zip(originals, perturbed):
-        assert gauge(ball, w - v.scale(lam)) <= eps, "perturbation moved too far"
+        if not gauge(ball, w - v.scale(lam)) <= eps:
+            raise TheoremFalsified("perturbation moved too far")
     n = len(perturbed)
     seen: dict[Scalar, tuple[int, ...]] = {}
-    for size in (3, 5):
-        if size > n:
-            continue
-        for t in combinations(range(n), size):
-            g = gauge(ball, vsum(perturbed[i] for i in t))
-            if g in seen and seen[g] != t:
-                raise TheoremFalsified(
-                    f"subsets {seen[g]} and {t} share the sum norm {g}"
-                )
-            seen[g] = t
+    subsets = chain(combinations(range(n), 3), combinations(range(n), 5))
+    for t, g in subset_gauges(ball, perturbed, subsets):
+        if g in seen and seen[g] != t:
+            raise TheoremFalsified(
+                f"subsets {seen[g]} and {t} share the sum norm {g}"
+            )
+        seen[g] = t

@@ -109,9 +109,9 @@ def _cmd_signs(args) -> int:
     mode = "float" if not ball.is_polygonal else "exact"
     vectors = load_vectors(_load_json(args.vectors), mode)
     sv = choose_signs(ball, vectors)
-    n = len(vectors)
-    checked = 2 ** (n - 1) if n <= 15 else 1000  # odd-size subsets of [n]
-    print(json.dumps({"signs": sv.signs, "odd_subsets_checked": checked, "all_pass": True}))
+    print(json.dumps(
+        {"signs": sv.signs, "odd_subsets_checked": sv.odd_subsets_checked, "all_pass": True}
+    ))
     if args.svg:
         _write_svg(args.svg, ball, vectors)
     return 0

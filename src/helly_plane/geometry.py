@@ -8,12 +8,13 @@ which only kicks in for float operands.
 
 from __future__ import annotations
 
+import math
+from enum import Enum
 from typing import Optional, Sequence
 
-from .scalars import Scalar, exact_div, sgn
+from .errors import NotConvexBody, TheoremFalsified
+from .scalars import Scalar, exact_div, is_float, sgn
 from .vectors import ORIGIN, Vec2
-
-from enum import Enum
 
 
 class OriginPosition(Enum):
@@ -27,25 +28,57 @@ def orientation(a: Vec2, b: Vec2, c: Vec2) -> Scalar:
     return (b - a).cross(c - a)
 
 
+def lattice(points: Sequence[Vec2]) -> Optional[tuple[list[tuple[int, int]], int]]:
+    """Rational points as integer pairs over one common denominator.
+
+    Returns `(pairs, den)` with `point == pair / den` coordinatewise, or
+    None when any coordinate is a float.
+    """
+    coords = [c for p in points for c in (p.x, p.y)]
+    if is_float(*coords):
+        return None
+    # unpack a list, not a generator: a tuple built from a generator is
+    # resized, and such tuples pile up in CPython's free lists (peak memory)
+    den = math.lcm(*[c.denominator for c in coords])
+    scaled = iter([c.numerator * (den // c.denominator) for c in coords])
+    return list(zip(scaled, scaled)), den
+
+
 def convex_hull(points: Sequence[Vec2]) -> list[Vec2]:
     """Counterclockwise extreme points of the input, collinear points dropped.
 
     Degenerate inputs come back as-is: a single point, or the two endpoints
-    of the spanned segment.
+    of the spanned segment. The returned objects are input points (the
+    first of any duplicates). Rational input is decided on the integer
+    lattice of `lattice`, float input on its own coordinates.
     """
     if not points:
         raise ValueError("convex_hull requires a non-empty point list")
-    uniq = sorted({(p.x, p.y) for p in points})
-    pts = [Vec2(x, y) for x, y in uniq]
+    grid = lattice(points)
+    keys = grid[0] if grid else [(p.x, p.y) for p in points]
+    first: dict = {}
+    for k, p in zip(keys, points):
+        first.setdefault(k, p)
+    return [first[k] for k in _monotone_chain(sorted(first))]
+
+
+def _monotone_chain(pts: list[tuple]) -> list[tuple]:
+    """Monotone chain over sorted distinct coordinate pairs.
+
+    Same contract as `convex_hull`, on plain (x, y) tuples.
+    """
     if len(pts) <= 2:
         return pts
 
     def build(seq):
-        chain: list[Vec2] = []
-        for p in seq:
-            while len(chain) >= 2 and orientation(chain[-2], chain[-1], p) <= 0:
+        chain: list[tuple] = []
+        for cx, cy in seq:
+            while len(chain) >= 2:
+                (ax, ay), (bx, by) = chain[-2], chain[-1]
+                if (bx - ax) * (cy - ay) - (by - ay) * (cx - ax) > 0:
+                    break
                 chain.pop()
-            chain.append(p)
+            chain.append((cx, cy))
         return chain
 
     lower = build(pts)
@@ -123,7 +156,7 @@ def strict_separating_direction(points: Sequence[Vec2]) -> Optional[Vec2]:
                 best, best_d2 = q, d2
     for p in pts:
         if not best.dot(p) > 0:  # pragma: no cover - nearest-point argument forbids this
-            raise AssertionError("separation postcondition violated")
+            raise TheoremFalsified("separation postcondition violated")
     return best
 
 
@@ -170,7 +203,8 @@ def caratheodory_triple(points: Sequence[Vec2]) -> Optional[tuple[int, int, int]
 
     def verified(ia: int, ib: int, ic: int) -> tuple[int, int, int]:
         trip = tuple(sorted((ia, ib, ic)))
-        assert point_in_triangle(ORIGIN, pts[trip[0]], pts[trip[1]], pts[trip[2]])
+        if not point_in_triangle(ORIGIN, pts[trip[0]], pts[trip[1]], pts[trip[2]]):
+            raise TheoremFalsified(f"Caratheodory triple {trip} misses the origin")
         return trip
 
     if len(hull) == 1:
@@ -188,7 +222,7 @@ def caratheodory_triple(points: Sequence[Vec2]) -> Optional[tuple[int, int, int]
                 first_index[(hull[i].x, hull[i].y)],
                 first_index[(hull[i + 1].x, hull[i + 1].y)],
             )
-    raise AssertionError("origin inside hull but no fan triangle contains it")
+    raise TheoremFalsified("origin inside hull but no fan triangle contains it")
 
 
 def ray_boundary(vertices: Sequence[Vec2], direction: Vec2) -> Vec2:
@@ -210,4 +244,4 @@ def ray_boundary(vertices: Sequence[Vec2], direction: Vec2) -> Vec2:
         t = exact_div(direction.cross(p), det)
         if s > 0 and 0 <= t <= 1:
             return direction.scale(s)
-    raise AssertionError("ray did not exit the polygon; origin not inside?")
+    raise NotConvexBody("ray did not exit the polygon; origin not inside?")

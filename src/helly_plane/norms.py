@@ -5,14 +5,20 @@ A polygonal unit ball is stored as its counterclockwise vertex cycle
 functional per edge, normalized to take the value 1 on that edge. The gauge
 of a point is the maximum of the edge functionals, which is exact on
 rational data.
+
+Each ball is compiled once, at construction, into integer edge normals
+(P, Q) over one common denominator, plus their float copies. Rational
+gauges and subset sums then run on plain ints and form a single
+`Fraction` per reported value; float gauges run on the float normals and
+round exactly as `Fraction * float` does.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import (
     DegenerateHull,
@@ -21,8 +27,8 @@ from .errors import (
     NotSymmetric,
     ZeroDirection,
 )
-from .geometry import OriginPosition, convex_hull, origin_in_hull
-from .scalars import Scalar, exact_div
+from .geometry import convex_hull, lattice
+from .scalars import Scalar, exact_div, is_float
 from .vectors import Vec2
 
 EUCLIDEAN = "euclidean"
@@ -46,9 +52,23 @@ class EdgeFunctional:
 
 @dataclass(frozen=True)
 class UnitBall:
+    """A unit ball; polygonal ones carry their compiled edge normals.
+
+    `normals` holds integer pairs (P, Q) with (p, q) == (P, Q) / `den` for
+    each edge functional, or None when the vertices are floats;
+    `float_normals` holds (float(p), float(q)).
+    """
+
     kind: str
     vertices: tuple[Vec2, ...] = ()
     edges: tuple[EdgeFunctional, ...] = ()
+    normals: Optional[tuple[tuple[int, int], ...]] = field(
+        default=None, repr=False, compare=False
+    )
+    den: int = field(default=1, repr=False, compare=False)
+    float_normals: tuple[tuple[float, float], ...] = field(
+        default=(), repr=False, compare=False
+    )
 
     @property
     def is_polygonal(self) -> bool:
@@ -66,20 +86,13 @@ def _exactify(v: Vec2) -> Vec2:
     return Vec2(x, y)
 
 
-def _edge_functional(a: Vec2, b: Vec2) -> EdgeFunctional:
-    # unique (p, q) with p*a.x + q*a.y = p*b.x + q*b.y = 1; the determinant
-    # is nonzero because no edge of a valid ball is collinear with the origin
-    det = a.cross(b)
-    return EdgeFunctional(exact_div(b.y - a.y, det), exact_div(a.x - b.x, det))
-
-
-def _polar_less(a: Vec2, b: Vec2) -> bool:
-    """Compare polar angles in [0, 2*pi) without trigonometry."""
-    ha = 0 if (a.y > 0 or (a.y == 0 and a.x > 0)) else 1
-    hb = 0 if (b.y > 0 or (b.y == 0 and b.x > 0)) else 1
+def _polar_less(a: tuple, b: tuple) -> bool:
+    """Compare polar angles of (x, y) pairs in [0, 2*pi) without trigonometry."""
+    ha = 0 if (a[1] > 0 or (a[1] == 0 and a[0] > 0)) else 1
+    hb = 0 if (b[1] > 0 or (b[1] == 0 and b[0] > 0)) else 1
     if ha != hb:
         return ha < hb
-    return a.cross(b) > 0
+    return a[0] * b[1] - a[1] * b[0] > 0
 
 
 def make_polygonal_ball(vertices: Sequence[Vec2]) -> UnitBall:
@@ -95,20 +108,35 @@ def make_polygonal_ball(vertices: Sequence[Vec2]) -> UnitBall:
     hull = convex_hull(pts)
     if len(hull) < 3:
         raise NotConvexBody("hull is degenerate (a point or a segment)")
-    signed = {(p.x, p.y) for p in hull}
-    if signed != {(-x, -y) for x, y in signed}:
+    # rational vertices are checked and compiled as integers over `scale`
+    grid = lattice(hull)
+    coords, scale = grid if grid else ([(v.x, v.y) for v in hull], 1)
+    if set(coords) != {(-x, -y) for x, y in coords}:
         raise NotSymmetric("vertex set is not invariant under negation")
-    if origin_in_hull(hull) is not OriginPosition.INTERIOR:
-        raise NotConvexBody("origin is not strictly inside")
     start = 0
-    for i in range(1, len(hull)):
-        if _polar_less(hull[i], hull[start]):
+    for i in range(1, len(coords)):
+        if _polar_less(coords[i], coords[start]):
             start = i
-    cyc = tuple(_exactify(v) for v in hull[start:] + hull[:start])
-    edges = tuple(
-        _edge_functional(cyc[i], cyc[(i + 1) % len(cyc)]) for i in range(len(cyc))
+    coords = coords[start:] + coords[:start]
+    edges = []
+    div = Fraction if grid else exact_div
+    for (ax, ay), (bx, by) in zip(coords, coords[1:] + coords[:1]):
+        # the origin is strictly inside exactly when every edge turns left
+        # around it, and then the functional equal to 1 at both ends is unique
+        det = ax * by - ay * bx
+        if not det > 0:
+            raise NotConvexBody("origin is not strictly inside")
+        edges.append(EdgeFunctional(div(scale * (by - ay), det), div(scale * (ax - bx), det)))
+    normals, den = lattice([Vec2(e.p, e.q) for e in edges]) if grid else (None, 1)
+    # tuples from lists, not generators (see geometry.lattice)
+    return UnitBall(
+        POLYGONAL,
+        tuple([_exactify(v) for v in hull[start:] + hull[:start]]),
+        tuple(edges),
+        None if normals is None else tuple(normals),
+        den,
+        tuple([(float(e.p), float(e.q)) for e in edges]),
     )
-    return UnitBall(POLYGONAL, cyc, edges)
 
 
 def square_ball() -> UnitBall:
@@ -122,7 +150,52 @@ def gauge(ball: UnitBall, z: Vec2) -> Scalar:
     """The norm of z: gauge(z) <= 1 exactly when z is in the ball."""
     if ball.kind == EUCLIDEAN:
         return math.hypot(float(z.x), float(z.y))
-    return max(e(z) for e in ball.edges)
+    x, y = z.x, z.y
+    if ball.normals is None or is_float(x, y):
+        return _float_gauge(ball, float(x), float(y))
+    b, d = x.denominator, y.denominator
+    return _lattice_gauge(ball, x.numerator * d, y.numerator * b, b * d)
+
+
+def _lattice_gauge(ball: UnitBall, x: int, y: int, den: int) -> Fraction:
+    """Exact gauge of (x, y) / den on a ball with integer normals."""
+    return Fraction(max(p * x + q * y for p, q in ball.normals), ball.den * den)
+
+
+def _float_gauge(ball: UnitBall, x: float, y: float) -> float:
+    if ball.kind == EUCLIDEAN:
+        return math.hypot(x, y)
+    return max(p * x + q * y for p, q in ball.float_normals)
+
+
+def subset_gauges(
+    ball: UnitBall, vectors: Sequence[Vec2], subsets: Iterable[Sequence[int]]
+) -> Iterator[tuple[Sequence[int], Scalar]]:
+    """(subset, gauge of the subset's vector sum) for each index subset, lazily.
+
+    The family is put on the integer lattice once, so a rational subset sum
+    costs integer additions and its gauge a single `Fraction`. Float data is
+    summed as floats, left to right from 0 in index order, which is bit for
+    bit what `gauge(ball, vsum(...))` computes.
+    """
+    grid = lattice(vectors)
+    if grid is None:
+        pts, den = [(float(v.x), float(v.y)) for v in vectors], None
+    else:
+        pts, den = grid
+    for t in subsets:
+        sx = sy = 0
+        for i in t:
+            x, y = pts[i]
+            sx += x
+            sy += y
+        if den is None:
+            yield t, _float_gauge(ball, sx, sy)
+        elif ball.normals is None:
+            # Euclidean or float-vertex ball: the exact sum, correctly rounded
+            yield t, _float_gauge(ball, sx / den, sy / den)
+        else:
+            yield t, _lattice_gauge(ball, sx, sy, den)
 
 
 def edge_functionals(ball: UnitBall) -> list[EdgeFunctional]:
@@ -142,11 +215,12 @@ def boundary_point(ball: UnitBall, direction: Vec2) -> Vec2:
 
 def symmetric_hull(points: Sequence[Vec2]) -> UnitBall:
     """The polygonal ball conv{+-p : p in points}."""
-    pts = list(points) + [-p for p in points]
-    hull = convex_hull(pts)
-    if len(hull) < 3:
-        raise DegenerateHull("all points lie on one line through the origin")
-    return make_polygonal_ball(hull)
+    pts = list(points)
+    try:
+        return make_polygonal_ball(pts + [-p for p in pts])
+    except NotConvexBody:
+        # a symmetric set fails only by spanning no more than a line
+        raise DegenerateHull("all points lie on one line through the origin") from None
 
 
 def ball_to_json(ball: UnitBall) -> dict:

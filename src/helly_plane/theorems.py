@@ -30,7 +30,7 @@ from .errors import (
     ZeroDirection,
 )
 from .geometry import point_in_triangle
-from .norms import EdgeFunctional, UnitBall, gauge
+from .norms import EdgeFunctional, UnitBall, gauge, subset_gauges
 from .scalars import DEFAULT_TOL, Scalar, eq, ge, gt, le, sgn, format_scalar
 from .vectors import ORIGIN, Vec2, VectorMultiset, vsum
 
@@ -164,14 +164,15 @@ def _supporting_functional(ball: UnitBall, v: Vec2, tol: float) -> EdgeFunctiona
     if not ball.is_polygonal:
         return EdgeFunctional(v.x, v.y)
     hits = [e for e in ball.edges if eq(e(v), 1, tol)]
-    if len(hits) == 1:
-        return hits[0]
     if len(hits) == 2:
         # v is a vertex: average the two incident functionals, normalized
         # so the value at v stays 1; this picks an interior support line
         e, f = hits
         return EdgeFunctional((e.p + f.p) / 2, (e.q + f.q) / 2)
-    raise AssertionError(f"{len(hits)} supporting edges at a boundary point")
+    # one hit, or three and more when very short edges fall within the
+    # tolerance: an edge attaining the gauge at v is 1 there (up to tol) and
+    # at most the gauge everywhere, so it supports the ball at v
+    return max(ball.edges, key=lambda e: e(v))
 
 
 def halfplane_certificate(
@@ -285,10 +286,7 @@ def verify_helly(
             witnesses=witnesses, notes="collinear family: 1d path",
         )
     singles = [((i,), gauge(ball, v)) for i, v in enumerate(vs)]
-    triples = [
-        (t, gauge(ball, vsum(vs[i] for i in t)))
-        for t in combinations(range(len(vs)), 3)
-    ]
+    triples = subset_gauges(ball, vs, combinations(range(len(vs)), 3))
     hypothesis, conclusion, bad = _helly_core(singles, triples, total_norm, strict, tol)
     witnesses = [KSum(idx, vsum(vs[i] for i in idx)) for idx, _ in bad]
     return VerifyReport(
@@ -341,32 +339,19 @@ def corollary_check(
     vs = tuple(vectors)
     if k % 2 == 0 or k <= 3 or k > len(vs):
         raise BadK(f"k must be odd, > 3, and <= {len(vs)}; got {k}")
-    bad: list[KSum] = []
-    hypothesis = True
-    for i, v in enumerate(vs):
-        if not le(gauge(ball, v), 1, tol):
-            hypothesis = False
-            bad.append(KSum((i,), v))
-    for t in combinations(range(len(vs)), 3):
-        s = vsum(vs[i] for i in t)
-        if not gt(gauge(ball, s), 1, tol):
-            hypothesis = False
-            bad.append(KSum(t, s))
-    conclusion = True
-    failing: list[KSum] = []
-    for t in combinations(range(len(vs)), k):
-        s = vsum(vs[i] for i in t)
-        if not gt(gauge(ball, s), 1, tol):
-            conclusion = False
-            failing.append(KSum(t, s))
+    bad = [KSum((i,), v) for i, v in enumerate(vs) if not le(gauge(ball, v), 1, tol)]
+    triples = subset_gauges(ball, vs, combinations(range(len(vs)), 3))
+    bad += [KSum(t, vsum(vs[i] for i in t)) for t, g in triples if not gt(g, 1, tol)]
+    ksums = subset_gauges(ball, vs, combinations(range(len(vs)), k))
+    failing = [t for t, g in ksums if not gt(g, 1, tol)]
     total = vsum(vs)
     return VerifyReport(
         "COR",
-        hypothesis,
-        conclusion,
+        not bad,
+        not failing,
         total,
         gauge(ball, total),
-        witnesses=(bad if not hypothesis else failing),
+        witnesses=bad or [KSum(t, vsum(vs[i] for i in t)) for t in failing],
         notes=f"k={k}",
     )
 
@@ -408,8 +393,8 @@ def lemma_main_witness(
             raise PreconditionFailed("vectors do not sum to zero")
     elif not total.is_zero():
         raise PreconditionFailed("vectors do not sum to zero")
-    for t in combinations(range(6), 3):
-        if le(gauge(ball, vsum(zs[i] for i in t)), 1, tol):
+    for t, g in subset_gauges(ball, zs, combinations(range(6), 3)):
+        if le(g, 1, tol):
             return t
     raise TheoremFalsified("no triple of a zero-sum 6-family lands in the ball")
 

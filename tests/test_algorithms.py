@@ -131,6 +131,13 @@ def test_signs_random_balls():
         assert all(s in (-1, 1) for s in sv.signs)
 
 
+@pytest.mark.parametrize("n,checked", [(1, 1), (3, 4), (15, 2**14), (16, 1000)])
+def test_signs_counts_odd_subsets(square, n, checked):
+    # up to 15 vectors every odd subset is checked; from 16 on a 1000-sample
+    vs = gen_unit_vectors(square, n, seed=n)
+    assert choose_signs(square, vs).odd_subsets_checked == checked
+
+
 # ---------------------------------------------------------------------------
 # general-position perturbation
 # ---------------------------------------------------------------------------

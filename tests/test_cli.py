@@ -48,6 +48,7 @@ def test_signs_command(tmp_path, capsys):
     assert main(["signs", str(vecs), "--ball", str(ball), "--svg", str(svg)]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["signs"] == [1, 1, 1]
+    assert doc["odd_subsets_checked"] == 4
     assert doc["all_pass"] is True
     assert svg.read_text().startswith("<svg")
 

@@ -1,0 +1,95 @@
+"""Golden digests of the canonical suite reports and of the gallery results.
+
+Each config below is pinned to the sha256 of `SuiteReport.to_json_text()`
+as the reference implementation produced it. Any change to arithmetic,
+enumeration order, witness choice or report formatting shows up here as a
+digest mismatch, so refactors and speedups must leave every line intact.
+
+Trial counts are chosen to reach the special trials of the suites: thm2's
+antipodal-pair instances (index % 3 == 0) and thm3's collinear instance
+(index 9 on polygonal balls).
+"""
+
+import hashlib
+
+import pytest
+
+from helly_plane.gallery import CASE_NAMES, run_gallery
+from helly_plane.suites import SuiteConfig, run_suite
+
+# (suite, trials, seed, mode, ball, sha256 of the canonical report text)
+GOLDEN = [
+    ("thm1", 40, 11, "exact", "random", "45c42e1f704834cf2c5b31e331d6019b49cfc1b3745e1303d31690a1c09c571d"),
+    ("thm2", 30, 12, "exact", "random", "b7cf6a8d5161b70c27d61a06ae6031fd0be5c60308c16593ea72e7fd253ed9cb"),
+    ("thm3", 20, 13, "exact", "random", "73323efb788b78adc017837e7245d737b547069c2e087991e7c0c5866141360e"),
+    ("corollary", 10, 14, "exact", "random", "f8ae8222d9f6e6d2bbb7853c7c8a279b3e8fa834c82d6e1cfe3ac57b3eacb99f"),
+    ("signs", 20, 15, "exact", "random", "098b85d0b51f41b011204fea4357e4741784cb4e41111163b14c9b8fab56788d"),
+    ("lemma-main", 50, 16, "exact", "random", "0943a192085bbb5529ea86fb8f35fadb8b226808f007cdccbd16368c9e2328de"),
+    ("lemma-conv", 50, 17, "exact", "random", "4f40378e3957f19d2415368fbfa5d8a34b18db0ae77ef7c25e1f572f5d8c22d2"),
+    ("claim1", 30, 29, "exact", "random", "0c19e304b5c09db0ac12178e8d4c647ebe0568ab09bfea8fe8c54a972773605e"),
+    ("thm1", 30, 30, "exact", "maxnorm", "d16aab097f6787c0ab845c647eb876f13388ed048ad178269572a848fc9293b6"),
+    ("thm2", 30, 18, "exact", "maxnorm", "37f7fb88e9e1bc8e3932f8f8d97f701fc4cfd0062c9eec32e602e6c5b0b21ed6"),
+    ("thm3", 20, 19, "exact", "maxnorm", "750986097ab9882135e45793e6d6b11f1759e4d97cab7290a54df955ecf1f1d8"),
+    ("corollary", 10, 20, "exact", "maxnorm", "237376c591c8d943dab920ce91c38aaacdd6a4defdd9e51fb8a4c3b4953f77b5"),
+    ("signs", 20, 21, "exact", "maxnorm", "765771c1243bd3aeb637d246bde814245b4da0ee6ed3461dedea9b305bc939af"),
+    ("lemma-main", 50, 22, "exact", "maxnorm", "ae858a5fe876e076be8db128fcc6ed7b085baadcef16909502d4692da195a387"),
+    ("thm1", 30, 31, "float", "random", "74adfcc5640969fa6580e33741ccffef974434d9a3fb59d7814bd7318ce7719a"),
+    ("thm2", 30, 23, "float", "random", "47272f6d6f27fb04ef2e264e3d0fdb67fe17eeb1a6c24598aa3718513205ed40"),
+    ("thm3", 20, 24, "float", "random", "f27685303801e7c2263efef409d12aecacebbd1a6b597b5ca4ab2e8ebeb9f971"),
+    ("corollary", 10, 32, "float", "random", "2b6e15bdaabbab7b3b11d4255a8a972c69fdbae24707a2f341746f72881049bb"),
+    ("signs", 20, 33, "float", "random", "ff5708768e963077455fc5232eeb660a6111561ab703ff5440f8e8120114b265"),
+    ("lemma-main", 50, 34, "float", "random", "6a035291e282c9abade7b023aec464a3a77788a0928296187ad5c8da0a9bd425"),
+    ("thm2", 30, 25, "float", "euclidean", "d962ce01099752a4941a044a9bbde4f9a4b29c9f9595d139d424d549cf5f93c3"),
+    ("thm3", 20, 26, "float", "euclidean", "1e6a2adbcd8aec62d64830c71099020c3ed93fb3dfd9ea66a0437eb68891dc77"),
+    ("generic", 10, 27, "exact", "random", "61adb96e875ef17eb017ef97df7c2ff25ac795757b2c08ff360367460765b8d3"),
+    ("symmetry", 10, 28, "exact", "random", "8e27fd8e5c7e62992463194abfc3f64614ad841d06d68c8fab77f6fc211ba4fd"),
+]
+
+# (check name, expected, actual, passed) per gallery case
+GALLERY = {
+    "thm3-closed-fails": [
+        ("min 3-sum gauge", "1", "1", True),
+        ("total", "(0, 1/2)", "(0, 1/2)", True),
+        ("total gauge", "1/2", "1/2", True),
+    ],
+    "even-n": [
+        ("all unit", "True", "True", True),
+        ("total norm", "0.05", "0.049999999999999996", True),
+        ("total norm < 1", "True", "True", True),
+    ],
+    "remark1-equality": [
+        ("all dots > 0", "True", "True", True),
+        ("all unit", "True", "True", True),
+        ("total gauge", "1", "1", True),
+    ],
+    "remark2-3d": [
+        ("all unit", "True", "True", True),
+        ("all dots > 0", "True", "True", True),
+        ("total norm", "0.07", "0.07", True),
+    ],
+    "remark4-tetrahedron": [
+        ("all 3-sum norms", "1", "[1.0, 1.0, 1.0, 1.0]", True),
+        ("total norm", "0", "0.0", True),
+    ],
+}
+
+
+@pytest.mark.parametrize(
+    "suite,trials,seed,mode,ball,digest",
+    GOLDEN,
+    ids=[f"{s}-{m}-{b}-{seed}" for s, _, seed, m, b, _ in GOLDEN],
+)
+def test_report_digest(suite, trials, seed, mode, ball, digest):
+    config = SuiteConfig(suite=suite, trials=trials, seed=seed, mode=mode, ball_source=ball)
+    report = run_suite(config)
+    assert report.passes == trials
+    assert hashlib.sha256(report.to_json_text().encode()).hexdigest() == digest
+
+
+def test_gallery_results_pinned():
+    results = run_gallery()
+    got = {
+        name: [(c.name, c.expected, c.actual, c.passed) for c in results[name]]
+        for name in CASE_NAMES
+    }
+    assert got == GALLERY

@@ -14,7 +14,7 @@ from helly_plane.errors import (
     ZeroDirection,
 )
 from helly_plane.generators import gen_direction, gen_random_ball, gen_unit_vectors, gen_zero_sum_six
-from helly_plane.norms import gauge
+from helly_plane.norms import gauge, make_polygonal_ball
 from helly_plane.theorems import (
     all_ksums,
     claim1_triplets,
@@ -179,6 +179,20 @@ def test_certificate_orthogonal_vectors(square):
     assert c.ordered[0] == Vec2(1, 0)
     assert c.ordered[-1] == Vec2(-1, 0)
     assert c.projection_sum >= 1
+
+
+def test_certificate_short_edges_float():
+    # three edge functionals are within the tolerance of 1 at the float point
+    # (1, e): a supporting functional must still come back, not an error
+    e = Fraction(1, 10**11)
+    ball = make_polygonal_ball(
+        [Vec2(1, 0), Vec2(1, e), Vec2(0, 1), Vec2(-1, 0), Vec2(-1, -e), Vec2(0, -1)]
+    )
+    v = Vec2(1.0, float(e))
+    c = halfplane_certificate(ball, [v], Vec2(1, 0), 1e-9)
+    assert abs(c.tangent(v) - 1) <= 1e-9
+    assert all(c.tangent(w) <= 1 for w in ball.vertices)
+    assert abs(c.projection_sum - 1) <= 1e-9
 
 
 def test_theorem1_property_random():
