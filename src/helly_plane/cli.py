@@ -8,7 +8,8 @@
     helly-plane ginzburg <vectors.json> [--u 0,1] [--svg out.svg]
     helly-plane symmetry check <polygon.json> [--svg out.svg]
 
-Exit status is 0 exactly when there were no substantive failures.
+Exit status is 0 exactly when there were no substantive failures, 1 when
+there were, and 2 on malformed input or any other library or file error.
 """
 
 from __future__ import annotations
@@ -20,10 +21,8 @@ import sys
 from .algorithms import choose_signs, ginzburg_reduce
 from .errors import HellyPlaneError
 from .gallery import CASE_NAMES, run_gallery
-from .generators import gen_random_ball, gen_unit_vectors
-from .norms import ball_from_json, euclidean_ball, load_vectors, square_ball
-from .scalars import parse_scalar
-from .suites import SUITE_NAMES, SuiteConfig, run_suite
+from .norms import ball_from_json, euclidean_ball, load_json, load_vectors
+from .suites import SUITE_NAMES, SuiteConfig, draw_instance, run_suite
 from .svgout import instance_svg
 from .symmetry import (
     find_violation_halfplane,
@@ -32,18 +31,6 @@ from .symmetry import (
     make_convex_body,
 )
 from .vectors import Vec2
-
-
-def _load_json(path: str) -> dict:
-    with open(path, encoding="utf-8") as f:
-        return json.load(f)
-
-
-def _parse_direction(text: str, mode: str = "float") -> Vec2:
-    parts = text.split(",")
-    if len(parts) != 2:
-        raise ValueError(f"direction must look like '0,1'; got {text!r}")
-    return Vec2(parse_scalar(parts[0], mode), parse_scalar(parts[1], mode))
 
 
 def _write_svg(path: str, ball, vectors, outline=None) -> None:
@@ -73,18 +60,9 @@ def _cmd_verify(args) -> int:
         file=sys.stderr,
     )
     if args.svg:
-        # render the first trial's data as a representative picture
-        import random
-
-        rng = random.Random(config.seed)
-        if config.ball_source == "maxnorm":
-            ball = square_ball()
-        elif config.ball_source == "euclidean":
-            ball = euclidean_ball()
-        else:
-            ball = gen_random_ball(rng.getrandbits(32))
-        vectors = gen_unit_vectors(ball, 5, rng.getrandbits(32))
-        _write_svg(args.svg, ball, vectors)
+        # trial 0 exactly as the suite drew it
+        instance = draw_instance(config, 0)
+        _write_svg(args.svg, instance.ball, instance.vectors, instance.outline)
     return 0 if report.failures == 0 else 1
 
 
@@ -105,9 +83,9 @@ def _cmd_gallery(args) -> int:
 
 
 def _cmd_signs(args) -> int:
-    ball = ball_from_json(_load_json(args.ball))
+    ball = ball_from_json(load_json(args.ball))
     mode = "float" if not ball.is_polygonal else "exact"
-    vectors = load_vectors(_load_json(args.vectors), mode)
+    vectors = load_vectors(load_json(args.vectors), mode)
     sv = choose_signs(ball, vectors)
     print(json.dumps(
         {"signs": sv.signs, "odd_subsets_checked": sv.odd_subsets_checked, "all_pass": True}
@@ -118,8 +96,8 @@ def _cmd_signs(args) -> int:
 
 
 def _cmd_ginzburg(args) -> int:
-    vectors = load_vectors(_load_json(args.vectors), "float")
-    u = _parse_direction(args.u)
+    vectors = load_vectors(load_json(args.vectors), "float")
+    u = Vec2.from_json(args.u.split(","), "float")
     trace = ginzburg_reduce(vectors, u)
     for step in trace.steps:
         print(json.dumps(step.to_json()))
@@ -132,8 +110,7 @@ def _cmd_symmetry(args) -> int:
     if args.action != "check":
         print(f"unknown symmetry action {args.action!r}", file=sys.stderr)
         return 2
-    doc = _load_json(args.polygon)
-    body = make_convex_body([Vec2.from_json(p) for p in doc["vertices"]])
+    body = make_convex_body(load_vectors(load_json(args.polygon), key="vertices"))
     symmetric = is_centrally_symmetric(body)
     w1 = find_violation_halfplane(body)
     w2 = find_violation_surrounding(body)
@@ -168,7 +145,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ball", default="random",
                    help="maxnorm | euclidean | random | path to a ball JSON file")
     p.add_argument("--out", help="write the JSON report here instead of stdout")
-    p.add_argument("--svg", help="render a representative instance to this file")
+    p.add_argument("--svg", help="render trial 0 of the run to this file")
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("gallery", help="evaluate the fixed instance gallery")

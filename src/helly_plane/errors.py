@@ -53,6 +53,10 @@ class HalfplaneViolated(HellyPlaneError):
     """Vectors must lie in the closed halfplane of the given direction."""
 
 
+class BadInput(HellyPlaneError, ValueError):
+    """Malformed input data: not JSON, a missing key, an unparsable value."""
+
+
 class PreconditionFailed(HellyPlaneError):
     """Generic precondition violation with a message."""
 

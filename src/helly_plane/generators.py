@@ -15,6 +15,7 @@ from typing import Optional
 
 from .errors import DegenerateHull
 from .norms import UnitBall, boundary_point, euclidean_ball, gauge, symmetric_hull
+from .scalars import le
 from .symmetry import ConvexBody, is_centrally_symmetric, make_convex_body
 from .vectors import Vec2, vsum
 
@@ -86,7 +87,7 @@ def gen_zero_sum_six(ball: UnitBall, seed: int) -> tuple[Vec2, ...]:
     for _ in range(10_000):
         five = [_point_in_ball(ball, rng) for _ in range(5)]
         closing = -vsum(five)
-        if _in_ball(ball, closing):
+        if le(gauge(ball, closing), 1, 1e-12):
             return tuple(five) + (closing,)
     a, b, c = (_point_in_ball(ball, rng) for _ in range(3))
     return (a, b, c, -a, -b, -c)
@@ -106,13 +107,6 @@ def _point_in_ball(ball: UnitBall, rng: random.Random) -> Vec2:
     for p, w in zip(picks, weights):
         out = out + p.scale(Fraction(w, total))
     return out
-
-
-def _in_ball(ball: UnitBall, z: Vec2) -> bool:
-    g = gauge(ball, z)
-    if isinstance(g, float):
-        return g <= 1.0 + 1e-12
-    return g <= 1
 
 
 def gen_direction(rng: random.Random) -> Vec2:

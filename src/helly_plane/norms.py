@@ -15,12 +15,14 @@ round exactly as `Fraction * float` does.
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import (
+    BadInput,
     DegenerateHull,
     NotConvexBody,
     NotPolygonal,
@@ -28,7 +30,7 @@ from .errors import (
     ZeroDirection,
 )
 from .geometry import convex_hull, lattice
-from .scalars import Scalar, exact_div, is_float
+from .scalars import Scalar, exact_div, exactify, is_float
 from .vectors import Vec2
 
 EUCLIDEAN = "euclidean"
@@ -79,13 +81,6 @@ def euclidean_ball() -> UnitBall:
     return UnitBall(EUCLIDEAN)
 
 
-def _exactify(v: Vec2) -> Vec2:
-    """Promote rational coordinates to Fraction so divisions stay exact."""
-    x = v.x if isinstance(v.x, float) else Fraction(v.x)
-    y = v.y if isinstance(v.y, float) else Fraction(v.y)
-    return Vec2(x, y)
-
-
 def _polar_less(a: tuple, b: tuple) -> bool:
     """Compare polar angles of (x, y) pairs in [0, 2*pi) without trigonometry."""
     ha = 0 if (a[1] > 0 or (a[1] == 0 and a[0] > 0)) else 1
@@ -131,7 +126,7 @@ def make_polygonal_ball(vertices: Sequence[Vec2]) -> UnitBall:
     # tuples from lists, not generators (see geometry.lattice)
     return UnitBall(
         POLYGONAL,
-        tuple([_exactify(v) for v in hull[start:] + hull[:start]]),
+        tuple([Vec2(exactify(v.x), exactify(v.y)) for v in hull[start:] + hull[:start]]),
         tuple(edges),
         None if normals is None else tuple(normals),
         den,
@@ -230,15 +225,27 @@ def ball_to_json(ball: UnitBall) -> dict:
 
 
 def ball_from_json(obj: dict, mode: str = "exact") -> UnitBall:
-    kind = obj.get("type")
+    kind = obj.get("type") if isinstance(obj, dict) else None
     if kind == EUCLIDEAN:
         return euclidean_ball()
     if kind == POLYGONAL:
-        verts = [Vec2.from_json(pair, mode) for pair in obj["vertices"]]
-        return make_polygonal_ball(verts)
-    raise ValueError(f"unknown ball type: {kind!r}")
+        return make_polygonal_ball(load_vectors(obj, mode, "vertices"))
+    raise BadInput(f"unknown ball type: {kind!r}")
 
 
-def load_vectors(obj: dict, mode: str = "exact") -> list[Vec2]:
-    """Parse a vector-set document of the form {"vectors": [[x, y], ...]}."""
-    return [Vec2.from_json(pair, mode) for pair in obj["vectors"]]
+def load_vectors(obj: dict, mode: str = "exact", key: str = "vectors") -> list[Vec2]:
+    """Parse the point list under `key`, as in {"vectors": [[x, y], ...]}."""
+    try:
+        pairs = list(obj[key])
+    except (KeyError, TypeError):
+        raise BadInput(f"the document has no {key!r} list") from None
+    return [Vec2.from_json(pair, mode) for pair in pairs]
+
+
+def load_json(path: str):
+    """A JSON document from a file; text that is not JSON raises BadInput."""
+    with open(path, encoding="utf-8") as f:
+        try:
+            return json.load(f)
+        except ValueError as exc:
+            raise BadInput(f"{path} is not JSON: {exc}") from None

@@ -13,6 +13,8 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Union
 
+from .errors import BadInput
+
 Scalar = Union[int, Fraction, float]
 
 DEFAULT_TOL = 1e-9
@@ -20,7 +22,10 @@ DEFAULT_TOL = 1e-9
 
 def parse_scalar(text: str, mode: str = "exact") -> Scalar:
     """Parse a decimal or "p/q" string. Exact mode returns a Fraction."""
-    value = Fraction(str(text))
+    try:
+        value = Fraction(str(text))
+    except (ValueError, ZeroDivisionError):
+        raise BadInput(f"not a scalar: {text!r}") from None
     if mode == "float":
         return float(value)
     return value
@@ -34,6 +39,11 @@ def format_scalar(x: Scalar) -> str:
 
 def is_float(*xs: Scalar) -> bool:
     return any(isinstance(x, float) for x in xs)
+
+
+def exactify(x: Scalar) -> Scalar:
+    """Rationals (int included) as Fraction, so divisions stay exact; floats as is."""
+    return x if isinstance(x, float) else Fraction(x)
 
 
 def eq(a: Scalar, b: Scalar, tol: float = DEFAULT_TOL) -> bool:

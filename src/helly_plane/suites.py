@@ -5,9 +5,11 @@ A suite runs `trials` independent instances; the sub-seed of trial i is
 report byte for byte. Wall time is measured but kept out of the canonical
 JSON for exactly that reason.
 
-Instances that fail to satisfy a suite's hypothesis within the per-trial
-retry budget are recorded as "vacuous" rather than silently redrawn
-forever; substantive passes are the only thing that counts as evidence.
+Each suite supplies a draw and a check; one driver runs every trial: it
+draws the instance, digests it, then checks it. Instances that fail to
+satisfy a suite's hypothesis within the per-trial retry budget are recorded
+as "vacuous" rather than silently redrawn forever; substantive passes are
+the only thing that counts as evidence.
 """
 
 from __future__ import annotations
@@ -16,55 +18,33 @@ import hashlib
 import json
 import random
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
+from typing import Any, Optional, Sequence
 
 from .algorithms import choose_signs, make_generic
-from .errors import SamplingExhausted, SearchBudgetExceeded, TheoremFalsified, UnknownSuite
-from .gallery import CASE_NAMES, run_gallery
-from .generators import (
-    antipodal_pair_on_boundary,
-    gen_asymmetric_body,
-    gen_claim1_tuple,
-    gen_collinear_family,
-    gen_direction,
-    gen_random_ball,
-    gen_symmetric_body,
-    gen_unit_vectors,
-    gen_zero_sum_six,
+from .errors import (
+    BadInput, HypothesisFailed, SamplingExhausted, SearchBudgetExceeded, TheoremFalsified,
+    UnknownSuite,
 )
-from .norms import UnitBall, ball_from_json, ball_to_json, euclidean_ball, gauge, square_ball
+from .gallery import CASE_NAMES, gallery_case
+from .generators import (
+    antipodal_pair_on_boundary, gen_asymmetric_body, gen_claim1_tuple, gen_collinear_family,
+    gen_direction, gen_random_ball, gen_symmetric_body, gen_unit_vectors, gen_zero_sum_six,
+)
+from .norms import (
+    UnitBall, ball_from_json, ball_to_json, euclidean_ball, gauge, load_json, square_ball,
+)
+from .scalars import le
 from .symmetry import (
-    find_violation_halfplane,
-    find_violation_surrounding,
-    is_centrally_symmetric,
-    verify_halfplane_witness,
-    verify_surrounding_witness,
+    find_violation_halfplane, find_violation_surrounding, is_centrally_symmetric,
+    verify_halfplane_witness, verify_surrounding_witness,
 )
 from .theorems import (
-    claim1_triplets,
-    corollary_check,
-    halfplane_certificate,
-    lemma_conv_check,
-    lemma_main_witness,
-    verify_helly,
-    verify_theorem1,
+    claim1_triplets, corollary_check, halfplane_certificate, lemma_conv_check,
+    lemma_main_witness, verify_helly,
 )
 from .vectors import Vec2, vsum
-
-SUITE_NAMES = (
-    "thm1",
-    "thm2",
-    "thm3",
-    "lemma-conv",
-    "lemma-main",
-    "claim1",
-    "corollary",
-    "signs",
-    "generic",
-    "symmetry",
-    "gallery",
-)
 
 
 @dataclass(frozen=True)
@@ -77,14 +57,7 @@ class SuiteConfig:
     ball_source: str = "random"
 
     def to_json(self) -> dict:
-        return {
-            "suite": self.suite,
-            "trials": self.trials,
-            "seed": self.seed,
-            "mode": self.mode,
-            "tol": self.tol,
-            "ball_source": self.ball_source,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -138,6 +111,20 @@ class SuiteReport:
         return json.dumps(self.to_json(), sort_keys=True, separators=(",", ":"))
 
 
+@dataclass
+class Instance:
+    """One trial's input: `payload` is what its digest covers, `ball` (or a
+    body `outline`) and `vectors` what `verify --svg` draws, `data` what
+    else the check needs; `vacuous` says why no instance was found."""
+
+    payload: dict
+    ball: Optional[UnitBall] = None
+    vectors: Sequence = ()
+    outline: Optional[Sequence[Vec2]] = None
+    data: Any = None
+    vacuous: str = ""
+
+
 def _digest(payload) -> str:
     text = json.dumps(payload, sort_keys=True, separators=(",", ":"), default=str)
     return hashlib.sha256(text.encode()).hexdigest()[:12]
@@ -157,287 +144,272 @@ def _ball_for(cfg: SuiteConfig, rng: random.Random) -> UnitBall:
         return euclidean_ball()
     if source == "random":
         return gen_random_ball(rng.getrandbits(32))
-    with open(source, encoding="utf-8") as f:
-        return ball_from_json(json.load(f), cfg.mode)
+    return ball_from_json(load_json(source), cfg.mode)
 
 
-def _instance_payload(ball: UnitBall, vectors, extra=None) -> dict:
-    payload = {
-        "ball": ball_to_json(ball),
-        "vectors": [v.to_json() for v in vectors],
-    }
-    if extra:
-        payload.update(extra)
-    return payload
+def _on_ball(ball: UnitBall, vectors, extra=None, **fields) -> Instance:
+    """An instance on a ball; its digest covers the ball, the vectors and `extra`."""
+    payload = {"ball": ball_to_json(ball), "vectors": [v.to_json() for v in vectors]}
+    payload.update(extra or {})
+    return Instance(payload, ball, vectors, **fields)
 
 
-def _trial_thm1(cfg: SuiteConfig, index: int) -> TrialRecord:
-    rng = random.Random(cfg.seed ^ index)
-    ball = _ball_for(cfg, rng)
-    n = rng.choice([3, 5, 7, 9])
+def _halfplane_family(rng: random.Random, ball: UnitBall, n: int):
+    """A direction u and n unit vectors in the closed halfplane of u."""
     u = gen_direction(rng)
-    vectors = _as_mode(
-        gen_unit_vectors(ball, n, rng.getrandbits(32), halfplane=u), cfg.mode
-    )
-    digest = _digest(_instance_payload(ball, vectors, {"u": u.to_json()}))
-    report = verify_theorem1(ball, vectors, u, cfg.tol)
+    return u, gen_unit_vectors(ball, n, rng.getrandbits(32), halfplane=u)
+
+
+def _strict_instance(cfg: SuiteConfig, rng: random.Random, ball: UnitBall, n: int, probe):
+    """Halfplane families, up to 50, until `probe(vectors)` reports that its
+    strict hypothesis holds; the probe's report rides along as `data`."""
+    for _ in range(50):
+        u, vectors = _halfplane_family(rng, ball, n)
+        vectors = _as_mode(vectors, cfg.mode)
+        report = probe(vectors)
+        if report.hypothesis_holds:
+            return _on_ball(ball, vectors, {"u": u.to_json()}, data=report)
+    return _on_ball(ball, vectors, vacuous="no strict instance in budget")
+
+
+def _verdict(report, failure: str, success: str = "") -> tuple:
+    """The outcome of a hypothesis/conclusion report."""
     if not report.hypothesis_holds:
-        return TrialRecord(index, digest, "vacuous", report.notes)
+        return "vacuous", report.notes
     if not report.conclusion_holds:
-        return TrialRecord(
-            index, digest, "fail", "halfplane bound failed",
-            [w.to_json() for w in report.witnesses],
-        )
-    cert = halfplane_certificate(ball, vectors, u, cfg.tol)
-    detail = f"projection_sum={cert.projection_sum}"
-    return TrialRecord(index, digest, "pass", detail)
+        return "fail", failure, [w.to_json() for w in report.witnesses]
+    return "pass", success
 
 
-def _trial_thm2(cfg: SuiteConfig, index: int) -> TrialRecord:
-    rng = random.Random(cfg.seed ^ index)
+def _draw_thm1(cfg: SuiteConfig, rng: random.Random, index: int) -> Instance:
+    ball = _ball_for(cfg, rng)
+    u, vectors = _halfplane_family(rng, ball, rng.choice([3, 5, 7, 9]))
+    return _on_ball(ball, _as_mode(vectors, cfg.mode), {"u": u.to_json()}, data=u)
+
+
+def _check_thm1(cfg: SuiteConfig, inst: Instance) -> tuple:
+    try:
+        cert = halfplane_certificate(inst.ball, inst.vectors, inst.data, cfg.tol)
+    except HypothesisFailed as exc:
+        return "vacuous", str(exc)
+    return "pass", f"projection_sum={cert.projection_sum}"
+
+
+def _draw_thm2(cfg: SuiteConfig, rng: random.Random, index: int) -> Instance:
     ball = _ball_for(cfg, rng)
     n = rng.choice([3, 5, 7, 9])
-    u = gen_direction(rng)
-    vectors = list(gen_unit_vectors(ball, n, rng.getrandbits(32), halfplane=u))
+    u, vectors = _halfplane_family(rng, ball, n)
     note = "halfplane family"
     if index % 3 == 0 and ball.is_polygonal and n >= 5:
         # adversarial antipodal pair on the halfplane boundary line
-        w, nw = antipodal_pair_on_boundary(ball, u)
-        vectors[-2], vectors[-1] = w, nw
-        note = "halfplane family + antipodal pair"
-    vectors = _as_mode(vectors, cfg.mode)
-    digest = _digest(_instance_payload(ball, vectors, {"u": u.to_json()}))
-    report = verify_helly(ball, vectors, strict=False, tol=cfg.tol)
-    if not report.hypothesis_holds:
-        return TrialRecord(index, digest, "vacuous", report.notes)
-    if not report.conclusion_holds:
-        return TrialRecord(
-            index, digest, "fail", "three-sum bound failed",
-            [w.to_json() for w in report.witnesses],
-        )
-    return TrialRecord(index, digest, "pass", note)
+        vectors = vectors[:-2] + antipodal_pair_on_boundary(ball, u)
+        note += " + antipodal pair"
+    return _on_ball(ball, _as_mode(vectors, cfg.mode), {"u": u.to_json()}, data=note)
 
 
-def _trial_thm3(cfg: SuiteConfig, index: int) -> TrialRecord:
-    rng = random.Random(cfg.seed ^ index)
+def _check_thm2(cfg: SuiteConfig, inst: Instance) -> tuple:
+    report = verify_helly(inst.ball, inst.vectors, strict=False, tol=cfg.tol)
+    return _verdict(report, "three-sum bound failed", inst.data)
+
+
+def _draw_thm3(cfg: SuiteConfig, rng: random.Random, index: int) -> Instance:
     ball = _ball_for(cfg, rng)
     if index % 10 == 9 and ball.is_polygonal:
         # dedicated collinear instance for the one-dimensional path
         vectors, _ = gen_collinear_family(ball, rng.getrandbits(32))
-        vectors = _as_mode(vectors, cfg.mode)
-        digest = _digest(_instance_payload(ball, vectors, {"collinear": True}))
-        report = verify_helly(ball, vectors, strict=True, tol=cfg.tol)
-        if not report.hypothesis_holds:
-            return TrialRecord(index, digest, "vacuous", report.notes)
-        if not report.conclusion_holds:
-            return TrialRecord(
-                index, digest, "fail", "strict three-sum bound failed (1d)",
-                [w.to_json() for w in report.witnesses],
-            )
-        return TrialRecord(index, digest, "pass", "collinear 1d path")
-    n = rng.choice([3, 5, 7, 9])
-    for _ in range(50):
-        u = gen_direction(rng)
-        vectors = _as_mode(
-            gen_unit_vectors(ball, n, rng.getrandbits(32), halfplane=u), cfg.mode
-        )
-        report = verify_helly(ball, vectors, strict=True, tol=cfg.tol)
-        if report.hypothesis_holds:
-            digest = _digest(_instance_payload(ball, vectors, {"u": u.to_json()}))
-            if not report.conclusion_holds:
-                return TrialRecord(
-                    index, digest, "fail", "strict three-sum bound failed",
-                    [w.to_json() for w in report.witnesses],
-                )
-            return TrialRecord(index, digest, "pass")
-    digest = _digest(_instance_payload(ball, vectors))
-    return TrialRecord(index, digest, "vacuous", "no strict instance in budget")
-
-
-def _trial_lemma_conv(cfg: SuiteConfig, index: int) -> TrialRecord:
-    rng = random.Random(cfg.seed ^ index)
-    ball = _ball_for(cfg, rng)
-    a, b, c = _as_mode(gen_unit_vectors(ball, 3, rng.getrandbits(32)), cfg.mode)
-    digest = _digest(_instance_payload(ball, (a, b, c)))
-    origin_in, h_in = lemma_conv_check(ball, a, b, c, cfg.tol)
-    if origin_in != h_in:
-        return TrialRecord(
-            index, digest, "fail",
-            f"memberships disagree: origin={origin_in}, sum={h_in}",
-        )
-    return TrialRecord(index, digest, "pass", f"both={origin_in}")
-
-
-def _trial_lemma_main(cfg: SuiteConfig, index: int) -> TrialRecord:
-    rng = random.Random(cfg.seed ^ index)
-    ball = _ball_for(cfg, rng)
-    zs = _as_mode(gen_zero_sum_six(ball, rng.getrandbits(32)), cfg.mode)
-    digest = _digest(_instance_payload(ball, zs))
-    try:
-        trip = lemma_main_witness(ball, zs, cfg.tol)
-    except TheoremFalsified as exc:
-        return TrialRecord(index, digest, "fail", str(exc))
-    s = vsum(zs[i] for i in trip)
-    g = gauge(ball, s)
-    ok = g <= 1 if not isinstance(g, float) else g <= 1 + cfg.tol
-    if not ok:
-        return TrialRecord(index, digest, "fail", f"witness {trip} not in the ball")
-    return TrialRecord(index, digest, "pass", f"triple={trip}")
-
-
-def _trial_claim1(cfg: SuiteConfig, index: int) -> TrialRecord:
-    rng = random.Random(cfg.seed ^ index)
-    xs = gen_claim1_tuple(rng.getrandbits(32))
-    if cfg.mode == "float":
-        xs = [float(x) for x in xs]
-    digest = _digest({"xs": [str(x) for x in xs]})
-    triples = claim1_triplets(xs, cfg.tol)
-    hits = set(triples)
-    if len(hits) < 12:
-        return TrialRecord(index, digest, "fail", f"only {len(hits)} triples")
-    full = set(range(6))
-    for t in hits:
-        comp = tuple(sorted(full - set(t)))
-        if comp not in hits:
-            return TrialRecord(
-                index, digest, "fail", f"complement of {t} missing"
-            )
-    return TrialRecord(index, digest, "pass", f"count={len(hits)}")
-
-
-def _trial_corollary(cfg: SuiteConfig, index: int) -> TrialRecord:
-    rng = random.Random(cfg.seed ^ index)
-    ball = _ball_for(cfg, rng)
-    n = rng.choice([7, 9])
-    for _ in range(50):
-        u = gen_direction(rng)
-        vectors = _as_mode(
-            gen_unit_vectors(ball, n, rng.getrandbits(32), halfplane=u), cfg.mode
-        )
-        probe = corollary_check(ball, vectors, 5, cfg.tol)
-        if not probe.hypothesis_holds:
-            continue
-        digest = _digest(_instance_payload(ball, vectors, {"u": u.to_json()}))
-        for k in (5, 7):
-            if k > n:
-                continue
-            report = corollary_check(ball, vectors, k, cfg.tol)
-            if not report.conclusion_holds:
-                return TrialRecord(
-                    index, digest, "fail", f"a {k}-sum landed in the ball",
-                    [w.to_json() for w in report.witnesses],
-                )
-        return TrialRecord(index, digest, "pass", f"n={n}")
-    digest = _digest(_instance_payload(ball, vectors))
-    return TrialRecord(index, digest, "vacuous", "no strict instance in budget")
-
-
-def _trial_signs(cfg: SuiteConfig, index: int) -> TrialRecord:
-    rng = random.Random(cfg.seed ^ index)
-    ball = _ball_for(cfg, rng)
-    n = rng.randint(1, 11)
-    vectors = _as_mode(gen_unit_vectors(ball, n, rng.getrandbits(32)), cfg.mode)
-    digest = _digest(_instance_payload(ball, vectors))
-    try:
-        sv = choose_signs(ball, vectors, cfg.tol)
-    except TheoremFalsified as exc:
-        return TrialRecord(index, digest, "fail", str(exc))
-    return TrialRecord(index, digest, "pass", f"signs={sv.signs}")
-
-
-def _trial_generic(cfg: SuiteConfig, index: int) -> TrialRecord:
-    rng = random.Random(cfg.seed ^ index)
-    ball = _ball_for(cfg, rng)
-    if not ball.is_polygonal:
-        ball = square_ball()
-    n = rng.randint(1, 7)
-    vectors = gen_unit_vectors(ball, n, rng.getrandbits(32))
-    lam = Fraction(rng.choice([90, 95, 99]), 100)
-    eps = Fraction(1, 1000)
-    digest = _digest(_instance_payload(ball, vectors, {"lam": str(lam), "eps": str(eps)}))
-    try:
-        perturbed = make_generic(ball, vectors, lam, eps, rng.getrandbits(32))
-    except SamplingExhausted as exc:
-        return TrialRecord(index, digest, "fail", str(exc))
-    except TheoremFalsified as exc:
-        return TrialRecord(index, digest, "fail", str(exc))
-    worst = max(gauge(ball, p - v.scale(lam)) for p, v in zip(perturbed, vectors))
-    if worst > eps:
-        return TrialRecord(index, digest, "fail", "perturbation left the neighbourhood")
-    return TrialRecord(index, digest, "pass", f"n={n}")
-
-
-def _trial_symmetry(cfg: SuiteConfig, index: int) -> TrialRecord:
-    rng = random.Random(cfg.seed ^ index)
-    if index % 2 == 0:
-        body = gen_symmetric_body(rng.getrandbits(32))
-        digest = _digest({"body": [v.to_json() for v in body.vertices]})
-        if not is_centrally_symmetric(body):
-            return TrialRecord(index, digest, "fail", "symmetric body misclassified")
-        if find_violation_halfplane(body) is not None:
-            return TrialRecord(index, digest, "fail", "witness on symmetric body (i)")
-        if find_violation_surrounding(body) is not None:
-            return TrialRecord(index, digest, "fail", "witness on symmetric body (ii)")
-        return TrialRecord(index, digest, "pass", "symmetric")
-    body = gen_asymmetric_body(rng.getrandbits(32))
-    digest = _digest({"body": [v.to_json() for v in body.vertices]})
-    if is_centrally_symmetric(body):
-        return TrialRecord(index, digest, "fail", "asymmetric body misclassified")
-    try:
-        w1 = find_violation_halfplane(body)
-        w2 = find_violation_surrounding(body)
-    except SearchBudgetExceeded as exc:
-        return TrialRecord(index, digest, "fail", str(exc))
-    if w1 is None or not verify_halfplane_witness(body, w1):
-        return TrialRecord(index, digest, "fail", "no verified halfplane witness")
-    if w2 is None or not verify_surrounding_witness(body, w2):
-        return TrialRecord(index, digest, "fail", "no verified surrounding witness")
-    return TrialRecord(
-        index, digest, "pass", "asymmetric",
-        [w1.to_json(), w2.to_json()],
+        return _on_ball(ball, _as_mode(vectors, cfg.mode), {"collinear": True})
+    return _strict_instance(
+        cfg, rng, ball, rng.choice([3, 5, 7, 9]),
+        lambda vs: verify_helly(ball, vs, strict=True, tol=cfg.tol),
     )
 
 
-def _run_gallery_suite(cfg: SuiteConfig) -> list[TrialRecord]:
-    records = []
-    results = run_gallery()
-    for i, name in enumerate(CASE_NAMES):
-        checks = results[name]
-        bad = [c for c in checks if not c.passed]
-        digest = _digest({"case": name})
-        if bad:
-            detail = "; ".join(f"{c.name}: expected {c.expected}, got {c.actual}" for c in bad)
-            records.append(TrialRecord(i, digest, "fail", detail))
-        else:
-            records.append(TrialRecord(i, digest, "pass", name))
-    return records
+def _check_thm3(cfg: SuiteConfig, inst: Instance) -> tuple:
+    if inst.data is not None:  # the report the strict-instance loop found
+        return _verdict(inst.data, "strict three-sum bound failed")
+    report = verify_helly(inst.ball, inst.vectors, strict=True, tol=cfg.tol)
+    return _verdict(report, "strict three-sum bound failed (1d)", "collinear 1d path")
 
 
-_TRIALS = {
-    "thm1": _trial_thm1,
-    "thm2": _trial_thm2,
-    "thm3": _trial_thm3,
-    "lemma-conv": _trial_lemma_conv,
-    "lemma-main": _trial_lemma_main,
-    "claim1": _trial_claim1,
-    "corollary": _trial_corollary,
-    "signs": _trial_signs,
-    "generic": _trial_generic,
-    "symmetry": _trial_symmetry,
+def _draw_lemma_conv(cfg: SuiteConfig, rng: random.Random, index: int) -> Instance:
+    ball = _ball_for(cfg, rng)
+    return _on_ball(ball, _as_mode(gen_unit_vectors(ball, 3, rng.getrandbits(32)), cfg.mode))
+
+
+def _check_lemma_conv(cfg: SuiteConfig, inst: Instance) -> tuple:
+    origin_in, h_in = lemma_conv_check(inst.ball, *inst.vectors, cfg.tol)
+    if origin_in != h_in:
+        return "fail", f"memberships disagree: origin={origin_in}, sum={h_in}"
+    return "pass", f"both={origin_in}"
+
+
+def _draw_lemma_main(cfg: SuiteConfig, rng: random.Random, index: int) -> Instance:
+    ball = _ball_for(cfg, rng)
+    return _on_ball(ball, _as_mode(gen_zero_sum_six(ball, rng.getrandbits(32)), cfg.mode))
+
+
+def _check_lemma_main(cfg: SuiteConfig, inst: Instance) -> tuple:
+    trip = lemma_main_witness(inst.ball, inst.vectors, cfg.tol)
+    if not le(gauge(inst.ball, vsum(inst.vectors[i] for i in trip)), 1, cfg.tol):
+        return "fail", f"witness {trip} not in the ball"
+    return "pass", f"triple={trip}"
+
+
+def _draw_claim1(cfg: SuiteConfig, rng: random.Random, index: int) -> Instance:
+    # the six values as points on the x-axis, which is also how they are pictured
+    points = _as_mode([Vec2(x, 0) for x in gen_claim1_tuple(rng.getrandbits(32))], cfg.mode)
+    return Instance({"xs": [str(p.x) for p in points]}, vectors=points)
+
+
+def _check_claim1(cfg: SuiteConfig, inst: Instance) -> tuple:
+    hits = set(claim1_triplets([v.x for v in inst.vectors], cfg.tol))
+    if len(hits) < 12:
+        return "fail", f"only {len(hits)} triples"
+    for t in hits:
+        if tuple(sorted(set(range(6)) - set(t))) not in hits:
+            return "fail", f"complement of {t} missing"
+    return "pass", f"count={len(hits)}"
+
+
+def _draw_corollary(cfg: SuiteConfig, rng: random.Random, index: int) -> Instance:
+    ball = _ball_for(cfg, rng)
+    return _strict_instance(
+        cfg, rng, ball, rng.choice([7, 9]), lambda vs: corollary_check(ball, vs, 5, cfg.tol)
+    )
+
+
+def _check_corollary(cfg: SuiteConfig, inst: Instance) -> tuple:
+    for k in (5, 7):
+        report = inst.data if k == 5 else corollary_check(inst.ball, inst.vectors, k, cfg.tol)
+        if not report.conclusion_holds:
+            return "fail", f"a {k}-sum landed in the ball", [w.to_json() for w in report.witnesses]
+    return "pass", f"n={len(inst.vectors)}"
+
+
+def _draw_signs(cfg: SuiteConfig, rng: random.Random, index: int) -> Instance:
+    ball = _ball_for(cfg, rng)
+    vectors = gen_unit_vectors(ball, rng.randint(1, 11), rng.getrandbits(32))
+    return _on_ball(ball, _as_mode(vectors, cfg.mode))
+
+
+def _check_signs(cfg: SuiteConfig, inst: Instance) -> tuple:
+    return "pass", f"signs={choose_signs(inst.ball, inst.vectors, cfg.tol).signs}"
+
+
+def _draw_generic(cfg: SuiteConfig, rng: random.Random, index: int) -> Instance:
+    ball = _ball_for(cfg, rng)
+    if not ball.is_polygonal:
+        ball = square_ball()
+    vectors = gen_unit_vectors(ball, rng.randint(1, 7), rng.getrandbits(32))
+    lam, eps = Fraction(rng.choice([90, 95, 99]), 100), Fraction(1, 1000)
+    extra = {"lam": str(lam), "eps": str(eps)}
+    return _on_ball(ball, vectors, extra, data=(lam, eps, rng.getrandbits(32)))
+
+
+def _check_generic(cfg: SuiteConfig, inst: Instance) -> tuple:
+    lam, eps, seed = inst.data
+    perturbed = make_generic(inst.ball, inst.vectors, lam, eps, seed)
+    if max(gauge(inst.ball, p - v.scale(lam)) for p, v in zip(perturbed, inst.vectors)) > eps:
+        return "fail", "perturbation left the neighbourhood"
+    return "pass", f"n={len(inst.vectors)}"
+
+
+def _draw_symmetry(cfg: SuiteConfig, rng: random.Random, index: int) -> Instance:
+    symmetric = index % 2 == 0
+    body = (gen_symmetric_body if symmetric else gen_asymmetric_body)(rng.getrandbits(32))
+    payload = {"body": [v.to_json() for v in body.vertices]}
+    return Instance(payload, outline=body.vertices, data=(symmetric, body))
+
+
+def _check_symmetry(cfg: SuiteConfig, inst: Instance) -> tuple:
+    symmetric, body = inst.data
+    kind = "symmetric" if symmetric else "asymmetric"
+    if is_centrally_symmetric(body) != symmetric:
+        return "fail", f"{kind} body misclassified"
+    w1, w2 = find_violation_halfplane(body), find_violation_surrounding(body)
+    if symmetric:
+        if w1 is not None:
+            return "fail", "witness on symmetric body (i)"
+        if w2 is not None:
+            return "fail", "witness on symmetric body (ii)"
+        return "pass", kind
+    if w1 is None or not verify_halfplane_witness(body, w1):
+        return "fail", "no verified halfplane witness"
+    if w2 is None or not verify_surrounding_witness(body, w2):
+        return "fail", "no verified surrounding witness"
+    return "pass", kind, [w1.to_json(), w2.to_json()]
+
+
+def _draw_gallery(cfg: SuiteConfig, rng: random.Random, index: int) -> Instance:
+    case = gallery_case(CASE_NAMES[index])
+    return Instance({"case": case.name}, case.ball, case.vectors, data=case)
+
+
+def _check_gallery(cfg: SuiteConfig, inst: Instance) -> tuple:
+    bad = [c for c in inst.data.run() if not c.passed]
+    if bad:
+        return "fail", "; ".join(f"{c.name}: expected {c.expected}, got {c.actual}" for c in bad)
+    return "pass", inst.data.name
+
+
+# suite name -> (draw(cfg, rng, index) -> Instance, check(cfg, instance) -> outcome)
+_SUITES = {
+    "thm1": (_draw_thm1, _check_thm1),
+    "thm2": (_draw_thm2, _check_thm2),
+    "thm3": (_draw_thm3, _check_thm3),
+    "lemma-conv": (_draw_lemma_conv, _check_lemma_conv),
+    "lemma-main": (_draw_lemma_main, _check_lemma_main),
+    "claim1": (_draw_claim1, _check_claim1),
+    "corollary": (_draw_corollary, _check_corollary),
+    "signs": (_draw_signs, _check_signs),
+    "generic": (_draw_generic, _check_generic),
+    "symmetry": (_draw_symmetry, _check_symmetry),
+    "gallery": (_draw_gallery, _check_gallery),
 }
+SUITE_NAMES = tuple(_SUITES)
+
+
+def draw_instance(config: SuiteConfig, index: int) -> Instance:
+    """Trial `index` of a suite's run, drawn exactly as the suite draws it."""
+    draw, _ = _SUITES[config.suite]
+    return draw(config, random.Random(config.seed ^ index), index)
+
+
+def _run_trial(config: SuiteConfig, index: int) -> TrialRecord:
+    """The trial driver: draw, digest, check.
+
+    A statement failing on the instance (`TheoremFalsified`) or a witness
+    search running out of budget is a "fail" record, never an escape.
+    """
+    inst = draw_instance(config, index)
+    digest = _digest(inst.payload)
+    if inst.vacuous:
+        return TrialRecord(index, digest, "vacuous", inst.vacuous)
+    _, check = _SUITES[config.suite]
+    try:
+        return TrialRecord(index, digest, *check(config, inst))
+    except (TheoremFalsified, SamplingExhausted, SearchBudgetExceeded) as exc:
+        return TrialRecord(index, digest, "fail", str(exc))
+
+
+# suite name -> callable (config, index) -> TrialRecord
+_TRIALS = dict.fromkeys(_SUITES, _run_trial)
 
 
 def run_suite(config: SuiteConfig) -> SuiteReport:
-    """Run a named suite; deterministic for a fixed config."""
+    """Run a named suite; deterministic for a fixed config.
+
+    The gallery suite runs one trial per fixed case, whatever `trials` says.
+    """
     start = time.perf_counter()
-    if config.suite == "gallery":
-        records = _run_gallery_suite(config)
-    else:
-        try:
-            trial = _TRIALS[config.suite]
-        except KeyError:
-            raise UnknownSuite(
-                f"no suite named {config.suite!r}; known: {', '.join(SUITE_NAMES)}"
-            ) from None
-        records = [trial(config, i) for i in range(config.trials)]
+    try:
+        trial = _TRIALS[config.suite]
+    except KeyError:
+        raise UnknownSuite(
+            f"no suite named {config.suite!r}; known: {', '.join(SUITE_NAMES)}"
+        ) from None
+    if config.trials < 0:
+        raise BadInput(f"trials must be >= 0; got {config.trials}")
+    trials = len(CASE_NAMES) if config.suite == "gallery" else config.trials
+    records = [trial(config, i) for i in range(trials)]
     return SuiteReport(config, records, time.perf_counter() - start)

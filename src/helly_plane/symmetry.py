@@ -23,7 +23,7 @@ from .geometry import (
     point_position,
     ray_boundary,
 )
-from .scalars import exact_div, sgn
+from .scalars import exact_div, exactify, is_float, sgn
 from .vectors import ORIGIN, Vec2
 
 
@@ -72,20 +72,13 @@ def make_convex_body(points: Sequence[Vec2]) -> ConvexBody:
         raise NotConvexBody("hull is degenerate")
     if origin_in_hull(hull) is not OriginPosition.INTERIOR:
         raise NotConvexBody("origin is not strictly inside")
-    exact = tuple(
-        v if (isinstance(v.x, float) or isinstance(v.y, float))
-        else Vec2(Fraction(v.x), Fraction(v.y))
-        for v in hull
-    )
-    return ConvexBody(exact)
+    return ConvexBody(tuple(Vec2(exactify(v.x), exactify(v.y)) for v in hull))
 
 
 def is_centrally_symmetric(body: ConvexBody, tol: float = 0.0) -> bool:
     """Whether the vertex set equals its own negation (within tol for floats)."""
     verts = body.vertices
-    if tol == 0.0 and not any(
-        isinstance(v.x, float) or isinstance(v.y, float) for v in verts
-    ):
+    if tol == 0.0 and not is_float(*[c for v in verts for c in (v.x, v.y)]):
         have = {(v.x, v.y) for v in verts}
         return have == {(-x, -y) for x, y in have}
     unmatched = list(verts)

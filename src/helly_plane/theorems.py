@@ -17,7 +17,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass, field
 from itertools import combinations
-from typing import Sequence
+from typing import Optional, Sequence
 
 from .errors import (
     BadK,
@@ -206,51 +206,49 @@ def halfplane_certificate(
     return Certificate(k, u, tangent, ordered, projections, projection_sum)
 
 
-def _collinear(vectors: Sequence[Vec2], tol: float) -> bool:
-    pivot = next((v for v in vectors if not v.is_zero()), None)
-    if pivot is None:
-        return True
-    t = tol if any(isinstance(v.x, float) or isinstance(v.y, float) for v in vectors) else 0.0
-    return all(sgn(pivot.cross(v), t) == 0 for v in vectors)
+def _odd_family(n: int, noun: str) -> None:
+    if n < 3:
+        raise TooFew(f"need at least 3 {noun}")
+    if n % 2 == 0:
+        raise EvenCardinality("the family must have odd size")
 
 
-def _signed_lengths(ball: UnitBall, vectors: Sequence[Vec2], tol: float) -> list[Scalar]:
-    """Map collinear vectors to signed norms along their common direction."""
-    pivot = next((v for v in vectors if not v.is_zero()), None)
-    out: list[Scalar] = []
-    for v in vectors:
-        g = gauge(ball, v)
-        if pivot is not None:
-            d = pivot.dot(v)
-            if sgn(d, tol if isinstance(d, float) else 0.0) < 0:
-                g = -g
-        out.append(g)
-    return out
+def _signed_lengths(ball: UnitBall, vectors: Sequence[Vec2], tol: float) -> Optional[list[Scalar]]:
+    """Signed norms of a collinear family along its common direction, or
+    None when the family is not collinear."""
+    pivot = next((v for v in vectors if not v.is_zero()), ORIGIN)
+    if any(sgn(pivot.cross(v), tol) != 0 for v in vectors):
+        return None
+    return [gauge(ball, v) if sgn(pivot.dot(v), tol) >= 0 else -gauge(ball, v) for v in vectors]
 
 
-def _helly_core(values_norm, triple_norms, total_norm, strict, tol):
-    """Shared hypothesis/conclusion logic for the three-sum theorems.
+def _three_sum_judge(singles, triples, total_norm: Scalar, strict: bool, tol: float):
+    """The one judge of the three-sum theorems.
 
-    `values_norm` and `triple_norms` carry (index-tuple, norm) pairs.
+    `singles` and `triples` carry (index tuple, norm) pairs. Strict: every
+    vector in the ball and every 3-sum of norm > 1 imply a total of norm
+    > 1. Non-strict: every vector of norm 1 and every 3-sum of norm >= 1
+    imply a total of norm >= 1. Returns the index tuples breaking the
+    hypothesis (none when it holds) and whether the conclusion holds.
     """
-    bad: list[tuple[tuple[int, ...], str]] = []
-    for idx, g in values_norm:
-        if strict:
-            if not le(g, 1, tol):
-                bad.append((idx, "outside the ball"))
-        else:
-            if not eq(g, 1, tol):
-                bad.append((idx, "not a unit vector"))
-    for idx, g in triple_norms:
-        if strict:
-            if not gt(g, 1, tol):
-                bad.append((idx, "3-sum not strictly outside"))
-        else:
-            if not ge(g, 1, tol):
-                bad.append((idx, "3-sum inside the open ball"))
-    hypothesis = not bad
-    conclusion = gt(total_norm, 1, tol) if strict else ge(total_norm, 1, tol)
-    return hypothesis, conclusion, bad
+    single_ok, triple_ok = (le, gt) if strict else (eq, ge)
+    bad = [idx for idx, g in singles if not single_ok(g, 1, tol)]
+    bad += [idx for idx, g in triples if not triple_ok(g, 1, tol)]
+    return bad, triple_ok(total_norm, 1, tol)
+
+
+def _plane_judge(ball: UnitBall, vs: Sequence[Vec2], total_norm: Scalar, strict: bool, tol: float):
+    """`_three_sum_judge` on the norms of a family of the plane."""
+    singles = [((i,), gauge(ball, v)) for i, v in enumerate(vs)]
+    triples = subset_gauges(ball, vs, combinations(range(len(vs)), 3))
+    return _three_sum_judge(singles, triples, total_norm, strict, tol)
+
+
+def _line_judge(xs: Sequence[Scalar], strict: bool, tol: float):
+    """`_three_sum_judge` on signed lengths xs, over the segment [-1, 1]."""
+    singles = [((i,), abs(x)) for i, x in enumerate(xs)]
+    triples = [(t, abs(xs[t[0]] + xs[t[1]] + xs[t[2]])) for t in combinations(range(len(xs)), 3)]
+    return _three_sum_judge(singles, triples, abs(sum(xs)), strict, tol)
 
 
 def verify_helly(
@@ -261,36 +259,21 @@ def verify_helly(
     strict=False: unit vectors whose 3-sums all have norm >= 1 must sum to
     norm >= 1. strict=True: vectors in the ball whose 3-sums all have norm
     > 1 must sum to norm > 1. Collinear families are routed through the
-    one-dimensional path.
+    one-dimensional path of `verify_helly_1d`.
     """
     vs = tuple(vectors)
-    if len(vs) < 3:
-        raise TooFew("need at least 3 vectors")
-    if len(vs) % 2 == 0:
-        raise EvenCardinality("the family must have odd size")
-    label = "T3" if strict else "T2"
+    _odd_family(len(vs), "vectors")
     total = vsum(vs)
     total_norm = gauge(ball, total)
-    if _collinear(vs, tol):
-        xs = _signed_lengths(ball, vs, tol)
-        hypothesis, conclusion, bad = _helly_core(
-            [((i,), abs(x)) for i, x in enumerate(xs)],
-            [(t, abs(xs[t[0]] + xs[t[1]] + xs[t[2]])) for t in combinations(range(len(xs)), 3)],
-            abs(sum(xs)),
-            strict,
-            tol,
-        )
-        witnesses = [KSum(idx, vsum(vs[i] for i in idx)) for idx, _ in bad]
-        return VerifyReport(
-            label, hypothesis, conclusion, total, total_norm,
-            witnesses=witnesses, notes="collinear family: 1d path",
-        )
-    singles = [((i,), gauge(ball, v)) for i, v in enumerate(vs)]
-    triples = subset_gauges(ball, vs, combinations(range(len(vs)), 3))
-    hypothesis, conclusion, bad = _helly_core(singles, triples, total_norm, strict, tol)
-    witnesses = [KSum(idx, vsum(vs[i] for i in idx)) for idx, _ in bad]
+    xs = _signed_lengths(ball, vs, tol)
+    if xs is None:
+        bad, conclusion = _plane_judge(ball, vs, total_norm, strict, tol)
+    else:
+        bad, conclusion = _line_judge(xs, strict, tol)
     return VerifyReport(
-        label, hypothesis, conclusion, total, total_norm, witnesses=witnesses
+        "T3" if strict else "T2", not bad, conclusion, total, total_norm,
+        witnesses=[KSum(idx, vsum(vs[i] for i in idx)) for idx in bad],
+        notes="" if xs is None else "collinear family: 1d path",
     )
 
 
@@ -303,31 +286,12 @@ def verify_helly_1d(
     norm of a vector along a common direction.
     """
     values = list(xs)
-    if len(values) < 3:
-        raise TooFew("need at least 3 values")
-    if len(values) % 2 == 0:
-        raise EvenCardinality("the family must have odd size")
-    hypothesis, conclusion, bad = _helly_core(
-        [((i,), abs(x)) for i, x in enumerate(values)],
-        [
-            (t, abs(values[t[0]] + values[t[1]] + values[t[2]]))
-            for t in combinations(range(len(values)), 3)
-        ],
-        abs(sum(values)),
-        strict,
-        tol,
-    )
-    total = Vec2(sum(values), 0)
-    witnesses = [
-        KSum(idx, Vec2(sum(values[i] for i in idx), 0)) for idx, _ in bad
-    ]
+    _odd_family(len(values), "values")
+    bad, conclusion = _line_judge(values, strict, tol)
+    total = sum(values)
     return VerifyReport(
-        "T3" if strict else "T2",
-        hypothesis,
-        conclusion,
-        total,
-        abs(sum(values)),
-        witnesses=witnesses,
+        "T3" if strict else "T2", not bad, conclusion, Vec2(total, 0), abs(total),
+        witnesses=[KSum(idx, Vec2(sum(values[i] for i in idx), 0)) for idx in bad],
         notes="1d instance over the segment [-1, 1]",
     )
 
@@ -339,19 +303,14 @@ def corollary_check(
     vs = tuple(vectors)
     if k % 2 == 0 or k <= 3 or k > len(vs):
         raise BadK(f"k must be odd, > 3, and <= {len(vs)}; got {k}")
-    bad = [KSum((i,), v) for i, v in enumerate(vs) if not le(gauge(ball, v), 1, tol)]
-    triples = subset_gauges(ball, vs, combinations(range(len(vs)), 3))
-    bad += [KSum(t, vsum(vs[i] for i in t)) for t, g in triples if not gt(g, 1, tol)]
+    total = vsum(vs)
+    total_norm = gauge(ball, total)
+    bad, _ = _plane_judge(ball, vs, total_norm, True, tol)
     ksums = subset_gauges(ball, vs, combinations(range(len(vs)), k))
     failing = [t for t, g in ksums if not gt(g, 1, tol)]
-    total = vsum(vs)
     return VerifyReport(
-        "COR",
-        not bad,
-        not failing,
-        total,
-        gauge(ball, total),
-        witnesses=bad or [KSum(t, vsum(vs[i] for i in t)) for t in failing],
+        "COR", not bad, not failing, total, total_norm,
+        witnesses=[KSum(t, vsum(vs[i] for i in t)) for t in bad or failing],
         notes=f"k={k}",
     )
 
@@ -367,10 +326,7 @@ def lemma_conv_check(
     for v in (a, b, c):
         if not eq(gauge(ball, v), 1, tol):
             raise NotOnBoundary(f"{v} has gauge {gauge(ball, v)}, expected 1")
-    t = tol if any(isinstance(w, float) for w in (a.x, a.y, b.x, b.y, c.x, c.y)) else 0.0
-    origin_in = point_in_triangle(ORIGIN, a, b, c, t)
-    h_in = point_in_triangle(a + b + c, a, b, c, t)
-    return origin_in, h_in
+    return point_in_triangle(ORIGIN, a, b, c, tol), point_in_triangle(a + b + c, a, b, c, tol)
 
 
 def lemma_main_witness(
@@ -388,10 +344,7 @@ def lemma_main_witness(
         if not le(gauge(ball, z), 1, tol):
             raise PreconditionFailed(f"vector {i} is outside the ball")
     total = vsum(zs)
-    if isinstance(total.x, float) or isinstance(total.y, float):
-        if abs(total.x) > tol or abs(total.y) > tol:
-            raise PreconditionFailed("vectors do not sum to zero")
-    elif not total.is_zero():
+    if not (eq(total.x, 0, tol) and eq(total.y, 0, tol)):
         raise PreconditionFailed("vectors do not sum to zero")
     for t, g in subset_gauges(ball, zs, combinations(range(6), 3)):
         if le(g, 1, tol):
@@ -411,11 +364,7 @@ def claim1_triplets(xs: Sequence[Scalar], tol: float = DEFAULT_TOL) -> list[tupl
     for i, x in enumerate(values):
         if not le(abs(x), 1, tol):
             raise PreconditionFailed(f"value {i} is outside [-1, 1]")
-    total = sum(values)
-    if isinstance(total, float):
-        if abs(total) > tol:
-            raise PreconditionFailed("values do not sum to zero")
-    elif total != 0:
+    if not eq(sum(values), 0, tol):
         raise PreconditionFailed("values do not sum to zero")
     return [
         t

@@ -5,6 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
+from .errors import BadInput
 from .scalars import Scalar, format_scalar, parse_scalar
 
 
@@ -43,7 +44,11 @@ class Vec2:
 
     @classmethod
     def from_json(cls, pair: Sequence, mode: str = "exact") -> "Vec2":
-        return cls(parse_scalar(pair[0], mode), parse_scalar(pair[1], mode))
+        try:
+            x, y = pair
+        except (TypeError, ValueError):
+            raise BadInput(f"a point must be a pair of scalars; got {pair!r}") from None
+        return cls(parse_scalar(x, mode), parse_scalar(y, mode))
 
 
 ORIGIN = Vec2(0, 0)

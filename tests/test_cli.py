@@ -1,8 +1,13 @@
 import json
+import random
+import re
 
 import pytest
 
 from helly_plane.cli import main
+from helly_plane.generators import gen_direction, gen_unit_vectors
+from helly_plane.norms import ball_from_json
+from helly_plane.svgout import instance_svg
 
 BALL = '{"type":"polygonal","vertices":[["1","1"],["-1","1"],["-1","-1"],["1","-1"]]}'
 VECS = '{"vectors":[["1","1"],["-1","1"],["0","1"]]}'
@@ -84,3 +89,102 @@ def test_symmetry_command_symmetric(tmp_path, capsys):
 
 def test_missing_file_is_io_error(capsys):
     assert main(["ginzburg", "/nonexistent/vectors.json"]) == 2
+
+
+RHOMBUS = '{"type":"polygonal","vertices":[["2","0"],["0","1"],["-2","0"],["0","-1"]]}'
+
+
+def _svg_shapes(text):
+    """The ball polygon's points and the vector arrows' end points, in pixels."""
+    polygon = re.search(r'<polygon points="([^"]*)"', text).group(1)
+    points = [tuple(map(float, p.split(","))) for p in polygon.split()]
+    arrows = re.findall(r'<line [^>]*x2="([-\d.]+)" y2="([-\d.]+)" stroke="#2a7a2a"', text)
+    return points, [(float(x), float(y)) for x, y in arrows]
+
+
+def test_verify_svg_draws_trial_zero_on_the_ball_file(tmp_path):
+    ball_path = tmp_path / "rhombus.json"
+    ball_path.write_text(RHOMBUS)
+    svg = tmp_path / "out.svg"
+    code = main(["verify", "thm1", "--trials", "2", "--seed", "5", "--ball", str(ball_path),
+                 "--out", str(tmp_path / "r.json"), "--svg", str(svg)])
+    assert code == 0
+    points, arrows = _svg_shapes(svg.read_text())
+    # the rhombus itself, twice as wide as it is high, centred in the picture
+    assert len(points) == 4
+    xs, ys = [x for x, _ in points], [y for _, y in points]
+    assert max(xs) - min(xs) == pytest.approx(2 * (max(ys) - min(ys)))
+    # trial 0 of thm1 as the suite draws it: n unit vectors of the rhombus
+    rng = random.Random(5 ^ 0)
+    ball = ball_from_json(json.loads(RHOMBUS))
+    n = rng.choice([3, 5, 7, 9])
+    u = gen_direction(rng)
+    vectors = gen_unit_vectors(ball, n, rng.getrandbits(32), halfplane=u)
+    assert len(arrows) == n
+    assert svg.read_text() == instance_svg(ball, vectors)
+
+
+@pytest.mark.parametrize("argv", [["--trials", "-3"], ["--trials", "0"]])
+def test_verify_trial_counts(argv, capsys):
+    code = main(["verify", "thm1", "--seed", "1"] + argv)
+    assert code == (2 if argv[1] == "-3" else 0)
+
+
+def _write(tmp_path, name, text):
+    path = tmp_path / name
+    path.write_text(text)
+    return str(path)
+
+
+def test_malformed_json_exits_2(tmp_path):
+    vecs = _write(tmp_path, "vecs.json", '{"vectors": [["1", "0"],')
+    assert main(["ginzburg", vecs]) == 2
+
+
+def test_unknown_ball_type_exits_2(tmp_path):
+    ball = _write(tmp_path, "ball.json", '{"type": "hexagonal"}')
+    assert main(["signs", _write(tmp_path, "vecs.json", VECS), "--ball", ball]) == 2
+
+
+def test_missing_vertices_key_exits_2(tmp_path):
+    ball = _write(tmp_path, "ball.json", '{"type": "polygonal"}')
+    assert main(["signs", _write(tmp_path, "vecs.json", VECS), "--ball", ball]) == 2
+
+
+@pytest.mark.parametrize("doc", ['{"vertices": [["1", "0"]]}', '{"vectors": 5}', "[]"])
+def test_missing_vectors_key_exits_2(doc, tmp_path):
+    assert main(["ginzburg", _write(tmp_path, "vecs.json", doc)]) == 2
+
+
+def test_unparsable_scalar_exits_2(tmp_path):
+    poly = _write(tmp_path, "poly.json", '{"vertices": [["2", "-1"], ["-2", "one"], ["0", "2"]]}')
+    assert main(["symmetry", "check", poly]) == 2
+
+
+def test_one_coordinate_direction_exits_2(tmp_path):
+    assert main(["ginzburg", _write(tmp_path, "vecs.json", EUCLID_VECS), "--u", "1"]) == 2
+
+
+def test_malformed_ball_file_in_verify_exits_2(tmp_path):
+    ball = _write(tmp_path, "ball.json", "not json")
+    assert main(["verify", "thm1", "--trials", "2", "--ball", ball]) == 2
+
+
+@pytest.mark.parametrize(
+    "suite,outline,arrows",
+    # symmetry: the body, no vectors; claim1: six values on the x-axis, no
+    # ball; gallery: its first case, the max-norm square and five vectors
+    [("symmetry", True, 0), ("claim1", False, 6), ("gallery", True, 5)],
+)
+def test_verify_svg_draws_trial_zero_of_every_kind(suite, outline, arrows, tmp_path):
+    svg = tmp_path / "out.svg"
+    main(["verify", suite, "--trials", "1", "--seed", "2", "--out", str(tmp_path / "r.json"),
+          "--svg", str(svg)])
+    text = svg.read_text()
+    assert ("<polygon" in text) == outline
+    ends = re.findall(r'<line [^>]*x2="([-\d.]+)" y2="([-\d.]+)" stroke="#2a7a2a"', text)
+    assert len(ends) == arrows
+    if suite == "claim1":
+        assert {y for _, y in ends} == {"240.0000"}
+    if suite == "gallery":
+        assert len(_svg_shapes(text)[0]) == 4

@@ -2,7 +2,8 @@ import json
 
 import pytest
 
-from helly_plane.errors import UnknownSuite
+from helly_plane import suites
+from helly_plane.errors import BadInput, TheoremFalsified, UnknownSuite
 from helly_plane.suites import SUITE_NAMES, SuiteConfig, run_suite
 
 
@@ -84,3 +85,23 @@ def test_thm2_includes_antipodal_trials():
     report = run_suite(SuiteConfig(suite="thm2", trials=20, seed=5))
     assert any("antipodal" in r.detail for r in report.records)
     assert report.failures == 0
+
+
+def test_negative_trials_are_bad_input():
+    with pytest.raises(BadInput):
+        run_suite(SuiteConfig(suite="thm1", trials=-3, seed=0))
+    assert run_suite(SuiteConfig(suite="thm1", trials=0, seed=0)).records == []
+
+
+@pytest.mark.parametrize("suite", SUITE_NAMES)
+def test_theorem_falsified_in_a_check_is_a_fail_record(suite, monkeypatch):
+    draw, _ = suites._SUITES[suite]
+
+    def falsified(config, instance):
+        raise TheoremFalsified("planted counterexample")
+
+    monkeypatch.setitem(suites._SUITES, suite, (draw, falsified))
+    report = run_suite(SuiteConfig(suite=suite, trials=3, seed=4, ball_source="maxnorm"))
+    checked = [r for r in report.records if r.outcome != "vacuous"]
+    assert checked
+    assert all(r.outcome == "fail" and r.detail == "planted counterexample" for r in checked)
