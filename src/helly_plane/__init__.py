@@ -14,13 +14,7 @@ from .generators import (
     gen_unit_vectors,
     gen_zero_sum_six,
 )
-from .geometry import (
-    OriginPosition,
-    caratheodory_triple,
-    convex_hull,
-    origin_in_hull,
-    strict_separating_direction,
-)
+from .geometry import convex_hull
 from .norms import (
     EdgeFunctional,
     UnitBall,

@@ -11,6 +11,10 @@ Each ball is compiled once, at construction, into integer edge normals
 gauges and subset sums then run on plain ints and form a single
 `Fraction` per reported value; float gauges run on the float normals and
 round exactly as `Fraction * float` does.
+
+A `ConvexBody`, any convex polygon with the origin strictly inside, is
+built and compiled the same way: the maximum of its edge functionals is
+its gauge whether or not it is symmetric.
 """
 
 from __future__ import annotations
@@ -97,7 +101,29 @@ def make_polygonal_ball(vertices: Sequence[Vec2]) -> UnitBall:
     interior to the hull; canonicalization reorders counterclockwise from
     the vertex of smallest polar angle and drops non-extreme points.
     """
-    pts = list(vertices)
+    return _compile_polygon(vertices, UnitBall)
+
+
+class ConvexBody(UnitBall):
+    """A convex polygon with the origin strictly inside; no symmetry assumed.
+
+    It is compiled like a unit ball, so `gauge` and `boundary_point` apply;
+    its vertices keep `convex_hull`'s counterclockwise order.
+    """
+
+
+def make_convex_body(points: Sequence[Vec2]) -> ConvexBody:
+    """Canonicalize points into a convex body; origin must be strictly inside."""
+    return _compile_polygon(points, ConvexBody)
+
+
+def _compile_polygon(points: Sequence[Vec2], cls: type) -> UnitBall:
+    """The one constructor of balls and bodies: hull, check, compile.
+
+    A `UnitBall` must also be symmetric, and starts at its vertex of
+    smallest polar angle; a `ConvexBody` keeps the hull's order.
+    """
+    pts = list(points)
     if not pts:
         raise NotConvexBody("empty vertex list")
     hull = convex_hull(pts)
@@ -106,13 +132,14 @@ def make_polygonal_ball(vertices: Sequence[Vec2]) -> UnitBall:
     # rational vertices are checked and compiled as integers over `scale`
     grid = lattice(hull)
     coords, scale = grid if grid else ([(v.x, v.y) for v in hull], 1)
-    if set(coords) != {(-x, -y) for x, y in coords}:
-        raise NotSymmetric("vertex set is not invariant under negation")
     start = 0
-    for i in range(1, len(coords)):
-        if _polar_less(coords[i], coords[start]):
-            start = i
-    coords = coords[start:] + coords[:start]
+    if cls is UnitBall:
+        if set(coords) != {(-x, -y) for x, y in coords}:
+            raise NotSymmetric("vertex set is not invariant under negation")
+        for i in range(1, len(coords)):
+            if _polar_less(coords[i], coords[start]):
+                start = i
+        coords = coords[start:] + coords[:start]
     edges = []
     div = Fraction if grid else exact_div
     for (ax, ay), (bx, by) in zip(coords, coords[1:] + coords[:1]):
@@ -124,7 +151,7 @@ def make_polygonal_ball(vertices: Sequence[Vec2]) -> UnitBall:
         edges.append(EdgeFunctional(div(scale * (by - ay), det), div(scale * (ax - bx), det)))
     normals, den = lattice([Vec2(e.p, e.q) for e in edges]) if grid else (None, 1)
     # tuples from lists, not generators (see geometry.lattice)
-    return UnitBall(
+    return cls(
         POLYGONAL,
         tuple([Vec2(exactify(v.x), exactify(v.y)) for v in hull[start:] + hull[:start]]),
         tuple(edges),

@@ -14,13 +14,14 @@ the only thing that counts as evidence.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import random
 import time
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
-from typing import Any, Optional, Sequence
+from typing import Any, Callable, Optional, Sequence
 
 from .algorithms import choose_signs, make_generic
 from .errors import (
@@ -136,15 +137,30 @@ def _as_mode(vectors, mode: str):
     return tuple(vectors)
 
 
-def _ball_for(cfg: SuiteConfig, rng: random.Random) -> UnitBall:
+# rng -> the trial's ball
+_Balls = Callable[[random.Random], UnitBall]
+
+
+def _ball_source(cfg: SuiteConfig) -> _Balls:
+    """A "random" source draws each trial's ball from the trial's rng; any
+    other is resolved on first use and shared by the whole run."""
+    if cfg.ball_source == "random":
+        return lambda rng: gen_random_ball(rng.getrandbits(32))
+    fixed = functools.cache(lambda: _fixed_ball(cfg))
+    return lambda rng: fixed()
+
+
+def _fixed_ball(cfg: SuiteConfig) -> UnitBall:
     source = cfg.ball_source
     if source == "maxnorm":
-        return square_ball()
-    if source == "euclidean":
-        return euclidean_ball()
-    if source == "random":
-        return gen_random_ball(rng.getrandbits(32))
-    return ball_from_json(load_json(source), cfg.mode)
+        ball = square_ball()
+    elif source == "euclidean":
+        ball = euclidean_ball()
+    else:
+        ball = ball_from_json(load_json(source), cfg.mode)
+    if cfg.suite == "generic" and not ball.is_polygonal:
+        return square_ball()  # make_generic perturbs against polygon edges
+    return ball
 
 
 def _on_ball(ball: UnitBall, vectors, extra=None, **fields) -> Instance:
@@ -181,8 +197,8 @@ def _verdict(report, failure: str, success: str = "") -> tuple:
     return "pass", success
 
 
-def _draw_thm1(cfg: SuiteConfig, rng: random.Random, index: int) -> Instance:
-    ball = _ball_for(cfg, rng)
+def _draw_thm1(cfg: SuiteConfig, rng: random.Random, index: int, balls: _Balls) -> Instance:
+    ball = balls(rng)
     u, vectors = _halfplane_family(rng, ball, rng.choice([3, 5, 7, 9]))
     return _on_ball(ball, _as_mode(vectors, cfg.mode), {"u": u.to_json()}, data=u)
 
@@ -195,8 +211,8 @@ def _check_thm1(cfg: SuiteConfig, inst: Instance) -> tuple:
     return "pass", f"projection_sum={cert.projection_sum}"
 
 
-def _draw_thm2(cfg: SuiteConfig, rng: random.Random, index: int) -> Instance:
-    ball = _ball_for(cfg, rng)
+def _draw_thm2(cfg: SuiteConfig, rng: random.Random, index: int, balls: _Balls) -> Instance:
+    ball = balls(rng)
     n = rng.choice([3, 5, 7, 9])
     u, vectors = _halfplane_family(rng, ball, n)
     note = "halfplane family"
@@ -212,8 +228,8 @@ def _check_thm2(cfg: SuiteConfig, inst: Instance) -> tuple:
     return _verdict(report, "three-sum bound failed", inst.data)
 
 
-def _draw_thm3(cfg: SuiteConfig, rng: random.Random, index: int) -> Instance:
-    ball = _ball_for(cfg, rng)
+def _draw_thm3(cfg: SuiteConfig, rng: random.Random, index: int, balls: _Balls) -> Instance:
+    ball = balls(rng)
     if index % 10 == 9 and ball.is_polygonal:
         # dedicated collinear instance for the one-dimensional path
         vectors, _ = gen_collinear_family(ball, rng.getrandbits(32))
@@ -231,8 +247,8 @@ def _check_thm3(cfg: SuiteConfig, inst: Instance) -> tuple:
     return _verdict(report, "strict three-sum bound failed (1d)", "collinear 1d path")
 
 
-def _draw_lemma_conv(cfg: SuiteConfig, rng: random.Random, index: int) -> Instance:
-    ball = _ball_for(cfg, rng)
+def _draw_lemma_conv(cfg: SuiteConfig, rng: random.Random, index: int, balls: _Balls) -> Instance:
+    ball = balls(rng)
     return _on_ball(ball, _as_mode(gen_unit_vectors(ball, 3, rng.getrandbits(32)), cfg.mode))
 
 
@@ -243,8 +259,8 @@ def _check_lemma_conv(cfg: SuiteConfig, inst: Instance) -> tuple:
     return "pass", f"both={origin_in}"
 
 
-def _draw_lemma_main(cfg: SuiteConfig, rng: random.Random, index: int) -> Instance:
-    ball = _ball_for(cfg, rng)
+def _draw_lemma_main(cfg: SuiteConfig, rng: random.Random, index: int, balls: _Balls) -> Instance:
+    ball = balls(rng)
     return _on_ball(ball, _as_mode(gen_zero_sum_six(ball, rng.getrandbits(32)), cfg.mode))
 
 
@@ -255,7 +271,7 @@ def _check_lemma_main(cfg: SuiteConfig, inst: Instance) -> tuple:
     return "pass", f"triple={trip}"
 
 
-def _draw_claim1(cfg: SuiteConfig, rng: random.Random, index: int) -> Instance:
+def _draw_claim1(cfg: SuiteConfig, rng: random.Random, index: int, balls: _Balls) -> Instance:
     # the six values as points on the x-axis, which is also how they are pictured
     points = _as_mode([Vec2(x, 0) for x in gen_claim1_tuple(rng.getrandbits(32))], cfg.mode)
     return Instance({"xs": [str(p.x) for p in points]}, vectors=points)
@@ -271,8 +287,8 @@ def _check_claim1(cfg: SuiteConfig, inst: Instance) -> tuple:
     return "pass", f"count={len(hits)}"
 
 
-def _draw_corollary(cfg: SuiteConfig, rng: random.Random, index: int) -> Instance:
-    ball = _ball_for(cfg, rng)
+def _draw_corollary(cfg: SuiteConfig, rng: random.Random, index: int, balls: _Balls) -> Instance:
+    ball = balls(rng)
     return _strict_instance(
         cfg, rng, ball, rng.choice([7, 9]), lambda vs: corollary_check(ball, vs, 5, cfg.tol)
     )
@@ -286,8 +302,8 @@ def _check_corollary(cfg: SuiteConfig, inst: Instance) -> tuple:
     return "pass", f"n={len(inst.vectors)}"
 
 
-def _draw_signs(cfg: SuiteConfig, rng: random.Random, index: int) -> Instance:
-    ball = _ball_for(cfg, rng)
+def _draw_signs(cfg: SuiteConfig, rng: random.Random, index: int, balls: _Balls) -> Instance:
+    ball = balls(rng)
     vectors = gen_unit_vectors(ball, rng.randint(1, 11), rng.getrandbits(32))
     return _on_ball(ball, _as_mode(vectors, cfg.mode))
 
@@ -296,10 +312,8 @@ def _check_signs(cfg: SuiteConfig, inst: Instance) -> tuple:
     return "pass", f"signs={choose_signs(inst.ball, inst.vectors, cfg.tol).signs}"
 
 
-def _draw_generic(cfg: SuiteConfig, rng: random.Random, index: int) -> Instance:
-    ball = _ball_for(cfg, rng)
-    if not ball.is_polygonal:
-        ball = square_ball()
+def _draw_generic(cfg: SuiteConfig, rng: random.Random, index: int, balls: _Balls) -> Instance:
+    ball = balls(rng)
     vectors = gen_unit_vectors(ball, rng.randint(1, 7), rng.getrandbits(32))
     lam, eps = Fraction(rng.choice([90, 95, 99]), 100), Fraction(1, 1000)
     extra = {"lam": str(lam), "eps": str(eps)}
@@ -314,7 +328,7 @@ def _check_generic(cfg: SuiteConfig, inst: Instance) -> tuple:
     return "pass", f"n={len(inst.vectors)}"
 
 
-def _draw_symmetry(cfg: SuiteConfig, rng: random.Random, index: int) -> Instance:
+def _draw_symmetry(cfg: SuiteConfig, rng: random.Random, index: int, balls: _Balls) -> Instance:
     symmetric = index % 2 == 0
     body = (gen_symmetric_body if symmetric else gen_asymmetric_body)(rng.getrandbits(32))
     payload = {"body": [v.to_json() for v in body.vertices]}
@@ -340,7 +354,7 @@ def _check_symmetry(cfg: SuiteConfig, inst: Instance) -> tuple:
     return "pass", kind, [w1.to_json(), w2.to_json()]
 
 
-def _draw_gallery(cfg: SuiteConfig, rng: random.Random, index: int) -> Instance:
+def _draw_gallery(cfg: SuiteConfig, rng: random.Random, index: int, balls: _Balls) -> Instance:
     case = gallery_case(CASE_NAMES[index])
     return Instance({"case": case.name}, case.ball, case.vectors, data=case)
 
@@ -352,7 +366,7 @@ def _check_gallery(cfg: SuiteConfig, inst: Instance) -> tuple:
     return "pass", inst.data.name
 
 
-# suite name -> (draw(cfg, rng, index) -> Instance, check(cfg, instance) -> outcome)
+# suite name -> (draw(cfg, rng, index, balls) -> Instance, check(cfg, instance) -> outcome)
 _SUITES = {
     "thm1": (_draw_thm1, _check_thm1),
     "thm2": (_draw_thm2, _check_thm2),
@@ -371,17 +385,21 @@ SUITE_NAMES = tuple(_SUITES)
 
 def draw_instance(config: SuiteConfig, index: int) -> Instance:
     """Trial `index` of a suite's run, drawn exactly as the suite draws it."""
+    return _draw(config, index, _ball_source(config))
+
+
+def _draw(config: SuiteConfig, index: int, balls: _Balls) -> Instance:
     draw, _ = _SUITES[config.suite]
-    return draw(config, random.Random(config.seed ^ index), index)
+    return draw(config, random.Random(config.seed ^ index), index, balls)
 
 
-def _run_trial(config: SuiteConfig, index: int) -> TrialRecord:
+def _run_trial(config: SuiteConfig, index: int, balls: _Balls) -> TrialRecord:
     """The trial driver: draw, digest, check.
 
     A statement failing on the instance (`TheoremFalsified`) or a witness
     search running out of budget is a "fail" record, never an escape.
     """
-    inst = draw_instance(config, index)
+    inst = _draw(config, index, balls)
     digest = _digest(inst.payload)
     if inst.vacuous:
         return TrialRecord(index, digest, "vacuous", inst.vacuous)
@@ -392,7 +410,7 @@ def _run_trial(config: SuiteConfig, index: int) -> TrialRecord:
         return TrialRecord(index, digest, "fail", str(exc))
 
 
-# suite name -> callable (config, index) -> TrialRecord
+# suite name -> callable (config, index, balls) -> TrialRecord
 _TRIALS = dict.fromkeys(_SUITES, _run_trial)
 
 
@@ -411,5 +429,6 @@ def run_suite(config: SuiteConfig) -> SuiteReport:
     if config.trials < 0:
         raise BadInput(f"trials must be >= 0; got {config.trials}")
     trials = len(CASE_NAMES) if config.suite == "gallery" else config.trials
-    records = [trial(config, i) for i in range(trials)]
+    balls = _ball_source(config)
+    records = [trial(config, i, balls) for i in range(trials)]
     return SuiteReport(config, records, time.perf_counter() - start)

@@ -2,8 +2,9 @@
 
 For a convex polygon with the origin strictly inside, symmetry about the
 origin is equivalent to two boundary-sum conditions; for an asymmetric body
-both finders below construct explicit violating triples, re-verified by the
-exact geometry predicates before they are returned.
+both finders below construct explicit violating triples, re-verified before
+they are returned. A body is compiled like a unit ball (`norms`), so "inside"
+and "on the boundary" are decided by its exact gauge.
 """
 
 from __future__ import annotations
@@ -13,25 +14,11 @@ from enum import Enum
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .errors import NotConvexBody, SearchBudgetExceeded
-from .geometry import (
-    OriginPosition,
-    convex_hull,
-    orientation,
-    origin_in_hull,
-    point_in_triangle,
-    point_position,
-    ray_boundary,
-)
-from .scalars import exact_div, exactify, is_float, sgn
+from .errors import SearchBudgetExceeded
+from .geometry import orientation, point_in_triangle
+from .norms import ConvexBody, boundary_point, gauge, make_convex_body
+from .scalars import exact_div, is_float, sgn
 from .vectors import ORIGIN, Vec2
-
-
-@dataclass(frozen=True)
-class ConvexBody:
-    """A convex polygon with the origin strictly inside; no symmetry assumed."""
-
-    vertices: tuple[Vec2, ...]
 
 
 class WitnessKind(Enum):
@@ -65,16 +52,6 @@ class ViolationWitness:
         }
 
 
-def make_convex_body(points: Sequence[Vec2]) -> ConvexBody:
-    """Canonicalize points into a convex body; origin must be strictly inside."""
-    hull = convex_hull(points)
-    if len(hull) < 3:
-        raise NotConvexBody("hull is degenerate")
-    if origin_in_hull(hull) is not OriginPosition.INTERIOR:
-        raise NotConvexBody("origin is not strictly inside")
-    return ConvexBody(tuple(Vec2(exactify(v.x), exactify(v.y)) for v in hull))
-
-
 def is_centrally_symmetric(body: ConvexBody, tol: float = 0.0) -> bool:
     """Whether the vertex set equals its own negation (within tol for floats)."""
     verts = body.vertices
@@ -102,7 +79,7 @@ def _asymmetric_chords(body: ConvexBody):
     """
     for v in body.vertices:
         near = v
-        far = ray_boundary(body.vertices, -v)
+        far = boundary_point(body, -v)
         if (near + far).is_zero():
             continue
         # orient the chord so the first arm is the shorter one
@@ -113,7 +90,14 @@ def _asymmetric_chords(body: ConvexBody):
 
 
 def _strictly_inside(body: ConvexBody, z: Vec2) -> bool:
-    return point_position(body.vertices, z) is OriginPosition.INTERIOR
+    return gauge(body, z) < 1
+
+
+def _surrounds_origin(a: Vec2, b: Vec2, c: Vec2) -> bool:
+    """Whether the origin is strictly inside the triangle abc."""
+    signs = {sgn(orientation(a, b, ORIGIN)), sgn(orientation(b, c, ORIGIN)),
+             sgn(orientation(c, a, ORIGIN))}
+    return signs in ({1}, {-1})
 
 
 def _boundary_neighbours(body: ConvexBody, p: Vec2) -> list[Vec2]:
@@ -138,7 +122,7 @@ def _witness_basics(body: ConvexBody, w: ViolationWitness) -> bool:
     if len({(p.x, p.y) for p in (w.a, w.b, w.c)}) != 3:
         return False
     for p in (w.a, w.b, w.c):
-        if point_position(body.vertices, p) is not OriginPosition.BOUNDARY:
+        if gauge(body, p) != 1:
             return False
     return (w.a + w.b + w.c - w.h).is_zero()
 
@@ -151,7 +135,7 @@ def verify_halfplane_witness(body: ConvexBody, w: ViolationWitness) -> bool:
         return False
     # a common closed halfplane bounded through the origin exists exactly
     # when the origin is not strictly inside conv{a, b, c}
-    if point_position([w.a, w.b, w.c], ORIGIN) is OriginPosition.INTERIOR:
+    if _surrounds_origin(w.a, w.b, w.c):
         return False
     return _strictly_inside(body, w.h)
 
@@ -162,10 +146,7 @@ def verify_surrounding_witness(body: ConvexBody, w: ViolationWitness) -> bool:
         return False
     if not _witness_basics(body, w):
         return False
-    s1 = sgn(orientation(w.a, w.b, ORIGIN))
-    s2 = sgn(orientation(w.b, w.c, ORIGIN))
-    s3 = sgn(orientation(w.c, w.a, ORIGIN))
-    if not (s1 == s2 == s3 and s1 != 0):
+    if not _surrounds_origin(w.a, w.b, w.c):
         return False
     return not _strictly_inside(body, w.h)
 

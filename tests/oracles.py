@@ -3,7 +3,7 @@
 These deliberately avoid the code paths they check: the gauge oracle
 intersects the ray through a point with each boundary edge segment instead
 of evaluating edge functionals, and hull membership is decided by brute
-force over all triples instead of hull construction.
+force over point pairs and triples instead of hull construction.
 """
 
 from fractions import Fraction
@@ -56,18 +56,30 @@ def triangle_contains(a: Vec2, b: Vec2, c: Vec2, p: Vec2) -> bool:
     )
 
 
-def brute_origin_in_hull(points) -> bool:
-    """Closed membership of the origin in conv(points) by brute force."""
+def brute_origin_strictly_inside(points) -> bool:
+    """Whether the origin is strictly inside conv(points), with no hull built.
+
+    Every line through two input points that has all of them on one closed
+    side must have the origin strictly on that side, and the points must not
+    all lie on one line.
+    """
     pts = list(points)
-    if any(p.is_zero() for p in pts):
-        return True
+    supported = False
     for a, b in combinations(pts, 2):
-        if segment_contains(a, b, ORIGIN):
-            return True
-    for a, b, c in combinations(pts, 3):
-        if triangle_contains(a, b, c, ORIGIN):
-            return True
-    return False
+        if a == b:
+            continue
+        sides = {_sign(orientation(a, b, p)) for p in pts}
+        if {1, -1} <= sides:
+            continue  # points on both sides: not a supporting line
+        # sides - {0} is empty exactly when every point is on the line
+        if _sign(orientation(a, b, ORIGIN)) not in sides - {0}:
+            return False
+        supported = True
+    return supported
+
+
+def _sign(x) -> int:
+    return (x > 0) - (x < 0)
 
 
 def brute_extreme_points(points) -> set:

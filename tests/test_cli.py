@@ -161,6 +161,17 @@ def test_unparsable_scalar_exits_2(tmp_path):
     assert main(["symmetry", "check", poly]) == 2
 
 
+def test_empty_polygon_exits_2(tmp_path):
+    assert main(["symmetry", "check", _write(tmp_path, "poly.json", '{"vertices": []}')]) == 2
+
+
+@pytest.mark.parametrize("argv", [["gallery", "bogus"], ["symmetry", "bogus", "p.json"]])
+def test_unknown_action_exits_2(argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+
+
 def test_one_coordinate_direction_exits_2(tmp_path):
     assert main(["ginzburg", _write(tmp_path, "vecs.json", EUCLID_VECS), "--u", "1"]) == 2
 

@@ -1,18 +1,10 @@
 import random
 from fractions import Fraction
 
-from helly_plane.geometry import (
-    OriginPosition,
-    caratheodory_triple,
-    convex_hull,
-    origin_in_hull,
-    point_in_triangle,
-    ray_boundary,
-    strict_separating_direction,
-)
-from helly_plane.vectors import ORIGIN, Vec2
+from helly_plane.geometry import convex_hull, point_in_triangle
+from helly_plane.vectors import Vec2
 
-from oracles import brute_extreme_points, brute_origin_in_hull, triangle_contains
+from oracles import brute_extreme_points
 
 F = Fraction
 
@@ -60,81 +52,9 @@ def test_hull_idempotent():
         assert convex_hull(hull) == hull
 
 
-def test_origin_classification_examples():
-    assert origin_in_hull([Vec2(1, 0), Vec2(0, 1), Vec2(-1, -1)]) is OriginPosition.INTERIOR
-    assert origin_in_hull([Vec2(1, 0), Vec2(-1, 0), Vec2(0, 1)]) is OriginPosition.BOUNDARY
-    assert origin_in_hull([Vec2(1, 1), Vec2(2, 1), Vec2(1, 2)]) is OriginPosition.EXTERIOR
-
-
-def test_origin_classification_degenerate():
-    assert origin_in_hull([Vec2(1, 1)]) is OriginPosition.EXTERIOR
-    assert origin_in_hull([Vec2(0, 0)]) is OriginPosition.BOUNDARY
-    assert origin_in_hull([Vec2(-1, 0), Vec2(2, 0)]) is OriginPosition.BOUNDARY
-    assert origin_in_hull([Vec2(1, 0), Vec2(2, 0)]) is OriginPosition.EXTERIOR
-
-
-def test_separation_examples():
-    u = strict_separating_direction([Vec2(1, 0), Vec2(0, 1)])
-    assert u is not None
-    assert u.dot(Vec2(1, 0)) > 0 and u.dot(Vec2(0, 1)) > 0
-    assert strict_separating_direction([Vec2(1, 0), Vec2(-1, 0), Vec2(0, 1)]) is None
-
-
-def test_separation_upper_halfplane():
-    rng = random.Random(3)
-    pts = [
-        Vec2(F(rng.randint(-600, 600), 600), F(rng.randint(1, 600), 600))
-        for _ in range(10)
-    ]
-    u = strict_separating_direction(pts)
-    assert u is not None
-    assert all(u.dot(p) > 0 for p in pts)
-
-
-def test_separation_duality_random():
-    rng = random.Random(17)
-    for _ in range(1500):
-        pts = _random_points(rng, rng.randint(1, 8), span=2)
-        u = strict_separating_direction(pts)
-        exterior = origin_in_hull(pts) is OriginPosition.EXTERIOR
-        assert (u is not None) == exterior
-        assert exterior == (not brute_origin_in_hull(pts))
-        if u is not None:
-            assert all(u.dot(p) > 0 for p in pts)
-
-
-def test_caratheodory_examples():
-    t = caratheodory_triple([Vec2(1, 0), Vec2(0, 1), Vec2(-1, -1), Vec2(5, 5)])
-    assert t is not None and len(set(t)) == 3
-    assert caratheodory_triple([Vec2(1, 1), Vec2(2, 1), Vec2(1, 2)]) is None
-
-
-def test_caratheodory_completeness_random():
-    rng = random.Random(23)
-    found = 0
-    for _ in range(800):
-        pts = _random_points(rng, rng.randint(3, 8), span=2)
-        t = caratheodory_triple(pts)
-        inside = brute_origin_in_hull(pts)
-        assert (t is not None) == inside
-        if t is not None:
-            found += 1
-            i, j, k = t
-            assert i < j < k
-            assert triangle_contains(pts[i], pts[j], pts[k], ORIGIN)
-    assert found > 50  # the sample actually exercises both branches
-
-
 def test_point_in_triangle_degenerate():
     a, b, c = Vec2(0, 0), Vec2(2, 2), Vec2(1, 1)
     assert point_in_triangle(Vec2(1, 1), a, b, c)
     assert not point_in_triangle(Vec2(3, 3), a, b, c)
     assert not point_in_triangle(Vec2(1, 0), a, b, c)
     assert point_in_triangle(Vec2(1, 1), Vec2(1, 1), Vec2(1, 1), Vec2(1, 1))
-
-
-def test_ray_boundary_square(square):
-    verts = square.vertices
-    assert ray_boundary(verts, Vec2(2, 0)) == Vec2(1, 0)
-    assert ray_boundary(verts, Vec2(1, 1)) == Vec2(1, 1)
-    assert ray_boundary(verts, Vec2(0, -5)) == Vec2(0, -1)

@@ -14,10 +14,12 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from helly_plane.errors import DegenerateHull
+from helly_plane.generators import gen_asymmetric_body
 from helly_plane.geometry import convex_hull, orientation
 from helly_plane.norms import (
     ball_from_json,
     ball_to_json,
+    boundary_point,
     euclidean_ball,
     gauge,
     subset_gauges,
@@ -82,6 +84,15 @@ def test_integer_gauge_matches_ray_oracle(ball, z):
     g = gauge(ball, z)
     assert isinstance(g, Fraction)
     assert g == ray_gauge(ball, z)
+
+
+@given(seed=st.integers(0, 2**32 - 1), z=rational_points)
+def test_body_gauge_matches_ray_oracle(seed, z):
+    # an asymmetric body's gauge is still the maximum of its edge functionals
+    body = gen_asymmetric_body(seed)
+    assert gauge(body, z) == ray_gauge(body, z)
+    assume(not z.is_zero())
+    assert gauge(body, boundary_point(body, z)) == 1
 
 
 @given(ball=balls(), z=float_points)

@@ -1,8 +1,9 @@
+import hashlib
 import json
 
 import pytest
 
-from helly_plane import suites
+from helly_plane import norms, suites
 from helly_plane.errors import BadInput, TheoremFalsified, UnknownSuite
 from helly_plane.suites import SUITE_NAMES, SuiteConfig, run_suite
 
@@ -67,6 +68,31 @@ def test_ball_source_file(tmp_path):
         SuiteConfig(suite="thm2", trials=4, seed=3, ball_source=str(path))
     )
     assert report.failures == 0
+
+
+def test_ball_file_is_loaded_once_per_run(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)  # the report holds the path as given
+    hexagon = [["2", "0"], ["1", "1"], ["-1", "1"], ["-2", "0"], ["-1", "-1"], ["1", "-1"]]
+    (tmp_path / "ball.json").write_text(json.dumps({"type": "polygonal", "vertices": hexagon}))
+    loads = []
+
+    def load_json(path):
+        loads.append(path)
+        return norms.load_json(path)
+
+    monkeypatch.setattr(suites, "load_json", load_json)
+    config = SuiteConfig(suite="thm2", trials=20, seed=3, ball_source="ball.json")
+    text = run_suite(config).to_json_text()
+    assert loads == ["ball.json"]
+    # the report of the same run when the file was read on every trial
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "9e143d972eaec36324086644ec3063655854f075758086eb95ad43528d2d1ded"
+    )
+    # the next run reads the file again
+    square = hexagon[1:3] + hexagon[4:]
+    (tmp_path / "ball.json").write_text(json.dumps({"type": "polygonal", "vertices": square}))
+    assert run_suite(config).to_json_text() != text
+    assert loads == ["ball.json", "ball.json"]
 
 
 def test_float_mode_runs():
