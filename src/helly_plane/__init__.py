@@ -16,7 +16,6 @@ from .generators import (
 )
 from .geometry import convex_hull
 from .norms import (
-    EdgeFunctional,
     UnitBall,
     ball_from_json,
     ball_to_json,

@@ -22,7 +22,7 @@ from .errors import (
     TheoremFalsified,
     ZeroDirection,
 )
-from .norms import UnitBall, gauge, subset_gauges
+from .norms import UnitBall, edge_functionals, gauge, subset_gauges
 from .scalars import DEFAULT_TOL, Scalar, eq, ge
 from .vectors import Vec2, VectorMultiset, vsum
 
@@ -186,8 +186,12 @@ def choose_signs(
     return SignVector(signs, checked)
 
 
-def _grid_fraction(rng: random.Random, radius: Fraction, grid: int = 10**6) -> Fraction:
-    return Fraction(rng.randint(-grid, grid), grid) * radius
+_GRID = 10**6  # make_generic samples offsets on a grid of step radius / _GRID
+_MAX_TRIES = 10_000  # and gives up on a vector after this many samples
+
+
+def _grid_fraction(rng: random.Random, radius: Fraction) -> Fraction:
+    return Fraction(rng.randint(-_GRID, _GRID), _GRID) * radius
 
 
 def make_generic(
@@ -196,7 +200,6 @@ def make_generic(
     lam: Scalar,
     eps: Scalar,
     seed: int,
-    max_tries: int = 10_000,
 ) -> tuple[Vec2, ...]:
     """Perturb a scaled family into general position against the ball.
 
@@ -223,7 +226,8 @@ def make_generic(
             raise EpsilonTooLarge(
                 f"eps-neighbourhood of vector {i} does not stay inside the ball"
             )
-    coeff_bound = max(abs(e.p) + abs(e.q) for e in ball.edges)
+    normals = edge_functionals(ball)
+    coeff_bound = max(abs(n.x) + abs(n.y) for n in normals)
     radius = eps / (2 * coeff_bound)  # sup-ball of this radius has gauge <= eps/2
     rng = random.Random(seed)
 
@@ -235,15 +239,15 @@ def make_generic(
     for i in range(len(vs)):
         center = vs[i].scale(lam)
         extendable = [s for s in presums if len(s) <= 4]
-        for _ in range(max_tries):
+        for _ in range(_MAX_TRIES):
             cand = center + Vec2(_grid_fraction(rng, radius), _grid_fraction(rng, radius))
             fresh: dict[Scalar, frozenset[int]] = {}
             ok = True
             for s in extendable:
                 subset = s | {i}
                 total = presums[s] + cand
-                for e in ball.edges:
-                    val = e(total)
+                for n in normals:
+                    val = n.dot(total)
                     owner = committed.get(val)
                     if owner is None:
                         owner = fresh.get(val)

@@ -11,38 +11,36 @@ from __future__ import annotations
 import math
 import random
 from fractions import Fraction
-from typing import Optional
+from typing import Callable, Optional
 
-from .errors import DegenerateHull
-from .norms import UnitBall, boundary_point, euclidean_ball, gauge, symmetric_hull
+from .errors import NotConvexBody
+from .norms import UnitBall, boundary_point, euclidean_ball, gauge, make_polygonal_ball
 from .scalars import le
 from .symmetry import ConvexBody, is_centrally_symmetric, make_convex_body
 from .vectors import Vec2, vsum
 
 _GRID = 1000
+_HALF_VERTICES = 6  # points drawn per symmetric polygon, half its most vertices
 
 
-def _fraction(rng: random.Random, lo: int, hi: int, grid: int = _GRID) -> Fraction:
-    return Fraction(rng.randint(lo * grid, hi * grid), grid)
+def _fraction(rng: random.Random, lo: int, hi: int) -> Fraction:
+    return Fraction(rng.randint(lo * _GRID, hi * _GRID), _GRID)
 
 
-def gen_random_ball(seed: int, max_vertices: int = 12) -> UnitBall:
-    """A random 0-symmetric polygonal ball with at most max_vertices vertices."""
-    if max_vertices < 4:
-        raise ValueError("a symmetric polygon needs at least 4 vertices")
+def _symmetric_polygon(seed: int, build: Callable[[list[Vec2]], UnitBall]) -> UnitBall:
+    """`build(points + negated points)` for the first draw that spans the plane."""
     rng = random.Random(seed)
-    k = max(2, max_vertices // 2)
     while True:
-        points = [
-            Vec2(_fraction(rng, -1, 1), _fraction(rng, -1, 1)) for _ in range(k)
-        ]
-        hull_points = [p for p in points if not p.is_zero()]
-        if len(hull_points) < 2:
-            continue
+        points = [Vec2(_fraction(rng, -1, 1), _fraction(rng, -1, 1)) for _ in range(_HALF_VERTICES)]
         try:
-            return symmetric_hull(hull_points)
-        except DegenerateHull:
+            return build(points + [-p for p in points])
+        except NotConvexBody:
             continue  # collinear draw: resample
+
+
+def gen_random_ball(seed: int) -> UnitBall:
+    """A random 0-symmetric polygonal ball with at most 12 vertices."""
+    return _symmetric_polygon(seed, make_polygonal_ball)
 
 
 def gen_unit_vectors(
@@ -127,9 +125,7 @@ def gen_claim1_tuple(seed: int) -> list[Fraction]:
             return xs + [closing]
 
 
-def gen_collinear_family(
-    ball: UnitBall, seed: int, n_choices: tuple[int, ...] = (5, 7, 9)
-) -> tuple[tuple[Vec2, ...], list[Fraction]]:
+def gen_collinear_family(ball: UnitBall, seed: int) -> tuple[tuple[Vec2, ...], list[Fraction]]:
     """A collinear family in the ball whose 3-sums all have norm > 1.
 
     Returns the vectors along a random boundary direction together with
@@ -138,7 +134,7 @@ def gen_collinear_family(
     and draws that break the hypothesis are rejected.
     """
     rng = random.Random(seed)
-    n = rng.choice(list(n_choices))
+    n = rng.choice([5, 7, 9])
     direction = gen_unit_vectors(ball, 1, rng.getrandbits(32))[0]
     while True:
         xs = [Fraction(rng.randint(400, _GRID), _GRID) for _ in range(n)]
@@ -154,17 +150,17 @@ def gen_collinear_family(
             return tuple(direction.scale(x) for x in xs), xs
 
 
-def gen_symmetric_body(seed: int, max_vertices: int = 12) -> ConvexBody:
-    """A random 0-symmetric convex polygon as a ConvexBody."""
-    ball = gen_random_ball(seed, max_vertices)
-    return make_convex_body(list(ball.vertices))
+def gen_symmetric_body(seed: int) -> ConvexBody:
+    """A random 0-symmetric convex polygon as a ConvexBody: the polygon of
+    `gen_random_ball(seed)`, compiled once as a body."""
+    return _symmetric_polygon(seed, make_convex_body)
 
 
-def gen_asymmetric_body(seed: int, max_vertices: int = 12) -> ConvexBody:
+def gen_asymmetric_body(seed: int) -> ConvexBody:
     """A symmetric polygon with one vertex pushed outward, breaking the pair."""
     rng = random.Random(seed)
     while True:
-        ball = gen_random_ball(rng.getrandbits(32), max_vertices)
+        ball = gen_random_ball(rng.getrandbits(32))
         verts = list(ball.vertices)
         i = rng.randrange(len(verts))
         stretch = 1 + Fraction(rng.randint(1, 4), 8)
@@ -174,12 +170,10 @@ def gen_asymmetric_body(seed: int, max_vertices: int = 12) -> ConvexBody:
             return body
 
 
-def gen_euclidean_halfplane_instance(
-    seed: int, n_choices: tuple[int, ...] = (3, 5, 7, 9)
-) -> tuple[tuple[Vec2, ...], Vec2]:
+def gen_euclidean_halfplane_instance(seed: int) -> tuple[tuple[Vec2, ...], Vec2]:
     """Float unit vectors in the closed halfplane of a random direction."""
     rng = random.Random(seed)
-    n = rng.choice(list(n_choices))
+    n = rng.choice([3, 5, 7, 9])
     phi = rng.uniform(0.0, 2.0 * math.pi)
     u = Vec2(math.cos(phi), math.sin(phi))
     vectors = gen_unit_vectors(euclidean_ball(), n, rng.getrandbits(32), halfplane=u)

@@ -10,7 +10,7 @@ Each ball is compiled once, at construction, into integer edge normals
 (P, Q) over one common denominator, plus their float copies. Rational
 gauges and subset sums then run on plain ints and form a single
 `Fraction` per reported value; float gauges run on the float normals and
-round exactly as `Fraction * float` does.
+round exactly as `Fraction * float` does. Only this module reads them.
 
 A `ConvexBody`, any convex polygon with the origin strictly inside, is
 built and compiled the same way: the maximum of its edge functionals is
@@ -42,32 +42,16 @@ POLYGONAL = "polygonal"
 
 
 @dataclass(frozen=True)
-class EdgeFunctional:
-    """The linear map z -> p*z.x + q*z.y equal to 1 on its defining edge."""
-
-    p: Scalar
-    q: Scalar
-
-    def __call__(self, z: Vec2) -> Scalar:
-        return self.p * z.x + self.q * z.y
-
-    def direction(self) -> Vec2:
-        """A direction vector of the level line {value == const}."""
-        return Vec2(-self.q, self.p)
-
-
-@dataclass(frozen=True)
 class UnitBall:
     """A unit ball; polygonal ones carry their compiled edge normals.
 
     `normals` holds integer pairs (P, Q) with (p, q) == (P, Q) / `den` for
-    each edge functional, or None when the vertices are floats;
-    `float_normals` holds (float(p), float(q)).
+    the functional z -> p*z.x + q*z.y of each edge, or None when the
+    vertices are floats; `float_normals` holds (float(p), float(q)).
     """
 
     kind: str
     vertices: tuple[Vec2, ...] = ()
-    edges: tuple[EdgeFunctional, ...] = ()
     normals: Optional[tuple[tuple[int, int], ...]] = field(
         default=None, repr=False, compare=False
     )
@@ -140,24 +124,29 @@ def _compile_polygon(points: Sequence[Vec2], cls: type) -> UnitBall:
             if _polar_less(coords[i], coords[start]):
                 start = i
         coords = coords[start:] + coords[:start]
-    edges = []
-    div = Fraction if grid else exact_div
+    # the origin is strictly inside exactly when every edge turns left
+    # around it, and then the functional equal to 1 at both ends is unique:
+    # (p, q) = scale * (by - ay, ax - bx) / det
+    rows = []
     for (ax, ay), (bx, by) in zip(coords, coords[1:] + coords[:1]):
-        # the origin is strictly inside exactly when every edge turns left
-        # around it, and then the functional equal to 1 at both ends is unique
         det = ax * by - ay * bx
         if not det > 0:
             raise NotConvexBody("origin is not strictly inside")
-        edges.append(EdgeFunctional(div(scale * (by - ay), det), div(scale * (ax - bx), det)))
-    normals, den = lattice([Vec2(e.p, e.q) for e in edges]) if grid else (None, 1)
+        rows.append((scale * (by - ay), scale * (ax - bx), det))
+    if grid:
+        den = math.lcm(*[det for _, _, det in rows])
+        normals = tuple([(p * (den // det), q * (den // det)) for p, q, det in rows])
+        float_normals = [(p / den, q / den) for p, q in normals]
+    else:
+        normals, den = None, 1
+        float_normals = [(p / det, q / det) for p, q, det in rows]
     # tuples from lists, not generators (see geometry.lattice)
     return cls(
         POLYGONAL,
         tuple([Vec2(exactify(v.x), exactify(v.y)) for v in hull[start:] + hull[:start]]),
-        tuple(edges),
-        None if normals is None else tuple(normals),
+        normals,
         den,
-        tuple([(float(e.p), float(e.q)) for e in edges]),
+        tuple(float_normals),
     )
 
 
@@ -220,11 +209,15 @@ def subset_gauges(
             yield t, _lattice_gauge(ball, sx, sy, den)
 
 
-def edge_functionals(ball: UnitBall) -> list[EdgeFunctional]:
-    """The edge functionals in edge order; polygonal balls only."""
+def edge_functionals(ball: UnitBall) -> list[Vec2]:
+    """The edge functionals in edge order, as coefficient vectors n with
+    n.dot(z) == 1 on the edge: exact `Fraction`s, or floats when the
+    vertices are floats. Polygonal balls only."""
     if not ball.is_polygonal:
         raise NotPolygonal("the Euclidean ball has no edge functionals")
-    return list(ball.edges)
+    if ball.normals is None:
+        return [Vec2(p, q) for p, q in ball.float_normals]
+    return [Vec2(Fraction(p, ball.den), Fraction(q, ball.den)) for p, q in ball.normals]
 
 
 def boundary_point(ball: UnitBall, direction: Vec2) -> Vec2:

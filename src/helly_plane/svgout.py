@@ -16,10 +16,10 @@ def instance_svg(
     ball: Optional[UnitBall],
     vectors: Sequence[Vec2],
     outline: Optional[Sequence[Vec2]] = None,
-    size: int = 480,
 ) -> str:
     """An SVG drawing of the unit ball (or a polygon outline), the vectors
     as arrows from the origin, and their sum as a heavier arrow."""
+    size = 480  # width and height in pixels
     pts = [Vec2(float(v.x), float(v.y)) for v in vectors]
     total = vsum(pts) if pts else None
     shape: list[tuple[float, float]] = []

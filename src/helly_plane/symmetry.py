@@ -2,8 +2,8 @@
 
 For a convex polygon with the origin strictly inside, symmetry about the
 origin is equivalent to two boundary-sum conditions; for an asymmetric body
-both finders below construct explicit violating triples, re-verified before
-they are returned. A body is compiled like a unit ball (`norms`), so "inside"
+both finders below walk candidate triples and return the first one their
+verifier accepts. A body is compiled like a unit ball (`norms`), so "inside"
 and "on the boundary" are decided by its exact gauge.
 """
 
@@ -12,13 +12,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 from .errors import SearchBudgetExceeded
-from .geometry import orientation, point_in_triangle
+from .geometry import orientation
 from .norms import ConvexBody, boundary_point, gauge, make_convex_body
-from .scalars import exact_div, is_float, sgn
+from .scalars import exact_div, sgn
 from .vectors import ORIGIN, Vec2
+
+# halvings of the step a finder tries per chord before moving on
+_MAX_HALVINGS = 128
 
 
 class WitnessKind(Enum):
@@ -52,21 +55,10 @@ class ViolationWitness:
         }
 
 
-def is_centrally_symmetric(body: ConvexBody, tol: float = 0.0) -> bool:
-    """Whether the vertex set equals its own negation (within tol for floats)."""
-    verts = body.vertices
-    if tol == 0.0 and not is_float(*[c for v in verts for c in (v.x, v.y)]):
-        have = {(v.x, v.y) for v in verts}
-        return have == {(-x, -y) for x, y in have}
-    unmatched = list(verts)
-    for v in verts:
-        for i, w in enumerate(unmatched):
-            if abs(float(v.x + w.x)) <= tol and abs(float(v.y + w.y)) <= tol:
-                unmatched.pop(i)
-                break
-        else:
-            return False
-    return True
+def is_centrally_symmetric(body: ConvexBody) -> bool:
+    """Whether the vertex set equals its own negation, exactly."""
+    have = {(v.x, v.y) for v in body.vertices}
+    return have == {(-x, -y) for x, y in have}
 
 
 def _asymmetric_chords(body: ConvexBody):
@@ -128,32 +120,42 @@ def _witness_basics(body: ConvexBody, w: ViolationWitness) -> bool:
 
 
 def verify_halfplane_witness(body: ConvexBody, w: ViolationWitness) -> bool:
-    """Re-check a halfplane witness from scratch with the exact predicates."""
-    if w.kind is not WitnessKind.HALFPLANE_INTERIOR_SUM:
-        return False
-    if not _witness_basics(body, w):
-        return False
+    """Re-check a halfplane witness from scratch with the exact predicates,
+    the sum first: one gauge rejects most of a finder's candidates."""
     # a common closed halfplane bounded through the origin exists exactly
     # when the origin is not strictly inside conv{a, b, c}
-    if _surrounds_origin(w.a, w.b, w.c):
-        return False
-    return _strictly_inside(body, w.h)
+    return (
+        w.kind is WitnessKind.HALFPLANE_INTERIOR_SUM
+        and _strictly_inside(body, w.h)
+        and not _surrounds_origin(w.a, w.b, w.c)
+        and _witness_basics(body, w)
+    )
 
 
 def verify_surrounding_witness(body: ConvexBody, w: ViolationWitness) -> bool:
     """Re-check a surrounding witness from scratch with the exact predicates."""
-    if w.kind is not WitnessKind.SURROUNDING_EXTERIOR_SUM:
-        return False
-    if not _witness_basics(body, w):
-        return False
-    if not _surrounds_origin(w.a, w.b, w.c):
-        return False
-    return not _strictly_inside(body, w.h)
+    return (
+        w.kind is WitnessKind.SURROUNDING_EXTERIOR_SUM
+        and not _strictly_inside(body, w.h)
+        and _surrounds_origin(w.a, w.b, w.c)
+        and _witness_basics(body, w)
+    )
 
 
-def find_violation_halfplane(
-    body: ConvexBody, max_halvings: int = 128
+def _first_verified(
+    body: ConvexBody, candidates: Callable, verify: Callable, name: str
 ) -> Optional[ViolationWitness]:
+    """The one place a finder accepts a witness: None for a symmetric body,
+    else the first of `candidates(body)` that `verify` accepts."""
+    if is_centrally_symmetric(body):
+        return None
+    for witness in candidates(body):
+        if verify(body, witness):
+            return witness
+    raise SearchBudgetExceeded(f"no verified {name} witness within the budget")
+
+
+def find_violation_halfplane(body: ConvexBody) -> Optional[ViolationWitness]:
     """A halfplane triple with sum strictly inside, for an asymmetric body.
 
     Picks a chord through the origin with unequal arms (short arm first),
@@ -161,23 +163,17 @@ def find_violation_halfplane(
     until a + b + c lands strictly inside. Symmetric bodies admit no such
     triple and get None.
     """
-    if is_centrally_symmetric(body):
-        return None
+    return _first_verified(body, _halfplane_candidates, verify_halfplane_witness, "halfplane")
+
+
+def _halfplane_candidates(body: ConvexBody) -> Iterator[ViolationWitness]:
     for a, c in _asymmetric_chords(body):
         for w in _boundary_neighbours(body, a):
             step = Fraction(1, 2)
-            for _ in range(max_halvings):
+            for _ in range(_MAX_HALVINGS):
                 b = a + (w - a).scale(step)
                 step /= 2
-                if (b - c).is_zero() or (b - a).is_zero():
-                    continue
-                h = a + b + c
-                if not _strictly_inside(body, h):
-                    continue
-                witness = ViolationWitness(a, b, c, h, WitnessKind.HALFPLANE_INTERIOR_SUM)
-                if verify_halfplane_witness(body, witness):
-                    return witness
-    raise SearchBudgetExceeded("no verified halfplane witness within the budget")
+                yield ViolationWitness(a, b, c, a + b + c, WitnessKind.HALFPLANE_INTERIOR_SUM)
 
 
 def _line_polygon_hits(vertices: Sequence[Vec2], d: Vec2, level) -> list[Vec2]:
@@ -202,9 +198,7 @@ def _line_polygon_hits(vertices: Sequence[Vec2], d: Vec2, level) -> list[Vec2]:
     return uniq
 
 
-def find_violation_surrounding(
-    body: ConvexBody, max_halvings: int = 128
-) -> Optional[ViolationWitness]:
+def find_violation_surrounding(body: ConvexBody) -> Optional[ViolationWitness]:
     """A surrounding triple with sum not strictly inside, for an asymmetric body.
 
     Takes a chord through the origin with unequal arms, the unique boundary
@@ -212,8 +206,10 @@ def find_violation_surrounding(
     from b so the origin becomes strictly surrounded; the sum stays outside
     for small slides. Symmetric bodies get None.
     """
-    if is_centrally_symmetric(body):
-        return None
+    return _first_verified(body, _surrounding_candidates, verify_surrounding_witness, "surrounding")
+
+
+def _surrounding_candidates(body: ConvexBody) -> Iterator[ViolationWitness]:
     for a0, c0 in _asymmetric_chords(body):
         d = a0  # chord direction (origin to the short arm)
         for side in (1, -1):
@@ -230,7 +226,7 @@ def find_violation_surrounding(
             if reach == 0:
                 continue
             shrink = Fraction(1, 2)
-            for _ in range(max_halvings):
+            for _ in range(_MAX_HALVINGS):
                 # slide the chord away from b
                 level = -sgn(level_b) * reach * shrink
                 shrink /= 2
@@ -240,16 +236,6 @@ def find_violation_surrounding(
                 a1, c1 = hits
                 if a1.dot(d) < c1.dot(d):
                     a1, c1 = c1, a1  # keep a1 on the short-arm side
-                if (a1 - b).is_zero() or (c1 - b).is_zero():
-                    continue
-                h = a1 + b + c1
-                if not point_in_triangle(ORIGIN, a1, b, c1):
-                    continue
-                if _strictly_inside(body, h):
-                    continue
-                witness = ViolationWitness(
-                    a1, b, c1, h, WitnessKind.SURROUNDING_EXTERIOR_SUM
+                yield ViolationWitness(
+                    a1, b, c1, a1 + b + c1, WitnessKind.SURROUNDING_EXTERIOR_SUM
                 )
-                if verify_surrounding_witness(body, witness):
-                    return witness
-    raise SearchBudgetExceeded("no verified surrounding witness within the budget")

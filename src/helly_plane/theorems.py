@@ -17,7 +17,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass, field
 from itertools import combinations
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .errors import (
     BadK,
@@ -30,7 +30,7 @@ from .errors import (
     ZeroDirection,
 )
 from .geometry import point_in_triangle
-from .norms import EdgeFunctional, UnitBall, gauge, subset_gauges
+from .norms import UnitBall, edge_functionals, gauge, subset_gauges
 from .scalars import DEFAULT_TOL, Scalar, eq, ge, gt, le, sgn, format_scalar
 from .vectors import ORIGIN, Vec2, VectorMultiset, vsum
 
@@ -56,11 +56,6 @@ class VerifyReport:
     witnesses: list[KSum] = field(default_factory=list)
     notes: str = ""
 
-    @property
-    def falsifies(self) -> bool:
-        """True when the input satisfies the hypothesis but not the conclusion."""
-        return self.hypothesis_holds and not self.conclusion_holds
-
     def to_json(self) -> dict:
         return {
             "theorem": self.theorem,
@@ -79,15 +74,15 @@ class Certificate:
 
     The input family is reordered by angle across the closed halfplane of
     u; `k` is the 1-based position of the middle vector in that order,
-    `tangent` a supporting functional of the ball at the middle vector, and
-    `projections` the coefficients of each vector on the middle vector in
-    the basis {middle vector, tangent-line direction}. Their sum being at
-    least 1 forces the sum of the family out of the open unit ball.
+    `tangent` a supporting functional z -> tangent.dot(z) of the ball at the
+    middle vector, and `projections` the coefficients of each vector on the
+    middle vector in the basis {middle vector, tangent.perp()}. Their sum
+    being at least 1 forces the sum of the family out of the open unit ball.
     """
 
     k: int
     u: Vec2
-    tangent: EdgeFunctional
+    tangent: Vec2
     ordered: tuple[Vec2, ...]
     projections: list[Scalar]
     projection_sum: Scalar
@@ -159,20 +154,21 @@ def _halfplane_angle_cmp(u: Vec2):
     return functools.cmp_to_key(cmp)
 
 
-def _supporting_functional(ball: UnitBall, v: Vec2, tol: float) -> EdgeFunctional:
+def _supporting_functional(ball: UnitBall, v: Vec2, tol: float) -> Vec2:
     """A functional of value 1 at boundary point v and at most 1 on the ball."""
     if not ball.is_polygonal:
-        return EdgeFunctional(v.x, v.y)
-    hits = [e for e in ball.edges if eq(e(v), 1, tol)]
+        return v
+    normals = edge_functionals(ball)
+    hits = [n for n in normals if eq(n.dot(v), 1, tol)]
     if len(hits) == 2:
         # v is a vertex: average the two incident functionals, normalized
         # so the value at v stays 1; this picks an interior support line
         e, f = hits
-        return EdgeFunctional((e.p + f.p) / 2, (e.q + f.q) / 2)
+        return Vec2((e.x + f.x) / 2, (e.y + f.y) / 2)
     # one hit, or three and more when very short edges fall within the
     # tolerance: an edge attaining the gauge at v is 1 there (up to tol) and
     # at most the gauge everywhere, so it supports the ball at v
-    return max(ball.edges, key=lambda e: e(v))
+    return max(normals, key=lambda n: n.dot(v))
 
 
 def halfplane_certificate(
@@ -193,7 +189,7 @@ def halfplane_certificate(
     k = (n + 1) // 2  # 1-based position of the middle vector
     vk = ordered[k - 1]
     tangent = _supporting_functional(ball, vk, tol)
-    d = tangent.direction()
+    d = tangent.perp()
     denom = vk.cross(d)
     projections = [v.cross(d) / denom for v in ordered]
     projection_sum = sum(projections)
@@ -211,15 +207,6 @@ def _odd_family(n: int, noun: str) -> None:
         raise TooFew(f"need at least 3 {noun}")
     if n % 2 == 0:
         raise EvenCardinality("the family must have odd size")
-
-
-def _signed_lengths(ball: UnitBall, vectors: Sequence[Vec2], tol: float) -> Optional[list[Scalar]]:
-    """Signed norms of a collinear family along its common direction, or
-    None when the family is not collinear."""
-    pivot = next((v for v in vectors if not v.is_zero()), ORIGIN)
-    if any(sgn(pivot.cross(v), tol) != 0 for v in vectors):
-        return None
-    return [gauge(ball, v) if sgn(pivot.dot(v), tol) >= 0 else -gauge(ball, v) for v in vectors]
 
 
 def _three_sum_judge(singles, triples, total_norm: Scalar, strict: bool, tol: float):
@@ -244,13 +231,6 @@ def _plane_judge(ball: UnitBall, vs: Sequence[Vec2], total_norm: Scalar, strict:
     return _three_sum_judge(singles, triples, total_norm, strict, tol)
 
 
-def _line_judge(xs: Sequence[Scalar], strict: bool, tol: float):
-    """`_three_sum_judge` on signed lengths xs, over the segment [-1, 1]."""
-    singles = [((i,), abs(x)) for i, x in enumerate(xs)]
-    triples = [(t, abs(xs[t[0]] + xs[t[1]] + xs[t[2]])) for t in combinations(range(len(xs)), 3)]
-    return _three_sum_judge(singles, triples, abs(sum(xs)), strict, tol)
-
-
 def verify_helly(
     ball: UnitBall, vectors: VectorMultiset, strict: bool, tol: float = DEFAULT_TOL
 ) -> VerifyReport:
@@ -258,22 +238,17 @@ def verify_helly(
 
     strict=False: unit vectors whose 3-sums all have norm >= 1 must sum to
     norm >= 1. strict=True: vectors in the ball whose 3-sums all have norm
-    > 1 must sum to norm > 1. Collinear families are routed through the
-    one-dimensional path of `verify_helly_1d`.
+    > 1 must sum to norm > 1. Collinear families need no path of their
+    own: along a line through the origin the norm is |signed length|.
     """
     vs = tuple(vectors)
     _odd_family(len(vs), "vectors")
     total = vsum(vs)
     total_norm = gauge(ball, total)
-    xs = _signed_lengths(ball, vs, tol)
-    if xs is None:
-        bad, conclusion = _plane_judge(ball, vs, total_norm, strict, tol)
-    else:
-        bad, conclusion = _line_judge(xs, strict, tol)
+    bad, conclusion = _plane_judge(ball, vs, total_norm, strict, tol)
     return VerifyReport(
         "T3" if strict else "T2", not bad, conclusion, total, total_norm,
         witnesses=[KSum(idx, vsum(vs[i] for i in idx)) for idx in bad],
-        notes="" if xs is None else "collinear family: 1d path",
     )
 
 
@@ -287,8 +262,10 @@ def verify_helly_1d(
     """
     values = list(xs)
     _odd_family(len(values), "values")
-    bad, conclusion = _line_judge(values, strict, tol)
+    singles = [((i,), abs(x)) for i, x in enumerate(values)]
+    triples = [(t, abs(sum(values[i] for i in t))) for t in combinations(range(len(values)), 3)]
     total = sum(values)
+    bad, conclusion = _three_sum_judge(singles, triples, abs(total), strict, tol)
     return VerifyReport(
         "T3" if strict else "T2", not bad, conclusion, Vec2(total, 0), abs(total),
         witnesses=[KSum(idx, Vec2(sum(values[i] for i in idx), 0)) for idx in bad],

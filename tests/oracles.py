@@ -1,9 +1,11 @@
 """Independent oracles used by the tests.
 
-These deliberately avoid the code paths they check: the gauge oracle
-intersects the ray through a point with each boundary edge segment instead
-of evaluating edge functionals, and hull membership is decided by brute
-force over point pairs and triples instead of hull construction.
+These deliberately avoid the code paths they check: edge functionals are
+solved by elimination on `Fraction`s instead of read from a compiled
+ball, the gauge oracle intersects the ray through a point with each
+boundary edge segment instead of evaluating edge functionals, and hull
+membership is decided by brute force over point pairs and triples instead
+of hull construction.
 """
 
 from fractions import Fraction
@@ -30,6 +32,16 @@ def ray_gauge(ball, z: Vec2) -> Fraction:
             # boundary point is s*z, so gauge(z) = 1/s
             return 1 / s
     raise AssertionError("ray missed the boundary")
+
+
+def edge_functional(a: Vec2, b: Vec2) -> Vec2:
+    """The (p, q) with p*x + q*y == 1 at both a and b, by Gaussian elimination."""
+    (ax, ay), (bx, by) = [(Fraction(v.x), Fraction(v.y)) for v in (a, b)]
+    if ax == 0:  # pivot on the row of b, whose x cannot be 0 as well
+        (ax, ay), (bx, by) = (bx, by), (ax, ay)
+    # subtract bx/ax times row a from row b: (by - ay*bx/ax) q = 1 - bx/ax
+    q = (1 - bx / ax) / (by - ay * bx / ax)
+    return Vec2((1 - ay * q) / ax, q)
 
 
 def segment_contains(a: Vec2, b: Vec2, p: Vec2) -> bool:

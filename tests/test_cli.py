@@ -181,6 +181,17 @@ def test_malformed_ball_file_in_verify_exits_2(tmp_path):
     assert main(["verify", "thm1", "--trials", "2", "--ball", ball]) == 2
 
 
+@pytest.mark.parametrize("text", [None, "not json"], ids=["missing", "malformed"])
+@pytest.mark.parametrize("suite", ["claim1", "symmetry", "gallery"])
+def test_ball_file_is_read_by_suites_that_draw_no_ball(suite, text, tmp_path):
+    ball = tmp_path / "ball.json"
+    if text is not None:
+        ball.write_text(text)
+    out = tmp_path / "r.json"
+    assert main(["verify", suite, "--trials", "2", "--ball", str(ball), "--out", str(out)]) == 2
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "suite,outline,arrows",
     # symmetry: the body, no vectors; claim1: six values on the x-axis, no

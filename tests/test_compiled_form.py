@@ -1,0 +1,38 @@
+"""Only `norms` reads a compiled polygon.
+
+The integer edge normals, their common denominator and their float copies
+are the kernel's own format. Every other module asks `norms` instead
+(`gauge`, `subset_gauges`, `edge_functionals`), so the edge functionals
+keep one form outside it.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import helly_plane
+
+COMPILED = {"normals", "den", "float_normals"}
+MODULES = sorted(
+    p for p in Path(helly_plane.__file__).parent.glob("*.py") if p.name != "norms.py"
+)
+
+
+def _reads(tree: ast.AST) -> list[int]:
+    return [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and node.attr in COMPILED
+    ]
+
+
+def test_reads_are_found():
+    tree = ast.parse("ball.normals\nx = b.den + 1\nf(ball.float_normals)\nball.vertices\n")
+    assert _reads(tree) == [1, 2, 3]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+def test_compiled_form_is_read_only_in_norms(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    assert _reads(tree) == []

@@ -13,7 +13,8 @@ from helly_plane.generators import (
     gen_unit_vectors,
     gen_zero_sum_six,
 )
-from helly_plane.norms import euclidean_ball, gauge, square_ball
+from helly_plane import norms
+from helly_plane.norms import ConvexBody, euclidean_ball, gauge, make_convex_body, square_ball
 from helly_plane.symmetry import is_centrally_symmetric
 from helly_plane.vectors import Vec2, vsum
 
@@ -52,7 +53,7 @@ def test_unit_vectors_deterministic():
 
 def test_random_ball_valid_and_deterministic():
     for seed in range(25):
-        ball = gen_random_ball(seed, max_vertices=12)
+        ball = gen_random_ball(seed)
         assert 4 <= len(ball.vertices) <= 12
         assert len(ball.vertices) % 2 == 0
         coords = {(v.x, v.y) for v in ball.vertices}
@@ -107,6 +108,25 @@ def test_symmetric_and_asymmetric_bodies():
     for seed in range(20):
         assert is_centrally_symmetric(gen_symmetric_body(seed))
         assert not is_centrally_symmetric(gen_asymmetric_body(seed))
+
+
+def test_symmetric_body_is_compiled_once(monkeypatch):
+    # the drawn polygon is compiled as a body directly, never as a ball first
+    compile_polygon = norms._compile_polygon
+    compiled = []
+
+    def counting(points, cls):
+        body = compile_polygon(points, cls)
+        compiled.append(cls)
+        return body
+
+    monkeypatch.setattr(norms, "_compile_polygon", counting)
+    for seed in range(20):
+        compiled.clear()
+        body = gen_symmetric_body(seed)
+        assert compiled == [ConvexBody]
+        # the same polygon, in the same vertex order, as gen_random_ball(seed)
+        assert body.vertices == make_convex_body(list(gen_random_ball(seed).vertices)).vertices
 
 
 def test_euclidean_halfplane_instance():

@@ -2,11 +2,12 @@
 
 Balls are drawn with denominators off the 1/1000 grid of the generators
 (1/3, 1/7, 1/1001) as well as with integer vertices. The references are the
-definitions the kernel replaces: the ray-boundary gauge oracle, the float
-edge-functional maximum, `gauge` of a `vsum`, and a `Fraction`
-monotone chain kept here.
+definitions the kernel replaces: the edge functional solved on `Fraction`s,
+the ray-boundary gauge oracle, the float edge-functional maximum, `gauge`
+of a `vsum`, and a `Fraction` monotone chain kept here.
 """
 
+import math
 from fractions import Fraction
 from itertools import combinations
 
@@ -20,14 +21,16 @@ from helly_plane.norms import (
     ball_from_json,
     ball_to_json,
     boundary_point,
+    edge_functionals,
     euclidean_ball,
     gauge,
+    make_convex_body,
     subset_gauges,
     symmetric_hull,
 )
 from helly_plane.vectors import Vec2, vsum
 
-from oracles import ray_gauge
+from oracles import edge_functional, ray_gauge
 
 DENOMINATORS = (1, 3, 7, 1000, 1001)
 
@@ -49,12 +52,24 @@ float_points = st.builds(
 
 
 @st.composite
-def balls(draw):
-    points = st.one_of(rational_points, integer_points)
+def balls(draw, points=st.one_of(rational_points, integer_points)):
     try:
         return symmetric_hull(draw(st.lists(points, min_size=2, max_size=6)))
     except DegenerateHull:
         assume(False)
+
+
+# bodies: random asymmetric ones, and balls recompiled as bodies (hull order)
+bodies = st.one_of(
+    st.builds(gen_asymmetric_body, st.integers(0, 2**32 - 1)),
+    balls().map(lambda ball: make_convex_body(list(ball.vertices))),
+)
+
+
+def edges(ball):
+    """The (start, end) vertex pairs of the boundary, in edge order."""
+    vs = ball.vertices
+    return list(zip(vs, vs[1:] + vs[:1]))
 
 
 def subsets(n):
@@ -95,9 +110,33 @@ def test_body_gauge_matches_ray_oracle(seed, z):
     assert gauge(body, boundary_point(body, z)) == 1
 
 
+@given(ball=st.one_of(balls(), balls(integer_points), bodies))
+def test_edge_functionals_match_the_fraction_oracle(ball):
+    normals = edge_functionals(ball)
+    assert normals == [edge_functional(a, b) for a, b in edges(ball)]
+    # the float copies are the correctly rounded functionals, bit for bit
+    assert [(p.hex(), q.hex()) for p, q in ball.float_normals] == [
+        (float(n.x).hex(), float(n.y).hex()) for n in normals
+    ]
+
+
+@given(ball=balls())
+def test_float_vertex_edge_functionals(ball):
+    fball = ball_from_json(ball_to_json(ball), "float")
+    normals = edge_functionals(fball)
+    assert [(n.x, n.y) for n in normals] == list(fball.float_normals)
+    for n, (a, b) in zip(normals, edges(fball)):
+        # float division on the float vertices, as the report digests pin
+        det = a.x * b.y - a.y * b.x
+        assert (n.x.hex(), n.y.hex()) == (((b.y - a.y) / det).hex(), ((a.x - b.x) / det).hex())
+        exact = edge_functional(a, b)
+        assert math.isclose(n.x, exact.x, rel_tol=1e-6, abs_tol=1e-9)
+        assert math.isclose(n.y, exact.y, rel_tol=1e-6, abs_tol=1e-9)
+
+
 @given(ball=balls(), z=float_points)
 def test_float_gauge_is_bitwise_edge_maximum(ball, z):
-    expected = max(float(e.p) * z.x + float(e.q) * z.y for e in ball.edges)
+    expected = max(float(n.x) * z.x + float(n.y) * z.y for n in edge_functionals(ball))
     assert gauge(ball, z).hex() == expected.hex()
 
 
@@ -130,7 +169,7 @@ def test_subset_gauges_euclidean(vectors):
 def test_float_vertex_ball(ball, z, vectors):
     fball = ball_from_json(ball_to_json(ball), "float")
     assert fball.normals is None
-    expected = max(e.p * float(z.x) + e.q * float(z.y) for e in fball.edges)
+    expected = max(n.x * float(z.x) + n.y * float(z.y) for n in edge_functionals(fball))
     assert gauge(fball, z).hex() == expected.hex()
     for t, g in subset_gauges(fball, vectors, subsets(len(vectors))):
         assert g.hex() == gauge(fball, vsum(vectors[i] for i in t)).hex()

@@ -117,25 +117,25 @@ def test_triangle_inequality_random_pairs():
 
 
 def test_edge_functionals_square(square):
-    got = {(e.p, e.q) for e in edge_functionals(square)}
+    got = {(n.x, n.y) for n in edge_functionals(square)}
     assert got == {(0, 1), (0, -1), (1, 0), (-1, 0)}
 
 
 def test_edge_functionals_parallelogram():
     ball = make_polygonal_ball([Vec2(1, 1), Vec2(-1, 1), Vec2(-1, -1), Vec2(1, -1)])
-    got = {(e.p, e.q) for e in edge_functionals(ball)}
+    got = {(n.x, n.y) for n in edge_functionals(ball)}
     assert got == {(0, 1), (0, -1), (1, 0), (-1, 0)}
 
 
 def test_edge_functionals_hexagon_frozen(hexagon):
     # first edge [(1,1), (-3/10, 7/5)] solved by hand
-    e = hexagon.edges[0]
-    assert (e.p, e.q) == (F(4, 17), F(13, 17))
-    for i, e in enumerate(hexagon.edges):
+    normals = edge_functionals(hexagon)
+    assert normals[0] == Vec2(F(4, 17), F(13, 17))
+    for i, n in enumerate(normals):
         a = hexagon.vertices[i]
         b = hexagon.vertices[(i + 1) % 6]
-        assert e(a) == 1 and e(b) == 1
-        assert e(Vec2(0, 0)) == 0
+        assert n.dot(a) == 1 and n.dot(b) == 1
+        assert n.dot(Vec2(0, 0)) == 0
 
 
 def test_edge_functionals_euclidean_raises(euclid):

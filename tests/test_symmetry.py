@@ -1,4 +1,3 @@
-import math
 import random
 from fractions import Fraction
 
@@ -77,15 +76,6 @@ def test_is_centrally_symmetric_examples(square_body, triangle_body, hexagon):
     assert not is_centrally_symmetric(triangle_body)
     hex_body = make_convex_body(list(hexagon.vertices))
     assert is_centrally_symmetric(hex_body)
-
-
-def test_is_centrally_symmetric_float_matching():
-    pts = []
-    for i in range(8):
-        phi = 2 * math.pi * i / 8
-        pts.append(Vec2(math.cos(phi), math.sin(phi)))
-    body = make_convex_body(pts)
-    assert is_centrally_symmetric(body, tol=1e-9)
 
 
 def test_symmetric_bodies_have_no_witnesses(square_body):

@@ -164,12 +164,12 @@ def test_certificate_projection_is_tangent_value():
         vs = gen_unit_vectors(ball, rng.choice([3, 5, 7]), seed * 13 + 1, halfplane=u)
         c = halfplane_certificate(ball, vs, u)
         for v, p in zip(c.ordered, c.projections):
-            assert c.tangent(v) == p
+            assert c.tangent.dot(v) == p
         assert c.projection_sum >= 1
-        assert c.tangent(c.ordered[c.k - 1]) == 1
+        assert c.tangent.dot(c.ordered[c.k - 1]) == 1
         # tangent stays below the gauge on the whole ball
         for v in ball.vertices:
-            assert c.tangent(v) <= 1
+            assert c.tangent.dot(v) <= 1
 
 
 def test_certificate_orthogonal_vectors(square):
@@ -190,8 +190,8 @@ def test_certificate_short_edges_float():
     )
     v = Vec2(1.0, float(e))
     c = halfplane_certificate(ball, [v], Vec2(1, 0), 1e-9)
-    assert abs(c.tangent(v) - 1) <= 1e-9
-    assert all(c.tangent(w) <= 1 for w in ball.vertices)
+    assert abs(c.tangent.dot(v) - 1) <= 1e-9
+    assert all(c.tangent.dot(w) <= 1 for w in ball.vertices)
     assert abs(c.projection_sum - 1) <= 1e-9
 
 
@@ -248,7 +248,6 @@ def test_helly_collinear_dispatch(square):
     xs = [F(1), F(9, 10), F(8, 10), F(-1, 2), F(9, 10)]
     vs = [Vec2(1, 1).scale(x) for x in xs]
     r = verify_helly(square, vs, strict=True)
-    assert "1d" in r.notes
     assert r.hypothesis_holds and r.conclusion_holds
     assert r.total_norm == F(31, 10)
 
