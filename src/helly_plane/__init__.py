@@ -25,7 +25,6 @@ from .norms import (
     gauge,
     make_polygonal_ball,
     square_ball,
-    symmetric_hull,
 )
 from .scalars import DEFAULT_TOL, Scalar, parse_scalar
 from .suites import SUITE_NAMES, SuiteConfig, SuiteReport, run_suite

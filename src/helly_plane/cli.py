@@ -60,8 +60,8 @@ def _cmd_verify(args) -> int:
         file=sys.stderr,
     )
     if args.svg:
-        # trial 0 exactly as the suite drew it
-        instance = draw_instance(config, 0)
+        # trial 0 exactly as the suite drew it, on the ball the run resolved
+        instance = draw_instance(config, 0, report.balls)
         _write_svg(args.svg, instance.ball, instance.vectors, instance.outline)
     return 0 if report.failures == 0 else 1
 

@@ -21,10 +21,6 @@ class ZeroDirection(HellyPlaneError):
     """A direction vector must be nonzero."""
 
 
-class DegenerateHull(HellyPlaneError):
-    """All points lie on one line through the origin."""
-
-
 class HypothesisFailed(HellyPlaneError):
     """Input does not satisfy the hypothesis the construction needs."""
 

@@ -1,9 +1,14 @@
 """Seeded instance generators for the property suites.
 
 Every generator is a pure function of its arguments; the same seed always
-reproduces the same instance. Polygonal boundary points are built as
-rational convex combinations of adjacent vertices, so their gauge is 1
-exactly, with no float slack anywhere in exact mode.
+reproduces the same instance. Rational instances are drawn on the integer
+grid: a point is an integer pair over one known denominator (1000 for
+drawn coordinates, 1000·S on a ball whose vertices are integers over S),
+rejection tests run on ints, and each output coordinate becomes a
+`Fraction` once, at the end. Polygonal boundary points are convex
+combinations of adjacent vertices, so their gauge is 1 exactly, with no
+float slack anywhere in exact mode. The Euclidean ball and float-vertex
+balls are drawn in floats.
 """
 
 from __future__ import annotations
@@ -11,36 +16,46 @@ from __future__ import annotations
 import math
 import random
 from fractions import Fraction
-from typing import Callable, Optional
+from itertools import combinations
+from typing import Optional
 
 from .errors import NotConvexBody
-from .norms import UnitBall, boundary_point, euclidean_ball, gauge, make_polygonal_ball
+from .geometry import lattice
+from .norms import (
+    ConvexBody, UnitBall, VertexGrid, boundary_point, compile_lattice, euclidean_ball, gauge,
+    lattice_in_ball, lattice_vertices,
+)
 from .scalars import le
-from .symmetry import ConvexBody, is_centrally_symmetric, make_convex_body
+from .symmetry import is_centrally_symmetric
 from .vectors import Vec2, vsum
 
 _GRID = 1000
 _HALF_VERTICES = 6  # points drawn per symmetric polygon, half its most vertices
+_ZERO_SUM_DRAWS = 10_000  # five-point draws before the +- triple fallback
 
 
-def _fraction(rng: random.Random, lo: int, hi: int) -> Fraction:
-    return Fraction(rng.randint(lo * _GRID, hi * _GRID), _GRID)
+def _vec(x: int, y: int, den: int) -> Vec2:
+    """The point (x, y) / den."""
+    return Vec2(Fraction(x, den), Fraction(y, den))
 
 
-def _symmetric_polygon(seed: int, build: Callable[[list[Vec2]], UnitBall]) -> UnitBall:
-    """`build(points + negated points)` for the first draw that spans the plane."""
+def _symmetric_polygon(seed: int, cls: type) -> UnitBall:
+    """The `cls` polygon of the first draw of points and their negations
+    that spans the plane."""
     rng = random.Random(seed)
     while True:
-        points = [Vec2(_fraction(rng, -1, 1), _fraction(rng, -1, 1)) for _ in range(_HALF_VERTICES)]
+        pairs = [
+            (rng.randint(-_GRID, _GRID), rng.randint(-_GRID, _GRID)) for _ in range(_HALF_VERTICES)
+        ]
         try:
-            return build(points + [-p for p in points])
+            return compile_lattice(pairs + [(-x, -y) for x, y in pairs], _GRID, cls)
         except NotConvexBody:
             continue  # collinear draw: resample
 
 
 def gen_random_ball(seed: int) -> UnitBall:
     """A random 0-symmetric polygonal ball with at most 12 vertices."""
-    return _symmetric_polygon(seed, make_polygonal_ball)
+    return _symmetric_polygon(seed, UnitBall)
 
 
 def gen_unit_vectors(
@@ -57,9 +72,12 @@ def gen_unit_vectors(
     if n < 1:
         raise ValueError("need n >= 1")
     rng = random.Random(seed)
+    grid = lattice_vertices(ball)
+    if grid is not None:
+        return _lattice_unit_vectors(grid, n, rng, halfplane)
     out: list[Vec2] = []
     for _ in range(n):
-        if ball.is_polygonal:
+        if ball.is_polygonal:  # float vertices
             m = len(ball.vertices)
             i = rng.randrange(m)
             a, b = ball.vertices[i], ball.vertices[(i + 1) % m]
@@ -74,29 +92,92 @@ def gen_unit_vectors(
     return tuple(out)
 
 
+def _lattice_unit_vectors(
+    grid: VertexGrid, n: int, rng: random.Random, halfplane: Optional[Vec2]
+) -> tuple[Vec2, ...]:
+    """`gen_unit_vectors` on the vertex lattice: the point r/1000 of the way
+    from vertex A to vertex B is (1000·A + r·(B − A)) / (1000·S)."""
+    pairs, scale = grid
+    m, den = len(pairs), _GRID * scale
+    below = _below(halfplane, den)
+    out = []
+    for _ in range(n):
+        i = rng.randrange(m)
+        (ax, ay), (bx, by) = pairs[i], pairs[(i + 1) % m]
+        r = rng.randrange(_GRID)
+        x, y = _GRID * ax + r * (bx - ax), _GRID * ay + r * (by - ay)
+        if below(x, y):
+            x, y = -x, -y
+        out.append(_vec(x, y, den))
+    return tuple(out)
+
+
+def _below(halfplane: Optional[Vec2], den: int):
+    """below(x, y): whether u.v < 0 for v = (x, y) / den. A rational u is
+    put on the lattice, so the sign is that of an integer dot product; a
+    float u is dotted with the `Fraction` point, in floats."""
+    if halfplane is None:
+        return lambda x, y: False
+    grid = lattice([halfplane])
+    if grid is None:
+        return lambda x, y: halfplane.dot(_vec(x, y, den)) < 0
+    ((ux, uy),), _ = grid
+    return lambda x, y: ux * x + uy * y < 0
+
+
 def gen_zero_sum_six(ball: UnitBall, seed: int) -> tuple[Vec2, ...]:
     """Six vectors in the ball summing to zero exactly.
 
     Samples five points of the ball and closes with the negated sum,
     redrawing until the closing vector is inside too; a +- triple fallback
-    guarantees termination on pathologically thin balls.
+    guarantees termination. On the lattice the five points are summed over
+    the lcm of their denominators and the closing vector is tested on ints.
     """
     rng = random.Random(seed)
-    for _ in range(10_000):
-        five = [_point_in_ball(ball, rng) for _ in range(5)]
-        closing = -vsum(five)
-        if le(gauge(ball, closing), 1, 1e-12):
-            return tuple(five) + (closing,)
-    a, b, c = (_point_in_ball(ball, rng) for _ in range(3))
+    grid = lattice_vertices(ball)
+    if grid is None:
+        return _float_zero_sum_six(ball, rng)
+    for _ in range(_ZERO_SUM_DRAWS):
+        five = [_lattice_point(grid, rng) for _ in range(5)]
+        den = math.lcm(*[d for _, _, d in five])
+        x = -sum([px * (den // d) for px, _, d in five])
+        y = -sum([py * (den // d) for _, py, d in five])
+        if lattice_in_ball(ball, x, y, den):
+            return tuple([_vec(*p) for p in five] + [_vec(x, y, den)])
+    a, b, c = (_vec(*_lattice_point(grid, rng)) for _ in range(3))
     return (a, b, c, -a, -b, -c)
 
 
-def _point_in_ball(ball: UnitBall, rng: random.Random) -> Vec2:
+def _lattice_point(grid: VertexGrid, rng: random.Random) -> tuple[int, int, int]:
+    """A random convex combination of three vertices, which stays in the
+    ball, as (x, y, den): Σ wᵢPᵢ / (total·S)."""
+    pairs, scale = grid
+    m = len(pairs)
+    picks = [pairs[rng.randrange(m)] for _ in range(3)]
+    weights = [rng.randint(0, _GRID) for _ in range(3)]
+    total = sum(weights) or 1
+    x = sum([w * px for w, (px, _) in zip(weights, picks)])
+    y = sum([w * py for w, (_, py) in zip(weights, picks)])
+    return x, y, total * scale
+
+
+def _float_zero_sum_six(ball: UnitBall, rng: random.Random) -> tuple[Vec2, ...]:
+    """`gen_zero_sum_six` on the Euclidean ball or a float-vertex ball."""
+    for _ in range(_ZERO_SUM_DRAWS):
+        five = [_float_point_in_ball(ball, rng) for _ in range(5)]
+        closing = -vsum(five)
+        if le(gauge(ball, closing), 1, 1e-12):
+            return tuple(five) + (closing,)
+    a, b, c = (_float_point_in_ball(ball, rng) for _ in range(3))
+    return (a, b, c, -a, -b, -c)
+
+
+def _float_point_in_ball(ball: UnitBall, rng: random.Random) -> Vec2:
     if not ball.is_polygonal:
         phi = rng.uniform(0.0, 2.0 * math.pi)
         r = math.sqrt(rng.uniform(0.0, 1.0))
         return Vec2(r * math.cos(phi), r * math.sin(phi))
-    # a random convex combination of three vertices stays in the ball
+    # a random convex combination of three float vertices stays in the ball
     m = len(ball.vertices)
     picks = [ball.vertices[rng.randrange(m)] for _ in range(3)]
     weights = [rng.randint(0, _GRID) for _ in range(3)]
@@ -110,19 +191,19 @@ def _point_in_ball(ball: UnitBall, rng: random.Random) -> Vec2:
 def gen_direction(rng: random.Random) -> Vec2:
     """A nonzero rational direction."""
     while True:
-        d = Vec2(_fraction(rng, -1, 1), _fraction(rng, -1, 1))
-        if not d.is_zero():
-            return d
+        x, y = rng.randint(-_GRID, _GRID), rng.randint(-_GRID, _GRID)
+        if x or y:
+            return _vec(x, y, _GRID)
 
 
 def gen_claim1_tuple(seed: int) -> list[Fraction]:
     """Six rationals in [-1, 1] with exact zero sum."""
     rng = random.Random(seed)
     while True:
-        xs = [_fraction(rng, -1, 1) for _ in range(5)]
+        xs = [rng.randint(-_GRID, _GRID) for _ in range(5)]
         closing = -sum(xs)
-        if abs(closing) <= 1:
-            return xs + [closing]
+        if abs(closing) <= _GRID:
+            return [Fraction(x, _GRID) for x in xs + [closing]]
 
 
 def gen_collinear_family(ball: UnitBall, seed: int) -> tuple[tuple[Vec2, ...], list[Fraction]]:
@@ -131,41 +212,38 @@ def gen_collinear_family(ball: UnitBall, seed: int) -> tuple[tuple[Vec2, ...], l
     Returns the vectors along a random boundary direction together with
     their signed lengths. Most entries are drawn from (1/3, 1] so triples
     clear 1; an occasional small opposite-sign entry keeps the data honest,
-    and draws that break the hypothesis are rejected.
+    and draws that break the hypothesis are rejected. Lengths are drawn
+    and tested in thousandths.
     """
     rng = random.Random(seed)
     n = rng.choice([5, 7, 9])
     direction = gen_unit_vectors(ball, 1, rng.getrandbits(32))[0]
     while True:
-        xs = [Fraction(rng.randint(400, _GRID), _GRID) for _ in range(n)]
+        ks = [rng.randint(400, _GRID) for _ in range(n)]
         if rng.random() < 0.3:
-            xs[rng.randrange(n)] = Fraction(-rng.randint(0, 150), _GRID)
-        ok = all(
-            abs(xs[i] + xs[j] + xs[k]) > 1
-            for i in range(n)
-            for j in range(i + 1, n)
-            for k in range(j + 1, n)
-        )
-        if ok:
+            ks[rng.randrange(n)] = -rng.randint(0, 150)
+        if all(abs(a + b + c) > _GRID for a, b, c in combinations(ks, 3)):
+            xs = [Fraction(k, _GRID) for k in ks]
             return tuple(direction.scale(x) for x in xs), xs
 
 
 def gen_symmetric_body(seed: int) -> ConvexBody:
     """A random 0-symmetric convex polygon as a ConvexBody: the polygon of
     `gen_random_ball(seed)`, compiled once as a body."""
-    return _symmetric_polygon(seed, make_convex_body)
+    return _symmetric_polygon(seed, ConvexBody)
 
 
 def gen_asymmetric_body(seed: int) -> ConvexBody:
     """A symmetric polygon with one vertex pushed outward, breaking the pair."""
     rng = random.Random(seed)
     while True:
-        ball = gen_random_ball(rng.getrandbits(32))
-        verts = list(ball.vertices)
-        i = rng.randrange(len(verts))
-        stretch = 1 + Fraction(rng.randint(1, 4), 8)
-        verts[i] = verts[i].scale(stretch)
-        body = make_convex_body(verts)
+        pairs, scale = lattice_vertices(gen_random_ball(rng.getrandbits(32)))
+        i = rng.randrange(len(pairs))
+        k = rng.randint(1, 4)
+        # vertex i stretched by 1 + k/8: every vertex over 8·S, that one times 8 + k
+        points = [(8 * x, 8 * y) for x, y in pairs]
+        points[i] = ((8 + k) * pairs[i][0], (8 + k) * pairs[i][1])
+        body = compile_lattice(points, 8 * scale, ConvexBody)
         if not is_centrally_symmetric(body):
             return body
 

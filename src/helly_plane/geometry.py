@@ -51,10 +51,10 @@ def convex_hull(points: Sequence[Vec2]) -> list[Vec2]:
     first: dict = {}
     for k, p in zip(keys, points):
         first.setdefault(k, p)
-    return [first[k] for k in _monotone_chain(sorted(first))]
+    return [first[k] for k in monotone_chain(sorted(first))]
 
 
-def _monotone_chain(pts: list[tuple]) -> list[tuple]:
+def monotone_chain(pts: list[tuple]) -> list[tuple]:
     """Monotone chain over sorted distinct coordinate pairs.
 
     Same contract as `convex_hull`, on plain (x, y) tuples.

@@ -10,7 +10,10 @@ Each ball is compiled once, at construction, into integer edge normals
 (P, Q) over one common denominator, plus their float copies. Rational
 gauges and subset sums then run on plain ints and form a single
 `Fraction` per reported value; float gauges run on the float normals and
-round exactly as `Fraction * float` does. Only this module reads them.
+round exactly as `Fraction * float` does. Rational polygons are compiled
+from integer points over one scale (`compile_lattice`, which the
+generators call with their 1/1000 grid directly), and keep their vertex
+cycle on that lattice beside the normals. Only this module reads them.
 
 A `ConvexBody`, any convex polygon with the origin strictly inside, is
 built and compiled the same way: the maximum of its edge functionals is
@@ -25,20 +28,16 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Iterator, Optional, Sequence
 
-from .errors import (
-    BadInput,
-    DegenerateHull,
-    NotConvexBody,
-    NotPolygonal,
-    NotSymmetric,
-    ZeroDirection,
-)
-from .geometry import convex_hull, lattice
+from .errors import BadInput, NotConvexBody, NotPolygonal, NotSymmetric, ZeroDirection
+from .geometry import convex_hull, lattice, monotone_chain
 from .scalars import Scalar, exact_div, exactify, is_float
 from .vectors import Vec2
 
 EUCLIDEAN = "euclidean"
 POLYGONAL = "polygonal"
+
+# a vertex cycle on the lattice: integer pairs and the scale they are over
+VertexGrid = tuple[tuple[tuple[int, int], ...], int]
 
 
 @dataclass(frozen=True)
@@ -48,6 +47,8 @@ class UnitBall:
     `normals` holds integer pairs (P, Q) with (p, q) == (P, Q) / `den` for
     the functional z -> p*z.x + q*z.y of each edge, or None when the
     vertices are floats; `float_normals` holds (float(p), float(q)).
+    `vertex_grid` is (pairs, scale) with `vertices[i] == pairs[i] / scale`,
+    or None when the vertices are floats.
     """
 
     kind: str
@@ -58,6 +59,9 @@ class UnitBall:
     den: int = field(default=1, repr=False, compare=False)
     float_normals: tuple[tuple[float, float], ...] = field(
         default=(), repr=False, compare=False
+    )
+    vertex_grid: Optional[VertexGrid] = field(
+        default=None, repr=False, compare=False
     )
 
     @property
@@ -102,20 +106,59 @@ def make_convex_body(points: Sequence[Vec2]) -> ConvexBody:
 
 
 def _compile_polygon(points: Sequence[Vec2], cls: type) -> UnitBall:
-    """The one constructor of balls and bodies: hull, check, compile.
-
-    A `UnitBall` must also be symmetric, and starts at its vertex of
-    smallest polar angle; a `ConvexBody` keeps the hull's order.
-    """
+    """Rational points (or a rational hull) go to `compile_lattice`; a
+    float hull is checked and compiled here, on its own coordinates."""
     pts = list(points)
     if not pts:
         raise NotConvexBody("empty vertex list")
-    hull = convex_hull(pts)
-    if len(hull) < 3:
+    grid = lattice(pts)
+    if grid is None:
+        hull = convex_hull(pts)
+        grid = lattice(hull)  # float points may still have a rational hull
+    if grid is not None:
+        return compile_lattice(*grid, cls)
+    start, rows = _edge_rows([(v.x, v.y) for v in hull], 1, cls)
+    return cls(
+        POLYGONAL,
+        tuple([Vec2(exactify(v.x), exactify(v.y)) for v in hull[start:] + hull[:start]]),
+        float_normals=tuple([(p / det, q / det) for p, q, det in rows]),
+    )
+
+
+def compile_lattice(pairs: Sequence[tuple[int, int]], scale: int, cls: type) -> UnitBall:
+    """The one constructor of rational balls and bodies: the polygon with
+    vertices the hull of `pairs` / `scale`, checked and compiled on ints.
+
+    A `UnitBall` must also be symmetric, and starts at its vertex of
+    smallest polar angle; a `ConvexBody` keeps the hull's order. The hull
+    is put on its own coarsest lattice, the one `lattice` gives its points.
+    """
+    coords = monotone_chain(sorted(set(pairs)))
+    g = math.gcd(scale, *[c for xy in coords for c in xy])
+    coords, scale = [(x // g, y // g) for x, y in coords], scale // g
+    start, rows = _edge_rows(coords, scale, cls)
+    coords = coords[start:] + coords[:start]
+    den = math.lcm(*[det for _, _, det in rows])
+    normals = tuple([(p * (den // det), q * (den // det)) for p, q, det in rows])
+    # tuples from lists, not generators (see geometry.lattice)
+    return cls(
+        POLYGONAL,
+        tuple([Vec2(Fraction(x, scale), Fraction(y, scale)) for x, y in coords]),
+        normals,
+        den,
+        tuple([(p / den, q / den) for p, q in normals]),
+        (tuple(coords), scale),
+    )
+
+
+def _edge_rows(coords: list[tuple], scale: int, cls: type) -> tuple[int, list[tuple]]:
+    """The start vertex of a hull cycle and the edge rows (P, Q, det) from it.
+
+    Raises unless the hull is a polygon with the origin strictly inside,
+    and, for a `UnitBall`, symmetric.
+    """
+    if len(coords) < 3:
         raise NotConvexBody("hull is degenerate (a point or a segment)")
-    # rational vertices are checked and compiled as integers over `scale`
-    grid = lattice(hull)
-    coords, scale = grid if grid else ([(v.x, v.y) for v in hull], 1)
     start = 0
     if cls is UnitBall:
         if set(coords) != {(-x, -y) for x, y in coords}:
@@ -123,31 +166,17 @@ def _compile_polygon(points: Sequence[Vec2], cls: type) -> UnitBall:
         for i in range(1, len(coords)):
             if _polar_less(coords[i], coords[start]):
                 start = i
-        coords = coords[start:] + coords[:start]
+    cycle = coords[start:] + coords[:start]
     # the origin is strictly inside exactly when every edge turns left
     # around it, and then the functional equal to 1 at both ends is unique:
     # (p, q) = scale * (by - ay, ax - bx) / det
     rows = []
-    for (ax, ay), (bx, by) in zip(coords, coords[1:] + coords[:1]):
+    for (ax, ay), (bx, by) in zip(cycle, cycle[1:] + cycle[:1]):
         det = ax * by - ay * bx
         if not det > 0:
             raise NotConvexBody("origin is not strictly inside")
         rows.append((scale * (by - ay), scale * (ax - bx), det))
-    if grid:
-        den = math.lcm(*[det for _, _, det in rows])
-        normals = tuple([(p * (den // det), q * (den // det)) for p, q, det in rows])
-        float_normals = [(p / den, q / den) for p, q in normals]
-    else:
-        normals, den = None, 1
-        float_normals = [(p / det, q / det) for p, q, det in rows]
-    # tuples from lists, not generators (see geometry.lattice)
-    return cls(
-        POLYGONAL,
-        tuple([Vec2(exactify(v.x), exactify(v.y)) for v in hull[start:] + hull[:start]]),
-        normals,
-        den,
-        tuple(float_normals),
-    )
+    return start, rows
 
 
 def square_ball() -> UnitBall:
@@ -171,6 +200,17 @@ def gauge(ball: UnitBall, z: Vec2) -> Scalar:
 def _lattice_gauge(ball: UnitBall, x: int, y: int, den: int) -> Fraction:
     """Exact gauge of (x, y) / den on a ball with integer normals."""
     return Fraction(max(p * x + q * y for p, q in ball.normals), ball.den * den)
+
+
+def lattice_vertices(ball: UnitBall) -> Optional[VertexGrid]:
+    """The vertex cycle as (integer pairs, scale), or None for the Euclidean
+    ball and float-vertex balls."""
+    return ball.vertex_grid
+
+
+def lattice_in_ball(ball: UnitBall, x: int, y: int, den: int) -> bool:
+    """Whether (x, y) / den is in a ball with a lattice form, on ints."""
+    return max(p * x + q * y for p, q in ball.normals) <= ball.den * den
 
 
 def _float_gauge(ball: UnitBall, x: float, y: float) -> float:
@@ -226,16 +266,6 @@ def boundary_point(ball: UnitBall, direction: Vec2) -> Vec2:
         raise ZeroDirection("cannot normalize the zero vector")
     g = gauge(ball, direction)
     return direction.scale(exact_div(1, g))
-
-
-def symmetric_hull(points: Sequence[Vec2]) -> UnitBall:
-    """The polygonal ball conv{+-p : p in points}."""
-    pts = list(points)
-    try:
-        return make_polygonal_ball(pts + [-p for p in pts])
-    except NotConvexBody:
-        # a symmetric set fails only by spanning no more than a line
-        raise DegenerateHull("all points lie on one line through the origin") from None
 
 
 def ball_to_json(ball: UnitBall) -> dict:

@@ -32,9 +32,8 @@ def parse_scalar(text: str, mode: str = "exact") -> Scalar:
 
 
 def format_scalar(x: Scalar) -> str:
-    if isinstance(x, float):
-        return repr(x)
-    return str(Fraction(x))
+    # str of an int or a Fraction is already its "p/q" form
+    return repr(x) if isinstance(x, float) else str(x)
 
 
 def is_float(*xs: Scalar) -> bool:
@@ -62,13 +61,6 @@ def ge(a: Scalar, b: Scalar, tol: float = DEFAULT_TOL) -> bool:
     if is_float(a, b):
         return a >= b - tol
     return a >= b
-
-
-def lt(a: Scalar, b: Scalar, tol: float = DEFAULT_TOL) -> bool:
-    """Strict less-than; for floats the gap must exceed the tolerance."""
-    if is_float(a, b):
-        return a < b - tol
-    return a < b
 
 
 def gt(a: Scalar, b: Scalar, tol: float = DEFAULT_TOL) -> bool:

@@ -46,6 +46,9 @@ from .theorems import (
 )
 from .vectors import Vec2, vsum
 
+# rng -> the trial's ball
+_Balls = Callable[[random.Random], UnitBall]
+
 
 @dataclass(frozen=True)
 class SuiteConfig:
@@ -83,6 +86,8 @@ class SuiteReport:
     config: SuiteConfig
     records: list[TrialRecord]
     wall_time: float  # informational only; not part of the canonical JSON
+    # the run's ball source, resolved once; `draw_instance` takes it back
+    balls: _Balls = field(repr=False)
 
     @property
     def passes(self) -> int:
@@ -134,10 +139,6 @@ def _as_mode(vectors, mode: str):
     if mode == "float":
         return tuple(Vec2(float(v.x), float(v.y)) for v in vectors)
     return tuple(vectors)
-
-
-# rng -> the trial's ball
-_Balls = Callable[[random.Random], UnitBall]
 
 
 def _ball_source(cfg: SuiteConfig) -> _Balls:
@@ -384,12 +385,9 @@ _SUITES = {
 SUITE_NAMES = tuple(_SUITES)
 
 
-def draw_instance(config: SuiteConfig, index: int) -> Instance:
-    """Trial `index` of a suite's run, drawn exactly as the suite draws it."""
-    return _draw(config, index, _ball_source(config))
-
-
-def _draw(config: SuiteConfig, index: int, balls: _Balls) -> Instance:
+def draw_instance(config: SuiteConfig, index: int, balls: _Balls) -> Instance:
+    """Trial `index` of a suite's run, drawn exactly as the suite draws it
+    from the run's ball source (`SuiteReport.balls` after a run)."""
     draw, _ = _SUITES[config.suite]
     return draw(config, random.Random(config.seed ^ index), index, balls)
 
@@ -400,7 +398,7 @@ def _run_trial(config: SuiteConfig, index: int, balls: _Balls) -> TrialRecord:
     A statement failing on the instance (`TheoremFalsified`) or a witness
     search running out of budget is a "fail" record, never an escape.
     """
-    inst = _draw(config, index, balls)
+    inst = draw_instance(config, index, balls)
     digest = _digest(inst.payload)
     if inst.vacuous:
         return TrialRecord(index, digest, "vacuous", inst.vacuous)
@@ -432,4 +430,4 @@ def run_suite(config: SuiteConfig) -> SuiteReport:
     trials = len(CASE_NAMES) if config.suite == "gallery" else config.trials
     balls = _ball_source(config)
     records = [trial(config, i, balls) for i in range(trials)]
-    return SuiteReport(config, records, time.perf_counter() - start)
+    return SuiteReport(config, records, time.perf_counter() - start, balls)

@@ -1,12 +1,14 @@
+import hashlib
 import json
 import random
 import re
 
 import pytest
 
+from helly_plane import suites
 from helly_plane.cli import main
 from helly_plane.generators import gen_direction, gen_unit_vectors
-from helly_plane.norms import ball_from_json
+from helly_plane.norms import ball_from_json, load_json
 from helly_plane.svgout import instance_svg
 
 BALL = '{"type":"polygonal","vertices":[["1","1"],["-1","1"],["-1","-1"],["1","-1"]]}'
@@ -122,6 +124,31 @@ def test_verify_svg_draws_trial_zero_on_the_ball_file(tmp_path):
     vectors = gen_unit_vectors(ball, n, rng.getrandbits(32), halfplane=u)
     assert len(arrows) == n
     assert svg.read_text() == instance_svg(ball, vectors)
+
+
+HEXAGON = ('{"type":"polygonal","vertices":[["1","1"],["-3/10","7/5"],["-1","1"],'
+           '["-1","-1"],["3/10","-7/5"],["1","-1"]]}')
+
+
+def test_verify_svg_reads_the_ball_file_once(tmp_path, monkeypatch):
+    ball_path = tmp_path / "f.json"
+    ball_path.write_text(HEXAGON)
+    svg = tmp_path / "o.svg"
+    loads = []
+
+    def counting(path):
+        loads.append(path)
+        return load_json(path)
+
+    monkeypatch.setattr(suites, "load_json", counting)
+    code = main(["verify", "thm2", "--trials", "3", "--ball", str(ball_path),
+                 "--out", str(tmp_path / "r.json"), "--svg", str(svg)])
+    assert code == 0
+    assert loads == [str(ball_path)]
+    # the picture of trial 0 (an antipodal-pair instance), byte for byte as before
+    assert hashlib.sha256(svg.read_bytes()).hexdigest() == (
+        "8a93af6ba1a1de50590d52b7723011cb1dba08776f2dea48ccec957a2ca72f6f"
+    )
 
 
 @pytest.mark.parametrize("argv", [["--trials", "-3"], ["--trials", "0"]])

@@ -1,9 +1,10 @@
 """Only `norms` reads a compiled polygon.
 
-The integer edge normals, their common denominator and their float copies
-are the kernel's own format. Every other module asks `norms` instead
-(`gauge`, `subset_gauges`, `edge_functionals`), so the edge functionals
-keep one form outside it.
+The integer edge normals, their common denominator, their float copies
+and the integer vertex cycle are the kernel's own format. Every other
+module asks `norms` instead (`gauge`, `subset_gauges`, `edge_functionals`,
+`lattice_vertices`, `lattice_in_ball`), so the edge functionals keep one
+form outside it.
 """
 
 import ast
@@ -13,7 +14,7 @@ import pytest
 
 import helly_plane
 
-COMPILED = {"normals", "den", "float_normals"}
+COMPILED = {"normals", "den", "float_normals", "vertex_grid"}
 MODULES = sorted(
     p for p in Path(helly_plane.__file__).parent.glob("*.py") if p.name != "norms.py"
 )
@@ -28,8 +29,10 @@ def _reads(tree: ast.AST) -> list[int]:
 
 
 def test_reads_are_found():
-    tree = ast.parse("ball.normals\nx = b.den + 1\nf(ball.float_normals)\nball.vertices\n")
-    assert _reads(tree) == [1, 2, 3]
+    tree = ast.parse(
+        "ball.normals\nx = b.den + 1\nf(ball.float_normals)\ng(ball.vertex_grid)\nball.vertices\n"
+    )
+    assert _reads(tree) == [1, 2, 3, 4]
 
 
 @pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])

@@ -13,7 +13,7 @@ from helly_plane.generators import (
     gen_unit_vectors,
     gen_zero_sum_six,
 )
-from helly_plane import norms
+from helly_plane import generators, norms
 from helly_plane.norms import ConvexBody, euclidean_ball, gauge, make_convex_body, square_ball
 from helly_plane.symmetry import is_centrally_symmetric
 from helly_plane.vectors import Vec2, vsum
@@ -112,15 +112,17 @@ def test_symmetric_and_asymmetric_bodies():
 
 def test_symmetric_body_is_compiled_once(monkeypatch):
     # the drawn polygon is compiled as a body directly, never as a ball first
-    compile_polygon = norms._compile_polygon
+    compile_lattice = norms.compile_lattice
     compiled = []
 
-    def counting(points, cls):
-        body = compile_polygon(points, cls)
+    def counting(pairs, scale, cls):
+        body = compile_lattice(pairs, scale, cls)
         compiled.append(cls)
         return body
 
-    monkeypatch.setattr(norms, "_compile_polygon", counting)
+    # the one compiler, at every binding site
+    monkeypatch.setattr(norms, "compile_lattice", counting)
+    monkeypatch.setattr(generators, "compile_lattice", counting)
     for seed in range(20):
         compiled.clear()
         body = gen_symmetric_body(seed)

@@ -14,7 +14,7 @@ from itertools import combinations
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from helly_plane.errors import DegenerateHull
+from helly_plane.errors import NotConvexBody
 from helly_plane.generators import gen_asymmetric_body
 from helly_plane.geometry import convex_hull, orientation
 from helly_plane.norms import (
@@ -25,8 +25,8 @@ from helly_plane.norms import (
     euclidean_ball,
     gauge,
     make_convex_body,
+    make_polygonal_ball,
     subset_gauges,
-    symmetric_hull,
 )
 from helly_plane.vectors import Vec2, vsum
 
@@ -53,9 +53,10 @@ float_points = st.builds(
 
 @st.composite
 def balls(draw, points=st.one_of(rational_points, integer_points)):
+    pts = draw(st.lists(points, min_size=2, max_size=6))
     try:
-        return symmetric_hull(draw(st.lists(points, min_size=2, max_size=6)))
-    except DegenerateHull:
+        return make_polygonal_ball(pts + [-p for p in pts])
+    except NotConvexBody:
         assume(False)
 
 

@@ -6,7 +6,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from helly_plane.errors import (
-    DegenerateHull,
     NotConvexBody,
     NotPolygonal,
     NotSymmetric,
@@ -20,7 +19,6 @@ from helly_plane.norms import (
     edge_functionals,
     gauge,
     make_polygonal_ball,
-    symmetric_hull,
 )
 from helly_plane.vectors import Vec2
 
@@ -161,18 +159,24 @@ def test_vertex_normalization_random_balls():
             assert gauge(ball, v) == 1
 
 
+# the symmetric hull conv{+-p} of points p is the ball of the points and their negations
+
+
 def test_symmetric_hull_square(square):
-    ball = symmetric_hull([Vec2(1, 1), Vec2(-1, 1)])
+    pts = [Vec2(1, 1), Vec2(-1, 1)]
+    ball = make_polygonal_ball(pts + [-p for p in pts])
     assert ball.vertices == square.vertices
 
 
 def test_symmetric_hull_degenerate():
-    with pytest.raises(DegenerateHull):
-        symmetric_hull([Vec2(1, 0), Vec2(2, 0)])
+    pts = [Vec2(1, 0), Vec2(2, 0)]
+    with pytest.raises(NotConvexBody):
+        make_polygonal_ball(pts + [-p for p in pts])
 
 
 def test_symmetric_hull_hexagon():
-    ball = symmetric_hull([Vec2(1, 0), Vec2(0, 1), Vec2(1, 1)])
+    pts = [Vec2(1, 0), Vec2(0, 1), Vec2(1, 1)]
+    ball = make_polygonal_ball(pts + [-p for p in pts])
     got = [(v.x, v.y) for v in ball.vertices]
     assert got == [(1, 0), (1, 1), (0, 1), (-1, 0), (-1, -1), (0, -1)]
 
@@ -185,8 +189,8 @@ def test_symmetric_hull_contains_inputs():
             for _ in range(5)
         ]
         try:
-            ball = symmetric_hull(pts)
-        except DegenerateHull:
+            ball = make_polygonal_ball(pts + [-p for p in pts])
+        except NotConvexBody:
             continue
         vert_set = {(v.x, v.y) for v in ball.vertices}
         for p in pts:

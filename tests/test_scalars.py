@@ -10,7 +10,6 @@ from helly_plane.scalars import (
     ge,
     gt,
     le,
-    lt,
     parse_scalar,
     sgn,
 )
@@ -49,7 +48,6 @@ def test_float_comparisons_are_tolerant():
     assert eq(1.0 + 1e-12, 1.0)
     assert ge(1.0 - 1e-12, 1.0)
     assert not gt(1.0 + 1e-12, 1.0)
-    assert lt(0.9, 1.0)
 
 
 def test_sgn():
