@@ -22,7 +22,7 @@ from .errors import (
     TheoremFalsified,
     ZeroDirection,
 )
-from .norms import UnitBall, edge_functionals, gauge, subset_gauges
+from .norms import UnitBall, edge_functionals, gauge, subset_gauges, subset_tests
 from .scalars import DEFAULT_TOL, Scalar, eq, ge
 from .vectors import Vec2, VectorMultiset, vsum
 
@@ -160,9 +160,9 @@ def choose_signs(
     returning; larger families get a 1000-subset sample check.
     """
     vs = tuple(vectors)
-    for i, v in enumerate(vs):
-        if not eq(gauge(ball, v), 1, tol):
-            raise NotUnitVectors(f"vector {i} has gauge {gauge(ball, v)}")
+    for (i,), unit in subset_tests(ball, vs, combinations(range(len(vs)), 1), eq, tol):
+        if not unit:
+            raise NotUnitVectors(f"vector {i} has gauge {gauge(ball, vs[i])}")
     u = Vec2(0, 1)
     signs = [1 if ge(u.dot(v), 0, tol) else -1 for v in vs]
     signed = [v.scale(s) for v, s in zip(vs, signs)]
@@ -179,8 +179,8 @@ def choose_signs(
                 yield tuple(sorted(rng.sample(range(n), size)))
         subsets = _sampled()
     checked = 0
-    for t, g in subset_gauges(ball, signed, subsets):
-        if not ge(g, 1, tol):
+    for t, outside in subset_tests(ball, signed, subsets, ge, tol):
+        if not outside:
             raise TheoremFalsified(f"odd subset {t} has signed sum of norm < 1")
         checked += 1
     return SignVector(signs, checked)

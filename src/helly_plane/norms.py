@@ -8,9 +8,11 @@ rational data.
 
 Each ball is compiled once, at construction, into integer edge normals
 (P, Q) over one common denominator, plus their float copies. Rational
-gauges and subset sums then run on plain ints and form a single
-`Fraction` per reported value; float gauges run on the float normals and
-round exactly as `Fraction * float` does. Rational polygons are compiled
+gauges and subset sums then run on plain ints. Deciding a norm against 1
+(`subset_tests`) compares two ints and forms no `Fraction`; a single
+`Fraction` is formed per reported gauge (`gauge`, `subset_gauges`).
+Float gauges run on the float normals and round exactly as
+`Fraction * float` does. Rational polygons are compiled
 from integer points over one scale (`compile_lattice`, which the
 generators call with their 1/1000 grid directly), and keep their vertex
 cycle on that lattice beside the normals. Only this module reads them.
@@ -26,11 +28,11 @@ import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .errors import BadInput, NotConvexBody, NotPolygonal, NotSymmetric, ZeroDirection
 from .geometry import convex_hull, lattice, monotone_chain
-from .scalars import Scalar, exact_div, exactify, is_float
+from .scalars import DEFAULT_TOL, Scalar, exact_div, exactify, is_float
 from .vectors import Vec2
 
 EUCLIDEAN = "euclidean"
@@ -194,12 +196,8 @@ def gauge(ball: UnitBall, z: Vec2) -> Scalar:
     if ball.normals is None or is_float(x, y):
         return _float_gauge(ball, float(x), float(y))
     b, d = x.denominator, y.denominator
-    return _lattice_gauge(ball, x.numerator * d, y.numerator * b, b * d)
-
-
-def _lattice_gauge(ball: UnitBall, x: int, y: int, den: int) -> Fraction:
-    """Exact gauge of (x, y) / den on a ball with integer normals."""
-    return Fraction(max(p * x + q * y for p, q in ball.normals), ball.den * den)
+    nx, ny = x.numerator * d, y.numerator * b  # z == (nx, ny) / (b * d)
+    return Fraction(max(p * nx + q * ny for p, q in ball.normals), ball.den * b * d)
 
 
 def lattice_vertices(ball: UnitBall) -> Optional[VertexGrid]:
@@ -219,34 +217,76 @@ def _float_gauge(ball: UnitBall, x: float, y: float) -> float:
     return max(p * x + q * y for p, q in ball.float_normals)
 
 
+def subset_tests(
+    ball: UnitBall,
+    vectors: Sequence[Vec2],
+    subsets: Iterable[Sequence[int]],
+    rel: Callable[..., bool],
+    tol: float = DEFAULT_TOL,
+) -> Iterator[tuple[Sequence[int], bool]]:
+    """(subset, rel(gauge of the subset's vector sum, 1, tol)) for each
+    index subset, lazily; `rel` is one of the `scalars` comparisons.
+
+    On a ball with integer normals and rational data the gauge is m / d
+    with ints m and d > 0, so the answer is `rel(m, d, tol)`: no `Fraction`
+    is formed. Otherwise it is `rel(float gauge, 1, tol)`, as `gauge` gives.
+    """
+    d, walk = _subset_walk(ball, vectors, subsets)
+    d = 1 if d is None else d
+    for t, m in walk:
+        yield t, rel(m, d, tol)
+
+
 def subset_gauges(
     ball: UnitBall, vectors: Sequence[Vec2], subsets: Iterable[Sequence[int]]
 ) -> Iterator[tuple[Sequence[int], Scalar]]:
-    """(subset, gauge of the subset's vector sum) for each index subset, lazily.
+    """(subset, gauge of the subset's vector sum) for each index subset,
+    lazily: one `Fraction` per rational gauge, bit for bit what
+    `gauge(ball, vsum(...))` gives."""
+    d, walk = _subset_walk(ball, vectors, subsets)
+    if d is None:
+        yield from walk
+    else:
+        for t, m in walk:
+            yield t, Fraction(m, d)
+
+
+def _subset_walk(
+    ball: UnitBall, vectors: Sequence[Vec2], subsets: Iterable[Sequence[int]]
+) -> tuple[Optional[int], Iterator[tuple[Sequence[int], Scalar]]]:
+    """The one walk over subset sums: (d, pairs (subset, m)) with the gauge
+    of each subset's sum equal to m / d.
 
     The family is put on the integer lattice once, so a rational subset sum
-    costs integer additions and its gauge a single `Fraction`. Float data is
+    costs integer additions. On a ball with integer normals m and d are
+    ints; otherwise d is None and m is the float gauge. Float data is
     summed as floats, left to right from 0 in index order, which is bit for
-    bit what `gauge(ball, vsum(...))` computes.
+    bit what `gauge(ball, vsum(...))` computes; rational data on a
+    Euclidean or float-vertex ball is summed exactly, then rounded once.
     """
     grid = lattice(vectors)
     if grid is None:
         pts, den = [(float(v.x), float(v.y)) for v in vectors], None
     else:
         pts, den = grid
-    for t in subsets:
-        sx = sy = 0
-        for i in t:
-            x, y = pts[i]
-            sx += x
-            sy += y
-        if den is None:
-            yield t, _float_gauge(ball, sx, sy)
-        elif ball.normals is None:
-            # Euclidean or float-vertex ball: the exact sum, correctly rounded
-            yield t, _float_gauge(ball, sx / den, sy / den)
-        else:
-            yield t, _lattice_gauge(ball, sx, sy, den)
+    exact = den is not None and ball.normals is not None
+
+    def walk():
+        normals = ball.normals
+        for t in subsets:
+            sx = sy = 0
+            for i in t:
+                x, y = pts[i]
+                sx += x
+                sy += y
+            if exact:
+                yield t, max([p * sx + q * sy for p, q in normals])
+            elif den is None:
+                yield t, _float_gauge(ball, sx, sy)
+            else:
+                yield t, _float_gauge(ball, sx / den, sy / den)
+
+    return (ball.den * den if exact else None), walk()
 
 
 def edge_functionals(ball: UnitBall) -> list[Vec2]:

@@ -46,25 +46,25 @@ def exactify(x: Scalar) -> Scalar:
 
 
 def eq(a: Scalar, b: Scalar, tol: float = DEFAULT_TOL) -> bool:
-    if is_float(a, b):
+    if isinstance(a, float) or isinstance(b, float):
         return abs(a - b) <= tol
     return a == b
 
 
 def le(a: Scalar, b: Scalar, tol: float = DEFAULT_TOL) -> bool:
-    if is_float(a, b):
+    if isinstance(a, float) or isinstance(b, float):
         return a <= b + tol
     return a <= b
 
 
 def ge(a: Scalar, b: Scalar, tol: float = DEFAULT_TOL) -> bool:
-    if is_float(a, b):
+    if isinstance(a, float) or isinstance(b, float):
         return a >= b - tol
     return a >= b
 
 
 def gt(a: Scalar, b: Scalar, tol: float = DEFAULT_TOL) -> bool:
-    if is_float(a, b):
+    if isinstance(a, float) or isinstance(b, float):
         return a > b + tol
     return a > b
 
@@ -82,6 +82,6 @@ def sgn(x: Scalar, tol: float = 0.0) -> int:
 
 def exact_div(a: Scalar, b: Scalar) -> Scalar:
     """Division that stays rational on rational inputs (int/int included)."""
-    if is_float(a, b):
+    if isinstance(a, float) or isinstance(b, float):
         return a / b
     return Fraction(a) / Fraction(b)

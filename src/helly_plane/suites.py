@@ -324,9 +324,9 @@ def _draw_generic(cfg: SuiteConfig, rng: random.Random, index: int, balls: _Ball
 
 def _check_generic(cfg: SuiteConfig, inst: Instance) -> tuple:
     lam, eps, seed = inst.data
-    perturbed = make_generic(inst.ball, inst.vectors, lam, eps, seed)
-    if max(gauge(inst.ball, p - v.scale(lam)) for p, v in zip(perturbed, inst.vectors)) > eps:
-        return "fail", "perturbation left the neighbourhood"
+    # make_generic checks its own output; a perturbation that left the
+    # eps-neighbourhood raises TheoremFalsified, which `_run_trial` records
+    make_generic(inst.ball, inst.vectors, lam, eps, seed)
     return "pass", f"n={len(inst.vectors)}"
 
 

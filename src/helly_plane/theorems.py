@@ -30,7 +30,7 @@ from .errors import (
     ZeroDirection,
 )
 from .geometry import point_in_triangle
-from .norms import UnitBall, edge_functionals, gauge, subset_gauges
+from .norms import UnitBall, edge_functionals, gauge, subset_tests
 from .scalars import DEFAULT_TOL, Scalar, eq, ge, gt, le, sgn, format_scalar
 from .vectors import ORIGIN, Vec2, VectorMultiset, vsum
 
@@ -114,8 +114,9 @@ def verify_theorem1(
     bad: list[KSum] = []
     if len(vs) % 2 == 0:
         notes.append("even cardinality")
-    for i, v in enumerate(vs):
-        if not eq(gauge(ball, v), 1, tol):
+    for (i,), unit in subset_tests(ball, vs, _singles(len(vs)), eq, tol):
+        v = vs[i]
+        if not unit:
             bad.append(KSum((i,), v))
             notes.append(f"vector {i} is not a unit vector")
         elif not ge(u.dot(v), 0, tol):
@@ -209,26 +210,33 @@ def _odd_family(n: int, noun: str) -> None:
         raise EvenCardinality("the family must have odd size")
 
 
-def _three_sum_judge(singles, triples, total_norm: Scalar, strict: bool, tol: float):
+def _singles(n: int):
+    """The one-element index subsets of a family of n, in order."""
+    return combinations(range(n), 1)
+
+
+def _three_sum_judge(tests, n: int, total_norm: Scalar, strict: bool, tol: float):
     """The one judge of the three-sum theorems.
 
-    `singles` and `triples` carry (index tuple, norm) pairs. Strict: every
-    vector in the ball and every 3-sum of norm > 1 imply a total of norm
-    > 1. Non-strict: every vector of norm 1 and every 3-sum of norm >= 1
-    imply a total of norm >= 1. Returns the index tuples breaking the
-    hypothesis (none when it holds) and whether the conclusion holds.
+    `tests(subsets, rel)` yields (index tuple, rel(norm of the tuple's sum,
+    1, tol)) for a family of n. Strict: every vector in the ball and every
+    3-sum of norm > 1 imply a total of norm > 1. Non-strict: every vector
+    of norm 1 and every 3-sum of norm >= 1 imply a total of norm >= 1.
+    Returns the index tuples breaking the hypothesis (none when it holds)
+    and whether the conclusion holds.
     """
     single_ok, triple_ok = (le, gt) if strict else (eq, ge)
-    bad = [idx for idx, g in singles if not single_ok(g, 1, tol)]
-    bad += [idx for idx, g in triples if not triple_ok(g, 1, tol)]
+    bad = [idx for idx, ok in tests(_singles(n), single_ok) if not ok]
+    bad += [idx for idx, ok in tests(combinations(range(n), 3), triple_ok) if not ok]
     return bad, triple_ok(total_norm, 1, tol)
 
 
 def _plane_judge(ball: UnitBall, vs: Sequence[Vec2], total_norm: Scalar, strict: bool, tol: float):
     """`_three_sum_judge` on the norms of a family of the plane."""
-    singles = [((i,), gauge(ball, v)) for i, v in enumerate(vs)]
-    triples = subset_gauges(ball, vs, combinations(range(len(vs)), 3))
-    return _three_sum_judge(singles, triples, total_norm, strict, tol)
+    return _three_sum_judge(
+        lambda subsets, rel: subset_tests(ball, vs, subsets, rel, tol),
+        len(vs), total_norm, strict, tol,
+    )
 
 
 def verify_helly(
@@ -262,10 +270,11 @@ def verify_helly_1d(
     """
     values = list(xs)
     _odd_family(len(values), "values")
-    singles = [((i,), abs(x)) for i, x in enumerate(values)]
-    triples = [(t, abs(sum(values[i] for i in t))) for t in combinations(range(len(values)), 3)]
     total = sum(values)
-    bad, conclusion = _three_sum_judge(singles, triples, abs(total), strict, tol)
+    bad, conclusion = _three_sum_judge(
+        lambda subsets, rel: ((t, rel(abs(sum(values[i] for i in t)), 1, tol)) for t in subsets),
+        len(values), abs(total), strict, tol,
+    )
     return VerifyReport(
         "T3" if strict else "T2", not bad, conclusion, Vec2(total, 0), abs(total),
         witnesses=[KSum(idx, Vec2(sum(values[i] for i in idx), 0)) for idx in bad],
@@ -283,8 +292,8 @@ def corollary_check(
     total = vsum(vs)
     total_norm = gauge(ball, total)
     bad, _ = _plane_judge(ball, vs, total_norm, True, tol)
-    ksums = subset_gauges(ball, vs, combinations(range(len(vs)), k))
-    failing = [t for t, g in ksums if not gt(g, 1, tol)]
+    ksums = subset_tests(ball, vs, combinations(range(len(vs)), k), gt, tol)
+    failing = [t for t, outside in ksums if not outside]
     return VerifyReport(
         "COR", not bad, not failing, total, total_norm,
         witnesses=[KSum(t, vsum(vs[i] for i in t)) for t in bad or failing],
@@ -300,9 +309,10 @@ def lemma_conv_check(
     The two memberships are equivalent for every norm; callers assert the
     equivalence, this function just computes both closed memberships.
     """
-    for v in (a, b, c):
-        if not eq(gauge(ball, v), 1, tol):
-            raise NotOnBoundary(f"{v} has gauge {gauge(ball, v)}, expected 1")
+    vs = (a, b, c)
+    for (i,), unit in subset_tests(ball, vs, _singles(3), eq, tol):
+        if not unit:
+            raise NotOnBoundary(f"{vs[i]} has gauge {gauge(ball, vs[i])}, expected 1")
     return point_in_triangle(ORIGIN, a, b, c, tol), point_in_triangle(a + b + c, a, b, c, tol)
 
 
@@ -317,14 +327,14 @@ def lemma_main_witness(
     zs = tuple(vectors)
     if len(zs) != 6:
         raise PreconditionFailed(f"need exactly 6 vectors, got {len(zs)}")
-    for i, z in enumerate(zs):
-        if not le(gauge(ball, z), 1, tol):
+    for (i,), inside in subset_tests(ball, zs, _singles(6), le, tol):
+        if not inside:
             raise PreconditionFailed(f"vector {i} is outside the ball")
     total = vsum(zs)
     if not (eq(total.x, 0, tol) and eq(total.y, 0, tol)):
         raise PreconditionFailed("vectors do not sum to zero")
-    for t, g in subset_gauges(ball, zs, combinations(range(6), 3)):
-        if le(g, 1, tol):
+    for t, inside in subset_tests(ball, zs, combinations(range(6), 3), le, tol):
+        if inside:
             return t
     raise TheoremFalsified("no triple of a zero-sum 6-family lands in the ball")
 

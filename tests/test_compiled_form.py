@@ -2,9 +2,9 @@
 
 The integer edge normals, their common denominator, their float copies
 and the integer vertex cycle are the kernel's own format. Every other
-module asks `norms` instead (`gauge`, `subset_gauges`, `edge_functionals`,
-`lattice_vertices`, `lattice_in_ball`), so the edge functionals keep one
-form outside it.
+module asks `norms` instead (`gauge`, `subset_tests`, `subset_gauges`,
+`edge_functionals`, `lattice_vertices`, `lattice_in_ball`), so the edge
+functionals keep one form outside it.
 """
 
 import ast

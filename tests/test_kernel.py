@@ -4,7 +4,8 @@ Balls are drawn with denominators off the 1/1000 grid of the generators
 (1/3, 1/7, 1/1001) as well as with integer vertices. The references are the
 definitions the kernel replaces: the edge functional solved on `Fraction`s,
 the ray-boundary gauge oracle, the float edge-functional maximum, `gauge`
-of a `vsum`, and a `Fraction` monotone chain kept here.
+of a `vsum` (compared with 1 through `scalars` for `subset_tests`), and a
+`Fraction` monotone chain kept here.
 """
 
 import math
@@ -15,7 +16,8 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from helly_plane.errors import NotConvexBody
-from helly_plane.generators import gen_asymmetric_body
+from helly_plane.gallery import gallery_case
+from helly_plane.generators import gen_asymmetric_body, gen_random_ball, gen_unit_vectors
 from helly_plane.geometry import convex_hull, orientation
 from helly_plane.norms import (
     ball_from_json,
@@ -26,8 +28,11 @@ from helly_plane.norms import (
     gauge,
     make_convex_body,
     make_polygonal_ball,
+    square_ball,
     subset_gauges,
+    subset_tests,
 )
+from helly_plane.scalars import eq, ge, gt, le
 from helly_plane.vectors import Vec2, vsum
 
 from oracles import edge_functional, ray_gauge
@@ -185,3 +190,87 @@ def test_float_vertex_ball(ball, z, vectors):
 )
 def test_convex_hull_matches_fraction_chain(points):
     assert convex_hull(points) == reference_hull(points)
+
+
+RELS = (eq, le, ge, gt)
+# the exact meaning of each comparison with 1, and its tolerant one on floats
+EXACT = {eq: lambda g, tol: g == 1, le: lambda g, tol: g <= 1,
+         ge: lambda g, tol: g >= 1, gt: lambda g, tol: g > 1}
+TOLERANT = {eq: lambda g, tol: abs(g - 1) <= tol, le: lambda g, tol: g <= 1 + tol,
+            ge: lambda g, tol: g >= 1 - tol, gt: lambda g, tol: g > 1 + tol}
+TOLS = st.sampled_from([1e-9, 0.0, 1e-3])
+
+
+def mixed_vertices(ball):
+    """The ball's vertex list with the x of every other vertex as a float."""
+    return make_polygonal_ball(
+        [Vec2(float(v.x), v.y) if i % 2 else v for i, v in enumerate(ball.vertices)]
+    )
+
+
+# every dispatch of the kernel: integer normals over a denominator or not,
+# float normals from float vertices, and the Euclidean ball
+kernel_balls = st.one_of(
+    balls(),
+    balls(integer_points),
+    balls().map(lambda ball: ball_from_json(ball_to_json(ball), "float")),
+    balls(integer_points).map(mixed_vertices),
+    st.just(square_ball()),
+    st.just(euclidean_ball()),
+)
+
+
+def assert_sphere_tests(ball, vectors, tol, meaning=None):
+    """`subset_tests` against `rel(gauge(vsum), 1, tol)` for every rel and
+    subset, and against `meaning[rel]` of the reference gauge when given."""
+    ts = subsets(len(vectors))
+    gauges = [gauge(ball, vsum(vectors[i] for i in t)) for t in ts]
+    for rel in RELS:
+        got = list(subset_tests(ball, vectors, ts, rel, tol))
+        assert got == [(t, rel(g, 1, tol)) for t, g in zip(ts, gauges)]
+        if meaning is not None:
+            assert [ok for _, ok in got] == [meaning[rel](g, tol) for g in gauges]
+
+
+@given(ball=kernel_balls, vectors=families, tol=TOLS)
+def test_subset_tests_match_gauge_against_one(ball, vectors, tol):
+    assert_sphere_tests(ball, vectors, tol)
+
+
+@given(ball=st.one_of(balls(), balls(integer_points)),
+       vectors=st.lists(rational_points, min_size=1, max_size=5), tol=TOLS)
+def test_subset_tests_are_exact_on_rational_data(ball, vectors, tol):
+    assert_sphere_tests(ball, vectors, tol, EXACT)
+
+
+def test_subset_tests_on_gallery_equality_families():
+    # sums at gauge exactly 1: min 3-sum of thm3-closed-fails, the total of remark1-equality
+    for name in ("thm3-closed-fails", "remark1-equality"):
+        case = gallery_case(name)
+        sums = [vsum(case.vectors[i] for i in t) for t in subsets(len(case.vectors)) if len(t) > 1]
+        assert any(gauge(case.ball, z) == 1 for z in sums)
+        assert_sphere_tests(case.ball, case.vectors, 1e-9, EXACT)
+
+
+@given(seed=st.integers(0, 2**32 - 1), tol=TOLS)
+def test_subset_tests_on_boundary_points(seed, tol):
+    # rational balls off the max-norm lattice (den > 1), unit vectors on their boundary
+    ball = gen_random_ball(seed)
+    vectors = list(gen_unit_vectors(ball, 3, seed))
+    singles = [(0,), (1,), (2,)]
+    assert [ok for _, ok in subset_tests(ball, vectors, singles, eq, tol)] == [True] * 3
+    assert [ok for _, ok in subset_tests(ball, vectors, singles, gt, tol)] == [False] * 3
+    assert_sphere_tests(ball, vectors, tol, EXACT)
+
+
+def test_subset_tests_on_float_gauges_near_one():
+    # on these balls the float gauge of (c, 0.0) is c, so the family hits
+    # gauges at 1 and 1 +- tol exactly, and one ulp either side of each
+    tol = 1e-9
+    cs = [1.0, 1.0 + tol, 1.0 - tol]
+    cs += [math.nextafter(c, d) for c in cs for d in (0.0, 2.0)]
+    fsquare = ball_from_json(ball_to_json(square_ball()), "float")
+    for ball in (square_ball(), fsquare, euclidean_ball()):
+        for c in cs:
+            assert gauge(ball, Vec2(c, 0.0)) == c
+            assert_sphere_tests(ball, [Vec2(c, 0.0)], tol, TOLERANT)
