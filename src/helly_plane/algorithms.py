@@ -13,6 +13,7 @@ from itertools import chain, combinations
 from typing import Sequence
 
 from .errors import (
+    BadInput,
     EpsilonTooLarge,
     EvenCardinality,
     HalfplaneViolated,
@@ -217,9 +218,9 @@ def make_generic(
     lam = Fraction(lam)
     eps = Fraction(eps)
     if not 0 < lam < 1:
-        raise ValueError(f"lambda must be in (0, 1); got {lam}")
+        raise BadInput(f"lambda must be in (0, 1); got {lam}")
     if eps <= 0:
-        raise ValueError(f"epsilon must be positive; got {eps}")
+        raise BadInput(f"epsilon must be positive; got {eps}")
     vs = tuple(vectors)
     for i, v in enumerate(vs):
         if lam * gauge(ball, v) + eps >= 1:

@@ -19,7 +19,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Optional
 
-from .errors import NotConvexBody
+from .errors import BadInput, NotConvexBody
 from .geometry import lattice
 from .norms import (
     ConvexBody, UnitBall, VertexGrid, boundary_point, compile_lattice, euclidean_ball, gauge,
@@ -70,7 +70,7 @@ def gen_unit_vectors(
     negative dot is replaced by its negation, which is also on the boundary.
     """
     if n < 1:
-        raise ValueError("need n >= 1")
+        raise BadInput("need n >= 1")
     rng = random.Random(seed)
     grid = lattice_vertices(ball)
     if grid is not None:

@@ -1,5 +1,5 @@
-"""Exact convex-position primitives: orientation, lattice points, hulls and
-closed triangle membership.
+"""Exact convex-position primitives: orientation, lattice points and
+families, hulls and closed triangle membership.
 
 Everything here works on `Vec2` with rational coordinates and is exact;
 predicates that also have to serve float data take an optional tolerance
@@ -8,10 +8,11 @@ which only kicks in for float operands.
 
 from __future__ import annotations
 
-import math
-from typing import Optional, Sequence
+from fractions import Fraction
+from typing import Iterable, Optional, Sequence
 
-from .scalars import Scalar, is_float, sgn
+from .errors import BadInput
+from .scalars import Scalar, lattice_values, sgn
 from .vectors import Vec2
 
 
@@ -26,14 +27,58 @@ def lattice(points: Sequence[Vec2]) -> Optional[tuple[list[tuple[int, int]], int
     Returns `(pairs, den)` with `point == pair / den` coordinatewise, or
     None when any coordinate is a float.
     """
-    coords = [c for p in points for c in (p.x, p.y)]
-    if is_float(*coords):
+    grid = lattice_values([c for p in points for c in (p.x, p.y)])
+    if grid is None:
         return None
-    # unpack a list, not a generator: a tuple built from a generator is
-    # resized, and such tuples pile up in CPython's free lists (peak memory)
-    den = math.lcm(*[c.denominator for c in coords])
-    scaled = iter([c.numerator * (den // c.denominator) for c in coords])
-    return list(zip(scaled, scaled)), den
+    scaled, den = grid
+    coords = iter(scaled)
+    return list(zip(coords, coords)), den
+
+
+class Family(tuple):
+    """A family of plane vectors with its lattice form, computed once.
+
+    `pts` holds integer pairs over `scale` when every coordinate is
+    rational, else the coordinates as floats and `scale` is None.
+    `Family(family)` is the family itself, so a verifier that hands its
+    family on (to `norms.subset_tests`, or to another verifier) puts it on
+    the lattice only once.
+    """
+
+    pts: list[tuple]
+    scale: Optional[int]
+
+    def __new__(cls, vectors: Iterable[Vec2]) -> "Family":
+        if type(vectors) is cls:
+            return vectors
+        fam = super().__new__(cls, vectors)
+        grid = lattice(fam)
+        fam.pts, fam.scale = grid or ([(float(v.x), float(v.y)) for v in fam], None)
+        return fam
+
+    def floats(self) -> list[tuple[float, float]]:
+        """The coordinates as floats, each rounded once from its exact value."""
+        if self.scale is None:
+            return self.pts
+        return [(x / self.scale, y / self.scale) for x, y in self.pts]
+
+    def lattice_sum(self, subset: Iterable[int]) -> tuple[Scalar, Scalar]:
+        """The sum of the indexed vectors on the lattice: integers over
+        `scale`, or floats added left to right from 0 as `vsum` adds them."""
+        pts = self.pts
+        sx = sy = 0
+        for i in subset:
+            x, y = pts[i]
+            sx += x
+            sy += y
+        return sx, sy
+
+    def vector_sum(self, subset: Iterable[int]) -> Vec2:
+        """The sum of the indexed vectors, the value `vsum` gives."""
+        sx, sy = self.lattice_sum(subset)
+        if self.scale is None:
+            return Vec2(sx, sy)
+        return Vec2(Fraction(sx, self.scale), Fraction(sy, self.scale))
 
 
 def convex_hull(points: Sequence[Vec2]) -> list[Vec2]:
@@ -45,7 +90,7 @@ def convex_hull(points: Sequence[Vec2]) -> list[Vec2]:
     lattice of `lattice`, float input on its own coordinates.
     """
     if not points:
-        raise ValueError("convex_hull requires a non-empty point list")
+        raise BadInput("convex_hull requires a non-empty point list")
     grid = lattice(points)
     keys = grid[0] if grid else [(p.x, p.y) for p in points]
     first: dict = {}

@@ -10,7 +10,9 @@ Each ball is compiled once, at construction, into integer edge normals
 (P, Q) over one common denominator, plus their float copies. Rational
 gauges and subset sums then run on plain ints. Deciding a norm against 1
 (`subset_tests`) compares two ints and forms no `Fraction`; a single
-`Fraction` is formed per reported gauge (`gauge`, `subset_gauges`).
+`Fraction` is formed per reported gauge (`gauge`, `subset_gauges`). A
+supporting line at a boundary point (`supporting_functional`) is found on
+the same integer normals.
 Float gauges run on the float normals and round exactly as
 `Fraction * float` does. Rational polygons are compiled
 from integer points over one scale (`compile_lattice`, which the
@@ -31,8 +33,8 @@ from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .errors import BadInput, NotConvexBody, NotPolygonal, NotSymmetric, ZeroDirection
-from .geometry import convex_hull, lattice, monotone_chain
-from .scalars import DEFAULT_TOL, Scalar, exact_div, exactify, is_float
+from .geometry import Family, convex_hull, lattice, monotone_chain
+from .scalars import DEFAULT_TOL, Scalar, eq, exact_div, exactify, is_float
 from .vectors import Vec2
 
 EUCLIDEAN = "euclidean"
@@ -257,23 +259,23 @@ def _subset_walk(
     """The one walk over subset sums: (d, pairs (subset, m)) with the gauge
     of each subset's sum equal to m / d.
 
-    The family is put on the integer lattice once, so a rational subset sum
-    costs integer additions. On a ball with integer normals m and d are
-    ints; otherwise d is None and m is the float gauge. Float data is
-    summed as floats, left to right from 0 in index order, which is bit for
-    bit what `gauge(ball, vsum(...))` computes; rational data on a
-    Euclidean or float-vertex ball is summed exactly, then rounded once.
+    The walk reads the family's lattice form (a `Family` passed in keeps
+    its own), so a rational subset sum costs integer additions. On a ball
+    with integer normals m and d are ints; otherwise d is None and m is the
+    float gauge. Float data is summed as floats, left to right from 0 in
+    index order, which is bit for bit what `gauge(ball, vsum(...))`
+    computes; rational data on a Euclidean or float-vertex ball is summed
+    exactly, then rounded once.
     """
-    grid = lattice(vectors)
-    if grid is None:
-        pts, den = [(float(v.x), float(v.y)) for v in vectors], None
-    else:
-        pts, den = grid
+    fam = Family(vectors)
+    pts, den = fam.pts, fam.scale
     exact = den is not None and ball.normals is not None
 
     def walk():
         normals = ball.normals
         for t in subsets:
+            # `Family.lattice_sum` inlined: a call per subset costs a third
+            # of the walk on float data
             sx = sy = 0
             for i in t:
                 x, y = pts[i]
@@ -287,6 +289,40 @@ def _subset_walk(
                 yield t, _float_gauge(ball, sx / den, sy / den)
 
     return (ball.den * den if exact else None), walk()
+
+
+def supporting_functional(
+    ball: UnitBall, x: Scalar, y: Scalar, den: Optional[int], tol: float = DEFAULT_TOL
+) -> tuple[Scalar, Scalar, Scalar]:
+    """A functional of value 1 at the boundary point v and at most 1 on the
+    ball, as (p, q, e): z -> (p*z.x + q*z.y) / e.
+
+    v is (x, y) / den on the lattice, or the floats (x, y) when den is None.
+    p, q and e are ints on a ball with integer normals, whatever the data.
+    An edge is hit where its functional is 1 at v: on ints for rational v
+    (`P·X + Q·Y == den·D`), within tol for float v. At a vertex (two hits)
+    the two functionals are averaged, which keeps the value 1 at v and
+    picks an interior support line. One hit, or three and more when very
+    short edges fall within the tolerance: the first edge attaining the
+    gauge at v is 1 there (up to tol) and at most the gauge everywhere, so
+    it supports the ball at v. The Euclidean ball is supported by v itself.
+    """
+    if not ball.is_polygonal:
+        return x, y, 1 if den is None else den
+    rows, e = (ball.float_normals, 1) if ball.normals is None else (ball.normals, ball.den)
+    if den is not None and ball.normals is not None:
+        values = [p * x + q * y for p, q in rows]
+        hits = [j for j, m in enumerate(values) if m == e * den]
+    else:
+        if den is not None:
+            x, y = x / den, y / den
+        values = [p * x + q * y for p, q in ball.float_normals]
+        hits = [j for j, m in enumerate(values) if eq(m, 1, tol)]
+    if len(hits) == 2:
+        (pe, qe), (pf, qf) = rows[hits[0]], rows[hits[1]]
+        return pe + pf, qe + qf, 2 * e
+    p, q = rows[values.index(max(values))]
+    return p, q, e
 
 
 def edge_functionals(ball: UnitBall) -> list[Vec2]:

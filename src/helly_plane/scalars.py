@@ -10,8 +10,9 @@ carrying an explicit mode flag around.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
-from typing import Union
+from typing import Optional, Sequence, Union
 
 from .errors import BadInput
 
@@ -38,6 +39,20 @@ def format_scalar(x: Scalar) -> str:
 
 def is_float(*xs: Scalar) -> bool:
     return any(isinstance(x, float) for x in xs)
+
+
+def lattice_values(xs: Sequence[Scalar]) -> Optional[tuple[list[int], int]]:
+    """Rationals as integer numerators over one common denominator.
+
+    Returns `(numerators, den)` with `x == m / den` for each x, or None
+    when any x is a float.
+    """
+    if is_float(*xs):
+        return None
+    # unpack a list, not a generator: a tuple built from a generator is
+    # resized, and such tuples pile up in CPython's free lists (peak memory)
+    den = math.lcm(*[x.denominator for x in xs])
+    return [x.numerator * (den // x.denominator) for x in xs], den
 
 
 def exactify(x: Scalar) -> Scalar:

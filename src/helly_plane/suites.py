@@ -32,8 +32,9 @@ from .generators import (
     antipodal_pair_on_boundary, gen_asymmetric_body, gen_claim1_tuple, gen_collinear_family,
     gen_direction, gen_random_ball, gen_symmetric_body, gen_unit_vectors, gen_zero_sum_six,
 )
+from .geometry import Family
 from .norms import (
-    UnitBall, ball_from_json, ball_to_json, euclidean_ball, gauge, load_json, square_ball,
+    UnitBall, ball_from_json, ball_to_json, euclidean_ball, load_json, square_ball, subset_tests,
 )
 from .scalars import le
 from .symmetry import (
@@ -44,7 +45,7 @@ from .theorems import (
     claim1_triplets, corollary_check, halfplane_certificate, lemma_conv_check,
     lemma_main_witness, verify_helly,
 )
-from .vectors import Vec2, vsum
+from .vectors import Vec2
 
 # rng -> the trial's ball
 _Balls = Callable[[random.Random], UnitBall]
@@ -267,8 +268,10 @@ def _draw_lemma_main(cfg: SuiteConfig, rng: random.Random, index: int, balls: _B
 
 
 def _check_lemma_main(cfg: SuiteConfig, inst: Instance) -> tuple:
-    trip = lemma_main_witness(inst.ball, inst.vectors, cfg.tol)
-    if not le(gauge(inst.ball, vsum(inst.vectors[i] for i in trip)), 1, cfg.tol):
+    zs = Family(inst.vectors)  # on the lattice once, for the witness and its re-check
+    trip = lemma_main_witness(inst.ball, zs, cfg.tol)
+    [(_, inside)] = subset_tests(inst.ball, zs, [trip], le, cfg.tol)
+    if not inside:
         return "fail", f"witness {trip} not in the ball"
     return "pass", f"triple={trip}"
 

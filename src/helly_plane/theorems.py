@@ -16,10 +16,12 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field
+from fractions import Fraction
 from itertools import combinations
 from typing import Sequence
 
 from .errors import (
+    BadInput,
     BadK,
     EvenCardinality,
     HypothesisFailed,
@@ -29,9 +31,11 @@ from .errors import (
     TooFew,
     ZeroDirection,
 )
-from .geometry import point_in_triangle
-from .norms import UnitBall, edge_functionals, gauge, subset_tests
-from .scalars import DEFAULT_TOL, Scalar, eq, ge, gt, le, sgn, format_scalar
+from .geometry import Family, point_in_triangle
+from .norms import UnitBall, gauge, subset_tests, supporting_functional
+from .scalars import (
+    DEFAULT_TOL, Scalar, eq, format_scalar, ge, gt, is_float, lattice_values, le, sgn,
+)
 from .vectors import ORIGIN, Vec2, VectorMultiset, vsum
 
 
@@ -92,7 +96,7 @@ def all_ksums(vectors: VectorMultiset, k: int) -> list[KSum]:
     """All k-element subset sums, subsets in lexicographic order."""
     vs = tuple(vectors)
     if not 0 <= k <= len(vs):
-        raise ValueError(f"k={k} out of range for {len(vs)} vectors")
+        raise BadInput(f"k={k} out of range for {len(vs)} vectors")
     return [
         KSum(subset, vsum(vs[i] for i in subset))
         for subset in combinations(range(len(vs)), k)
@@ -109,7 +113,8 @@ def verify_theorem1(
     """
     if u.is_zero():
         raise ZeroDirection("halfplane direction must be nonzero")
-    vs = tuple(vectors)
+    vs = Family(vectors)
+    (ux, uy), pts = _halfplane_frame(vs, u)
     notes = []
     bad: list[KSum] = []
     if len(vs) % 2 == 0:
@@ -119,11 +124,11 @@ def verify_theorem1(
         if not unit:
             bad.append(KSum((i,), v))
             notes.append(f"vector {i} is not a unit vector")
-        elif not ge(u.dot(v), 0, tol):
+        elif not ge(ux * pts[i][0] + uy * pts[i][1], 0, tol):
             bad.append(KSum((i,), v))
             notes.append(f"vector {i} leaves the halfplane")
     hypothesis = len(vs) % 2 == 1 and not bad
-    total = vsum(vs)
+    total = vs.vector_sum(range(len(vs)))
     total_norm = gauge(ball, total)
     conclusion = ge(total_norm, 1, tol)
     return VerifyReport(
@@ -133,43 +138,45 @@ def verify_theorem1(
     )
 
 
-def _halfplane_angle_cmp(u: Vec2):
-    """Order vectors of the closed halfplane of u by angle, from the side
-    at -90 degrees from u around to +90 degrees.
+def _halfplane_frame(vs: Family, u: Vec2) -> tuple[tuple, list[tuple]]:
+    """u and the points of the family in one number domain, for u·v and u×v.
 
-    Vectors orthogonal to u are the only antipodal pairs possible here; the
-    one at -90 degrees sorts first. Exact duplicates keep input order.
-    Comparisons are raw (no tolerance): a tolerant order is not transitive.
+    When u and the family are rational, u is put on the lattice and the
+    family keeps its lattice pairs, as in `generators._below`: the products
+    are integer multiples, by one positive factor, of the exact values, so
+    their signs are exact. Otherwise both are floats, and the products are
+    the floats `Vec2.dot` and `Vec2.cross` give.
     """
+    grid = None if vs.scale is None else lattice_values([u.x, u.y])
+    if grid is not None:
+        return grid[0], vs.pts
+    return (float(u.x), float(u.y)), vs.floats()
 
-    def cmp(a: Vec2, b: Vec2) -> int:
-        s = sgn(a.cross(b))
-        if s > 0:
-            return -1
-        if s < 0:
-            return 1
-        if a.dot(b) >= 0:
+
+def _halfplane_angle_cmp(vs: Family, u: Vec2):
+    """A sort key for indices into a family of the closed halfplane of u,
+    ordering the vectors by angle from the side at -90 degrees from u
+    around to +90 degrees.
+
+    The signs of cross and dot products are read from the family's lattice
+    (or float) pairs. Vectors orthogonal to u are the only antipodal pairs
+    possible here; the one at -90 degrees sorts first. Exact duplicates
+    keep input order. Comparisons are raw (no tolerance): a tolerant order
+    is not transitive.
+    """
+    pts = vs.pts
+
+    def cmp(i: int, j: int) -> int:
+        (ax, ay), (bx, by) = pts[i], pts[j]
+        cross = ax * by - ay * bx
+        if cross:
+            return -1 if cross > 0 else 1
+        if ax * bx + ay * by >= 0:
             return 0  # same direction: stable sort keeps input order
-        return -1 if sgn(u.cross(a)) < 0 else 1
+        (ux, uy), upts = _halfplane_frame(vs, u)  # antipodal pairs only
+        return -1 if sgn(ux * upts[i][1] - uy * upts[i][0]) < 0 else 1
 
     return functools.cmp_to_key(cmp)
-
-
-def _supporting_functional(ball: UnitBall, v: Vec2, tol: float) -> Vec2:
-    """A functional of value 1 at boundary point v and at most 1 on the ball."""
-    if not ball.is_polygonal:
-        return v
-    normals = edge_functionals(ball)
-    hits = [n for n in normals if eq(n.dot(v), 1, tol)]
-    if len(hits) == 2:
-        # v is a vertex: average the two incident functionals, normalized
-        # so the value at v stays 1; this picks an interior support line
-        e, f = hits
-        return Vec2((e.x + f.x) / 2, (e.y + f.y) / 2)
-    # one hit, or three and more when very short edges fall within the
-    # tolerance: an edge attaining the gauge at v is 1 there (up to tol) and
-    # at most the gauge everywhere, so it supports the ball at v
-    return max(normals, key=lambda n: n.dot(v))
 
 
 def halfplane_certificate(
@@ -181,25 +188,42 @@ def halfplane_certificate(
     otherwise. The certificate's projection sum is always at least 1, and
     since the tangent functional is at most the gauge everywhere, that
     already implies the conclusion; both facts are re-checked here.
+
+    The projection of v is tangent(v) / tangent(vk) for the middle vector
+    vk. On rational data with a rational tangent these are integer
+    numerators over one denominator, and their sum is the tangent at the
+    family's lattice total; otherwise they are computed in floats.
     """
-    report = verify_theorem1(ball, vectors, u, tol)
+    vs = Family(vectors)
+    report = verify_theorem1(ball, vs, u, tol)
     if not report.hypothesis_holds:
         raise HypothesisFailed(report.notes or "hypothesis does not hold")
-    ordered = tuple(sorted(vectors, key=_halfplane_angle_cmp(u)))
-    n = len(ordered)
-    k = (n + 1) // 2  # 1-based position of the middle vector
-    vk = ordered[k - 1]
-    tangent = _supporting_functional(ball, vk, tol)
-    d = tangent.perp()
-    denom = vk.cross(d)
-    projections = [v.cross(d) / denom for v in ordered]
-    projection_sum = sum(projections)
+    order = sorted(range(len(vs)), key=_halfplane_angle_cmp(vs, u))
+    k = (len(order) + 1) // 2  # 1-based position of the middle vector
+    mid = order[k - 1]
+    p, q, e = supporting_functional(ball, *vs.pts[mid], vs.scale, tol)
+    rational = not is_float(p, q)
+    tangent = Vec2(Fraction(p, e), Fraction(q, e)) if rational else Vec2(p / e, q / e)
+    if rational and vs.scale is not None:
+        nums = [p * x + q * y for x, y in (vs.pts[i] for i in order)]
+        projections = [Fraction(m, nums[k - 1]) for m in nums]
+        sx, sy = vs.lattice_sum(order)
+        projection_sum = Fraction(p * sx + q * sy, nums[k - 1])
+    else:
+        # v.cross(d) / vk.cross(d) for d = tangent.perp(), in floats
+        dx, dy = -q / e, p / e
+        pts = vs.floats()
+        kx, ky = pts[mid]
+        denom = kx * dy - ky * dx
+        projections = [(x * dy - y * dx) / denom for x, y in (pts[i] for i in order)]
+        projection_sum = sum(projections)
     if not ge(projection_sum, 1, tol):
         raise TheoremFalsified(
             f"projection sum {projection_sum} < 1 on a halfplane instance"
         )
     if not ge(report.total_norm, 1, tol):  # pragma: no cover - implied by the above
         raise TheoremFalsified("certificate exists but total norm < 1")
+    ordered = tuple([vs[i] for i in order])
     return Certificate(k, u, tangent, ordered, projections, projection_sum)
 
 
@@ -231,8 +255,9 @@ def _three_sum_judge(tests, n: int, total_norm: Scalar, strict: bool, tol: float
     return bad, triple_ok(total_norm, 1, tol)
 
 
-def _plane_judge(ball: UnitBall, vs: Sequence[Vec2], total_norm: Scalar, strict: bool, tol: float):
-    """`_three_sum_judge` on the norms of a family of the plane."""
+def _plane_judge(ball: UnitBall, vs: Family, total_norm: Scalar, strict: bool, tol: float):
+    """`_three_sum_judge` on the norms of a family of the plane, read from
+    the family's one lattice form."""
     return _three_sum_judge(
         lambda subsets, rel: subset_tests(ball, vs, subsets, rel, tol),
         len(vs), total_norm, strict, tol,
@@ -249,14 +274,14 @@ def verify_helly(
     > 1 must sum to norm > 1. Collinear families need no path of their
     own: along a line through the origin the norm is |signed length|.
     """
-    vs = tuple(vectors)
+    vs = Family(vectors)
     _odd_family(len(vs), "vectors")
-    total = vsum(vs)
+    total = vs.vector_sum(range(len(vs)))
     total_norm = gauge(ball, total)
     bad, conclusion = _plane_judge(ball, vs, total_norm, strict, tol)
     return VerifyReport(
         "T3" if strict else "T2", not bad, conclusion, total, total_norm,
-        witnesses=[KSum(idx, vsum(vs[i] for i in idx)) for idx in bad],
+        witnesses=[KSum(idx, vs.vector_sum(idx)) for idx in bad],
     )
 
 
@@ -286,17 +311,17 @@ def corollary_check(
     ball: UnitBall, vectors: VectorMultiset, k: int, tol: float = DEFAULT_TOL
 ) -> VerifyReport:
     """If every 3-sum is strictly outside the ball, so is every k-sum (k odd, k > 3)."""
-    vs = tuple(vectors)
+    vs = Family(vectors)
     if k % 2 == 0 or k <= 3 or k > len(vs):
         raise BadK(f"k must be odd, > 3, and <= {len(vs)}; got {k}")
-    total = vsum(vs)
+    total = vs.vector_sum(range(len(vs)))
     total_norm = gauge(ball, total)
     bad, _ = _plane_judge(ball, vs, total_norm, True, tol)
     ksums = subset_tests(ball, vs, combinations(range(len(vs)), k), gt, tol)
     failing = [t for t, outside in ksums if not outside]
     return VerifyReport(
         "COR", not bad, not failing, total, total_norm,
-        witnesses=[KSum(t, vsum(vs[i] for i in t)) for t in bad or failing],
+        witnesses=[KSum(t, vs.vector_sum(t)) for t in bad or failing],
         notes=f"k={k}",
     )
 
@@ -307,12 +332,15 @@ def lemma_conv_check(
     """For boundary points a, b, c: (origin in conv, a+b+c in conv).
 
     The two memberships are equivalent for every norm; callers assert the
-    equivalence, this function just computes both closed memberships.
+    equivalence, this function just computes both closed memberships. On
+    rational data they are decided for the three lattice points and their
+    integer sum: scaling by the common denominator keeps every sign.
     """
-    vs = (a, b, c)
+    vs = Family((a, b, c))
     for (i,), unit in subset_tests(ball, vs, _singles(3), eq, tol):
         if not unit:
             raise NotOnBoundary(f"{vs[i]} has gauge {gauge(ball, vs[i])}, expected 1")
+    a, b, c = [Vec2(x, y) for x, y in vs.pts]
     return point_in_triangle(ORIGIN, a, b, c, tol), point_in_triangle(a + b + c, a, b, c, tol)
 
 
@@ -324,14 +352,14 @@ def lemma_main_witness(
     Brute force over all 20 triples, lexicographically first hit. One always
     exists; not finding one raises TheoremFalsified, which is a hard bug.
     """
-    zs = tuple(vectors)
+    zs = Family(vectors)
     if len(zs) != 6:
         raise PreconditionFailed(f"need exactly 6 vectors, got {len(zs)}")
     for (i,), inside in subset_tests(ball, zs, _singles(6), le, tol):
         if not inside:
             raise PreconditionFailed(f"vector {i} is outside the ball")
-    total = vsum(zs)
-    if not (eq(total.x, 0, tol) and eq(total.y, 0, tol)):
+    sx, sy = zs.lattice_sum(range(6))  # zero exactly when the sum is
+    if not (eq(sx, 0, tol) and eq(sy, 0, tol)):
         raise PreconditionFailed("vectors do not sum to zero")
     for t, inside in subset_tests(ball, zs, combinations(range(6), 3), le, tol):
         if inside:
@@ -344,17 +372,20 @@ def claim1_triplets(xs: Sequence[Scalar], tol: float = DEFAULT_TOL) -> list[tupl
 
     At least 12 of the 20 triples always qualify, and the qualifying set is
     closed under complement; both facts are what the callers test.
+    Rational values are compared as integer numerators m with their common
+    denominator d, `rel(m, d, tol)` as in `subset_tests`; floats with d = 1.
     """
     values = list(xs)
     if len(values) != 6:
         raise PreconditionFailed(f"need exactly 6 values, got {len(values)}")
-    for i, x in enumerate(values):
-        if not le(abs(x), 1, tol):
+    ms, d = lattice_values(values) or (values, 1)
+    for i, m in enumerate(ms):
+        if not le(abs(m), d, tol):
             raise PreconditionFailed(f"value {i} is outside [-1, 1]")
-    if not eq(sum(values), 0, tol):
+    if not eq(sum(ms), 0, tol):
         raise PreconditionFailed("values do not sum to zero")
     return [
         t
         for t in combinations(range(6), 3)
-        if le(abs(values[t[0]] + values[t[1]] + values[t[2]]), 1, tol)
+        if le(abs(ms[t[0]] + ms[t[1]] + ms[t[2]]), d, tol)
     ]

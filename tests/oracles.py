@@ -7,22 +7,51 @@ boundary edge segment instead of evaluating edge functionals, and hull
 membership is decided by brute force over point pairs and triples instead
 of hull construction.
 
-The reference generators at the end are the `Fraction`-arithmetic
-generators that the lattice generators replaced; the generators must
-reproduce them value for value and type for type.
+The reference generators are the `Fraction`-arithmetic generators that
+the lattice generators replaced, and the reference verifiers at the end
+are the `Vec2`/`Fraction` forms of T1's certificate, lemma-conv and Claim 1
+that the lattice verifiers replaced; both must be reproduced value for
+value and type for type.
 """
 
+import functools
 import math
 import random
 from fractions import Fraction
 from itertools import combinations
 
-from helly_plane.errors import NotConvexBody, NotSymmetric
-from helly_plane.geometry import convex_hull, lattice, orientation
-from helly_plane.norms import POLYGONAL, ConvexBody, UnitBall, _polar_less, gauge
-from helly_plane.scalars import exactify, le
+from helly_plane.errors import (
+    HypothesisFailed,
+    NotConvexBody,
+    NotOnBoundary,
+    NotSymmetric,
+    PreconditionFailed,
+    TheoremFalsified,
+    ZeroDirection,
+)
+from helly_plane.geometry import convex_hull, lattice, orientation, point_in_triangle
+from helly_plane.norms import (
+    POLYGONAL,
+    ConvexBody,
+    UnitBall,
+    _polar_less,
+    edge_functionals,
+    gauge,
+    subset_tests,
+)
+from helly_plane.scalars import DEFAULT_TOL, eq, exactify, ge, le, sgn
 from helly_plane.symmetry import is_centrally_symmetric
+from helly_plane.theorems import Certificate, KSum, VerifyReport
 from helly_plane.vectors import ORIGIN, Vec2, vsum
+
+
+def same(a, b) -> bool:
+    """Equal values of equal types, floats bit for bit, down through tuples and Vec2s."""
+    if isinstance(a, (tuple, list)):
+        return type(a) is type(b) and len(a) == len(b) and all(map(same, a, b))
+    if isinstance(a, Vec2):
+        return isinstance(b, Vec2) and same(a.x, b.x) and same(a.y, b.y)
+    return type(a) is type(b) and repr(a) == repr(b)
 
 
 def ray_gauge(ball, z: Vec2) -> Fraction:
@@ -286,3 +315,110 @@ def ref_gen_asymmetric_body(seed):
         body = ref_compile_polygon(verts, ConvexBody)
         if not is_centrally_symmetric(body):
             return body
+
+
+# Reference verifiers: T1 with its projection certificate, lemma-conv and
+# Claim 1 as they were before they were decided on the integer lattice,
+# verbatim apart from their names (the certificate calls the reference T1).
+
+
+def _ref_singles(n):
+    return combinations(range(n), 1)
+
+
+def ref_verify_theorem1(ball, vectors, u, tol=DEFAULT_TOL):
+    if u.is_zero():
+        raise ZeroDirection("halfplane direction must be nonzero")
+    vs = tuple(vectors)
+    notes = []
+    bad = []
+    if len(vs) % 2 == 0:
+        notes.append("even cardinality")
+    for (i,), unit in subset_tests(ball, vs, _ref_singles(len(vs)), eq, tol):
+        v = vs[i]
+        if not unit:
+            bad.append(KSum((i,), v))
+            notes.append(f"vector {i} is not a unit vector")
+        elif not ge(u.dot(v), 0, tol):
+            bad.append(KSum((i,), v))
+            notes.append(f"vector {i} leaves the halfplane")
+    hypothesis = len(vs) % 2 == 1 and not bad
+    total = vsum(vs)
+    total_norm = gauge(ball, total)
+    conclusion = ge(total_norm, 1, tol)
+    return VerifyReport(
+        "T1", hypothesis, conclusion, total, total_norm,
+        witnesses=bad if not hypothesis else [],
+        notes="; ".join(notes),
+    )
+
+
+def ref_halfplane_angle_cmp(u):
+    def cmp(a, b):
+        s = sgn(a.cross(b))
+        if s > 0:
+            return -1
+        if s < 0:
+            return 1
+        if a.dot(b) >= 0:
+            return 0  # same direction: stable sort keeps input order
+        return -1 if sgn(u.cross(a)) < 0 else 1
+
+    return functools.cmp_to_key(cmp)
+
+
+def ref_supporting_functional(ball, v, tol):
+    if not ball.is_polygonal:
+        return v
+    normals = edge_functionals(ball)
+    hits = [n for n in normals if eq(n.dot(v), 1, tol)]
+    if len(hits) == 2:
+        e, f = hits
+        return Vec2((e.x + f.x) / 2, (e.y + f.y) / 2)
+    return max(normals, key=lambda n: n.dot(v))
+
+
+def ref_halfplane_certificate(ball, vectors, u, tol=DEFAULT_TOL):
+    report = ref_verify_theorem1(ball, vectors, u, tol)
+    if not report.hypothesis_holds:
+        raise HypothesisFailed(report.notes or "hypothesis does not hold")
+    ordered = tuple(sorted(vectors, key=ref_halfplane_angle_cmp(u)))
+    n = len(ordered)
+    k = (n + 1) // 2  # 1-based position of the middle vector
+    vk = ordered[k - 1]
+    tangent = ref_supporting_functional(ball, vk, tol)
+    d = tangent.perp()
+    denom = vk.cross(d)
+    projections = [v.cross(d) / denom for v in ordered]
+    projection_sum = sum(projections)
+    if not ge(projection_sum, 1, tol):
+        raise TheoremFalsified(
+            f"projection sum {projection_sum} < 1 on a halfplane instance"
+        )
+    if not ge(report.total_norm, 1, tol):
+        raise TheoremFalsified("certificate exists but total norm < 1")
+    return Certificate(k, u, tangent, ordered, projections, projection_sum)
+
+
+def ref_lemma_conv_check(ball, a, b, c, tol=DEFAULT_TOL):
+    vs = (a, b, c)
+    for (i,), unit in subset_tests(ball, vs, _ref_singles(3), eq, tol):
+        if not unit:
+            raise NotOnBoundary(f"{vs[i]} has gauge {gauge(ball, vs[i])}, expected 1")
+    return point_in_triangle(ORIGIN, a, b, c, tol), point_in_triangle(a + b + c, a, b, c, tol)
+
+
+def ref_claim1_triplets(xs, tol=DEFAULT_TOL):
+    values = list(xs)
+    if len(values) != 6:
+        raise PreconditionFailed(f"need exactly 6 values, got {len(values)}")
+    for i, x in enumerate(values):
+        if not le(abs(x), 1, tol):
+            raise PreconditionFailed(f"value {i} is outside [-1, 1]")
+    if not eq(sum(values), 0, tol):
+        raise PreconditionFailed("values do not sum to zero")
+    return [
+        t
+        for t in combinations(range(6), 3)
+        if le(abs(values[t[0]] + values[t[1]] + values[t[2]]), 1, tol)
+    ]

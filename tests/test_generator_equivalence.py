@@ -13,6 +13,7 @@ from fractions import Fraction
 import pytest
 
 import oracles
+from oracles import same
 from helly_plane import generators
 from helly_plane.generators import (
     gen_asymmetric_body,
@@ -37,15 +38,6 @@ from helly_plane.vectors import Vec2
 
 F = Fraction
 SEEDS = range(60)
-
-
-def same(a, b) -> bool:
-    """Equal values of equal types, floats bit for bit, down through tuples and Vec2s."""
-    if isinstance(a, (tuple, list)):
-        return type(a) is type(b) and len(a) == len(b) and all(map(same, a, b))
-    if isinstance(a, Vec2):
-        return isinstance(b, Vec2) and same(a.x, b.x) and same(a.y, b.y)
-    return type(a) is type(b) and repr(a) == repr(b)
 
 
 def same_polygon(new, ref) -> bool:

@@ -9,15 +9,20 @@ of a `vsum` (compared with 1 through `scalars` for `subset_tests`), and a
 """
 
 import math
+import sys
 from fractions import Fraction
 from itertools import combinations
 
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
+from helly_plane import geometry
+from helly_plane.algorithms import choose_signs
 from helly_plane.errors import NotConvexBody
 from helly_plane.gallery import gallery_case
-from helly_plane.generators import gen_asymmetric_body, gen_random_ball, gen_unit_vectors
+from helly_plane.generators import (
+    gen_asymmetric_body, gen_random_ball, gen_unit_vectors, gen_zero_sum_six,
+)
 from helly_plane.geometry import convex_hull, orientation
 from helly_plane.norms import (
     ball_from_json,
@@ -33,6 +38,7 @@ from helly_plane.norms import (
     subset_tests,
 )
 from helly_plane.scalars import eq, ge, gt, le
+from helly_plane.theorems import corollary_check, lemma_conv_check, lemma_main_witness, verify_helly
 from helly_plane.vectors import Vec2, vsum
 
 from oracles import edge_functional, ray_gauge
@@ -274,3 +280,37 @@ def test_subset_tests_on_float_gauges_near_one():
         for c in cs:
             assert gauge(ball, Vec2(c, 0.0)) == c
             assert_sphere_tests(ball, [Vec2(c, 0.0)], tol, TOLERANT)
+
+
+def test_each_family_is_put_on_the_lattice_once(monkeypatch):
+    # `geometry.lattice` is counted at every module that binds it; each
+    # verifier call must put each of its families on the lattice once
+    original = geometry.lattice
+    seen = []
+
+    def spy(points):
+        seen.append(tuple(points))
+        return original(points)
+
+    for name, module in list(sys.modules.items()):
+        if name == "helly_plane" or name.startswith("helly_plane."):
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, spy)
+
+    ball = gen_random_ball(3)
+    vs = gen_unit_vectors(ball, 7, 5, halfplane=Vec2(1, 2))
+    zs = gen_zero_sum_six(ball, 6)
+    calls = [
+        (lambda: verify_helly(ball, vs, strict=False), [vs]),
+        (lambda: verify_helly(ball, vs, strict=True), [vs]),
+        (lambda: corollary_check(ball, vs, 5), [vs]),
+        (lambda: lemma_main_witness(ball, zs), [zs]),
+        (lambda: lemma_conv_check(ball, *vs[:3]), [vs[:3]]),
+        (lambda: choose_signs(ball, vs), [vs, None]),  # None: its signed copy
+    ]
+    for call, families in calls:
+        seen.clear()
+        call()
+        assert len(seen) == len(families)
+        assert all(f is None or got == tuple(f) for got, f in zip(seen, families))

@@ -43,6 +43,11 @@ GOLDEN = [
     ("thm3", 20, 26, "float", "euclidean", "1e6a2adbcd8aec62d64830c71099020c3ed93fb3dfd9ea66a0437eb68891dc77"),
     ("generic", 10, 27, "exact", "random", "61adb96e875ef17eb017ef97df7c2ff25ac795757b2c08ff360367460765b8d3"),
     ("symmetry", 10, 28, "exact", "random", "8e27fd8e5c7e62992463194abfc3f64614ad841d06d68c8fab77f6fc211ba4fd"),
+    ("lemma-conv", 50, 35, "exact", "maxnorm", "ee638296a8c7350ce1c01cac124fb69c625fd00deb86c03ccd6571c1909319c5"),
+    ("lemma-conv", 50, 36, "float", "random", "1ac4093296dbe0b2e440d8c7ff9d2273888621697572d06715eb0ab28e53c5c8"),
+    ("lemma-conv", 50, 37, "float", "euclidean", "ebc2bce09fe129e17fd6bf168e3dd10ad4ffc96a1f0154cf2829e0bb5e04db62"),
+    ("claim1", 30, 38, "float", "random", "5440ab0a024275ac473dc9b2d7c85b099fcf909d943d0f6bbdf4bf9dd4c047cc"),
+    ("thm1", 30, 39, "float", "euclidean", "59a4d7c5c19f040f4a2de2aee9e403ad26b579187a0f0454370398b69de6923f"),
 ]
 
 # (check name, expected, actual, passed) per gallery case
