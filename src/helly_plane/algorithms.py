@@ -23,6 +23,7 @@ from .errors import (
     TheoremFalsified,
     ZeroDirection,
 )
+from .geometry import Family
 from .norms import UnitBall, edge_functionals, gauge, subset_gauges, subset_tests
 from .scalars import DEFAULT_TOL, Scalar, eq, ge
 from .vectors import Vec2, VectorMultiset, vsum
@@ -160,13 +161,13 @@ def choose_signs(
     For up to 15 vectors the guarantee is re-verified exhaustively before
     returning; larger families get a 1000-subset sample check.
     """
-    vs = tuple(vectors)
+    vs = Family(vectors)
     for (i,), unit in subset_tests(ball, vs, combinations(range(len(vs)), 1), eq, tol):
         if not unit:
             raise NotUnitVectors(f"vector {i} has gauge {gauge(ball, vs[i])}")
-    u = Vec2(0, 1)
-    signs = [1 if ge(u.dot(v), 0, tol) else -1 for v in vs]
-    signed = [v.scale(s) for v, s in zip(vs, signs)]
+    # u = (0, 1): the sign of u.v is that of v's lattice y (scale > 0)
+    signs = [1 if ge(y, 0, tol) else -1 for _, y in vs.pts]
+    signed = vs.signed(signs)
     n = len(vs)
     if n <= 15:
         subsets = (

@@ -5,7 +5,9 @@ reproduces the same instance. Rational instances are drawn on the integer
 grid: a point is an integer pair over one known denominator (1000 for
 drawn coordinates, 1000·S on a ball whose vertices are integers over S),
 rejection tests run on ints, and each output coordinate becomes a
-`Fraction` once, at the end. Polygonal boundary points are convex
+`Fraction` once, at the end. Integers are drawn straight off
+`rng.getrandbits` (`_randint`), with the values and generator states of
+`rng.randint`/`rng.randrange`. Polygonal boundary points are convex
 combinations of adjacent vertices, so their gauge is 1 exactly, with no
 float slack anywhere in exact mode. The Euclidean ball and float-vertex
 balls are drawn in floats.
@@ -39,13 +41,27 @@ def _vec(x: int, y: int, den: int) -> Vec2:
     return Vec2(Fraction(x, den), Fraction(y, den))
 
 
+def _randint(rng: random.Random, lo: int, hi: int) -> int:
+    """`rng.randint(lo, hi)` read straight off `rng.getrandbits`: the same
+    value, and the generator left in the same state, since this is the
+    rejection loop of CPython's `Random._randbelow` on hi − lo + 1. It is
+    `rng.randrange(n)` for lo = 0, hi = n − 1. Needs hi >= lo."""
+    n = hi - lo + 1
+    k = n.bit_length()
+    r = rng.getrandbits(k)
+    while r >= n:
+        r = rng.getrandbits(k)
+    return lo + r
+
+
 def _symmetric_polygon(seed: int, cls: type) -> UnitBall:
     """The `cls` polygon of the first draw of points and their negations
     that spans the plane."""
     rng = random.Random(seed)
     while True:
         pairs = [
-            (rng.randint(-_GRID, _GRID), rng.randint(-_GRID, _GRID)) for _ in range(_HALF_VERTICES)
+            (_randint(rng, -_GRID, _GRID), _randint(rng, -_GRID, _GRID))
+            for _ in range(_HALF_VERTICES)
         ]
         try:
             return compile_lattice(pairs + [(-x, -y) for x, y in pairs], _GRID, cls)
@@ -79,9 +95,9 @@ def gen_unit_vectors(
     for _ in range(n):
         if ball.is_polygonal:  # float vertices
             m = len(ball.vertices)
-            i = rng.randrange(m)
+            i = _randint(rng, 0, m - 1)
             a, b = ball.vertices[i], ball.vertices[(i + 1) % m]
-            t = Fraction(rng.randrange(_GRID), _GRID)
+            t = Fraction(_randint(rng, 0, _GRID - 1), _GRID)
             v = a + (b - a).scale(t)
         else:
             phi = rng.uniform(0.0, 2.0 * math.pi)
@@ -102,9 +118,9 @@ def _lattice_unit_vectors(
     below = _below(halfplane, den)
     out = []
     for _ in range(n):
-        i = rng.randrange(m)
+        i = _randint(rng, 0, m - 1)
         (ax, ay), (bx, by) = pairs[i], pairs[(i + 1) % m]
-        r = rng.randrange(_GRID)
+        r = _randint(rng, 0, _GRID - 1)
         x, y = _GRID * ax + r * (bx - ax), _GRID * ay + r * (by - ay)
         if below(x, y):
             x, y = -x, -y
@@ -153,8 +169,8 @@ def _lattice_point(grid: VertexGrid, rng: random.Random) -> tuple[int, int, int]
     ball, as (x, y, den): Σ wᵢPᵢ / (total·S)."""
     pairs, scale = grid
     m = len(pairs)
-    picks = [pairs[rng.randrange(m)] for _ in range(3)]
-    weights = [rng.randint(0, _GRID) for _ in range(3)]
+    picks = [pairs[_randint(rng, 0, m - 1)] for _ in range(3)]
+    weights = [_randint(rng, 0, _GRID) for _ in range(3)]
     total = sum(weights) or 1
     x = sum([w * px for w, (px, _) in zip(weights, picks)])
     y = sum([w * py for w, (_, py) in zip(weights, picks)])
@@ -179,8 +195,8 @@ def _float_point_in_ball(ball: UnitBall, rng: random.Random) -> Vec2:
         return Vec2(r * math.cos(phi), r * math.sin(phi))
     # a random convex combination of three float vertices stays in the ball
     m = len(ball.vertices)
-    picks = [ball.vertices[rng.randrange(m)] for _ in range(3)]
-    weights = [rng.randint(0, _GRID) for _ in range(3)]
+    picks = [ball.vertices[_randint(rng, 0, m - 1)] for _ in range(3)]
+    weights = [_randint(rng, 0, _GRID) for _ in range(3)]
     total = sum(weights) or 1
     out = Vec2(0, 0)
     for p, w in zip(picks, weights):
@@ -191,7 +207,7 @@ def _float_point_in_ball(ball: UnitBall, rng: random.Random) -> Vec2:
 def gen_direction(rng: random.Random) -> Vec2:
     """A nonzero rational direction."""
     while True:
-        x, y = rng.randint(-_GRID, _GRID), rng.randint(-_GRID, _GRID)
+        x, y = _randint(rng, -_GRID, _GRID), _randint(rng, -_GRID, _GRID)
         if x or y:
             return _vec(x, y, _GRID)
 
@@ -200,7 +216,7 @@ def gen_claim1_tuple(seed: int) -> list[Fraction]:
     """Six rationals in [-1, 1] with exact zero sum."""
     rng = random.Random(seed)
     while True:
-        xs = [rng.randint(-_GRID, _GRID) for _ in range(5)]
+        xs = [_randint(rng, -_GRID, _GRID) for _ in range(5)]
         closing = -sum(xs)
         if abs(closing) <= _GRID:
             return [Fraction(x, _GRID) for x in xs + [closing]]
@@ -219,9 +235,9 @@ def gen_collinear_family(ball: UnitBall, seed: int) -> tuple[tuple[Vec2, ...], l
     n = rng.choice([5, 7, 9])
     direction = gen_unit_vectors(ball, 1, rng.getrandbits(32))[0]
     while True:
-        ks = [rng.randint(400, _GRID) for _ in range(n)]
+        ks = [_randint(rng, 400, _GRID) for _ in range(n)]
         if rng.random() < 0.3:
-            ks[rng.randrange(n)] = -rng.randint(0, 150)
+            ks[_randint(rng, 0, n - 1)] = -_randint(rng, 0, 150)
         if all(abs(a + b + c) > _GRID for a, b, c in combinations(ks, 3)):
             xs = [Fraction(k, _GRID) for k in ks]
             return tuple(direction.scale(x) for x in xs), xs
@@ -238,8 +254,8 @@ def gen_asymmetric_body(seed: int) -> ConvexBody:
     rng = random.Random(seed)
     while True:
         pairs, scale = lattice_vertices(gen_random_ball(rng.getrandbits(32)))
-        i = rng.randrange(len(pairs))
-        k = rng.randint(1, 4)
+        i = _randint(rng, 0, len(pairs) - 1)
+        k = _randint(rng, 1, 4)
         # vertex i stretched by 1 + k/8: every vertex over 8·S, that one times 8 + k
         points = [(8 * x, 8 * y) for x, y in pairs]
         points[i] = ((8 + k) * pairs[i][0], (8 + k) * pairs[i][1])

@@ -56,6 +56,14 @@ class Family(tuple):
         fam.pts, fam.scale = grid or ([(float(v.x), float(v.y)) for v in fam], None)
         return fam
 
+    def signed(self, signs: Sequence[int]) -> "Family":
+        """The family with vector i times signs[i] (1 or -1), whose lattice
+        form is (s·X, s·Y) over the same scale: not put on the lattice again."""
+        fam = tuple.__new__(Family, [v if s > 0 else -v for v, s in zip(self, signs)])
+        fam.pts = [(s * x, s * y) for (x, y), s in zip(self.pts, signs)]
+        fam.scale = self.scale
+        return fam
+
     def floats(self) -> list[tuple[float, float]]:
         """The coordinates as floats, each rounded once from its exact value."""
         if self.scale is None:

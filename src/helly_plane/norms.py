@@ -7,17 +7,21 @@ of a point is the maximum of the edge functionals, which is exact on
 rational data.
 
 Each ball is compiled once, at construction, into integer edge normals
-(P, Q) over one common denominator, plus their float copies. Rational
-gauges and subset sums then run on plain ints. Deciding a norm against 1
-(`subset_tests`) compares two ints and forms no `Fraction`; a single
-`Fraction` is formed per reported gauge (`gauge`, `subset_gauges`). A
-supporting line at a boundary point (`supporting_functional`) is found on
-the same integer normals.
-Float gauges run on the float normals and round exactly as
-`Fraction * float` does. Rational polygons are compiled
-from integer points over one scale (`compile_lattice`, which the
-generators call with their 1/1000 grid directly), and keep their vertex
-cycle on that lattice beside the normals. Only this module reads them.
+(P, Q) over one common denominator. Rational gauges and subset sums then
+run on plain ints. Deciding a norm against 1 (`subset_tests`) compares
+two ints and forms no `Fraction`; a single `Fraction` is formed per
+reported gauge (`gauge`, `subset_gauges`). On rational data both walk
+the subsets of a family the same way: each vector's row of edge values
+P·X + Q·Y is worked out once per walk, and a subset's value is the
+largest lane of its rows added lane by lane. A supporting line at a
+boundary point (`supporting_functional`) is found on the same integer
+normals. Float gauges run on the float normals and round exactly as
+`Fraction * float` does. Rational polygons are compiled from integer
+points over one scale (`compile_lattice`, which the generators call with
+their 1/1000 grid directly), and keep only their vertex cycle on that
+lattice beside the normals: the `Fraction` vertices and the float normals
+are derived on first read, and `ball_to_json` prints the vertices
+straight from the ints. Only this module reads the compiled form.
 
 A `ConvexBody`, any convex polygon with the origin strictly inside, is
 built and compiled the same way: the maximum of its edge functionals is
@@ -28,8 +32,9 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
+from operator import add
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .errors import BadInput, NotConvexBody, NotPolygonal, NotSymmetric, ZeroDirection
@@ -44,7 +49,6 @@ POLYGONAL = "polygonal"
 VertexGrid = tuple[tuple[tuple[int, int], ...], int]
 
 
-@dataclass(frozen=True)
 class UnitBall:
     """A unit ball; polygonal ones carry their compiled edge normals.
 
@@ -53,20 +57,55 @@ class UnitBall:
     vertices are floats; `float_normals` holds (float(p), float(q)).
     `vertex_grid` is (pairs, scale) with `vertices[i] == pairs[i] / scale`,
     or None when the vertices are floats.
+
+    A rational ball is built from `vertex_grid` and `normals` alone: its
+    `vertices` and `float_normals` are derived on first read and kept.
+    Equality (within one class), hashing and repr go by (kind, vertices).
     """
 
-    kind: str
-    vertices: tuple[Vec2, ...] = ()
-    normals: Optional[tuple[tuple[int, int], ...]] = field(
-        default=None, repr=False, compare=False
-    )
-    den: int = field(default=1, repr=False, compare=False)
-    float_normals: tuple[tuple[float, float], ...] = field(
-        default=(), repr=False, compare=False
-    )
-    vertex_grid: Optional[VertexGrid] = field(
-        default=None, repr=False, compare=False
-    )
+    def __init__(
+        self,
+        kind: str,
+        vertices: Optional[tuple[Vec2, ...]] = None,
+        normals: Optional[tuple[tuple[int, int], ...]] = None,
+        den: int = 1,
+        float_normals: Optional[tuple[tuple[float, float], ...]] = None,
+        vertex_grid: Optional[VertexGrid] = None,
+    ):
+        self.kind = kind
+        self.normals = normals
+        self.den = den
+        self.vertex_grid = vertex_grid
+        # a given value takes the place of the derived one
+        if vertices is not None:
+            self.vertices = vertices
+        if float_normals is not None:
+            self.float_normals = float_normals
+
+    @cached_property
+    def vertices(self) -> tuple[Vec2, ...]:
+        if self.vertex_grid is None:
+            return ()
+        pairs, scale = self.vertex_grid
+        return tuple([Vec2(Fraction(x, scale), Fraction(y, scale)) for x, y in pairs])
+
+    @cached_property
+    def float_normals(self) -> tuple[tuple[float, float], ...]:
+        if self.normals is None:
+            return ()
+        den = self.den
+        return tuple([(p / den, q / den) for p, q in self.normals])
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.kind, self.vertices) == (other.kind, other.vertices)
+
+    def __hash__(self) -> int:
+        return hash((self.kind, self.vertices))
+
+    def __repr__(self) -> str:
+        return f"{self.__class__.__qualname__}(kind={self.kind!r}, vertices={self.vertices!r})"
 
     @property
     def is_polygonal(self) -> bool:
@@ -144,15 +183,8 @@ def compile_lattice(pairs: Sequence[tuple[int, int]], scale: int, cls: type) -> 
     coords = coords[start:] + coords[:start]
     den = math.lcm(*[det for _, _, det in rows])
     normals = tuple([(p * (den // det), q * (den // det)) for p, q, det in rows])
-    # tuples from lists, not generators (see geometry.lattice)
-    return cls(
-        POLYGONAL,
-        tuple([Vec2(Fraction(x, scale), Fraction(y, scale)) for x, y in coords]),
-        normals,
-        den,
-        tuple([(p / den, q / den) for p, q in normals]),
-        (tuple(coords), scale),
-    )
+    # a tuple from a list, not a generator (see geometry.lattice)
+    return cls(POLYGONAL, None, normals, den, None, (tuple(coords), scale))
 
 
 def _edge_rows(coords: list[tuple], scale: int, cls: type) -> tuple[int, list[tuple]]:
@@ -260,19 +292,21 @@ def _subset_walk(
     of each subset's sum equal to m / d.
 
     The walk reads the family's lattice form (a `Family` passed in keeps
-    its own), so a rational subset sum costs integer additions. On a ball
-    with integer normals m and d are ints; otherwise d is None and m is the
-    float gauge. Float data is summed as floats, left to right from 0 in
-    index order, which is bit for bit what `gauge(ball, vsum(...))`
+    its own). On a ball with integer normals and rational data, m and d
+    are ints: each vector's row of edge values P·X + Q·Y is worked out
+    once per walk, and a subset's m is the largest lane of its rows added
+    lane by lane (0 for the empty subset). Otherwise d is None and m is
+    the float gauge: float data is summed as floats, left to right from 0
+    in index order, which is bit for bit what `gauge(ball, vsum(...))`
     computes; rational data on a Euclidean or float-vertex ball is summed
     exactly, then rounded once.
     """
     fam = Family(vectors)
     pts, den = fam.pts, fam.scale
-    exact = den is not None and ball.normals is not None
+    if den is not None and ball.normals is not None:
+        return ball.den * den, _row_walk(ball.normals, pts, subsets)
 
     def walk():
-        normals = ball.normals
         for t in subsets:
             # `Family.lattice_sum` inlined: a call per subset costs a third
             # of the walk on float data
@@ -281,14 +315,28 @@ def _subset_walk(
                 x, y = pts[i]
                 sx += x
                 sy += y
-            if exact:
-                yield t, max([p * sx + q * sy for p, q in normals])
-            elif den is None:
+            if den is None:
                 yield t, _float_gauge(ball, sx, sy)
             else:
                 yield t, _float_gauge(ball, sx / den, sy / den)
 
-    return (ball.den * den if exact else None), walk()
+    return None, walk()
+
+
+def _row_walk(
+    normals: Sequence[tuple[int, int]],
+    pts: Sequence[tuple[int, int]],
+    subsets: Iterable[Sequence[int]],
+) -> Iterator[tuple[Sequence[int], int]]:
+    """(subset, max over edges of P·SX + Q·SY) for the lattice sum (SX, SY)
+    of each subset, from per-vector rows of edge values."""
+    rows = [[p * x + q * y for p, q in normals] for x, y in pts]
+    for t in subsets:
+        it = iter(t)
+        lanes = rows[next(it)] if t else (0,)
+        for i in it:
+            lanes = map(add, lanes, rows[i])
+        yield t, max(lanes)
 
 
 def supporting_functional(
@@ -347,7 +395,16 @@ def boundary_point(ball: UnitBall, direction: Vec2) -> Vec2:
 def ball_to_json(ball: UnitBall) -> dict:
     if ball.kind == EUCLIDEAN:
         return {"type": EUCLIDEAN}
-    return {"type": POLYGONAL, "vertices": [v.to_json() for v in ball.vertices]}
+    if ball.vertex_grid is None:
+        return {"type": POLYGONAL, "vertices": [v.to_json() for v in ball.vertices]}
+    pairs, scale = ball.vertex_grid
+    return {"type": POLYGONAL, "vertices": [[_ratio(x, scale), _ratio(y, scale)] for x, y in pairs]}
+
+
+def _ratio(n: int, d: int) -> str:
+    """`str(Fraction(n, d))` for d > 0, formed on ints: reduced "p/q", or "p"."""
+    g = math.gcd(n, d)
+    return str(n // g) if g == d else f"{n // g}/{d // g}"
 
 
 def ball_from_json(obj: dict, mode: str = "exact") -> UnitBall:

@@ -146,3 +146,23 @@ def test_antipodal_pair():
     assert nw == -w
     assert u.dot(w) == 0
     assert gauge(ball, w) == 1
+
+
+RANGE_SIZES = (1, 2, 4, 12, 1000, 1001, 2001)
+
+
+def test_randint_reads_the_same_stream_as_random():
+    # the draw helper returns what randint/randrange return and leaves the
+    # generator in the same state, draw after draw, on ranges of every size
+    # the generators use (a power of two and one either side of it included)
+    for seed in range(40):
+        for size in RANGE_SIZES:
+            for lo in (0, -(size // 2), 7):
+                ours, ref = random.Random(seed), random.Random(seed)
+                for _ in range(25):
+                    assert generators._randint(ours, lo, lo + size - 1) == ref.randint(
+                        lo, lo + size - 1
+                    )
+                    if lo == 0:
+                        assert generators._randint(ours, 0, size - 1) == ref.randrange(size)
+                assert ours.getstate() == ref.getstate()

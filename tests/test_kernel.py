@@ -16,7 +16,7 @@ from itertools import combinations
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from helly_plane import geometry
+from helly_plane import geometry, norms
 from helly_plane.algorithms import choose_signs
 from helly_plane.errors import NotConvexBody
 from helly_plane.gallery import gallery_case
@@ -25,9 +25,11 @@ from helly_plane.generators import (
 )
 from helly_plane.geometry import convex_hull, orientation
 from helly_plane.norms import (
+    UnitBall,
     ball_from_json,
     ball_to_json,
     boundary_point,
+    compile_lattice,
     edge_functionals,
     euclidean_ball,
     gauge,
@@ -146,6 +148,34 @@ def test_float_vertex_edge_functionals(ball):
         assert math.isclose(n.y, exact.y, rel_tol=1e-6, abs_tol=1e-9)
 
 
+@given(ball=st.one_of(balls(), balls(integer_points)))
+def test_lattice_ball_json_is_the_fraction_text(ball):
+    # written from the integer vertex cycle before any vertex is formed,
+    # byte for byte what the `Fraction` vertices print
+    got = ball_to_json(ball)
+    assert "vertices" not in vars(ball)
+    assert got == {"type": "polygonal", "vertices": [v.to_json() for v in ball.vertices]}
+
+
+def test_lattice_ball_forms_no_fraction_until_its_vertices_are_read(monkeypatch):
+    formed = []
+
+    def counted(*args):
+        formed.append(args)
+        return Fraction(*args)
+
+    monkeypatch.setattr(norms, "Fraction", counted)
+    ball = gen_random_ball(11)
+    same = compile_lattice(*ball.vertex_grid, UnitBall)
+    ball_to_json(same)
+    assert same.float_normals == ball.float_normals
+    assert formed == []
+    vertices = same.vertices
+    assert len(formed) == 2 * len(vertices)
+    assert same.vertices is vertices  # formed once
+    assert same == ball and hash(same) == hash(ball) and repr(same) == repr(ball)
+
+
 @given(ball=balls(), z=float_points)
 def test_float_gauge_is_bitwise_edge_maximum(ball, z):
     expected = max(float(n.x) * z.x + float(n.y) * z.y for n in edge_functionals(ball))
@@ -249,6 +279,32 @@ def test_subset_tests_are_exact_on_rational_data(ball, vectors, tol):
     assert_sphere_tests(ball, vectors, tol, EXACT)
 
 
+@st.composite
+def explicit_subsets(draw, n):
+    """Subsets as callers hand them over one by one: the empty one, sorted
+    samples that may repeat (`choose_signs` past 15 vectors), a single
+    given triple (lemma-main's re-check), and indices repeated in one."""
+    sample = st.lists(st.integers(0, n - 1), max_size=n).map(lambda t: tuple(sorted(set(t))))
+    picked = draw(st.lists(sample, max_size=6))
+    triple = tuple(draw(st.lists(st.integers(0, n - 1), min_size=3, max_size=3)))
+    return draw(st.sampled_from([[()], [triple], [(), *picked, *picked, triple, triple]]))
+
+
+@given(ball=kernel_balls, vectors=families, tol=TOLS, data=st.data())
+def test_kernel_on_explicit_subsets(ball, vectors, tol, data):
+    ts = data.draw(explicit_subsets(len(vectors)))
+    gauges = [gauge(ball, vsum(vectors[i] for i in t)) for t in ts]
+    for rel in RELS:
+        got = list(subset_tests(ball, vectors, iter(ts), rel, tol))
+        assert got == [(t, rel(g, 1, tol)) for t, g in zip(ts, gauges)]
+    got = list(subset_gauges(ball, vectors, iter(ts)))
+    assert [t for t, _ in got] == ts
+    for (t, g), ref in zip(got, gauges):
+        assert g == ref
+        if t:  # the empty sum is the int origin, whose reference gauge is exact
+            assert type(g) is type(ref) and (not isinstance(g, float) or g.hex() == ref.hex())
+
+
 def test_subset_tests_on_gallery_equality_families():
     # sums at gauge exactly 1: min 3-sum of thm3-closed-fails, the total of remark1-equality
     for name in ("thm3-closed-fails", "remark1-equality"):
@@ -307,10 +363,10 @@ def test_each_family_is_put_on_the_lattice_once(monkeypatch):
         (lambda: corollary_check(ball, vs, 5), [vs]),
         (lambda: lemma_main_witness(ball, zs), [zs]),
         (lambda: lemma_conv_check(ball, *vs[:3]), [vs[:3]]),
-        (lambda: choose_signs(ball, vs), [vs, None]),  # None: its signed copy
+        (lambda: choose_signs(ball, vs), [vs]),  # its signed copy reuses the lattice
     ]
     for call, families in calls:
         seen.clear()
         call()
         assert len(seen) == len(families)
-        assert all(f is None or got == tuple(f) for got, f in zip(seen, families))
+        assert all(got == tuple(f) for got, f in zip(seen, families))
