@@ -48,7 +48,6 @@ from .theorems import (
     lemma_conv_check,
     lemma_main_witness,
     verify_helly,
-    verify_helly_1d,
     verify_theorem1,
 )
 from .vectors import Vec2, VectorMultiset, vsum

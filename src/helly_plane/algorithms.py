@@ -9,7 +9,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, combinations
+from itertools import chain
 from typing import Sequence
 
 from .errors import (
@@ -24,7 +24,7 @@ from .errors import (
     ZeroDirection,
 )
 from .geometry import Family
-from .norms import UnitBall, edge_functionals, gauge, subset_gauges, subset_tests
+from .norms import SubsetSums, UnitBall, edge_functionals, gauge
 from .scalars import DEFAULT_TOL, Scalar, eq, ge
 from .vectors import Vec2, VectorMultiset, vsum
 
@@ -162,26 +162,25 @@ def choose_signs(
     returning; larger families get a 1000-subset sample check.
     """
     vs = Family(vectors)
-    for (i,), unit in subset_tests(ball, vs, combinations(range(len(vs)), 1), eq, tol):
+    for (i,), unit in SubsetSums(ball, vs).tests(1, eq, tol):
         if not unit:
             raise NotUnitVectors(f"vector {i} has gauge {gauge(ball, vs[i])}")
     # u = (0, 1): the sign of u.v is that of v's lattice y (scale > 0)
     signs = [1 if ge(y, 0, tol) else -1 for _, y in vs.pts]
     signed = vs.signed(signs)
     n = len(vs)
-    if n <= 15:
-        subsets = (
-            t for size in range(1, n + 1, 2) for t in combinations(range(n), size)
-        )
+    sums = SubsetSums(ball, signed, n)
+    if n <= 15:  # one pass per odd size
+        checks = chain.from_iterable(sums.tests(size, ge, tol) for size in range(1, n + 1, 2))
     else:
         rng = random.Random(0x5163)
         def _sampled():
             for _ in range(1000):
                 size = rng.randrange(1, n + 1, 2)
                 yield tuple(sorted(rng.sample(range(n), size)))
-        subsets = _sampled()
+        checks = sums.tests(_sampled(), ge, tol)
     checked = 0
-    for t, outside in subset_tests(ball, signed, subsets, ge, tol):
+    for t, outside in checks:
         if not outside:
             raise TheoremFalsified(f"odd subset {t} has signed sum of norm < 1")
         checked += 1
@@ -283,10 +282,9 @@ def _check_generic(
     for v, w in zip(originals, perturbed):
         if not gauge(ball, w - v.scale(lam)) <= eps:
             raise TheoremFalsified("perturbation moved too far")
-    n = len(perturbed)
     seen: dict[Scalar, tuple[int, ...]] = {}
-    subsets = chain(combinations(range(n), 3), combinations(range(n), 5))
-    for t, g in subset_gauges(ball, perturbed, subsets):
+    sums = SubsetSums(ball, perturbed, 5)
+    for t, g in chain(sums.gauges(3), sums.gauges(5)):
         if g in seen and seen[g] != t:
             raise TheoremFalsified(
                 f"subsets {seen[g]} and {t} share the sum norm {g}"

@@ -41,7 +41,7 @@ class Family(tuple):
     `pts` holds integer pairs over `scale` when every coordinate is
     rational, else the coordinates as floats and `scale` is None.
     `Family(family)` is the family itself, so a verifier that hands its
-    family on (to `norms.subset_tests`, or to another verifier) puts it on
+    family on (to `norms.SubsetSums`, or to another verifier) puts it on
     the lattice only once.
     """
 

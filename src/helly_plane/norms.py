@@ -8,12 +8,15 @@ rational data.
 
 Each ball is compiled once, at construction, into integer edge normals
 (P, Q) over one common denominator. Rational gauges and subset sums then
-run on plain ints. Deciding a norm against 1 (`subset_tests`) compares
-two ints and forms no `Fraction`; a single `Fraction` is formed per
-reported gauge (`gauge`, `subset_gauges`). On rational data both walk
-the subsets of a family the same way: each vector's row of edge values
-P·X + Q·Y is worked out once per walk, and a subset's value is the
-largest lane of its rows added lane by lane. A supporting line at a
+run on plain ints. A family's subset sums against a ball
+(`SubsetSums`, and its one-call forms `subset_tests` and
+`subset_gauges`) are packed lanes on rational data: each vector becomes
+one int holding its edge values P·X + Q·Y in fields with a guard bit,
+packed once per verifier call, so a k-sum is k int adds, every k-sum of
+a family is summed in C, and "norm vs 1" is one or two mask tests that
+form no `Fraction`; a single `Fraction` is formed per reported gauge
+(`gauge`, `SubsetSums.gauges`). Float data keeps its float walk, one
+enumeration per subset. A supporting line at a
 boundary point (`supporting_functional`) is found on the same integer
 normals. Float gauges run on the float normals and round exactly as
 `Fraction * float` does. Rational polygons are compiled from integer
@@ -21,7 +24,8 @@ points over one scale (`compile_lattice`, which the generators call with
 their 1/1000 grid directly), and keep only their vertex cycle on that
 lattice beside the normals: the `Fraction` vertices and the float normals
 are derived on first read, and `ball_to_json` prints the vertices
-straight from the ints. Only this module reads the compiled form.
+straight from the ints. Only this module reads the compiled form and
+the packed lanes.
 
 A `ConvexBody`, any convex polygon with the origin strictly inside, is
 built and compiled the same way: the maximum of its edge functionals is
@@ -34,8 +38,9 @@ import json
 import math
 from fractions import Fraction
 from functools import cached_property
-from operator import add
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+from itertools import combinations, repeat
+from operator import not_
+from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 
 from .errors import BadInput, NotConvexBody, NotPolygonal, NotSymmetric, ZeroDirection
 from .geometry import Family, convex_hull, lattice, monotone_chain
@@ -95,6 +100,18 @@ class UnitBall:
             return ()
         den = self.den
         return tuple([(p / den, q / den) for p, q in self.normals])
+
+    @cached_property
+    def json_doc(self) -> dict:
+        """`ball_to_json(self)`, formed on first read and then shared, so a
+        ball that serves a whole run is printed once: read it, never change it."""
+        return ball_to_json(self)
+
+    @cached_property
+    def _packings(self) -> dict:
+        """w -> (lane shifts, unit, P lanes, Q lanes): the constants of
+        `SubsetSums` packings in fields of w + 1 bits, made once per w."""
+        return {}
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
@@ -259,54 +276,134 @@ def subset_tests(
     tol: float = DEFAULT_TOL,
 ) -> Iterator[tuple[Sequence[int], bool]]:
     """(subset, rel(gauge of the subset's vector sum, 1, tol)) for each
-    index subset, lazily; `rel` is one of the `scalars` comparisons.
-
-    On a ball with integer normals and rational data the gauge is m / d
-    with ints m and d > 0, so the answer is `rel(m, d, tol)`: no `Fraction`
-    is formed. Otherwise it is `rel(float gauge, 1, tol)`, as `gauge` gives.
-    """
-    d, walk = _subset_walk(ball, vectors, subsets)
-    d = 1 if d is None else d
-    for t, m in walk:
-        yield t, rel(m, d, tol)
+    index subset: `SubsetSums(ball, vectors).tests(subsets, rel, tol)`."""
+    return SubsetSums(ball, vectors).tests(subsets, rel, tol)
 
 
 def subset_gauges(
     ball: UnitBall, vectors: Sequence[Vec2], subsets: Iterable[Sequence[int]]
 ) -> Iterator[tuple[Sequence[int], Scalar]]:
-    """(subset, gauge of the subset's vector sum) for each index subset,
-    lazily: one `Fraction` per rational gauge, bit for bit what
-    `gauge(ball, vsum(...))` gives."""
-    d, walk = _subset_walk(ball, vectors, subsets)
-    if d is None:
-        yield from walk
-    else:
-        for t, m in walk:
-            yield t, Fraction(m, d)
+    """(subset, gauge of the subset's vector sum) for each index subset:
+    `SubsetSums(ball, vectors).gauges(subsets)`."""
+    return SubsetSums(ball, vectors).gauges(subsets)
 
 
-def _subset_walk(
-    ball: UnitBall, vectors: Sequence[Vec2], subsets: Iterable[Sequence[int]]
-) -> tuple[Optional[int], Iterator[tuple[Sequence[int], Scalar]]]:
-    """The one walk over subset sums: (d, pairs (subset, m)) with the gauge
-    of each subset's sum equal to m / d.
+class SubsetSums:
+    """The subset sums of one family against one ball.
 
-    The walk reads the family's lattice form (a `Family` passed in keeps
-    its own). On a ball with integer normals and rational data, m and d
-    are ints: each vector's row of edge values P·X + Q·Y is worked out
-    once per walk, and a subset's m is the largest lane of its rows added
-    lane by lane (0 for the empty subset). Otherwise d is None and m is
-    the float gauge: float data is summed as floats, left to right from 0
-    in index order, which is bit for bit what `gauge(ball, vsum(...))`
+    `tests` and `gauges` take either an int k, for every k-subset in
+    `combinations` order, or explicit index subsets. The family is read in
+    its lattice form (a `Family` passed in keeps its own).
+
+    On a ball with integer normals and rational data the gauge of a subset
+    sum is m / d, with m the largest of its edge values P·SX + Q·SY and
+    d = den · scale. Each vector is then packed once into one int: lane e
+    holds its edge value r plus R = max |r| in a field of w + 1 bits, the
+    top bit of each field a guard. A k-sum is k int adds, and its lanes
+    hold m_e + kR. Adding (2^w − 1 − d − kR) to every lane sets a guard
+    bit exactly when some m_e > d, and one more sets it when some m_e >= d;
+    with 2^w > d + kmax·R + 1 no lane ever carries into the next. So
+    `rel(m, d, tol)`, which for ints is `rel(sign(m − d), 0, tol)`, is
+    read off one or two masks, and no `Fraction` is formed; `gauges` reads
+    m back from the lanes. A k-pass sums in C (`map(sum, combinations)`).
+    The packing is made on the first request, wide enough for `kmax` and
+    that request, and again only for a longer subset; a ball keeps the
+    lane constants of each field width it was packed at. (2^w > d + kR
+    would do: the + 1 is slack.)
+
+    Otherwise each subset is summed as floats, left to right from 0 in
+    index order, which is bit for bit what `gauge(ball, vsum(...))`
     computes; rational data on a Euclidean or float-vertex ball is summed
-    exactly, then rounded once.
+    exactly, then rounded once. Each subset is enumerated once.
     """
-    fam = Family(vectors)
-    pts, den = fam.pts, fam.scale
-    if den is not None and ball.normals is not None:
-        return ball.den * den, _row_walk(ball.normals, pts, subsets)
 
-    def walk():
+    def __init__(self, ball: UnitBall, vectors: Sequence[Vec2], kmax: int = 1):
+        fam = Family(vectors)
+        self._ball, self._pts, self._scale = ball, fam.pts, fam.scale
+        self._exact = fam.scale is not None and ball.normals is not None
+        self._kmax = kmax
+        self._cap = -1  # the longest subset the packing holds; -1 before it is made
+
+    def tests(
+        self, subsets: Union[int, Iterable[Sequence[int]]], rel: Callable[..., bool],
+        tol: float = DEFAULT_TOL,
+    ) -> Iterator[tuple[Sequence[int], bool]]:
+        """(subset, rel(gauge of the subset's vector sum, 1, tol)) for each
+        subset; `rel` is one of the `scalars` comparisons."""
+        if not self._exact:
+            return ((t, rel(g, 1, tol)) for t, g in self._float_walk(subsets))
+        # for ints rel(m, d) is rel(sign(m - d), 0): ask it once per sign
+        lo, mid, hi = rel(-1, 0, tol), rel(0, 0, tol), rel(1, 0, tol)
+        if lo != hi and mid in (lo, hi):  # one mask: m > d, or m >= d
+            ts, sums = self._sums(subsets, mid == hi)
+            return zip(ts, map(bool if hi else not_, map(self._guard.__and__, sums)))
+        ts, sums = self._sums(subsets)
+        guard, unit, answers = self._guard, self._unit, (lo, mid, hi)
+        # index [m > d] + [m >= d]: 0, 1, 2 for m - d < 0, == 0, > 0
+        return zip(ts, (answers[(s & guard > 0) + (s + unit & guard > 0)] for s in sums))
+
+    def gauges(
+        self, subsets: Union[int, Iterable[Sequence[int]]]
+    ) -> Iterator[tuple[Sequence[int], Scalar]]:
+        """(subset, gauge of the subset's vector sum) for each subset: one
+        `Fraction` per rational gauge, bit for bit what
+        `gauge(ball, vsum(...))` gives."""
+        if not self._exact:
+            return self._float_walk(subsets)
+        ts, sums = self._sums(subsets)
+        mask, shifts = self._mask, self._shifts
+        # every lane holds m_e + 2^w - 1 - d, the offset in each lane of the top
+        top, d = self._top & mask, self._scale * self._ball.den
+        return (
+            (t, Fraction(max([s >> e & mask for e in shifts]) - top, d)) for t, s in zip(ts, sums)
+        )
+
+    def _sums(self, subsets: Union[int, Iterable[Sequence[int]]], extra: int = 0):
+        """The subsets and their packed sums, each lane raised by
+        2^w − 1 − d − kR + extra, k the subset's length: a lane's guard bit
+        is then set exactly when m_e + extra > d. A k-pass sums in C."""
+        if isinstance(subsets, int):
+            if subsets > self._cap:
+                self._pack(subsets)
+            start = self._top + extra * self._unit - subsets * self._ru
+            sums = map(sum, combinations(self._lanes, subsets), repeat(start))
+            return combinations(range(len(self._pts)), subsets), sums
+        ts = list(subsets)
+        longest = max(map(len, ts), default=0)
+        if longest > self._cap:
+            self._pack(longest)
+        lanes, top, ru = self._lanes, self._top + extra * self._unit, self._ru
+        return ts, [sum([lanes[i] for i in t], top - len(t) * ru) for t in ts]
+
+    def _pack(self, k: int) -> None:
+        """Pack each vector into lanes wide enough for sums of k or `kmax`."""
+        ball, pts = self._ball, self._pts
+        k = max(k, self._kmax, 1)
+        if self._cap < 0:
+            # a ball's edges come in opposite pairs: half of them give every |r|
+            half = ball.normals[: len(ball.normals) // 2] if type(ball) is UnitBall else ball.normals
+            self._reach = max([abs(p * x + q * y) for x, y in pts for p, q in half], default=0)
+        reach, d = self._reach, self._scale * ball.den
+        w = (d + k * reach + 1).bit_length()
+        if w not in ball._packings:
+            shifts = range(0, (w + 1) * len(ball.normals), w + 1)
+            # packing is linear: X·(P lanes) + Y·(Q lanes) holds each r = P·X + Q·Y
+            ball._packings[w] = (
+                shifts,
+                sum([1 << e for e in shifts]),
+                sum([p << e for (p, _), e in zip(ball.normals, shifts)]),
+                sum([q << e for (_, q), e in zip(ball.normals, shifts)]),
+            )
+        self._shifts, unit, px, qy = ball._packings[w]
+        self._ru = ru = reach * unit
+        self._lanes = [x * px + y * qy + ru for x, y in pts]
+        self._unit, self._guard, self._top = unit, unit << w, unit * ((1 << w) - 1 - d)
+        self._mask, self._cap = (1 << w + 1) - 1, k
+
+    def _float_walk(self, subsets: Union[int, Iterable[Sequence[int]]]):
+        ball, pts, den = self._ball, self._pts, self._scale
+        if isinstance(subsets, int):
+            subsets = combinations(range(len(pts)), subsets)
         for t in subsets:
             # `Family.lattice_sum` inlined: a call per subset costs a third
             # of the walk on float data
@@ -319,24 +416,6 @@ def _subset_walk(
                 yield t, _float_gauge(ball, sx, sy)
             else:
                 yield t, _float_gauge(ball, sx / den, sy / den)
-
-    return None, walk()
-
-
-def _row_walk(
-    normals: Sequence[tuple[int, int]],
-    pts: Sequence[tuple[int, int]],
-    subsets: Iterable[Sequence[int]],
-) -> Iterator[tuple[Sequence[int], int]]:
-    """(subset, max over edges of P·SX + Q·SY) for the lattice sum (SX, SY)
-    of each subset, from per-vector rows of edge values."""
-    rows = [[p * x + q * y for p, q in normals] for x, y in pts]
-    for t in subsets:
-        it = iter(t)
-        lanes = rows[next(it)] if t else (0,)
-        for i in it:
-            lanes = map(add, lanes, rows[i])
-        yield t, max(lanes)
 
 
 def supporting_functional(

@@ -34,7 +34,7 @@ from .generators import (
 )
 from .geometry import Family
 from .norms import (
-    UnitBall, ball_from_json, ball_to_json, euclidean_ball, load_json, square_ball, subset_tests,
+    UnitBall, ball_from_json, euclidean_ball, load_json, square_ball, subset_tests,
 )
 from .scalars import le
 from .symmetry import (
@@ -167,7 +167,7 @@ def _fixed_ball(cfg: SuiteConfig) -> UnitBall:
 
 def _on_ball(ball: UnitBall, vectors, extra=None, **fields) -> Instance:
     """An instance on a ball; its digest covers the ball, the vectors and `extra`."""
-    payload = {"ball": ball_to_json(ball), "vectors": [v.to_json() for v in vectors]}
+    payload = {"ball": ball.json_doc, "vectors": [v.to_json() for v in vectors]}
     payload.update(extra or {})
     return Instance(payload, ball, vectors, **fields)
 

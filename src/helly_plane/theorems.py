@@ -32,7 +32,7 @@ from .errors import (
     ZeroDirection,
 )
 from .geometry import Family, point_in_triangle
-from .norms import UnitBall, gauge, subset_tests, supporting_functional
+from .norms import SubsetSums, UnitBall, gauge, supporting_functional
 from .scalars import (
     DEFAULT_TOL, Scalar, eq, format_scalar, ge, gt, is_float, lattice_values, le, sgn,
 )
@@ -119,7 +119,7 @@ def verify_theorem1(
     bad: list[KSum] = []
     if len(vs) % 2 == 0:
         notes.append("even cardinality")
-    for (i,), unit in subset_tests(ball, vs, _singles(len(vs)), eq, tol):
+    for (i,), unit in SubsetSums(ball, vs).tests(1, eq, tol):
         v = vs[i]
         if not unit:
             bad.append(KSum((i,), v))
@@ -227,41 +227,26 @@ def halfplane_certificate(
     return Certificate(k, u, tangent, ordered, projections, projection_sum)
 
 
-def _odd_family(n: int, noun: str) -> None:
+def _odd_family(n: int) -> None:
     if n < 3:
-        raise TooFew(f"need at least 3 {noun}")
+        raise TooFew("need at least 3 vectors")
     if n % 2 == 0:
         raise EvenCardinality("the family must have odd size")
 
 
-def _singles(n: int):
-    """The one-element index subsets of a family of n, in order."""
-    return combinations(range(n), 1)
+def _three_sum_judge(sums: SubsetSums, total_norm: Scalar, strict: bool, tol: float):
+    """The one judge of the three-sum theorems, on a family's subset sums.
 
-
-def _three_sum_judge(tests, n: int, total_norm: Scalar, strict: bool, tol: float):
-    """The one judge of the three-sum theorems.
-
-    `tests(subsets, rel)` yields (index tuple, rel(norm of the tuple's sum,
-    1, tol)) for a family of n. Strict: every vector in the ball and every
-    3-sum of norm > 1 imply a total of norm > 1. Non-strict: every vector
-    of norm 1 and every 3-sum of norm >= 1 imply a total of norm >= 1.
-    Returns the index tuples breaking the hypothesis (none when it holds)
-    and whether the conclusion holds.
+    Strict: every vector in the ball and every 3-sum of norm > 1 imply a
+    total of norm > 1. Non-strict: every vector of norm 1 and every 3-sum
+    of norm >= 1 imply a total of norm >= 1. Returns the index tuples
+    breaking the hypothesis (none when it holds) and whether the
+    conclusion holds.
     """
     single_ok, triple_ok = (le, gt) if strict else (eq, ge)
-    bad = [idx for idx, ok in tests(_singles(n), single_ok) if not ok]
-    bad += [idx for idx, ok in tests(combinations(range(n), 3), triple_ok) if not ok]
+    bad = [t for t, ok in sums.tests(1, single_ok, tol) if not ok]
+    bad += [t for t, ok in sums.tests(3, triple_ok, tol) if not ok]
     return bad, triple_ok(total_norm, 1, tol)
-
-
-def _plane_judge(ball: UnitBall, vs: Family, total_norm: Scalar, strict: bool, tol: float):
-    """`_three_sum_judge` on the norms of a family of the plane, read from
-    the family's one lattice form."""
-    return _three_sum_judge(
-        lambda subsets, rel: subset_tests(ball, vs, subsets, rel, tol),
-        len(vs), total_norm, strict, tol,
-    )
 
 
 def verify_helly(
@@ -275,35 +260,13 @@ def verify_helly(
     own: along a line through the origin the norm is |signed length|.
     """
     vs = Family(vectors)
-    _odd_family(len(vs), "vectors")
+    _odd_family(len(vs))
     total = vs.vector_sum(range(len(vs)))
     total_norm = gauge(ball, total)
-    bad, conclusion = _plane_judge(ball, vs, total_norm, strict, tol)
+    bad, conclusion = _three_sum_judge(SubsetSums(ball, vs, 3), total_norm, strict, tol)
     return VerifyReport(
         "T3" if strict else "T2", not bad, conclusion, total, total_norm,
         witnesses=[KSum(idx, vs.vector_sum(idx)) for idx in bad],
-    )
-
-
-def verify_helly_1d(
-    xs: Sequence[Scalar], strict: bool, tol: float = DEFAULT_TOL
-) -> VerifyReport:
-    """The three-sum theorems for collinear data given as signed lengths.
-
-    The unit ball of the line is the segment [-1, 1]; each x is the signed
-    norm of a vector along a common direction.
-    """
-    values = list(xs)
-    _odd_family(len(values), "values")
-    total = sum(values)
-    bad, conclusion = _three_sum_judge(
-        lambda subsets, rel: ((t, rel(abs(sum(values[i] for i in t)), 1, tol)) for t in subsets),
-        len(values), abs(total), strict, tol,
-    )
-    return VerifyReport(
-        "T3" if strict else "T2", not bad, conclusion, Vec2(total, 0), abs(total),
-        witnesses=[KSum(idx, Vec2(sum(values[i] for i in idx), 0)) for idx in bad],
-        notes="1d instance over the segment [-1, 1]",
     )
 
 
@@ -316,9 +279,9 @@ def corollary_check(
         raise BadK(f"k must be odd, > 3, and <= {len(vs)}; got {k}")
     total = vs.vector_sum(range(len(vs)))
     total_norm = gauge(ball, total)
-    bad, _ = _plane_judge(ball, vs, total_norm, True, tol)
-    ksums = subset_tests(ball, vs, combinations(range(len(vs)), k), gt, tol)
-    failing = [t for t, outside in ksums if not outside]
+    sums = SubsetSums(ball, vs, k)  # one packing for the 1-, 3- and k-sums
+    bad, _ = _three_sum_judge(sums, total_norm, True, tol)
+    failing = [t for t, outside in sums.tests(k, gt, tol) if not outside]
     return VerifyReport(
         "COR", not bad, not failing, total, total_norm,
         witnesses=[KSum(t, vs.vector_sum(t)) for t in bad or failing],
@@ -337,7 +300,7 @@ def lemma_conv_check(
     integer sum: scaling by the common denominator keeps every sign.
     """
     vs = Family((a, b, c))
-    for (i,), unit in subset_tests(ball, vs, _singles(3), eq, tol):
+    for (i,), unit in SubsetSums(ball, vs).tests(1, eq, tol):
         if not unit:
             raise NotOnBoundary(f"{vs[i]} has gauge {gauge(ball, vs[i])}, expected 1")
     a, b, c = [Vec2(x, y) for x, y in vs.pts]
@@ -355,13 +318,14 @@ def lemma_main_witness(
     zs = Family(vectors)
     if len(zs) != 6:
         raise PreconditionFailed(f"need exactly 6 vectors, got {len(zs)}")
-    for (i,), inside in subset_tests(ball, zs, _singles(6), le, tol):
+    sums = SubsetSums(ball, zs, 3)
+    for (i,), inside in sums.tests(1, le, tol):
         if not inside:
             raise PreconditionFailed(f"vector {i} is outside the ball")
     sx, sy = zs.lattice_sum(range(6))  # zero exactly when the sum is
     if not (eq(sx, 0, tol) and eq(sy, 0, tol)):
         raise PreconditionFailed("vectors do not sum to zero")
-    for t, inside in subset_tests(ball, zs, combinations(range(6), 3), le, tol):
+    for t, inside in sums.tests(3, le, tol):
         if inside:
             return t
     raise TheoremFalsified("no triple of a zero-sum 6-family lands in the ball")
@@ -373,7 +337,7 @@ def claim1_triplets(xs: Sequence[Scalar], tol: float = DEFAULT_TOL) -> list[tupl
     At least 12 of the 20 triples always qualify, and the qualifying set is
     closed under complement; both facts are what the callers test.
     Rational values are compared as integer numerators m with their common
-    denominator d, `rel(m, d, tol)` as in `subset_tests`; floats with d = 1.
+    denominator d, `rel(m, d, tol)` as in `norms.SubsetSums`; floats with d = 1.
     """
     values = list(xs)
     if len(values) != 6:

@@ -11,7 +11,9 @@ The reference generators are the `Fraction`-arithmetic generators that
 the lattice generators replaced, and the reference verifiers at the end
 are the `Vec2`/`Fraction` forms of T1's certificate, lemma-conv and Claim 1
 that the lattice verifiers replaced; both must be reproduced value for
-value and type for type.
+value and type for type. `verify_helly_1d` is the line oracle of the
+three-sum theorems: it judges signed lengths over [-1, 1] with no ball
+and no subset-sum kernel.
 """
 
 import functools
@@ -21,12 +23,14 @@ from fractions import Fraction
 from itertools import combinations
 
 from helly_plane.errors import (
+    EvenCardinality,
     HypothesisFailed,
     NotConvexBody,
     NotOnBoundary,
     NotSymmetric,
     PreconditionFailed,
     TheoremFalsified,
+    TooFew,
     ZeroDirection,
 )
 from helly_plane.geometry import convex_hull, lattice, orientation, point_in_triangle
@@ -39,7 +43,7 @@ from helly_plane.norms import (
     gauge,
     subset_tests,
 )
-from helly_plane.scalars import DEFAULT_TOL, eq, exactify, ge, le, sgn
+from helly_plane.scalars import DEFAULT_TOL, eq, exactify, ge, gt, le, sgn
 from helly_plane.symmetry import is_centrally_symmetric
 from helly_plane.theorems import Certificate, KSum, VerifyReport
 from helly_plane.vectors import ORIGIN, Vec2, vsum
@@ -422,3 +426,31 @@ def ref_claim1_triplets(xs, tol=DEFAULT_TOL):
         for t in combinations(range(6), 3)
         if le(abs(values[t[0]] + values[t[1]] + values[t[2]]), 1, tol)
     ]
+
+
+def verify_helly_1d(xs, strict, tol=DEFAULT_TOL):
+    """The three-sum theorems for collinear data given as signed lengths.
+
+    The unit ball of the line is the segment [-1, 1]; each x is the signed
+    norm of a vector along a common direction. Strict: every |x| <= 1 and
+    every |3-sum| > 1 imply |total| > 1. Non-strict: every |x| == 1 and
+    every |3-sum| >= 1 imply |total| >= 1.
+    """
+    values = list(xs)
+    if len(values) < 3:
+        raise TooFew("need at least 3 values")
+    if len(values) % 2 == 0:
+        raise EvenCardinality("the family must have odd size")
+    single_ok, triple_ok = (le, gt) if strict else (eq, ge)
+    total = sum(values)
+    bad = [(i,) for i, x in enumerate(values) if not single_ok(abs(x), 1, tol)]
+    bad += [
+        t for t in combinations(range(len(values)), 3)
+        if not triple_ok(abs(sum(values[i] for i in t)), 1, tol)
+    ]
+    return VerifyReport(
+        "T3" if strict else "T2", not bad, triple_ok(abs(total), 1, tol),
+        Vec2(total, 0), abs(total),
+        witnesses=[KSum(idx, Vec2(sum(values[i] for i in idx), 0)) for idx in bad],
+        notes="1d instance over the segment [-1, 1]",
+    )

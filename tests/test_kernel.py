@@ -13,11 +13,12 @@ import sys
 from fractions import Fraction
 from itertools import combinations
 
+import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from helly_plane import geometry, norms
-from helly_plane.algorithms import choose_signs
+from helly_plane.algorithms import choose_signs, make_generic
 from helly_plane.errors import NotConvexBody
 from helly_plane.gallery import gallery_case
 from helly_plane.generators import (
@@ -25,6 +26,7 @@ from helly_plane.generators import (
 )
 from helly_plane.geometry import convex_hull, orientation
 from helly_plane.norms import (
+    SubsetSums,
     UnitBall,
     ball_from_json,
     ball_to_json,
@@ -40,7 +42,10 @@ from helly_plane.norms import (
     subset_tests,
 )
 from helly_plane.scalars import eq, ge, gt, le
-from helly_plane.theorems import corollary_check, lemma_conv_check, lemma_main_witness, verify_helly
+from helly_plane.theorems import (
+    corollary_check, halfplane_certificate, lemma_conv_check, lemma_main_witness, verify_helly,
+    verify_theorem1,
+)
 from helly_plane.vectors import Vec2, vsum
 
 from oracles import edge_functional, ray_gauge
@@ -188,10 +193,27 @@ def test_subset_gauges_rational(ball, vectors):
     assert got == [(t, gauge(ball, vsum(vectors[i] for i in t))) for t in subsets(len(vectors))]
 
 
-@given(ball=balls(), vectors=st.lists(float_points, min_size=1, max_size=6))
-def test_subset_gauges_float_bitwise(ball, vectors):
+@given(
+    ball=st.one_of(
+        balls(), balls().map(lambda ball: ball_from_json(ball_to_json(ball), "float")),
+        st.just(euclidean_ball()),
+    ),
+    vectors=st.lists(float_points, min_size=1, max_size=6),
+    tol=st.sampled_from([1e-9, 0.0, 1e-3]),
+)
+def test_subset_gauges_float_bitwise(ball, vectors, tol):
     for t, g in subset_gauges(ball, vectors, subsets(len(vectors))):
         assert g.hex() == gauge(ball, vsum(vectors[i] for i in t)).hex()
+    # the k-form walks the same float sums as the explicit form: the same
+    # gauges bit for bit and the same answers, for every k
+    sums = SubsetSums(ball, vectors)
+    for k in range(len(vectors) + 1):
+        ts = list(combinations(range(len(vectors)), k))
+        kform, explicit = list(sums.gauges(k)), list(sums.gauges(ts))
+        assert [t for t, _ in kform] == ts == [t for t, _ in explicit]
+        assert [g.hex() for _, g in kform] == [g.hex() for _, g in explicit]
+        for rel in (eq, le, ge, gt):
+            assert list(sums.tests(k, rel, tol)) == list(sums.tests(ts, rel, tol))
 
 
 families = st.one_of(
@@ -245,7 +267,8 @@ def mixed_vertices(ball):
 
 
 # every dispatch of the kernel: integer normals over a denominator or not,
-# float normals from float vertices, and the Euclidean ball
+# float normals from float vertices, the Euclidean ball, and bodies (no
+# opposite edge pairs)
 kernel_balls = st.one_of(
     balls(),
     balls(integer_points),
@@ -253,12 +276,14 @@ kernel_balls = st.one_of(
     balls(integer_points).map(mixed_vertices),
     st.just(square_ball()),
     st.just(euclidean_ball()),
+    bodies,
 )
 
 
 def assert_sphere_tests(ball, vectors, tol, meaning=None):
     """`subset_tests` against `rel(gauge(vsum), 1, tol)` for every rel and
-    subset, and against `meaning[rel]` of the reference gauge when given."""
+    subset, and against `meaning[rel]` of the reference gauge when given;
+    then the k-form of `SubsetSums` for every k = 0..n the same way."""
     ts = subsets(len(vectors))
     gauges = [gauge(ball, vsum(vectors[i] for i in t)) for t in ts]
     for rel in RELS:
@@ -266,6 +291,38 @@ def assert_sphere_tests(ball, vectors, tol, meaning=None):
         assert got == [(t, rel(g, 1, tol)) for t, g in zip(ts, gauges)]
         if meaning is not None:
             assert [ok for _, ok in got] == [meaning[rel](g, tol) for g in gauges]
+    assert_k_form(ball, vectors, tol, meaning)
+
+
+def assert_k_form(ball, vectors, tol, meaning=None):
+    """`SubsetSums.tests(k, ...)` and `.gauges(k)` for k = 0..n, each on a
+    fresh packing and on one shared by every k, against the reference."""
+    n = len(vectors)
+    shared = SubsetSums(ball, vectors)
+    for k in range(n + 1):
+        ts = list(combinations(range(n), k))
+        gauges = [gauge(ball, vsum(vectors[i] for i in t)) for t in ts]
+        for sums in (SubsetSums(ball, vectors, k), shared):
+            for rel in RELS:
+                got = list(sums.tests(k, rel, tol))
+                assert got == [(t, rel(g, 1, tol)) for t, g in zip(ts, gauges)]
+                assert list(sums.tests(ts, rel, tol)) == got  # the explicit form
+                if meaning is not None:
+                    assert [ok for _, ok in got] == [meaning[rel](g, tol) for g in gauges]
+            got = list(sums.gauges(k))
+            assert [t for t, _ in got] == ts
+            assert_same_gauges([g for _, g in got], gauges)
+            assert [g for _, g in sums.gauges(ts)] == [g for _, g in got]
+
+
+def assert_same_gauges(got, expected):
+    """Equal gauges of equal types, floats bit for bit. The empty sum is the
+    int origin, whose reference gauge is exact even on float data, so a
+    zero is compared by value only."""
+    assert got == expected
+    for g, ref in zip(got, expected):
+        if ref:
+            assert type(g) is type(ref) and (not isinstance(g, float) or g.hex() == ref.hex())
 
 
 @given(ball=kernel_balls, vectors=families, tol=TOLS)
@@ -370,3 +427,138 @@ def test_each_family_is_put_on_the_lattice_once(monkeypatch):
         call()
         assert len(seen) == len(families)
         assert all(got == tuple(f) for got, f in zip(seen, families))
+
+
+# denominators near 10^12: balls and families over them pack into lanes
+# wider than a machine word
+WIDE = (10**12 + 39, 999_999_999_989, 3 * 10**12 + 1)
+
+
+@st.composite
+def wide_rationals(draw, bound=3):
+    d = draw(st.sampled_from(WIDE))
+    return Fraction(draw(st.integers(-bound * d, bound * d)), d)
+
+
+wide_points = st.builds(Vec2, wide_rationals(), wide_rationals())
+
+
+@given(ball=st.one_of(balls(wide_points), balls(), st.just(square_ball())),
+       vectors=st.lists(wide_points, min_size=1, max_size=5), tol=TOLS)
+def test_kernel_on_wide_lanes(ball, vectors, tol):
+    assert_sphere_tests(ball, vectors, tol, EXACT)
+
+
+def test_wide_lanes_pass_a_machine_word():
+    c = Fraction(1, WIDE[0])
+    ball = make_polygonal_ball([Vec2(1, c), Vec2(-1, 1), Vec2(-1, -c), Vec2(1, -1)])
+    vectors = [Vec2(Fraction(1, WIDE[1]), Fraction(-2, WIDE[2])), Vec2(1, 1), Vec2(Fraction(1, 3), 0)]
+    sums = SubsetSums(ball, vectors, 3)
+    list(sums.tests(3, gt))
+    assert min(lane.bit_length() for lane in sums._lanes) > 64
+    assert_sphere_tests(ball, vectors, 1e-9, EXACT)
+
+
+@given(
+    points=st.lists(st.builds(Vec2, st.integers(-9, 9), st.integers(-9, 9)), min_size=3, max_size=5),
+    vectors=st.lists(st.builds(Vec2, st.integers(-30, 30), st.integers(-30, 30)), min_size=1,
+                     max_size=4),
+    tol=TOLS,
+)
+def test_kernel_on_bodies(points, vectors, tol):
+    # a body has no opposite edge pairs (a triangle has an odd count): the
+    # largest |edge value| of a family may sit on any edge
+    try:
+        body = make_convex_body(points)
+    except NotConvexBody:
+        assume(False)
+    assert_sphere_tests(body, vectors, tol, EXACT)
+
+
+@given(ball=kernel_balls, n=st.integers(1, 6), zero=st.sampled_from([0, Fraction(0), 0.0]),
+       tol=TOLS)
+def test_kernel_on_all_zero_families(ball, n, zero, tol):
+    # every edge value is 0, so R = 0 and every sum has gauge 0
+    assert_sphere_tests(ball, [Vec2(zero, zero)] * n, tol, EXACT)
+
+
+@given(ball=kernel_balls, vectors=families, tol=TOLS)
+def test_explicit_subsets_longer_than_the_family(ball, vectors, tol):
+    n = len(vectors)
+    ts = [(0,), (0,) * 40, (n - 1,) * 41, tuple(range(n)) * 3]
+    gauges = [gauge(ball, vsum(vectors[i] for i in t)) for t in ts]
+    # one-off calls, and a packing made for single vectors that must widen
+    shared = SubsetSums(ball, vectors)
+    list(shared.tests(1, eq, tol))
+    for rel in RELS:
+        expected = [(t, rel(g, 1, tol)) for t, g in zip(ts, gauges)]
+        assert list(subset_tests(ball, vectors, ts, rel, tol)) == expected
+        assert list(shared.tests(ts, rel, tol)) == expected
+    for got in (list(subset_gauges(ball, vectors, ts)), list(shared.gauges(ts))):
+        assert [t for t, _ in got] == ts
+        assert_same_gauges([g for _, g in got], gauges)
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_sampled_choose_signs_path(monkeypatch, seed):
+    # past 15 vectors `choose_signs` checks 1000 sampled odd subsets through
+    # the explicit form; every answer it read is checked against the gauge
+    seen = []
+    original = SubsetSums.tests
+
+    def spy(self, subsets, rel, tol=1e-9):
+        subsets = subsets if isinstance(subsets, int) else list(subsets)
+        got = list(original(self, subsets, rel, tol))
+        seen.append((rel, tol, got))
+        return iter(got)
+
+    monkeypatch.setattr(SubsetSums, "tests", spy)
+    ball = gen_random_ball(seed)
+    vs = gen_unit_vectors(ball, 17, seed)
+    sv = choose_signs(ball, vs)
+    assert sv.odd_subsets_checked == 1000
+    [(rel, tol, got)] = [x for x in seen if len(x[2]) == 1000]
+    assert rel is ge
+    signed = [v if s > 0 else -v for v, s in zip(vs, sv.signs)]
+    for t, ok in got:
+        assert len(t) % 2 == 1 and ok is ge(gauge(ball, vsum(signed[i] for i in t)), 1, tol) is True
+    # the same sampled subsets on the unsigned family, where sums do fall inside
+    monkeypatch.undo()
+    ts = [t for t, _ in got][:200]
+    gauges = [gauge(ball, vsum(vs[i] for i in t)) for t in ts]
+    assert any(g < 1 for g in gauges)
+    sums = SubsetSums(ball, vs, 17)
+    for rel in RELS:
+        assert list(sums.tests(ts, rel)) == [(t, rel(g, 1)) for t, g in zip(ts, gauges)]
+
+
+def test_one_packing_per_ball_and_family_per_verifier_call(monkeypatch):
+    packed = []
+    original = SubsetSums._pack
+
+    def spy(self, k):
+        packed.append((self._ball, self._pts))
+        return original(self, k)
+
+    monkeypatch.setattr(SubsetSums, "_pack", spy)
+    u = Vec2(1, 2)
+    for ball in (gen_random_ball(3), square_ball()):
+        vs = gen_unit_vectors(ball, 7, 5, halfplane=u)
+        zs = gen_zero_sum_six(ball, 6)
+        calls = [
+            (lambda: verify_theorem1(ball, vs, u), 1),
+            (lambda: halfplane_certificate(ball, vs, u), 1),
+            (lambda: verify_helly(ball, vs, strict=False), 1),
+            (lambda: verify_helly(ball, vs, strict=True), 1),
+            (lambda: corollary_check(ball, vs, 5), 1),
+            (lambda: corollary_check(ball, vs, 7), 1),
+            (lambda: lemma_main_witness(ball, zs), 1),
+            (lambda: lemma_conv_check(ball, *vs[:3]), 1),
+            (lambda: choose_signs(ball, vs), 2),  # the family, then its signed copy
+            (lambda: make_generic(ball, vs[:4], Fraction(9, 10), Fraction(1, 1000), 7), 1),
+        ]
+        for call, count in calls:
+            packed.clear()
+            call()
+            assert len(packed) == count
+            assert len({(id(b), id(p)) for b, p in packed}) == count

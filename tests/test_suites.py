@@ -131,3 +131,22 @@ def test_theorem_falsified_in_a_check_is_a_fail_record(suite, monkeypatch):
     checked = [r for r in report.records if r.outcome != "vacuous"]
     assert checked
     assert all(r.outcome == "fail" and r.detail == "planted counterexample" for r in checked)
+
+
+@pytest.mark.parametrize("suite", ["thm2", "lemma-main", "signs"])
+def test_fixed_ball_json_is_formed_once_per_run(monkeypatch, suite):
+    printed = []
+    original = norms.ball_to_json
+
+    def spy(ball):
+        printed.append(ball)
+        return original(ball)
+
+    monkeypatch.setattr(norms, "ball_to_json", spy)
+    run_suite(SuiteConfig(suite=suite, trials=12, seed=7, ball_source="maxnorm"))
+    assert len(printed) == 1  # the report digests pin the bytes it prints
+    monkeypatch.undo()
+    ball = norms.square_ball()
+    assert norms.ball_to_json(ball) == ball.json_doc
+    assert norms.ball_to_json(ball) is not norms.ball_to_json(ball)  # a fresh document
+    assert ball.json_doc is ball.json_doc

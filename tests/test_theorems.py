@@ -23,10 +23,11 @@ from helly_plane.theorems import (
     lemma_conv_check,
     lemma_main_witness,
     verify_helly,
-    verify_helly_1d,
     verify_theorem1,
 )
 from helly_plane.vectors import Vec2, vsum
+
+from oracles import verify_helly_1d
 
 F = Fraction
 

@@ -1,8 +1,8 @@
 """The three-sum hypothesis is judged in one place.
 
 `verify_helly` judges collinear families in the plane like any other, and
-must agree with `verify_helly_1d`, which judges their signed lengths over
-the segment [-1, 1]; `corollary_check` takes its strict hypothesis from the
+must agree with the line oracle `oracles.verify_helly_1d`, which judges
+their signed lengths over the segment [-1, 1]; `corollary_check` takes its strict hypothesis from the
 judge `verify_helly(strict=True)` uses. These properties pin the agreement
 on arbitrary rational families.
 """
@@ -14,8 +14,10 @@ from hypothesis import strategies as st
 
 from helly_plane.generators import gen_random_ball, gen_unit_vectors
 from helly_plane.norms import boundary_point, make_polygonal_ball, square_ball
-from helly_plane.theorems import corollary_check, verify_helly, verify_helly_1d
+from helly_plane.theorems import corollary_check, verify_helly
 from helly_plane.vectors import Vec2
+
+from oracles import verify_helly_1d
 
 BALLS = [
     square_ball(),
