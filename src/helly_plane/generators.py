@@ -4,9 +4,10 @@ Every generator is a pure function of its arguments; the same seed always
 reproduces the same instance. Rational instances are drawn on the integer
 grid: a point is an integer pair over one known denominator (1000 for
 drawn coordinates, 1000·S on a ball whose vertices are integers over S),
-rejection tests run on ints, and each output coordinate becomes a
-`Fraction` once, at the end. Integers are drawn straight off
-`rng.getrandbits` (`_randint`), with the values and generator states of
+rejection tests run on ints, and a family is returned as a `Family` of
+those pairs, whose `Fraction`s are formed only if its vectors are read.
+Integers are drawn straight off `rng.getrandbits` (`_randint`, written
+out in the hot draws), with the values and generator states of
 `rng.randint`/`rng.randrange`. Polygonal boundary points are convex
 combinations of adjacent vertices, so their gauge is 1 exactly, with no
 float slack anywhere in exact mode. The Euclidean ball and float-vertex
@@ -22,7 +23,7 @@ from itertools import combinations
 from typing import Optional
 
 from .errors import BadInput, NotConvexBody
-from .geometry import lattice
+from .geometry import Family, lattice
 from .norms import (
     ConvexBody, UnitBall, VertexGrid, boundary_point, compile_lattice, euclidean_ball, gauge,
     lattice_in_ball, lattice_vertices,
@@ -34,11 +35,8 @@ from .vectors import Vec2, vsum
 _GRID = 1000
 _HALF_VERTICES = 6  # points drawn per symmetric polygon, half its most vertices
 _ZERO_SUM_DRAWS = 10_000  # five-point draws before the +- triple fallback
-
-
-def _vec(x: int, y: int, den: int) -> Vec2:
-    """The point (x, y) / den."""
-    return Vec2(Fraction(x, den), Fraction(y, den))
+_OFFSET_BITS = (_GRID - 1).bit_length()  # `_randint` widths of 0.._GRID - 1
+_WEIGHT_BITS = _GRID.bit_length()  # and of 0.._GRID
 
 
 def _randint(rng: random.Random, lo: int, hi: int) -> int:
@@ -79,7 +77,7 @@ def gen_unit_vectors(
     n: int,
     seed: int,
     halfplane: Optional[Vec2] = None,
-) -> tuple[Vec2, ...]:
+) -> Family:
     """n vectors of gauge exactly 1; with `halfplane` u, all dots u.v >= 0.
 
     The halfplane constraint is met by mirroring: a boundary point with a
@@ -105,27 +103,32 @@ def gen_unit_vectors(
         if halfplane is not None and halfplane.dot(v) < 0:
             v = -v
         out.append(v)
-    return tuple(out)
+    return Family(out)
 
 
 def _lattice_unit_vectors(
     grid: VertexGrid, n: int, rng: random.Random, halfplane: Optional[Vec2]
-) -> tuple[Vec2, ...]:
+) -> Family:
     """`gen_unit_vectors` on the vertex lattice: the point r/1000 of the way
-    from vertex A to vertex B is (1000·A + r·(B − A)) / (1000·S)."""
+    from vertex A to vertex B is (1000·A + r·(B − A)) / (1000·S). The
+    draws are `_randint`'s loop written out."""
     pairs, scale = grid
     m, den = len(pairs), _GRID * scale
-    below = _below(halfplane, den)
+    below, bits, k = _below(halfplane, den), rng.getrandbits, m.bit_length()
     out = []
     for _ in range(n):
-        i = _randint(rng, 0, m - 1)
+        i = bits(k)
+        while i >= m:
+            i = bits(k)
         (ax, ay), (bx, by) = pairs[i], pairs[(i + 1) % m]
-        r = _randint(rng, 0, _GRID - 1)
+        r = bits(_OFFSET_BITS)
+        while r >= _GRID:
+            r = bits(_OFFSET_BITS)
         x, y = _GRID * ax + r * (bx - ax), _GRID * ay + r * (by - ay)
         if below(x, y):
             x, y = -x, -y
-        out.append(_vec(x, y, den))
-    return tuple(out)
+        out.append((x, y))
+    return Family.from_lattice(out, den)
 
 
 def _below(halfplane: Optional[Vec2], den: int):
@@ -136,45 +139,57 @@ def _below(halfplane: Optional[Vec2], den: int):
         return lambda x, y: False
     grid = lattice([halfplane])
     if grid is None:
-        return lambda x, y: halfplane.dot(_vec(x, y, den)) < 0
+        return lambda x, y: halfplane.dot(Vec2(Fraction(x, den), Fraction(y, den))) < 0
     ((ux, uy),), _ = grid
     return lambda x, y: ux * x + uy * y < 0
 
 
-def gen_zero_sum_six(ball: UnitBall, seed: int) -> tuple[Vec2, ...]:
+def gen_zero_sum_six(ball: UnitBall, seed: int) -> Family:
     """Six vectors in the ball summing to zero exactly.
 
     Samples five points of the ball and closes with the negated sum,
     redrawing until the closing vector is inside too; a +- triple fallback
-    guarantees termination. On the lattice the five points are summed over
-    the lcm of their denominators and the closing vector is tested on ints.
+    guarantees termination. On the lattice the five points are put over
+    the lcm of their denominators, the closing vector is tested on ints,
+    and all six are returned over that one denominator.
     """
     rng = random.Random(seed)
     grid = lattice_vertices(ball)
     if grid is None:
-        return _float_zero_sum_six(ball, rng)
+        return Family(_float_zero_sum_six(ball, rng))
     for _ in range(_ZERO_SUM_DRAWS):
-        five = [_lattice_point(grid, rng) for _ in range(5)]
-        den = math.lcm(*[d for _, _, d in five])
-        x = -sum([px * (den // d) for px, _, d in five])
-        y = -sum([py * (den // d) for _, py, d in five])
+        pts, den = _lattice_points(grid, rng, 5)
+        x, y = -sum([x for x, _ in pts]), -sum([y for _, y in pts])
         if lattice_in_ball(ball, x, y, den):
-            return tuple([_vec(*p) for p in five] + [_vec(x, y, den)])
-    a, b, c = (_vec(*_lattice_point(grid, rng)) for _ in range(3))
-    return (a, b, c, -a, -b, -c)
+            return Family.from_lattice(pts + [(x, y)], den)
+    pts, den = _lattice_points(grid, rng, 3)
+    return Family.from_lattice(pts + [(-x, -y) for x, y in pts], den)
 
 
-def _lattice_point(grid: VertexGrid, rng: random.Random) -> tuple[int, int, int]:
-    """A random convex combination of three vertices, which stays in the
-    ball, as (x, y, den): Σ wᵢPᵢ / (total·S)."""
+def _lattice_points(grid: VertexGrid, rng: random.Random, count: int) -> tuple[list, int]:
+    """`count` random convex combinations Σ wᵢPᵢ / (total·S) of three vertices,
+    which stay in the ball, as integer pairs over the lcm of their denominators.
+    The draws are `_randint`'s loop written out."""
     pairs, scale = grid
-    m = len(pairs)
-    picks = [pairs[_randint(rng, 0, m - 1)] for _ in range(3)]
-    weights = [_randint(rng, 0, _GRID) for _ in range(3)]
-    total = sum(weights) or 1
-    x = sum([w * px for w, (px, _) in zip(weights, picks)])
-    y = sum([w * py for w, (_, py) in zip(weights, picks)])
-    return x, y, total * scale
+    m, bits = len(pairs), rng.getrandbits
+    k = m.bit_length()
+    points = []
+    for _ in range(count):
+        picks = []
+        for _ in range(3):
+            i = bits(k)
+            while i >= m:
+                i = bits(k)
+            picks.append(pairs[i])
+        x = y = total = 0
+        for px, py in picks:
+            w = bits(_WEIGHT_BITS)
+            while w > _GRID:
+                w = bits(_WEIGHT_BITS)
+            x, y, total = x + w * px, y + w * py, total + w
+        points.append((x, y, total or 1))
+    den = math.lcm(*[t for _, _, t in points])
+    return [(x * (den // t), y * (den // t)) for x, y, t in points], den * scale
 
 
 def _float_zero_sum_six(ball: UnitBall, rng: random.Random) -> tuple[Vec2, ...]:
@@ -198,10 +213,7 @@ def _float_point_in_ball(ball: UnitBall, rng: random.Random) -> Vec2:
     picks = [ball.vertices[_randint(rng, 0, m - 1)] for _ in range(3)]
     weights = [_randint(rng, 0, _GRID) for _ in range(3)]
     total = sum(weights) or 1
-    out = Vec2(0, 0)
-    for p, w in zip(picks, weights):
-        out = out + p.scale(Fraction(w, total))
-    return out
+    return vsum(p.scale(Fraction(w, total)) for p, w in zip(picks, weights))
 
 
 def gen_direction(rng: random.Random) -> Vec2:
@@ -209,7 +221,7 @@ def gen_direction(rng: random.Random) -> Vec2:
     while True:
         x, y = _randint(rng, -_GRID, _GRID), _randint(rng, -_GRID, _GRID)
         if x or y:
-            return _vec(x, y, _GRID)
+            return Vec2(Fraction(x, _GRID), Fraction(y, _GRID))
 
 
 def gen_claim1_tuple(seed: int) -> list[Fraction]:
@@ -222,7 +234,7 @@ def gen_claim1_tuple(seed: int) -> list[Fraction]:
             return [Fraction(x, _GRID) for x in xs + [closing]]
 
 
-def gen_collinear_family(ball: UnitBall, seed: int) -> tuple[tuple[Vec2, ...], list[Fraction]]:
+def gen_collinear_family(ball: UnitBall, seed: int) -> tuple[Family, list[Fraction]]:
     """A collinear family in the ball whose 3-sums all have norm > 1.
 
     Returns the vectors along a random boundary direction together with
@@ -233,14 +245,17 @@ def gen_collinear_family(ball: UnitBall, seed: int) -> tuple[tuple[Vec2, ...], l
     """
     rng = random.Random(seed)
     n = rng.choice([5, 7, 9])
-    direction = gen_unit_vectors(ball, 1, rng.getrandbits(32))[0]
+    direction = gen_unit_vectors(ball, 1, rng.getrandbits(32))
     while True:
         ks = [_randint(rng, 400, _GRID) for _ in range(n)]
         if rng.random() < 0.3:
             ks[_randint(rng, 0, n - 1)] = -_randint(rng, 0, 150)
         if all(abs(a + b + c) > _GRID for a, b, c in combinations(ks, 3)):
             xs = [Fraction(k, _GRID) for k in ks]
-            return tuple(direction.scale(x) for x in xs), xs
+            if direction.scale is None:
+                return Family([direction[0].scale(x) for x in xs]), xs
+            [(dx, dy)] = direction.pts
+            return Family.from_lattice([(k * dx, k * dy) for k in ks], _GRID * direction.scale), xs
 
 
 def gen_symmetric_body(seed: int) -> ConvexBody:
@@ -264,7 +279,7 @@ def gen_asymmetric_body(seed: int) -> ConvexBody:
             return body
 
 
-def gen_euclidean_halfplane_instance(seed: int) -> tuple[tuple[Vec2, ...], Vec2]:
+def gen_euclidean_halfplane_instance(seed: int) -> tuple[Family, Vec2]:
     """Float unit vectors in the closed halfplane of a random direction."""
     rng = random.Random(seed)
     n = rng.choice([3, 5, 7, 9])

@@ -8,11 +8,14 @@ which only kicks in for float operands.
 
 from __future__ import annotations
 
+import math
+from collections.abc import Sequence
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from functools import cached_property
+from typing import Iterable, Optional
 
 from .errors import BadInput
-from .scalars import Scalar, lattice_values, sgn
+from .scalars import Scalar, format_ratio, lattice_values, sgn
 from .vectors import Vec2
 
 
@@ -35,34 +38,67 @@ def lattice(points: Sequence[Vec2]) -> Optional[tuple[list[tuple[int, int]], int
     return list(zip(coords, coords)), den
 
 
-class Family(tuple):
-    """A family of plane vectors with its lattice form, computed once.
+class Family(Sequence):
+    """A family of plane vectors carried in its lattice form.
 
-    `pts` holds integer pairs over `scale` when every coordinate is
-    rational, else the coordinates as floats and `scale` is None.
-    `Family(family)` is the family itself, so a verifier that hands its
-    family on (to `norms.SubsetSums`, or to another verifier) puts it on
-    the lattice only once.
+    `pts` holds integer pairs over `scale` (the coarsest such lattice) when
+    every coordinate is rational, else float coordinates and `scale` None.
+    Generators build it from their pairs (`from_lattice`); its `Vec2`s are
+    formed only where they are read, as a rational ball forms its vertices.
+    `Family(vectors)` puts given vectors on the lattice and keeps them, and
+    `Family(family)` is the family itself. `==` and `hash` are the tuple's.
     """
-
-    pts: list[tuple]
-    scale: Optional[int]
 
     def __new__(cls, vectors: Iterable[Vec2]) -> "Family":
         if type(vectors) is cls:
             return vectors
-        fam = super().__new__(cls, vectors)
-        grid = lattice(fam)
-        fam.pts, fam.scale = grid or ([(float(v.x), float(v.y)) for v in fam], None)
+        vectors = tuple(vectors)
+        grid = lattice(vectors)
+        fam = cls.from_lattice(*(grid or ([(float(v.x), float(v.y)) for v in vectors], None)))
+        fam.vectors = vectors
         return fam
 
-    def signed(self, signs: Sequence[int]) -> "Family":
-        """The family with vector i times signs[i] (1 or -1), whose lattice
-        form is (s·X, s·Y) over the same scale: not put on the lattice again."""
-        fam = tuple.__new__(Family, [v if s > 0 else -v for v, s in zip(self, signs)])
-        fam.pts = [(s * x, s * y) for (x, y), s in zip(self.pts, signs)]
-        fam.scale = self.scale
+    @classmethod
+    def from_lattice(cls, pts: list[tuple], scale: Optional[int]) -> "Family":
+        """The family of the integer pairs `pts` / `scale`, on the lattice
+        `lattice` gives its points (one gcd); float pairs when `scale` is None."""
+        if scale is not None:
+            g = math.gcd(scale, *[c for xy in pts for c in xy])
+            if g != 1:
+                pts, scale = [(x // g, y // g) for x, y in pts], scale // g
+        fam = object.__new__(cls)
+        fam.pts, fam.scale = pts, scale
         return fam
+
+    @cached_property
+    def vectors(self) -> tuple[Vec2, ...]:
+        if self.scale is None:
+            return tuple([Vec2(x, y) for x, y in self.pts])
+        return tuple([Vec2(Fraction(x, self.scale), Fraction(y, self.scale)) for x, y in self.pts])
+
+    def __getitem__(self, i):
+        return self.vectors[i]
+
+    def __len__(self) -> int:
+        return len(self.pts)
+
+    def __eq__(self, other: object) -> bool:
+        return self.vectors == (other.vectors if isinstance(other, Family) else other)
+
+    def __hash__(self) -> int:
+        return hash(self.vectors)
+
+    def to_json(self) -> list[list[str]]:
+        """`Vec2.to_json` of each vector, printed from the ints on the lattice."""
+        if self.scale is None:
+            return [v.to_json() for v in self.vectors]
+        return [[format_ratio(x, self.scale), format_ratio(y, self.scale)] for x, y in self.pts]
+
+    def signed(self, signs: Sequence[int]) -> "Family":
+        """The family with vector i times signs[i] (1 or -1), built from
+        the lattice form (s·X, s·Y) over the same scale."""
+        pts = [(s * x, s * y) for (x, y), s in zip(self.pts, signs)]
+        return Family.from_lattice(pts, self.scale)
 
     def floats(self) -> list[tuple[float, float]]:
         """The coordinates as floats, each rounded once from its exact value."""

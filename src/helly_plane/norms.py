@@ -9,8 +9,7 @@ rational data.
 Each ball is compiled once, at construction, into integer edge normals
 (P, Q) over one common denominator. Rational gauges and subset sums then
 run on plain ints. A family's subset sums against a ball
-(`SubsetSums`, and its one-call forms `subset_tests` and
-`subset_gauges`) are packed lanes on rational data: each vector becomes
+(`SubsetSums`) are packed lanes on rational data: each vector becomes
 one int holding its edge values P·X + Q·Y in fields with a guard bit,
 packed once per verifier call, so a k-sum is k int adds, every k-sum of
 a family is summed in C, and "norm vs 1" is one or two mask tests that
@@ -44,7 +43,7 @@ from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 
 from .errors import BadInput, NotConvexBody, NotPolygonal, NotSymmetric, ZeroDirection
 from .geometry import Family, convex_hull, lattice, monotone_chain
-from .scalars import DEFAULT_TOL, Scalar, eq, exact_div, exactify, is_float
+from .scalars import DEFAULT_TOL, Scalar, eq, exact_div, exactify, format_ratio, is_float
 from .vectors import Vec2
 
 EUCLIDEAN = "euclidean"
@@ -245,7 +244,7 @@ def gauge(ball: UnitBall, z: Vec2) -> Scalar:
         return math.hypot(float(z.x), float(z.y))
     x, y = z.x, z.y
     if ball.normals is None or is_float(x, y):
-        return _float_gauge(ball, float(x), float(y))
+        return _float_norm(ball)(float(x), float(y))
     b, d = x.denominator, y.denominator
     nx, ny = x.numerator * d, y.numerator * b  # z == (nx, ny) / (b * d)
     return Fraction(max(p * nx + q * ny for p, q in ball.normals), ball.den * b * d)
@@ -262,30 +261,12 @@ def lattice_in_ball(ball: UnitBall, x: int, y: int, den: int) -> bool:
     return max(p * x + q * y for p, q in ball.normals) <= ball.den * den
 
 
-def _float_gauge(ball: UnitBall, x: float, y: float) -> float:
+def _float_norm(ball: UnitBall) -> Callable[[float, float], float]:
+    """The gauge of float coordinates: `math.hypot`, or the largest float edge value."""
     if ball.kind == EUCLIDEAN:
-        return math.hypot(x, y)
-    return max(p * x + q * y for p, q in ball.float_normals)
-
-
-def subset_tests(
-    ball: UnitBall,
-    vectors: Sequence[Vec2],
-    subsets: Iterable[Sequence[int]],
-    rel: Callable[..., bool],
-    tol: float = DEFAULT_TOL,
-) -> Iterator[tuple[Sequence[int], bool]]:
-    """(subset, rel(gauge of the subset's vector sum, 1, tol)) for each
-    index subset: `SubsetSums(ball, vectors).tests(subsets, rel, tol)`."""
-    return SubsetSums(ball, vectors).tests(subsets, rel, tol)
-
-
-def subset_gauges(
-    ball: UnitBall, vectors: Sequence[Vec2], subsets: Iterable[Sequence[int]]
-) -> Iterator[tuple[Sequence[int], Scalar]]:
-    """(subset, gauge of the subset's vector sum) for each index subset:
-    `SubsetSums(ball, vectors).gauges(subsets)`."""
-    return SubsetSums(ball, vectors).gauges(subsets)
+        return math.hypot
+    rows = ball.float_normals
+    return lambda x, y: max([p * x + q * y for p, q in rows])
 
 
 class SubsetSums:
@@ -321,8 +302,9 @@ class SubsetSums:
         fam = Family(vectors)
         self._ball, self._pts, self._scale = ball, fam.pts, fam.scale
         self._exact = fam.scale is not None and ball.normals is not None
-        self._kmax = kmax
-        self._cap = -1  # the longest subset the packing holds; -1 before it is made
+        # the longest subset the packing holds; -1 before it is made, and
+        # on float data, which is never packed
+        self._kmax, self._cap = kmax, -1
 
     def tests(
         self, subsets: Union[int, Iterable[Sequence[int]]], rel: Callable[..., bool],
@@ -404,6 +386,7 @@ class SubsetSums:
         ball, pts, den = self._ball, self._pts, self._scale
         if isinstance(subsets, int):
             subsets = combinations(range(len(pts)), subsets)
+        norm = _float_norm(ball)
         for t in subsets:
             # `Family.lattice_sum` inlined: a call per subset costs a third
             # of the walk on float data
@@ -413,9 +396,9 @@ class SubsetSums:
                 sx += x
                 sy += y
             if den is None:
-                yield t, _float_gauge(ball, sx, sy)
+                yield t, norm(sx, sy)
             else:
-                yield t, _float_gauge(ball, sx / den, sy / den)
+                yield t, norm(sx / den, sy / den)
 
 
 def supporting_functional(
@@ -477,13 +460,8 @@ def ball_to_json(ball: UnitBall) -> dict:
     if ball.vertex_grid is None:
         return {"type": POLYGONAL, "vertices": [v.to_json() for v in ball.vertices]}
     pairs, scale = ball.vertex_grid
-    return {"type": POLYGONAL, "vertices": [[_ratio(x, scale), _ratio(y, scale)] for x, y in pairs]}
-
-
-def _ratio(n: int, d: int) -> str:
-    """`str(Fraction(n, d))` for d > 0, formed on ints: reduced "p/q", or "p"."""
-    g = math.gcd(n, d)
-    return str(n // g) if g == d else f"{n // g}/{d // g}"
+    vertices = [[format_ratio(x, scale), format_ratio(y, scale)] for x, y in pairs]
+    return {"type": POLYGONAL, "vertices": vertices}
 
 
 def ball_from_json(obj: dict, mode: str = "exact") -> UnitBall:

@@ -37,6 +37,12 @@ def format_scalar(x: Scalar) -> str:
     return repr(x) if isinstance(x, float) else str(x)
 
 
+def format_ratio(n: int, d: int) -> str:
+    """`str(Fraction(n, d))` for d > 0, formed on ints: reduced "p/q", or "p"."""
+    g = math.gcd(n, d)
+    return str(n // g) if g == d else f"{n // g}/{d // g}"
+
+
 def is_float(*xs: Scalar) -> bool:
     return any(isinstance(x, float) for x in xs)
 

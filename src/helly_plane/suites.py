@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import random
 import time
 from dataclasses import asdict, dataclass, field
@@ -34,7 +35,7 @@ from .generators import (
 )
 from .geometry import Family
 from .norms import (
-    UnitBall, ball_from_json, euclidean_ball, load_json, square_ball, subset_tests,
+    SubsetSums, UnitBall, ball_from_json, euclidean_ball, load_json, square_ball,
 )
 from .scalars import le
 from .symmetry import (
@@ -136,10 +137,11 @@ def _digest(payload) -> str:
     return hashlib.sha256(text.encode()).hexdigest()[:12]
 
 
-def _as_mode(vectors, mode: str):
-    if mode == "float":
-        return tuple(Vec2(float(v.x), float(v.y)) for v in vectors)
-    return tuple(vectors)
+def _as_mode(vectors: Family, mode: str) -> Family:
+    """A drawn family in the run's mode; X / scale is `float` of its `Fraction`."""
+    if mode == "float" and vectors.scale is not None:
+        return Family.from_lattice(vectors.floats(), None)
+    return vectors
 
 
 def _ball_source(cfg: SuiteConfig) -> _Balls:
@@ -167,7 +169,7 @@ def _fixed_ball(cfg: SuiteConfig) -> UnitBall:
 
 def _on_ball(ball: UnitBall, vectors, extra=None, **fields) -> Instance:
     """An instance on a ball; its digest covers the ball, the vectors and `extra`."""
-    payload = {"ball": ball.json_doc, "vectors": [v.to_json() for v in vectors]}
+    payload = {"ball": ball.json_doc, "vectors": vectors.to_json()}
     payload.update(extra or {})
     return Instance(payload, ball, vectors, **fields)
 
@@ -220,9 +222,19 @@ def _draw_thm2(cfg: SuiteConfig, rng: random.Random, index: int, balls: _Balls) 
     note = "halfplane family"
     if index % 3 == 0 and ball.is_polygonal and n >= 5:
         # adversarial antipodal pair on the halfplane boundary line
-        vectors = vectors[:-2] + antipodal_pair_on_boundary(ball, u)
+        vectors = _splice(vectors, Family(antipodal_pair_on_boundary(ball, u)))
         note += " + antipodal pair"
     return _on_ball(ball, _as_mode(vectors, cfg.mode), {"u": u.to_json()}, data=note)
+
+
+def _splice(vectors: Family, pair: Family) -> Family:
+    """The family with its last two vectors replaced by `pair`, on one lattice if it can."""
+    if vectors.scale is None or pair.scale is None:
+        return Family(vectors[:-2] + tuple(pair))
+    den = math.lcm(vectors.scale, pair.scale)
+    a, b = den // vectors.scale, den // pair.scale
+    pts = [(a * x, a * y) for x, y in vectors.pts[:-2]] + [(b * x, b * y) for x, y in pair.pts]
+    return Family.from_lattice(pts, den)
 
 
 def _check_thm2(cfg: SuiteConfig, inst: Instance) -> tuple:
@@ -256,7 +268,7 @@ def _draw_lemma_conv(cfg: SuiteConfig, rng: random.Random, index: int, balls: _B
 
 
 def _check_lemma_conv(cfg: SuiteConfig, inst: Instance) -> tuple:
-    origin_in, h_in = lemma_conv_check(inst.ball, *inst.vectors, cfg.tol)
+    origin_in, h_in = lemma_conv_check(inst.ball, inst.vectors, cfg.tol)
     if origin_in != h_in:
         return "fail", f"memberships disagree: origin={origin_in}, sum={h_in}"
     return "pass", f"both={origin_in}"
@@ -268,9 +280,9 @@ def _draw_lemma_main(cfg: SuiteConfig, rng: random.Random, index: int, balls: _B
 
 
 def _check_lemma_main(cfg: SuiteConfig, inst: Instance) -> tuple:
-    zs = Family(inst.vectors)  # on the lattice once, for the witness and its re-check
-    trip = lemma_main_witness(inst.ball, zs, cfg.tol)
-    [(_, inside)] = subset_tests(inst.ball, zs, [trip], le, cfg.tol)
+    sums = SubsetSums(inst.ball, inst.vectors, 3)  # packed once, for the witness and its re-check
+    trip = lemma_main_witness(inst.ball, inst.vectors, cfg.tol, sums)
+    [(_, inside)] = sums.tests([trip], le, cfg.tol)
     if not inside:
         return "fail", f"witness {trip} not in the ball"
     return "pass", f"triple={trip}"
@@ -278,7 +290,8 @@ def _check_lemma_main(cfg: SuiteConfig, inst: Instance) -> tuple:
 
 def _draw_claim1(cfg: SuiteConfig, rng: random.Random, index: int, balls: _Balls) -> Instance:
     # the six values as points on the x-axis, which is also how they are pictured
-    points = _as_mode([Vec2(x, 0) for x in gen_claim1_tuple(rng.getrandbits(32))], cfg.mode)
+    xs = gen_claim1_tuple(rng.getrandbits(32))
+    points = tuple([Vec2(float(x), 0.0) if cfg.mode == "float" else Vec2(x, 0) for x in xs])
     return Instance({"xs": [str(p.x) for p in points]}, vectors=points)
 
 

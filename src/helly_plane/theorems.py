@@ -15,10 +15,11 @@ ball, COR the k-sum corollary of T3.
 from __future__ import annotations
 
 import functools
+from collections import UserList
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
-from typing import Sequence
+from typing import Optional, Sequence
 
 from .errors import (
     BadInput,
@@ -48,6 +49,18 @@ class KSum:
 
     def to_json(self) -> dict:
         return {"subset": list(self.subset), "value": self.value.to_json()}
+
+
+class _KSums(UserList):
+    """The list of `KSum`s of index subsets of a family, summed on first
+    read: a report dropped unread (a failed strict probe) sums nothing."""
+
+    def __init__(self, vs: Family, subsets: list[tuple[int, ...]]):
+        self._vs, self._subsets = vs, subsets
+
+    @functools.cached_property
+    def data(self) -> list[KSum]:
+        return [KSum(t, self._vs.vector_sum(t)) for t in self._subsets]
 
 
 @dataclass
@@ -120,12 +133,11 @@ def verify_theorem1(
     if len(vs) % 2 == 0:
         notes.append("even cardinality")
     for (i,), unit in SubsetSums(ball, vs).tests(1, eq, tol):
-        v = vs[i]
         if not unit:
-            bad.append(KSum((i,), v))
+            bad.append(KSum((i,), vs[i]))
             notes.append(f"vector {i} is not a unit vector")
         elif not ge(ux * pts[i][0] + uy * pts[i][1], 0, tol):
-            bad.append(KSum((i,), v))
+            bad.append(KSum((i,), vs[i]))
             notes.append(f"vector {i} leaves the halfplane")
     hypothesis = len(vs) % 2 == 1 and not bad
     total = vs.vector_sum(range(len(vs)))
@@ -266,7 +278,7 @@ def verify_helly(
     bad, conclusion = _three_sum_judge(SubsetSums(ball, vs, 3), total_norm, strict, tol)
     return VerifyReport(
         "T3" if strict else "T2", not bad, conclusion, total, total_norm,
-        witnesses=[KSum(idx, vs.vector_sum(idx)) for idx in bad],
+        witnesses=_KSums(vs, bad),
     )
 
 
@@ -284,22 +296,24 @@ def corollary_check(
     failing = [t for t, outside in sums.tests(k, gt, tol) if not outside]
     return VerifyReport(
         "COR", not bad, not failing, total, total_norm,
-        witnesses=[KSum(t, vs.vector_sum(t)) for t in bad or failing],
+        witnesses=_KSums(vs, bad or failing),
         notes=f"k={k}",
     )
 
 
 def lemma_conv_check(
-    ball: UnitBall, a: Vec2, b: Vec2, c: Vec2, tol: float = DEFAULT_TOL
+    ball: UnitBall, vectors: VectorMultiset, tol: float = DEFAULT_TOL
 ) -> tuple[bool, bool]:
-    """For boundary points a, b, c: (origin in conv, a+b+c in conv).
+    """For three boundary points a, b, c: (origin in conv, a+b+c in conv).
 
     The two memberships are equivalent for every norm; callers assert the
     equivalence, this function just computes both closed memberships. On
     rational data they are decided for the three lattice points and their
     integer sum: scaling by the common denominator keeps every sign.
     """
-    vs = Family((a, b, c))
+    vs = Family(vectors)
+    if len(vs) != 3:
+        raise PreconditionFailed(f"need exactly 3 vectors, got {len(vs)}")
     for (i,), unit in SubsetSums(ball, vs).tests(1, eq, tol):
         if not unit:
             raise NotOnBoundary(f"{vs[i]} has gauge {gauge(ball, vs[i])}, expected 1")
@@ -308,17 +322,20 @@ def lemma_conv_check(
 
 
 def lemma_main_witness(
-    ball: UnitBall, vectors: VectorMultiset, tol: float = DEFAULT_TOL
+    ball: UnitBall, vectors: VectorMultiset, tol: float = DEFAULT_TOL,
+    sums: Optional[SubsetSums] = None,
 ) -> tuple[int, int, int]:
     """For six vectors in the ball with zero sum, a triple whose sum is in the ball.
 
     Brute force over all 20 triples, lexicographically first hit. One always
     exists; not finding one raises TheoremFalsified, which is a hard bug.
+    A caller that re-checks the triple passes `sums`, its own
+    `SubsetSums(ball, vectors, 3)`, and re-reads the packing made here.
     """
     zs = Family(vectors)
     if len(zs) != 6:
         raise PreconditionFailed(f"need exactly 6 vectors, got {len(zs)}")
-    sums = SubsetSums(ball, zs, 3)
+    sums = sums or SubsetSums(ball, zs, 3)
     for (i,), inside in sums.tests(1, le, tol):
         if not inside:
             raise PreconditionFailed(f"vector {i} is outside the ball")

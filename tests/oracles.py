@@ -33,15 +33,15 @@ from helly_plane.errors import (
     TooFew,
     ZeroDirection,
 )
-from helly_plane.geometry import convex_hull, lattice, orientation, point_in_triangle
+from helly_plane.geometry import Family, convex_hull, lattice, orientation, point_in_triangle
 from helly_plane.norms import (
     POLYGONAL,
     ConvexBody,
     UnitBall,
     _polar_less,
+    SubsetSums,
     edge_functionals,
     gauge,
-    subset_tests,
 )
 from helly_plane.scalars import DEFAULT_TOL, eq, exactify, ge, gt, le, sgn
 from helly_plane.symmetry import is_centrally_symmetric
@@ -50,7 +50,12 @@ from helly_plane.vectors import ORIGIN, Vec2, vsum
 
 
 def same(a, b) -> bool:
-    """Equal values of equal types, floats bit for bit, down through tuples and Vec2s."""
+    """Equal values of equal types, floats bit for bit, down through tuples and Vec2s.
+
+    A `Family` stands for the tuple of its vectors, which is what the
+    reference generators return."""
+    if isinstance(a, Family):
+        a = a.vectors
     if isinstance(a, (tuple, list)):
         return type(a) is type(b) and len(a) == len(b) and all(map(same, a, b))
     if isinstance(a, Vec2):
@@ -338,7 +343,7 @@ def ref_verify_theorem1(ball, vectors, u, tol=DEFAULT_TOL):
     bad = []
     if len(vs) % 2 == 0:
         notes.append("even cardinality")
-    for (i,), unit in subset_tests(ball, vs, _ref_singles(len(vs)), eq, tol):
+    for (i,), unit in SubsetSums(ball, vs).tests(_ref_singles(len(vs)), eq, tol):
         v = vs[i]
         if not unit:
             bad.append(KSum((i,), v))
@@ -406,7 +411,7 @@ def ref_halfplane_certificate(ball, vectors, u, tol=DEFAULT_TOL):
 
 def ref_lemma_conv_check(ball, a, b, c, tol=DEFAULT_TOL):
     vs = (a, b, c)
-    for (i,), unit in subset_tests(ball, vs, _ref_singles(3), eq, tol):
+    for (i,), unit in SubsetSums(ball, vs).tests(_ref_singles(3), eq, tol):
         if not unit:
             raise NotOnBoundary(f"{vs[i]} has gauge {gauge(ball, vs[i])}, expected 1")
     return point_in_triangle(ORIGIN, a, b, c, tol), point_in_triangle(a + b + c, a, b, c, tol)

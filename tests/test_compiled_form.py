@@ -4,8 +4,7 @@ The integer edge normals, their common denominator, their float copies
 and the integer vertex cycle are the kernel's own format, and so are the
 packed lanes of `SubsetSums` and a ball's lane constants. Every other
 module asks `norms` instead (`gauge`, `SubsetSums.tests`/`.gauges`,
-`subset_tests`, `subset_gauges`, `edge_functionals`, `lattice_vertices`,
-`lattice_in_ball`), so the edge functionals keep one form outside it.
+`edge_functionals`, `lattice_vertices`, `lattice_in_ball`), so the edge functionals keep one form outside it.
 """
 
 import ast

@@ -1,0 +1,214 @@
+"""Drawn families stay on the lattice from the generator to the verdict.
+
+A generator returns a `geometry.Family` built from its integer pairs
+(`Family.from_lattice`). It must be the family `Family(vectors)` builds
+from the same points, print the same JSON text, and give the same floats;
+a trial must read it without forming its `Vec2`s or putting it on the
+lattice again; and the written-out draws must read the bit stream exactly
+as `generators._randint` does.
+"""
+
+import math
+import random
+from fractions import Fraction
+
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+import oracles
+from helly_plane import generators, geometry, scalars, suites, theorems
+from helly_plane.errors import PreconditionFailed
+from helly_plane.generators import gen_random_ball, gen_unit_vectors
+from helly_plane.geometry import Family
+from helly_plane.norms import square_ball
+from helly_plane.suites import SuiteConfig
+from helly_plane.theorems import KSum, corollary_check, lemma_conv_check, verify_helly
+from helly_plane.vectors import Vec2, vsum
+
+coordinates = st.integers(-(2**80), 2**80)
+# denominators past 2**53, where an int / int division must still round once
+denominators = st.one_of(st.integers(1, 10**4), st.integers(2**53 - 5, 2**90))
+
+
+@given(pairs=st.lists(st.tuples(coordinates, coordinates), max_size=6), den=denominators)
+def test_from_lattice_is_the_family_of_its_points(pairs, den):
+    vectors = tuple(Vec2(Fraction(x, den), Fraction(y, den)) for x, y in pairs)
+    fam, ref = Family.from_lattice(pairs, den), Family(vectors)
+    assert (fam.pts, fam.scale) == (ref.pts, ref.scale)
+    assert oracles.same(fam, vectors) and oracles.same(ref, vectors)
+    assert fam == ref == vectors and vectors == fam
+    assert hash(fam) == hash(ref) == hash(vectors)
+    assert fam.to_json() == [v.to_json() for v in vectors]
+    floats = [(float(v.x).hex(), float(v.y).hex()) for v in vectors]
+    assert [((x / den).hex(), (y / den).hex()) for x, y in pairs] == floats
+    assert [(x.hex(), y.hex()) for x, y in fam.floats()] == floats
+
+
+@given(pairs=st.lists(st.tuples(st.floats(-3, 3), st.floats(-3, 3)), max_size=6))
+def test_float_family_from_its_coordinates(pairs):
+    vectors = tuple(Vec2(x, y) for x, y in pairs)
+    fam = Family.from_lattice(pairs, None)
+    assert oracles.same(fam, vectors) and fam == Family(vectors) == vectors
+    assert fam.to_json() == [v.to_json() for v in vectors]
+    signs = [(-1) ** i for i in range(len(pairs))]
+    assert oracles.same(fam.signed(signs), tuple(v if s > 0 else -v for v, s in zip(vectors, signs)))
+
+
+def test_family_is_a_sequence_of_its_vectors():
+    vectors = (Vec2(Fraction(1, 2), 0), Vec2(1, Fraction(-3, 4)), Vec2(0, 0))
+    fam = Family.from_lattice([(2, 0), (4, -3), (0, 0)], 4)
+    assert Family(fam) is fam and len(fam) == 3
+    assert list(fam) == list(vectors) and fam[1] == vectors[1] and fam[1:] == vectors[1:]
+    assert fam.signed([1, -1, 1]).pts == [(2, 0), (-4, 3), (0, 0)]
+    assert fam != list(vectors) and fam != Family(vectors[:2])
+
+
+@pytest.mark.parametrize("verify", [
+    lambda ball, vs: verify_helly(ball, vs, strict=True),
+    lambda ball, vs: corollary_check(ball, vs, 5),
+])
+def test_witnesses_are_summed_only_when_read(monkeypatch, verify):
+    # most strict probes fail and are dropped unread: their witnesses'
+    # `Fraction` sums are formed only if something reads them
+    made = []
+
+    def counted(*args):
+        made.append(args)
+        return Fraction(*args)
+
+    ball = square_ball()
+    vs = gen_unit_vectors(ball, 9, 3)
+    monkeypatch.setattr(geometry, "Fraction", counted)
+    report = verify(ball, vs)
+    assert not report.hypothesis_holds and len(made) == 2  # the total only
+    subsets = [w.subset for w in report.witnesses]
+    assert len(subsets) == len(report.witnesses) > 0
+    assert len(made) == 2 + 2 * len(subsets)
+    assert [w.to_json() for w in report.witnesses] == [
+        KSum(t, vsum(vs[i] for i in t)).to_json() for t in subsets
+    ]
+
+
+def test_lemma_conv_takes_three_vectors():
+    ball = square_ball()
+    with pytest.raises(PreconditionFailed):
+        lemma_conv_check(ball, [Vec2(1, 1), Vec2(-1, 1)])
+
+
+# one max-norm trial of each suite that draws a family of vectors
+FAMILY_TRIALS = [
+    ("thm1", 0), ("thm2", 0), ("thm2", 1), ("thm3", 0), ("thm3", 9), ("lemma-conv", 0),
+    ("lemma-main", 0), ("corollary", 0), ("signs", 0), ("generic", 0),
+]
+
+
+def max_norm_trial(monkeypatch, suite, index):
+    """Trial `index` of a suite on the max-norm ball, to run after the
+    ball is built: it returns the instance the trial drew."""
+    cfg = SuiteConfig(suite=suite, trials=index + 1, seed=20240611, ball_source="maxnorm")
+    balls = suites._ball_source(cfg)
+    drawn = []
+    draw = suites.draw_instance
+
+    def keep(*args):
+        drawn.append(draw(*args))
+        return drawn[-1]
+
+    def run():
+        monkeypatch.setattr(suites, "draw_instance", keep)
+        assert suites._run_trial(cfg, index, balls).outcome == "pass"
+        [inst] = drawn
+        return inst
+
+    return run
+
+
+@pytest.mark.parametrize("suite, index", [
+    ("thm2", 0), ("thm2", 1), ("thm3", 0), ("lemma-main", 0), ("corollary", 0),
+])
+def test_a_trial_forms_no_fraction_for_its_vectors(monkeypatch, suite, index):
+    made, directions = [], []
+
+    def counted(*args):
+        made.append(args)
+        return Fraction(*args)
+
+    def direction(rng):
+        directions.append(generators.gen_direction(rng))
+        return directions[-1]
+
+    run = max_norm_trial(monkeypatch, suite, index)
+    monkeypatch.setattr(generators, "Fraction", counted)
+    monkeypatch.setattr(suites, "gen_direction", direction)
+    fam = run().vectors
+    assert type(fam) is Family and fam.scale is not None
+    # the generators formed only the halfplane directions' coordinates,
+    # and the family's own `Vec2`s were never formed
+    assert len(made) == 2 * len(directions)
+    assert "vectors" not in vars(fam)
+    list(fam)  # what a witness or a picture reads
+    assert "vectors" in vars(fam)
+
+
+@pytest.mark.parametrize("suite, index", FAMILY_TRIALS)
+def test_generator_output_is_not_put_on_the_lattice_again(monkeypatch, suite, index):
+    seen = []
+    original = scalars.lattice_values
+
+    def spy(xs):
+        seen.append(list(xs))
+        return original(xs)
+
+    run = max_norm_trial(monkeypatch, suite, index)
+    for module in (scalars, geometry, theorems):
+        monkeypatch.setattr(module, "lattice_values", spy)
+    fam = run().vectors
+    coords = [c for v in fam for c in (v.x, v.y)]
+    assert all(xs != coords for xs in seen)
+    if suite != "generic":  # make_generic's own output is put on the lattice once
+        # only a halfplane direction, or the antipodal pair thm2 splices in
+        assert all(len(xs) <= 2 or xs[2:] == [-xs[0], -xs[1]] for xs in seen)
+
+
+def ref_unit_points(grid, n, rng):
+    """`_lattice_unit_vectors`' draws through `_randint`, unmirrored."""
+    pairs, scale = grid
+    m = len(pairs)
+    out = []
+    for _ in range(n):
+        i = generators._randint(rng, 0, m - 1)
+        (ax, ay), (bx, by) = pairs[i], pairs[(i + 1) % m]
+        r = generators._randint(rng, 0, 999)
+        out.append((1000 * ax + r * (bx - ax), 1000 * ay + r * (by - ay)))
+    return Family.from_lattice(out, 1000 * scale)
+
+
+def ref_ball_points(grid, rng, count):
+    """`_lattice_points` through `_randint`: each point on its own, then
+    all over the lcm of their denominators."""
+    pairs, scale = grid
+    m = len(pairs)
+    points = []
+    for _ in range(count):
+        picks = [pairs[generators._randint(rng, 0, m - 1)] for _ in range(3)]
+        weights = [generators._randint(rng, 0, 1000) for _ in range(3)]
+        x = sum(w * px for w, (px, _) in zip(weights, picks))
+        y = sum(w * py for w, (_, py) in zip(weights, picks))
+        points.append((x, y, (sum(weights) or 1) * scale))
+    den = math.lcm(*[d for _, _, d in points])
+    return [(x * (den // d), y * (den // d)) for x, y, d in points], den
+
+
+@pytest.mark.parametrize("ball_name", ["random", "maxnorm"])
+def test_written_out_draws_read_the_randint_stream(ball_name):
+    for seed in range(100):
+        ball = gen_random_ball(seed) if ball_name == "random" else square_ball()
+        grid = ball.vertex_grid
+        ours, ref = random.Random(seed), random.Random(seed)
+        for n in (1, 5, 9):
+            got = generators._lattice_unit_vectors(grid, n, ours, None)
+            want = ref_unit_points(grid, n, ref)
+            assert (got.pts, got.scale) == (want.pts, want.scale)
+            assert generators._lattice_points(grid, ours, n) == ref_ball_points(grid, ref, n)
+        assert ours.getstate() == ref.getstate()

@@ -4,7 +4,7 @@ Balls are drawn with denominators off the 1/1000 grid of the generators
 (1/3, 1/7, 1/1001) as well as with integer vertices. The references are the
 definitions the kernel replaces: the edge functional solved on `Fraction`s,
 the ray-boundary gauge oracle, the float edge-functional maximum, `gauge`
-of a `vsum` (compared with 1 through `scalars` for `subset_tests`), and a
+of a `vsum` (compared with 1 through `scalars` for `SubsetSums.tests`), and a
 `Fraction` monotone chain kept here.
 """
 
@@ -17,7 +17,7 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from helly_plane import geometry, norms
+from helly_plane import geometry, norms, suites
 from helly_plane.algorithms import choose_signs, make_generic
 from helly_plane.errors import NotConvexBody
 from helly_plane.gallery import gallery_case
@@ -38,10 +38,9 @@ from helly_plane.norms import (
     make_convex_body,
     make_polygonal_ball,
     square_ball,
-    subset_gauges,
-    subset_tests,
 )
 from helly_plane.scalars import eq, ge, gt, le
+from helly_plane.suites import SuiteConfig
 from helly_plane.theorems import (
     corollary_check, halfplane_certificate, lemma_conv_check, lemma_main_witness, verify_helly,
     verify_theorem1,
@@ -189,7 +188,7 @@ def test_float_gauge_is_bitwise_edge_maximum(ball, z):
 
 @given(ball=balls(), vectors=st.lists(rational_points, min_size=1, max_size=6))
 def test_subset_gauges_rational(ball, vectors):
-    got = list(subset_gauges(ball, vectors, subsets(len(vectors))))
+    got = list(SubsetSums(ball, vectors).gauges(subsets(len(vectors))))
     assert got == [(t, gauge(ball, vsum(vectors[i] for i in t))) for t in subsets(len(vectors))]
 
 
@@ -202,7 +201,7 @@ def test_subset_gauges_rational(ball, vectors):
     tol=st.sampled_from([1e-9, 0.0, 1e-3]),
 )
 def test_subset_gauges_float_bitwise(ball, vectors, tol):
-    for t, g in subset_gauges(ball, vectors, subsets(len(vectors))):
+    for t, g in SubsetSums(ball, vectors).gauges(subsets(len(vectors))):
         assert g.hex() == gauge(ball, vsum(vectors[i] for i in t)).hex()
     # the k-form walks the same float sums as the explicit form: the same
     # gauges bit for bit and the same answers, for every k
@@ -225,7 +224,7 @@ families = st.one_of(
 @given(vectors=families)
 def test_subset_gauges_euclidean(vectors):
     ball = euclidean_ball()
-    for t, g in subset_gauges(ball, vectors, subsets(len(vectors))):
+    for t, g in SubsetSums(ball, vectors).gauges(subsets(len(vectors))):
         assert g.hex() == gauge(ball, vsum(vectors[i] for i in t)).hex()
 
 
@@ -235,7 +234,7 @@ def test_float_vertex_ball(ball, z, vectors):
     assert fball.normals is None
     expected = max(n.x * float(z.x) + n.y * float(z.y) for n in edge_functionals(fball))
     assert gauge(fball, z).hex() == expected.hex()
-    for t, g in subset_gauges(fball, vectors, subsets(len(vectors))):
+    for t, g in SubsetSums(fball, vectors).gauges(subsets(len(vectors))):
         assert g.hex() == gauge(fball, vsum(vectors[i] for i in t)).hex()
 
 
@@ -281,13 +280,13 @@ kernel_balls = st.one_of(
 
 
 def assert_sphere_tests(ball, vectors, tol, meaning=None):
-    """`subset_tests` against `rel(gauge(vsum), 1, tol)` for every rel and
+    """`SubsetSums.tests` against `rel(gauge(vsum), 1, tol)` for every rel and
     subset, and against `meaning[rel]` of the reference gauge when given;
     then the k-form of `SubsetSums` for every k = 0..n the same way."""
     ts = subsets(len(vectors))
     gauges = [gauge(ball, vsum(vectors[i] for i in t)) for t in ts]
     for rel in RELS:
-        got = list(subset_tests(ball, vectors, ts, rel, tol))
+        got = list(SubsetSums(ball, vectors).tests(ts, rel, tol))
         assert got == [(t, rel(g, 1, tol)) for t, g in zip(ts, gauges)]
         if meaning is not None:
             assert [ok for _, ok in got] == [meaning[rel](g, tol) for g in gauges]
@@ -352,9 +351,9 @@ def test_kernel_on_explicit_subsets(ball, vectors, tol, data):
     ts = data.draw(explicit_subsets(len(vectors)))
     gauges = [gauge(ball, vsum(vectors[i] for i in t)) for t in ts]
     for rel in RELS:
-        got = list(subset_tests(ball, vectors, iter(ts), rel, tol))
+        got = list(SubsetSums(ball, vectors).tests(iter(ts), rel, tol))
         assert got == [(t, rel(g, 1, tol)) for t, g in zip(ts, gauges)]
-    got = list(subset_gauges(ball, vectors, iter(ts)))
+    got = list(SubsetSums(ball, vectors).gauges(iter(ts)))
     assert [t for t, _ in got] == ts
     for (t, g), ref in zip(got, gauges):
         assert g == ref
@@ -377,8 +376,8 @@ def test_subset_tests_on_boundary_points(seed, tol):
     ball = gen_random_ball(seed)
     vectors = list(gen_unit_vectors(ball, 3, seed))
     singles = [(0,), (1,), (2,)]
-    assert [ok for _, ok in subset_tests(ball, vectors, singles, eq, tol)] == [True] * 3
-    assert [ok for _, ok in subset_tests(ball, vectors, singles, gt, tol)] == [False] * 3
+    assert [ok for _, ok in SubsetSums(ball, vectors).tests(singles, eq, tol)] == [True] * 3
+    assert [ok for _, ok in SubsetSums(ball, vectors).tests(singles, gt, tol)] == [False] * 3
     assert_sphere_tests(ball, vectors, tol, EXACT)
 
 
@@ -412,14 +411,16 @@ def test_each_family_is_put_on_the_lattice_once(monkeypatch):
                     monkeypatch.setattr(module, attr, spy)
 
     ball = gen_random_ball(3)
-    vs = gen_unit_vectors(ball, 7, 5, halfplane=Vec2(1, 2))
-    zs = gen_zero_sum_six(ball, 6)
+    # plain tuples of vectors, as a caller passes them: the generators'
+    # own families are on the lattice already and are never put there again
+    vs = tuple(gen_unit_vectors(ball, 7, 5, halfplane=Vec2(1, 2)))
+    zs = tuple(gen_zero_sum_six(ball, 6))
     calls = [
         (lambda: verify_helly(ball, vs, strict=False), [vs]),
         (lambda: verify_helly(ball, vs, strict=True), [vs]),
         (lambda: corollary_check(ball, vs, 5), [vs]),
         (lambda: lemma_main_witness(ball, zs), [zs]),
-        (lambda: lemma_conv_check(ball, *vs[:3]), [vs[:3]]),
+        (lambda: lemma_conv_check(ball, vs[:3]), [vs[:3]]),
         (lambda: choose_signs(ball, vs), [vs]),  # its signed copy reuses the lattice
     ]
     for call, families in calls:
@@ -492,9 +493,9 @@ def test_explicit_subsets_longer_than_the_family(ball, vectors, tol):
     list(shared.tests(1, eq, tol))
     for rel in RELS:
         expected = [(t, rel(g, 1, tol)) for t, g in zip(ts, gauges)]
-        assert list(subset_tests(ball, vectors, ts, rel, tol)) == expected
+        assert list(SubsetSums(ball, vectors).tests(ts, rel, tol)) == expected
         assert list(shared.tests(ts, rel, tol)) == expected
-    for got in (list(subset_gauges(ball, vectors, ts)), list(shared.gauges(ts))):
+    for got in (list(SubsetSums(ball, vectors).gauges(ts)), list(shared.gauges(ts))):
         assert [t for t, _ in got] == ts
         assert_same_gauges([g for _, g in got], gauges)
 
@@ -542,6 +543,7 @@ def test_one_packing_per_ball_and_family_per_verifier_call(monkeypatch):
 
     monkeypatch.setattr(SubsetSums, "_pack", spy)
     u = Vec2(1, 2)
+    lemma_main = SuiteConfig(suite="lemma-main", trials=1, seed=6)
     for ball in (gen_random_ball(3), square_ball()):
         vs = gen_unit_vectors(ball, 7, 5, halfplane=u)
         zs = gen_zero_sum_six(ball, 6)
@@ -553,7 +555,9 @@ def test_one_packing_per_ball_and_family_per_verifier_call(monkeypatch):
             (lambda: corollary_check(ball, vs, 5), 1),
             (lambda: corollary_check(ball, vs, 7), 1),
             (lambda: lemma_main_witness(ball, zs), 1),
-            (lambda: lemma_conv_check(ball, *vs[:3]), 1),
+            # a lemma-main trial: the witness search and the suite's re-check
+            (lambda: suites._run_trial(lemma_main, 0, lambda rng: ball), 1),
+            (lambda: lemma_conv_check(ball, vs[:3]), 1),
             (lambda: choose_signs(ball, vs), 2),  # the family, then its signed copy
             (lambda: make_generic(ball, vs[:4], Fraction(9, 10), Fraction(1, 1000), 7), 1),
         ]

@@ -1,6 +1,6 @@
 """Comparisons of a norm with 1 are decided on the lattice.
 
-`norms.subset_tests` decides `rel(gauge(sum), 1)` on two ints wherever the
+`norms.SubsetSums.tests` decides `rel(gauge(sum), 1)` on two ints wherever the
 ball and the data are rational; a verifier that writes
 `le(gauge(ball, v), 1, tol)` forms a `Fraction` only to compare it with 1.
 In `theorems` and `algorithms`, no call to `eq`, `le`, `ge` or `gt` may take

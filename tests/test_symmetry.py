@@ -108,7 +108,7 @@ def test_square_surrounded_triple_touches_boundary(square_body, square):
     h = a + b + c
     assert h == Vec2(0, 1)
     assert ray_gauge(square_body, h) == 1
-    assert lemma_conv_check(square, a, b, c) == (True, True)
+    assert lemma_conv_check(square, (a, b, c)) == (True, True)
 
 
 def test_agreement_on_test_corpus():

@@ -309,24 +309,24 @@ def test_corollary_bad_k(square):
 # ---------------------------------------------------------------------------
 
 def test_lemma_conv_examples(square, euclid):
-    assert lemma_conv_check(euclid, Vec2(1.0, 0.0), Vec2(0.0, 1.0), Vec2(-1.0, 0.0)) == (True, True)
+    assert lemma_conv_check(euclid, (Vec2(1.0, 0.0), Vec2(0.0, 1.0), Vec2(-1.0, 0.0))) == (True, True)
     import math
 
     s = math.sqrt(2) / 2
-    assert lemma_conv_check(euclid, Vec2(1.0, 0.0), Vec2(0.0, 1.0), Vec2(s, s)) == (False, False)
-    assert lemma_conv_check(square, Vec2(1, 1), Vec2(-1, 1), Vec2(0, -1)) == (True, True)
+    assert lemma_conv_check(euclid, (Vec2(1.0, 0.0), Vec2(0.0, 1.0), Vec2(s, s))) == (False, False)
+    assert lemma_conv_check(square, (Vec2(1, 1), Vec2(-1, 1), Vec2(0, -1))) == (True, True)
 
 
 def test_lemma_conv_requires_boundary(square):
     with pytest.raises(NotOnBoundary):
-        lemma_conv_check(square, Vec2(0, F(1, 2)), Vec2(1, 1), Vec2(-1, 1))
+        lemma_conv_check(square, (Vec2(0, F(1, 2)), Vec2(1, 1), Vec2(-1, 1)))
 
 
 def test_lemma_conv_equivalence_random():
     for seed in range(400):
         ball = gen_random_ball(seed ^ 0x5A5A)
         a, b, c = gen_unit_vectors(ball, 3, seed)
-        origin_in, h_in = lemma_conv_check(ball, a, b, c)
+        origin_in, h_in = lemma_conv_check(ball, (a, b, c))
         assert origin_in == h_in, f"disagree at seed {seed}"
 
 

@@ -266,7 +266,7 @@ def test_lemma_conv_matches_the_reference(name):
     for seed in range(40):
         for vs in _triples(ball, seed):
             for ws in (vs, floats(vs)):
-                new = outcome(lemma_conv_check, ball, *ws)
+                new = outcome(lemma_conv_check, ball, ws)
                 assert new == outcome(oracles.ref_lemma_conv_check, ball, *ws)
                 if ws is vs and ball.is_polygonal:
                     assert new[0] == "ok"
@@ -275,7 +275,7 @@ def test_lemma_conv_matches_the_reference(name):
 def test_lemma_conv_off_the_boundary():
     ball = square_ball()
     for ws in ([Vec2(0, F(1, 2)), Vec2(1, 1), Vec2(-1, 1)], [Vec2(1, 1), Vec2(-1, 1), Vec2(0.0, 0.5)]):
-        got = outcome(lemma_conv_check, ball, *ws)
+        got = outcome(lemma_conv_check, ball, ws)
         assert got[0] is not None and got == outcome(oracles.ref_lemma_conv_check, ball, *ws)
 
 
