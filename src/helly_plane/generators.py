@@ -10,8 +10,11 @@ Integers are drawn straight off `rng.getrandbits` (`_randint`, written
 out in the hot draws), with the values and generator states of
 `rng.randint`/`rng.randrange`. Polygonal boundary points are convex
 combinations of adjacent vertices, so their gauge is 1 exactly, with no
-float slack anywhere in exact mode. The Euclidean ball and float-vertex
-balls are drawn in floats.
+float slack anywhere in exact mode. The Euclidean ball is drawn as float
+pairs, returned as a float `Family` that prints from those pairs: no
+`Vec2` and no `Fraction` is formed, and each float is the one the `Vec2`
+arithmetic gave. Float-vertex balls keep their `Vec2` draws: a vertex
+with an int coordinate gives `Fraction` coordinates there.
 """
 
 from __future__ import annotations
@@ -89,21 +92,33 @@ def gen_unit_vectors(
     grid = lattice_vertices(ball)
     if grid is not None:
         return _lattice_unit_vectors(grid, n, rng, halfplane)
+    if not ball.is_polygonal:
+        return _euclidean_unit_vectors(n, rng, halfplane)
     out: list[Vec2] = []
-    for _ in range(n):
-        if ball.is_polygonal:  # float vertices
-            m = len(ball.vertices)
-            i = _randint(rng, 0, m - 1)
-            a, b = ball.vertices[i], ball.vertices[(i + 1) % m]
-            t = Fraction(_randint(rng, 0, _GRID - 1), _GRID)
-            v = a + (b - a).scale(t)
-        else:
-            phi = rng.uniform(0.0, 2.0 * math.pi)
-            v = Vec2(math.cos(phi), math.sin(phi))
+    for _ in range(n):  # float vertices
+        m = len(ball.vertices)
+        i = _randint(rng, 0, m - 1)
+        a, b = ball.vertices[i], ball.vertices[(i + 1) % m]
+        t = Fraction(_randint(rng, 0, _GRID - 1), _GRID)
+        v = a + (b - a).scale(t)
         if halfplane is not None and halfplane.dot(v) < 0:
             v = -v
         out.append(v)
     return Family(out)
+
+
+def _euclidean_unit_vectors(n: int, rng: random.Random, halfplane: Optional[Vec2]) -> Family:
+    """`gen_unit_vectors` on the Euclidean ball, as float pairs. u is turned
+    into two floats once: `Fraction`·float is float(F)·float, so the
+    mirror test is the float dot `Vec2.dot` gives."""
+    pairs = []
+    for _ in range(n):
+        phi = rng.uniform(0.0, 2.0 * math.pi)
+        pairs.append((math.cos(phi), math.sin(phi)))
+    if halfplane is not None:
+        ux, uy = float(halfplane.x), float(halfplane.y)
+        pairs = [(-x, -y) if ux * x + uy * y < 0 else (x, y) for x, y in pairs]
+    return Family.from_lattice(pairs, None)
 
 
 def _lattice_unit_vectors(
@@ -154,6 +169,8 @@ def gen_zero_sum_six(ball: UnitBall, seed: int) -> Family:
     and all six are returned over that one denominator.
     """
     rng = random.Random(seed)
+    if not ball.is_polygonal:
+        return _euclidean_zero_sum_six(rng)
     grid = lattice_vertices(ball)
     if grid is None:
         return Family(_float_zero_sum_six(ball, rng))
@@ -193,7 +210,7 @@ def _lattice_points(grid: VertexGrid, rng: random.Random, count: int) -> tuple[l
 
 
 def _float_zero_sum_six(ball: UnitBall, rng: random.Random) -> tuple[Vec2, ...]:
-    """`gen_zero_sum_six` on the Euclidean ball or a float-vertex ball."""
+    """`gen_zero_sum_six` on a float-vertex ball."""
     for _ in range(_ZERO_SUM_DRAWS):
         five = [_float_point_in_ball(ball, rng) for _ in range(5)]
         closing = -vsum(five)
@@ -204,16 +221,34 @@ def _float_zero_sum_six(ball: UnitBall, rng: random.Random) -> tuple[Vec2, ...]:
 
 
 def _float_point_in_ball(ball: UnitBall, rng: random.Random) -> Vec2:
-    if not ball.is_polygonal:
-        phi = rng.uniform(0.0, 2.0 * math.pi)
-        r = math.sqrt(rng.uniform(0.0, 1.0))
-        return Vec2(r * math.cos(phi), r * math.sin(phi))
     # a random convex combination of three float vertices stays in the ball
     m = len(ball.vertices)
     picks = [ball.vertices[_randint(rng, 0, m - 1)] for _ in range(3)]
     weights = [_randint(rng, 0, _GRID) for _ in range(3)]
     total = sum(weights) or 1
     return vsum(p.scale(Fraction(w, total)) for p, w in zip(picks, weights))
+
+
+def _euclidean_zero_sum_six(rng: random.Random) -> Family:
+    """`gen_zero_sum_six` on the Euclidean ball, as float pairs: the five
+    points are added from 0 left to right, as `vsum` adds them."""
+    for _ in range(_ZERO_SUM_DRAWS):
+        five = [_euclidean_point(rng) for _ in range(5)]
+        x = y = 0
+        for px, py in five:
+            x += px
+            y += py
+        if le(math.hypot(x, y), 1, 1e-12):
+            return Family.from_lattice(five + [(-x, -y)], None)
+    three = [_euclidean_point(rng) for _ in range(3)]
+    return Family.from_lattice(three + [(-x, -y) for x, y in three], None)
+
+
+def _euclidean_point(rng: random.Random) -> tuple[float, float]:
+    """A uniform point of the Euclidean disc."""
+    phi = rng.uniform(0.0, 2.0 * math.pi)
+    r = math.sqrt(rng.uniform(0.0, 1.0))
+    return r * math.cos(phi), r * math.sin(phi)
 
 
 def gen_direction(rng: random.Random) -> Vec2:

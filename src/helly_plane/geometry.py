@@ -89,10 +89,14 @@ class Family(Sequence):
         return hash(self.vectors)
 
     def to_json(self) -> list[list[str]]:
-        """`Vec2.to_json` of each vector, printed from the ints on the lattice."""
-        if self.scale is None:
+        """`Vec2.to_json` of each vector, printed from the ints on the lattice
+        or from the float pairs. Given vectors print as given: an int
+        coordinate prints "0", not "0.0"."""
+        if self.scale is not None:
+            return [[format_ratio(x, self.scale), format_ratio(y, self.scale)] for x, y in self.pts]
+        if "vectors" in self.__dict__:
             return [v.to_json() for v in self.vectors]
-        return [[format_ratio(x, self.scale), format_ratio(y, self.scale)] for x, y in self.pts]
+        return [[repr(x), repr(y)] for x, y in self.pts]
 
     def signed(self, signs: Sequence[int]) -> "Family":
         """The family with vector i times signs[i] (1 or -1), built from

@@ -21,6 +21,7 @@ import random
 import time
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
+from itertools import combinations
 from typing import Any, Callable, Optional, Sequence
 
 from .algorithms import choose_signs, make_generic
@@ -295,12 +296,16 @@ def _draw_claim1(cfg: SuiteConfig, rng: random.Random, index: int, balls: _Balls
     return Instance({"xs": [str(p.x) for p in points]}, vectors=points)
 
 
+# each triple of six indices to the other three
+_COMPLEMENT = {t: tuple(sorted(set(range(6)) - set(t))) for t in combinations(range(6), 3)}
+
+
 def _check_claim1(cfg: SuiteConfig, inst: Instance) -> tuple:
     hits = set(claim1_triplets([v.x for v in inst.vectors], cfg.tol))
     if len(hits) < 12:
         return "fail", f"only {len(hits)} triples"
     for t in hits:
-        if tuple(sorted(set(range(6)) - set(t))) not in hits:
+        if _COMPLEMENT[t] not in hits:
             return "fail", f"complement of {t} missing"
     return "pass", f"count={len(hits)}"
 

@@ -95,14 +95,21 @@ class Certificate:
     middle vector, and `projections` the coefficients of each vector on the
     middle vector in the basis {middle vector, tangent.perp()}. Their sum
     being at least 1 forces the sum of the family out of the open unit ball.
+    `order` lists the indices into `family` in that order; `ordered`, the
+    reordered vectors themselves, is formed on first read.
     """
 
     k: int
     u: Vec2
     tangent: Vec2
-    ordered: tuple[Vec2, ...]
+    family: Sequence[Vec2]
+    order: Sequence[int]
     projections: list[Scalar]
     projection_sum: Scalar
+
+    @functools.cached_property
+    def ordered(self) -> tuple[Vec2, ...]:
+        return tuple([self.family[i] for i in self.order])
 
 
 def all_ksums(vectors: VectorMultiset, k: int) -> list[KSum]:
@@ -235,8 +242,7 @@ def halfplane_certificate(
         )
     if not ge(report.total_norm, 1, tol):  # pragma: no cover - implied by the above
         raise TheoremFalsified("certificate exists but total norm < 1")
-    ordered = tuple([vs[i] for i in order])
-    return Certificate(k, u, tangent, ordered, projections, projection_sum)
+    return Certificate(k, u, tangent, vs, order, projections, projection_sum)
 
 
 def _odd_family(n: int) -> None:

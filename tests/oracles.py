@@ -406,7 +406,7 @@ def ref_halfplane_certificate(ball, vectors, u, tol=DEFAULT_TOL):
         )
     if not ge(report.total_norm, 1, tol):
         raise TheoremFalsified("certificate exists but total norm < 1")
-    return Certificate(k, u, tangent, ordered, projections, projection_sum)
+    return Certificate(k, u, tangent, ordered, range(n), projections, projection_sum)
 
 
 def ref_lemma_conv_check(ball, a, b, c, tol=DEFAULT_TOL):

@@ -132,7 +132,10 @@ def test_criterion_6_lemma_main_suite():
 
 def test_criterion_7_claim1_suite():
     report = run_suite(SuiteConfig(suite="claim1", trials=10_000, seed=SEED + 5))
-    ok = report.failures == 0 and report.vacuous == 0 and report.passes == 10_000
+    ok = (
+        report.failures == 0 and report.vacuous == 0 and report.passes == 10_000
+        and report.wall_time < 10.0
+    )
     _announce(7, "triple count >= 12 with complement closure", ok, report.wall_time)
 
 
@@ -149,7 +152,9 @@ def test_criterion_8_rotation_suite():
         ok &= final >= 1 - TOL
         if not ok:
             break
-    _announce(8, "rotation reduction on 10^3 instances", ok, time.perf_counter() - t0)
+    elapsed = time.perf_counter() - t0
+    ok &= elapsed < 5.0
+    _announce(8, "rotation reduction on 10^3 instances", ok, elapsed)
 
 
 def test_criterion_9_sign_choice_suite():

@@ -10,6 +10,7 @@ as `generators._randint` does.
 
 import math
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -21,7 +22,7 @@ from helly_plane import generators, geometry, scalars, suites, theorems
 from helly_plane.errors import PreconditionFailed
 from helly_plane.generators import gen_random_ball, gen_unit_vectors
 from helly_plane.geometry import Family
-from helly_plane.norms import square_ball
+from helly_plane.norms import ball_from_json, ball_to_json, euclidean_ball, square_ball
 from helly_plane.suites import SuiteConfig
 from helly_plane.theorems import KSum, corollary_check, lemma_conv_check, verify_helly
 from helly_plane.vectors import Vec2, vsum
@@ -53,6 +54,57 @@ def test_float_family_from_its_coordinates(pairs):
     assert fam.to_json() == [v.to_json() for v in vectors]
     signs = [(-1) ** i for i in range(len(pairs))]
     assert oracles.same(fam.signed(signs), tuple(v if s > 0 else -v for v, s in zip(vectors, signs)))
+
+
+def test_float_families_print_as_their_vectors():
+    pairs = [(0.1, -0.0), (1.0, 2.5e-17), (-3.0, 1e300)]
+    families = [
+        Family.from_lattice(pairs, None),
+        Family([Vec2(x, y) for x, y in pairs]),
+        Family([Vec2(0, 0.5), Vec2(-1, 2.0), Vec2(0.25, 3)]),  # an int prints "0", not "0.0"
+    ]
+    assert families[0].to_json() == [["0.1", "-0.0"], ["1.0", "2.5e-17"], ["-3.0", "1e+300"]]
+    assert "vectors" not in vars(families[0])  # printed from its pairs
+    assert families[2].to_json()[:2] == [["0", "0.5"], ["-1", "2.0"]]
+    for fam in families:
+        assert fam.scale is None
+        assert fam.to_json() == [v.to_json() for v in fam]
+
+
+def constructed(call) -> list[str]:
+    """The `Vec2`s and `Fraction`s constructed while `call()` runs, seen
+    by a profile hook on their constructors."""
+    codes = {Vec2.__init__.__code__: "Vec2", Fraction.__new__.__code__: "Fraction"}
+    if hasattr(Fraction, "_from_coprime_ints"):  # Fraction arithmetic that skips __new__
+        codes[Fraction._from_coprime_ints.__func__.__code__] = "Fraction"
+    seen = []
+
+    def hook(frame, event, arg):
+        if event == "call" and frame.f_code in codes:
+            seen.append(codes[frame.f_code])
+
+    sys.setprofile(hook)
+    try:
+        call()
+    finally:
+        sys.setprofile(None)
+    return seen
+
+
+@pytest.mark.parametrize("draws", [generators._ZERO_SUM_DRAWS, 0])
+def test_euclidean_draws_build_no_vec2_and_no_fraction(monkeypatch, draws):
+    # draws = 0 sends the zero-sum draw to its +- triple fallback
+    monkeypatch.setattr(generators, "_ZERO_SUM_DRAWS", draws)
+    ball, rng = euclidean_ball(), random.Random(5)
+    directions = [generators.gen_direction(rng) for _ in range(5)] + [Vec2(0.6, -0.8), Vec2(0, 1)]
+    for seed, u in enumerate(directions):
+        assert constructed(lambda: gen_unit_vectors(ball, 7, seed, halfplane=u)) == []
+        assert constructed(lambda: gen_unit_vectors(ball, 7, seed)) == []
+        assert constructed(lambda: generators.gen_zero_sum_six(ball, seed)) == []
+    # the hook does see them: a float-vertex ball draws through `Vec2`s
+    float_ball = ball_from_json(ball_to_json(gen_random_ball(5)), "float")
+    assert "Vec2" in constructed(lambda: gen_unit_vectors(float_ball, 3, 0, halfplane=directions[0]))
+    assert "Fraction" in constructed(lambda: generators.gen_zero_sum_six(float_ball, 0))
 
 
 def test_family_is_a_sequence_of_its_vectors():
@@ -125,7 +177,7 @@ def max_norm_trial(monkeypatch, suite, index):
 
 
 @pytest.mark.parametrize("suite, index", [
-    ("thm2", 0), ("thm2", 1), ("thm3", 0), ("lemma-main", 0), ("corollary", 0),
+    ("thm1", 0), ("thm2", 0), ("thm2", 1), ("thm3", 0), ("lemma-main", 0), ("corollary", 0),
 ])
 def test_a_trial_forms_no_fraction_for_its_vectors(monkeypatch, suite, index):
     made, directions = [], []

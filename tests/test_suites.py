@@ -1,5 +1,6 @@
 import hashlib
 import json
+from itertools import combinations
 
 import pytest
 
@@ -150,3 +151,25 @@ def test_fixed_ball_json_is_formed_once_per_run(monkeypatch, suite):
     assert norms.ball_to_json(ball) == ball.json_doc
     assert norms.ball_to_json(ball) is not norms.ball_to_json(ball)  # a fresh document
     assert ball.json_doc is ball.json_doc
+
+
+def _claim1_detail(monkeypatch, hits) -> str:
+    """The detail of a claim1 trial whose `claim1_triplets` gives `hits`."""
+    monkeypatch.setattr(suites, "claim1_triplets", lambda xs, tol: list(hits))
+    [record] = run_suite(SuiteConfig(suite="claim1", trials=1, seed=0)).records
+    assert record.outcome == "fail"
+    return record.detail
+
+
+def test_claim1_check_reports_a_missing_complement(monkeypatch):
+    triples = list(combinations(range(6), 3))  # triple i's complement is triple 19 - i
+    # six complementary pairs and (0, 1, 2), whose complement (3, 4, 5) is missing
+    hits = triples[1:7] + triples[13:19] + triples[:1]
+    assert _claim1_detail(monkeypatch, hits) == "complement of (0, 1, 2) missing"
+    assert _claim1_detail(monkeypatch, triples[:11]) == "only 11 triples"
+    # several unclosed triples: the first reported is the first one the set
+    # of hits yields, as with the complement formed by set difference
+    hits = triples[:14]
+    first = next(t for t in set(hits) if tuple(sorted(set(range(6)) - set(t))) not in set(hits))
+    assert _claim1_detail(monkeypatch, hits) == f"complement of {first} missing"
+
