@@ -169,7 +169,7 @@ def choose_signs(
     signs = [1 if ge(y, 0, tol) else -1 for _, y in vs.pts]
     signed = vs.signed(signs)
     n = len(vs)
-    sums = SubsetSums(ball, signed, n)
+    sums = SubsetSums(ball, signed)
     if n <= 15:  # one pass per odd size
         checks = chain.from_iterable(sums.tests(size, ge, tol) for size in range(1, n + 1, 2))
     else:
@@ -283,7 +283,7 @@ def _check_generic(
         if not gauge(ball, w - v.scale(lam)) <= eps:
             raise TheoremFalsified("perturbation moved too far")
     seen: dict[Scalar, tuple[int, ...]] = {}
-    sums = SubsetSums(ball, perturbed, 5)
+    sums = SubsetSums(ball, perturbed)
     for t, g in chain(sums.gauges(3), sums.gauges(5)):
         if g in seen and seen[g] != t:
             raise TheoremFalsified(

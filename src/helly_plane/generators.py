@@ -26,12 +26,12 @@ from itertools import combinations
 from typing import Optional
 
 from .errors import BadInput, NotConvexBody
-from .geometry import Family, lattice
+from .geometry import Family
 from .norms import (
-    ConvexBody, UnitBall, VertexGrid, boundary_point, compile_lattice, euclidean_ball, gauge,
+    ConvexBody, UnitBall, boundary_point, compile_lattice, euclidean_ball, gauge,
     lattice_in_ball, lattice_vertices,
 )
-from .scalars import le
+from .scalars import lattice_values, le
 from .symmetry import is_centrally_symmetric
 from .vectors import Vec2, vsum
 
@@ -122,7 +122,7 @@ def _euclidean_unit_vectors(n: int, rng: random.Random, halfplane: Optional[Vec2
 
 
 def _lattice_unit_vectors(
-    grid: VertexGrid, n: int, rng: random.Random, halfplane: Optional[Vec2]
+    grid: tuple[list, int], n: int, rng: random.Random, halfplane: Optional[Vec2]
 ) -> Family:
     """`gen_unit_vectors` on the vertex lattice: the point r/1000 of the way
     from vertex A to vertex B is (1000·A + r·(B − A)) / (1000·S). The
@@ -152,10 +152,10 @@ def _below(halfplane: Optional[Vec2], den: int):
     float u is dotted with the `Fraction` point, in floats."""
     if halfplane is None:
         return lambda x, y: False
-    grid = lattice([halfplane])
+    grid = lattice_values([halfplane.x, halfplane.y])
     if grid is None:
         return lambda x, y: halfplane.dot(Vec2(Fraction(x, den), Fraction(y, den))) < 0
-    ((ux, uy),), _ = grid
+    (ux, uy), _ = grid
     return lambda x, y: ux * x + uy * y < 0
 
 
@@ -183,7 +183,7 @@ def gen_zero_sum_six(ball: UnitBall, seed: int) -> Family:
     return Family.from_lattice(pts + [(-x, -y) for x, y in pts], den)
 
 
-def _lattice_points(grid: VertexGrid, rng: random.Random, count: int) -> tuple[list, int]:
+def _lattice_points(grid: tuple[list, int], rng: random.Random, count: int) -> tuple[list, int]:
     """`count` random convex combinations Σ wᵢPᵢ / (total·S) of three vertices,
     which stay in the ball, as integer pairs over the lcm of their denominators.
     The draws are `_randint`'s loop written out."""

@@ -1,5 +1,9 @@
-"""Exact convex-position primitives: orientation, lattice points and
-families, hulls and closed triangle membership.
+"""Exact convex-position primitives: orientation, lattice families, hulls
+and closed triangle membership.
+
+`Family` is the one lattice form of a finite point set: a drawn or given
+family of vectors, and the vertex cycle of every polygonal ball or body
+(`norms`), is integer pairs over one scale, or float pairs.
 
 Everything here works on `Vec2` with rational coordinates and is exact;
 predicates that also have to serve float data take an optional tolerance
@@ -12,7 +16,7 @@ import math
 from collections.abc import Sequence
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Optional
+from typing import Iterable, Iterator, Optional
 
 from .errors import BadInput
 from .scalars import Scalar, format_ratio, lattice_values, sgn
@@ -24,44 +28,35 @@ def orientation(a: Vec2, b: Vec2, c: Vec2) -> Scalar:
     return (b - a).cross(c - a)
 
 
-def lattice(points: Sequence[Vec2]) -> Optional[tuple[list[tuple[int, int]], int]]:
-    """Rational points as integer pairs over one common denominator.
-
-    Returns `(pairs, den)` with `point == pair / den` coordinatewise, or
-    None when any coordinate is a float.
-    """
-    grid = lattice_values([c for p in points for c in (p.x, p.y)])
-    if grid is None:
-        return None
-    scaled, den = grid
-    coords = iter(scaled)
-    return list(zip(coords, coords)), den
-
-
 class Family(Sequence):
     """A family of plane vectors carried in its lattice form.
 
     `pts` holds integer pairs over `scale` (the coarsest such lattice) when
     every coordinate is rational, else float coordinates and `scale` None.
-    Generators build it from their pairs (`from_lattice`); its `Vec2`s are
-    formed only where they are read, as a rational ball forms its vertices.
-    `Family(vectors)` puts given vectors on the lattice and keeps them, and
-    `Family(family)` is the family itself. `==` and `hash` are the tuple's.
+    Generators and the polygon compiler build it from their pairs
+    (`from_lattice`); its `Vec2`s are formed on first read, once, and
+    iteration walks them. `Family(vectors)` puts given vectors on the
+    lattice and keeps them, and `Family(family)` is the family itself.
+    `==` and `hash` are the tuple's.
     """
 
     def __new__(cls, vectors: Iterable[Vec2]) -> "Family":
         if type(vectors) is cls:
             return vectors
         vectors = tuple(vectors)
-        grid = lattice(vectors)
-        fam = cls.from_lattice(*(grid or ([(float(v.x), float(v.y)) for v in vectors], None)))
+        grid = lattice_values([c for v in vectors for c in (v.x, v.y)])
+        if grid is None:
+            fam = cls.from_lattice([(float(v.x), float(v.y)) for v in vectors], None)
+        else:
+            coords = iter(grid[0])
+            fam = cls.from_lattice(list(zip(coords, coords)), grid[1])
         fam.vectors = vectors
         return fam
 
     @classmethod
     def from_lattice(cls, pts: list[tuple], scale: Optional[int]) -> "Family":
-        """The family of the integer pairs `pts` / `scale`, on the lattice
-        `lattice` gives its points (one gcd); float pairs when `scale` is None."""
+        """The family of the integer pairs `pts` / `scale`, put on its
+        coarsest lattice (one gcd); float pairs when `scale` is None."""
         if scale is not None:
             g = math.gcd(scale, *[c for xy in pts for c in xy])
             if g != 1:
@@ -78,6 +73,9 @@ class Family(Sequence):
 
     def __getitem__(self, i):
         return self.vectors[i]
+
+    def __iter__(self) -> Iterator[Vec2]:
+        return iter(self.vectors)
 
     def __len__(self) -> int:
         return len(self.pts)
@@ -135,12 +133,12 @@ def convex_hull(points: Sequence[Vec2]) -> list[Vec2]:
     Degenerate inputs come back as-is: a single point, or the two endpoints
     of the spanned segment. The returned objects are input points (the
     first of any duplicates). Rational input is decided on the integer
-    lattice of `lattice`, float input on its own coordinates.
+    lattice of its `Family`, float input on its own coordinates.
     """
     if not points:
         raise BadInput("convex_hull requires a non-empty point list")
-    grid = lattice(points)
-    keys = grid[0] if grid else [(p.x, p.y) for p in points]
+    fam = Family(points)
+    keys = fam.pts if fam.scale is not None else [(p.x, p.y) for p in points]
     first: dict = {}
     for k, p in zip(keys, points):
         first.setdefault(k, p)

@@ -11,7 +11,7 @@ Each ball is compiled once, at construction, into integer edge normals
 run on plain ints. A family's subset sums against a ball
 (`SubsetSums`) are packed lanes on rational data: each vector becomes
 one int holding its edge values P·X + Q·Y in fields with a guard bit,
-packed once per verifier call, so a k-sum is k int adds, every k-sum of
+packed once, sized for the whole family, so a k-sum is k int adds, every k-sum of
 a family is summed in C, and "norm vs 1" is one or two mask tests that
 form no `Fraction`; a single `Fraction` is formed per reported gauge
 (`gauge`, `SubsetSums.gauges`). Float data keeps its float walk, one
@@ -20,11 +20,13 @@ boundary point (`supporting_functional`) is found on the same integer
 normals. Float gauges run on the float normals and round exactly as
 `Fraction * float` does. Rational polygons are compiled from integer
 points over one scale (`compile_lattice`, which the generators call with
-their 1/1000 grid directly), and keep only their vertex cycle on that
-lattice beside the normals: the `Fraction` vertices and the float normals
-are derived on first read, and `ball_to_json` prints the vertices
-straight from the ints. Only this module reads the compiled form and
-the packed lanes.
+their 1/1000 grid directly). A ball's vertex cycle is a `geometry.Family`,
+the one lattice form of a point set: on a rational ball its integer pairs
+and their coarsest scale, whose `Fraction` vertices are formed on first
+read; on a float-vertex ball the given `Vec2`s. A ball is that `Family`
+plus its compiled normals (float normals are derived on first read), and
+`ball_to_json` prints the `Family`. Only this module reads the compiled
+form and the packed lanes.
 
 A `ConvexBody`, any convex polygon with the origin strictly inside, is
 built and compiled the same way: the maximum of its edge functionals is
@@ -42,56 +44,44 @@ from operator import not_
 from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 
 from .errors import BadInput, NotConvexBody, NotPolygonal, NotSymmetric, ZeroDirection
-from .geometry import Family, convex_hull, lattice, monotone_chain
-from .scalars import DEFAULT_TOL, Scalar, eq, exact_div, exactify, format_ratio, is_float
+from .geometry import Family, convex_hull, monotone_chain
+from .scalars import DEFAULT_TOL, Scalar, eq, exact_div, exactify, is_float
 from .vectors import Vec2
 
 EUCLIDEAN = "euclidean"
 POLYGONAL = "polygonal"
 
-# a vertex cycle on the lattice: integer pairs and the scale they are over
-VertexGrid = tuple[tuple[tuple[int, int], ...], int]
-
 
 class UnitBall:
     """A unit ball; polygonal ones carry their compiled edge normals.
 
-    `normals` holds integer pairs (P, Q) with (p, q) == (P, Q) / `den` for
-    the functional z -> p*z.x + q*z.y of each edge, or None when the
-    vertices are floats; `float_normals` holds (float(p), float(q)).
-    `vertex_grid` is (pairs, scale) with `vertices[i] == pairs[i] / scale`,
-    or None when the vertices are floats.
+    `vertices` is the vertex cycle as a `Family`: integer pairs over a
+    scale on a rational ball, the given float `Vec2`s on a float-vertex
+    ball, and empty on the Euclidean ball. `normals` holds integer pairs
+    (P, Q) with (p, q) == (P, Q) / `den` for the functional
+    z -> p*z.x + q*z.y of each edge, or None when the vertices are floats;
+    `float_normals` holds (float(p), float(q)).
 
-    A rational ball is built from `vertex_grid` and `normals` alone: its
-    `vertices` and `float_normals` are derived on first read and kept.
-    Equality (within one class), hashing and repr go by (kind, vertices).
+    A rational ball is built from its vertex `Family` and `normals` alone:
+    its `float_normals` are derived on first read and kept. Equality
+    (within one class), hashing and repr go by (kind, vertices).
     """
 
     def __init__(
         self,
         kind: str,
-        vertices: Optional[tuple[Vec2, ...]] = None,
+        vertices: Family,
         normals: Optional[tuple[tuple[int, int], ...]] = None,
         den: int = 1,
         float_normals: Optional[tuple[tuple[float, float], ...]] = None,
-        vertex_grid: Optional[VertexGrid] = None,
     ):
         self.kind = kind
+        self.vertices = vertices
         self.normals = normals
         self.den = den
-        self.vertex_grid = vertex_grid
         # a given value takes the place of the derived one
-        if vertices is not None:
-            self.vertices = vertices
         if float_normals is not None:
             self.float_normals = float_normals
-
-    @cached_property
-    def vertices(self) -> tuple[Vec2, ...]:
-        if self.vertex_grid is None:
-            return ()
-        pairs, scale = self.vertex_grid
-        return tuple([Vec2(Fraction(x, scale), Fraction(y, scale)) for x, y in pairs])
 
     @cached_property
     def float_normals(self) -> tuple[tuple[float, float], ...]:
@@ -121,7 +111,7 @@ class UnitBall:
         return hash((self.kind, self.vertices))
 
     def __repr__(self) -> str:
-        return f"{self.__class__.__qualname__}(kind={self.kind!r}, vertices={self.vertices!r})"
+        return f"{self.__class__.__qualname__}(kind={self.kind!r}, vertices={self.vertices.vectors!r})"
 
     @property
     def is_polygonal(self) -> bool:
@@ -129,7 +119,7 @@ class UnitBall:
 
 
 def euclidean_ball() -> UnitBall:
-    return UnitBall(EUCLIDEAN)
+    return UnitBall(EUCLIDEAN, Family.from_lattice([], None))
 
 
 def _polar_less(a: tuple, b: tuple) -> bool:
@@ -170,16 +160,19 @@ def _compile_polygon(points: Sequence[Vec2], cls: type) -> UnitBall:
     pts = list(points)
     if not pts:
         raise NotConvexBody("empty vertex list")
-    grid = lattice(pts)
-    if grid is None:
-        hull = convex_hull(pts)
-        grid = lattice(hull)  # float points may still have a rational hull
-    if grid is not None:
-        return compile_lattice(*grid, cls)
-    start, rows = _edge_rows([(v.x, v.y) for v in hull], 1, cls)
+    fam = Family(pts)
+    if fam.scale is None:
+        hull = convex_hull(fam)
+        fam = Family(hull)  # float points may still have a rational hull
+    if fam.scale is not None:
+        return compile_lattice(fam.pts, fam.scale, cls)
+    coords = [(v.x, v.y) for v in hull]
+    start = _cycle_start(coords, cls)
+    hull = hull[start:] + hull[:start]
+    rows = _edge_rows(coords[start:] + coords[:start], 1)
     return cls(
         POLYGONAL,
-        tuple([Vec2(exactify(v.x), exactify(v.y)) for v in hull[start:] + hull[:start]]),
+        Family([Vec2(exactify(v.x), exactify(v.y)) for v in hull]),
         float_normals=tuple([(p / det, q / det) for p, q, det in rows]),
     )
 
@@ -189,25 +182,23 @@ def compile_lattice(pairs: Sequence[tuple[int, int]], scale: int, cls: type) -> 
     vertices the hull of `pairs` / `scale`, checked and compiled on ints.
 
     A `UnitBall` must also be symmetric, and starts at its vertex of
-    smallest polar angle; a `ConvexBody` keeps the hull's order. The hull
-    is put on its own coarsest lattice, the one `lattice` gives its points.
+    smallest polar angle; a `ConvexBody` keeps the hull's order. The vertex
+    `Family` puts the cycle on its own coarsest lattice.
     """
     coords = monotone_chain(sorted(set(pairs)))
-    g = math.gcd(scale, *[c for xy in coords for c in xy])
-    coords, scale = [(x // g, y // g) for x, y in coords], scale // g
-    start, rows = _edge_rows(coords, scale, cls)
-    coords = coords[start:] + coords[:start]
+    start = _cycle_start(coords, cls)
+    vertices = Family.from_lattice(coords[start:] + coords[:start], scale)
+    rows = _edge_rows(vertices.pts, vertices.scale)
     den = math.lcm(*[det for _, _, det in rows])
     normals = tuple([(p * (den // det), q * (den // det)) for p, q, det in rows])
-    # a tuple from a list, not a generator (see geometry.lattice)
-    return cls(POLYGONAL, None, normals, den, None, (tuple(coords), scale))
+    return cls(POLYGONAL, vertices, normals, den)
 
 
-def _edge_rows(coords: list[tuple], scale: int, cls: type) -> tuple[int, list[tuple]]:
-    """The start vertex of a hull cycle and the edge rows (P, Q, det) from it.
+def _cycle_start(coords: list[tuple], cls: type) -> int:
+    """The start vertex of a hull cycle: its vertex of smallest polar angle
+    for a `UnitBall`, else 0.
 
-    Raises unless the hull is a polygon with the origin strictly inside,
-    and, for a `UnitBall`, symmetric.
+    Raises unless the hull is a polygon and, for a `UnitBall`, symmetric.
     """
     if len(coords) < 3:
         raise NotConvexBody("hull is degenerate (a point or a segment)")
@@ -218,7 +209,14 @@ def _edge_rows(coords: list[tuple], scale: int, cls: type) -> tuple[int, list[tu
         for i in range(1, len(coords)):
             if _polar_less(coords[i], coords[start]):
                 start = i
-    cycle = coords[start:] + coords[:start]
+    return start
+
+
+def _edge_rows(cycle: list[tuple], scale: int) -> list[tuple]:
+    """The edge rows (P, Q, det) of a hull cycle over `scale`.
+
+    Raises unless the origin is strictly inside.
+    """
     # the origin is strictly inside exactly when every edge turns left
     # around it, and then the functional equal to 1 at both ends is unique:
     # (p, q) = scale * (by - ay, ax - bx) / det
@@ -228,7 +226,7 @@ def _edge_rows(coords: list[tuple], scale: int, cls: type) -> tuple[int, list[tu
         if not det > 0:
             raise NotConvexBody("origin is not strictly inside")
         rows.append((scale * (by - ay), scale * (ax - bx), det))
-    return start, rows
+    return rows
 
 
 def square_ball() -> UnitBall:
@@ -250,10 +248,12 @@ def gauge(ball: UnitBall, z: Vec2) -> Scalar:
     return Fraction(max(p * nx + q * ny for p, q in ball.normals), ball.den * b * d)
 
 
-def lattice_vertices(ball: UnitBall) -> Optional[VertexGrid]:
-    """The vertex cycle as (integer pairs, scale), or None for the Euclidean
-    ball and float-vertex balls."""
-    return ball.vertex_grid
+def lattice_vertices(ball: UnitBall) -> Optional[tuple[Sequence[tuple[int, int]], int]]:
+    """The vertex cycle as (integer pairs, scale), read off the ball's
+    vertex `Family`, or None for the Euclidean ball and float-vertex balls.
+    Other modules read the integer cycle only through this."""
+    vertices = ball.vertices
+    return None if vertices.scale is None else (vertices.pts, vertices.scale)
 
 
 def lattice_in_ball(ball: UnitBall, x: int, y: int, den: int) -> bool:
@@ -283,14 +283,15 @@ class SubsetSums:
     top bit of each field a guard. A k-sum is k int adds, and its lanes
     hold m_e + kR. Adding (2^w − 1 − d − kR) to every lane sets a guard
     bit exactly when some m_e > d, and one more sets it when some m_e >= d;
-    with 2^w > d + kmax·R + 1 no lane ever carries into the next. So
+    with 2^w > d + k·R + 1 no lane ever carries into the next. So
     `rel(m, d, tol)`, which for ints is `rel(sign(m − d), 0, tol)`, is
     read off one or two masks, and no `Fraction` is formed; `gauges` reads
     m back from the lanes. A k-pass sums in C (`map(sum, combinations)`).
-    The packing is made on the first request, wide enough for `kmax` and
-    that request, and again only for a longer subset; a ball keeps the
-    lane constants of each field width it was packed at. (2^w > d + kR
-    would do: the + 1 is slack.)
+    The packing is made once, with the object, wide enough for k = n, the
+    family's size: a k-pass never repacks, since for k > n there are no
+    subsets. Only an explicit subset longer than the family widens it; a
+    ball keeps the lane constants of each field width it was packed at.
+    (2^w > d + kR would do: the + 1 is slack.)
 
     Otherwise each subset is summed as floats, left to right from 0 in
     index order, which is bit for bit what `gauge(ball, vsum(...))`
@@ -298,13 +299,18 @@ class SubsetSums:
     exactly, then rounded once. Each subset is enumerated once.
     """
 
-    def __init__(self, ball: UnitBall, vectors: Sequence[Vec2], kmax: int = 1):
+    def __init__(self, ball: UnitBall, vectors: Sequence[Vec2]):
         fam = Family(vectors)
         self._ball, self._pts, self._scale = ball, fam.pts, fam.scale
         self._exact = fam.scale is not None and ball.normals is not None
-        # the longest subset the packing holds; -1 before it is made, and
-        # on float data, which is never packed
-        self._kmax, self._cap = kmax, -1
+        # the longest subset the packing holds; -1 on float data, which is
+        # never packed
+        self._cap = -1
+        if self._exact:
+            # a ball's edges come in opposite pairs: half of them give every |r|
+            half = ball.normals[: len(ball.normals) // 2] if type(ball) is UnitBall else ball.normals
+            self._reach = max([abs(p * x + q * y) for x, y in fam.pts for p, q in half], default=0)
+            self._pack(len(fam.pts))
 
     def tests(
         self, subsets: Union[int, Iterable[Sequence[int]]], rel: Callable[..., bool],
@@ -345,8 +351,6 @@ class SubsetSums:
         2^w − 1 − d − kR + extra, k the subset's length: a lane's guard bit
         is then set exactly when m_e + extra > d. A k-pass sums in C."""
         if isinstance(subsets, int):
-            if subsets > self._cap:
-                self._pack(subsets)
             start = self._top + extra * self._unit - subsets * self._ru
             sums = map(sum, combinations(self._lanes, subsets), repeat(start))
             return combinations(range(len(self._pts)), subsets), sums
@@ -358,14 +362,9 @@ class SubsetSums:
         return ts, [sum([lanes[i] for i in t], top - len(t) * ru) for t in ts]
 
     def _pack(self, k: int) -> None:
-        """Pack each vector into lanes wide enough for sums of k or `kmax`."""
-        ball, pts = self._ball, self._pts
-        k = max(k, self._kmax, 1)
-        if self._cap < 0:
-            # a ball's edges come in opposite pairs: half of them give every |r|
-            half = ball.normals[: len(ball.normals) // 2] if type(ball) is UnitBall else ball.normals
-            self._reach = max([abs(p * x + q * y) for x, y in pts for p, q in half], default=0)
-        reach, d = self._reach, self._scale * ball.den
+        """Pack each vector into lanes wide enough for sums of k."""
+        ball, pts, reach = self._ball, self._pts, self._reach
+        d = self._scale * ball.den
         w = (d + k * reach + 1).bit_length()
         if w not in ball._packings:
             shifts = range(0, (w + 1) * len(ball.normals), w + 1)
@@ -457,11 +456,7 @@ def boundary_point(ball: UnitBall, direction: Vec2) -> Vec2:
 def ball_to_json(ball: UnitBall) -> dict:
     if ball.kind == EUCLIDEAN:
         return {"type": EUCLIDEAN}
-    if ball.vertex_grid is None:
-        return {"type": POLYGONAL, "vertices": [v.to_json() for v in ball.vertices]}
-    pairs, scale = ball.vertex_grid
-    vertices = [[format_ratio(x, scale), format_ratio(y, scale)] for x, y in pairs]
-    return {"type": POLYGONAL, "vertices": vertices}
+    return {"type": POLYGONAL, "vertices": ball.vertices.to_json()}
 
 
 def ball_from_json(obj: dict, mode: str = "exact") -> UnitBall:

@@ -281,7 +281,7 @@ def _draw_lemma_main(cfg: SuiteConfig, rng: random.Random, index: int, balls: _B
 
 
 def _check_lemma_main(cfg: SuiteConfig, inst: Instance) -> tuple:
-    sums = SubsetSums(inst.ball, inst.vectors, 3)  # packed once, for the witness and its re-check
+    sums = SubsetSums(inst.ball, inst.vectors)  # packed once, for the witness and its re-check
     trip = lemma_main_witness(inst.ball, inst.vectors, cfg.tol, sums)
     [(_, inside)] = sums.tests([trip], le, cfg.tol)
     if not inside:
@@ -354,7 +354,7 @@ def _check_generic(cfg: SuiteConfig, inst: Instance) -> tuple:
 def _draw_symmetry(cfg: SuiteConfig, rng: random.Random, index: int, balls: _Balls) -> Instance:
     symmetric = index % 2 == 0
     body = (gen_symmetric_body if symmetric else gen_asymmetric_body)(rng.getrandbits(32))
-    payload = {"body": [v.to_json() for v in body.vertices]}
+    payload = {"body": body.vertices.to_json()}
     return Instance(payload, outline=body.vertices, data=(symmetric, body))
 
 
@@ -448,6 +448,8 @@ def run_suite(config: SuiteConfig) -> SuiteReport:
         ) from None
     if config.trials < 0:
         raise BadInput(f"trials must be >= 0; got {config.trials}")
+    if not 0 <= config.tol < math.inf:  # a NaN fails too
+        raise BadInput(f"tol must be finite and >= 0; got {config.tol}")
     trials = len(CASE_NAMES) if config.suite == "gallery" else config.trials
     balls = _ball_source(config)
     records = [trial(config, i, balls) for i in range(trials)]

@@ -24,7 +24,7 @@ def instance_svg(
     total = vsum(pts) if pts else None
     shape: list[tuple[float, float]] = []
     if ball is not None and ball.is_polygonal:
-        shape = [(float(v.x), float(v.y)) for v in ball.vertices]
+        shape = ball.vertices.floats()
     elif outline is not None:
         shape = [(float(v.x), float(v.y)) for v in outline]
     reach = 1.0

@@ -281,7 +281,7 @@ def verify_helly(
     _odd_family(len(vs))
     total = vs.vector_sum(range(len(vs)))
     total_norm = gauge(ball, total)
-    bad, conclusion = _three_sum_judge(SubsetSums(ball, vs, 3), total_norm, strict, tol)
+    bad, conclusion = _three_sum_judge(SubsetSums(ball, vs), total_norm, strict, tol)
     return VerifyReport(
         "T3" if strict else "T2", not bad, conclusion, total, total_norm,
         witnesses=_KSums(vs, bad),
@@ -297,7 +297,7 @@ def corollary_check(
         raise BadK(f"k must be odd, > 3, and <= {len(vs)}; got {k}")
     total = vs.vector_sum(range(len(vs)))
     total_norm = gauge(ball, total)
-    sums = SubsetSums(ball, vs, k)  # one packing for the 1-, 3- and k-sums
+    sums = SubsetSums(ball, vs)  # one packing for the 1-, 3- and k-sums
     bad, _ = _three_sum_judge(sums, total_norm, True, tol)
     failing = [t for t, outside in sums.tests(k, gt, tol) if not outside]
     return VerifyReport(
@@ -336,12 +336,12 @@ def lemma_main_witness(
     Brute force over all 20 triples, lexicographically first hit. One always
     exists; not finding one raises TheoremFalsified, which is a hard bug.
     A caller that re-checks the triple passes `sums`, its own
-    `SubsetSums(ball, vectors, 3)`, and re-reads the packing made here.
+    `SubsetSums(ball, vectors)`, and re-reads the packing used here.
     """
     zs = Family(vectors)
     if len(zs) != 6:
         raise PreconditionFailed(f"need exactly 6 vectors, got {len(zs)}")
-    sums = sums or SubsetSums(ball, zs, 3)
+    sums = sums or SubsetSums(ball, zs)
     for (i,), inside in sums.tests(1, le, tol):
         if not inside:
             raise PreconditionFailed(f"vector {i} is outside the ball")

@@ -33,7 +33,7 @@ from helly_plane.errors import (
     TooFew,
     ZeroDirection,
 )
-from helly_plane.geometry import Family, convex_hull, lattice, orientation, point_in_triangle
+from helly_plane.geometry import Family, convex_hull, orientation, point_in_triangle
 from helly_plane.norms import (
     POLYGONAL,
     ConvexBody,
@@ -178,7 +178,8 @@ def ref_compile_polygon(points, cls):
     hull = convex_hull(pts)
     if len(hull) < 3:
         raise NotConvexBody("hull is degenerate (a point or a segment)")
-    grid = lattice(hull)
+    fam = Family(hull)
+    grid = None if fam.scale is None else (fam.pts, fam.scale)
     coords, scale = grid if grid else ([(v.x, v.y) for v in hull], 1)
     start = 0
     if cls is UnitBall:

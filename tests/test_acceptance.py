@@ -120,13 +120,19 @@ def test_criterion_4_helly_suites():
 
 def test_criterion_5_lemma_conv_suite():
     report = run_suite(SuiteConfig(suite="lemma-conv", trials=10_000, seed=SEED + 3))
-    ok = report.failures == 0 and report.vacuous == 0 and report.passes == 10_000
+    ok = (
+        report.failures == 0 and report.vacuous == 0 and report.passes == 10_000
+        and report.wall_time < 15.0
+    )
     _announce(5, "membership equivalence on 10^4 boundary triples", ok, report.wall_time)
 
 
 def test_criterion_6_lemma_main_suite():
     report = run_suite(SuiteConfig(suite="lemma-main", trials=10_000, seed=SEED + 4))
-    ok = report.failures == 0 and report.vacuous == 0 and report.passes == 10_000
+    ok = (
+        report.failures == 0 and report.vacuous == 0 and report.passes == 10_000
+        and report.wall_time < 25.0
+    )
     _announce(6, "triple witness on 10^4 zero-sum 6-families", ok, report.wall_time)
 
 
@@ -159,13 +165,19 @@ def test_criterion_8_rotation_suite():
 
 def test_criterion_9_sign_choice_suite():
     report = run_suite(SuiteConfig(suite="signs", trials=1000, seed=SEED + 6))
-    ok = report.failures == 0 and report.vacuous == 0 and report.passes == 1000
+    ok = (
+        report.failures == 0 and report.vacuous == 0 and report.passes == 1000
+        and report.wall_time < 3.0
+    )
     _announce(9, "odd-subset sign choice on 10^3 multisets", ok, report.wall_time)
 
 
 def test_criterion_10_genericity_suite():
     report = run_suite(SuiteConfig(suite="generic", trials=100, seed=SEED + 7))
-    ok = report.failures == 0 and report.vacuous == 0 and report.passes == 100
+    ok = (
+        report.failures == 0 and report.vacuous == 0 and report.passes == 100
+        and report.wall_time < 5.0
+    )
     _announce(10, "general-position perturbation, 10^2 runs", ok, report.wall_time)
 
 
@@ -190,5 +202,8 @@ def test_criterion_11_symmetry_suite():
 
 def test_criterion_12_corollary_suite():
     report = run_suite(SuiteConfig(suite="corollary", trials=1000, seed=SEED + 9))
-    ok = report.failures == 0 and report.vacuous == 0 and report.passes == 1000
+    ok = (
+        report.failures == 0 and report.vacuous == 0 and report.passes == 1000
+        and report.wall_time < 5.0
+    )
     _announce(12, "k-sum corollary on 10^3 strict instances", ok, report.wall_time)

@@ -157,6 +157,13 @@ def test_verify_trial_counts(argv, capsys):
     assert code == (2 if argv[1] == "-3" else 0)
 
 
+@pytest.mark.parametrize("tol", ["nan", "-1", "inf"])
+def test_verify_bad_tol_exits_2(tol, capsys):
+    assert main(["verify", "thm2", "--mode", "float", "--trials", "3", "--tol", tol]) == 2
+    err = capsys.readouterr().err.strip()
+    assert len(err.splitlines()) == 1 and "tol" in err
+
+
 def _write(tmp_path, name, text):
     path = tmp_path / name
     path.write_text(text)

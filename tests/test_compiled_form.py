@@ -5,6 +5,9 @@ and the integer vertex cycle are the kernel's own format, and so are the
 packed lanes of `SubsetSums` and a ball's lane constants. Every other
 module asks `norms` instead (`gauge`, `SubsetSums.tests`/`.gauges`,
 `edge_functionals`, `lattice_vertices`, `lattice_in_ball`), so the edge functionals keep one form outside it.
+A ball's vertex cycle is a `Family`: other modules may read its vectors,
+its JSON and its floats, but its lattice form (`.vertices.pts`,
+`.vertices.scale`) only through `lattice_vertices`.
 """
 
 import ast
@@ -15,7 +18,7 @@ import pytest
 import helly_plane
 
 COMPILED = {
-    "normals", "den", "float_normals", "vertex_grid",
+    "normals", "den", "float_normals",
     # the packed form
     "_lanes", "_guard", "_unit", "_top", "_ru", "_reach", "_mask", "_shifts", "_packings",
 }
@@ -24,19 +27,28 @@ MODULES = sorted(
 )
 
 
+# the lattice form of a ball's vertex `Family`
+VERTEX_LATTICE = {"pts", "scale"}
+
+
 def _reads(tree: ast.AST) -> list[int]:
     return [
         node.lineno
         for node in ast.walk(tree)
-        if isinstance(node, ast.Attribute) and node.attr in COMPILED
+        if isinstance(node, ast.Attribute) and (
+            node.attr in COMPILED
+            or node.attr in VERTEX_LATTICE
+            and isinstance(node.value, ast.Attribute) and node.value.attr == "vertices"
+        )
     ]
 
 
 def test_reads_are_found():
     tree = ast.parse(
-        "ball.normals\nx = b.den + 1\nf(ball.float_normals)\ng(ball.vertex_grid)\nball.vertices\n"
+        "ball.normals\nx = b.den + 1\nf(ball.float_normals)\ng(ball.vertices.pts)\n"
+        "ball.vertices.scale\nball.vertices\nball.vertices.to_json()\nfam.pts, fam.scale\n"
     )
-    assert _reads(tree) == [1, 2, 3, 4]
+    assert sorted(_reads(tree)) == [1, 2, 3, 4, 5]
     assert _reads(ast.parse("sums._lanes\nball._packings[w]\nsums.tests(3, gt)\n")) == [1, 2]
 
 

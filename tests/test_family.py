@@ -22,7 +22,9 @@ from helly_plane import generators, geometry, scalars, suites, theorems
 from helly_plane.errors import PreconditionFailed
 from helly_plane.generators import gen_random_ball, gen_unit_vectors
 from helly_plane.geometry import Family
-from helly_plane.norms import ball_from_json, ball_to_json, euclidean_ball, square_ball
+from helly_plane.norms import (
+    ball_from_json, ball_to_json, euclidean_ball, lattice_vertices, square_ball,
+)
 from helly_plane.suites import SuiteConfig
 from helly_plane.theorems import KSum, corollary_check, lemma_conv_check, verify_helly
 from helly_plane.vectors import Vec2, vsum
@@ -256,7 +258,7 @@ def ref_ball_points(grid, rng, count):
 def test_written_out_draws_read_the_randint_stream(ball_name):
     for seed in range(100):
         ball = gen_random_ball(seed) if ball_name == "random" else square_ball()
-        grid = ball.vertex_grid
+        grid = lattice_vertices(ball)
         ours, ref = random.Random(seed), random.Random(seed)
         for n in (1, 5, 9):
             got = generators._lattice_unit_vectors(grid, n, ours, None)

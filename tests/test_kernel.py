@@ -17,7 +17,7 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from helly_plane import geometry, norms, suites
+from helly_plane import geometry, norms, scalars, suites
 from helly_plane.algorithms import choose_signs, make_generic
 from helly_plane.errors import NotConvexBody
 from helly_plane.gallery import gallery_case
@@ -35,6 +35,7 @@ from helly_plane.norms import (
     edge_functionals,
     euclidean_ball,
     gauge,
+    lattice_vertices,
     make_convex_body,
     make_polygonal_ball,
     square_ball,
@@ -157,7 +158,7 @@ def test_lattice_ball_json_is_the_fraction_text(ball):
     # written from the integer vertex cycle before any vertex is formed,
     # byte for byte what the `Fraction` vertices print
     got = ball_to_json(ball)
-    assert "vertices" not in vars(ball)
+    assert "vectors" not in vars(ball.vertices)
     assert got == {"type": "polygonal", "vertices": [v.to_json() for v in ball.vertices]}
 
 
@@ -168,15 +169,18 @@ def test_lattice_ball_forms_no_fraction_until_its_vertices_are_read(monkeypatch)
         formed.append(args)
         return Fraction(*args)
 
-    monkeypatch.setattr(norms, "Fraction", counted)
+    # a vertex `Fraction` is formed where the vertex `Family` forms its vectors
+    for module in (norms, geometry):
+        monkeypatch.setattr(module, "Fraction", counted)
     ball = gen_random_ball(11)
-    same = compile_lattice(*ball.vertex_grid, UnitBall)
+    same = compile_lattice(*lattice_vertices(ball), UnitBall)
     ball_to_json(same)
     assert same.float_normals == ball.float_normals
     assert formed == []
-    vertices = same.vertices
+    vertices = tuple(same.vertices)
     assert len(formed) == 2 * len(vertices)
-    assert same.vertices is vertices  # formed once
+    assert tuple(same.vertices) == vertices and same.vertices[0] is vertices[0]
+    assert len(formed) == 2 * len(vertices)  # formed once
     assert same == ball and hash(same) == hash(ball) and repr(same) == repr(ball)
 
 
@@ -301,7 +305,7 @@ def assert_k_form(ball, vectors, tol, meaning=None):
     for k in range(n + 1):
         ts = list(combinations(range(n), k))
         gauges = [gauge(ball, vsum(vectors[i] for i in t)) for t in ts]
-        for sums in (SubsetSums(ball, vectors, k), shared):
+        for sums in (SubsetSums(ball, vectors), shared):
             for rel in RELS:
                 got = list(sums.tests(k, rel, tol))
                 assert got == [(t, rel(g, 1, tol)) for t, g in zip(ts, gauges)]
@@ -395,14 +399,15 @@ def test_subset_tests_on_float_gauges_near_one():
 
 
 def test_each_family_is_put_on_the_lattice_once(monkeypatch):
-    # `geometry.lattice` is counted at every module that binds it; each
-    # verifier call must put each of its families on the lattice once
-    original = geometry.lattice
+    # `scalars.lattice_values`, which `Family(vectors)` puts a family's
+    # coordinates on the lattice with, is counted at every module that binds
+    # it; each verifier call must put each of its families on the lattice once
+    original = scalars.lattice_values
     seen = []
 
-    def spy(points):
-        seen.append(tuple(points))
-        return original(points)
+    def spy(xs):
+        seen.append(tuple(xs))
+        return original(xs)
 
     for name, module in list(sys.modules.items()):
         if name == "helly_plane" or name.startswith("helly_plane."):
@@ -427,7 +432,7 @@ def test_each_family_is_put_on_the_lattice_once(monkeypatch):
         seen.clear()
         call()
         assert len(seen) == len(families)
-        assert all(got == tuple(f) for got, f in zip(seen, families))
+        assert all(got == tuple(c for v in f for c in (v.x, v.y)) for got, f in zip(seen, families))
 
 
 # denominators near 10^12: balls and families over them pack into lanes
@@ -454,7 +459,7 @@ def test_wide_lanes_pass_a_machine_word():
     c = Fraction(1, WIDE[0])
     ball = make_polygonal_ball([Vec2(1, c), Vec2(-1, 1), Vec2(-1, -c), Vec2(1, -1)])
     vectors = [Vec2(Fraction(1, WIDE[1]), Fraction(-2, WIDE[2])), Vec2(1, 1), Vec2(Fraction(1, 3), 0)]
-    sums = SubsetSums(ball, vectors, 3)
+    sums = SubsetSums(ball, vectors)
     list(sums.tests(3, gt))
     assert min(lane.bit_length() for lane in sums._lanes) > 64
     assert_sphere_tests(ball, vectors, 1e-9, EXACT)
@@ -488,7 +493,8 @@ def test_explicit_subsets_longer_than_the_family(ball, vectors, tol):
     n = len(vectors)
     ts = [(0,), (0,) * 40, (n - 1,) * 41, tuple(range(n)) * 3]
     gauges = [gauge(ball, vsum(vectors[i] for i in t)) for t in ts]
-    # one-off calls, and a packing made for single vectors that must widen
+    # one-off calls, and a packing made for the family and used for
+    # single vectors, which must widen
     shared = SubsetSums(ball, vectors)
     list(shared.tests(1, eq, tol))
     for rel in RELS:
@@ -528,7 +534,7 @@ def test_sampled_choose_signs_path(monkeypatch, seed):
     ts = [t for t, _ in got][:200]
     gauges = [gauge(ball, vsum(vs[i] for i in t)) for t in ts]
     assert any(g < 1 for g in gauges)
-    sums = SubsetSums(ball, vs, 17)
+    sums = SubsetSums(ball, vs)
     for rel in RELS:
         assert list(sums.tests(ts, rel)) == [(t, rel(g, 1)) for t, g in zip(ts, gauges)]
 

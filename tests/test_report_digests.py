@@ -8,9 +8,14 @@ digest mismatch, so refactors and speedups must leave every line intact.
 Trial counts are chosen to reach the special trials of the suites: thm2's
 antipodal-pair instances (index % 3 == 0) and thm3's collinear instance
 (index 9 on polygonal balls).
+
+The `--ball FILE` rows read a float hexagon from a file, which exact mode
+parses into a rational ball and float mode into a float-vertex ball. They
+pin the records, not the whole report: the config holds the file path.
 """
 
 import hashlib
+import json
 
 import pytest
 
@@ -48,6 +53,33 @@ GOLDEN = [
     ("lemma-conv", 50, 37, "float", "euclidean", "ebc2bce09fe129e17fd6bf168e3dd10ad4ffc96a1f0154cf2829e0bb5e04db62"),
     ("claim1", 30, 38, "float", "random", "5440ab0a024275ac473dc9b2d7c85b099fcf909d943d0f6bbdf4bf9dd4c047cc"),
     ("thm1", 30, 39, "float", "euclidean", "59a4d7c5c19f040f4a2de2aee9e403ad26b579187a0f0454370398b69de6923f"),
+]
+
+# the float hexagon of `test_generator_equivalence`, written to a ball file
+BALL_FILE = {"type": "polygonal", "vertices": [
+    ["0.7", "0.1"], ["-0.2", "0.9"], ["-0.55", "0.35"],
+    ["-0.7", "-0.1"], ["0.2", "-0.9"], ["0.55", "-0.35"],
+]}
+
+# (suite, trials, seed, mode, sha256 of the canonical records of a
+# `--ball FILE` run on BALL_FILE)
+BALL_FILE_GOLDEN = [
+    ("thm1", 30, 5, "exact", "5287ab70b96fe693a265d86093c0f929de070d40f2738814b00be36860e4b069"),
+    ("thm2", 30, 5, "exact", "9cfd234faa99445eda001761c873b2841a2cc88af477944ae823ec13b0927763"),
+    ("thm3", 30, 5, "exact", "585ffdcf9820259a80deb33bc4bd47c136188d34963a57c190af0a3e9fc89eae"),
+    ("lemma-conv", 30, 5, "exact", "c43e3f7ac220079004d2d951e4925d4745c1591fa1c7da237be21a1d436ceea5"),
+    ("lemma-main", 30, 5, "exact", "2b80fb8b183aa90413d2c388be619b966d180d4063f12547cb65ffa4239fa11e"),
+    ("corollary", 30, 5, "exact", "1ab84bcf969bceef42d3aca21d02ab443d8bc067b1e33193a3145d6fbffca671"),
+    ("signs", 30, 5, "exact", "9fecf2b5380b3509a01ad8147d259325a2f6f579abe3ba1a87f4a5fcae0d1275"),
+    ("generic", 30, 5, "exact", "0d0dd4ae99dd42b5db32e3c7862f950706f61001dd19a89d4a795977c1347e67"),
+    ("thm1", 30, 5, "float", "577b765deeb5a95f5234b56d224fe3cdc518f6a594074c3fff331078c4650039"),
+    ("thm2", 30, 5, "float", "e8b8e8c731fc982c7abfc05e997e86519e3f85a21053e090f33f6e5eb4c77dc0"),
+    ("thm3", 30, 5, "float", "e32e76c90cd7679b6e50c6aff4ea4f00f4f7822035b824a248aee81cf628c757"),
+    ("lemma-conv", 30, 5, "float", "4fb6a51784918d3451965e40f56b65e59140c2c4d6f9baf4512b5a4e14a7fca0"),
+    ("lemma-main", 30, 5, "float", "57be5f4589e502d14e4adb79535a64cbc431f80173ea144b1b4b0feb8ae5d2f4"),
+    ("corollary", 30, 5, "float", "90de6ed6d0d342ea0b90e9738503b832295e9a9f3ecf6088f7a7976b3e66b71c"),
+    ("signs", 30, 5, "float", "69ac227362be5a2842c5a5be8a4b9c0bde9900be2f7c12002e4b2cb41050ac75"),
+    ("generic", 30, 5, "float", "847da0f12d812294736f74935d392bc03012098c382af384143a128f5c5cdbf8"),
 ]
 
 # (check name, expected, actual, passed) per gallery case
@@ -89,6 +121,21 @@ def test_report_digest(suite, trials, seed, mode, ball, digest):
     report = run_suite(config)
     assert report.passes == trials
     assert hashlib.sha256(report.to_json_text().encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize(
+    "suite,trials,seed,mode,digest",
+    BALL_FILE_GOLDEN,
+    ids=[f"{s}-{m}-file-{seed}" for s, _, seed, m, _ in BALL_FILE_GOLDEN],
+)
+def test_ball_file_digest(tmp_path, suite, trials, seed, mode, digest):
+    path = tmp_path / "ball.json"
+    path.write_text(json.dumps(BALL_FILE), encoding="utf-8")
+    config = SuiteConfig(suite=suite, trials=trials, seed=seed, mode=mode, ball_source=str(path))
+    report = run_suite(config)
+    assert report.passes == trials
+    text = json.dumps([r.to_json() for r in report.records], sort_keys=True, separators=(",", ":"))
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 def test_gallery_results_pinned():
