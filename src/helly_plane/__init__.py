@@ -41,7 +41,6 @@ from .theorems import (
     Certificate,
     KSum,
     VerifyReport,
-    all_ksums,
     claim1_triplets,
     corollary_check,
     halfplane_certificate,

@@ -25,7 +25,7 @@ from .errors import (
 )
 from .geometry import Family
 from .norms import SubsetSums, UnitBall, edge_functionals, gauge
-from .scalars import DEFAULT_TOL, Scalar, eq, ge
+from .scalars import DEFAULT_TOL, Scalar, check_tol, eq, ge
 from .vectors import Vec2, VectorMultiset, vsum
 
 
@@ -88,6 +88,7 @@ def ginzburg_reduce(
     vector sits on the horizontal axis and the norm of the sum is an odd
     integer, hence at least 1.
     """
+    check_tol(tol)
     if u.is_zero():
         raise ZeroDirection("halfplane direction must be nonzero")
     vs = [Vec2(float(v.x), float(v.y)) for v in vectors]
@@ -161,6 +162,7 @@ def choose_signs(
     For up to 15 vectors the guarantee is re-verified exhaustively before
     returning; larger families get a 1000-subset sample check.
     """
+    check_tol(tol)
     vs = Family(vectors)
     for (i,), unit in SubsetSums(ball, vs).tests(1, eq, tol):
         if not unit:

@@ -17,9 +17,8 @@ from itertools import combinations
 from typing import Callable
 
 from .errors import UnknownCase
-from .norms import UnitBall, euclidean_ball, gauge, square_ball
+from .norms import SubsetSums, UnitBall, euclidean_ball, gauge, square_ball
 from .scalars import format_scalar
-from .theorems import all_ksums
 from .vectors import Vec2, vsum
 
 TOL = 1e-9
@@ -74,8 +73,7 @@ def _case_thm3_closed_fails() -> GalleryCase:
     vectors = [Vec2(1, 1), Vec2(-1, 1)] + [Vec2(0, Fraction(-1, 2))] * 3
 
     def run() -> list[CheckResult]:
-        sums = all_ksums(vectors, 3)
-        min3 = min(gauge(ball, s.value) for s in sums)
+        min3 = min(g for _, g in SubsetSums(ball, vectors).gauges(3))
         total = vsum(vectors)
         tn = gauge(ball, total)
         return [

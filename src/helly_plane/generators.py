@@ -10,11 +10,12 @@ Integers are drawn straight off `rng.getrandbits` (`_randint`, written
 out in the hot draws), with the values and generator states of
 `rng.randint`/`rng.randrange`. Polygonal boundary points are convex
 combinations of adjacent vertices, so their gauge is 1 exactly, with no
-float slack anywhere in exact mode. The Euclidean ball is drawn as float
-pairs, returned as a float `Family` that prints from those pairs: no
-`Vec2` and no `Fraction` is formed, and each float is the one the `Vec2`
-arithmetic gave. Float-vertex balls keep their `Vec2` draws: a vertex
-with an int coordinate gives `Fraction` coordinates there.
+float slack anywhere in exact mode. The Euclidean ball and float-vertex
+balls are drawn as float pairs, returned as a float `Family` that prints
+from those pairs: no `Vec2` and no `Fraction` is formed, and each float is
+the one the `Vec2` arithmetic gave (`Fraction`·float is float(F)·float,
+and float(Fraction(r, 1000)) is r / 1000). Both share one unit-vector
+draw and one zero-sum draw.
 """
 
 from __future__ import annotations
@@ -28,12 +29,12 @@ from typing import Optional
 from .errors import BadInput, NotConvexBody
 from .geometry import Family
 from .norms import (
-    ConvexBody, UnitBall, boundary_point, compile_lattice, euclidean_ball, gauge,
+    ConvexBody, UnitBall, boundary_point, compile_lattice, euclidean_ball, float_norm,
     lattice_in_ball, lattice_vertices,
 )
 from .scalars import lattice_values, le
 from .symmetry import is_centrally_symmetric
-from .vectors import Vec2, vsum
+from .vectors import Vec2
 
 _GRID = 1000
 _HALF_VERTICES = 6  # points drawn per symmetric polygon, half its most vertices
@@ -92,30 +93,22 @@ def gen_unit_vectors(
     grid = lattice_vertices(ball)
     if grid is not None:
         return _lattice_unit_vectors(grid, n, rng, halfplane)
-    if not ball.is_polygonal:
-        return _euclidean_unit_vectors(n, rng, halfplane)
-    out: list[Vec2] = []
-    for _ in range(n):  # float vertices
-        m = len(ball.vertices)
-        i = _randint(rng, 0, m - 1)
-        a, b = ball.vertices[i], ball.vertices[(i + 1) % m]
-        t = Fraction(_randint(rng, 0, _GRID - 1), _GRID)
-        v = a + (b - a).scale(t)
-        if halfplane is not None and halfplane.dot(v) < 0:
-            v = -v
-        out.append(v)
-    return Family(out)
-
-
-def _euclidean_unit_vectors(n: int, rng: random.Random, halfplane: Optional[Vec2]) -> Family:
-    """`gen_unit_vectors` on the Euclidean ball, as float pairs. u is turned
-    into two floats once: `Fraction`·float is float(F)·float, so the
-    mirror test is the float dot `Vec2.dot` gives."""
     pairs = []
-    for _ in range(n):
-        phi = rng.uniform(0.0, 2.0 * math.pi)
-        pairs.append((math.cos(phi), math.sin(phi)))
+    if ball.is_polygonal:
+        # float vertices: the point t = r/1000 of the way from vertex a to b
+        cycle = ball.vertices.floats()
+        m = len(cycle)
+        for _ in range(n):
+            i = _randint(rng, 0, m - 1)
+            (ax, ay), (bx, by) = cycle[i], cycle[(i + 1) % m]
+            t = _randint(rng, 0, _GRID - 1) / _GRID
+            pairs.append((ax + t * (bx - ax), ay + t * (by - ay)))
+    else:
+        for _ in range(n):
+            phi = rng.uniform(0.0, 2.0 * math.pi)
+            pairs.append((math.cos(phi), math.sin(phi)))
     if halfplane is not None:
+        # `Fraction`·float is float(F)·float: u is turned into two floats once
         ux, uy = float(halfplane.x), float(halfplane.y)
         pairs = [(-x, -y) if ux * x + uy * y < 0 else (x, y) for x, y in pairs]
     return Family.from_lattice(pairs, None)
@@ -169,11 +162,9 @@ def gen_zero_sum_six(ball: UnitBall, seed: int) -> Family:
     and all six are returned over that one denominator.
     """
     rng = random.Random(seed)
-    if not ball.is_polygonal:
-        return _euclidean_zero_sum_six(rng)
     grid = lattice_vertices(ball)
     if grid is None:
-        return Family(_float_zero_sum_six(ball, rng))
+        return _float_zero_sum_six(ball, rng)
     for _ in range(_ZERO_SUM_DRAWS):
         pts, den = _lattice_points(grid, rng, 5)
         x, y = -sum([x for x, _ in pts]), -sum([y for _, y in pts])
@@ -209,46 +200,41 @@ def _lattice_points(grid: tuple[list, int], rng: random.Random, count: int) -> t
     return [(x * (den // t), y * (den // t)) for x, y, t in points], den * scale
 
 
-def _float_zero_sum_six(ball: UnitBall, rng: random.Random) -> tuple[Vec2, ...]:
-    """`gen_zero_sum_six` on a float-vertex ball."""
+def _float_zero_sum_six(ball: UnitBall, rng: random.Random) -> Family:
+    """`gen_zero_sum_six` on float pairs, on the Euclidean ball or a
+    float-vertex ball: the five points are added from 0 left to right, as
+    `vsum` adds them, and the closing vector (-x, -y) is tested."""
+    cycle = ball.vertices.floats() if ball.is_polygonal else None
+    norm = float_norm(ball)
     for _ in range(_ZERO_SUM_DRAWS):
-        five = [_float_point_in_ball(ball, rng) for _ in range(5)]
-        closing = -vsum(five)
-        if le(gauge(ball, closing), 1, 1e-12):
-            return tuple(five) + (closing,)
-    a, b, c = (_float_point_in_ball(ball, rng) for _ in range(3))
-    return (a, b, c, -a, -b, -c)
-
-
-def _float_point_in_ball(ball: UnitBall, rng: random.Random) -> Vec2:
-    # a random convex combination of three float vertices stays in the ball
-    m = len(ball.vertices)
-    picks = [ball.vertices[_randint(rng, 0, m - 1)] for _ in range(3)]
-    weights = [_randint(rng, 0, _GRID) for _ in range(3)]
-    total = sum(weights) or 1
-    return vsum(p.scale(Fraction(w, total)) for p, w in zip(picks, weights))
-
-
-def _euclidean_zero_sum_six(rng: random.Random) -> Family:
-    """`gen_zero_sum_six` on the Euclidean ball, as float pairs: the five
-    points are added from 0 left to right, as `vsum` adds them."""
-    for _ in range(_ZERO_SUM_DRAWS):
-        five = [_euclidean_point(rng) for _ in range(5)]
+        five = [_float_point(cycle, rng) for _ in range(5)]
         x = y = 0
         for px, py in five:
             x += px
             y += py
-        if le(math.hypot(x, y), 1, 1e-12):
+        if le(norm(-x, -y), 1, 1e-12):
             return Family.from_lattice(five + [(-x, -y)], None)
-    three = [_euclidean_point(rng) for _ in range(3)]
+    three = [_float_point(cycle, rng) for _ in range(3)]
     return Family.from_lattice(three + [(-x, -y) for x, y in three], None)
 
 
-def _euclidean_point(rng: random.Random) -> tuple[float, float]:
-    """A uniform point of the Euclidean disc."""
-    phi = rng.uniform(0.0, 2.0 * math.pi)
-    r = math.sqrt(rng.uniform(0.0, 1.0))
-    return r * math.cos(phi), r * math.sin(phi)
+def _float_point(cycle: Optional[list], rng: random.Random) -> tuple[float, float]:
+    """A random point of the ball as a float pair: a uniform point of the
+    Euclidean disc when `cycle` is None, else a random convex combination
+    of three of the float vertices `cycle`, which stays in the ball."""
+    if cycle is None:
+        phi = rng.uniform(0.0, 2.0 * math.pi)
+        r = math.sqrt(rng.uniform(0.0, 1.0))
+        return r * math.cos(phi), r * math.sin(phi)
+    m = len(cycle)
+    picks = [cycle[_randint(rng, 0, m - 1)] for _ in range(3)]
+    weights = [_randint(rng, 0, _GRID) for _ in range(3)]
+    total = sum(weights) or 1
+    x = y = 0
+    for (px, py), w in zip(picks, weights):
+        x += w / total * px
+        y += w / total * py
+    return x, y
 
 
 def gen_direction(rng: random.Random) -> Vec2:
@@ -287,9 +273,9 @@ def gen_collinear_family(ball: UnitBall, seed: int) -> tuple[Family, list[Fracti
             ks[_randint(rng, 0, n - 1)] = -_randint(rng, 0, 150)
         if all(abs(a + b + c) > _GRID for a, b, c in combinations(ks, 3)):
             xs = [Fraction(k, _GRID) for k in ks]
-            if direction.scale is None:
-                return Family([direction[0].scale(x) for x in xs]), xs
             [(dx, dy)] = direction.pts
+            if direction.scale is None:
+                return Family.from_lattice([(k / _GRID * dx, k / _GRID * dy) for k in ks], None), xs
             return Family.from_lattice([(k * dx, k * dy) for k in ks], _GRID * direction.scale), xs
 
 

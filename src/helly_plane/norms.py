@@ -18,13 +18,15 @@ form no `Fraction`; a single `Fraction` is formed per reported gauge
 enumeration per subset. A supporting line at a
 boundary point (`supporting_functional`) is found on the same integer
 normals. Float gauges run on the float normals and round exactly as
-`Fraction * float` does. Rational polygons are compiled from integer
-points over one scale (`compile_lattice`, which the generators call with
-their 1/1000 grid directly). A ball's vertex cycle is a `geometry.Family`,
-the one lattice form of a point set: on a rational ball its integer pairs
-and their coarsest scale, whose `Fraction` vertices are formed on first
-read; on a float-vertex ball the given `Vec2`s. A ball is that `Family`
-plus its compiled normals (float normals are derived on first read), and
+`Fraction * float` does. Every polygon is compiled by `compile_lattice`
+from the lattice form of its points (the generators call it with their
+1/1000 grid directly): integer pairs over one scale when every coordinate
+is rational, float pairs when any coordinate is a float. A ball's vertex
+cycle is a `geometry.Family`, the one lattice form of a point set: on a
+rational ball its integer pairs and their coarsest scale, whose
+`Fraction` vertices are formed on first read; on a float-vertex ball its
+float pairs. A ball is that `Family` plus its compiled normals (on a
+rational ball the float normals are derived on first read), and
 `ball_to_json` prints the `Family`. Only this module reads the compiled
 form and the packed lanes.
 
@@ -44,8 +46,8 @@ from operator import not_
 from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 
 from .errors import BadInput, NotConvexBody, NotPolygonal, NotSymmetric, ZeroDirection
-from .geometry import Family, convex_hull, monotone_chain
-from .scalars import DEFAULT_TOL, Scalar, eq, exact_div, exactify, is_float
+from .geometry import Family, monotone_chain
+from .scalars import DEFAULT_TOL, Scalar, eq, exact_div, is_float
 from .vectors import Vec2
 
 EUCLIDEAN = "euclidean"
@@ -56,14 +58,15 @@ class UnitBall:
     """A unit ball; polygonal ones carry their compiled edge normals.
 
     `vertices` is the vertex cycle as a `Family`: integer pairs over a
-    scale on a rational ball, the given float `Vec2`s on a float-vertex
-    ball, and empty on the Euclidean ball. `normals` holds integer pairs
-    (P, Q) with (p, q) == (P, Q) / `den` for the functional
-    z -> p*z.x + q*z.y of each edge, or None when the vertices are floats;
-    `float_normals` holds (float(p), float(q)).
+    scale on a rational ball, float pairs on a float-vertex ball (one
+    given any float coordinate), and empty on the Euclidean ball.
+    `normals` holds integer pairs (P, Q) with (p, q) == (P, Q) / `den` for
+    the functional z -> p*z.x + q*z.y of each edge, or None when the
+    vertices are floats; `float_normals` holds (float(p), float(q)).
 
     A rational ball is built from its vertex `Family` and `normals` alone:
-    its `float_normals` are derived on first read and kept. Equality
+    its `float_normals` are derived on first read and kept. A float-vertex
+    ball is given its `float_normals`, computed in floats. Equality
     (within one class), hashing and repr go by (kind, vertices).
     """
 
@@ -145,7 +148,7 @@ class ConvexBody(UnitBall):
     """A convex polygon with the origin strictly inside; no symmetry assumed.
 
     It is compiled like a unit ball, so `gauge` and `boundary_point` apply;
-    its vertices keep `convex_hull`'s counterclockwise order.
+    its vertices keep the hull's counterclockwise order.
     """
 
 
@@ -155,39 +158,32 @@ def make_convex_body(points: Sequence[Vec2]) -> ConvexBody:
 
 
 def _compile_polygon(points: Sequence[Vec2], cls: type) -> UnitBall:
-    """Rational points (or a rational hull) go to `compile_lattice`; a
-    float hull is checked and compiled here, on its own coordinates."""
-    pts = list(points)
-    if not pts:
+    """The points' `Family` compiled by `compile_lattice`: on its integer
+    pairs when every coordinate is rational, else on its float pairs."""
+    fam = Family(points)
+    if not fam.pts:
         raise NotConvexBody("empty vertex list")
-    fam = Family(pts)
-    if fam.scale is None:
-        hull = convex_hull(fam)
-        fam = Family(hull)  # float points may still have a rational hull
-    if fam.scale is not None:
-        return compile_lattice(fam.pts, fam.scale, cls)
-    coords = [(v.x, v.y) for v in hull]
-    start = _cycle_start(coords, cls)
-    hull = hull[start:] + hull[:start]
-    rows = _edge_rows(coords[start:] + coords[:start], 1)
-    return cls(
-        POLYGONAL,
-        Family([Vec2(exactify(v.x), exactify(v.y)) for v in hull]),
-        float_normals=tuple([(p / det, q / det) for p, q, det in rows]),
-    )
+    return compile_lattice(fam.pts, fam.scale, cls)
 
 
-def compile_lattice(pairs: Sequence[tuple[int, int]], scale: int, cls: type) -> UnitBall:
-    """The one constructor of rational balls and bodies: the polygon with
-    vertices the hull of `pairs` / `scale`, checked and compiled on ints.
+def compile_lattice(pairs: Sequence[tuple], scale: Optional[int], cls: type) -> UnitBall:
+    """The one constructor of polygonal balls and bodies: the polygon with
+    vertices the hull of `pairs` / `scale`, checked and compiled on ints,
+    or the hull of the float pairs `pairs` when `scale` is None.
 
     A `UnitBall` must also be symmetric, and starts at its vertex of
     smallest polar angle; a `ConvexBody` keeps the hull's order. The vertex
-    `Family` puts the cycle on its own coarsest lattice.
+    `Family` puts the cycle on its own coarsest lattice. A float polygon
+    has no integer normals: its float normals are formed here, each row
+    over its own determinant.
     """
     coords = monotone_chain(sorted(set(pairs)))
     start = _cycle_start(coords, cls)
     vertices = Family.from_lattice(coords[start:] + coords[:start], scale)
+    if scale is None:
+        rows = _edge_rows(vertices.pts, 1)
+        float_normals = tuple([(p / det, q / det) for p, q, det in rows])
+        return cls(POLYGONAL, vertices, float_normals=float_normals)
     rows = _edge_rows(vertices.pts, vertices.scale)
     den = math.lcm(*[det for _, _, det in rows])
     normals = tuple([(p * (den // det), q * (den // det)) for p, q, det in rows])
@@ -242,7 +238,7 @@ def gauge(ball: UnitBall, z: Vec2) -> Scalar:
         return math.hypot(float(z.x), float(z.y))
     x, y = z.x, z.y
     if ball.normals is None or is_float(x, y):
-        return _float_norm(ball)(float(x), float(y))
+        return float_norm(ball)(float(x), float(y))
     b, d = x.denominator, y.denominator
     nx, ny = x.numerator * d, y.numerator * b  # z == (nx, ny) / (b * d)
     return Fraction(max(p * nx + q * ny for p, q in ball.normals), ball.den * b * d)
@@ -261,7 +257,7 @@ def lattice_in_ball(ball: UnitBall, x: int, y: int, den: int) -> bool:
     return max(p * x + q * y for p, q in ball.normals) <= ball.den * den
 
 
-def _float_norm(ball: UnitBall) -> Callable[[float, float], float]:
+def float_norm(ball: UnitBall) -> Callable[[float, float], float]:
     """The gauge of float coordinates: `math.hypot`, or the largest float edge value."""
     if ball.kind == EUCLIDEAN:
         return math.hypot
@@ -385,7 +381,7 @@ class SubsetSums:
         ball, pts, den = self._ball, self._pts, self._scale
         if isinstance(subsets, int):
             subsets = combinations(range(len(pts)), subsets)
-        norm = _float_norm(ball)
+        norm = float_norm(ball)
         for t in subsets:
             # `Family.lattice_sum` inlined: a call per subset costs a third
             # of the walk on float data

@@ -61,9 +61,10 @@ def lattice_values(xs: Sequence[Scalar]) -> Optional[tuple[list[int], int]]:
     return [x.numerator * (den // x.denominator) for x in xs], den
 
 
-def exactify(x: Scalar) -> Scalar:
-    """Rationals (int included) as Fraction, so divisions stay exact; floats as is."""
-    return x if isinstance(x, float) else Fraction(x)
+def check_tol(tol: float) -> None:
+    """Raise BadInput unless the comparison tolerance is finite and >= 0."""
+    if not 0 <= tol < math.inf:  # a NaN fails too
+        raise BadInput(f"tol must be finite and >= 0; got {tol}")
 
 
 def eq(a: Scalar, b: Scalar, tol: float = DEFAULT_TOL) -> bool:

@@ -38,7 +38,7 @@ from .geometry import Family
 from .norms import (
     SubsetSums, UnitBall, ball_from_json, euclidean_ball, load_json, square_ball,
 )
-from .scalars import le
+from .scalars import check_tol, le
 from .symmetry import (
     find_violation_halfplane, find_violation_surrounding, is_centrally_symmetric,
     verify_halfplane_witness, verify_surrounding_witness,
@@ -448,8 +448,7 @@ def run_suite(config: SuiteConfig) -> SuiteReport:
         ) from None
     if config.trials < 0:
         raise BadInput(f"trials must be >= 0; got {config.trials}")
-    if not 0 <= config.tol < math.inf:  # a NaN fails too
-        raise BadInput(f"tol must be finite and >= 0; got {config.tol}")
+    check_tol(config.tol)
     trials = len(CASE_NAMES) if config.suite == "gallery" else config.trials
     balls = _ball_source(config)
     records = [trial(config, i, balls) for i in range(trials)]

@@ -22,7 +22,6 @@ from itertools import combinations
 from typing import Optional, Sequence
 
 from .errors import (
-    BadInput,
     BadK,
     EvenCardinality,
     HypothesisFailed,
@@ -35,9 +34,9 @@ from .errors import (
 from .geometry import Family, point_in_triangle
 from .norms import SubsetSums, UnitBall, gauge, supporting_functional
 from .scalars import (
-    DEFAULT_TOL, Scalar, eq, format_scalar, ge, gt, is_float, lattice_values, le, sgn,
+    DEFAULT_TOL, Scalar, check_tol, eq, format_scalar, ge, gt, is_float, lattice_values, le, sgn,
 )
-from .vectors import ORIGIN, Vec2, VectorMultiset, vsum
+from .vectors import ORIGIN, Vec2, VectorMultiset
 
 
 @dataclass(frozen=True)
@@ -112,17 +111,6 @@ class Certificate:
         return tuple([self.family[i] for i in self.order])
 
 
-def all_ksums(vectors: VectorMultiset, k: int) -> list[KSum]:
-    """All k-element subset sums, subsets in lexicographic order."""
-    vs = tuple(vectors)
-    if not 0 <= k <= len(vs):
-        raise BadInput(f"k={k} out of range for {len(vs)} vectors")
-    return [
-        KSum(subset, vsum(vs[i] for i in subset))
-        for subset in combinations(range(len(vs)), k)
-    ]
-
-
 def verify_theorem1(
     ball: UnitBall, vectors: VectorMultiset, u: Vec2, tol: float = DEFAULT_TOL
 ) -> VerifyReport:
@@ -131,6 +119,7 @@ def verify_theorem1(
     Hypothesis: odd count, every vector of norm exactly 1, every dot with u
     nonnegative. Conclusion: the total has norm at least 1.
     """
+    check_tol(tol)
     if u.is_zero():
         raise ZeroDirection("halfplane direction must be nonzero")
     vs = Family(vectors)
@@ -277,6 +266,7 @@ def verify_helly(
     > 1 must sum to norm > 1. Collinear families need no path of their
     own: along a line through the origin the norm is |signed length|.
     """
+    check_tol(tol)
     vs = Family(vectors)
     _odd_family(len(vs))
     total = vs.vector_sum(range(len(vs)))
@@ -292,6 +282,7 @@ def corollary_check(
     ball: UnitBall, vectors: VectorMultiset, k: int, tol: float = DEFAULT_TOL
 ) -> VerifyReport:
     """If every 3-sum is strictly outside the ball, so is every k-sum (k odd, k > 3)."""
+    check_tol(tol)
     vs = Family(vectors)
     if k % 2 == 0 or k <= 3 or k > len(vs):
         raise BadK(f"k must be odd, > 3, and <= {len(vs)}; got {k}")
@@ -317,6 +308,7 @@ def lemma_conv_check(
     rational data they are decided for the three lattice points and their
     integer sum: scaling by the common denominator keeps every sign.
     """
+    check_tol(tol)
     vs = Family(vectors)
     if len(vs) != 3:
         raise PreconditionFailed(f"need exactly 3 vectors, got {len(vs)}")
@@ -338,6 +330,7 @@ def lemma_main_witness(
     A caller that re-checks the triple passes `sums`, its own
     `SubsetSums(ball, vectors)`, and re-reads the packing used here.
     """
+    check_tol(tol)
     zs = Family(vectors)
     if len(zs) != 6:
         raise PreconditionFailed(f"need exactly 6 vectors, got {len(zs)}")
@@ -362,6 +355,7 @@ def claim1_triplets(xs: Sequence[Scalar], tol: float = DEFAULT_TOL) -> list[tupl
     Rational values are compared as integer numerators m with their common
     denominator d, `rel(m, d, tol)` as in `norms.SubsetSums`; floats with d = 1.
     """
+    check_tol(tol)
     values = list(xs)
     if len(values) != 6:
         raise PreconditionFailed(f"need exactly 6 values, got {len(values)}")

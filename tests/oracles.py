@@ -23,6 +23,7 @@ from fractions import Fraction
 from itertools import combinations
 
 from helly_plane.errors import (
+    BadInput,
     EvenCardinality,
     HypothesisFailed,
     NotConvexBody,
@@ -43,7 +44,7 @@ from helly_plane.norms import (
     edge_functionals,
     gauge,
 )
-from helly_plane.scalars import DEFAULT_TOL, eq, exactify, ge, gt, le, sgn
+from helly_plane.scalars import DEFAULT_TOL, eq, ge, gt, le, sgn
 from helly_plane.symmetry import is_centrally_symmetric
 from helly_plane.theorems import Certificate, KSum, VerifyReport
 from helly_plane.vectors import ORIGIN, Vec2, vsum
@@ -161,6 +162,18 @@ def brute_extreme_points(points) -> set:
     return out
 
 
+def all_ksums(vectors, k):
+    """All k-element subset sums, subsets in lexicographic order: the
+    reference the subset-sum kernel replaced, one `vsum` per subset."""
+    vs = tuple(vectors)
+    if not 0 <= k <= len(vs):
+        raise BadInput(f"k={k} out of range for {len(vs)} vectors")
+    return [
+        KSum(subset, vsum(vs[i] for i in subset))
+        for subset in combinations(range(len(vs)), k)
+    ]
+
+
 # Reference generators: the `Fraction`-arithmetic generators (and the
 # polygon compiler) as they were before instances were drawn on the integer
 # lattice, kept verbatim apart from their names and the zero-sum draw budget,
@@ -169,6 +182,11 @@ def brute_extreme_points(points) -> set:
 _GRID = 1000
 _HALF_VERTICES = 6
 ZERO_SUM_DRAWS = 10_000
+
+
+def exactify(x):
+    """Rationals (int included) as Fraction, so divisions stay exact; floats as is."""
+    return x if isinstance(x, float) else Fraction(x)
 
 
 def ref_compile_polygon(points, cls):

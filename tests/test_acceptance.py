@@ -15,8 +15,9 @@ from helly_plane.gallery import gallery_case, run_gallery
 from helly_plane.generators import gen_euclidean_halfplane_instance
 from helly_plane.norms import gauge
 from helly_plane.suites import SuiteConfig, run_suite
-from helly_plane.theorems import all_ksums
 from helly_plane.vectors import vsum
+
+from oracles import all_ksums
 
 F = Fraction
 TOL = 1e-9

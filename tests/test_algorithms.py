@@ -19,8 +19,9 @@ from helly_plane.generators import (
     gen_unit_vectors,
 )
 from helly_plane.norms import edge_functionals, gauge
-from helly_plane.theorems import all_ksums
 from helly_plane.vectors import Vec2, vsum
+
+from oracles import all_ksums
 
 F = Fraction
 TOL = 1e-9

@@ -23,7 +23,8 @@ from helly_plane.errors import PreconditionFailed
 from helly_plane.generators import gen_random_ball, gen_unit_vectors
 from helly_plane.geometry import Family
 from helly_plane.norms import (
-    ball_from_json, ball_to_json, euclidean_ball, lattice_vertices, square_ball,
+    ball_from_json, ball_to_json, euclidean_ball, lattice_vertices, make_polygonal_ball,
+    square_ball,
 )
 from helly_plane.suites import SuiteConfig
 from helly_plane.theorems import KSum, corollary_check, lemma_conv_check, verify_helly
@@ -95,18 +96,27 @@ def constructed(call) -> list[str]:
 
 @pytest.mark.parametrize("draws", [generators._ZERO_SUM_DRAWS, 0])
 def test_euclidean_draws_build_no_vec2_and_no_fraction(monkeypatch, draws):
+    # the Euclidean ball and float-vertex balls share one float-pair draw;
     # draws = 0 sends the zero-sum draw to its +- triple fallback
     monkeypatch.setattr(generators, "_ZERO_SUM_DRAWS", draws)
-    ball, rng = euclidean_ball(), random.Random(5)
+    rng = random.Random(5)
     directions = [generators.gen_direction(rng) for _ in range(5)] + [Vec2(0.6, -0.8), Vec2(0, 1)]
-    for seed, u in enumerate(directions):
-        assert constructed(lambda: gen_unit_vectors(ball, 7, seed, halfplane=u)) == []
-        assert constructed(lambda: gen_unit_vectors(ball, 7, seed)) == []
-        assert constructed(lambda: generators.gen_zero_sum_six(ball, seed)) == []
-    # the hook does see them: a float-vertex ball draws through `Vec2`s
-    float_ball = ball_from_json(ball_to_json(gen_random_ball(5)), "float")
-    assert "Vec2" in constructed(lambda: gen_unit_vectors(float_ball, 3, 0, halfplane=directions[0]))
-    assert "Fraction" in constructed(lambda: generators.gen_zero_sum_six(float_ball, 0))
+    mixed = [Vec2(1, 0.25), Vec2(-0.5, 1), Vec2(-1, 0.75)]  # int and float coordinates
+    balls = [
+        euclidean_ball(),
+        ball_from_json(ball_to_json(gen_random_ball(5)), "float"),
+        ball_from_json(ball_to_json(gen_random_ball(20240611)), "float"),
+        make_polygonal_ball(mixed + [-v for v in mixed]),
+    ]
+    for ball in balls:
+        for seed, u in enumerate(directions):
+            assert constructed(lambda: gen_unit_vectors(ball, 7, seed, halfplane=u)) == []
+            assert constructed(lambda: gen_unit_vectors(ball, 7, seed)) == []
+            assert constructed(lambda: generators.gen_zero_sum_six(ball, seed)) == []
+    # the hook does see them: reading a drawn family's vectors forms them
+    floats, rationals = gen_unit_vectors(balls[1], 3, 0), gen_unit_vectors(square_ball(), 3, 0)
+    assert "Vec2" in constructed(lambda: floats.vectors)
+    assert "Fraction" in constructed(lambda: rationals.vectors)
 
 
 def test_family_is_a_sequence_of_its_vectors():

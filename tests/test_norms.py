@@ -18,11 +18,14 @@ from helly_plane.norms import (
     boundary_point,
     edge_functionals,
     gauge,
+    lattice_vertices,
+    make_convex_body,
     make_polygonal_ball,
+    square_ball,
 )
 from helly_plane.vectors import Vec2
 
-from oracles import ray_gauge
+from oracles import ray_gauge, same
 
 F = Fraction
 
@@ -214,3 +217,40 @@ def test_ball_json_example():
     }
     ball = ball_from_json(doc)
     assert gauge(ball, Vec2(F(1, 3), F(1, 7))) == F(1, 3)
+
+
+def _mixed_point_sets():
+    """Point lists with int or `Fraction` coordinates beside float ones."""
+    pts = [Vec2(1, 0.25), Vec2(-0.5, 1), Vec2(-1, 0.75)]
+    sets = [pts + [-v for v in pts], [Vec2(1, 1), Vec2(-1, 1), Vec2(-1, -1), Vec2(1.0, -1)]]
+    for seed in (0, 5, 20240611):
+        vertices = list(gen_random_ball(seed).vertices)
+        sets.append([Vec2(float(v.x), v.y) if i % 2 else v for i, v in enumerate(vertices)])
+    return sets
+
+
+@pytest.mark.parametrize("make", [make_polygonal_ball, make_convex_body])
+def test_mixed_coordinates_compile_on_their_floats(make):
+    # a point set with any float coordinate is a float point set: its
+    # polygon is the polygon of the all-float points
+    for points in _mixed_point_sets():
+        got = make(points)
+        want = make([Vec2(float(v.x), float(v.y)) for v in points])
+        assert type(got) is type(want) and lattice_vertices(got) is None and got.normals is None
+        assert same(got.vertices, want.vertices.vectors)
+        assert all(type(c) is float for v in got.vertices for c in (v.x, v.y))
+        assert [(p.hex(), q.hex()) for p, q in got.float_normals] == [
+            (p.hex(), q.hex()) for p, q in want.float_normals
+        ]
+        assert ball_to_json(got) == ball_to_json(want)
+
+
+@pytest.mark.parametrize("make", [make_polygonal_ball, make_convex_body])
+def test_rational_hull_of_mixed_points_is_a_float_polygon(make):
+    # the float point is interior: the hull is the max-norm square, in floats
+    points = list(square_ball().vertices) + [Vec2(0.5, 0.0)]
+    got = make(points)
+    assert lattice_vertices(got) is None and got.normals is None
+    corners = [["-1.0", "-1.0"], ["-1.0", "1.0"], ["1.0", "-1.0"], ["1.0", "1.0"]]
+    assert sorted(ball_to_json(got)["vertices"]) == corners
+    assert gauge(got, Vec2(F(1, 2), 1)) == 1.0 and type(gauge(got, Vec2(1, 0))) is float

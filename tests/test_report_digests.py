@@ -9,9 +9,11 @@ Trial counts are chosen to reach the special trials of the suites: thm2's
 antipodal-pair instances (index % 3 == 0) and thm3's collinear instance
 (index 9 on polygonal balls).
 
-The `--ball FILE` rows read a float hexagon from a file, which exact mode
-parses into a rational ball and float mode into a float-vertex ball. They
-pin the records, not the whole report: the config holds the file path.
+The `--ball FILE` rows read a float polygon from a file, which exact mode
+parses into a rational ball and float mode into a float-vertex ball: a
+hexagon, and the float copy of `gen_random_ball(20240611)`, a 10-gon.
+They pin the records, not the whole report: the config holds the file
+path.
 """
 
 import hashlib
@@ -82,6 +84,34 @@ BALL_FILE_GOLDEN = [
     ("generic", 30, 5, "float", "847da0f12d812294736f74935d392bc03012098c382af384143a128f5c5cdbf8"),
 ]
 
+# `ball_to_json` of `gen_random_ball(20240611)` read in float mode: its
+# vertices as floats
+RANDOM_BALL_FILE = {"type": "polygonal", "vertices": [
+    ["0.694", "0.252"], ["0.47", "0.55"], ["0.244", "0.677"], ["-0.47", "0.656"],
+    ["-0.771", "0.245"], ["-0.694", "-0.252"], ["-0.47", "-0.55"], ["-0.244", "-0.677"],
+    ["0.47", "-0.656"], ["0.771", "-0.245"],
+]}
+
+# as BALL_FILE_GOLDEN, for a `--ball FILE` run on RANDOM_BALL_FILE
+RANDOM_BALL_FILE_GOLDEN = [
+    ("thm1", 30, 5, "exact", "60cb478dead63b776eca1d3198e97108faa7fa3840b4149f575416cf0dc442c8"),
+    ("thm2", 30, 5, "exact", "e41c766c0ebee9758d3cf57f15eb56a661fe3bac5325a87d523707191939e756"),
+    ("thm3", 30, 5, "exact", "18aae579fbc347a09dc05dd99e786e392bab809e431071b383215ddc208070a3"),
+    ("lemma-conv", 30, 5, "exact", "fbb685f2f8ece33b7be402c3bce5053ad5394bbb4df8fe1bdac9319e03a2de28"),
+    ("lemma-main", 30, 5, "exact", "2b6ce9856fa6cebe4e02814ad160b0835c0548ac219e0d79dcaaf059b08ff158"),
+    ("corollary", 30, 5, "exact", "4188f84552e124c07f5073069dc4e3daf4c68474ec2f48649ffbfa3dafeecc87"),
+    ("signs", 30, 5, "exact", "cf48a35a6dbc1f94477a8e180716f227c99d7717534a5ce426004e640d1a4800"),
+    ("generic", 30, 5, "exact", "a4aec855014b535e397c3bd680e3b6993335bece02dda160c657441c1f5bb9d9"),
+    ("thm1", 30, 5, "float", "ab392617e6fe05d1d87f1526fd99024ec130d4a877f2a70d532939cccebabb9a"),
+    ("thm2", 30, 5, "float", "e41365cc11ea7bbe41e425ae04a5b8a8b861070c5ad2f0323b96ac25fcc0b994"),
+    ("thm3", 30, 5, "float", "df4e881ecfaa72dfeadcbf088b4b90227db16690045a18b187c32460a705cf05"),
+    ("lemma-conv", 30, 5, "float", "54b3442db720808b4ab64160dc272a628d3a472d56f3059b72f1f88dc19352cf"),
+    ("lemma-main", 30, 5, "float", "1075b9c1b885f4710ff7ddbf9209391b5a16dad7f055f5977609b6725ec94be0"),
+    ("corollary", 30, 5, "float", "1ddbf53bdb94de07ef4ffb67c28b9cab14b28ea440c7f86b1ad17732500ba653"),
+    ("signs", 30, 5, "float", "219347994ccc043af72c43d6d60c958e34710891147eb68311c26f3b9aa2e222"),
+    ("generic", 30, 5, "float", "f21f885a03965c69aaf018a93767a06df954957817cd77f9127d5935af732337"),
+]
+
 # (check name, expected, actual, passed) per gallery case
 GALLERY = {
     "thm3-closed-fails": [
@@ -123,19 +153,32 @@ def test_report_digest(suite, trials, seed, mode, ball, digest):
     assert hashlib.sha256(report.to_json_text().encode()).hexdigest() == digest
 
 
+def _ball_file_digest(tmp_path, doc, suite, trials, seed, mode) -> str:
+    path = tmp_path / "ball.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    config = SuiteConfig(suite=suite, trials=trials, seed=seed, mode=mode, ball_source=str(path))
+    report = run_suite(config)
+    assert report.passes == trials
+    text = json.dumps([r.to_json() for r in report.records], sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
 @pytest.mark.parametrize(
     "suite,trials,seed,mode,digest",
     BALL_FILE_GOLDEN,
     ids=[f"{s}-{m}-file-{seed}" for s, _, seed, m, _ in BALL_FILE_GOLDEN],
 )
 def test_ball_file_digest(tmp_path, suite, trials, seed, mode, digest):
-    path = tmp_path / "ball.json"
-    path.write_text(json.dumps(BALL_FILE), encoding="utf-8")
-    config = SuiteConfig(suite=suite, trials=trials, seed=seed, mode=mode, ball_source=str(path))
-    report = run_suite(config)
-    assert report.passes == trials
-    text = json.dumps([r.to_json() for r in report.records], sort_keys=True, separators=(",", ":"))
-    assert hashlib.sha256(text.encode()).hexdigest() == digest
+    assert _ball_file_digest(tmp_path, BALL_FILE, suite, trials, seed, mode) == digest
+
+
+@pytest.mark.parametrize(
+    "suite,trials,seed,mode,digest",
+    RANDOM_BALL_FILE_GOLDEN,
+    ids=[f"{s}-{m}-file-{seed}" for s, _, seed, m, _ in RANDOM_BALL_FILE_GOLDEN],
+)
+def test_random_ball_file_digest(tmp_path, suite, trials, seed, mode, digest):
+    assert _ball_file_digest(tmp_path, RANDOM_BALL_FILE, suite, trials, seed, mode) == digest
 
 
 def test_gallery_results_pinned():

@@ -16,7 +16,6 @@ from helly_plane.errors import (
 from helly_plane.generators import gen_direction, gen_random_ball, gen_unit_vectors, gen_zero_sum_six
 from helly_plane.norms import gauge, make_polygonal_ball
 from helly_plane.theorems import (
-    all_ksums,
     claim1_triplets,
     corollary_check,
     halfplane_certificate,
@@ -27,7 +26,7 @@ from helly_plane.theorems import (
 )
 from helly_plane.vectors import Vec2, vsum
 
-from oracles import verify_helly_1d
+from oracles import all_ksums, verify_helly_1d
 
 F = Fraction
 

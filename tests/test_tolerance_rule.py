@@ -3,14 +3,27 @@
 `scalars` alone looks at whether a value is a float (`is_float`, `sgn`,
 the comparison helpers); every other module asks it. An inline
 `isinstance(x, float)` elsewhere is a second, drifting copy of that rule.
+A tolerance that is not finite and >= 0 is bad input at every library
+entry point that takes one, as it is in `run_suite` (`scalars.check_tol`).
 """
 
 import ast
+import math
 from pathlib import Path
 
 import pytest
 
 import helly_plane
+from helly_plane.algorithms import choose_signs, ginzburg_reduce
+from helly_plane.errors import BadInput
+from helly_plane.generators import (
+    gen_claim1_tuple, gen_euclidean_halfplane_instance, gen_unit_vectors, gen_zero_sum_six,
+)
+from helly_plane.norms import euclidean_ball
+from helly_plane.theorems import (
+    claim1_triplets, corollary_check, halfplane_certificate, lemma_conv_check,
+    lemma_main_witness, verify_helly, verify_theorem1,
+)
 
 MODULES = sorted(
     p for p in Path(helly_plane.__file__).parent.glob("*.py") if p.name != "scalars.py"
@@ -46,3 +59,29 @@ def test_offences_are_found():
 def test_no_float_isinstance_outside_scalars(path):
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
     assert _offences(tree) == []
+
+
+BALL = euclidean_ball()
+HALFPLANE = gen_euclidean_halfplane_instance(3)  # (vectors, u)
+UNITS = gen_unit_vectors(BALL, 7, 3)
+
+# each entry point that takes a tolerance, on input that is good apart from it
+ENTRY_POINTS = {
+    "verify_theorem1": lambda tol: verify_theorem1(BALL, *HALFPLANE, tol),
+    "halfplane_certificate": lambda tol: halfplane_certificate(BALL, *HALFPLANE, tol),
+    "verify_helly": lambda tol: verify_helly(BALL, UNITS[:5], strict=False, tol=tol),
+    "corollary_check": lambda tol: corollary_check(BALL, UNITS, 5, tol),
+    "lemma_conv_check": lambda tol: lemma_conv_check(BALL, UNITS[:3], tol),
+    "lemma_main_witness": lambda tol: lemma_main_witness(BALL, gen_zero_sum_six(BALL, 3), tol),
+    "claim1_triplets": lambda tol: claim1_triplets(gen_claim1_tuple(3), tol),
+    "choose_signs": lambda tol: choose_signs(BALL, UNITS, tol),
+    "ginzburg_reduce": lambda tol: ginzburg_reduce(*HALFPLANE, tol),
+}
+
+
+@pytest.mark.parametrize("tol", [math.nan, -1.0, math.inf], ids=["nan", "negative", "inf"])
+@pytest.mark.parametrize("name", sorted(ENTRY_POINTS))
+def test_bad_tolerance_is_bad_input(name, tol):
+    ENTRY_POINTS[name](1e-9)  # the input is good
+    with pytest.raises(BadInput, match="tol must be finite and >= 0"):
+        ENTRY_POINTS[name](tol)
