@@ -14,7 +14,6 @@ from .generators import (
     gen_unit_vectors,
     gen_zero_sum_six,
 )
-from .geometry import convex_hull
 from .norms import (
     UnitBall,
     ball_from_json,

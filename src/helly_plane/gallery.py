@@ -17,6 +17,7 @@ from itertools import combinations
 from typing import Callable
 
 from .errors import UnknownCase
+from .geometry import Family, dots
 from .norms import SubsetSums, UnitBall, euclidean_ball, gauge, square_ball
 from .scalars import format_scalar
 from .vectors import Vec2, vsum
@@ -122,12 +123,12 @@ def _case_remark1_equality() -> GalleryCase:
     u = Vec2(0, 1)
 
     def run() -> list[CheckResult]:
-        dots = [u.dot(v) for v in vectors]
+        fam = Family(vectors)
+        positive = all(d > 0 for d in dots(u, fam.pts, fam.scale))
         total = vsum(vectors)
         tn = gauge(ball, total)
         return [
-            _check("all dots > 0", "True", str(all(d > 0 for d in dots)),
-                   all(d > 0 for d in dots)),
+            _check("all dots > 0", "True", str(positive), positive),
             _check("all unit", "True", str(all(gauge(ball, v) == 1 for v in vectors)),
                    all(gauge(ball, v) == 1 for v in vectors)),
             _check("total gauge", "1", format_scalar(tn), tn == 1),

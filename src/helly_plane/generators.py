@@ -15,7 +15,8 @@ balls are drawn as float pairs, returned as a float `Family` that prints
 from those pairs: no `Vec2` and no `Fraction` is formed, and each float is
 the one the `Vec2` arithmetic gave (`Fraction`·float is float(F)·float,
 and float(Fraction(r, 1000)) is r / 1000). Both share one unit-vector
-draw and one zero-sum draw.
+draw and one zero-sum draw. Every unit-vector draw, on the lattice or in
+floats, meets a halfplane by one mirror of its pairs (`geometry.dots`).
 """
 
 from __future__ import annotations
@@ -27,12 +28,12 @@ from itertools import combinations
 from typing import Optional
 
 from .errors import BadInput, NotConvexBody
-from .geometry import Family
+from .geometry import Family, dots
 from .norms import (
     ConvexBody, UnitBall, boundary_point, compile_lattice, euclidean_ball, float_norm,
     lattice_in_ball, lattice_vertices,
 )
-from .scalars import lattice_values, le
+from .scalars import le
 from .symmetry import is_centrally_symmetric
 from .vectors import Vec2
 
@@ -84,17 +85,19 @@ def gen_unit_vectors(
 ) -> Family:
     """n vectors of gauge exactly 1; with `halfplane` u, all dots u.v >= 0.
 
-    The halfplane constraint is met by mirroring: a boundary point with a
-    negative dot is replaced by its negation, which is also on the boundary.
+    Every draw gives pairs over a denominator (float pairs over None), and
+    one mirror meets the halfplane for all of them: a boundary point with a
+    negative dot (`geometry.dots`) is replaced by its negation, which is
+    also on the boundary.
     """
     if n < 1:
         raise BadInput("need n >= 1")
     rng = random.Random(seed)
     grid = lattice_vertices(ball)
+    pairs, den = [], None
     if grid is not None:
-        return _lattice_unit_vectors(grid, n, rng, halfplane)
-    pairs = []
-    if ball.is_polygonal:
+        pairs, den = _lattice_unit_vectors(grid, n, rng)
+    elif ball.is_polygonal:
         # float vertices: the point t = r/1000 of the way from vertex a to b
         cycle = ball.vertices.floats()
         m = len(cycle)
@@ -108,21 +111,19 @@ def gen_unit_vectors(
             phi = rng.uniform(0.0, 2.0 * math.pi)
             pairs.append((math.cos(phi), math.sin(phi)))
     if halfplane is not None:
-        # `Fraction`·float is float(F)·float: u is turned into two floats once
-        ux, uy = float(halfplane.x), float(halfplane.y)
-        pairs = [(-x, -y) if ux * x + uy * y < 0 else (x, y) for x, y in pairs]
-    return Family.from_lattice(pairs, None)
+        sides = dots(halfplane, pairs, den)
+        pairs = [(-x, -y) if d < 0 else (x, y) for (x, y), d in zip(pairs, sides)]
+    return Family.from_lattice(pairs, den)
 
 
-def _lattice_unit_vectors(
-    grid: tuple[list, int], n: int, rng: random.Random, halfplane: Optional[Vec2]
-) -> Family:
-    """`gen_unit_vectors` on the vertex lattice: the point r/1000 of the way
-    from vertex A to vertex B is (1000·A + r·(B − A)) / (1000·S). The
-    draws are `_randint`'s loop written out."""
+def _lattice_unit_vectors(grid: tuple[list, int], n: int, rng: random.Random) -> tuple[list, int]:
+    """`gen_unit_vectors`' draw on the vertex lattice, as integer pairs over
+    their denominator: the point r/1000 of the way from vertex A to vertex
+    B is (1000·A + r·(B − A)) / (1000·S). The draws are `_randint`'s loop
+    written out."""
     pairs, scale = grid
-    m, den = len(pairs), _GRID * scale
-    below, bits, k = _below(halfplane, den), rng.getrandbits, m.bit_length()
+    m, bits = len(pairs), rng.getrandbits
+    k = m.bit_length()
     out = []
     for _ in range(n):
         i = bits(k)
@@ -132,24 +133,8 @@ def _lattice_unit_vectors(
         r = bits(_OFFSET_BITS)
         while r >= _GRID:
             r = bits(_OFFSET_BITS)
-        x, y = _GRID * ax + r * (bx - ax), _GRID * ay + r * (by - ay)
-        if below(x, y):
-            x, y = -x, -y
-        out.append((x, y))
-    return Family.from_lattice(out, den)
-
-
-def _below(halfplane: Optional[Vec2], den: int):
-    """below(x, y): whether u.v < 0 for v = (x, y) / den. A rational u is
-    put on the lattice, so the sign is that of an integer dot product; a
-    float u is dotted with the `Fraction` point, in floats."""
-    if halfplane is None:
-        return lambda x, y: False
-    grid = lattice_values([halfplane.x, halfplane.y])
-    if grid is None:
-        return lambda x, y: halfplane.dot(Vec2(Fraction(x, den), Fraction(y, den))) < 0
-    (ux, uy), _ = grid
-    return lambda x, y: ux * x + uy * y < 0
+        out.append((_GRID * ax + r * (bx - ax), _GRID * ay + r * (by - ay)))
+    return out, _GRID * scale
 
 
 def gen_zero_sum_six(ball: UnitBall, seed: int) -> Family:

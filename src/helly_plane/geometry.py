@@ -1,9 +1,10 @@
-"""Exact convex-position primitives: orientation, lattice families, hulls
-and closed triangle membership.
+"""Exact convex-position primitives: orientation, lattice families, the
+halfplane test, the hull chain and closed triangle membership.
 
 `Family` is the one lattice form of a finite point set: a drawn or given
 family of vectors, and the vertex cycle of every polygonal ball or body
-(`norms`), is integer pairs over one scale, or float pairs.
+(`norms`), is integer pairs over one scale, or float pairs. `dots` is the
+one halfplane test of such points, from draw to certificate.
 
 Everything here works on `Vec2` with rational coordinates and is exact;
 predicates that also have to serve float data take an optional tolerance
@@ -18,7 +19,6 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Iterator, Optional
 
-from .errors import BadInput
 from .scalars import Scalar, format_ratio, lattice_values, sgn
 from .vectors import Vec2
 
@@ -127,29 +127,10 @@ class Family(Sequence):
         return Vec2(Fraction(sx, self.scale), Fraction(sy, self.scale))
 
 
-def convex_hull(points: Sequence[Vec2]) -> list[Vec2]:
-    """Counterclockwise extreme points of the input, collinear points dropped.
-
-    Degenerate inputs come back as-is: a single point, or the two endpoints
-    of the spanned segment. The returned objects are input points (the
-    first of any duplicates). Rational input is decided on the integer
-    lattice of its `Family`, float input on its own coordinates.
-    """
-    if not points:
-        raise BadInput("convex_hull requires a non-empty point list")
-    fam = Family(points)
-    keys = fam.pts if fam.scale is not None else [(p.x, p.y) for p in points]
-    first: dict = {}
-    for k, p in zip(keys, points):
-        first.setdefault(k, p)
-    return [first[k] for k in monotone_chain(sorted(first))]
-
-
 def monotone_chain(pts: list[tuple]) -> list[tuple]:
-    """Monotone chain over sorted distinct coordinate pairs.
-
-    Same contract as `convex_hull`, on plain (x, y) tuples.
-    """
+    """Counterclockwise extreme points of sorted distinct (x, y) pairs, from
+    the least one, collinear points dropped; degenerate inputs come back as
+    a single point or the two endpoints of the spanned segment."""
     if len(pts) <= 2:
         return pts
 
@@ -170,6 +151,21 @@ def monotone_chain(pts: list[tuple]) -> list[tuple]:
     if len(hull) < 3:
         return [pts[0], pts[-1]]
     return hull
+
+
+def dots(u: Vec2, pts: Sequence[tuple], scale: Optional[int]) -> list[Scalar]:
+    """u·v for each point v = (x, y) / `scale` (float pairs when `scale` is
+    None), up to one positive factor, so every sign is exact: integer dots
+    with u put on the lattice when u and the points are rational, else the
+    floats `Vec2.dot` gives, from float(u.x), float(u.y) and x / scale."""
+    grid = None if scale is None else lattice_values([u.x, u.y])
+    if grid is not None:
+        (ux, uy), _ = grid
+        return [ux * x + uy * y for x, y in pts]
+    ux, uy = float(u.x), float(u.y)
+    if scale is not None:
+        pts = [(x / scale, y / scale) for x, y in pts]
+    return [ux * x + uy * y for x, y in pts]
 
 
 def _on_segment(p: Vec2, a: Vec2, b: Vec2, tol: float = 0.0) -> bool:

@@ -47,7 +47,7 @@ from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 
 from .errors import BadInput, NotConvexBody, NotPolygonal, NotSymmetric, ZeroDirection
 from .geometry import Family, monotone_chain
-from .scalars import DEFAULT_TOL, Scalar, eq, exact_div, is_float
+from .scalars import DEFAULT_TOL, Scalar, eq, is_float
 from .vectors import Vec2
 
 EUCLIDEAN = "euclidean"
@@ -446,7 +446,7 @@ def boundary_point(ball: UnitBall, direction: Vec2) -> Vec2:
     if direction.is_zero():
         raise ZeroDirection("cannot normalize the zero vector")
     g = gauge(ball, direction)
-    return direction.scale(exact_div(1, g))
+    return direction.scale(1 / g)
 
 
 def ball_to_json(ball: UnitBall) -> dict:

@@ -62,9 +62,13 @@ def lattice_values(xs: Sequence[Scalar]) -> Optional[tuple[list[int], int]]:
 
 
 def check_tol(tol: float) -> None:
-    """Raise BadInput unless the comparison tolerance is finite and >= 0."""
-    if not 0 <= tol < math.inf:  # a NaN fails too
-        raise BadInput(f"tol must be finite and >= 0; got {tol}")
+    """Raise BadInput unless the comparison tolerance is a finite number >= 0."""
+    try:
+        ok = 0 <= tol < math.inf  # a NaN fails too
+    except TypeError:  # not a number: a str, None, a complex
+        ok = False
+    if not ok:
+        raise BadInput(f"tol must be finite and >= 0; got {tol!r}")
 
 
 def eq(a: Scalar, b: Scalar, tol: float = DEFAULT_TOL) -> bool:
@@ -100,10 +104,3 @@ def sgn(x: Scalar, tol: float = 0.0) -> int:
     if x == 0:
         return 0
     return 1 if x > 0 else -1
-
-
-def exact_div(a: Scalar, b: Scalar) -> Scalar:
-    """Division that stays rational on rational inputs (int/int included)."""
-    if isinstance(a, float) or isinstance(b, float):
-        return a / b
-    return Fraction(a) / Fraction(b)

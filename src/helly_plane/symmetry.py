@@ -16,8 +16,8 @@ from typing import Callable, Iterator, Optional, Sequence
 
 from .errors import SearchBudgetExceeded
 from .geometry import orientation
-from .norms import ConvexBody, boundary_point, gauge, make_convex_body
-from .scalars import exact_div, sgn
+from .norms import ConvexBody, boundary_point, gauge, lattice_vertices, make_convex_body
+from .scalars import sgn
 from .vectors import ORIGIN, Vec2
 
 # halvings of the step a finder tries per chord before moving on
@@ -56,8 +56,10 @@ class ViolationWitness:
 
 
 def is_centrally_symmetric(body: ConvexBody) -> bool:
-    """Whether the vertex set equals its own negation, exactly."""
-    have = {(v.x, v.y) for v in body.vertices}
+    """Whether the vertex set equals its own negation, exactly: decided on
+    the integer pairs of the vertex cycle, or the float pairs of a float body."""
+    grid = lattice_vertices(body)
+    have = set(grid[0] if grid is not None else body.vertices.floats())
     return have == {(-x, -y) for x, y in have}
 
 
@@ -189,7 +191,7 @@ def _line_polygon_hits(vertices: Sequence[Vec2], d: Vec2, level) -> list[Vec2]:
             continue
         if sq == 0 or sp == sq:
             continue
-        t = exact_div(fp, fp - fq)
+        t = fp / (fp - fq)  # `Fraction`s, or floats on a float body
         hits.append(p + (q - p).scale(t))
     uniq: list[Vec2] = []
     for h in hits:

@@ -31,7 +31,7 @@ from .errors import (
     TooFew,
     ZeroDirection,
 )
-from .geometry import Family, point_in_triangle
+from .geometry import Family, dots, point_in_triangle
 from .norms import SubsetSums, UnitBall, gauge, supporting_functional
 from .scalars import (
     DEFAULT_TOL, Scalar, check_tol, eq, format_scalar, ge, gt, is_float, lattice_values, le, sgn,
@@ -123,7 +123,7 @@ def verify_theorem1(
     if u.is_zero():
         raise ZeroDirection("halfplane direction must be nonzero")
     vs = Family(vectors)
-    (ux, uy), pts = _halfplane_frame(vs, u)
+    sides = dots(u, vs.pts, vs.scale)
     notes = []
     bad: list[KSum] = []
     if len(vs) % 2 == 0:
@@ -132,7 +132,7 @@ def verify_theorem1(
         if not unit:
             bad.append(KSum((i,), vs[i]))
             notes.append(f"vector {i} is not a unit vector")
-        elif not ge(ux * pts[i][0] + uy * pts[i][1], 0, tol):
+        elif not ge(sides[i], 0, tol):
             bad.append(KSum((i,), vs[i]))
             notes.append(f"vector {i} leaves the halfplane")
     hypothesis = len(vs) % 2 == 1 and not bad
@@ -146,21 +146,6 @@ def verify_theorem1(
     )
 
 
-def _halfplane_frame(vs: Family, u: Vec2) -> tuple[tuple, list[tuple]]:
-    """u and the points of the family in one number domain, for u·v and u×v.
-
-    When u and the family are rational, u is put on the lattice and the
-    family keeps its lattice pairs, as in `generators._below`: the products
-    are integer multiples, by one positive factor, of the exact values, so
-    their signs are exact. Otherwise both are floats, and the products are
-    the floats `Vec2.dot` and `Vec2.cross` give.
-    """
-    grid = None if vs.scale is None else lattice_values([u.x, u.y])
-    if grid is not None:
-        return grid[0], vs.pts
-    return (float(u.x), float(u.y)), vs.floats()
-
-
 def _halfplane_angle_cmp(vs: Family, u: Vec2):
     """A sort key for indices into a family of the closed halfplane of u,
     ordering the vectors by angle from the side at -90 degrees from u
@@ -168,9 +153,10 @@ def _halfplane_angle_cmp(vs: Family, u: Vec2):
 
     The signs of cross and dot products are read from the family's lattice
     (or float) pairs. Vectors orthogonal to u are the only antipodal pairs
-    possible here; the one at -90 degrees sorts first. Exact duplicates
-    keep input order. Comparisons are raw (no tolerance): a tolerant order
-    is not transitive.
+    possible here; the one at -90 degrees, where u×v = u.perp()·v is
+    negative (`geometry.dots`), sorts first. Exact duplicates keep input
+    order. Comparisons are raw (no tolerance): a tolerant order is not
+    transitive.
     """
     pts = vs.pts
 
@@ -181,8 +167,7 @@ def _halfplane_angle_cmp(vs: Family, u: Vec2):
             return -1 if cross > 0 else 1
         if ax * bx + ay * by >= 0:
             return 0  # same direction: stable sort keeps input order
-        (ux, uy), upts = _halfplane_frame(vs, u)  # antipodal pairs only
-        return -1 if sgn(ux * upts[i][1] - uy * upts[i][0]) < 0 else 1
+        return -1 if sgn(dots(u.perp(), [pts[i]], vs.scale)[0]) < 0 else 1  # antipodal pairs only
 
     return functools.cmp_to_key(cmp)
 

@@ -14,6 +14,10 @@ that the lattice verifiers replaced; both must be reproduced value for
 value and type for type. `verify_helly_1d` is the line oracle of the
 three-sum theorems: it judges signed lengths over [-1, 1] with no ball
 and no subset-sum kernel.
+
+`convex_hull` (`geometry.monotone_chain` on `Vec2`s, returning input
+points) and `exact_div` are former library helpers that no library module
+needs; the tests that still use them import them from here.
 """
 
 import functools
@@ -34,7 +38,7 @@ from helly_plane.errors import (
     TooFew,
     ZeroDirection,
 )
-from helly_plane.geometry import Family, convex_hull, orientation, point_in_triangle
+from helly_plane.geometry import Family, monotone_chain, orientation, point_in_triangle
 from helly_plane.norms import (
     POLYGONAL,
     ConvexBody,
@@ -45,7 +49,6 @@ from helly_plane.norms import (
     gauge,
 )
 from helly_plane.scalars import DEFAULT_TOL, eq, ge, gt, le, sgn
-from helly_plane.symmetry import is_centrally_symmetric
 from helly_plane.theorems import Certificate, KSum, VerifyReport
 from helly_plane.vectors import ORIGIN, Vec2, vsum
 
@@ -62,6 +65,31 @@ def same(a, b) -> bool:
     if isinstance(a, Vec2):
         return isinstance(b, Vec2) and same(a.x, b.x) and same(a.y, b.y)
     return type(a) is type(b) and repr(a) == repr(b)
+
+
+def exact_div(a, b):
+    """Division that stays rational on rational inputs (int/int included)."""
+    if isinstance(a, float) or isinstance(b, float):
+        return a / b
+    return Fraction(a) / Fraction(b)
+
+
+def convex_hull(points):
+    """Counterclockwise extreme points of the input, collinear points dropped.
+
+    Degenerate inputs come back as-is: a single point, or the two endpoints
+    of the spanned segment. The returned objects are input points (the
+    first of any duplicates). Rational input is decided on the integer
+    lattice of its `Family`, float input on its own coordinates.
+    """
+    if not points:
+        raise BadInput("convex_hull requires a non-empty point list")
+    fam = Family(points)
+    keys = fam.pts if fam.scale is not None else [(p.x, p.y) for p in points]
+    first: dict = {}
+    for k, p in zip(keys, points):
+        first.setdefault(k, p)
+    return [first[k] for k in monotone_chain(sorted(first))]
 
 
 def ray_gauge(ball, z: Vec2) -> Fraction:
@@ -332,6 +360,11 @@ def ref_gen_symmetric_body(seed):
     return _ref_symmetric_polygon(seed, lambda pts: ref_compile_polygon(pts, ConvexBody))
 
 
+def ref_is_centrally_symmetric(body):
+    have = {(v.x, v.y) for v in body.vertices}
+    return have == {(-x, -y) for x, y in have}
+
+
 def ref_gen_asymmetric_body(seed):
     rng = random.Random(seed)
     while True:
@@ -341,7 +374,7 @@ def ref_gen_asymmetric_body(seed):
         stretch = 1 + Fraction(rng.randint(1, 4), 8)
         verts[i] = verts[i].scale(stretch)
         body = ref_compile_polygon(verts, ConvexBody)
-        if not is_centrally_symmetric(body):
+        if not ref_is_centrally_symmetric(body):
             return body
 
 

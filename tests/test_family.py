@@ -23,10 +23,11 @@ from helly_plane.errors import PreconditionFailed
 from helly_plane.generators import gen_random_ball, gen_unit_vectors
 from helly_plane.geometry import Family
 from helly_plane.norms import (
-    ball_from_json, ball_to_json, euclidean_ball, lattice_vertices, make_polygonal_ball,
-    square_ball,
+    ConvexBody, ball_from_json, ball_to_json, compile_lattice, euclidean_ball, lattice_vertices,
+    make_polygonal_ball, square_ball,
 )
 from helly_plane.suites import SuiteConfig
+from helly_plane.symmetry import is_centrally_symmetric
 from helly_plane.theorems import KSum, corollary_check, lemma_conv_check, verify_helly
 from helly_plane.vectors import Vec2, vsum
 
@@ -117,6 +118,20 @@ def test_euclidean_draws_build_no_vec2_and_no_fraction(monkeypatch, draws):
     floats, rationals = gen_unit_vectors(balls[1], 3, 0), gen_unit_vectors(square_ball(), 3, 0)
     assert "Vec2" in constructed(lambda: floats.vectors)
     assert "Fraction" in constructed(lambda: rationals.vectors)
+
+
+def test_symmetry_is_decided_on_the_vertex_pairs():
+    # a fresh body, exact or float, symmetric or with one vertex stretched
+    # by 9/8: its vertices are not formed to decide its symmetry
+    for seed in range(20):
+        pairs, scale = lattice_vertices(gen_random_ball(seed))
+        stretched = [(9 * x, 9 * y) if i == 0 else (8 * x, 8 * y) for i, (x, y) in enumerate(pairs)]
+        for points, den, symmetric in ((pairs, scale, True), (stretched, 8 * scale, False)):
+            floats = [(x / den, y / den) for x, y in points]
+            for body in (compile_lattice(points, den, ConvexBody), compile_lattice(floats, None, ConvexBody)):
+                assert constructed(lambda: is_centrally_symmetric(body)) == []
+                assert is_centrally_symmetric(body) is symmetric
+                assert oracles.ref_is_centrally_symmetric(body) is symmetric
 
 
 def test_family_is_a_sequence_of_its_vectors():
@@ -271,7 +286,7 @@ def test_written_out_draws_read_the_randint_stream(ball_name):
         grid = lattice_vertices(ball)
         ours, ref = random.Random(seed), random.Random(seed)
         for n in (1, 5, 9):
-            got = generators._lattice_unit_vectors(grid, n, ours, None)
+            got = Family.from_lattice(*generators._lattice_unit_vectors(grid, n, ours))
             want = ref_unit_points(grid, n, ref)
             assert (got.pts, got.scale) == (want.pts, want.scale)
             assert generators._lattice_points(grid, ours, n) == ref_ball_points(grid, ref, n)

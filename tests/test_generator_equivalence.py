@@ -117,11 +117,12 @@ def test_unit_vectors(name, ball, ref):
     for seed in SEEDS:
         n = 1 + seed % 9
         assert same(gen_unit_vectors(ball, n, seed), oracles.ref_gen_unit_vectors(ref, n, seed))
-        u = gen_direction(rng)
-        assert same(
-            gen_unit_vectors(ball, n, seed, halfplane=u),
-            oracles.ref_gen_unit_vectors(ref, n, seed, halfplane=u),
-        )
+        d = gen_direction(rng)
+        for u in (d, Vec2(float(d.x), float(d.y))):
+            assert same(
+                gen_unit_vectors(ball, n, seed, halfplane=u),
+                oracles.ref_gen_unit_vectors(ref, n, seed, halfplane=u),
+            )
 
 
 def test_unit_vectors_on_the_halfplane_line():

@@ -1,10 +1,10 @@
 import random
 from fractions import Fraction
 
-from helly_plane.geometry import convex_hull, point_in_triangle
+from helly_plane.geometry import point_in_triangle
 from helly_plane.vectors import Vec2
 
-from oracles import brute_extreme_points
+from oracles import brute_extreme_points, convex_hull
 
 F = Fraction
 

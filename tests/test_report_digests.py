@@ -55,6 +55,8 @@ GOLDEN = [
     ("lemma-conv", 50, 37, "float", "euclidean", "ebc2bce09fe129e17fd6bf168e3dd10ad4ffc96a1f0154cf2829e0bb5e04db62"),
     ("claim1", 30, 38, "float", "random", "5440ab0a024275ac473dc9b2d7c85b099fcf909d943d0f6bbdf4bf9dd4c047cc"),
     ("thm1", 30, 39, "float", "euclidean", "59a4d7c5c19f040f4a2de2aee9e403ad26b579187a0f0454370398b69de6923f"),
+    ("symmetry", 200, 41, "exact", "random", "1a97456b7c30c04f5b5ef8d3f6900829cdb6ffa1afc86738f11a7e4129c3b1c2"),
+    ("symmetry", 200, 42, "exact", "random", "f541acc0e52eb5f2d97362e5f0ed713e0d9af1baf28a5990c1a721b0107297cf"),
 ]
 
 # the float hexagon of `test_generator_equivalence`, written to a ball file

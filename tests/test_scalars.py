@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 
 from helly_plane.scalars import (
     eq,
-    exact_div,
     format_scalar,
     ge,
     gt,
@@ -55,9 +54,3 @@ def test_sgn():
     assert sgn(0) == 0
     assert sgn(1e-12, tol=1e-9) == 0
     assert sgn(1e-6, tol=1e-9) == 1
-
-
-def test_exact_div_stays_rational():
-    assert exact_div(1, 2) == Fraction(1, 2)
-    assert isinstance(exact_div(1, 2), Fraction)
-    assert isinstance(exact_div(1.0, 2), float)

@@ -79,7 +79,9 @@ ENTRY_POINTS = {
 }
 
 
-@pytest.mark.parametrize("tol", [math.nan, -1.0, math.inf], ids=["nan", "negative", "inf"])
+@pytest.mark.parametrize(
+    "tol", [math.nan, -1.0, math.inf, "1e-9", None], ids=["nan", "negative", "inf", "str", "none"]
+)
 @pytest.mark.parametrize("name", sorted(ENTRY_POINTS))
 def test_bad_tolerance_is_bad_input(name, tol):
     ENTRY_POINTS[name](1e-9)  # the input is good

@@ -22,7 +22,7 @@ from itertools import combinations
 import pytest
 
 import oracles
-from oracles import same
+from oracles import exact_div, same
 from helly_plane.gallery import gallery_case
 from helly_plane.generators import (
     antipodal_pair_on_boundary,
@@ -40,7 +40,6 @@ from helly_plane.norms import (
     square_ball,
     supporting_functional,
 )
-from helly_plane.scalars import exact_div
 from helly_plane.theorems import (
     _halfplane_angle_cmp,
     claim1_triplets,
@@ -226,7 +225,8 @@ def _points(ball, seed):
 def test_angle_comparator_matches_the_reference(seed):
     rng = random.Random(seed)
     points = _points(gen_random_ball(seed), seed)
-    for u in (gen_direction(rng), Vec2(0, 1)):
+    d = gen_direction(rng)
+    for u in (d, Vec2(0, 1), Vec2(float(d.x), float(d.y))):
         for ws in (points, floats(points)):
             fam = Family(ws)
             key = _halfplane_angle_cmp(fam, u)
