@@ -1,14 +1,14 @@
-"""Exact convex-position primitives: orientation, lattice families, the
-halfplane test, the hull chain and closed triangle membership.
+"""Exact convex-position primitives: lattice families, the halfplane test,
+the hull chain and where the origin lies against a triangle.
 
 `Family` is the one lattice form of a finite point set: a drawn or given
 family of vectors, and the vertex cycle of every polygonal ball or body
 (`norms`), is integer pairs over one scale, or float pairs. `dots` is the
 one halfplane test of such points, from draw to certificate.
 
-Everything here works on `Vec2` with rational coordinates and is exact;
-predicates that also have to serve float data take an optional tolerance
-which only kicks in for float operands.
+Everything here is exact on rational data; predicates that also have to
+serve float data take an optional tolerance which only kicks in for float
+operands.
 """
 
 from __future__ import annotations
@@ -17,15 +17,11 @@ import math
 from collections.abc import Sequence
 from fractions import Fraction
 from functools import cached_property
+from itertools import combinations
 from typing import Iterable, Iterator, Optional
 
 from .scalars import Scalar, format_ratio, lattice_values, sgn
 from .vectors import Vec2
-
-
-def orientation(a: Vec2, b: Vec2, c: Vec2) -> Scalar:
-    """Twice the signed area of triangle abc; positive means counterclockwise."""
-    return (b - a).cross(c - a)
 
 
 class Family(Sequence):
@@ -168,34 +164,16 @@ def dots(u: Vec2, pts: Sequence[tuple], scale: Optional[int]) -> list[Scalar]:
     return [ux * x + uy * y for x, y in pts]
 
 
-def _on_segment(p: Vec2, a: Vec2, b: Vec2, tol: float = 0.0) -> bool:
-    d = b - a
-    if sgn(d.cross(p - a), tol) != 0:
-        return False
-    t_num = d.dot(p - a)
-    return sgn(t_num, tol) >= 0 and sgn(d.dot(d) - t_num, tol) >= 0
-
-
-def point_in_triangle(p: Vec2, a: Vec2, b: Vec2, c: Vec2, tol: float = 0.0) -> bool:
-    """Closed membership of p in conv{a, b, c}, degenerate triangles included."""
-    o = sgn(orientation(a, b, c), tol)
-    if o == 0:
-        # conv{a, b, c} is a segment or a single point
-        corners = (a, b, c)
-        d = None
-        for u in (b, c):
-            if not (u - a).is_zero():
-                d = u - a
-                break
-        if d is None:
-            return sgn(p.x - a.x, tol) == 0 and sgn(p.y - a.y, tol) == 0
-        lo = min(corners, key=lambda w: d.dot(w))
-        hi = max(corners, key=lambda w: d.dot(w))
-        return _on_segment(p, lo, hi, tol)
-    if o < 0:
-        b, c = c, b
-    return (
-        sgn(orientation(a, b, p), tol) >= 0
-        and sgn(orientation(b, c, p), tol) >= 0
-        and sgn(orientation(c, a, p), tol) >= 0
-    )
+def origin_position(pts: Sequence[tuple], tol: float = 0.0) -> int:
+    """Where the origin lies against the hull of three (x, y) pairs: 1
+    strictly inside, 0 on its boundary, -1 outside. It is read off the signs
+    of the cyclic cross products; float signs within `tol` count as zero."""
+    (ax, ay), (bx, by), (cx, cy) = pts
+    signs = {sgn(ax * by - ay * bx, tol), sgn(bx * cy - by * cx, tol), sgn(cx * ay - cy * ax, tol)}
+    if signs == {0}:
+        # all on one line through the origin: in their hull when some dot is <= 0
+        pairs = combinations(pts, 2)
+        return 0 if any(sgn(px * qx + py * qy, tol) <= 0 for (px, py), (qx, qy) in pairs) else -1
+    if {1, -1} <= signs:
+        return -1
+    return 1 if len(signs) == 1 else 0  # {0, s}: on an edge or at a vertex

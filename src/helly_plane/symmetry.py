@@ -3,8 +3,9 @@
 For a convex polygon with the origin strictly inside, symmetry about the
 origin is equivalent to two boundary-sum conditions; for an asymmetric body
 both finders below walk candidate triples and return the first one their
-verifier accepts. A body is compiled like a unit ball (`norms`), so "inside"
-and "on the boundary" are decided by its exact gauge.
+verifier accepts. A body (a float one as the polygon its floats denote) is
+compiled like a unit ball, so "inside" and "on the boundary" are decided by
+its exact gauge.
 """
 
 from __future__ import annotations
@@ -15,10 +16,10 @@ from fractions import Fraction
 from typing import Callable, Iterator, Optional, Sequence
 
 from .errors import SearchBudgetExceeded
-from .geometry import orientation
+from .geometry import origin_position
 from .norms import ConvexBody, boundary_point, gauge, lattice_vertices, make_convex_body
 from .scalars import sgn
-from .vectors import ORIGIN, Vec2
+from .vectors import Vec2
 
 # halvings of the step a finder tries per chord before moving on
 _MAX_HALVINGS = 128
@@ -89,9 +90,7 @@ def _strictly_inside(body: ConvexBody, z: Vec2) -> bool:
 
 def _surrounds_origin(a: Vec2, b: Vec2, c: Vec2) -> bool:
     """Whether the origin is strictly inside the triangle abc."""
-    signs = {sgn(orientation(a, b, ORIGIN)), sgn(orientation(b, c, ORIGIN)),
-             sgn(orientation(c, a, ORIGIN))}
-    return signs in ({1}, {-1})
+    return origin_position([(p.x, p.y) for p in (a, b, c)]) == 1
 
 
 def _boundary_neighbours(body: ConvexBody, p: Vec2) -> list[Vec2]:
@@ -105,11 +104,19 @@ def _boundary_neighbours(body: ConvexBody, p: Vec2) -> list[Vec2]:
             out.append(b)
             out.append(verts[(i - 1) % n])
             break
-        if orientation(a, b, p) == 0 and (b - a).dot(p - a) > 0 and (a - b).dot(p - b) > 0:
+        if (b - a).cross(p - a) == 0 and (b - a).dot(p - a) > 0 and (a - b).dot(p - b) > 0:
             out.append(b)
             out.append(a)
             break
     return out
+
+
+def _exact_body(body: ConvexBody) -> ConvexBody:
+    """The body, or the polygon a float body's floats denote: every float
+    is a dyadic rational, so `Fraction(x)` is exact."""
+    if lattice_vertices(body) is not None:
+        return body
+    return make_convex_body([Vec2(Fraction(x), Fraction(y)) for x, y in body.vertices.floats()])
 
 
 def _witness_basics(body: ConvexBody, w: ViolationWitness) -> bool:
@@ -126,6 +133,7 @@ def verify_halfplane_witness(body: ConvexBody, w: ViolationWitness) -> bool:
     the sum first: one gauge rejects most of a finder's candidates."""
     # a common closed halfplane bounded through the origin exists exactly
     # when the origin is not strictly inside conv{a, b, c}
+    body = _exact_body(body)
     return (
         w.kind is WitnessKind.HALFPLANE_INTERIOR_SUM
         and _strictly_inside(body, w.h)
@@ -136,6 +144,7 @@ def verify_halfplane_witness(body: ConvexBody, w: ViolationWitness) -> bool:
 
 def verify_surrounding_witness(body: ConvexBody, w: ViolationWitness) -> bool:
     """Re-check a surrounding witness from scratch with the exact predicates."""
+    body = _exact_body(body)
     return (
         w.kind is WitnessKind.SURROUNDING_EXTERIOR_SUM
         and not _strictly_inside(body, w.h)
@@ -149,6 +158,7 @@ def _first_verified(
 ) -> Optional[ViolationWitness]:
     """The one place a finder accepts a witness: None for a symmetric body,
     else the first of `candidates(body)` that `verify` accepts."""
+    body = _exact_body(body)
     if is_centrally_symmetric(body):
         return None
     for witness in candidates(body):

@@ -15,6 +15,7 @@ ball, COR the k-sum corollary of T3.
 from __future__ import annotations
 
 import functools
+import math
 from collections import UserList
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -31,12 +32,12 @@ from .errors import (
     TooFew,
     ZeroDirection,
 )
-from .geometry import Family, dots, point_in_triangle
+from .geometry import Family, dots, origin_position
 from .norms import SubsetSums, UnitBall, gauge, supporting_functional
 from .scalars import (
     DEFAULT_TOL, Scalar, check_tol, eq, format_scalar, ge, gt, is_float, lattice_values, le, sgn,
 )
-from .vectors import ORIGIN, Vec2, VectorMultiset
+from .vectors import Vec2, VectorMultiset
 
 
 @dataclass(frozen=True)
@@ -124,6 +125,8 @@ def verify_theorem1(
         raise ZeroDirection("halfplane direction must be nonzero")
     vs = Family(vectors)
     sides = dots(u, vs.pts, vs.scale)
+    # float dots within tol·|u|, as in `ginzburg_reduce`: only u's direction counts
+    side_tol = tol * math.hypot(u.x, u.y) if is_float(*sides) else tol
     notes = []
     bad: list[KSum] = []
     if len(vs) % 2 == 0:
@@ -132,7 +135,7 @@ def verify_theorem1(
         if not unit:
             bad.append(KSum((i,), vs[i]))
             notes.append(f"vector {i} is not a unit vector")
-        elif not ge(sides[i], 0, tol):
+        elif not ge(sides[i], 0, side_tol):
             bad.append(KSum((i,), vs[i]))
             notes.append(f"vector {i} leaves the halfplane")
     hypothesis = len(vs) % 2 == 1 and not bad
@@ -289,9 +292,9 @@ def lemma_conv_check(
     """For three boundary points a, b, c: (origin in conv, a+b+c in conv).
 
     The two memberships are equivalent for every norm; callers assert the
-    equivalence, this function just computes both closed memberships. On
-    rational data they are decided for the three lattice points and their
-    integer sum: scaling by the common denominator keeps every sign.
+    equivalence, this function just computes both closed memberships, each
+    by `geometry.origin_position` on the family's lattice pairs (scaling by
+    the common denominator keeps every sign) or float pairs.
     """
     check_tol(tol)
     vs = Family(vectors)
@@ -300,8 +303,10 @@ def lemma_conv_check(
     for (i,), unit in SubsetSums(ball, vs).tests(1, eq, tol):
         if not unit:
             raise NotOnBoundary(f"{vs[i]} has gauge {gauge(ball, vs[i])}, expected 1")
-    a, b, c = [Vec2(x, y) for x, y in vs.pts]
-    return point_in_triangle(ORIGIN, a, b, c, tol), point_in_triangle(a + b + c, a, b, c, tol)
+    # h = a+b+c is in conv{a, b, c} exactly when 0 is in conv{b+c, c+a, a+b}:
+    # h - a = b + c, h - b = c + a and h - c = a + b
+    sums = [vs.lattice_sum(pair) for pair in ((0, 1), (1, 2), (2, 0))]
+    return origin_position(vs.pts, tol) >= 0, origin_position(sums, tol) >= 0
 
 
 def lemma_main_witness(

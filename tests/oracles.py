@@ -16,8 +16,10 @@ three-sum theorems: it judges signed lengths over [-1, 1] with no ball
 and no subset-sum kernel.
 
 `convex_hull` (`geometry.monotone_chain` on `Vec2`s, returning input
-points) and `exact_div` are former library helpers that no library module
-needs; the tests that still use them import them from here.
+points), `exact_div`, `orientation` and `point_in_triangle` are former
+library helpers that no library module needs; the tests that still use
+them import them from here. `point_in_triangle` is the reference that
+`geometry.origin_position` is checked against.
 """
 
 import functools
@@ -38,7 +40,7 @@ from helly_plane.errors import (
     TooFew,
     ZeroDirection,
 )
-from helly_plane.geometry import Family, monotone_chain, orientation, point_in_triangle
+from helly_plane.geometry import Family, monotone_chain
 from helly_plane.norms import (
     POLYGONAL,
     ConvexBody,
@@ -48,7 +50,7 @@ from helly_plane.norms import (
     edge_functionals,
     gauge,
 )
-from helly_plane.scalars import DEFAULT_TOL, eq, ge, gt, le, sgn
+from helly_plane.scalars import DEFAULT_TOL, Scalar, eq, ge, gt, le, sgn
 from helly_plane.theorems import Certificate, KSum, VerifyReport
 from helly_plane.vectors import ORIGIN, Vec2, vsum
 
@@ -90,6 +92,44 @@ def convex_hull(points):
     for k, p in zip(keys, points):
         first.setdefault(k, p)
     return [first[k] for k in monotone_chain(sorted(first))]
+
+
+def orientation(a: Vec2, b: Vec2, c: Vec2) -> Scalar:
+    """Twice the signed area of triangle abc; positive means counterclockwise."""
+    return (b - a).cross(c - a)
+
+
+def _on_segment(p: Vec2, a: Vec2, b: Vec2, tol: float = 0.0) -> bool:
+    d = b - a
+    if sgn(d.cross(p - a), tol) != 0:
+        return False
+    t_num = d.dot(p - a)
+    return sgn(t_num, tol) >= 0 and sgn(d.dot(d) - t_num, tol) >= 0
+
+
+def point_in_triangle(p: Vec2, a: Vec2, b: Vec2, c: Vec2, tol: float = 0.0) -> bool:
+    """Closed membership of p in conv{a, b, c}, degenerate triangles included."""
+    o = sgn(orientation(a, b, c), tol)
+    if o == 0:
+        # conv{a, b, c} is a segment or a single point
+        corners = (a, b, c)
+        d = None
+        for u in (b, c):
+            if not (u - a).is_zero():
+                d = u - a
+                break
+        if d is None:
+            return sgn(p.x - a.x, tol) == 0 and sgn(p.y - a.y, tol) == 0
+        lo = min(corners, key=lambda w: d.dot(w))
+        hi = max(corners, key=lambda w: d.dot(w))
+        return _on_segment(p, lo, hi, tol)
+    if o < 0:
+        b, c = c, b
+    return (
+        sgn(orientation(a, b, p), tol) >= 0
+        and sgn(orientation(b, c, p), tol) >= 0
+        and sgn(orientation(c, a, p), tol) >= 0
+    )
 
 
 def ray_gauge(ball, z: Vec2) -> Fraction:
@@ -397,10 +437,11 @@ def ref_verify_theorem1(ball, vectors, u, tol=DEFAULT_TOL):
         notes.append("even cardinality")
     for (i,), unit in SubsetSums(ball, vs).tests(_ref_singles(len(vs)), eq, tol):
         v = vs[i]
+        side = u.dot(v)
         if not unit:
             bad.append(KSum((i,), v))
             notes.append(f"vector {i} is not a unit vector")
-        elif not ge(u.dot(v), 0, tol):
+        elif not ge(side, 0, tol * math.hypot(u.x, u.y) if isinstance(side, float) else tol):
             bad.append(KSum((i,), v))
             notes.append(f"vector {i} leaves the halfplane")
     hypothesis = len(vs) % 2 == 1 and not bad

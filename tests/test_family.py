@@ -169,6 +169,16 @@ def test_witnesses_are_summed_only_when_read(monkeypatch, verify):
     ]
 
 
+def test_lemma_conv_forms_no_vec2_and_no_fraction():
+    # both memberships are decided on the family's lattice pairs
+    for ball in (square_ball(), gen_random_ball(5), gen_random_ball(20240611)):
+        for seed in range(10):
+            vs = gen_unit_vectors(ball, 3, seed)
+            verdict = lemma_conv_check(ball, vs)
+            assert constructed(lambda: lemma_conv_check(ball, vs)) == []
+            assert verdict == oracles.ref_lemma_conv_check(ball, *vs)
+
+
 def test_lemma_conv_takes_three_vectors():
     ball = square_ball()
     with pytest.raises(PreconditionFailed):

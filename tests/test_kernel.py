@@ -24,7 +24,6 @@ from helly_plane.gallery import gallery_case
 from helly_plane.generators import (
     gen_asymmetric_body, gen_random_ball, gen_unit_vectors, gen_zero_sum_six,
 )
-from helly_plane.geometry import orientation
 from helly_plane.norms import (
     SubsetSums,
     UnitBall,
@@ -48,7 +47,7 @@ from helly_plane.theorems import (
 )
 from helly_plane.vectors import Vec2, vsum
 
-from oracles import convex_hull, edge_functional, ray_gauge
+from oracles import convex_hull, edge_functional, orientation, ray_gauge
 
 DENOMINATORS = (1, 3, 7, 1000, 1001)
 

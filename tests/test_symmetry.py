@@ -124,6 +124,23 @@ def test_agreement_on_test_corpus():
         assert w2 is not None and verify_surrounding_witness(asym, w2)
 
 
+def _float_copy(body):
+    return make_convex_body([Vec2(float(v.x), float(v.y)) for v in body.vertices])
+
+
+def test_float_bodies_are_decided_as_the_polygon_their_floats_denote():
+    # every float is a dyadic rational, so a float body is an exact polygon
+    for seed in range(40):
+        sym = _float_copy(gen_symmetric_body(seed))
+        assert find_violation_halfplane(sym) is None and find_violation_surrounding(sym) is None
+        asym = _float_copy(gen_asymmetric_body(seed))
+        w1 = find_violation_halfplane(asym)
+        assert w1 is not None and verify_halfplane_witness(asym, w1)
+        w2 = find_violation_surrounding(asym)
+        assert w2 is not None and verify_surrounding_witness(asym, w2)
+        assert all(isinstance(c, Fraction) for p in (w1.a, w2.h) for c in (p.x, p.y))
+
+
 def test_symmetric_closed_sum_property():
     # boundary triples strictly surrounding the origin on a symmetric body
     # always sum into the closed body

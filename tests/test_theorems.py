@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 from itertools import combinations
@@ -101,6 +102,16 @@ def test_theorem1_hypothesis_failures(square):
     assert not r.hypothesis_holds
     with pytest.raises(ZeroDirection):
         verify_theorem1(square, [Vec2(0, 1)], Vec2(0, 0))
+
+
+def test_theorem1_float_halfplane_depends_on_the_direction_of_u_only(euclid):
+    # u·v is judged within tol·|u|: v at 1e-10 below the line holds for
+    # every length of u, and v at 1e-8 below it leaves the halfplane
+    near = Vec2(math.sqrt(1 - 1e-20), -1e-10)
+    for u in (Vec2(0.0, 1.0), Vec2(0.0, 1000.0), Vec2(0.0, 0.001)):
+        assert verify_theorem1(euclid, [near, Vec2(0.0, 1.0), Vec2(-1.0, 0.0)], u).hypothesis_holds
+    r = verify_theorem1(euclid, [Vec2(1.0, -1e-8), Vec2(0.0, 1.0), Vec2(-1.0, 0.0)], Vec2(0.0, 0.001))
+    assert not r.hypothesis_holds and r.notes == "vector 0 leaves the halfplane"
 
 
 def test_theorem1_report_json(square):
