@@ -217,8 +217,10 @@ def make_generic(
     """
     if not ball.is_polygonal:
         raise NotPolygonal("general-position perturbation needs a polygonal ball")
-    lam = Fraction(lam)
-    eps = Fraction(eps)
+    try:
+        lam, eps = Fraction(lam), Fraction(eps)
+    except (TypeError, ValueError, OverflowError):  # not a finite number
+        raise BadInput(f"lambda and epsilon must be finite numbers; got {lam!r}, {eps!r}") from None
     if not 0 < lam < 1:
         raise BadInput(f"lambda must be in (0, 1); got {lam}")
     if eps <= 0:

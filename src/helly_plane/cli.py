@@ -34,8 +34,9 @@ from .vectors import Vec2
 
 
 def _write_svg(path: str, ball, vectors, outline=None) -> None:
+    text = instance_svg(ball, vectors, outline)  # before the file is opened
     with open(path, "w", encoding="utf-8") as f:
-        f.write(instance_svg(ball, vectors, outline))
+        f.write(text)
 
 
 def _cmd_verify(args) -> int:

@@ -10,13 +10,14 @@ Integers are drawn straight off `rng.getrandbits` (`_randint`, written
 out in the hot draws), with the values and generator states of
 `rng.randint`/`rng.randrange`. Polygonal boundary points are convex
 combinations of adjacent vertices, so their gauge is 1 exactly, with no
-float slack anywhere in exact mode. The Euclidean ball and float-vertex
-balls are drawn as float pairs, returned as a float `Family` that prints
-from those pairs: no `Vec2` and no `Fraction` is formed, and each float is
+float slack anywhere in exact mode. Each distribution has one draw, a
+boundary-point draw and a ball-point draw, run on the ball's vertex cycle
+in whatever form it has (`_cycle`: integer pairs, float pairs, or none on
+the Euclidean ball). Float draws give a float `Family`, printed from its
+float pairs: no `Vec2` and no `Fraction` is formed, and each float is
 the one the `Vec2` arithmetic gave (`Fraction`·float is float(F)·float,
-and float(Fraction(r, 1000)) is r / 1000). Both share one unit-vector
-draw and one zero-sum draw. Every unit-vector draw, on the lattice or in
-floats, meets a halfplane by one mirror of its pairs (`geometry.dots`).
+and float(Fraction(r, 1000)) is r / 1000). A boundary draw meets a
+halfplane by one mirror of its pairs (`geometry.dots`).
 """
 
 from __future__ import annotations
@@ -77,6 +78,14 @@ def gen_random_ball(seed: int) -> UnitBall:
     return _symmetric_polygon(seed, UnitBall)
 
 
+def _cycle(ball: UnitBall) -> Optional[tuple[list, Optional[int]]]:
+    """The vertex cycle in one form: `lattice_vertices(ball)`, float pairs
+    over None on a float-vertex ball, or None on the Euclidean ball."""
+    if ball.is_polygonal:
+        return lattice_vertices(ball) or (ball.vertices.floats(), None)
+    return None
+
+
 def gen_unit_vectors(
     ball: UnitBall,
     n: int,
@@ -85,43 +94,30 @@ def gen_unit_vectors(
 ) -> Family:
     """n vectors of gauge exactly 1; with `halfplane` u, all dots u.v >= 0.
 
-    Every draw gives pairs over a denominator (float pairs over None), and
-    one mirror meets the halfplane for all of them: a boundary point with a
-    negative dot (`geometry.dots`) is replaced by its negation, which is
-    also on the boundary.
+    The boundary-point draw gives pairs over a denominator (float pairs
+    over None) on every ball, and one mirror meets the halfplane: a
+    boundary point with a negative dot (`geometry.dots`) is replaced by
+    its negation, which is also on the boundary.
     """
     if n < 1:
         raise BadInput("need n >= 1")
-    rng = random.Random(seed)
-    grid = lattice_vertices(ball)
-    pairs, den = [], None
-    if grid is not None:
-        pairs, den = _lattice_unit_vectors(grid, n, rng)
-    elif ball.is_polygonal:
-        # float vertices: the point t = r/1000 of the way from vertex a to b
-        cycle = ball.vertices.floats()
-        m = len(cycle)
-        for _ in range(n):
-            i = _randint(rng, 0, m - 1)
-            (ax, ay), (bx, by) = cycle[i], cycle[(i + 1) % m]
-            t = _randint(rng, 0, _GRID - 1) / _GRID
-            pairs.append((ax + t * (bx - ax), ay + t * (by - ay)))
-    else:
-        for _ in range(n):
-            phi = rng.uniform(0.0, 2.0 * math.pi)
-            pairs.append((math.cos(phi), math.sin(phi)))
+    pairs, den = _boundary_points(_cycle(ball), random.Random(seed), n)
     if halfplane is not None:
         sides = dots(halfplane, pairs, den)
         pairs = [(-x, -y) if d < 0 else (x, y) for (x, y), d in zip(pairs, sides)]
     return Family.from_lattice(pairs, den)
 
 
-def _lattice_unit_vectors(grid: tuple[list, int], n: int, rng: random.Random) -> tuple[list, int]:
-    """`gen_unit_vectors`' draw on the vertex lattice, as integer pairs over
-    their denominator: the point r/1000 of the way from vertex A to vertex
-    B is (1000·A + r·(B − A)) / (1000·S). The draws are `_randint`'s loop
-    written out."""
-    pairs, scale = grid
+def _boundary_points(cycle: Optional[tuple], rng: random.Random, n: int) -> tuple[list, Optional[int]]:
+    """n boundary points over one denominator, for a `_cycle`: (cos φ, sin φ)
+    on the Euclidean ball, else the point r/1000 of the way from vertex A
+    to vertex B, which is (1000·A + r·(B − A)) / (1000·S) on the lattice
+    and A + t·(B − A) with t = r / 1000 in floats. The draws are
+    `_randint`'s loop written out."""
+    if cycle is None:
+        phis = [rng.uniform(0.0, 2.0 * math.pi) for _ in range(n)]
+        return [(math.cos(phi), math.sin(phi)) for phi in phis], None
+    pairs, scale = cycle
     m, bits = len(pairs), rng.getrandbits
     k = m.bit_length()
     out = []
@@ -133,40 +129,55 @@ def _lattice_unit_vectors(grid: tuple[list, int], n: int, rng: random.Random) ->
         r = bits(_OFFSET_BITS)
         while r >= _GRID:
             r = bits(_OFFSET_BITS)
-        out.append((_GRID * ax + r * (bx - ax), _GRID * ay + r * (by - ay)))
-    return out, _GRID * scale
+        if scale is None:
+            t = r / _GRID
+            out.append((ax + t * (bx - ax), ay + t * (by - ay)))
+        else:
+            out.append((_GRID * ax + r * (bx - ax), _GRID * ay + r * (by - ay)))
+    return out, None if scale is None else _GRID * scale
 
 
 def gen_zero_sum_six(ball: UnitBall, seed: int) -> Family:
     """Six vectors in the ball summing to zero exactly.
 
-    Samples five points of the ball and closes with the negated sum,
-    redrawing until the closing vector is inside too; a +- triple fallback
-    guarantees termination. On the lattice the five points are put over
-    the lcm of their denominators, the closing vector is tested on ints,
-    and all six are returned over that one denominator.
+    Samples five points of the ball (the ball-point draw) and closes with
+    the negated sum, redrawing until the closing vector is inside too; a
+    +- triple fallback guarantees termination. The five are added from 0
+    left to right, as `vsum` adds them; the closing vector is tested on
+    ints on the lattice, else by the float gauge.
     """
     rng = random.Random(seed)
-    grid = lattice_vertices(ball)
-    if grid is None:
-        return _float_zero_sum_six(ball, rng)
+    cycle = _cycle(ball)
     for _ in range(_ZERO_SUM_DRAWS):
-        pts, den = _lattice_points(grid, rng, 5)
-        x, y = -sum([x for x, _ in pts]), -sum([y for _, y in pts])
-        if lattice_in_ball(ball, x, y, den):
-            return Family.from_lattice(pts + [(x, y)], den)
-    pts, den = _lattice_points(grid, rng, 3)
+        pts, den = _ball_points(cycle, rng, 5)
+        x = y = 0
+        for px, py in pts:
+            x += px
+            y += py
+        inside = lattice_in_ball(ball, -x, -y, den) if den else le(float_norm(ball)(-x, -y), 1, 1e-12)
+        if inside:
+            return Family.from_lattice(pts + [(-x, -y)], den)
+    pts, den = _ball_points(cycle, rng, 3)
     return Family.from_lattice(pts + [(-x, -y) for x, y in pts], den)
 
 
-def _lattice_points(grid: tuple[list, int], rng: random.Random, count: int) -> tuple[list, int]:
-    """`count` random convex combinations Σ wᵢPᵢ / (total·S) of three vertices,
-    which stay in the ball, as integer pairs over the lcm of their denominators.
-    The draws are `_randint`'s loop written out."""
-    pairs, scale = grid
+def _ball_points(cycle: Optional[tuple], rng: random.Random, count: int) -> tuple[list, Optional[int]]:
+    """`count` points of the ball over one denominator, for a `_cycle`:
+    uniform points of the disc on the Euclidean ball, else convex
+    combinations Σ wᵢPᵢ / total of three random vertices, which stay in the
+    ball: integer pairs over the lcm of their denominators on the lattice,
+    Σ (w / total)·P added from 0 left to right in floats. The draws are
+    `_randint`'s loop written out."""
+    points = []
+    if cycle is None:
+        for _ in range(count):
+            phi = rng.uniform(0.0, 2.0 * math.pi)
+            r = math.sqrt(rng.uniform(0.0, 1.0))
+            points.append((r * math.cos(phi), r * math.sin(phi)))
+        return points, None
+    pairs, scale = cycle
     m, bits = len(pairs), rng.getrandbits
     k = m.bit_length()
-    points = []
     for _ in range(count):
         picks = []
         for _ in range(3):
@@ -175,51 +186,24 @@ def _lattice_points(grid: tuple[list, int], rng: random.Random, count: int) -> t
                 i = bits(k)
             picks.append(pairs[i])
         x = y = total = 0
+        weights = []
         for px, py in picks:
             w = bits(_WEIGHT_BITS)
             while w > _GRID:
                 w = bits(_WEIGHT_BITS)
             x, y, total = x + w * px, y + w * py, total + w
-        points.append((x, y, total or 1))
+            weights.append(w)
+        total = total or 1
+        if scale is None:  # float vertices: the sum is redone as Σ (w / total)·P
+            x = y = 0
+            for (px, py), w in zip(picks, weights):
+                x += w / total * px
+                y += w / total * py
+        points.append((x, y, total))
+    if scale is None:
+        return [(x, y) for x, y, _ in points], None
     den = math.lcm(*[t for _, _, t in points])
     return [(x * (den // t), y * (den // t)) for x, y, t in points], den * scale
-
-
-def _float_zero_sum_six(ball: UnitBall, rng: random.Random) -> Family:
-    """`gen_zero_sum_six` on float pairs, on the Euclidean ball or a
-    float-vertex ball: the five points are added from 0 left to right, as
-    `vsum` adds them, and the closing vector (-x, -y) is tested."""
-    cycle = ball.vertices.floats() if ball.is_polygonal else None
-    norm = float_norm(ball)
-    for _ in range(_ZERO_SUM_DRAWS):
-        five = [_float_point(cycle, rng) for _ in range(5)]
-        x = y = 0
-        for px, py in five:
-            x += px
-            y += py
-        if le(norm(-x, -y), 1, 1e-12):
-            return Family.from_lattice(five + [(-x, -y)], None)
-    three = [_float_point(cycle, rng) for _ in range(3)]
-    return Family.from_lattice(three + [(-x, -y) for x, y in three], None)
-
-
-def _float_point(cycle: Optional[list], rng: random.Random) -> tuple[float, float]:
-    """A random point of the ball as a float pair: a uniform point of the
-    Euclidean disc when `cycle` is None, else a random convex combination
-    of three of the float vertices `cycle`, which stays in the ball."""
-    if cycle is None:
-        phi = rng.uniform(0.0, 2.0 * math.pi)
-        r = math.sqrt(rng.uniform(0.0, 1.0))
-        return r * math.cos(phi), r * math.sin(phi)
-    m = len(cycle)
-    picks = [cycle[_randint(rng, 0, m - 1)] for _ in range(3)]
-    weights = [_randint(rng, 0, _GRID) for _ in range(3)]
-    total = sum(weights) or 1
-    x = y = 0
-    for (px, py), w in zip(picks, weights):
-        x += w / total * px
-        y += w / total * py
-    return x, y
 
 
 def gen_direction(rng: random.Random) -> Vec2:

@@ -25,11 +25,11 @@ def parse_scalar(text: str, mode: str = "exact") -> Scalar:
     """Parse a decimal or "p/q" string. Exact mode returns a Fraction."""
     try:
         value = Fraction(str(text))
+        return float(value) if mode == "float" else value
     except (ValueError, ZeroDivisionError):
         raise BadInput(f"not a scalar: {text!r}") from None
-    if mode == "float":
-        return float(value)
-    return value
+    except OverflowError:  # float(value) past float range
+        raise BadInput(f"past float range: {text!r}") from None
 
 
 def format_scalar(x: Scalar) -> str:

@@ -440,6 +440,9 @@ def run_suite(config: SuiteConfig) -> SuiteReport:
     The gallery suite runs one trial per fixed case, whatever `trials` says.
     """
     start = time.perf_counter()
+    for name, kind in (("suite", str), ("trials", int), ("seed", int), ("ball_source", str)):
+        if type(getattr(config, name)) is not kind:
+            raise BadInput(f"{name} must be of type {kind.__name__}; got {getattr(config, name)!r}")
     try:
         trial = _TRIALS[config.suite]
     except KeyError:
@@ -448,6 +451,8 @@ def run_suite(config: SuiteConfig) -> SuiteReport:
         ) from None
     if config.trials < 0:
         raise BadInput(f"trials must be >= 0; got {config.trials}")
+    if config.mode not in ("exact", "float"):
+        raise BadInput(f"mode must be 'exact' or 'float'; got {config.mode!r}")
     check_tol(config.tol)
     trials = len(CASE_NAMES) if config.suite == "gallery" else config.trials
     balls = _ball_source(config)

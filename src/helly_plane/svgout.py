@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
+from .errors import BadInput
 from .norms import UnitBall
 from .vectors import Vec2, vsum
 
@@ -20,13 +21,16 @@ def instance_svg(
     """An SVG drawing of the unit ball (or a polygon outline), the vectors
     as arrows from the origin, and their sum as a heavier arrow."""
     size = 480  # width and height in pixels
-    pts = [Vec2(float(v.x), float(v.y)) for v in vectors]
-    total = vsum(pts) if pts else None
     shape: list[tuple[float, float]] = []
-    if ball is not None and ball.is_polygonal:
-        shape = ball.vertices.floats()
-    elif outline is not None:
-        shape = [(float(v.x), float(v.y)) for v in outline]
+    try:
+        pts = [Vec2(float(v.x), float(v.y)) for v in vectors]
+        if ball is not None and ball.is_polygonal:
+            shape = ball.vertices.floats()
+        elif outline is not None:
+            shape = [(float(v.x), float(v.y)) for v in outline]
+    except OverflowError:
+        raise BadInput("a coordinate past float range cannot be drawn") from None
+    total = vsum(pts) if pts else None
     reach = 1.0
     for x, y in shape:
         reach = max(reach, abs(x), abs(y))

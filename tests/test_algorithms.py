@@ -6,6 +6,7 @@ import pytest
 
 from helly_plane.algorithms import choose_signs, ginzburg_reduce, make_generic
 from helly_plane.errors import (
+    BadInput,
     EpsilonTooLarge,
     EvenCardinality,
     HalfplaneViolated,
@@ -171,6 +172,16 @@ def test_generic_five_vectors_distinct_gauges(square):
 def test_generic_epsilon_too_large(square):
     with pytest.raises(EpsilonTooLarge):
         make_generic(square, [Vec2(0, 1)], F(99, 100), F(1, 2), seed=1)
+
+
+@pytest.mark.parametrize("lam, eps", [
+    (float("nan"), F(1, 1000)), (float("inf"), F(1, 1000)), ("x", F(1, 1000)), (None, F(1, 1000)),
+    (F(9, 10), float("nan")), (F(9, 10), float("inf")), (F(9, 10), "x"), (F(9, 10), None),
+    (F(2), F(1, 1000)), (F(9, 10), 0),  # numbers out of range
+])
+def test_generic_bad_lambda_or_epsilon_is_bad_input(square, lam, eps):
+    with pytest.raises(BadInput):
+        make_generic(square, [Vec2(0, 1)], lam, eps, seed=1)
 
 
 def test_generic_requires_polygonal(euclid):

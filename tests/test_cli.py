@@ -210,6 +210,34 @@ def test_one_coordinate_direction_exits_2(tmp_path):
     assert main(["ginzburg", _write(tmp_path, "vecs.json", EUCLID_VECS), "--u", "1"]) == 2
 
 
+FAR_VECS = '{"vectors": [["1e400", "0"], ["0", "1"], ["-1", "0"]]}'
+FAR_POLYGON = '{"vertices": [["1e400", "0"], ["0", "1"], ["-1e400", "0"], ["0", "-1"]]}'
+FAR_BALL = '{"type": "polygonal", "vertices": [["1e400", "0"], ["0", "1"], ["-1e400", "0"], ["0", "-1"]]}'
+
+
+@pytest.mark.parametrize("case", ["vector", "direction", "ball-vertex"])
+def test_float_coordinate_past_float_range_exits_2(case, tmp_path, capsys):
+    if case == "vector":
+        argv = ["ginzburg", _write(tmp_path, "v.json", FAR_VECS)]
+    elif case == "direction":
+        argv = ["ginzburg", _write(tmp_path, "v.json", EUCLID_VECS), "--u", "1e400,0"]
+    else:
+        ball = _write(tmp_path, "b.json", FAR_BALL)
+        argv = ["verify", "thm1", "--mode", "float", "--trials", "2", "--ball", ball]
+    assert main(argv) == 2
+    err = capsys.readouterr().err.strip()
+    assert len(err.splitlines()) == 1 and err.startswith("error:") and "float range" in err
+
+
+def test_svg_past_float_range_exits_2_and_writes_no_file(tmp_path, capsys):
+    svg = tmp_path / "out.svg"
+    assert main(["symmetry", "check", _write(tmp_path, "p.json", FAR_POLYGON), "--svg", str(svg)]) == 2
+    out, err = capsys.readouterr()
+    assert json.loads(out)["symmetric"] is True  # the check itself is exact
+    assert len(err.strip().splitlines()) == 1 and err.startswith("error:")
+    assert not svg.exists()
+
+
 def test_malformed_ball_file_in_verify_exits_2(tmp_path):
     ball = _write(tmp_path, "ball.json", "not json")
     assert main(["verify", "thm1", "--trials", "2", "--ball", ball]) == 2

@@ -261,7 +261,9 @@ def test_generator_output_is_not_put_on_the_lattice_again(monkeypatch, suite, in
 
 
 def ref_unit_points(grid, n, rng):
-    """`_lattice_unit_vectors`' draws through `_randint`, unmirrored."""
+    """`_boundary_points`' draws through `_randint`, unmirrored: on the
+    lattice, or the float expression A + t·(B − A) with t = r / 1000 on
+    float pairs (scale None)."""
     pairs, scale = grid
     m = len(pairs)
     out = []
@@ -269,35 +271,67 @@ def ref_unit_points(grid, n, rng):
         i = generators._randint(rng, 0, m - 1)
         (ax, ay), (bx, by) = pairs[i], pairs[(i + 1) % m]
         r = generators._randint(rng, 0, 999)
-        out.append((1000 * ax + r * (bx - ax), 1000 * ay + r * (by - ay)))
-    return Family.from_lattice(out, 1000 * scale)
+        if scale is None:
+            t = r / 1000
+            out.append((ax + t * (bx - ax), ay + t * (by - ay)))
+        else:
+            out.append((1000 * ax + r * (bx - ax), 1000 * ay + r * (by - ay)))
+    return Family.from_lattice(out, None if scale is None else 1000 * scale)
 
 
 def ref_ball_points(grid, rng, count):
-    """`_lattice_points` through `_randint`: each point on its own, then
-    all over the lcm of their denominators."""
+    """`_ball_points` through `_randint`: each point on its own, then all
+    over the lcm of their denominators; on float pairs (scale None), each
+    point is Σ (w / total)·P added from 0 left to right."""
     pairs, scale = grid
     m = len(pairs)
     points = []
     for _ in range(count):
         picks = [pairs[generators._randint(rng, 0, m - 1)] for _ in range(3)]
         weights = [generators._randint(rng, 0, 1000) for _ in range(3)]
+        if scale is None:
+            total = sum(weights) or 1
+            x = y = 0
+            for (px, py), w in zip(picks, weights):
+                x += w / total * px
+                y += w / total * py
+            points.append((x, y))
+            continue
         x = sum(w * px for w, (px, _) in zip(weights, picks))
         y = sum(w * py for w, (_, py) in zip(weights, picks))
         points.append((x, y, (sum(weights) or 1) * scale))
+    if scale is None:
+        return points, None
     den = math.lcm(*[d for _, _, d in points])
     return [(x * (den // d), y * (den // d)) for x, y, d in points], den
 
 
-@pytest.mark.parametrize("ball_name", ["random", "maxnorm"])
+# the float hexagon of `test_report_digests.BALL_FILE`
+FLOAT_HEXAGON = {"type": "polygonal", "vertices": [
+    ["0.7", "0.1"], ["-0.2", "0.9"], ["-0.55", "0.35"],
+    ["-0.7", "-0.1"], ["0.2", "-0.9"], ["0.55", "-0.35"],
+]}
+DRAW_BALLS = {
+    "random": gen_random_ball,
+    "maxnorm": lambda seed: square_ball(),
+    "float-of-random": lambda seed: ball_from_json(ball_to_json(gen_random_ball(5)), "float"),
+    "float-hexagon": lambda seed: ball_from_json(FLOAT_HEXAGON, "float"),
+}
+
+
+@pytest.mark.parametrize("ball_name", list(DRAW_BALLS))
 def test_written_out_draws_read_the_randint_stream(ball_name):
     for seed in range(100):
-        ball = gen_random_ball(seed) if ball_name == "random" else square_ball()
-        grid = lattice_vertices(ball)
+        ball = DRAW_BALLS[ball_name](seed)
+        grid = generators._cycle(ball)
+        assert (grid[1] is None) == ball_name.startswith("float")
         ours, ref = random.Random(seed), random.Random(seed)
         for n in (1, 5, 9):
-            got = Family.from_lattice(*generators._lattice_unit_vectors(grid, n, ours))
+            got = Family.from_lattice(*generators._boundary_points(grid, ours, n))
             want = ref_unit_points(grid, n, ref)
             assert (got.pts, got.scale) == (want.pts, want.scale)
-            assert generators._lattice_points(grid, ours, n) == ref_ball_points(grid, ref, n)
+            assert repr(got.pts) == repr(want.pts)  # the same float bits, signed zeros too
+            points, want_points = generators._ball_points(grid, ours, n), ref_ball_points(grid, ref, n)
+            assert points == want_points
+            assert repr(points) == repr(want_points)
         assert ours.getstate() == ref.getstate()

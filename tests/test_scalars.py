@@ -1,8 +1,10 @@
 from fractions import Fraction
 
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from helly_plane.errors import BadInput
 from helly_plane.scalars import (
     eq,
     format_scalar,
@@ -24,6 +26,13 @@ def test_parse_rational():
 def test_parse_float_mode():
     v = parse_scalar("3/4", mode="float")
     assert isinstance(v, float) and v == 0.75
+
+
+def test_float_mode_past_float_range_is_bad_input():
+    for text in ("1e400", "-1e400", "1" + "0" * 400 + "/3"):
+        with pytest.raises(BadInput, match="past float range"):
+            parse_scalar(text, mode="float")
+        assert parse_scalar(text) == Fraction(text)  # exact mode has no range
 
 
 def test_format_roundtrip():

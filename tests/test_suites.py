@@ -117,6 +117,14 @@ def test_thm2_includes_antipodal_trials():
 def test_negative_trials_are_bad_input():
     with pytest.raises(BadInput):
         run_suite(SuiteConfig(suite="thm1", trials=-3, seed=0))
+    # a count or seed that is not an int, a suite name or ball source that is
+    # not a str (an int ball source would be opened as a file descriptor),
+    # and a mode that is neither exact nor float
+    for field, value in [("trials", "3"), ("trials", 2.5), ("trials", None), ("seed", "3"),
+                         ("seed", 2.5), ("seed", None), ("suite", ["thm1"]), ("ball_source", 3),
+                         ("ball_source", None), ("mode", "floot")]:
+        with pytest.raises(BadInput, match=field):
+            run_suite(SuiteConfig(**{"suite": "thm1", "trials": 2, "seed": 0, field: value}))
     assert run_suite(SuiteConfig(suite="thm1", trials=0, seed=0)).records == []
 
 
