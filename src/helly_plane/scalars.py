@@ -62,9 +62,10 @@ def lattice_values(xs: Sequence[Scalar]) -> Optional[tuple[list[int], int]]:
 
 
 def check_tol(tol: float) -> None:
-    """Raise BadInput unless the comparison tolerance is a finite number >= 0."""
+    """Raise BadInput unless the comparison tolerance is a finite number >= 0
+    (a bool is not a number here, as for `run_suite`'s `trials`)."""
     try:
-        ok = 0 <= tol < math.inf  # a NaN fails too
+        ok = not isinstance(tol, bool) and 0 <= tol < math.inf  # a NaN fails too
     except TypeError:  # not a number: a str, None, a complex
         ok = False
     if not ok:

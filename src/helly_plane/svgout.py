@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from typing import Optional, Sequence
 
 from .errors import BadInput
@@ -31,13 +32,14 @@ def instance_svg(
     except OverflowError:
         raise BadInput("a coordinate past float range cannot be drawn") from None
     total = vsum(pts) if pts else None
-    reach = 1.0
-    for x, y in shape:
-        reach = max(reach, abs(x), abs(y))
-    for v in pts + ([total] if total else []):
-        reach = max(reach, abs(v.x), abs(v.y))
-    reach *= 1.15
-    scale = size / (2 * reach)
+    values = [c for v in pts + ([total] if total else []) for c in (v.x, v.y)]
+    values += [c for x, y in shape for c in (x, y)]
+    if not all(map(math.isfinite, values)):
+        raise BadInput("a point or sum past float range cannot be drawn")
+    # the view spans 1.15 times the farthest coordinate, halved so that it stays
+    # finite near the float maximum; halving is exact, so the scale is unchanged
+    half_reach = max([1.0] + [abs(c) for c in values]) / 2 * 1.15
+    scale = size / 4 / half_reach
 
     def sx(x: float) -> float:
         return size / 2 + x * scale

@@ -5,7 +5,8 @@ origin is equivalent to two boundary-sum conditions; for an asymmetric body
 both finders below walk candidate triples and return the first one their
 verifier accepts. A body (a float one as the polygon its floats denote) is
 compiled like a unit ball, so "inside" and "on the boundary" are decided by
-its exact gauge.
+its exact gauge, and every boundary point a finder builds is read off its
+edge functionals: a chord's two ends, or a boundary point's edge.
 """
 
 from __future__ import annotations
@@ -17,8 +18,9 @@ from typing import Callable, Iterator, Optional, Sequence
 
 from .errors import SearchBudgetExceeded
 from .geometry import origin_position
-from .norms import ConvexBody, boundary_point, gauge, lattice_vertices, make_convex_body
-from .scalars import sgn
+from .norms import (
+    ConvexBody, boundary_point, edge_functionals, gauge, lattice_vertices, make_convex_body,
+)
 from .vectors import Vec2
 
 # halvings of the step a finder tries per chord before moving on
@@ -94,21 +96,16 @@ def _surrounds_origin(a: Vec2, b: Vec2, c: Vec2) -> bool:
 
 
 def _boundary_neighbours(body: ConvexBody, p: Vec2) -> list[Vec2]:
-    """The boundary points adjacent to p along its edge(s), one per side."""
+    """The boundary points adjacent to p along its edge(s), one per side, the
+    next vertex first: then the previous vertex of a vertex p, else the start
+    of the one edge whose functional is 1 at p."""
     verts = body.vertices
     n = len(verts)
-    out = []
-    for i in range(n):
-        a, b = verts[i], verts[(i + 1) % n]
-        if (p - a).is_zero():
-            out.append(b)
-            out.append(verts[(i - 1) % n])
-            break
-        if (b - a).cross(p - a) == 0 and (b - a).dot(p - a) > 0 and (a - b).dot(p - b) > 0:
-            out.append(b)
-            out.append(a)
-            break
-    return out
+    if p in verts:
+        i = verts.index(p)
+        return [verts[(i + 1) % n], verts[i - 1]]
+    e = next(e for e, f in enumerate(edge_functionals(body)) if f.dot(p) == 1)
+    return [verts[(e + 1) % n], verts[e]]
 
 
 def _exact_body(body: ConvexBody) -> ConvexBody:
@@ -188,26 +185,13 @@ def _halfplane_candidates(body: ConvexBody) -> Iterator[ViolationWitness]:
                 yield ViolationWitness(a, b, c, a + b + c, WitnessKind.HALFPLANE_INTERIOR_SUM)
 
 
-def _line_polygon_hits(vertices: Sequence[Vec2], d: Vec2, level) -> list[Vec2]:
-    """Both intersections of the line {cross(d, z) == level} with the boundary."""
-    hits: list[Vec2] = []
-    n = len(vertices)
-    for i in range(n):
-        p, q = vertices[i], vertices[(i + 1) % n]
-        fp, fq = d.cross(p) - level, d.cross(q) - level
-        sp, sq = sgn(fp), sgn(fq)
-        if sp == 0:
-            hits.append(p)
-            continue
-        if sq == 0 or sp == sq:
-            continue
-        t = fp / (fp - fq)  # `Fraction`s, or floats on a float body
-        hits.append(p + (q - p).scale(t))
-    uniq: list[Vec2] = []
-    for h in hits:
-        if not any((h - g).is_zero() for g in uniq):
-            uniq.append(h)
-    return uniq
+def _chord_ends(normals: Sequence[Vec2], z: Vec2, d: Vec2) -> tuple[Vec2, Vec2]:
+    """Both ends of the chord through z (strictly inside) along d, the +d
+    end first: z + d·t leaves the edge n·w <= 1 at t = (1 − n·z) / n·d."""
+    rs = [(1 - n.dot(z), n.dot(d)) for n in normals]
+    ahead = min(r / s for r, s in rs if s > 0)
+    behind = min(r / -s for r, s in rs if s < 0)
+    return z + d.scale(ahead), z - d.scale(behind)
 
 
 def find_violation_surrounding(body: ConvexBody) -> Optional[ViolationWitness]:
@@ -216,14 +200,16 @@ def find_violation_surrounding(body: ConvexBody) -> Optional[ViolationWitness]:
     Takes a chord through the origin with unequal arms, the unique boundary
     point b extremal orthogonally to it, and slides the chord slightly away
     from b so the origin becomes strictly surrounded; the sum stays outside
-    for small slides. Symmetric bodies get None.
+    for small slides. Each slid chord passes through a point between the
+    origin and the vertex farthest from the chord on the other side, and its
+    ends are where it leaves the edge functionals. Symmetric bodies get None.
     """
     return _first_verified(body, _surrounding_candidates, verify_surrounding_witness, "surrounding")
 
 
 def _surrounding_candidates(body: ConvexBody) -> Iterator[ViolationWitness]:
-    for a0, c0 in _asymmetric_chords(body):
-        d = a0  # chord direction (origin to the short arm)
+    normals = edge_functionals(body)
+    for d, _ in _asymmetric_chords(body):  # d: chord direction, origin to the short arm
         for side in (1, -1):
             # extremal vertex in the direction orthogonal to the chord
             key = lambda v: side * d.cross(v)
@@ -232,22 +218,16 @@ def _surrounding_candidates(body: ConvexBody) -> Iterator[ViolationWitness]:
             if len(extremal) != 1:
                 continue  # tangent edge parallel to the chord: not a single point
             b = extremal[0]
-            level_b = d.cross(b)
-            opposite = min(side * d.cross(v) for v in body.vertices)
-            reach = min(abs(level_b), abs(opposite))
-            if reach == 0:
-                continue
+            # the origin is strictly inside, so key(o) < 0 < best; the line
+            # key(z) == -reach meets the open segment from 0 to o at far
+            o = min(body.vertices, key=key)
+            reach = min(best, -key(o))
+            far = o.scale(reach / -key(o))
             shrink = Fraction(1, 2)
             for _ in range(_MAX_HALVINGS):
-                # slide the chord away from b
-                level = -sgn(level_b) * reach * shrink
+                # slide the chord away from b, through far·shrink (a1 on the short arm's side)
+                a1, c1 = _chord_ends(normals, far.scale(shrink), d)
                 shrink /= 2
-                hits = _line_polygon_hits(body.vertices, d, level)
-                if len(hits) != 2:
-                    continue
-                a1, c1 = hits
-                if a1.dot(d) < c1.dot(d):
-                    a1, c1 = c1, a1  # keep a1 on the short-arm side
                 yield ViolationWitness(
                     a1, b, c1, a1 + b + c1, WitnessKind.SURROUNDING_EXTERIOR_SUM
                 )

@@ -186,9 +186,9 @@ def halfplane_certificate(
     already implies the conclusion; both facts are re-checked here.
 
     The projection of v is tangent(v) / tangent(vk) for the middle vector
-    vk. On rational data with a rational tangent these are integer
-    numerators over one denominator, and their sum is the tangent at the
-    family's lattice total; otherwise they are computed in floats.
+    vk, read off `geometry.dots`: on rational data with a rational tangent
+    `Fraction`s of integer dots, the sum one `Fraction` of their sum;
+    otherwise floats.
     """
     vs = Family(vectors)
     report = verify_theorem1(ball, vs, u, tol)
@@ -198,21 +198,14 @@ def halfplane_certificate(
     k = (len(order) + 1) // 2  # 1-based position of the middle vector
     mid = order[k - 1]
     p, q, e = supporting_functional(ball, *vs.pts[mid], vs.scale, tol)
-    rational = not is_float(p, q)
-    tangent = Vec2(Fraction(p, e), Fraction(q, e)) if rational else Vec2(p / e, q / e)
-    if rational and vs.scale is not None:
-        nums = [p * x + q * y for x, y in (vs.pts[i] for i in order)]
-        projections = [Fraction(m, nums[k - 1]) for m in nums]
-        sx, sy = vs.lattice_sum(order)
-        projection_sum = Fraction(p * sx + q * sy, nums[k - 1])
-    else:
-        # v.cross(d) / vk.cross(d) for d = tangent.perp(), in floats
-        dx, dy = -q / e, p / e
-        pts = vs.floats()
-        kx, ky = pts[mid]
-        denom = kx * dy - ky * dx
-        projections = [(x * dy - y * dx) / denom for x, y in (pts[i] for i in order)]
+    tangent = Vec2(p / e, q / e) if is_float(p, q) else Vec2(Fraction(p, e), Fraction(q, e))
+    nums = dots(tangent, [vs.pts[i] for i in order], vs.scale)
+    if is_float(nums[k - 1]):
+        projections = [m / nums[k - 1] for m in nums]
         projection_sum = sum(projections)
+    else:
+        projections = [Fraction(m, nums[k - 1]) for m in nums]
+        projection_sum = Fraction(sum(nums), nums[k - 1])
     if not ge(projection_sum, 1, tol):
         raise TheoremFalsified(
             f"projection sum {projection_sum} < 1 on a halfplane instance"

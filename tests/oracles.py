@@ -19,7 +19,10 @@ and no subset-sum kernel.
 points), `exact_div`, `orientation` and `point_in_triangle` are former
 library helpers that no library module needs; the tests that still use
 them import them from here. `point_in_triangle` is the reference that
-`geometry.origin_position` is checked against.
+`geometry.origin_position` is checked against. `line_polygon_hits` (a line's
+crossings with the boundary, edge by edge) and `boundary_neighbours` (a
+collinearity-and-betweenness search) are the former segment geometry of
+`symmetry`, the references for its chord rule and its edge neighbours.
 """
 
 import functools
@@ -27,6 +30,7 @@ import math
 import random
 from fractions import Fraction
 from itertools import combinations
+from typing import Sequence
 
 from helly_plane.errors import (
     BadInput,
@@ -130,6 +134,46 @@ def point_in_triangle(p: Vec2, a: Vec2, b: Vec2, c: Vec2, tol: float = 0.0) -> b
         and sgn(orientation(b, c, p), tol) >= 0
         and sgn(orientation(c, a, p), tol) >= 0
     )
+
+
+def line_polygon_hits(vertices: Sequence[Vec2], d: Vec2, level) -> list[Vec2]:
+    """Both intersections of the line {cross(d, z) == level} with the boundary."""
+    hits: list[Vec2] = []
+    n = len(vertices)
+    for i in range(n):
+        p, q = vertices[i], vertices[(i + 1) % n]
+        fp, fq = d.cross(p) - level, d.cross(q) - level
+        sp, sq = sgn(fp), sgn(fq)
+        if sp == 0:
+            hits.append(p)
+            continue
+        if sq == 0 or sp == sq:
+            continue
+        t = fp / (fp - fq)  # `Fraction`s, or floats on a float body
+        hits.append(p + (q - p).scale(t))
+    uniq: list[Vec2] = []
+    for h in hits:
+        if not any((h - g).is_zero() for g in uniq):
+            uniq.append(h)
+    return uniq
+
+
+def boundary_neighbours(body: ConvexBody, p: Vec2) -> list[Vec2]:
+    """The boundary points adjacent to p along its edge(s), one per side."""
+    verts = body.vertices
+    n = len(verts)
+    out = []
+    for i in range(n):
+        a, b = verts[i], verts[(i + 1) % n]
+        if (p - a).is_zero():
+            out.append(b)
+            out.append(verts[(i - 1) % n])
+            break
+        if (b - a).cross(p - a) == 0 and (b - a).dot(p - a) > 0 and (a - b).dot(p - b) > 0:
+            out.append(b)
+            out.append(a)
+            break
+    return out
 
 
 def ray_gauge(ball, z: Vec2) -> Fraction:

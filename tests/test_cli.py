@@ -238,6 +238,33 @@ def test_svg_past_float_range_exits_2_and_writes_no_file(tmp_path, capsys):
     assert not svg.exists()
 
 
+NEAR_MAX_POLYGON = '{"vertices": [["1e308", "0"], ["0", "1e308"], ["-1e308", "0"], ["0", "-1e308"]]}'
+NEAR_MAX_BALL = (
+    '{"type": "polygonal", "vertices": [["1e308", "1e308"], ["-1e308", "1e308"], '
+    '["-1e308", "-1e308"], ["1e308", "-1e308"]]}'
+)
+NEAR_MAX_VECS = '{"vectors": [["1e308", "1e308"], ["1e308", "1e308"], ["1e308", "1e308"]]}'
+
+
+def test_svg_near_the_float_maximum_draws_the_polygon(tmp_path):
+    svg = tmp_path / "out.svg"
+    polygon = _write(tmp_path, "p.json", NEAR_MAX_POLYGON)
+    assert main(["symmetry", "check", polygon, "--svg", str(svg)]) == 0
+    points, _ = _svg_shapes(svg.read_text())
+    # the four vertices at 1/1.15 of the half width from the centre
+    assert sorted(points) == [(31.3043, 240.0), (240.0, 31.3043), (240.0, 448.6957), (448.6957, 240.0)]
+
+
+def test_svg_of_a_sum_past_float_range_exits_2_and_writes_no_file(tmp_path, capsys):
+    svg = tmp_path / "out.svg"
+    argv = ["signs", _write(tmp_path, "v.json", NEAR_MAX_VECS),
+            "--ball", _write(tmp_path, "b.json", NEAR_MAX_BALL), "--svg", str(svg)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err.strip()
+    assert len(err.splitlines()) == 1 and err.startswith("error:") and "float range" in err
+    assert not svg.exists()
+
+
 def test_malformed_ball_file_in_verify_exits_2(tmp_path):
     ball = _write(tmp_path, "ball.json", "not json")
     assert main(["verify", "thm1", "--trials", "2", "--ball", ball]) == 2

@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from helly_plane.errors import NotConvexBody
 from helly_plane.generators import (
@@ -10,9 +12,11 @@ from helly_plane.generators import (
     gen_symmetric_body,
     gen_unit_vectors,
 )
-from helly_plane.norms import gauge
+from helly_plane.norms import boundary_point, edge_functionals, gauge
 from helly_plane.symmetry import (
     WitnessKind,
+    _boundary_neighbours,
+    _chord_ends,
     find_violation_halfplane,
     find_violation_surrounding,
     is_centrally_symmetric,
@@ -23,7 +27,7 @@ from helly_plane.symmetry import (
 from helly_plane.theorems import lemma_conv_check
 from helly_plane.vectors import ORIGIN, Vec2
 
-from oracles import brute_origin_strictly_inside, ray_gauge
+from oracles import boundary_neighbours, brute_origin_strictly_inside, line_polygon_hits, ray_gauge
 
 F = Fraction
 
@@ -178,3 +182,65 @@ def test_halfplane_triples_on_symmetric_body_never_sum_inside():
             checked += 1
             assert ray_gauge(body, a + b + c) >= 1
     assert checked > 100
+
+
+# rational convex bodies of 3 to 8 points, off any generator's grid; small
+# coordinates put lines through vertices often
+_coordinates = st.builds(F, st.integers(-6, 6), st.sampled_from([1, 2, 3, 7]))
+
+
+@st.composite
+def _bodies(draw):
+    points = draw(st.lists(st.builds(Vec2, _coordinates, _coordinates), min_size=3, max_size=8))
+    try:
+        return make_convex_body(points)
+    except NotConvexBody:
+        assume(False)
+
+
+def _levels(body, d):
+    """Levels of lines {d×z == level} that cross the body: the finder's
+    slides reach·2^-j on both sides, and the level of every vertex strictly
+    between the two extremes (chords through a vertex)."""
+    keys = [d.cross(v) for v in body.vertices]
+    lo, hi = min(keys), max(keys)
+    reach = min(-lo, hi)
+    slides = [side * reach / 2**j for side in (1, -1) for j in range(1, 3)]
+    return slides + [k for k in keys if lo < k < hi]
+
+
+def _inside_point(body, d, level):
+    """A point strictly inside the body on the line {d×z == level}: on the
+    open segment from the origin to the vertex farthest on that side."""
+    if level == 0:
+        return ORIGIN
+    w = max(body.vertices, key=lambda v: d.cross(v) * level)
+    return w.scale(level / d.cross(w))
+
+
+@settings(max_examples=30, deadline=None)
+@given(body=_bodies(), drawn=st.builds(Vec2, _coordinates, _coordinates))
+def test_chord_rule_matches_the_line_polygon_walk(body, drawn):
+    normals = edge_functionals(body)
+    verts = list(body.vertices)
+    far_arms = [boundary_point(body, -v) for v in verts]
+    directions = verts + far_arms + ([] if drawn.is_zero() else [drawn])
+    for d in directions:
+        for level in _levels(body, d):
+            z = _inside_point(body, d, level)
+            assert gauge(body, z) < 1 and d.cross(z) == level
+            hits = line_polygon_hits(verts, d, level)
+            assert len(hits) == 2
+            assert list(_chord_ends(normals, z, d)) == sorted(hits, key=d.dot, reverse=True)
+    midpoints = [(a + b).scale(F(1, 2)) for a, b in zip(verts, verts[1:] + verts[:1])]
+    for p in verts + midpoints + far_arms:
+        assert _boundary_neighbours(body, p) == boundary_neighbours(body, p)
+
+
+def test_chord_rule_on_a_triangle_through_a_vertex(triangle_body):
+    # the vertical line through the apex (0, 2) of (2, -1), (-2, -1), (0, 2)
+    d = Vec2(0, 1)
+    ends = _chord_ends(edge_functionals(triangle_body), Vec2(0, F(1, 2)), d)
+    assert ends == (Vec2(0, 2), Vec2(0, -1))
+    hits = line_polygon_hits(list(triangle_body.vertices), d, 0)
+    assert list(ends) == sorted(hits, key=d.dot, reverse=True)

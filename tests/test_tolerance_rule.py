@@ -20,6 +20,7 @@ from helly_plane.generators import (
     gen_claim1_tuple, gen_euclidean_halfplane_instance, gen_unit_vectors, gen_zero_sum_six,
 )
 from helly_plane.norms import euclidean_ball
+from helly_plane.suites import SuiteConfig, run_suite
 from helly_plane.theorems import (
     claim1_triplets, corollary_check, halfplane_certificate, lemma_conv_check,
     lemma_main_witness, verify_helly, verify_theorem1,
@@ -80,10 +81,18 @@ ENTRY_POINTS = {
 
 
 @pytest.mark.parametrize(
-    "tol", [math.nan, -1.0, math.inf, "1e-9", None], ids=["nan", "negative", "inf", "str", "none"]
+    "tol",
+    [math.nan, -1.0, math.inf, "1e-9", None, True, False],  # 0 <= True < inf, yet a bool
+    ids=["nan", "negative", "inf", "str", "none", "true", "false"],
 )
 @pytest.mark.parametrize("name", sorted(ENTRY_POINTS))
 def test_bad_tolerance_is_bad_input(name, tol):
     ENTRY_POINTS[name](1e-9)  # the input is good
     with pytest.raises(BadInput, match="tol must be finite and >= 0"):
         ENTRY_POINTS[name](tol)
+
+
+@pytest.mark.parametrize("tol", [True, False], ids=["true", "false"])
+def test_run_suite_refuses_a_bool_tolerance(tol):
+    with pytest.raises(BadInput, match="tol must be finite and >= 0"):
+        run_suite(SuiteConfig(suite="thm1", trials=2, seed=0, tol=tol))
