@@ -33,8 +33,8 @@ from .symmetry import (
 from .vectors import Vec2
 
 
-def _write_svg(path: str, ball, vectors, outline=None) -> None:
-    text = instance_svg(ball, vectors, outline)  # before the file is opened
+def _write_svg(path: str, ball, vectors) -> None:
+    text = instance_svg(ball, vectors)  # before the file is opened
     with open(path, "w", encoding="utf-8") as f:
         f.write(text)
 
@@ -63,7 +63,7 @@ def _cmd_verify(args) -> int:
     if args.svg:
         # trial 0 exactly as the suite drew it, on the ball the run resolved
         instance = draw_instance(config, 0, report.balls)
-        _write_svg(args.svg, instance.ball, instance.vectors, instance.outline)
+        _write_svg(args.svg, instance.ball, instance.vectors)
     return 0 if report.failures == 0 else 1
 
 
@@ -120,7 +120,7 @@ def _cmd_symmetry(args) -> int:
     )
     if args.svg:
         marks = [w1.a, w1.b, w1.c] if w1 else []
-        _write_svg(args.svg, None, marks, outline=body.vertices)
+        _write_svg(args.svg, body, marks)
     return 0
 
 

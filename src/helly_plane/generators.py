@@ -99,8 +99,8 @@ def gen_unit_vectors(
     boundary point with a negative dot (`geometry.dots`) is replaced by
     its negation, which is also on the boundary.
     """
-    if n < 1:
-        raise BadInput("need n >= 1")
+    if type(n) is not int or n < 1:
+        raise BadInput(f"need an int n >= 1; got {n!r}")
     pairs, den = _boundary_points(_cycle(ball), random.Random(seed), n)
     if halfplane is not None:
         sides = dots(halfplane, pairs, den)

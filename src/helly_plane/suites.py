@@ -122,13 +122,12 @@ class SuiteReport:
 @dataclass
 class Instance:
     """One trial's input: `payload` is what its digest covers, `ball` (or a
-    body `outline`) and `vectors` what `verify --svg` draws, `data` what
-    else the check needs; `vacuous` says why no instance was found."""
+    convex body) and `vectors` what `verify --svg` draws, `data` what else
+    the check needs; `vacuous` says why no instance was found."""
 
     payload: dict
     ball: Optional[UnitBall] = None
     vectors: Sequence = ()
-    outline: Optional[Sequence[Vec2]] = None
     data: Any = None
     vacuous: str = ""
 
@@ -355,11 +354,11 @@ def _draw_symmetry(cfg: SuiteConfig, rng: random.Random, index: int, balls: _Bal
     symmetric = index % 2 == 0
     body = (gen_symmetric_body if symmetric else gen_asymmetric_body)(rng.getrandbits(32))
     payload = {"body": body.vertices.to_json()}
-    return Instance(payload, outline=body.vertices, data=(symmetric, body))
+    return Instance(payload, body, data=symmetric)
 
 
 def _check_symmetry(cfg: SuiteConfig, inst: Instance) -> tuple:
-    symmetric, body = inst.data
+    symmetric, body = inst.data, inst.ball
     kind = "symmetric" if symmetric else "asymmetric"
     if is_centrally_symmetric(body) != symmetric:
         return "fail", f"{kind} body misclassified"

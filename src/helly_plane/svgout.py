@@ -14,21 +14,15 @@ def _fmt(x: float) -> str:
     return f"{x:.4f}"
 
 
-def instance_svg(
-    ball: Optional[UnitBall],
-    vectors: Sequence[Vec2],
-    outline: Optional[Sequence[Vec2]] = None,
-) -> str:
-    """An SVG drawing of the unit ball (or a polygon outline), the vectors
-    as arrows from the origin, and their sum as a heavier arrow."""
+def instance_svg(ball: Optional[UnitBall], vectors: Sequence[Vec2]) -> str:
+    """An SVG drawing of the unit ball (or a convex body), the vectors as
+    arrows from the origin, and their sum as a heavier arrow."""
     size = 480  # width and height in pixels
     shape: list[tuple[float, float]] = []
     try:
         pts = [Vec2(float(v.x), float(v.y)) for v in vectors]
         if ball is not None and ball.is_polygonal:
             shape = ball.vertices.floats()
-        elif outline is not None:
-            shape = [(float(v.x), float(v.y)) for v in outline]
     except OverflowError:
         raise BadInput("a coordinate past float range cannot be drawn") from None
     total = vsum(pts) if pts else None

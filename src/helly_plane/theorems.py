@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import functools
 import math
-from collections import UserList
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
@@ -51,18 +50,6 @@ class KSum:
         return {"subset": list(self.subset), "value": self.value.to_json()}
 
 
-class _KSums(UserList):
-    """The list of `KSum`s of index subsets of a family, summed on first
-    read: a report dropped unread (a failed strict probe) sums nothing."""
-
-    def __init__(self, vs: Family, subsets: list[tuple[int, ...]]):
-        self._vs, self._subsets = vs, subsets
-
-    @functools.cached_property
-    def data(self) -> list[KSum]:
-        return [KSum(t, self._vs.vector_sum(t)) for t in self._subsets]
-
-
 @dataclass
 class VerifyReport:
     theorem: str
@@ -83,6 +70,29 @@ class VerifyReport:
             "witnesses": [w.to_json() for w in self.witnesses],
             "notes": self.notes,
         }
+
+
+class _SumReport(VerifyReport):
+    """A T2, T3 or COR report kept as the ball, the family and the witness
+    index subsets: the total, its norm and the witness sums are formed on
+    first read, so a report dropped unread (a failed strict probe) forms
+    no `Fraction`."""
+
+    def __init__(self, theorem, hypothesis, conclusion, ball, vs, subsets, notes=""):
+        self.theorem, self.hypothesis_holds, self.conclusion_holds = theorem, hypothesis, conclusion
+        self.notes, self._ball, self._vs, self._subsets = notes, ball, vs, subsets
+
+    @functools.cached_property
+    def total(self) -> Vec2:
+        return self._vs.vector_sum(range(len(self._vs)))
+
+    @functools.cached_property
+    def total_norm(self) -> Scalar:
+        return gauge(self._ball, self.total)
+
+    @functools.cached_property
+    def witnesses(self) -> list[KSum]:
+        return [KSum(t, self._vs.vector_sum(t)) for t in self._subsets]
 
 
 @dataclass
@@ -215,26 +225,19 @@ def halfplane_certificate(
     return Certificate(k, u, tangent, vs, order, projections, projection_sum)
 
 
-def _odd_family(n: int) -> None:
-    if n < 3:
-        raise TooFew("need at least 3 vectors")
-    if n % 2 == 0:
-        raise EvenCardinality("the family must have odd size")
-
-
-def _three_sum_judge(sums: SubsetSums, total_norm: Scalar, strict: bool, tol: float):
+def _three_sum_judge(sums: SubsetSums, k: int, strict: bool, tol: float):
     """The one judge of the three-sum theorems, on a family's subset sums.
 
     Strict: every vector in the ball and every 3-sum of norm > 1 imply a
     total of norm > 1. Non-strict: every vector of norm 1 and every 3-sum
     of norm >= 1 imply a total of norm >= 1. Returns the index tuples
-    breaking the hypothesis (none when it holds) and whether the
-    conclusion holds.
+    breaking the hypothesis (none when it holds) and the k-subsets whose
+    sum fails the 3-sum test: k = n, the total, for T2 and T3.
     """
     single_ok, triple_ok = (le, gt) if strict else (eq, ge)
     bad = [t for t, ok in sums.tests(1, single_ok, tol) if not ok]
     bad += [t for t, ok in sums.tests(3, triple_ok, tol) if not ok]
-    return bad, triple_ok(total_norm, 1, tol)
+    return bad, [t for t, ok in sums.tests(k, triple_ok, tol) if not ok]
 
 
 def verify_helly(
@@ -246,17 +249,16 @@ def verify_helly(
     norm >= 1. strict=True: vectors in the ball whose 3-sums all have norm
     > 1 must sum to norm > 1. Collinear families need no path of their
     own: along a line through the origin the norm is |signed length|.
+    The conclusion is read off the packing, as the family's one n-sum.
     """
     check_tol(tol)
     vs = Family(vectors)
-    _odd_family(len(vs))
-    total = vs.vector_sum(range(len(vs)))
-    total_norm = gauge(ball, total)
-    bad, conclusion = _three_sum_judge(SubsetSums(ball, vs), total_norm, strict, tol)
-    return VerifyReport(
-        "T3" if strict else "T2", not bad, conclusion, total, total_norm,
-        witnesses=_KSums(vs, bad),
-    )
+    if len(vs) < 3:
+        raise TooFew("need at least 3 vectors")
+    if len(vs) % 2 == 0:
+        raise EvenCardinality("the family must have odd size")
+    bad, failing = _three_sum_judge(SubsetSums(ball, vs), len(vs), strict, tol)
+    return _SumReport("T3" if strict else "T2", not bad, not failing, ball, vs, bad)
 
 
 def corollary_check(
@@ -265,18 +267,10 @@ def corollary_check(
     """If every 3-sum is strictly outside the ball, so is every k-sum (k odd, k > 3)."""
     check_tol(tol)
     vs = Family(vectors)
-    if k % 2 == 0 or k <= 3 or k > len(vs):
-        raise BadK(f"k must be odd, > 3, and <= {len(vs)}; got {k}")
-    total = vs.vector_sum(range(len(vs)))
-    total_norm = gauge(ball, total)
-    sums = SubsetSums(ball, vs)  # one packing for the 1-, 3- and k-sums
-    bad, _ = _three_sum_judge(sums, total_norm, True, tol)
-    failing = [t for t, outside in sums.tests(k, gt, tol) if not outside]
-    return VerifyReport(
-        "COR", not bad, not failing, total, total_norm,
-        witnesses=_KSums(vs, bad or failing),
-        notes=f"k={k}",
-    )
+    if type(k) is not int or k % 2 == 0 or k <= 3 or k > len(vs):
+        raise BadK(f"k must be odd, > 3, and <= {len(vs)}; got {k!r}")
+    bad, failing = _three_sum_judge(SubsetSums(ball, vs), k, True, tol)
+    return _SumReport("COR", not bad, not failing, ball, vs, bad or failing, notes=f"k={k}")
 
 
 def lemma_conv_check(

@@ -13,7 +13,9 @@ are the `Vec2`/`Fraction` forms of T1's certificate, lemma-conv and Claim 1
 that the lattice verifiers replaced; both must be reproduced value for
 value and type for type. `verify_helly_1d` is the line oracle of the
 three-sum theorems: it judges signed lengths over [-1, 1] with no ball
-and no subset-sum kernel.
+and no subset-sum kernel. `ref_verify_helly` and `ref_corollary_check`
+are T2/T3 and COR as they were when each call formed its `Fraction` total
+and that total's gauge, and decided T2/T3's conclusion on the gauge.
 
 `convex_hull` (`geometry.monotone_chain` on `Vec2`s, returning input
 points), `exact_div`, `orientation` and `point_in_triangle` are former
@@ -28,12 +30,14 @@ collinearity-and-betweenness search) are the former segment geometry of
 import functools
 import math
 import random
+from collections import UserList
 from fractions import Fraction
 from itertools import combinations
 from typing import Sequence
 
 from helly_plane.errors import (
     BadInput,
+    BadK,
     EvenCardinality,
     HypothesisFailed,
     NotConvexBody,
@@ -54,9 +58,9 @@ from helly_plane.norms import (
     edge_functionals,
     gauge,
 )
-from helly_plane.scalars import DEFAULT_TOL, Scalar, eq, ge, gt, le, sgn
+from helly_plane.scalars import DEFAULT_TOL, Scalar, check_tol, eq, ge, gt, le, sgn
 from helly_plane.theorems import Certificate, KSum, VerifyReport
-from helly_plane.vectors import ORIGIN, Vec2, vsum
+from helly_plane.vectors import ORIGIN, Vec2, VectorMultiset, vsum
 
 
 def same(a, b) -> bool:
@@ -595,4 +599,85 @@ def verify_helly_1d(xs, strict, tol=DEFAULT_TOL):
         Vec2(total, 0), abs(total),
         witnesses=[KSum(idx, Vec2(sum(values[i] for i in idx), 0)) for idx in bad],
         notes="1d instance over the segment [-1, 1]",
+    )
+
+
+# Reference three-sum verifiers: T2/T3 and COR as they were before their
+# conclusions were read off the packing, verbatim apart from their names.
+# Each forms its total and the total's gauge when called.
+
+
+class _RefKSums(UserList):
+    """The list of `KSum`s of index subsets of a family, summed on first
+    read: a report dropped unread (a failed strict probe) sums nothing."""
+
+    def __init__(self, vs: Family, subsets: list[tuple[int, ...]]):
+        self._vs, self._subsets = vs, subsets
+
+    @functools.cached_property
+    def data(self) -> list[KSum]:
+        return [KSum(t, self._vs.vector_sum(t)) for t in self._subsets]
+
+
+def _ref_odd_family(n: int) -> None:
+    if n < 3:
+        raise TooFew("need at least 3 vectors")
+    if n % 2 == 0:
+        raise EvenCardinality("the family must have odd size")
+
+
+def _ref_three_sum_judge(sums: SubsetSums, total_norm: Scalar, strict: bool, tol: float):
+    """The one judge of the three-sum theorems, on a family's subset sums.
+
+    Strict: every vector in the ball and every 3-sum of norm > 1 imply a
+    total of norm > 1. Non-strict: every vector of norm 1 and every 3-sum
+    of norm >= 1 imply a total of norm >= 1. Returns the index tuples
+    breaking the hypothesis (none when it holds) and whether the
+    conclusion holds.
+    """
+    single_ok, triple_ok = (le, gt) if strict else (eq, ge)
+    bad = [t for t, ok in sums.tests(1, single_ok, tol) if not ok]
+    bad += [t for t, ok in sums.tests(3, triple_ok, tol) if not ok]
+    return bad, triple_ok(total_norm, 1, tol)
+
+
+def ref_verify_helly(
+    ball: UnitBall, vectors: VectorMultiset, strict: bool, tol: float = DEFAULT_TOL
+) -> VerifyReport:
+    """Check one of the two three-sum theorems on an instance.
+
+    strict=False: unit vectors whose 3-sums all have norm >= 1 must sum to
+    norm >= 1. strict=True: vectors in the ball whose 3-sums all have norm
+    > 1 must sum to norm > 1. Collinear families need no path of their
+    own: along a line through the origin the norm is |signed length|.
+    """
+    check_tol(tol)
+    vs = Family(vectors)
+    _ref_odd_family(len(vs))
+    total = vs.vector_sum(range(len(vs)))
+    total_norm = gauge(ball, total)
+    bad, conclusion = _ref_three_sum_judge(SubsetSums(ball, vs), total_norm, strict, tol)
+    return VerifyReport(
+        "T3" if strict else "T2", not bad, conclusion, total, total_norm,
+        witnesses=_RefKSums(vs, bad),
+    )
+
+
+def ref_corollary_check(
+    ball: UnitBall, vectors: VectorMultiset, k: int, tol: float = DEFAULT_TOL
+) -> VerifyReport:
+    """If every 3-sum is strictly outside the ball, so is every k-sum (k odd, k > 3)."""
+    check_tol(tol)
+    vs = Family(vectors)
+    if k % 2 == 0 or k <= 3 or k > len(vs):
+        raise BadK(f"k must be odd, > 3, and <= {len(vs)}; got {k}")
+    total = vs.vector_sum(range(len(vs)))
+    total_norm = gauge(ball, total)
+    sums = SubsetSums(ball, vs)  # one packing for the 1-, 3- and k-sums
+    bad, _ = _ref_three_sum_judge(sums, total_norm, True, tol)
+    failing = [t for t, outside in sums.tests(k, gt, tol) if not outside]
+    return VerifyReport(
+        "COR", not bad, not failing, total, total_norm,
+        witnesses=_RefKSums(vs, bad or failing),
+        notes=f"k={k}",
     )

@@ -23,8 +23,8 @@ from helly_plane.errors import PreconditionFailed
 from helly_plane.generators import gen_random_ball, gen_unit_vectors
 from helly_plane.geometry import Family
 from helly_plane.norms import (
-    ConvexBody, ball_from_json, ball_to_json, compile_lattice, euclidean_ball, lattice_vertices,
-    make_polygonal_ball, square_ball,
+    ConvexBody, ball_from_json, ball_to_json, compile_lattice, euclidean_ball, gauge,
+    lattice_vertices, make_polygonal_ball, square_ball,
 )
 from helly_plane.suites import SuiteConfig
 from helly_plane.symmetry import is_centrally_symmetric
@@ -160,13 +160,33 @@ def test_witnesses_are_summed_only_when_read(monkeypatch, verify):
     vs = gen_unit_vectors(ball, 9, 3)
     monkeypatch.setattr(geometry, "Fraction", counted)
     report = verify(ball, vs)
-    assert not report.hypothesis_holds and len(made) == 2  # the total only
+    assert not report.hypothesis_holds and len(made) == 0  # not even the total
     subsets = [w.subset for w in report.witnesses]
     assert len(subsets) == len(report.witnesses) > 0
-    assert len(made) == 2 + 2 * len(subsets)
+    assert len(made) == 2 * len(subsets)
     assert [w.to_json() for w in report.witnesses] == [
         KSum(t, vsum(vs[i] for i in t)).to_json() for t in subsets
     ]
+
+
+@pytest.mark.parametrize("verify", [
+    lambda ball, vs: verify_helly(ball, vs, strict=False),
+    lambda ball, vs: verify_helly(ball, vs, strict=True),
+    lambda ball, vs: corollary_check(ball, vs, 5),
+])
+def test_total_and_its_norm_are_formed_only_when_read(verify):
+    # both conclusions are read off the packing; the report forms the
+    # total and its gauge the first time either is read
+    for ball in (square_ball(), gen_random_ball(5)):
+        for seed in range(6):
+            vs = gen_unit_vectors(ball, 9, seed, halfplane=Vec2(0, 1) if seed % 2 else None)
+            reports = []
+            assert constructed(lambda: reports.append(verify(ball, vs))) == []
+            [report] = reports
+            assert "Fraction" in constructed(lambda: report.total_norm)
+            assert constructed(lambda: (report.total, report.total_norm)) == []
+            assert oracles.same(report.total, vsum(vs))
+            assert oracles.same(report.total_norm, gauge(ball, vsum(vs)))
 
 
 def test_lemma_conv_forms_no_vec2_and_no_fraction():

@@ -1,6 +1,9 @@
 import random
 from fractions import Fraction
 
+import pytest
+
+from helly_plane.errors import BadInput
 from helly_plane.generators import (
     antipodal_pair_on_boundary,
     gen_asymmetric_body,
@@ -43,6 +46,14 @@ def test_unit_vectors_euclidean():
     for v in gen_unit_vectors(euclidean_ball(), 5, 9, halfplane=Vec2(0.0, 1.0)):
         assert abs(gauge(euclidean_ball(), v) - 1.0) <= 1e-12
         assert v.y >= 0
+
+
+def test_unit_vectors_bad_n():
+    # a count that is not an int is bad input, as a bool count is in `run_suite`
+    for ball in (square_ball(), euclidean_ball()):
+        for n in (0, -1, 3.0, Fraction(3), "3", None, True):
+            with pytest.raises(BadInput):
+                gen_unit_vectors(ball, n, 1)
 
 
 def test_unit_vectors_deterministic():

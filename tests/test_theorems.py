@@ -309,7 +309,7 @@ def test_corollary_boundary_example(square):
 
 def test_corollary_bad_k(square):
     vs = [Vec2(1, 1)] * 7
-    for k in (4, 3, 2, 9):
+    for k in (4, 3, 2, 9, 5.0, Fraction(5), "5", None):
         with pytest.raises(BadK):
             corollary_check(square, vs, k)
 
