@@ -23,6 +23,7 @@ from .errors import (
     TheoremFalsified,
     ZeroDirection,
 )
+from .generators import seeded_rng
 from .geometry import Family
 from .norms import SubsetSums, UnitBall, edge_functionals, gauge
 from .scalars import DEFAULT_TOL, Scalar, check_tol, eq, ge
@@ -234,7 +235,7 @@ def make_generic(
     normals = edge_functionals(ball)
     coeff_bound = max(abs(n.x) + abs(n.y) for n in normals)
     radius = eps / (2 * coeff_bound)  # sup-ball of this radius has gauge <= eps/2
-    rng = random.Random(seed)
+    rng = seeded_rng(seed)
 
     # value -> subset over everything committed so far; a collision between
     # different subsets is exactly a violation of the genericity conditions

@@ -1,9 +1,10 @@
 """Seeded instance generators for the property suites.
 
 Every generator is a pure function of its arguments; the same seed always
-reproduces the same instance. Rational instances are drawn on the integer
-grid: a point is an integer pair over one known denominator (1000 for
-drawn coordinates, 1000·S on a ball whose vertices are integers over S),
+reproduces the same instance, and a seed that is not an int is bad input
+(`seeded_rng`). Rational instances are drawn on the integer grid: a point
+is an integer pair over one known denominator (1000 for drawn
+coordinates, 1000·S on a ball whose vertices are integers over S),
 rejection tests run on ints, and a family is returned as a `Family` of
 those pairs, whose `Fraction`s are formed only if its vectors are read.
 Integers are drawn straight off `rng.getrandbits` (`_randint`, written
@@ -45,6 +46,15 @@ _OFFSET_BITS = (_GRID - 1).bit_length()  # `_randint` widths of 0.._GRID - 1
 _WEIGHT_BITS = _GRID.bit_length()  # and of 0.._GRID
 
 
+def seeded_rng(seed: int) -> random.Random:
+    """The generator of a seed, which must be an int: `random.Random(None)`
+    would draw from OS entropy, and a bool or a float seed is bad input, as
+    in `run_suite`."""
+    if type(seed) is not int:
+        raise BadInput(f"seed must be an int; got {seed!r}")
+    return random.Random(seed)
+
+
 def _randint(rng: random.Random, lo: int, hi: int) -> int:
     """`rng.randint(lo, hi)` read straight off `rng.getrandbits`: the same
     value, and the generator left in the same state, since this is the
@@ -61,7 +71,7 @@ def _randint(rng: random.Random, lo: int, hi: int) -> int:
 def _symmetric_polygon(seed: int, cls: type) -> UnitBall:
     """The `cls` polygon of the first draw of points and their negations
     that spans the plane."""
-    rng = random.Random(seed)
+    rng = seeded_rng(seed)
     while True:
         pairs = [
             (_randint(rng, -_GRID, _GRID), _randint(rng, -_GRID, _GRID))
@@ -101,7 +111,7 @@ def gen_unit_vectors(
     """
     if type(n) is not int or n < 1:
         raise BadInput(f"need an int n >= 1; got {n!r}")
-    pairs, den = _boundary_points(_cycle(ball), random.Random(seed), n)
+    pairs, den = _boundary_points(_cycle(ball), seeded_rng(seed), n)
     if halfplane is not None:
         sides = dots(halfplane, pairs, den)
         pairs = [(-x, -y) if d < 0 else (x, y) for (x, y), d in zip(pairs, sides)]
@@ -146,7 +156,7 @@ def gen_zero_sum_six(ball: UnitBall, seed: int) -> Family:
     left to right, as `vsum` adds them; the closing vector is tested on
     ints on the lattice, else by the float gauge.
     """
-    rng = random.Random(seed)
+    rng = seeded_rng(seed)
     cycle = _cycle(ball)
     for _ in range(_ZERO_SUM_DRAWS):
         pts, den = _ball_points(cycle, rng, 5)
@@ -216,7 +226,7 @@ def gen_direction(rng: random.Random) -> Vec2:
 
 def gen_claim1_tuple(seed: int) -> list[Fraction]:
     """Six rationals in [-1, 1] with exact zero sum."""
-    rng = random.Random(seed)
+    rng = seeded_rng(seed)
     while True:
         xs = [_randint(rng, -_GRID, _GRID) for _ in range(5)]
         closing = -sum(xs)
@@ -233,7 +243,7 @@ def gen_collinear_family(ball: UnitBall, seed: int) -> tuple[Family, list[Fracti
     and draws that break the hypothesis are rejected. Lengths are drawn
     and tested in thousandths.
     """
-    rng = random.Random(seed)
+    rng = seeded_rng(seed)
     n = rng.choice([5, 7, 9])
     direction = gen_unit_vectors(ball, 1, rng.getrandbits(32))
     while True:
@@ -256,7 +266,7 @@ def gen_symmetric_body(seed: int) -> ConvexBody:
 
 def gen_asymmetric_body(seed: int) -> ConvexBody:
     """A symmetric polygon with one vertex pushed outward, breaking the pair."""
-    rng = random.Random(seed)
+    rng = seeded_rng(seed)
     while True:
         pairs, scale = lattice_vertices(gen_random_ball(rng.getrandbits(32)))
         i = _randint(rng, 0, len(pairs) - 1)
@@ -271,7 +281,7 @@ def gen_asymmetric_body(seed: int) -> ConvexBody:
 
 def gen_euclidean_halfplane_instance(seed: int) -> tuple[Family, Vec2]:
     """Float unit vectors in the closed halfplane of a random direction."""
-    rng = random.Random(seed)
+    rng = seeded_rng(seed)
     n = rng.choice([3, 5, 7, 9])
     phi = rng.uniform(0.0, 2.0 * math.pi)
     u = Vec2(math.cos(phi), math.sin(phi))

@@ -20,6 +20,7 @@ from functools import cached_property
 from itertools import combinations
 from typing import Iterable, Iterator, Optional
 
+from .errors import BadInput
 from .scalars import Scalar, format_ratio, lattice_values, sgn
 from .vectors import Vec2
 
@@ -32,7 +33,8 @@ class Family(Sequence):
     Generators and the polygon compiler build it from their pairs
     (`from_lattice`); its `Vec2`s are formed on first read, once, and
     iteration walks them. `Family(vectors)` puts given vectors on the
-    lattice and keeps them, and `Family(family)` is the family itself.
+    lattice and keeps them (an entry that is not a `Vec2` of numbers is
+    a `BadInput`), and `Family(family)` is the family itself.
     `==` and `hash` are the tuple's.
     """
 
@@ -40,9 +42,13 @@ class Family(Sequence):
         if type(vectors) is cls:
             return vectors
         vectors = tuple(vectors)
-        grid = lattice_values([c for v in vectors for c in (v.x, v.y)])
+        try:
+            grid = lattice_values([c for v in vectors for c in (v.x, v.y)])
+            floats = None if grid else [(float(v.x), float(v.y)) for v in vectors]
+        except (AttributeError, TypeError, ValueError):  # no coordinates, or not numbers
+            raise BadInput(f"vectors must be plane vectors of numbers; got {vectors!r}") from None
         if grid is None:
-            fam = cls.from_lattice([(float(v.x), float(v.y)) for v in vectors], None)
+            fam = cls.from_lattice(floats, None)
         else:
             coords = iter(grid[0])
             fam = cls.from_lattice(list(zip(coords, coords)), grid[1])
@@ -82,15 +88,26 @@ class Family(Sequence):
     def __hash__(self) -> int:
         return hash(self.vectors)
 
-    def to_json(self) -> list[list[str]]:
-        """`Vec2.to_json` of each vector, printed from the ints on the lattice
-        or from the float pairs. Given vectors print as given: an int
-        coordinate prints "0", not "0.0"."""
-        if self.scale is not None:
-            return [[format_ratio(x, self.scale), format_ratio(y, self.scale)] for x, y in self.pts]
+    def _printed(self) -> list:
+        """`Vec2.to_json` of each vector as an (x, y) pair of numerals,
+        printed from the ints on the lattice or from the float pairs. Given
+        vectors print as given: an int coordinate prints "0", not "0.0"."""
+        scale = self.scale
+        if scale is not None:
+            return [(format_ratio(x, scale), format_ratio(y, scale)) for x, y in self.pts]
         if "vectors" in self.__dict__:
             return [v.to_json() for v in self.vectors]
-        return [[repr(x), repr(y)] for x, y in self.pts]
+        return [(repr(x), repr(y)) for x, y in self.pts]
+
+    def to_json(self) -> list[list[str]]:
+        """The family as a JSON document: [[x, y], ...] of numerals."""
+        return [[x, y] for x, y in self._printed()]
+
+    def json_text(self) -> str:
+        """The text `json.dumps` gives for `to_json()` with separators
+        (",", ":"), written in one pass: a numeral holds nothing that JSON
+        escapes, so it goes between quotes as it is."""
+        return "[" + ",".join([f'["{x}","{y}"]' for x, y in self._printed()]) + "]"
 
     def signed(self, signs: Sequence[int]) -> "Family":
         """The family with vector i times signs[i] (1 or -1), built from

@@ -26,9 +26,11 @@ cycle is a `geometry.Family`, the one lattice form of a point set: on a
 rational ball its integer pairs and their coarsest scale, whose
 `Fraction` vertices are formed on first read; on a float-vertex ball its
 float pairs. A ball is that `Family` plus its compiled normals (on a
-rational ball the float normals are derived on first read), and
-`ball_to_json` prints the `Family`. Only this module reads the compiled
-form and the packed lanes.
+rational ball the float normals are derived on first read).
+`ball_to_json` prints the `Family` as a document, and `UnitBall.json_text`
+as that document's canonical text, written once per ball straight from
+the `Family`'s numerals. Only this module reads the compiled form and
+the packed lanes.
 
 A `ConvexBody`, any convex polygon with the origin strictly inside, is
 built and compiled the same way: the maximum of its edge functionals is
@@ -94,10 +96,13 @@ class UnitBall:
         return tuple([(p / den, q / den) for p, q in self.normals])
 
     @cached_property
-    def json_doc(self) -> dict:
-        """`ball_to_json(self)`, formed on first read and then shared, so a
-        ball that serves a whole run is printed once: read it, never change it."""
-        return ball_to_json(self)
+    def json_text(self) -> str:
+        """The canonical text of `ball_to_json(self)` (sorted keys, separators
+        (",", ":")), printed on first read and kept, so a ball that serves a
+        whole run is printed once."""
+        if self.kind == EUCLIDEAN:
+            return '{"type":"euclidean"}'
+        return '{"type":"polygonal","vertices":' + self.vertices.json_text() + "}"
 
     @cached_property
     def _packings(self) -> dict:

@@ -6,9 +6,12 @@ report byte for byte. Wall time is measured but kept out of the canonical
 JSON for exactly that reason.
 
 Each suite supplies a draw and a check; one driver runs every trial: it
-draws the instance, digests it, then checks it. Instances that fail to
-satisfy a suite's hypothesis within the per-trial retry budget are recorded
-as "vacuous" rather than silently redrawn forever; substantive passes are
+draws the instance, digests it, then checks it. A draw writes its
+instance's canonical JSON text (sorted keys, no spaces) directly, in one
+pass from the lattice or float pairs, and the digest hashes that text:
+no JSON document is built for it. Instances that fail to satisfy a
+suite's hypothesis within the per-trial retry budget are recorded as
+"vacuous" rather than silently redrawn forever; substantive passes are
 the only thing that counts as evidence.
 """
 
@@ -22,6 +25,7 @@ import time
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from itertools import combinations
+from json.encoder import encode_basestring_ascii
 from typing import Any, Callable, Optional, Sequence
 
 from .algorithms import choose_signs, make_generic
@@ -121,19 +125,19 @@ class SuiteReport:
 
 @dataclass
 class Instance:
-    """One trial's input: `payload` is what its digest covers, `ball` (or a
-    convex body) and `vectors` what `verify --svg` draws, `data` what else
-    the check needs; `vacuous` says why no instance was found."""
+    """One trial's input: `payload` is the canonical JSON text its digest
+    covers, `ball` (or a convex body) and `vectors` what `verify --svg`
+    draws, `data` what else the check needs; `vacuous` says why no instance
+    was found."""
 
-    payload: dict
+    payload: str
     ball: Optional[UnitBall] = None
     vectors: Sequence = ()
     data: Any = None
     vacuous: str = ""
 
 
-def _digest(payload) -> str:
-    text = json.dumps(payload, sort_keys=True, separators=(",", ":"), default=str)
+def _digest(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()[:12]
 
 
@@ -167,11 +171,18 @@ def _fixed_ball(cfg: SuiteConfig) -> UnitBall:
     return ball
 
 
-def _on_ball(ball: UnitBall, vectors, extra=None, **fields) -> Instance:
-    """An instance on a ball; its digest covers the ball, the vectors and `extra`."""
-    payload = {"ball": ball.json_doc, "vectors": vectors.to_json()}
-    payload.update(extra or {})
-    return Instance(payload, ball, vectors, **fields)
+def _on_ball(ball: UnitBall, vectors: Family, extra: Optional[dict] = None, **fields) -> Instance:
+    """An instance on a ball; its digest covers the ball, the vectors and
+    `extra`, a map of key to the JSON text of its value. Every extra key
+    sorts between "ball" and "vectors", so the text is written in order."""
+    extras = "".join([f',"{key}":{text}' for key, text in sorted((extra or {}).items())])
+    text = '{"ball":' + ball.json_text + extras + ',"vectors":' + vectors.json_text() + "}"
+    return Instance(text, ball, vectors, **fields)
+
+
+def _u_extra(u: Vec2) -> dict:
+    """The extra of a halfplane direction u: its numerals, as `Vec2.to_json`."""
+    return {"u": '["{}","{}"]'.format(*u.to_json())}
 
 
 def _halfplane_family(rng: random.Random, ball: UnitBall, n: int):
@@ -188,7 +199,7 @@ def _strict_instance(cfg: SuiteConfig, rng: random.Random, ball: UnitBall, n: in
         vectors = _as_mode(vectors, cfg.mode)
         report = probe(vectors)
         if report.hypothesis_holds:
-            return _on_ball(ball, vectors, {"u": u.to_json()}, data=report)
+            return _on_ball(ball, vectors, _u_extra(u), data=report)
     return _on_ball(ball, vectors, vacuous="no strict instance in budget")
 
 
@@ -204,7 +215,7 @@ def _verdict(report, failure: str, success: str = "") -> tuple:
 def _draw_thm1(cfg: SuiteConfig, rng: random.Random, index: int, balls: _Balls) -> Instance:
     ball = balls(rng)
     u, vectors = _halfplane_family(rng, ball, rng.choice([3, 5, 7, 9]))
-    return _on_ball(ball, _as_mode(vectors, cfg.mode), {"u": u.to_json()}, data=u)
+    return _on_ball(ball, _as_mode(vectors, cfg.mode), _u_extra(u), data=u)
 
 
 def _check_thm1(cfg: SuiteConfig, inst: Instance) -> tuple:
@@ -224,7 +235,7 @@ def _draw_thm2(cfg: SuiteConfig, rng: random.Random, index: int, balls: _Balls) 
         # adversarial antipodal pair on the halfplane boundary line
         vectors = _splice(vectors, Family(antipodal_pair_on_boundary(ball, u)))
         note += " + antipodal pair"
-    return _on_ball(ball, _as_mode(vectors, cfg.mode), {"u": u.to_json()}, data=note)
+    return _on_ball(ball, _as_mode(vectors, cfg.mode), _u_extra(u), data=note)
 
 
 def _splice(vectors: Family, pair: Family) -> Family:
@@ -248,7 +259,7 @@ def _draw_thm3(cfg: SuiteConfig, rng: random.Random, index: int, balls: _Balls) 
         # a dedicated collinear instance; its "1d" labels below are kept
         # because the canonical reports (and their digests) carry them
         vectors, _ = gen_collinear_family(ball, rng.getrandbits(32))
-        return _on_ball(ball, _as_mode(vectors, cfg.mode), {"collinear": True})
+        return _on_ball(ball, _as_mode(vectors, cfg.mode), {"collinear": "true"})
     return _strict_instance(
         cfg, rng, ball, rng.choice([3, 5, 7, 9]),
         lambda vs: verify_helly(ball, vs, strict=True, tol=cfg.tol),
@@ -292,7 +303,8 @@ def _draw_claim1(cfg: SuiteConfig, rng: random.Random, index: int, balls: _Balls
     # the six values as points on the x-axis, which is also how they are pictured
     xs = gen_claim1_tuple(rng.getrandbits(32))
     points = tuple([Vec2(float(x), 0.0) if cfg.mode == "float" else Vec2(x, 0) for x in xs])
-    return Instance({"xs": [str(p.x) for p in points]}, vectors=points)
+    text = ",".join([f'"{p.x!s}"' for p in points])
+    return Instance('{"xs":[' + text + "]}", vectors=points)
 
 
 # each triple of six indices to the other three
@@ -338,7 +350,7 @@ def _draw_generic(cfg: SuiteConfig, rng: random.Random, index: int, balls: _Ball
     ball = balls(rng)
     vectors = gen_unit_vectors(ball, rng.randint(1, 7), rng.getrandbits(32))
     lam, eps = Fraction(rng.choice([90, 95, 99]), 100), Fraction(1, 1000)
-    extra = {"lam": str(lam), "eps": str(eps)}
+    extra = {"lam": f'"{lam!s}"', "eps": f'"{eps!s}"'}
     return _on_ball(ball, vectors, extra, data=(lam, eps, rng.getrandbits(32)))
 
 
@@ -353,8 +365,7 @@ def _check_generic(cfg: SuiteConfig, inst: Instance) -> tuple:
 def _draw_symmetry(cfg: SuiteConfig, rng: random.Random, index: int, balls: _Balls) -> Instance:
     symmetric = index % 2 == 0
     body = (gen_symmetric_body if symmetric else gen_asymmetric_body)(rng.getrandbits(32))
-    payload = {"body": body.vertices.to_json()}
-    return Instance(payload, body, data=symmetric)
+    return Instance('{"body":' + body.vertices.json_text() + "}", body, data=symmetric)
 
 
 def _check_symmetry(cfg: SuiteConfig, inst: Instance) -> tuple:
@@ -378,7 +389,8 @@ def _check_symmetry(cfg: SuiteConfig, inst: Instance) -> tuple:
 
 def _draw_gallery(cfg: SuiteConfig, rng: random.Random, index: int, balls: _Balls) -> Instance:
     case = gallery_case(CASE_NAMES[index])
-    return Instance({"case": case.name}, case.ball, case.vectors, data=case)
+    text = '{"case":' + encode_basestring_ascii(case.name) + "}"
+    return Instance(text, case.ball, case.vectors, data=case)
 
 
 def _check_gallery(cfg: SuiteConfig, inst: Instance) -> tuple:

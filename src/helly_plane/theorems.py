@@ -22,6 +22,7 @@ from itertools import combinations
 from typing import Optional, Sequence
 
 from .errors import (
+    BadInput,
     BadK,
     EvenCardinality,
     HypothesisFailed,
@@ -336,10 +337,13 @@ def claim1_triplets(xs: Sequence[Scalar], tol: float = DEFAULT_TOL) -> list[tupl
     values = list(xs)
     if len(values) != 6:
         raise PreconditionFailed(f"need exactly 6 values, got {len(values)}")
-    ms, d = lattice_values(values) or (values, 1)
-    for i, m in enumerate(ms):
-        if not le(abs(m), d, tol):
-            raise PreconditionFailed(f"value {i} is outside [-1, 1]")
+    try:
+        ms, d = lattice_values(values) or (values, 1)
+        outside = [i for i, m in enumerate(ms) if not le(abs(m), d, tol)]
+    except (AttributeError, TypeError):  # a value that is not a number
+        raise BadInput(f"values must be numbers; got {values!r}") from None
+    if outside:
+        raise PreconditionFailed(f"value {outside[0]} is outside [-1, 1]")
     if not eq(sum(ms), 0, tol):
         raise PreconditionFailed("values do not sum to zero")
     return [

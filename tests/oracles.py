@@ -25,9 +25,17 @@ them import them from here. `point_in_triangle` is the reference that
 crossings with the boundary, edge by edge) and `boundary_neighbours` (a
 collinearity-and-betweenness search) are the former segment geometry of
 `symmetry`, the references for its chord rule and its edge neighbours.
+
+The trial payload builders at the end are the JSON documents the suites
+digested before each instance wrote its canonical text directly:
+`ref_family_to_json` and `ref_ball_to_json` (the former `Family.to_json`
+and `ball_to_json` bodies), the `_on_ball`, claim1, symmetry and gallery
+payloads, and `ref_digest`, which printed a payload with `json.dumps`.
 """
 
 import functools
+import hashlib
+import json
 import math
 import random
 from collections import UserList
@@ -50,6 +58,7 @@ from helly_plane.errors import (
 )
 from helly_plane.geometry import Family, monotone_chain
 from helly_plane.norms import (
+    EUCLIDEAN,
     POLYGONAL,
     ConvexBody,
     UnitBall,
@@ -58,7 +67,9 @@ from helly_plane.norms import (
     edge_functionals,
     gauge,
 )
-from helly_plane.scalars import DEFAULT_TOL, Scalar, check_tol, eq, ge, gt, le, sgn
+from helly_plane.scalars import (
+    DEFAULT_TOL, Scalar, check_tol, eq, format_ratio, ge, gt, le, sgn,
+)
 from helly_plane.theorems import Certificate, KSum, VerifyReport
 from helly_plane.vectors import ORIGIN, Vec2, VectorMultiset, vsum
 
@@ -681,3 +692,44 @@ def ref_corollary_check(
         witnesses=_RefKSums(vs, bad or failing),
         notes=f"k={k}",
     )
+
+
+def ref_family_to_json(fam: Family) -> list[list[str]]:
+    """`Vec2.to_json` of each vector, printed from the ints on the lattice
+    or from the float pairs. Given vectors print as given: an int
+    coordinate prints "0", not "0.0"."""
+    if fam.scale is not None:
+        return [[format_ratio(x, fam.scale), format_ratio(y, fam.scale)] for x, y in fam.pts]
+    if "vectors" in fam.__dict__:
+        return [v.to_json() for v in fam.vectors]
+    return [[repr(x), repr(y)] for x, y in fam.pts]
+
+
+def ref_ball_to_json(ball: UnitBall) -> dict:
+    if ball.kind == EUCLIDEAN:
+        return {"type": EUCLIDEAN}
+    return {"type": POLYGONAL, "vertices": ref_family_to_json(ball.vertices)}
+
+
+def ref_on_ball_payload(ball: UnitBall, vectors: Family, extra=None) -> dict:
+    """An instance on a ball; its digest covers the ball, the vectors and `extra`."""
+    payload = {"ball": ref_ball_to_json(ball), "vectors": ref_family_to_json(vectors)}
+    payload.update(extra or {})
+    return payload
+
+
+def ref_claim1_payload(points: Sequence[Vec2]) -> dict:
+    return {"xs": [str(p.x) for p in points]}
+
+
+def ref_symmetry_payload(body: ConvexBody) -> dict:
+    return {"body": ref_family_to_json(body.vertices)}
+
+
+def ref_gallery_payload(case) -> dict:
+    return {"case": case.name}
+
+
+def ref_digest(payload) -> str:
+    text = json.dumps(payload, sort_keys=True, separators=(",", ":"), default=str)
+    return hashlib.sha256(text.encode()).hexdigest()[:12]

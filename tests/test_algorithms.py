@@ -184,6 +184,12 @@ def test_generic_bad_lambda_or_epsilon_is_bad_input(square, lam, eps):
         make_generic(square, [Vec2(0, 1)], lam, eps, seed=1)
 
 
+@pytest.mark.parametrize("seed", [None, True, 1.5], ids=["none", "true", "float"])
+def test_generic_seed_that_is_not_an_int_is_bad_input(square, seed):
+    with pytest.raises(BadInput, match="seed must be an int"):
+        make_generic(square, [Vec2(0, 1)], F(9, 10), F(1, 1000), seed)
+
+
 def test_generic_requires_polygonal(euclid):
     with pytest.raises(NotPolygonal):
         make_generic(euclid, [Vec2(0.0, 1.0)], F(1, 2), F(1, 100), seed=1)

@@ -56,6 +56,28 @@ def test_unit_vectors_bad_n():
                 gen_unit_vectors(ball, n, 1)
 
 
+SEEDED = {
+    "gen_random_ball": gen_random_ball,
+    "gen_unit_vectors": lambda seed: gen_unit_vectors(square_ball(), 3, seed),
+    "gen_unit_vectors-euclidean": lambda seed: gen_unit_vectors(euclidean_ball(), 3, seed),
+    "gen_zero_sum_six": lambda seed: gen_zero_sum_six(square_ball(), seed),
+    "gen_claim1_tuple": gen_claim1_tuple,
+    "gen_collinear_family": lambda seed: gen_collinear_family(square_ball(), seed),
+    "gen_symmetric_body": gen_symmetric_body,
+    "gen_asymmetric_body": gen_asymmetric_body,
+    "gen_euclidean_halfplane_instance": gen_euclidean_halfplane_instance,
+}
+
+
+@pytest.mark.parametrize("seed", [None, True, 1.5], ids=["none", "true", "float"])
+@pytest.mark.parametrize("name", sorted(SEEDED))
+def test_seed_that_is_not_an_int_is_bad_input(name, seed):
+    # `random.Random(None)` would draw from OS entropy: a different instance each call
+    SEEDED[name](3)  # an int seed is good
+    with pytest.raises(BadInput, match="seed must be an int"):
+        SEEDED[name](seed)
+
+
 def test_unit_vectors_deterministic():
     ball = square_ball()
     assert gen_unit_vectors(ball, 5, 123) == gen_unit_vectors(ball, 5, 123)

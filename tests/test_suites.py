@@ -4,7 +4,7 @@ from itertools import combinations
 
 import pytest
 
-from helly_plane import norms, suites
+from helly_plane import geometry, norms, suites
 from helly_plane.errors import BadInput, TheoremFalsified, UnknownSuite
 from helly_plane.suites import SUITE_NAMES, SuiteConfig, run_suite
 
@@ -145,20 +145,22 @@ def test_theorem_falsified_in_a_check_is_a_fail_record(suite, monkeypatch):
 @pytest.mark.parametrize("suite", ["thm2", "lemma-main", "signs"])
 def test_fixed_ball_json_is_formed_once_per_run(monkeypatch, suite):
     printed = []
-    original = norms.ball_to_json
+    original = geometry.Family.json_text
 
-    def spy(ball):
-        printed.append(ball)
-        return original(ball)
+    def spy(family):
+        printed.append(family)
+        return original(family)
 
-    monkeypatch.setattr(norms, "ball_to_json", spy)
-    run_suite(SuiteConfig(suite=suite, trials=12, seed=7, ball_source="maxnorm"))
-    assert len(printed) == 1  # the report digests pin the bytes it prints
+    monkeypatch.setattr(geometry.Family, "json_text", spy)
+    report = run_suite(SuiteConfig(suite=suite, trials=12, seed=7, ball_source="maxnorm"))
+    ball = report.balls(None)
+    # the ball's vertices once for the run, each trial's vectors once
+    assert [family is ball.vertices for family in printed].count(True) == 1
+    assert len(printed) == 1 + 12
     monkeypatch.undo()
-    ball = norms.square_ball()
-    assert norms.ball_to_json(ball) == ball.json_doc
+    assert ball.json_text is ball.json_text
+    assert json.loads(ball.json_text) == norms.ball_to_json(ball)
     assert norms.ball_to_json(ball) is not norms.ball_to_json(ball)  # a fresh document
-    assert ball.json_doc is ball.json_doc
 
 
 def _claim1_detail(monkeypatch, hits) -> str:

@@ -6,6 +6,7 @@ from itertools import combinations
 import pytest
 
 from helly_plane.errors import (
+    BadInput,
     BadK,
     EvenCardinality,
     HypothesisFailed,
@@ -312,6 +313,26 @@ def test_corollary_bad_k(square):
     for k in (4, 3, 2, 9, 5.0, Fraction(5), "5", None):
         with pytest.raises(BadK):
             corollary_check(square, vs, k)
+
+
+BAD_VALUES = {
+    "claim1-str": lambda ball: claim1_triplets(["1", "0", "0", "0", "0", "-1"]),
+    "claim1-float-and-str": lambda ball: claim1_triplets([1.0, "0", 0, 0, 0, -1]),
+    "helly-ints": lambda ball: verify_helly(ball, [1, 2, 3], True),
+    "helly-floats": lambda ball: verify_helly(ball, [1.0, 2.0, 3.0], False),
+    "helly-str-coordinates": lambda ball: verify_helly(ball, [Vec2("1", "0")] * 3, False),
+    "helly-float-and-str": lambda ball: verify_helly(ball, [Vec2(0.5, "x")] * 3, False),
+    "helly-float-and-none": lambda ball: verify_helly(ball, [Vec2(0.5, None)] * 3, False),
+    "corollary-ints": lambda ball: corollary_check(ball, [1, 2, 3, 4, 5], 5),
+    "lemma-conv-ints": lambda ball: lemma_conv_check(ball, [1, 2, 3]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BAD_VALUES))
+def test_bad_values_are_bad_input(square, name):
+    # not a bare AttributeError from deep inside the lattice form
+    with pytest.raises(BadInput, match="must be"):
+        BAD_VALUES[name](square)
 
 
 # ---------------------------------------------------------------------------
