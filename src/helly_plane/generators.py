@@ -43,7 +43,8 @@ _GRID = 1000
 _HALF_VERTICES = 6  # points drawn per symmetric polygon, half its most vertices
 _ZERO_SUM_DRAWS = 10_000  # five-point draws before the +- triple fallback
 _OFFSET_BITS = (_GRID - 1).bit_length()  # `_randint` widths of 0.._GRID - 1
-_WEIGHT_BITS = _GRID.bit_length()  # and of 0.._GRID
+_WEIGHT_BITS = _GRID.bit_length()  # of 0.._GRID
+_COORD_BITS = (2 * _GRID + 1).bit_length()  # and of -_GRID.._GRID
 
 
 def seeded_rng(seed: int) -> random.Random:
@@ -72,11 +73,14 @@ def _symmetric_polygon(seed: int, cls: type) -> UnitBall:
     """The `cls` polygon of the first draw of points and their negations
     that spans the plane."""
     rng = seeded_rng(seed)
+    bits = rng.getrandbits
     while True:
-        pairs = [
-            (_randint(rng, -_GRID, _GRID), _randint(rng, -_GRID, _GRID))
-            for _ in range(_HALF_VERTICES)
-        ]
+        coords = []  # x, y of each point: `_randint(rng, -_GRID, _GRID)` written out
+        while len(coords) < 2 * _HALF_VERTICES:
+            r = bits(_COORD_BITS)
+            if r <= 2 * _GRID:
+                coords.append(r - _GRID)
+        pairs = list(zip(coords[::2], coords[1::2]))
         try:
             return compile_lattice(pairs + [(-x, -y) for x, y in pairs], _GRID, cls)
         except NotConvexBody:

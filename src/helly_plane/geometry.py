@@ -1,5 +1,5 @@
-"""Exact convex-position primitives: lattice families, the halfplane test,
-the hull chain and where the origin lies against a triangle.
+"""Exact convex-position primitives: lattice families, the halfplane test
+and where the origin lies against a triangle.
 
 `Family` is the one lattice form of a finite point set: a drawn or given
 family of vectors, and the vertex cycle of every polygonal ball or body
@@ -21,7 +21,7 @@ from itertools import combinations
 from typing import Iterable, Iterator, Optional
 
 from .errors import BadInput
-from .scalars import Scalar, format_ratio, lattice_values, sgn
+from .scalars import Scalar, float_values, format_ratio, lattice_values, sgn
 from .vectors import Vec2
 
 
@@ -33,8 +33,9 @@ class Family(Sequence):
     Generators and the polygon compiler build it from their pairs
     (`from_lattice`); its `Vec2`s are formed on first read, once, and
     iteration walks them. `Family(vectors)` puts given vectors on the
-    lattice and keeps them (an entry that is not a `Vec2` of numbers is
-    a `BadInput`), and `Family(family)` is the family itself.
+    lattice and keeps them (an entry that is not a `Vec2` of finite ints,
+    `Fraction`s or floats is a `BadInput`), and `Family(family)` is the
+    family itself.
     `==` and `hash` are the tuple's.
     """
 
@@ -43,15 +44,14 @@ class Family(Sequence):
             return vectors
         vectors = tuple(vectors)
         try:
-            grid = lattice_values([c for v in vectors for c in (v.x, v.y)])
-            floats = None if grid else [(float(v.x), float(v.y)) for v in vectors]
+            coords = [c for v in vectors for c in (v.x, v.y)]
+            values, scale = lattice_values(coords) or (float_values(coords), None)
         except (AttributeError, TypeError, ValueError):  # no coordinates, or not numbers
-            raise BadInput(f"vectors must be plane vectors of numbers; got {vectors!r}") from None
-        if grid is None:
-            fam = cls.from_lattice(floats, None)
-        else:
-            coords = iter(grid[0])
-            fam = cls.from_lattice(list(zip(coords, coords)), grid[1])
+            values = None
+        if values is None:
+            raise BadInput(f"vectors must be plane vectors of finite numbers; got {vectors!r}")
+        coords = iter(values)
+        fam = cls.from_lattice(list(zip(coords, coords)), scale)
         fam.vectors = vectors
         return fam
 
@@ -88,13 +88,17 @@ class Family(Sequence):
     def __hash__(self) -> int:
         return hash(self.vectors)
 
-    def _printed(self) -> list:
+    def _printed(self, mirrored: bool = False) -> list:
         """`Vec2.to_json` of each vector as an (x, y) pair of numerals,
         printed from the ints on the lattice or from the float pairs. Given
-        vectors print as given: an int coordinate prints "0", not "0.0"."""
+        vectors print as given: an int coordinate prints "0", not "0.0".
+        `mirrored`: a lattice family's second half is its first negated (a
+        ball's cycle), and is written as the first half's numerals negated."""
         scale = self.scale
         if scale is not None:
-            return [(format_ratio(x, scale), format_ratio(y, scale)) for x, y in self.pts]
+            pts = self.pts[: len(self.pts) // 2] if mirrored else self.pts
+            printed = [(format_ratio(x, scale), format_ratio(y, scale)) for x, y in pts]
+            return printed + [(_negated(x), _negated(y)) for x, y in printed] if mirrored else printed
         if "vectors" in self.__dict__:
             return [v.to_json() for v in self.vectors]
         return [(repr(x), repr(y)) for x, y in self.pts]
@@ -103,11 +107,11 @@ class Family(Sequence):
         """The family as a JSON document: [[x, y], ...] of numerals."""
         return [[x, y] for x, y in self._printed()]
 
-    def json_text(self) -> str:
+    def json_text(self, mirrored: bool = False) -> str:
         """The text `json.dumps` gives for `to_json()` with separators
         (",", ":"), written in one pass: a numeral holds nothing that JSON
-        escapes, so it goes between quotes as it is."""
-        return "[" + ",".join([f'["{x}","{y}"]' for x, y in self._printed()]) + "]"
+        escapes, so it goes between quotes as it is (`mirrored`: `_printed`)."""
+        return "[" + ",".join([f'["{x}","{y}"]' for x, y in self._printed(mirrored)]) + "]"
 
     def signed(self, signs: Sequence[int]) -> "Family":
         """The family with vector i times signs[i] (1 or -1), built from
@@ -140,30 +144,9 @@ class Family(Sequence):
         return Vec2(Fraction(sx, self.scale), Fraction(sy, self.scale))
 
 
-def monotone_chain(pts: list[tuple]) -> list[tuple]:
-    """Counterclockwise extreme points of sorted distinct (x, y) pairs, from
-    the least one, collinear points dropped; degenerate inputs come back as
-    a single point or the two endpoints of the spanned segment."""
-    if len(pts) <= 2:
-        return pts
-
-    def build(seq):
-        chain: list[tuple] = []
-        for cx, cy in seq:
-            while len(chain) >= 2:
-                (ax, ay), (bx, by) = chain[-2], chain[-1]
-                if (bx - ax) * (cy - ay) - (by - ay) * (cx - ax) > 0:
-                    break
-                chain.pop()
-            chain.append((cx, cy))
-        return chain
-
-    lower = build(pts)
-    upper = build(reversed(pts))
-    hull = lower[:-1] + upper[:-1]
-    if len(hull) < 3:
-        return [pts[0], pts[-1]]
-    return hull
+def _negated(numeral: str) -> str:
+    """The numeral of -x, written from the "p/q" or "p" numeral of x."""
+    return numeral[1:] if numeral[0] == "-" else numeral if numeral == "0" else "-" + numeral
 
 
 def dots(u: Vec2, pts: Sequence[tuple], scale: Optional[int]) -> list[Scalar]:

@@ -48,7 +48,7 @@ from operator import not_
 from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 
 from .errors import BadInput, NotConvexBody, NotPolygonal, NotSymmetric, ZeroDirection
-from .geometry import Family, monotone_chain
+from .geometry import Family
 from .scalars import DEFAULT_TOL, Scalar, eq, is_float
 from .vectors import Vec2
 
@@ -102,7 +102,8 @@ class UnitBall:
         whole run is printed once."""
         if self.kind == EUCLIDEAN:
             return '{"type":"euclidean"}'
-        return '{"type":"polygonal","vertices":' + self.vertices.json_text() + "}"
+        # a ball's cycle is symmetric: its second half is its first negated
+        return '{"type":"polygonal","vertices":' + self.vertices.json_text(type(self) is UnitBall) + "}"
 
     @cached_property
     def _packings(self) -> dict:
@@ -128,15 +129,6 @@ class UnitBall:
 
 def euclidean_ball() -> UnitBall:
     return UnitBall(EUCLIDEAN, Family.from_lattice([], None))
-
-
-def _polar_less(a: tuple, b: tuple) -> bool:
-    """Compare polar angles of (x, y) pairs in [0, 2*pi) without trigonometry."""
-    ha = 0 if (a[1] > 0 or (a[1] == 0 and a[0] > 0)) else 1
-    hb = 0 if (b[1] > 0 or (b[1] == 0 and b[0] > 0)) else 1
-    if ha != hb:
-        return ha < hb
-    return a[0] * b[1] - a[1] * b[0] > 0
 
 
 def make_polygonal_ball(vertices: Sequence[Vec2]) -> UnitBall:
@@ -181,21 +173,58 @@ def compile_lattice(pairs: Sequence[tuple], scale: Optional[int], cls: type) -> 
     `Family` puts the cycle on its own coarsest lattice. A float polygon
     has no integer normals: its float normals are formed here, each row
     over its own determinant.
+
+    A point set closed under negation (its sorted distinct pairs, reversed,
+    are their negations) is set up from half its cycle: one hull chain, no
+    symmetry check, and on the lattice h edge rows, the other h of its 2h
+    normals negated. Any other set (a body, a user's list) takes both chains.
     """
-    coords = monotone_chain(sorted(set(pairs)))
-    start = _cycle_start(coords, cls)
+    pts = sorted(set(pairs))
+    symmetric = pts[::-1] == [(-x, -y) for x, y in pts]
+    coords = _hull(pts, symmetric)
+    start = _cycle_start(coords, cls, symmetric)
     vertices = Family.from_lattice(coords[start:] + coords[:start], scale)
     if scale is None:
-        rows = _edge_rows(vertices.pts, 1)
+        rows = _edge_rows(vertices.pts, 1, len(coords))
         float_normals = tuple([(p / det, q / det) for p, q, det in rows])
         return cls(POLYGONAL, vertices, float_normals=float_normals)
-    rows = _edge_rows(vertices.pts, vertices.scale)
+    rows = _edge_rows(vertices.pts, vertices.scale, len(coords) // 2 if symmetric else len(coords))
     den = math.lcm(*[det for _, _, det in rows])
-    normals = tuple([(p * (den // det), q * (den // det)) for p, q, det in rows])
-    return cls(POLYGONAL, vertices, normals, den)
+    normals = [(p * (den // det), q * (den // det)) for p, q, det in rows]
+    if symmetric:
+        normals += [(-p, -q) for p, q in normals]
+    return cls(POLYGONAL, vertices, tuple(normals), den)
 
 
-def _cycle_start(coords: list[tuple], cls: type) -> int:
+def _hull(pts: list[tuple], symmetric: bool) -> list[tuple]:
+    """Andrew's monotone chain: the counterclockwise extreme points of sorted
+    distinct (x, y) pairs, from the least one, collinear points dropped; a
+    degenerate hull comes back as a point or a segment's two ends. A set
+    closed under negation builds its lower chain only, and reads the upper
+    one off at mirrored indices (pts[n - 1 - i]), the input's own tuples."""
+    n = len(pts)
+    if n <= 2:
+        return pts
+
+    def chain(order: Iterable[int]) -> list[int]:  # every kept turn is to the left
+        kept: list[int] = []
+        for c in order:
+            cx, cy = pts[c]
+            while len(kept) >= 2:
+                (ax, ay), (bx, by) = pts[kept[-2]], pts[kept[-1]]
+                if (bx - ax) * (cy - ay) - (by - ay) * (cx - ax) > 0:
+                    break
+                kept.pop()
+            kept.append(c)
+        return kept
+
+    lower = chain(range(n))
+    upper = [n - 1 - i for i in lower] if symmetric else chain(range(n - 1, -1, -1))
+    hull = [pts[i] for i in lower[:-1] + upper[:-1]]
+    return hull if len(hull) >= 3 else [pts[0], pts[-1]]
+
+
+def _cycle_start(coords: list[tuple], cls: type, symmetric: bool) -> int:
     """The start vertex of a hull cycle: its vertex of smallest polar angle
     for a `UnitBall`, else 0.
 
@@ -203,26 +232,27 @@ def _cycle_start(coords: list[tuple], cls: type) -> int:
     """
     if len(coords) < 3:
         raise NotConvexBody("hull is degenerate (a point or a segment)")
-    start = 0
-    if cls is UnitBall:
-        if set(coords) != {(-x, -y) for x, y in coords}:
-            raise NotSymmetric("vertex set is not invariant under negation")
-        for i in range(1, len(coords)):
-            if _polar_less(coords[i], coords[start]):
-                start = i
-    return start
+    if cls is not UnitBall:
+        return 0
+    if not symmetric and set(coords) != {(-x, -y) for x, y in coords}:
+        raise NotSymmetric("vertex set is not invariant under negation")
+    # polar angles in [0, 2*pi) rise around the cycle and wrap once, where
+    # it enters the half y > 0 (or y == 0 < x), which holds half the cycle
+    upper = [y > 0 or y == 0 and x > 0 for x, y in coords]
+    return next(i for i in range(len(coords)) if upper[i] and not upper[i - 1])
 
 
-def _edge_rows(cycle: list[tuple], scale: int) -> list[tuple]:
-    """The edge rows (P, Q, det) of a hull cycle over `scale`.
+def _edge_rows(cycle: list[tuple], scale: int, edges: int) -> list[tuple]:
+    """The edge rows (P, Q, det) over `scale` of the first `edges` edges of
+    a hull cycle.
 
-    Raises unless the origin is strictly inside.
+    Raises unless the origin is strictly inside them.
     """
     # the origin is strictly inside exactly when every edge turns left
     # around it, and then the functional equal to 1 at both ends is unique:
     # (p, q) = scale * (by - ay, ax - bx) / det
     rows = []
-    for (ax, ay), (bx, by) in zip(cycle, cycle[1:] + cycle[:1]):
+    for (ax, ay), (bx, by) in zip(cycle[:edges], cycle[1:] + cycle[:1]):
         det = ax * by - ay * bx
         if not det > 0:
             raise NotConvexBody("origin is not strictly inside")
@@ -280,8 +310,9 @@ class SubsetSums:
     On a ball with integer normals and rational data the gauge of a subset
     sum is m / d, with m the largest of its edge values P·SX + Q·SY and
     d = den · scale. Each vector is then packed once into one int: lane e
-    holds its edge value r plus R = max |r| in a field of w + 1 bits, the
-    top bit of each field a guard. A k-sum is k int adds, and its lanes
+    holds its edge value r plus R in a field of w + 1 bits, the top bit of
+    each field a guard. R is a bound on |r|: max(|P| + |Q|) times the
+    largest |coordinate|, O(n + edges) work. A k-sum is k int adds, and its lanes
     hold m_e + kR. Adding (2^w − 1 − d − kR) to every lane sets a guard
     bit exactly when some m_e > d, and one more sets it when some m_e >= d;
     with 2^w > d + k·R + 1 no lane ever carries into the next. So
@@ -308,9 +339,10 @@ class SubsetSums:
         # never packed
         self._cap = -1
         if self._exact:
-            # a ball's edges come in opposite pairs: half of them give every |r|
-            half = ball.normals[: len(ball.normals) // 2] if type(ball) is UnitBall else ball.normals
-            self._reach = max([abs(p * x + q * y) for x, y in fam.pts for p, q in half], default=0)
+            # |P·X + Q·Y| <= (|P| + |Q|)·max(|X|, |Y|): any R >= max |r| keeps
+            # every mask exact, and R only sets the lane width
+            reach = max([abs(p) + abs(q) for p, q in ball.normals])
+            self._reach = reach * max([abs(c) for xy in fam.pts for c in xy], default=0)
             self._pack(len(fam.pts))
 
     def tests(

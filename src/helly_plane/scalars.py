@@ -61,6 +61,16 @@ def lattice_values(xs: Sequence[Scalar]) -> Optional[tuple[list[int], int]]:
     return [x.numerator * (den // x.denominator) for x in xs], den
 
 
+def float_values(xs: Sequence[Scalar]) -> Optional[list[float]]:
+    """Floats and rationals as floats, a rational rounded as `float` rounds
+    it; None when one is not finite. A str raises, as in `lattice_values`."""
+    try:
+        floats = [x if isinstance(x, float) else x.numerator / x.denominator for x in xs]
+    except OverflowError:  # a rational past float range
+        return None
+    return floats if all(map(math.isfinite, floats)) else None
+
+
 def check_tol(tol: float) -> None:
     """Raise BadInput unless the comparison tolerance is a finite number >= 0
     (a bool is not a number here, as for `run_suite`'s `trials`)."""

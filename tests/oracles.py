@@ -17,10 +17,15 @@ and no subset-sum kernel. `ref_verify_helly` and `ref_corollary_check`
 are T2/T3 and COR as they were when each call formed its `Fraction` total
 and that total's gauge, and decided T2/T3's conclusion on the gauge.
 
-`convex_hull` (`geometry.monotone_chain` on `Vec2`s, returning input
-points), `exact_div`, `orientation` and `point_in_triangle` are former
-library helpers that no library module needs; the tests that still use
-them import them from here. `point_in_triangle` is the reference that
+`monotone_chain` is the library's former two-chain hull of sorted
+distinct pairs, and `_polar_less` its former start-vertex order, both kept
+verbatim: the library now builds one chain of a set closed under negation
+and mirrors it, and finds the start where the cycle's polar angle wraps,
+so `convex_hull` (`monotone_chain` on `Vec2`s, returning input points)
+and `ref_compile_polygon` run these copies, not the code they check.
+`convex_hull`, `exact_div`, `orientation` and `point_in_triangle` are
+former library helpers that no library module needs; the tests that still
+use them import them from here. `point_in_triangle` is the reference that
 `geometry.origin_position` is checked against. `line_polygon_hits` (a line's
 crossings with the boundary, edge by edge) and `boundary_neighbours` (a
 collinearity-and-betweenness search) are the former segment geometry of
@@ -56,13 +61,12 @@ from helly_plane.errors import (
     TooFew,
     ZeroDirection,
 )
-from helly_plane.geometry import Family, monotone_chain
+from helly_plane.geometry import Family
 from helly_plane.norms import (
     EUCLIDEAN,
     POLYGONAL,
     ConvexBody,
     UnitBall,
-    _polar_less,
     SubsetSums,
     edge_functionals,
     gauge,
@@ -93,6 +97,41 @@ def exact_div(a, b):
     if isinstance(a, float) or isinstance(b, float):
         return a / b
     return Fraction(a) / Fraction(b)
+
+
+def monotone_chain(pts: list[tuple]) -> list[tuple]:
+    """Counterclockwise extreme points of sorted distinct (x, y) pairs, from
+    the least one, collinear points dropped; degenerate inputs come back as
+    a single point or the two endpoints of the spanned segment."""
+    if len(pts) <= 2:
+        return pts
+
+    def build(seq):
+        chain: list[tuple] = []
+        for cx, cy in seq:
+            while len(chain) >= 2:
+                (ax, ay), (bx, by) = chain[-2], chain[-1]
+                if (bx - ax) * (cy - ay) - (by - ay) * (cx - ax) > 0:
+                    break
+                chain.pop()
+            chain.append((cx, cy))
+        return chain
+
+    lower = build(pts)
+    upper = build(reversed(pts))
+    hull = lower[:-1] + upper[:-1]
+    if len(hull) < 3:
+        return [pts[0], pts[-1]]
+    return hull
+
+
+def _polar_less(a: tuple, b: tuple) -> bool:
+    """Compare polar angles of (x, y) pairs in [0, 2*pi) without trigonometry."""
+    ha = 0 if (a[1] > 0 or (a[1] == 0 and a[0] > 0)) else 1
+    hb = 0 if (b[1] > 0 or (b[1] == 0 and b[0] > 0)) else 1
+    if ha != hb:
+        return ha < hb
+    return a[0] * b[1] - a[1] * b[0] > 0
 
 
 def convex_hull(points):

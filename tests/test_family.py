@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 import oracles
 from helly_plane import generators, geometry, scalars, suites, theorems
-from helly_plane.errors import PreconditionFailed
+from helly_plane.errors import BadInput, PreconditionFailed
 from helly_plane.generators import gen_random_ball, gen_unit_vectors
 from helly_plane.geometry import Family
 from helly_plane.norms import (
@@ -34,6 +34,30 @@ from helly_plane.vectors import Vec2, vsum
 coordinates = st.integers(-(2**80), 2**80)
 # denominators past 2**53, where an int / int division must still round once
 denominators = st.one_of(st.integers(1, 10**4), st.integers(2**53 - 5, 2**90))
+
+
+@pytest.mark.parametrize(
+    "coordinate", ["0", b"0", None, 1j, math.nan, -math.inf, Fraction(10**400, 3), 10**400],
+    ids=["numeral", "bytes", "none", "complex", "nan", "infinity", "huge-fraction", "huge-int"],
+)
+def test_a_float_family_takes_only_finite_numbers(coordinate):
+    # beside a float, as beside a rational: a numeral is not a number, and a
+    # NaN or an infinity has no place on the lattice or in a norm
+    with pytest.raises(BadInput, match="finite numbers"):
+        Family([Vec2(1.0, coordinate)])
+
+
+numbers = st.one_of(
+    st.integers(-(2**80), 2**80), st.fractions(-(10**6), 10**6, max_denominator=10**20),
+    st.booleans(), st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+@given(coords=st.lists(numbers, min_size=1, max_size=6).map(lambda cs: cs + [0.5]))
+def test_a_float_family_reads_each_coordinate_as_float_does(coords):
+    fam = Family([Vec2(c, 0.0) for c in coords])
+    assert fam.scale is None
+    assert repr(fam.pts) == repr([(float(c), 0.0) for c in coords])
 
 
 @given(pairs=st.lists(st.tuples(coordinates, coordinates), max_size=6), den=denominators)

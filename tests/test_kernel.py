@@ -77,6 +77,24 @@ def balls(draw, points=st.one_of(rational_points, integer_points)):
         assume(False)
 
 
+@st.composite
+def skinny_balls_with_axis(draw):
+    """A thin ball and its long axis L: conv{±L, ±S}, S across L and m times
+    shorter, with a corner L/2 + S or not. Its edge normals have |P| + |Q|
+    about m times what a vector along L reaches, so `SubsetSums`' bound on
+    |P·X + Q·Y| is far above the true reach along L."""
+    a, b = draw(st.tuples(integers, integers).filter(lambda ab: ab != (0, 0)))
+    m = draw(st.sampled_from([10**3, 10**6, 10**12 + 39]))
+    axis, short = Vec2(a, b), Vec2(Fraction(-b, m), Fraction(a, m))
+    corners = draw(st.sampled_from([[], [axis.scale(Fraction(1, 2)) + short]]))
+    pts = [axis, short, *corners]
+    return make_polygonal_ball(pts + [-p for p in pts]), axis
+
+
+skinny_balls = skinny_balls_with_axis().map(lambda ball_axis: ball_axis[0])
+# rational points far outside every drawn ball
+far_points = st.builds(Vec2, st.integers(-(10**6), 10**6), st.integers(-(10**6), 10**6))
+
 # bodies: random asymmetric ones, and balls recompiled as bodies (hull order)
 bodies = st.one_of(
     st.builds(gen_asymmetric_body, st.integers(0, 2**32 - 1)),
@@ -221,6 +239,7 @@ def test_subset_gauges_float_bitwise(ball, vectors, tol):
 families = st.one_of(
     st.lists(rational_points, min_size=1, max_size=5),
     st.lists(float_points, min_size=1, max_size=5),
+    st.lists(st.one_of(rational_points, far_points), min_size=1, max_size=5),
 )
 
 
@@ -279,6 +298,7 @@ kernel_balls = st.one_of(
     st.just(square_ball()),
     st.just(euclidean_ball()),
     bodies,
+    skinny_balls,
 )
 
 
@@ -364,6 +384,40 @@ def test_kernel_on_explicit_subsets(ball, vectors, tol, data):
             assert type(g) is type(ref) and (not isinstance(g, float) or g.hex() == ref.hex())
 
 
+def true_reach(ball, vectors) -> int:
+    """max |P·X + Q·Y| over the family's lattice points and the ball's edges."""
+    fam = geometry.Family(vectors)
+    return max(abs(p * x + q * y) for x, y in fam.pts for p, q in ball.normals)
+
+
+@given(data=st.data(), tol=TOLS)
+def test_reach_bound_on_skinny_balls(data, tol):
+    # vectors along the long axis, inside the ball and far outside it,
+    # where the bound is far above the true reach, and any others
+    ball, axis = data.draw(skinny_balls_with_axis())
+    ts = data.draw(st.lists(rationals(bound=1000), min_size=1, max_size=5))
+    others = data.draw(st.lists(st.one_of(rational_points, far_points), max_size=2))
+    vectors = [axis.scale(t) for t in ts] + others
+    sums = SubsetSums(ball, vectors)
+    assert sums._reach >= true_reach(ball, vectors)
+    assert_sphere_tests(ball, vectors, tol, EXACT)
+    ts = data.draw(explicit_subsets(len(vectors)))
+    gauges = [gauge(ball, vsum(vectors[i] for i in t)) for t in ts]
+    assert list(sums.gauges(ts)) == list(zip(ts, gauges))
+    for rel in RELS:
+        assert list(sums.tests(ts, rel, tol)) == [(t, rel(g, 1, tol)) for t, g in zip(ts, gauges)]
+
+
+def test_reach_bound_is_far_above_the_reach_along_a_thin_axis():
+    m = 10**6
+    pts = [Vec2(1, 0), Vec2(0, Fraction(1, m))]
+    ball = make_polygonal_ball(pts + [-p for p in pts])
+    vectors = [Vec2(1000, 0), Vec2(Fraction(1, 2), 0), Vec2(-3, 0)]
+    sums = SubsetSums(ball, vectors)
+    assert sums._reach >= m * true_reach(ball, vectors)
+    assert_sphere_tests(ball, vectors, 1e-9, EXACT)
+
+
 def test_subset_tests_on_gallery_equality_families():
     # sums at gauge exactly 1: min 3-sum of thm3-closed-fails, the total of remark1-equality
     for name in ("thm3-closed-fails", "remark1-equality"):
@@ -446,6 +500,13 @@ def wide_rationals(draw, bound=3):
 
 
 wide_points = st.builds(Vec2, wide_rationals(), wide_rationals())
+
+
+@given(ball=kernel_balls, vectors=st.lists(
+    st.one_of(rational_points, far_points, wide_points), min_size=1, max_size=5))
+def test_reach_is_a_bound_on_every_edge_value(ball, vectors):
+    assume(ball.normals is not None)
+    assert SubsetSums(ball, vectors)._reach >= true_reach(ball, vectors)
 
 
 @given(ball=st.one_of(balls(wide_points), balls(), st.just(square_ball())),

@@ -147,9 +147,9 @@ def test_fixed_ball_json_is_formed_once_per_run(monkeypatch, suite):
     printed = []
     original = geometry.Family.json_text
 
-    def spy(family):
+    def spy(family, *mirrored):
         printed.append(family)
-        return original(family)
+        return original(family, *mirrored)
 
     monkeypatch.setattr(geometry.Family, "json_text", spy)
     report = run_suite(SuiteConfig(suite=suite, trials=12, seed=7, ball_source="maxnorm"))

@@ -323,6 +323,12 @@ BAD_VALUES = {
     "helly-str-coordinates": lambda ball: verify_helly(ball, [Vec2("1", "0")] * 3, False),
     "helly-float-and-str": lambda ball: verify_helly(ball, [Vec2(0.5, "x")] * 3, False),
     "helly-float-and-none": lambda ball: verify_helly(ball, [Vec2(0.5, None)] * 3, False),
+    # the float path reads only finite ints, rationals and floats, as the rational path does
+    "helly-float-and-numeral": lambda ball: verify_helly(ball, [Vec2(1.0, "0")] * 3, False),
+    "helly-float-and-bytes": lambda ball: verify_helly(ball, [Vec2(1.0, b"0")] * 3, False),
+    "helly-nan": lambda ball: verify_helly(ball, [Vec2(math.nan, 0.0)] * 3, False),
+    "helly-inf": lambda ball: verify_helly(ball, [Vec2(1.0, -math.inf)] * 3, True),
+    "helly-float-and-huge-rational": lambda ball: verify_helly(ball, [Vec2(0.5, F(10**401))] * 3, False),
     "corollary-ints": lambda ball: corollary_check(ball, [1, 2, 3, 4, 5], 5),
     "lemma-conv-ints": lambda ball: lemma_conv_check(ball, [1, 2, 3]),
 }
