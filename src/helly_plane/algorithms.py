@@ -90,14 +90,15 @@ def ginzburg_reduce(
     integer, hence at least 1.
     """
     check_tol(tol)
+    [(ux, uy)] = Family([u]).floats()  # u and the vectors must be of finite numbers
     if u.is_zero():
         raise ZeroDirection("halfplane direction must be nonzero")
-    vs = [Vec2(float(v.x), float(v.y)) for v in vectors]
+    vs = [Vec2(x, y) for x, y in Family(vectors).floats()]
     n = len(vs)
     if n % 2 == 0:
         raise EvenCardinality("the family must have odd size")
     # rotate the frame so that u becomes (0, 1)
-    shift = math.pi / 2 - math.atan2(float(u.y), float(u.x))
+    shift = math.pi / 2 - math.atan2(uy, ux)
     cs, sn = math.cos(shift), math.sin(shift)
     angles: list[float] = []
     for i, v in enumerate(vs):
@@ -226,7 +227,7 @@ def make_generic(
         raise BadInput(f"lambda must be in (0, 1); got {lam}")
     if eps <= 0:
         raise BadInput(f"epsilon must be positive; got {eps}")
-    vs = tuple(vectors)
+    vs = Family(vectors)
     for i, v in enumerate(vs):
         if lam * gauge(ball, v) + eps >= 1:
             raise EpsilonTooLarge(

@@ -36,7 +36,6 @@ from .norms import (
     lattice_in_ball, lattice_vertices,
 )
 from .scalars import le
-from .symmetry import is_centrally_symmetric
 from .vectors import Vec2
 
 _GRID = 1000
@@ -279,7 +278,7 @@ def gen_asymmetric_body(seed: int) -> ConvexBody:
         points = [(8 * x, 8 * y) for x, y in pairs]
         points[i] = ((8 + k) * pairs[i][0], (8 + k) * pairs[i][1])
         body = compile_lattice(points, 8 * scale, ConvexBody)
-        if not is_centrally_symmetric(body):
+        if not body.symmetric:
             return body
 
 

@@ -43,13 +43,7 @@ class Family(Sequence):
         if type(vectors) is cls:
             return vectors
         vectors = tuple(vectors)
-        try:
-            coords = [c for v in vectors for c in (v.x, v.y)]
-            values, scale = lattice_values(coords) or (float_values(coords), None)
-        except (AttributeError, TypeError, ValueError):  # no coordinates, or not numbers
-            values = None
-        if values is None:
-            raise BadInput(f"vectors must be plane vectors of finite numbers; got {vectors!r}")
+        values, scale = _lattice_form(vectors)
         coords = iter(values)
         fam = cls.from_lattice(list(zip(coords, coords)), scale)
         fam.vectors = vectors
@@ -103,14 +97,11 @@ class Family(Sequence):
             return [v.to_json() for v in self.vectors]
         return [(repr(x), repr(y)) for x, y in self.pts]
 
-    def to_json(self) -> list[list[str]]:
-        """The family as a JSON document: [[x, y], ...] of numerals."""
-        return [[x, y] for x, y in self._printed()]
-
     def json_text(self, mirrored: bool = False) -> str:
-        """The text `json.dumps` gives for `to_json()` with separators
-        (",", ":"), written in one pass: a numeral holds nothing that JSON
-        escapes, so it goes between quotes as it is (`mirrored`: `_printed`)."""
+        """The family's one printed form, the JSON text [["x","y"],...] with
+        separators (",", ":"), written in one pass: a numeral holds nothing
+        that JSON escapes, so it goes between quotes as it is (`mirrored`:
+        `_printed`)."""
         return "[" + ",".join([f'["{x}","{y}"]' for x, y in self._printed(mirrored)]) + "]"
 
     def signed(self, signs: Sequence[int]) -> "Family":
@@ -144,6 +135,22 @@ class Family(Sequence):
         return Vec2(Fraction(sx, self.scale), Fraction(sy, self.scale))
 
 
+def _lattice_form(vectors: Sequence[Vec2], rational: bool = True) -> tuple[list, Optional[int]]:
+    """The vectors' coordinates, x then y, as integer numerators over one
+    common denominator, or as floats (denominator None) when any is a
+    float or when `rational` is false. Anything but plane vectors of finite
+    ints, `Fraction`s and floats is a `BadInput`: the one check of every
+    family and direction."""
+    try:
+        coords = [c for v in vectors for c in (v.x, v.y)]
+        values, scale = rational and lattice_values(coords) or (float_values(coords), None)
+    except (AttributeError, TypeError, ValueError):  # no coordinates, or not numbers
+        values = None
+    if values is None:
+        raise BadInput(f"vectors must be plane vectors of finite numbers; got {vectors!r}")
+    return values, scale
+
+
 def _negated(numeral: str) -> str:
     """The numeral of -x, written from the "p/q" or "p" numeral of x."""
     return numeral[1:] if numeral[0] == "-" else numeral if numeral == "0" else "-" + numeral
@@ -153,12 +160,11 @@ def dots(u: Vec2, pts: Sequence[tuple], scale: Optional[int]) -> list[Scalar]:
     """u·v for each point v = (x, y) / `scale` (float pairs when `scale` is
     None), up to one positive factor, so every sign is exact: integer dots
     with u put on the lattice when u and the points are rational, else the
-    floats `Vec2.dot` gives, from float(u.x), float(u.y) and x / scale."""
-    grid = None if scale is None else lattice_values([u.x, u.y])
-    if grid is not None:
-        (ux, uy), _ = grid
+    floats `Vec2.dot` gives, from float(u.x), float(u.y) and x / scale.
+    A u that is not a plane vector of finite numbers is a `BadInput`."""
+    (ux, uy), u_scale = _lattice_form((u,), scale is not None)
+    if u_scale is not None:
         return [ux * x + uy * y for x, y in pts]
-    ux, uy = float(u.x), float(u.y)
     if scale is not None:
         pts = [(x / scale, y / scale) for x, y in pts]
     return [ux * x + uy * y for x, y in pts]

@@ -27,14 +27,13 @@ rational ball its integer pairs and their coarsest scale, whose
 `Fraction` vertices are formed on first read; on a float-vertex ball its
 float pairs. A ball is that `Family` plus its compiled normals (on a
 rational ball the float normals are derived on first read).
-`ball_to_json` prints the `Family` as a document, and `UnitBall.json_text`
-as that document's canonical text, written once per ball straight from
-the `Family`'s numerals. Only this module reads the compiled form and
-the packed lanes.
+A ball is printed once, to its canonical text `UnitBall.json_text`,
+straight from the `Family`'s numerals; `ball_to_json` reads that text
+back. Only this module reads the compiled form and the packed lanes.
 
 A `ConvexBody`, any convex polygon with the origin strictly inside, is
 built and compiled the same way: the maximum of its edge functionals is
-its gauge whether or not it is symmetric.
+its gauge, and whether it is symmetric is decided once, when compiled.
 """
 
 from __future__ import annotations
@@ -65,6 +64,7 @@ class UnitBall:
     `normals` holds integer pairs (P, Q) with (p, q) == (P, Q) / `den` for
     the functional z -> p*z.x + q*z.y of each edge, or None when the
     vertices are floats; `float_normals` holds (float(p), float(q)).
+    `symmetric`: whether the vertex set is closed under negation.
 
     A rational ball is built from its vertex `Family` and `normals` alone:
     its `float_normals` are derived on first read and kept. A float-vertex
@@ -79,11 +79,13 @@ class UnitBall:
         normals: Optional[tuple[tuple[int, int], ...]] = None,
         den: int = 1,
         float_normals: Optional[tuple[tuple[float, float], ...]] = None,
+        symmetric: bool = True,
     ):
         self.kind = kind
         self.vertices = vertices
         self.normals = normals
         self.den = den
+        self.symmetric = symmetric
         # a given value takes the place of the derived one
         if float_normals is not None:
             self.float_normals = float_normals
@@ -97,13 +99,13 @@ class UnitBall:
 
     @cached_property
     def json_text(self) -> str:
-        """The canonical text of `ball_to_json(self)` (sorted keys, separators
+        """The canonical JSON text of the ball (sorted keys, separators
         (",", ":")), printed on first read and kept, so a ball that serves a
         whole run is printed once."""
         if self.kind == EUCLIDEAN:
             return '{"type":"euclidean"}'
-        # a ball's cycle is symmetric: its second half is its first negated
-        return '{"type":"polygonal","vertices":' + self.vertices.json_text(type(self) is UnitBall) + "}"
+        # a symmetric cycle's second half is its first negated
+        return '{"type":"polygonal","vertices":' + self.vertices.json_text(self.symmetric) + "}"
 
     @cached_property
     def _packings(self) -> dict:
@@ -174,29 +176,31 @@ def compile_lattice(pairs: Sequence[tuple], scale: Optional[int], cls: type) -> 
     has no integer normals: its float normals are formed here, each row
     over its own determinant.
 
-    A point set closed under negation (its sorted distinct pairs, reversed,
-    are their negations) is set up from half its cycle: one hull chain, no
-    symmetry check, and on the lattice h edge rows, the other h of its 2h
-    normals negated. Any other set (a body, a user's list) takes both chains.
+    Symmetry is decided here, once. A point set closed under negation (its
+    sorted distinct pairs, reversed, are their negations) builds one hull
+    chain; any other set builds both and compares its hull with its
+    negation. On the lattice a symmetric hull of 2h vertices forms h edge
+    rows, the other h of its normals negated.
     """
     pts = sorted(set(pairs))
-    symmetric = pts[::-1] == [(-x, -y) for x, y in pts]
-    coords = _hull(pts, symmetric)
+    closed = pts[::-1] == [(-x, -y) for x, y in pts]
+    coords = _hull(pts, closed)
+    symmetric = closed or set(coords) == {(-x, -y) for x, y in coords}
     start = _cycle_start(coords, cls, symmetric)
     vertices = Family.from_lattice(coords[start:] + coords[:start], scale)
     if scale is None:
         rows = _edge_rows(vertices.pts, 1, len(coords))
         float_normals = tuple([(p / det, q / det) for p, q, det in rows])
-        return cls(POLYGONAL, vertices, float_normals=float_normals)
+        return cls(POLYGONAL, vertices, float_normals=float_normals, symmetric=symmetric)
     rows = _edge_rows(vertices.pts, vertices.scale, len(coords) // 2 if symmetric else len(coords))
     den = math.lcm(*[det for _, _, det in rows])
     normals = [(p * (den // det), q * (den // det)) for p, q, det in rows]
     if symmetric:
         normals += [(-p, -q) for p, q in normals]
-    return cls(POLYGONAL, vertices, tuple(normals), den)
+    return cls(POLYGONAL, vertices, tuple(normals), den, symmetric=symmetric)
 
 
-def _hull(pts: list[tuple], symmetric: bool) -> list[tuple]:
+def _hull(pts: list[tuple], closed: bool) -> list[tuple]:
     """Andrew's monotone chain: the counterclockwise extreme points of sorted
     distinct (x, y) pairs, from the least one, collinear points dropped; a
     degenerate hull comes back as a point or a segment's two ends. A set
@@ -219,7 +223,7 @@ def _hull(pts: list[tuple], symmetric: bool) -> list[tuple]:
         return kept
 
     lower = chain(range(n))
-    upper = [n - 1 - i for i in lower] if symmetric else chain(range(n - 1, -1, -1))
+    upper = [n - 1 - i for i in lower] if closed else chain(range(n - 1, -1, -1))
     hull = [pts[i] for i in lower[:-1] + upper[:-1]]
     return hull if len(hull) >= 3 else [pts[0], pts[-1]]
 
@@ -234,7 +238,7 @@ def _cycle_start(coords: list[tuple], cls: type, symmetric: bool) -> int:
         raise NotConvexBody("hull is degenerate (a point or a segment)")
     if cls is not UnitBall:
         return 0
-    if not symmetric and set(coords) != {(-x, -y) for x, y in coords}:
+    if not symmetric:
         raise NotSymmetric("vertex set is not invariant under negation")
     # polar angles in [0, 2*pi) rise around the cycle and wrap once, where
     # it enters the half y > 0 (or y == 0 < x), which holds half the cycle
@@ -487,9 +491,8 @@ def boundary_point(ball: UnitBall, direction: Vec2) -> Vec2:
 
 
 def ball_to_json(ball: UnitBall) -> dict:
-    if ball.kind == EUCLIDEAN:
-        return {"type": EUCLIDEAN}
-    return {"type": POLYGONAL, "vertices": ball.vertices.to_json()}
+    """The ball as a fresh JSON document: its `json_text`, read back."""
+    return json.loads(ball.json_text)
 
 
 def ball_from_json(obj: dict, mode: str = "exact") -> UnitBall:

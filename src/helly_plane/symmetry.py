@@ -59,11 +59,9 @@ class ViolationWitness:
 
 
 def is_centrally_symmetric(body: ConvexBody) -> bool:
-    """Whether the vertex set equals its own negation, exactly: decided on
-    the integer pairs of the vertex cycle, or the float pairs of a float body."""
-    grid = lattice_vertices(body)
-    have = set(grid[0] if grid is not None else body.vertices.floats())
-    return have == {(-x, -y) for x, y in have}
+    """Whether the vertex set equals its own negation, exactly: decided
+    once, when the body was compiled (`norms.compile_lattice`)."""
+    return body.symmetric
 
 
 def _asymmetric_chords(body: ConvexBody):
@@ -200,34 +198,44 @@ def find_violation_surrounding(body: ConvexBody) -> Optional[ViolationWitness]:
     Takes a chord through the origin with unequal arms, the unique boundary
     point b extremal orthogonally to it, and slides the chord slightly away
     from b so the origin becomes strictly surrounded; the sum stays outside
-    for small slides. Each slid chord passes through a point between the
-    origin and the vertex farthest from the chord on the other side, and its
-    ends are where it leaves the edge functionals. Symmetric bodies get None.
+    for small slides. Where the extremal points form an edge parallel to
+    the chord, each end of that edge is b, after every chord's unique point.
+    Each slid chord passes through a point between the origin and the vertex
+    farthest from the chord on the other side, and its ends are where it
+    leaves the edge functionals. Symmetric bodies get None.
     """
     return _first_verified(body, _surrounding_candidates, verify_surrounding_witness, "surrounding")
 
 
 def _surrounding_candidates(body: ConvexBody) -> Iterator[ViolationWitness]:
     normals = edge_functionals(body)
+    edge_ends = []  # (d, key, b) for each end of a tangent edge parallel to a chord
     for d, _ in _asymmetric_chords(body):  # d: chord direction, origin to the short arm
         for side in (1, -1):
             # extremal vertex in the direction orthogonal to the chord
-            key = lambda v: side * d.cross(v)
+            key = lambda v, d=d, side=side: side * d.cross(v)
             best = max(key(v) for v in body.vertices)
             extremal = [v for v in body.vertices if key(v) == best]
-            if len(extremal) != 1:
-                continue  # tangent edge parallel to the chord: not a single point
-            b = extremal[0]
-            # the origin is strictly inside, so key(o) < 0 < best; the line
-            # key(z) == -reach meets the open segment from 0 to o at far
-            o = min(body.vertices, key=key)
-            reach = min(best, -key(o))
-            far = o.scale(reach / -key(o))
-            shrink = Fraction(1, 2)
-            for _ in range(_MAX_HALVINGS):
-                # slide the chord away from b, through far·shrink (a1 on the short arm's side)
-                a1, c1 = _chord_ends(normals, far.scale(shrink), d)
-                shrink /= 2
-                yield ViolationWitness(
-                    a1, b, c1, a1 + b + c1, WitnessKind.SURROUNDING_EXTERIOR_SUM
-                )
+            if len(extremal) == 1:
+                yield from _slid_chords(body, normals, d, key, extremal[0])
+            else:
+                edge_ends += [(d, key, b) for b in extremal]
+    for d, key, b in edge_ends:
+        yield from _slid_chords(body, normals, d, key, b)
+
+
+def _slid_chords(
+    body: ConvexBody, normals: Sequence[Vec2], d: Vec2, key: Callable, b: Vec2
+) -> Iterator[ViolationWitness]:
+    """Chords along d slid away from the boundary point b, key(b) > 0."""
+    # the origin is strictly inside, so key(o) < 0 < key(b); the line
+    # key(z) == -reach meets the open segment from 0 to o at far
+    o = min(body.vertices, key=key)
+    reach = min(key(b), -key(o))
+    far = o.scale(reach / -key(o))
+    shrink = Fraction(1, 2)
+    for _ in range(_MAX_HALVINGS):
+        # slide the chord away from b, through far·shrink (a1 on the short arm's side)
+        a1, c1 = _chord_ends(normals, far.scale(shrink), d)
+        shrink /= 2
+        yield ViolationWitness(a1, b, c1, a1 + b + c1, WitnessKind.SURROUNDING_EXTERIOR_SUM)

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from typing import Optional, Sequence
@@ -51,35 +51,14 @@ class KSum:
         return {"subset": list(self.subset), "value": self.value.to_json()}
 
 
-@dataclass
 class VerifyReport:
-    theorem: str
-    hypothesis_holds: bool
-    conclusion_holds: bool
-    total: Vec2
-    total_norm: Scalar
-    witnesses: list[KSum] = field(default_factory=list)
-    notes: str = ""
-
-    def to_json(self) -> dict:
-        return {
-            "theorem": self.theorem,
-            "hypothesis": self.hypothesis_holds,
-            "conclusion": self.conclusion_holds,
-            "total": self.total.to_json(),
-            "total_norm": format_scalar(self.total_norm),
-            "witnesses": [w.to_json() for w in self.witnesses],
-            "notes": self.notes,
-        }
-
-
-class _SumReport(VerifyReport):
-    """A T2, T3 or COR report kept as the ball, the family and the witness
-    index subsets: the total, its norm and the witness sums are formed on
+    """A verifier's report, kept as the ball, the family and the witness
+    index subsets: the total, its norm and the witnesses are formed on
     first read, so a report dropped unread (a failed strict probe) forms
-    no `Fraction`."""
+    no `Fraction`. A singleton witness's value is the vector itself, a
+    larger subset's the sum of its vectors."""
 
-    def __init__(self, theorem, hypothesis, conclusion, ball, vs, subsets, notes=""):
+    def __init__(self, theorem, hypothesis, conclusion, ball, vs: Family, subsets=(), notes=""):
         self.theorem, self.hypothesis_holds, self.conclusion_holds = theorem, hypothesis, conclusion
         self.notes, self._ball, self._vs, self._subsets = notes, ball, vs, subsets
 
@@ -93,7 +72,19 @@ class _SumReport(VerifyReport):
 
     @functools.cached_property
     def witnesses(self) -> list[KSum]:
-        return [KSum(t, self._vs.vector_sum(t)) for t in self._subsets]
+        vs = self._vs
+        return [KSum(t, vs[t[0]] if len(t) == 1 else vs.vector_sum(t)) for t in self._subsets]
+
+    def to_json(self) -> dict:
+        return {
+            "theorem": self.theorem,
+            "hypothesis": self.hypothesis_holds,
+            "conclusion": self.conclusion_holds,
+            "total": self.total.to_json(),
+            "total_norm": format_scalar(self.total_norm),
+            "witnesses": [w.to_json() for w in self.witnesses],
+            "notes": self.notes,
+        }
 
 
 @dataclass
@@ -129,35 +120,30 @@ def verify_theorem1(
     """Check the halfplane bound on one instance.
 
     Hypothesis: odd count, every vector of norm exactly 1, every dot with u
-    nonnegative. Conclusion: the total has norm at least 1.
+    nonnegative. Conclusion: the total has norm at least 1, read off the
+    packing as the family's one n-sum, as in `verify_helly`.
     """
     check_tol(tol)
+    vs = Family(vectors)
+    sides = dots(u, vs.pts, vs.scale)  # a BadInput unless u is a vector of finite numbers
     if u.is_zero():
         raise ZeroDirection("halfplane direction must be nonzero")
-    vs = Family(vectors)
-    sides = dots(u, vs.pts, vs.scale)
     # float dots within tol·|u|, as in `ginzburg_reduce`: only u's direction counts
     side_tol = tol * math.hypot(u.x, u.y) if is_float(*sides) else tol
     notes = []
-    bad: list[KSum] = []
+    bad = []
     if len(vs) % 2 == 0:
         notes.append("even cardinality")
-    for (i,), unit in SubsetSums(ball, vs).tests(1, eq, tol):
+    sums = SubsetSums(ball, vs)
+    for (i,), unit in sums.tests(1, eq, tol):
         if not unit:
-            bad.append(KSum((i,), vs[i]))
+            bad.append((i,))
             notes.append(f"vector {i} is not a unit vector")
         elif not ge(sides[i], 0, side_tol):
-            bad.append(KSum((i,), vs[i]))
+            bad.append((i,))
             notes.append(f"vector {i} leaves the halfplane")
-    hypothesis = len(vs) % 2 == 1 and not bad
-    total = vs.vector_sum(range(len(vs)))
-    total_norm = gauge(ball, total)
-    conclusion = ge(total_norm, 1, tol)
-    return VerifyReport(
-        "T1", hypothesis, conclusion, total, total_norm,
-        witnesses=bad if not hypothesis else [],
-        notes="; ".join(notes),
-    )
+    [(_, conclusion)] = sums.tests(len(vs), ge, tol)
+    return VerifyReport("T1", len(vs) % 2 == 1 and not bad, conclusion, ball, vs, bad, "; ".join(notes))
 
 
 def _halfplane_angle_cmp(vs: Family, u: Vec2):
@@ -221,7 +207,7 @@ def halfplane_certificate(
         raise TheoremFalsified(
             f"projection sum {projection_sum} < 1 on a halfplane instance"
         )
-    if not ge(report.total_norm, 1, tol):  # pragma: no cover - implied by the above
+    if not report.conclusion_holds:  # pragma: no cover - implied by the above
         raise TheoremFalsified("certificate exists but total norm < 1")
     return Certificate(k, u, tangent, vs, order, projections, projection_sum)
 
@@ -259,7 +245,7 @@ def verify_helly(
     if len(vs) % 2 == 0:
         raise EvenCardinality("the family must have odd size")
     bad, failing = _three_sum_judge(SubsetSums(ball, vs), len(vs), strict, tol)
-    return _SumReport("T3" if strict else "T2", not bad, not failing, ball, vs, bad)
+    return VerifyReport("T3" if strict else "T2", not bad, not failing, ball, vs, bad)
 
 
 def corollary_check(
@@ -271,7 +257,7 @@ def corollary_check(
     if type(k) is not int or k % 2 == 0 or k <= 3 or k > len(vs):
         raise BadK(f"k must be odd, > 3, and <= {len(vs)}; got {k!r}")
     bad, failing = _three_sum_judge(SubsetSums(ball, vs), k, True, tol)
-    return _SumReport("COR", not bad, not failing, ball, vs, bad or failing, notes=f"k={k}")
+    return VerifyReport("COR", not bad, not failing, ball, vs, bad or failing, f"k={k}")
 
 
 def lemma_conv_check(

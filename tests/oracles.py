@@ -31,6 +31,11 @@ crossings with the boundary, edge by edge) and `boundary_neighbours` (a
 collinearity-and-betweenness search) are the former segment geometry of
 `symmetry`, the references for its chord rule and its edge neighbours.
 
+`VerifyReport` and `is_centrally_symmetric` are the library's former eager
+report and vertex-set symmetry test, copied verbatim: the reference
+verifiers construct the report, and the symmetry decision the compiler
+now stores is checked against the test.
+
 The trial payload builders at the end are the JSON documents the suites
 digested before each instance wrote its canonical text directly:
 `ref_family_to_json` and `ref_ball_to_json` (the former `Family.to_json`
@@ -44,6 +49,7 @@ import json
 import math
 import random
 from collections import UserList
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
 from typing import Sequence
@@ -70,11 +76,12 @@ from helly_plane.norms import (
     SubsetSums,
     edge_functionals,
     gauge,
+    lattice_vertices,
 )
 from helly_plane.scalars import (
-    DEFAULT_TOL, Scalar, check_tol, eq, format_ratio, ge, gt, le, sgn,
+    DEFAULT_TOL, Scalar, check_tol, eq, format_ratio, format_scalar, ge, gt, le, sgn,
 )
-from helly_plane.theorems import Certificate, KSum, VerifyReport
+from helly_plane.theorems import Certificate, KSum
 from helly_plane.vectors import ORIGIN, Vec2, VectorMultiset, vsum
 
 
@@ -516,6 +523,43 @@ def ref_gen_asymmetric_body(seed):
             return body
 
 
+# The library's eager report and its vertex-set symmetry test, as they were
+# before every report was formed on first read and symmetry was decided
+# once at compile, verbatim: the reference verifiers below construct this
+# `VerifyReport`, and the stored decision is checked against this
+# `is_centrally_symmetric`.
+
+
+@dataclass
+class VerifyReport:
+    theorem: str
+    hypothesis_holds: bool
+    conclusion_holds: bool
+    total: Vec2
+    total_norm: Scalar
+    witnesses: list[KSum] = field(default_factory=list)
+    notes: str = ""
+
+    def to_json(self) -> dict:
+        return {
+            "theorem": self.theorem,
+            "hypothesis": self.hypothesis_holds,
+            "conclusion": self.conclusion_holds,
+            "total": self.total.to_json(),
+            "total_norm": format_scalar(self.total_norm),
+            "witnesses": [w.to_json() for w in self.witnesses],
+            "notes": self.notes,
+        }
+
+
+def is_centrally_symmetric(body: ConvexBody) -> bool:
+    """Whether the vertex set equals its own negation, exactly: decided on
+    the integer pairs of the vertex cycle, or the float pairs of a float body."""
+    grid = lattice_vertices(body)
+    have = set(grid[0] if grid is not None else body.vertices.floats())
+    return have == {(-x, -y) for x, y in have}
+
+
 # Reference verifiers: T1 with its projection certificate, lemma-conv and
 # Claim 1 as they were before they were decided on the integer lattice,
 # verbatim apart from their names (the certificate calls the reference T1).
@@ -659,14 +703,18 @@ def verify_helly_1d(xs, strict, tol=DEFAULT_TOL):
 
 class _RefKSums(UserList):
     """The list of `KSum`s of index subsets of a family, summed on first
-    read: a report dropped unread (a failed strict probe) sums nothing."""
+    read: a report dropped unread (a failed strict probe) sums nothing.
+    A singleton's value is the vector itself, as in T1's reference (a sum
+    from 0 would print a float -0.0 as 0.0, and a given rational beside
+    floats as a float)."""
 
     def __init__(self, vs: Family, subsets: list[tuple[int, ...]]):
         self._vs, self._subsets = vs, subsets
 
     @functools.cached_property
     def data(self) -> list[KSum]:
-        return [KSum(t, self._vs.vector_sum(t)) for t in self._subsets]
+        vs = self._vs
+        return [KSum(t, vs[t[0]] if len(t) == 1 else vs.vector_sum(t)) for t in self._subsets]
 
 
 def _ref_odd_family(n: int) -> None:

@@ -1,9 +1,11 @@
+import math
 import random
 from fractions import Fraction
 from itertools import combinations
 
 import pytest
 
+from helly_plane import algorithms
 from helly_plane.algorithms import choose_signs, ginzburg_reduce, make_generic
 from helly_plane.errors import (
     BadInput,
@@ -12,6 +14,7 @@ from helly_plane.errors import (
     HalfplaneViolated,
     NotPolygonal,
     NotUnitVectors,
+    SamplingExhausted,
     ZeroDirection,
 )
 from helly_plane.generators import (
@@ -87,6 +90,27 @@ def test_ginzburg_errors():
         ginzburg_reduce([Vec2(0.0, 0.5)], Vec2(0.0, 1.0))
     with pytest.raises(HalfplaneViolated):
         ginzburg_reduce([Vec2(0.0, -1.0)], Vec2(0.0, 1.0))
+
+
+@pytest.mark.parametrize("vectors, u", [
+    ([Vec2(math.nan, 1.0)], Vec2(0.0, 1.0)),
+    ([Vec2(0.0, 1.0)], Vec2(math.nan, 1.0)),
+    ([(0.0, 1.0)], Vec2(0.0, 1.0)),
+    ([Vec2("1", "0")], Vec2(0.0, 1.0)),
+    ([Vec2(0.0, 1.0)], Vec2("0", "1")),
+], ids=["nan-vector", "nan-u", "tuple", "str-vector", "str-u"])
+def test_ginzburg_bad_values_are_bad_input(vectors, u):
+    # not a bare IndexError or AttributeError, and no str read as a number
+    with pytest.raises(BadInput, match="must be"):
+        ginzburg_reduce(vectors, u)
+
+
+def test_ginzburg_reads_rationals_as_float_does():
+    rationals = [Vec2(F(3, 5), F(4, 5)), Vec2(F(-5, 13), F(12, 13)), Vec2(1, 0)]
+    u = Vec2(F(1, 3), 1)
+    got = ginzburg_reduce(rationals, u)
+    want = ginzburg_reduce([Vec2(float(v.x), float(v.y)) for v in rationals], Vec2(1 / 3, 1.0))
+    assert [s.to_json() for s in got.steps] == [s.to_json() for s in want.steps]
 
 
 def test_ginzburg_random_instances():
@@ -182,6 +206,26 @@ def test_generic_epsilon_too_large(square):
 def test_generic_bad_lambda_or_epsilon_is_bad_input(square, lam, eps):
     with pytest.raises(BadInput):
         make_generic(square, [Vec2(0, 1)], lam, eps, seed=1)
+
+
+@pytest.mark.parametrize("vectors", [
+    [(0, 1)], [Vec2(math.nan, F(1, 2))], [Vec2(F(1, 2), "0")],
+], ids=["tuple", "nan", "str"])
+def test_generic_bad_vectors_are_bad_input(square, vectors):
+    # a NaN is not "perturbation moved too far", nor a str a bare AttributeError
+    with pytest.raises(BadInput, match="must be"):
+        make_generic(square, vectors, F(9, 10), F(1, 1000), seed=1)
+
+
+def test_generic_gives_up_after_its_retry_budget(square, monkeypatch):
+    # every sample at the centre (0, 1/4): the edge functional (1, 0) takes the
+    # value 0 there, which the empty subset already holds, so each try is rejected
+    draws = []
+    monkeypatch.setattr(algorithms, "_grid_fraction", lambda rng, radius: draws.append(radius) or 0)
+    monkeypatch.setattr(algorithms, "_MAX_TRIES", 3)
+    with pytest.raises(SamplingExhausted, match="vector 0"):
+        make_generic(square, [Vec2(0, F(1, 2))], F(1, 2), F(1, 10), seed=1)
+    assert len(draws) == 2 * 3
 
 
 @pytest.mark.parametrize("seed", [None, True, 1.5], ids=["none", "true", "float"])

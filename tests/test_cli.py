@@ -80,6 +80,26 @@ def test_symmetry_command(tmp_path, capsys):
     assert doc["witness_ii"] is not None
 
 
+def test_ginzburg_svg_draws_the_euclidean_circle(tmp_path):
+    svg = tmp_path / "g.svg"
+    assert main(["ginzburg", _write(tmp_path, "v.json", EUCLID_VECS), "--svg", str(svg)]) == 0
+    text = svg.read_text()
+    # the farthest coordinate is 1, so the unit circle's radius is 480 / 4 / (1.15 / 2) pixels
+    assert '<circle cx="240.0" cy="240.0" r="208.6957"' in text and "<polygon" not in text
+
+
+# an asymmetric pentagon whose one chord with unequal arms is horizontal,
+# and whose extremes orthogonal to that chord are both edges parallel to it
+PENTAGON_POLY = '{"vertices":[["-2","0"],["-1","-1"],["1","-1"],["1","1"],["-1","1"]]}'
+
+
+def test_symmetry_command_when_the_extremes_are_edges(tmp_path, capsys):
+    assert main(["symmetry", "check", _write(tmp_path, "p.json", PENTAGON_POLY)]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["symmetric"] is False
+    assert doc["witness_ii"]["kind"] == "surrounding-exterior-sum"
+
+
 def test_symmetry_command_symmetric(tmp_path, capsys):
     poly = tmp_path / "sq.json"
     poly.write_text(SQUARE_POLY)

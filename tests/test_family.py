@@ -8,6 +8,7 @@ lattice again; and the written-out draws must read the bit stream exactly
 as `generators._randint` does.
 """
 
+import json
 import math
 import random
 import sys
@@ -28,7 +29,7 @@ from helly_plane.norms import (
 )
 from helly_plane.suites import SuiteConfig
 from helly_plane.symmetry import is_centrally_symmetric
-from helly_plane.theorems import KSum, corollary_check, lemma_conv_check, verify_helly
+from helly_plane.theorems import KSum, corollary_check, lemma_conv_check, verify_helly, verify_theorem1
 from helly_plane.vectors import Vec2, vsum
 
 coordinates = st.integers(-(2**80), 2**80)
@@ -68,7 +69,7 @@ def test_from_lattice_is_the_family_of_its_points(pairs, den):
     assert oracles.same(fam, vectors) and oracles.same(ref, vectors)
     assert fam == ref == vectors and vectors == fam
     assert hash(fam) == hash(ref) == hash(vectors)
-    assert fam.to_json() == [v.to_json() for v in vectors]
+    assert json.loads(fam.json_text()) == [v.to_json() for v in vectors]
     floats = [(float(v.x).hex(), float(v.y).hex()) for v in vectors]
     assert [((x / den).hex(), (y / den).hex()) for x, y in pairs] == floats
     assert [(x.hex(), y.hex()) for x, y in fam.floats()] == floats
@@ -79,7 +80,7 @@ def test_float_family_from_its_coordinates(pairs):
     vectors = tuple(Vec2(x, y) for x, y in pairs)
     fam = Family.from_lattice(pairs, None)
     assert oracles.same(fam, vectors) and fam == Family(vectors) == vectors
-    assert fam.to_json() == [v.to_json() for v in vectors]
+    assert json.loads(fam.json_text()) == [v.to_json() for v in vectors]
     signs = [(-1) ** i for i in range(len(pairs))]
     assert oracles.same(fam.signed(signs), tuple(v if s > 0 else -v for v, s in zip(vectors, signs)))
 
@@ -91,12 +92,12 @@ def test_float_families_print_as_their_vectors():
         Family([Vec2(x, y) for x, y in pairs]),
         Family([Vec2(0, 0.5), Vec2(-1, 2.0), Vec2(0.25, 3)]),  # an int prints "0", not "0.0"
     ]
-    assert families[0].to_json() == [["0.1", "-0.0"], ["1.0", "2.5e-17"], ["-3.0", "1e+300"]]
+    assert json.loads(families[0].json_text()) == [["0.1", "-0.0"], ["1.0", "2.5e-17"], ["-3.0", "1e+300"]]
     assert "vectors" not in vars(families[0])  # printed from its pairs
-    assert families[2].to_json()[:2] == [["0", "0.5"], ["-1", "2.0"]]
+    assert json.loads(families[2].json_text())[:2] == [["0", "0.5"], ["-1", "2.0"]]
     for fam in families:
         assert fam.scale is None
-        assert fam.to_json() == [v.to_json() for v in fam]
+        assert json.loads(fam.json_text()) == [v.to_json() for v in fam]
 
 
 def constructed(call) -> list[str]:
@@ -194,12 +195,13 @@ def test_witnesses_are_summed_only_when_read(monkeypatch, verify):
 
 
 @pytest.mark.parametrize("verify", [
+    lambda ball, vs, u=Vec2(0, 1): verify_theorem1(ball, vs, u),
     lambda ball, vs: verify_helly(ball, vs, strict=False),
     lambda ball, vs: verify_helly(ball, vs, strict=True),
     lambda ball, vs: corollary_check(ball, vs, 5),
 ])
 def test_total_and_its_norm_are_formed_only_when_read(verify):
-    # both conclusions are read off the packing; the report forms the
+    # every conclusion is read off the packing; the report forms the
     # total and its gauge the first time either is read
     for ball in (square_ball(), gen_random_ball(5)):
         for seed in range(6):
@@ -211,6 +213,39 @@ def test_total_and_its_norm_are_formed_only_when_read(verify):
             assert constructed(lambda: (report.total, report.total_norm)) == []
             assert oracles.same(report.total, vsum(vs))
             assert oracles.same(report.total_norm, gauge(ball, vsum(vs)))
+
+
+def test_a_thm1_trial_forms_no_total_and_no_gauge(monkeypatch):
+    # the certificate re-checks T1's conclusion as the report's flag, which
+    # is read off the packing
+    formed = []
+    monkeypatch.setattr(theorems, "gauge", lambda *args: formed.append("gauge"))
+    monkeypatch.setattr(Family, "vector_sum", lambda *args: formed.append("total"))
+    for source in ("random", "maxnorm", "euclidean"):
+        for mode in ("exact", "float"):
+            report = suites.run_suite(SuiteConfig("thm1", 12, 5, mode, 1e-9, source))
+            assert report.failures == 0 and report.passes > 0
+    assert formed == []
+
+
+def test_a_singleton_witness_is_the_vector_as_given():
+    # a float -0.0 stays -0.0 and a rational beside floats stays a rational,
+    # where a sum from 0 would print 0.0 and a float
+    ball = square_ball()
+    inside = [Vec2(0.5, -0.0), Vec2(Fraction(1, 2), 0.25), Vec2(0.0, 0.5)]
+    outside = [Vec2(2.0, -0.0), Vec2(Fraction(3, 2), 0.25)] + [Vec2(0.0, 0.5)] * 3
+    reports = [
+        verify_theorem1(ball, inside, Vec2(0, 1)),
+        verify_helly(ball, inside, strict=False),
+        verify_helly(ball, outside, strict=True),
+        corollary_check(ball, outside, 5),
+    ]
+    for report, vs in zip(reports, [inside, inside, outside, outside]):
+        assert [w.to_json() for w in report.witnesses[:2]] == [
+            {"subset": [0], "value": vs[0].to_json()}, {"subset": [1], "value": vs[1].to_json()},
+        ]
+    assert reports[0].witnesses[0].to_json()["value"] == ["0.5", "-0.0"]
+    assert reports[2].witnesses[1].to_json()["value"] == ["3/2", "0.25"]
 
 
 def test_lemma_conv_forms_no_vec2_and_no_fraction():

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -76,6 +77,14 @@ def test_seed_that_is_not_an_int_is_bad_input(name, seed):
     SEEDED[name](3)  # an int seed is good
     with pytest.raises(BadInput, match="seed must be an int"):
         SEEDED[name](seed)
+
+
+@pytest.mark.parametrize("halfplane", [Vec2(math.nan, 1.0), Vec2(0, "1"), (0, 1)], ids=["nan", "str", "tuple"])
+def test_unit_vectors_bad_halfplane_is_bad_input(halfplane):
+    # a NaN direction would mirror no draw and leave the halfplane unmet
+    for ball in (square_ball(), euclidean_ball()):
+        with pytest.raises(BadInput, match="must be"):
+            gen_unit_vectors(ball, 3, 0, halfplane=halfplane)
 
 
 def test_unit_vectors_deterministic():

@@ -64,7 +64,7 @@ def canonical(doc) -> str:
 
 @given(fam=families)
 def test_family_text_is_its_old_document(fam):
-    assert fam.to_json() == oracles.ref_family_to_json(fam)
+    assert json.loads(fam.json_text()) == oracles.ref_family_to_json(fam)
     assert fam.json_text() == canonical(oracles.ref_family_to_json(fam))
 
 

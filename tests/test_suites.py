@@ -108,6 +108,14 @@ def test_thm3_includes_collinear_trials():
     assert report.failures == 0
 
 
+def test_thm3_without_a_strict_instance_is_vacuous():
+    # with tolerance 5 no float 3-sum clears 1 + tol, so no probe's strict hypothesis holds
+    report = run_suite(SuiteConfig("thm3", 3, 0, "float", 5.0, "maxnorm"))
+    assert [(r.outcome, r.detail) for r in report.records] == [
+        ("vacuous", "no strict instance in budget")
+    ] * 3
+
+
 def test_thm2_includes_antipodal_trials():
     report = run_suite(SuiteConfig(suite="thm2", trials=20, seed=5))
     assert any("antipodal" in r.detail for r in report.records)

@@ -2,17 +2,17 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, event, given, settings
 from hypothesis import strategies as st
 
-from helly_plane.errors import NotConvexBody
+from helly_plane.errors import NotConvexBody, NotSymmetric
 from helly_plane.generators import (
     gen_asymmetric_body,
     gen_random_ball,
     gen_symmetric_body,
     gen_unit_vectors,
 )
-from helly_plane.norms import boundary_point, edge_functionals, gauge
+from helly_plane.norms import ConvexBody, UnitBall, boundary_point, compile_lattice, edge_functionals, gauge
 from helly_plane.symmetry import (
     WitnessKind,
     _boundary_neighbours,
@@ -27,6 +27,7 @@ from helly_plane.symmetry import (
 from helly_plane.theorems import lemma_conv_check
 from helly_plane.vectors import ORIGIN, Vec2
 
+import oracles
 from oracles import boundary_neighbours, brute_origin_strictly_inside, line_polygon_hits, ray_gauge
 
 F = Fraction
@@ -126,6 +127,19 @@ def test_agreement_on_test_corpus():
         assert w1 is not None and verify_halfplane_witness(asym, w1)
         w2 = find_violation_surrounding(asym)
         assert w2 is not None and verify_surrounding_witness(asym, w2)
+
+
+def test_surrounding_witness_when_both_extremes_are_edges():
+    # the one chord with unequal arms is horizontal, and on both sides of it
+    # the extreme orthogonal to it is an edge parallel to it: each end of
+    # such an edge is tried as the surrounding triple's middle point
+    pentagon = [Vec2(x, y) for x, y in [(-2, 0), (-1, -1), (1, -1), (1, 1), (-1, 1)]]
+    for body in (make_convex_body(pentagon), _float_copy(make_convex_body(pentagon))):
+        assert not is_centrally_symmetric(body)
+        w1, w2 = find_violation_halfplane(body), find_violation_surrounding(body)
+        assert w1 is not None and verify_halfplane_witness(body, w1)
+        assert w2 is not None and verify_surrounding_witness(body, w2)
+        assert w2.b in pentagon[1:]
 
 
 def _float_copy(body):
@@ -244,3 +258,47 @@ def test_chord_rule_on_a_triangle_through_a_vertex(triangle_body):
     assert ends == (Vec2(0, 2), Vec2(0, -1))
     hits = line_polygon_hits(list(triangle_body.vertices), d, 0)
     assert list(ends) == sorted(hits, key=d.dot, reverse=True)
+
+
+@st.composite
+def _point_sets(draw):
+    """Integer points over 2: a set closed under negation; or that set with
+    points inside its hull added, which is not closed but has a symmetric
+    hull; or that set with one point stretched by 3/2."""
+    half = draw(st.lists(st.tuples(st.integers(-6, 6), st.integers(-6, 6)), min_size=2, max_size=5))
+    pts = [(2 * x, 2 * y) for x, y in half]
+    pts += [(-x, -y) for x, y in pts]
+    shape = draw(st.sampled_from(["closed", "inner", "stretched"]))
+    if shape == "inner":
+        # p / 2 for a point p, and the midpoints of two points: in the hull
+        pts += draw(st.lists(st.sampled_from(half), min_size=1, max_size=3))
+        pairs = st.tuples(st.sampled_from(pts), st.sampled_from(pts))
+        pts += [((ax + bx) // 2, (ay + by) // 2) for (ax, ay), (bx, by) in draw(st.lists(pairs, max_size=3))]
+    elif shape == "stretched":
+        i = draw(st.integers(0, len(pts) - 1))
+        pts[i] = (3 * pts[i][0] // 2, 3 * pts[i][1] // 2)
+    return shape, pts
+
+
+@settings(max_examples=200, deadline=None)
+@given(_point_sets())
+def test_symmetry_is_decided_once_as_the_vertex_set_test_decides_it(shaped):
+    shape, pts = shaped
+    try:
+        body = compile_lattice(pts, 2, ConvexBody)
+    except NotConvexBody:
+        assume(False)
+    floats = compile_lattice([(x / 2, y / 2) for x, y in pts], None, ConvexBody)
+    symmetric = oracles.is_centrally_symmetric(body)
+    closed = set(pts) == {(-x, -y) for x, y in pts}
+    event(f"{shape}, {'closed' if closed else 'not closed'}: {'symmetric' if symmetric else 'asymmetric'}")
+    assert is_centrally_symmetric(body) is symmetric
+    assert is_centrally_symmetric(floats) is oracles.is_centrally_symmetric(floats) is symmetric
+    if not symmetric:
+        with pytest.raises(NotSymmetric):
+            compile_lattice(pts, 2, UnitBall)
+        return
+    # a symmetric polygon is printed mirrored: the text is the cycle's own
+    ball = compile_lattice(pts, 2, UnitBall)
+    for polygon in (body, ball):
+        assert polygon.json_text == '{"type":"polygonal","vertices":' + polygon.vertices.json_text() + "}"

@@ -4,6 +4,8 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
 from helly_plane.errors import (
     BadInput,
@@ -16,7 +18,7 @@ from helly_plane.errors import (
     ZeroDirection,
 )
 from helly_plane.generators import gen_direction, gen_random_ball, gen_unit_vectors, gen_zero_sum_six
-from helly_plane.norms import gauge, make_polygonal_ball
+from helly_plane.norms import euclidean_ball, gauge, make_polygonal_ball, square_ball
 from helly_plane.theorems import (
     claim1_triplets,
     corollary_check,
@@ -28,7 +30,7 @@ from helly_plane.theorems import (
 )
 from helly_plane.vectors import Vec2, vsum
 
-from oracles import all_ksums, verify_helly_1d
+from oracles import all_ksums, ref_verify_theorem1, verify_helly_1d
 
 F = Fraction
 
@@ -218,6 +220,40 @@ def test_theorem1_property_random():
         assert r.conclusion_holds, f"falsified at seed {seed}"
 
 
+# coordinates of every kind in [-1, 1]; the rationals are dyadic, so a sum
+# in floats is exact whichever order it rounds in
+_T1_COORDINATES = [0, 1, -1, 0.0, -0.0, 1.0, -1.0, 0.25, -0.5, F(1), F(1, 2), F(-3, 4)]
+
+
+@st.composite
+def _t1_families(draw):
+    """Families mixing int, `Fraction`, float and ±0.0 coordinates: vectors
+    with one coordinate ±1 (unit vectors of the max norm), a few halved,
+    often all mirrored into the halfplane of u. When any coordinate is a
+    float the first vector is a float pair, so the eager reference's running
+    sum is a float from the start, as the family's float pairs are."""
+    u = draw(st.sampled_from([Vec2(0, 1), Vec2(0.0, 1.0), Vec2(1, 1), Vec2(F(1, 2), -1)]))
+    vs = []
+    for _ in range(draw(st.integers(0, 7))):
+        s, t = draw(st.sampled_from([1, -1, 1.0, -1.0, F(1)])), draw(st.sampled_from(_T1_COORDINATES))
+        v = Vec2(s, t) if draw(st.booleans()) else Vec2(t, s)
+        vs.append(v.scale(F(1, 2)) if draw(st.integers(0, 9)) == 0 else v)
+    if draw(st.booleans()):
+        vs = [-v if u.dot(v) < 0 else v for v in vs]
+    if any(isinstance(c, float) for v in vs for c in (v.x, v.y)):
+        vs[0] = Vec2(float(vs[0].x), float(vs[0].y))
+    return vs, u
+
+
+@settings(max_examples=300, deadline=None)
+@given(ball=st.sampled_from([square_ball(), euclidean_ball(), gen_random_ball(5)]), family=_t1_families())
+def test_theorem1_report_matches_the_eager_reference(ball, family):
+    vs, u = family
+    report = verify_theorem1(ball, vs, u)
+    assert report.to_json() == ref_verify_theorem1(ball, vs, u).to_json()
+    event(f"hypothesis {report.hypothesis_holds}, conclusion {report.conclusion_holds}")
+
+
 # ---------------------------------------------------------------------------
 # three-sum theorems
 # ---------------------------------------------------------------------------
@@ -330,6 +366,12 @@ BAD_VALUES = {
     "helly-inf": lambda ball: verify_helly(ball, [Vec2(1.0, -math.inf)] * 3, True),
     "helly-float-and-huge-rational": lambda ball: verify_helly(ball, [Vec2(0.5, F(10**401))] * 3, False),
     "corollary-ints": lambda ball: corollary_check(ball, [1, 2, 3, 4, 5], 5),
+    # a halfplane direction must be a vector of finite numbers too
+    "theorem1-str-direction": lambda ball: verify_theorem1(ball, [Vec2(1, 1)], Vec2("0", "1")),
+    "theorem1-nan-direction": lambda ball: verify_theorem1(ball, [Vec2(1, 1)], Vec2(math.nan, 1.0)),
+    "certificate-str-direction": lambda ball: halfplane_certificate(ball, [Vec2(1, 1)], Vec2(0, "1")),
+    "certificate-nan-direction": lambda ball: halfplane_certificate(ball, [Vec2(1, 1)], Vec2(0.0, math.nan)),
+    "theorem1-tuple-direction": lambda ball: verify_theorem1(ball, [Vec2(1, 1)], (0, 1)),
     "lemma-conv-ints": lambda ball: lemma_conv_check(ball, [1, 2, 3]),
 }
 
