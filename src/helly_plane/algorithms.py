@@ -25,7 +25,7 @@ from .errors import (
 )
 from .generators import seeded_rng
 from .geometry import Family
-from .norms import SubsetSums, UnitBall, edge_functionals, gauge
+from .norms import SubsetSums, UnitBall, edge_functionals, gauge, shared_edge_value
 from .scalars import DEFAULT_TOL, Scalar, check_tol, eq, ge
 from .vectors import Vec2, VectorMultiset, vsum
 
@@ -192,7 +192,7 @@ def choose_signs(
 
 
 _GRID = 10**6  # make_generic samples offsets on a grid of step radius / _GRID
-_MAX_TRIES = 10_000  # and gives up on a vector after this many samples
+_MAX_TRIES = 10_000  # and gives up after this many draws of the whole family
 
 
 def _grid_fraction(rng: random.Random, radius: Fraction) -> Fraction:
@@ -213,9 +213,10 @@ def make_generic(
     values under any pair of edge functionals. In particular all 3-sum and
     5-sum gauges are pairwise distinct, which is verified before returning.
 
-    Rejection-samples each vector on a fine rational grid; the bad set is a
-    finite union of lines, so a handful of tries suffices, but a retry
-    budget turns any surprise into SamplingExhausted instead of a hang.
+    Draws the whole family on a fine rational grid and keeps it when no two
+    subsets share a value (`shared_edge_value`); the bad set is a finite
+    union of lines, so the first draw almost always passes, but a budget of
+    draws turns any surprise into SamplingExhausted instead of a hang.
     """
     if not ball.is_polygonal:
         raise NotPolygonal("general-position perturbation needs a polygonal ball")
@@ -233,49 +234,18 @@ def make_generic(
             raise EpsilonTooLarge(
                 f"eps-neighbourhood of vector {i} does not stay inside the ball"
             )
-    normals = edge_functionals(ball)
-    coeff_bound = max(abs(n.x) + abs(n.y) for n in normals)
+    coeff_bound = max(abs(n.x) + abs(n.y) for n in edge_functionals(ball))
     radius = eps / (2 * coeff_bound)  # sup-ball of this radius has gauge <= eps/2
     rng = seeded_rng(seed)
-
-    # value -> subset over everything committed so far; a collision between
-    # different subsets is exactly a violation of the genericity conditions
-    committed: dict[Scalar, frozenset[int]] = {0: frozenset()}
-    presums: dict[frozenset[int], Vec2] = {frozenset(): Vec2(0, 0)}
-    chosen: list[Vec2] = []
-    for i in range(len(vs)):
-        center = vs[i].scale(lam)
-        extendable = [s for s in presums if len(s) <= 4]
-        for _ in range(_MAX_TRIES):
-            cand = center + Vec2(_grid_fraction(rng, radius), _grid_fraction(rng, radius))
-            fresh: dict[Scalar, frozenset[int]] = {}
-            ok = True
-            for s in extendable:
-                subset = s | {i}
-                total = presums[s] + cand
-                for n in normals:
-                    val = n.dot(total)
-                    owner = committed.get(val)
-                    if owner is None:
-                        owner = fresh.get(val)
-                    if owner is not None and owner != subset:
-                        ok = False
-                        break
-                    fresh[val] = subset
-                if not ok:
-                    break
-            if ok:
-                committed.update(fresh)
-                for s in extendable:
-                    if len(s) <= 3:
-                        presums[s | {i}] = presums[s] + cand
-                chosen.append(cand)
-                break
-        else:
-            raise SamplingExhausted(f"no valid perturbation found for vector {i}")
-    out = tuple(chosen)
-    _check_generic(ball, vs, out, lam, eps)
-    return out
+    centers = [v.scale(lam) for v in vs]
+    for _ in range(_MAX_TRIES):
+        out = tuple([c + Vec2(_grid_fraction(rng, radius), _grid_fraction(rng, radius)) for c in centers])
+        shared = shared_edge_value(ball, out, 5)
+        if shared is None:
+            _check_generic(ball, vs, out, lam, eps)
+            return out
+    a, b = shared
+    raise SamplingExhausted(f"subsets {a} and {b} share an edge value in all {_MAX_TRIES} draws")
 
 
 def _check_generic(

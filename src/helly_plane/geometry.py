@@ -111,10 +111,14 @@ class Family(Sequence):
         return Family.from_lattice(pts, self.scale)
 
     def floats(self) -> list[tuple[float, float]]:
-        """The coordinates as floats, each rounded once from its exact value."""
+        """The coordinates as floats, each rounded once from its exact value;
+        a rational past float range is a `BadInput`."""
         if self.scale is None:
             return self.pts
-        return [(x / self.scale, y / self.scale) for x, y in self.pts]
+        try:
+            return [(x / self.scale, y / self.scale) for x, y in self.pts]
+        except OverflowError:  # int / int past float range
+            raise BadInput("a rational coordinate past float range") from None
 
     def lattice_sum(self, subset: Iterable[int]) -> tuple[Scalar, Scalar]:
         """The sum of the indexed vectors on the lattice: integers over
@@ -166,7 +170,7 @@ def dots(u: Vec2, pts: Sequence[tuple], scale: Optional[int]) -> list[Scalar]:
     if u_scale is not None:
         return [ux * x + uy * y for x, y in pts]
     if scale is not None:
-        pts = [(x / scale, y / scale) for x, y in pts]
+        pts = Family.from_lattice(pts, scale).floats()
     return [ux * x + uy * y for x, y in pts]
 
 

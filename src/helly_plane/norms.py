@@ -272,12 +272,15 @@ def square_ball() -> UnitBall:
 
 
 def gauge(ball: UnitBall, z: Vec2) -> Scalar:
-    """The norm of z: gauge(z) <= 1 exactly when z is in the ball."""
-    if ball.kind == EUCLIDEAN:
-        return math.hypot(float(z.x), float(z.y))
+    """The norm of z: gauge(z) <= 1 exactly when z is in the ball (a rational
+    z rounded to floats past float range is a `BadInput`)."""
     x, y = z.x, z.y
-    if ball.normals is None or is_float(x, y):
-        return float_norm(ball)(float(x), float(y))
+    if ball.normals is None or is_float(x, y):  # the Euclidean ball has no normals
+        try:
+            x, y = float(x), float(y)
+        except OverflowError:
+            raise BadInput("a rational coordinate past float range") from None
+        return float_norm(ball)(x, y)
     b, d = x.denominator, y.denominator
     nx, ny = x.numerator * d, y.numerator * b  # z == (nx, ny) / (b * d)
     return Fraction(max(p * nx + q * ny for p, q in ball.normals), ball.den * b * d)
@@ -356,7 +359,7 @@ class SubsetSums:
         """(subset, rel(gauge of the subset's vector sum, 1, tol)) for each
         subset; `rel` is one of the `scalars` comparisons."""
         if not self._exact:
-            return ((t, rel(g, 1, tol)) for t, g in self._float_walk(subsets))
+            return ((t, rel(g, 1, tol)) for t, g in self.gauges(subsets))
         # for ints rel(m, d) is rel(sign(m - d), 0): ask it once per sign
         lo, mid, hi = rel(-1, 0, tol), rel(0, 0, tol), rel(1, 0, tol)
         if lo != hi and mid in (lo, hi):  # one mask: m > d, or m >= d
@@ -374,7 +377,7 @@ class SubsetSums:
         `Fraction` per rational gauge, bit for bit what
         `gauge(ball, vsum(...))` gives."""
         if not self._exact:
-            return self._float_walk(subsets)
+            return _float_walk(self._pts, self._scale, subsets, float_norm(self._ball))
         ts, sums = self._sums(subsets)
         mask, shifts = self._mask, self._shifts
         # every lane holds m_e + 2^w - 1 - d, the offset in each lane of the top
@@ -418,11 +421,14 @@ class SubsetSums:
         self._unit, self._guard, self._top = unit, unit << w, unit * ((1 << w) - 1 - d)
         self._mask, self._cap = (1 << w + 1) - 1, k
 
-    def _float_walk(self, subsets: Union[int, Iterable[Sequence[int]]]):
-        ball, pts, den = self._ball, self._pts, self._scale
-        if isinstance(subsets, int):
-            subsets = combinations(range(len(pts)), subsets)
-        norm = float_norm(ball)
+
+def _float_walk(pts: Sequence[tuple], den: Optional[int], subsets: Union[int, Iterable], f: Callable):
+    """(t, f(x, y)) for each subset t, (x, y) its sum in floats: float pairs
+    added left to right from 0 in index order, integer pairs over `den`
+    summed exactly and rounded once (past float range, a `BadInput`)."""
+    if isinstance(subsets, int):
+        subsets = combinations(range(len(pts)), subsets)
+    try:
         for t in subsets:
             # `Family.lattice_sum` inlined: a call per subset costs a third
             # of the walk on float data
@@ -431,10 +437,33 @@ class SubsetSums:
                 x, y = pts[i]
                 sx += x
                 sy += y
-            if den is None:
-                yield t, norm(sx, sy)
-            else:
-                yield t, norm(sx / den, sy / den)
+            yield t, f(sx, sy) if den is None else f(sx / den, sy / den)
+    except OverflowError:  # only int / int raises here
+        raise BadInput("a rational sum past float range") from None
+
+
+def shared_edge_value(ball: UnitBall, vectors: Sequence[Vec2], k: int) -> Optional[tuple]:
+    """Two distinct subsets of at most k of the vectors (the empty one too)
+    whose sums share a value under the edge functionals, the first pair in
+    `combinations` order by size, or None. The values are `n.dot(vsum(...))`:
+    the ints P·SX + Q·SY over one lattice on rational data (each edge's
+    values summed in C), else the float normals at the float walk's sums."""
+    fam = Family(vectors)
+    pts, scale, sizes = fam.pts, fam.scale, range(k + 1)
+    subsets = [t for j in sizes for t in combinations(range(len(pts)), j)]
+    if scale is not None and ball.normals is not None:
+        cols = [[p * x + q * y for x, y in pts] for p, q in ball.normals]
+        values = zip(*[[s for j in sizes for s in map(sum, combinations(col, j))] for col in cols])
+    else:
+        rows = ball.float_normals  # none on the Euclidean ball
+        walk = _float_walk(pts, scale, subsets, lambda x, y: [p * x + q * y for p, q in rows])
+        values = (v for _, v in walk)
+    owner: dict = {}
+    for t, vs in zip(subsets, values):
+        for v in vs:
+            if owner.setdefault(v, t) != t:
+                return owner[v], t
+    return None
 
 
 def supporting_functional(

@@ -31,6 +31,11 @@ crossings with the boundary, edge by edge) and `boundary_neighbours` (a
 collinearity-and-betweenness search) are the former segment geometry of
 `symmetry`, the references for its chord rule and its edge neighbours.
 
+`ref_make_generic` is the library's former general-position search, which
+sampled one vector at a time against dicts of `Fraction` (or float) keys;
+wherever it accepted each vector's first candidate, `make_generic` must
+return the same family.
+
 `VerifyReport` and `is_centrally_symmetric` are the library's former eager
 report and vertex-set symmetry test, copied verbatim: the reference
 verifiers construct the report, and the symmetry decision the compiler
@@ -54,19 +59,24 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Sequence
 
+from helly_plane.algorithms import _MAX_TRIES, _check_generic, _grid_fraction
 from helly_plane.errors import (
     BadInput,
     BadK,
+    EpsilonTooLarge,
     EvenCardinality,
     HypothesisFailed,
     NotConvexBody,
     NotOnBoundary,
+    NotPolygonal,
     NotSymmetric,
     PreconditionFailed,
+    SamplingExhausted,
     TheoremFalsified,
     TooFew,
     ZeroDirection,
 )
+from helly_plane.generators import seeded_rng
 from helly_plane.geometry import Family
 from helly_plane.norms import (
     EUCLIDEAN,
@@ -820,3 +830,76 @@ def ref_gallery_payload(case) -> dict:
 def ref_digest(payload) -> str:
     text = json.dumps(payload, sort_keys=True, separators=(",", ":"), default=str)
     return hashlib.sha256(text.encode()).hexdigest()[:12]
+
+
+# The library's former general-position search, verbatim apart from its
+# name; it shares `_grid_fraction`, `_MAX_TRIES` and `_check_generic` with
+# the library.
+
+
+def ref_make_generic(
+    ball: UnitBall,
+    vectors: VectorMultiset,
+    lam: Scalar,
+    eps: Scalar,
+    seed: int,
+) -> tuple[Vec2, ...]:
+    if not ball.is_polygonal:
+        raise NotPolygonal("general-position perturbation needs a polygonal ball")
+    try:
+        lam, eps = Fraction(lam), Fraction(eps)
+    except (TypeError, ValueError, OverflowError):  # not a finite number
+        raise BadInput(f"lambda and epsilon must be finite numbers; got {lam!r}, {eps!r}") from None
+    if not 0 < lam < 1:
+        raise BadInput(f"lambda must be in (0, 1); got {lam}")
+    if eps <= 0:
+        raise BadInput(f"epsilon must be positive; got {eps}")
+    vs = Family(vectors)
+    for i, v in enumerate(vs):
+        if lam * gauge(ball, v) + eps >= 1:
+            raise EpsilonTooLarge(
+                f"eps-neighbourhood of vector {i} does not stay inside the ball"
+            )
+    normals = edge_functionals(ball)
+    coeff_bound = max(abs(n.x) + abs(n.y) for n in normals)
+    radius = eps / (2 * coeff_bound)  # sup-ball of this radius has gauge <= eps/2
+    rng = seeded_rng(seed)
+
+    # value -> subset over everything committed so far; a collision between
+    # different subsets is exactly a violation of the genericity conditions
+    committed: dict[Scalar, frozenset[int]] = {0: frozenset()}
+    presums: dict[frozenset[int], Vec2] = {frozenset(): Vec2(0, 0)}
+    chosen: list[Vec2] = []
+    for i in range(len(vs)):
+        center = vs[i].scale(lam)
+        extendable = [s for s in presums if len(s) <= 4]
+        for _ in range(_MAX_TRIES):
+            cand = center + Vec2(_grid_fraction(rng, radius), _grid_fraction(rng, radius))
+            fresh: dict[Scalar, frozenset[int]] = {}
+            ok = True
+            for s in extendable:
+                subset = s | {i}
+                total = presums[s] + cand
+                for n in normals:
+                    val = n.dot(total)
+                    owner = committed.get(val)
+                    if owner is None:
+                        owner = fresh.get(val)
+                    if owner is not None and owner != subset:
+                        ok = False
+                        break
+                    fresh[val] = subset
+                if not ok:
+                    break
+            if ok:
+                committed.update(fresh)
+                for s in extendable:
+                    if len(s) <= 3:
+                        presums[s | {i}] = presums[s] + cand
+                chosen.append(cand)
+                break
+        else:
+            raise SamplingExhausted(f"no valid perturbation found for vector {i}")
+    out = tuple(chosen)
+    _check_generic(ball, vs, out, lam, eps)
+    return out

@@ -4,7 +4,8 @@ The integer edge normals, their common denominator, their float copies
 and the integer vertex cycle are the kernel's own format, and so are the
 packed lanes of `SubsetSums` and a ball's lane constants. Every other
 module asks `norms` instead (`gauge`, `SubsetSums.tests`/`.gauges`,
-`edge_functionals`, `lattice_vertices`, `lattice_in_ball`), so the edge functionals keep one form outside it.
+`shared_edge_value`, `edge_functionals`, `lattice_vertices`,
+`lattice_in_ball`), so the edge functionals keep one form outside it.
 A ball's vertex cycle is a `Family`: other modules may read its vectors,
 its JSON and its floats, but its lattice form (`.vertices.pts`,
 `.vertices.scale`) only through `lattice_vertices`.
