@@ -229,6 +229,8 @@ def make_generic(
     if eps <= 0:
         raise BadInput(f"epsilon must be positive; got {eps}")
     vs = Family(vectors)
+    if vs.scale is None:  # any float coordinate: every output vector is float
+        vs = Family.from_lattice(vs.pts, None)
     for i, v in enumerate(vs):
         if lam * gauge(ball, v) + eps >= 1:
             raise EpsilonTooLarge(

@@ -348,7 +348,7 @@ def _check_signs(cfg: SuiteConfig, inst: Instance) -> tuple:
 
 def _draw_generic(cfg: SuiteConfig, rng: random.Random, index: int, balls: _Balls) -> Instance:
     ball = balls(rng)
-    vectors = gen_unit_vectors(ball, rng.randint(1, 7), rng.getrandbits(32))
+    vectors = _as_mode(gen_unit_vectors(ball, rng.randint(1, 7), rng.getrandbits(32)), cfg.mode)
     lam, eps = Fraction(rng.choice([90, 95, 99]), 100), Fraction(1, 1000)
     extra = {"lam": f'"{lam!s}"', "eps": f'"{eps!s}"'}
     return _on_ball(ball, vectors, extra, data=(lam, eps, rng.getrandbits(32)))

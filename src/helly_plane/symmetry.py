@@ -3,10 +3,12 @@
 For a convex polygon with the origin strictly inside, symmetry about the
 origin is equivalent to two boundary-sum conditions; for an asymmetric body
 both finders below walk candidate triples and return the first one their
-verifier accepts. A body (a float one as the polygon its floats denote) is
-compiled like a unit ball, so "inside" and "on the boundary" are decided by
-its exact gauge, and every boundary point a finder builds is read off its
-edge functionals: a chord's two ends, or a boundary point's edge.
+verifier accepts: a counterexample to T1 at n = 3 on the body's own gauge,
+or a triple around the origin whose sum has gauge > 1. A body (a float one
+as the polygon its floats denote) is compiled like a unit ball, so "inside"
+and "on the boundary" are decided by its exact gauge, and every boundary
+point a finder builds is read off its edge functionals: a chord's two
+ends, or a boundary point's edge.
 """
 
 from __future__ import annotations
@@ -17,10 +19,12 @@ from fractions import Fraction
 from typing import Callable, Iterator, Optional, Sequence
 
 from .errors import SearchBudgetExceeded
-from .geometry import origin_position
+from .geometry import Family, origin_position
 from .norms import (
-    ConvexBody, boundary_point, edge_functionals, gauge, lattice_vertices, make_convex_body,
+    ConvexBody, SubsetSums, boundary_point, edge_functionals, lattice_vertices, make_convex_body,
 )
+from .scalars import eq, gt
+from .theorems import verify_theorem1
 from .vectors import Vec2
 
 # halvings of the step a finder tries per chord before moving on
@@ -36,10 +40,10 @@ class WitnessKind(Enum):
 class ViolationWitness:
     """Three boundary points whose sum h sits on the wrong side of the body.
 
-    HALFPLANE_INTERIOR_SUM: a, b, c share a closed halfplane bounded by a
-    line through the origin, yet h = a+b+c is strictly inside the body.
+    HALFPLANE_INTERIOR_SUM, a T1 counterexample: a, b, c share a closed
+    halfplane bounded through the origin, yet h = a+b+c is strictly inside.
     SURROUNDING_EXTERIOR_SUM: the origin is strictly inside conv{a, b, c},
-    yet h is not strictly inside the body.
+    yet h is strictly outside the body, gauge(h) > 1.
     """
 
     a: Vec2
@@ -84,15 +88,6 @@ def _asymmetric_chords(body: ConvexBody):
             yield far, near
 
 
-def _strictly_inside(body: ConvexBody, z: Vec2) -> bool:
-    return gauge(body, z) < 1
-
-
-def _surrounds_origin(a: Vec2, b: Vec2, c: Vec2) -> bool:
-    """Whether the origin is strictly inside the triangle abc."""
-    return origin_position([(p.x, p.y) for p in (a, b, c)]) == 1
-
-
 def _boundary_neighbours(body: ConvexBody, p: Vec2) -> list[Vec2]:
     """The boundary points adjacent to p along its edge(s), one per side, the
     next vertex first: then the previous vertex of a vertex p, else the start
@@ -114,37 +109,39 @@ def _exact_body(body: ConvexBody) -> ConvexBody:
     return make_convex_body([Vec2(Fraction(x), Fraction(y)) for x, y in body.vertices.floats()])
 
 
-def _witness_basics(body: ConvexBody, w: ViolationWitness) -> bool:
-    if len({(p.x, p.y) for p in (w.a, w.b, w.c)}) != 3:
-        return False
-    for p in (w.a, w.b, w.c):
-        if gauge(body, p) != 1:
-            return False
-    return (w.a + w.b + w.c - w.h).is_zero()
+def _triple(w: ViolationWitness, kind: WitnessKind) -> Optional[Family]:
+    """The `Family` of a, b, c if w is of `kind`, with three distinct points
+    and h = a + b + c (read on the lattice of all four), else None."""
+    fam = Family((w.a, w.b, w.c, w.h))
+    if w.kind is kind and len(set(fam.pts[:3])) == 3 and fam.lattice_sum(range(3)) == fam.pts[3]:
+        return Family.from_lattice(fam.pts[:3], fam.scale)
+    return None
 
 
 def verify_halfplane_witness(body: ConvexBody, w: ViolationWitness) -> bool:
-    """Re-check a halfplane witness from scratch with the exact predicates,
-    the sum first: one gauge rejects most of a finder's candidates."""
-    # a common closed halfplane bounded through the origin exists exactly
-    # when the origin is not strictly inside conv{a, b, c}
-    body = _exact_body(body)
-    return (
-        w.kind is WitnessKind.HALFPLANE_INTERIOR_SUM
-        and _strictly_inside(body, w.h)
-        and not _surrounds_origin(w.a, w.b, w.c)
-        and _witness_basics(body, w)
-    )
+    """Re-check a halfplane witness from scratch, exactly (tol 0), as a T1
+    counterexample. A closed halfplane through the origin holding a, b, c
+    turns until its boundary meets the first of them counterclockwise, p,
+    with the rest at angles [0, π] past p: so u ranges over a⊥, b⊥, c⊥."""
+    body, vs = _exact_body(body), _triple(w, WitnessKind.HALFPLANE_INTERIOR_SUM)
+    if vs is None:
+        return False
+    reports = (verify_theorem1(body, vs, p.perp(), 0.0) for p in vs if not p.is_zero())
+    return any(r.hypothesis_holds and not r.conclusion_holds for r in reports)
 
 
 def verify_surrounding_witness(body: ConvexBody, w: ViolationWitness) -> bool:
-    """Re-check a surrounding witness from scratch with the exact predicates."""
-    body = _exact_body(body)
+    """Re-check a surrounding witness from scratch on one packing of a, b, c:
+    the sum strictly outside (which rejects most candidates), each point on
+    the boundary, and the origin strictly inside conv{a, b, c}."""
+    body, vs = _exact_body(body), _triple(w, WitnessKind.SURROUNDING_EXTERIOR_SUM)
+    if vs is None:
+        return False
+    sums = SubsetSums(body, vs)
     return (
-        w.kind is WitnessKind.SURROUNDING_EXTERIOR_SUM
-        and not _strictly_inside(body, w.h)
-        and _surrounds_origin(w.a, w.b, w.c)
-        and _witness_basics(body, w)
+        all(ok for _, ok in sums.tests(3, gt, 0.0))
+        and all(ok for _, ok in sums.tests(1, eq, 0.0))
+        and origin_position(vs.pts) == 1
     )
 
 

@@ -46,6 +46,12 @@ digested before each instance wrote its canonical text directly:
 `ref_family_to_json` and `ref_ball_to_json` (the former `Family.to_json`
 and `ball_to_json` bodies), the `_on_ball`, claim1, symmetry and gallery
 payloads, and `ref_digest`, which printed a payload with `json.dumps`.
+
+`ref_verify_halfplane_witness` and `ref_verify_surrounding_witness` are
+the library's former symmetry witness verifiers with their helpers. The
+finders must return the first candidate these accept, except that the
+former surrounding rule also took a sum on the boundary, which the
+library now refuses.
 """
 
 import functools
@@ -77,7 +83,7 @@ from helly_plane.errors import (
     ZeroDirection,
 )
 from helly_plane.generators import seeded_rng
-from helly_plane.geometry import Family
+from helly_plane.geometry import Family, origin_position
 from helly_plane.norms import (
     EUCLIDEAN,
     POLYGONAL,
@@ -91,6 +97,7 @@ from helly_plane.norms import (
 from helly_plane.scalars import (
     DEFAULT_TOL, Scalar, check_tol, eq, format_ratio, format_scalar, ge, gt, le, sgn,
 )
+from helly_plane.symmetry import ViolationWitness, WitnessKind, _exact_body
 from helly_plane.theorems import Certificate, KSum
 from helly_plane.vectors import ORIGIN, Vec2, VectorMultiset, vsum
 
@@ -903,3 +910,52 @@ def ref_make_generic(
     out = tuple(chosen)
     _check_generic(ball, vs, out, lam, eps)
     return out
+
+
+# The library's former symmetry witness verifiers and their three helpers,
+# verbatim apart from the ref_ names: "inside" by one gauge per point,
+# "surrounds" by `origin_position` on the `Fraction` pairs, and a
+# surrounding sum accepted when it is merely not strictly inside.
+
+
+def ref_strictly_inside(body: ConvexBody, z: Vec2) -> bool:
+    return gauge(body, z) < 1
+
+
+def ref_surrounds_origin(a: Vec2, b: Vec2, c: Vec2) -> bool:
+    """Whether the origin is strictly inside the triangle abc."""
+    return origin_position([(p.x, p.y) for p in (a, b, c)]) == 1
+
+
+def ref_witness_basics(body: ConvexBody, w: ViolationWitness) -> bool:
+    if len({(p.x, p.y) for p in (w.a, w.b, w.c)}) != 3:
+        return False
+    for p in (w.a, w.b, w.c):
+        if gauge(body, p) != 1:
+            return False
+    return (w.a + w.b + w.c - w.h).is_zero()
+
+
+def ref_verify_halfplane_witness(body: ConvexBody, w: ViolationWitness) -> bool:
+    """Re-check a halfplane witness from scratch with the exact predicates,
+    the sum first: one gauge rejects most of a finder's candidates."""
+    # a common closed halfplane bounded through the origin exists exactly
+    # when the origin is not strictly inside conv{a, b, c}
+    body = _exact_body(body)
+    return (
+        w.kind is WitnessKind.HALFPLANE_INTERIOR_SUM
+        and ref_strictly_inside(body, w.h)
+        and not ref_surrounds_origin(w.a, w.b, w.c)
+        and ref_witness_basics(body, w)
+    )
+
+
+def ref_verify_surrounding_witness(body: ConvexBody, w: ViolationWitness) -> bool:
+    """Re-check a surrounding witness from scratch with the exact predicates."""
+    body = _exact_body(body)
+    return (
+        w.kind is WitnessKind.SURROUNDING_EXTERIOR_SUM
+        and not ref_strictly_inside(body, w.h)
+        and ref_surrounds_origin(w.a, w.b, w.c)
+        and ref_witness_basics(body, w)
+    )

@@ -193,6 +193,13 @@ def test_generic_five_vectors_distinct_gauges(square):
         assert gauge(square, u) < 1
 
 
+def test_generic_family_with_a_float_coordinate_is_perturbed_as_floats(square):
+    # one float coordinate makes the whole family float, as `Family` reads it
+    [u] = make_generic(square, [Vec2(0, 0.5)], F(1, 2), F(1, 100), seed=1)
+    assert type(u.x) is float and type(u.y) is float
+    assert make_generic(square, [Vec2(0.0, 0.5)], F(1, 2), F(1, 100), seed=1) == (u,)
+
+
 def test_generic_epsilon_too_large(square):
     with pytest.raises(EpsilonTooLarge):
         make_generic(square, [Vec2(0, 1)], F(99, 100), F(1, 2), seed=1)

@@ -21,7 +21,14 @@ from helly_plane.geometry import Family
 from helly_plane.norms import SubsetSums, gauge, square_ball
 from helly_plane.scalars import le
 from helly_plane.suites import SuiteConfig, draw_instance, run_suite
-from helly_plane.symmetry import ViolationWitness, find_violation_halfplane, make_convex_body
+from helly_plane.symmetry import (
+    ViolationWitness,
+    find_violation_halfplane,
+    find_violation_surrounding,
+    make_convex_body,
+    verify_halfplane_witness,
+    verify_surrounding_witness,
+)
 from helly_plane.theorems import VerifyReport
 from helly_plane.vectors import Vec2
 
@@ -199,13 +206,20 @@ def test_two_subsets_sharing_a_sum_norm_are_theorem_falsified(monkeypatch):
 # the symmetry witness re-check
 # ---------------------------------------------------------------------------
 
-def test_witness_basics_refuses_repeated_points_and_points_off_the_boundary():
+def test_witness_verifiers_refuse_repeated_points_points_off_the_boundary_and_a_wrong_sum():
     body = make_convex_body([Vec2(2, -1), Vec2(-2, -1), Vec2(0, 2)])
-    w = find_violation_halfplane(body)
-    assert symmetry._witness_basics(body, w)
-    repeated = ViolationWitness(w.a, w.a, w.c, w.a + w.a + w.c, w.kind)
-    assert not symmetry._witness_basics(body, repeated)
-    # a halved: three distinct points summing to h, one of gauge 1/2
-    inside = ViolationWitness(w.a.scale(F(1, 2)), w.b, w.c, w.a.scale(F(1, 2)) + w.b + w.c, w.kind)
-    assert gauge(body, inside.a) == F(1, 2)
-    assert not symmetry._witness_basics(body, inside)
+    for find, verify in [
+        (find_violation_halfplane, verify_halfplane_witness),
+        (find_violation_surrounding, verify_surrounding_witness),
+    ]:
+        w = find(body)
+        assert verify(body, w)
+        repeated = ViolationWitness(w.a, w.a, w.c, w.a + w.a + w.c, w.kind)
+        assert not verify(body, repeated)
+        # a halved: three distinct points summing to h, one of gauge 1/2
+        halved = w.a.scale(F(1, 2))
+        inside = ViolationWitness(halved, w.b, w.c, halved + w.b + w.c, w.kind)
+        assert gauge(body, inside.a) == F(1, 2)
+        assert not verify(body, inside)
+        # the finder's points with an h that is not their sum
+        assert not verify(body, dataclasses.replace(w, h=w.h + Vec2(0, F(1, 1000))))

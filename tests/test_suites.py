@@ -101,6 +101,17 @@ def test_float_mode_runs():
     assert report.failures == 0
 
 
+@pytest.mark.parametrize("source", ["random", "maxnorm"])
+def test_generic_float_mode_perturbs_float_families(source):
+    exact, floats = [
+        run_suite(SuiteConfig("generic", 40, 3, mode, ball_source=source)) for mode in ("exact", "float")
+    ]
+    assert exact.passes == floats.passes == 40
+    assert all(a.digest != b.digest for a, b in zip(exact.records, floats.records))
+    inst = suites.draw_instance(floats.config, 0, floats.balls)
+    assert all(type(c) is float for v in inst.vectors for c in (v.x, v.y))
+
+
 def test_thm3_includes_collinear_trials():
     report = run_suite(SuiteConfig(suite="thm3", trials=20, seed=9))
     collinear = [r for r in report.records if "collinear" in r.detail]

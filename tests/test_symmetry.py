@@ -1,5 +1,7 @@
 import random
+from collections import Counter
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import assume, event, given, settings
@@ -14,9 +16,13 @@ from helly_plane.generators import (
 )
 from helly_plane.norms import ConvexBody, UnitBall, boundary_point, compile_lattice, edge_functionals, gauge
 from helly_plane.symmetry import (
+    ViolationWitness,
     WitnessKind,
     _boundary_neighbours,
     _chord_ends,
+    _exact_body,
+    _halfplane_candidates,
+    _surrounding_candidates,
     find_violation_halfplane,
     find_violation_surrounding,
     is_centrally_symmetric,
@@ -107,13 +113,16 @@ def test_witness_verifiers_reject_wrong_kind(triangle_body):
 
 
 def test_square_surrounded_triple_touches_boundary(square_body, square):
-    # for a symmetric body a surrounded boundary triple can sum onto the
-    # boundary, which is why "not strictly inside" is the right predicate
+    # on a symmetric body a surrounded boundary triple can sum onto the
+    # boundary: the paper's condition keeps such sums in the closed body, so
+    # a surrounding witness needs its sum strictly outside
     a, b, c = Vec2(1, 1), Vec2(-1, 1), Vec2(0, -1)
     h = a + b + c
     assert h == Vec2(0, 1)
     assert ray_gauge(square_body, h) == 1
     assert lemma_conv_check(square, (a, b, c)) == (True, True)
+    w = ViolationWitness(a, b, c, h, WitnessKind.SURROUNDING_EXTERIOR_SUM)
+    assert not verify_surrounding_witness(square_body, w)
 
 
 def test_agreement_on_test_corpus():
@@ -176,6 +185,8 @@ def test_symmetric_closed_sum_property():
                 continue
             checked += 1
             assert gauge(ball, a + b + c) <= 1
+            w = ViolationWitness(a, b, c, a + b + c, WitnessKind.SURROUNDING_EXTERIOR_SUM)
+            assert not verify_surrounding_witness(body, w)
     assert checked > 100
 
 
@@ -195,7 +206,74 @@ def test_halfplane_triples_on_symmetric_body_never_sum_inside():
                 continue
             checked += 1
             assert ray_gauge(body, a + b + c) >= 1
+            w = ViolationWitness(a, b, c, a + b + c, WitnessKind.HALFPLANE_INTERIOR_SUM)
+            assert not verify_halfplane_witness(body, w)
     assert checked > 100
+
+
+def _first_accepted(body, candidates, verify):
+    return next(w for w in candidates(body) if verify(body, w))
+
+
+def _outside_and_formerly_accepted(body, w):
+    return oracles.ref_verify_surrounding_witness(body, w) and gauge(body, w.h) > 1
+
+
+def _finders_match_the_former_verifiers(body) -> bool:
+    """The finders return the first candidate the former verifiers accept, a
+    surrounding one with its sum strictly outside: the former rule also
+    took a sum on the boundary. Whether the former rule's own first
+    surrounding pick is the finder's."""
+    assert not is_centrally_symmetric(body)
+    exact = _exact_body(body)
+    halfplane = _first_accepted(exact, _halfplane_candidates, oracles.ref_verify_halfplane_witness)
+    former = _first_accepted(exact, _surrounding_candidates, oracles.ref_verify_surrounding_witness)
+    surrounding = former
+    if gauge(exact, former.h) == 1:
+        surrounding = _first_accepted(exact, _surrounding_candidates, _outside_and_formerly_accepted)
+    assert find_violation_halfplane(body) == halfplane
+    assert find_violation_surrounding(body) == surrounding
+    return former == surrounding
+
+
+def test_finders_return_the_first_candidate_the_former_verifiers_accept():
+    # the T1 reading of a halfplane witness and the strict surrounding rule
+    # pick the former verifiers' first candidate on every generated body
+    bodies = [gen_asymmetric_body(seed) for seed in range(200)]
+    bodies += [_float_copy(gen_asymmetric_body(seed)) for seed in range(50)]
+    assert all([_finders_match_the_former_verifiers(body) for body in bodies])
+
+
+def test_witness_verifiers_agree_with_the_former_ones_on_boundary_triples():
+    # every triple of vertices and edge midpoints: the two rules part only
+    # on a surrounding triple whose sum lies on the boundary
+    kinds = [
+        (WitnessKind.HALFPLANE_INTERIOR_SUM, verify_halfplane_witness, oracles.ref_verify_halfplane_witness),
+        (WitnessKind.SURROUNDING_EXTERIOR_SUM, verify_surrounding_witness, oracles.ref_verify_surrounding_witness),
+    ]
+    seen = Counter()
+    for seed in range(6):
+        body = gen_asymmetric_body(seed)
+        verts = list(body.vertices)
+        points = verts + [(p + q).scale(F(1, 2)) for p, q in zip(verts, verts[1:] + verts[:1])]
+        for a, b, c in combinations(points, 3):
+            touches = gauge(body, a + b + c) == 1
+            for kind, verify, former in kinds:
+                w = ViolationWitness(a, b, c, a + b + c, kind)
+                got, was = verify(body, w), former(body, w)
+                assert got == (was and not (kind is WitnessKind.SURROUNDING_EXTERIOR_SUM and touches))
+                seen[kind, got, was] += 1
+    assert min(seen.values()) >= 5 and len(seen) == 5, seen
+
+
+def test_surrounding_finder_skips_a_triple_summing_onto_the_boundary():
+    # the former rule's first pick on this triangle sums onto the boundary,
+    # which a symmetric body allows too; the finder goes on to a sum outside
+    body = make_convex_body([Vec2(F(-5, 3), F(1, 2)), Vec2(1, -3), Vec2(1, F(8, 3))])
+    assert not _finders_match_the_former_verifiers(body)
+    former = _first_accepted(body, _surrounding_candidates, oracles.ref_verify_surrounding_witness)
+    assert gauge(body, former.h) == 1 and not verify_surrounding_witness(body, former)
+    assert gauge(body, find_violation_surrounding(body).h) == F(199, 178)
 
 
 # rational convex bodies of 3 to 8 points, off any generator's grid; small
@@ -230,6 +308,13 @@ def _inside_point(body, d, level):
         return ORIGIN
     w = max(body.vertices, key=lambda v: d.cross(v) * level)
     return w.scale(level / d.cross(w))
+
+
+@settings(max_examples=60, deadline=None)
+@given(body=_bodies())
+def test_finders_match_the_former_verifiers_on_drawn_bodies(body):
+    assume(not is_centrally_symmetric(body))
+    event(f"former surrounding pick kept: {_finders_match_the_former_verifiers(body)}")
 
 
 @settings(max_examples=30, deadline=None)
