@@ -52,14 +52,13 @@ class RotationStep:
 class RotationTrace:
     """n+1 snapshots (initial state plus one per pinned vector).
 
-    The norm sequence is non-increasing; the last snapshot has every vector
-    at (1,0) or (-1,0), so the final norm is an odd nonnegative integer.
-    All coordinates live in the rotated frame where the halfplane direction
-    is (0,1).
+    The norm sequence is non-increasing up to rounding; the last snapshot
+    has every vector at (1,0) or (-1,0), so the final norm is an odd
+    nonnegative integer, and its `total` is the final sum. All coordinates
+    live in the rotated frame where the halfplane direction is (0,1).
     """
 
     steps: list[RotationStep]
-    final_sum: Vec2
 
 
 @dataclass
@@ -70,9 +69,19 @@ class SignVector:
     odd_subsets_checked: int
 
 
-def _rotation_snapshot(angles, fixed_axis, order):
-    moving = tuple(Vec2(math.cos(angles[i]), math.sin(angles[i])) for i in order if fixed_axis[i] is None)
-    fixed = tuple(Vec2(fixed_axis[i], 0.0) for i in order if fixed_axis[i] is not None)
+def _unit(x: float, y: float) -> tuple[float, float]:
+    r = math.hypot(x, y)  # 0 only for a zero vector, which passes a unit check at tol >= 1
+    return (x / r, y / r) if r else (1.0, 0.0)
+
+
+def _turn(p: tuple[float, float], turn: tuple[float, float]) -> tuple[float, float]:
+    (x, y), (c, s) = p, turn
+    return c * x - s * y, s * x + c * y
+
+
+def _rotation_snapshot(pts, pinned):
+    moving = tuple(Vec2(*p) for p, done in zip(pts, pinned) if not done)
+    fixed = tuple(Vec2(*p) for p, done in zip(pts, pinned) if done)
     total = vsum(moving) + vsum(fixed)
     return RotationStep(moving, fixed, total, math.hypot(total.x, total.y))
 
@@ -82,76 +91,65 @@ def ginzburg_reduce(
 ) -> RotationTrace:
     """Rotate a Euclidean halfplane family onto the axis, one pin per step.
 
-    Works in the frame where u points straight up. At each step the not yet
-    pinned vectors rotate rigidly in whichever direction keeps the norm of
-    the running sum from growing, until the first of them reaches (1,0) or
-    (-1,0); that one (lowest index on ties) is pinned. After n steps every
-    vector sits on the horizontal axis and the norm of the sum is an odd
-    integer, hence at least 1.
+    Works on the vectors' points of the unit circle in the frame where u
+    points straight up. At each step the not yet pinned vectors rotate
+    rigidly in whichever direction keeps the norm of the running sum from
+    growing, until the first of them (lowest index on ties) reaches (1,0)
+    or (-1,0) and is pinned. The turn is read off that vector's (x, y), so
+    no angle is formed: (cos, sin) = (-x, y) counterclockwise, (x, -y)
+    clockwise. After n steps every vector sits on the horizontal axis and
+    the norm of the sum is an odd integer, hence at least 1.
     """
     check_tol(tol)
     [(ux, uy)] = Family([u]).floats()  # u and the vectors must be of finite numbers
-    if u.is_zero():
+    if ux == 0 and uy == 0:
         raise ZeroDirection("halfplane direction must be nonzero")
-    vs = [Vec2(x, y) for x, y in Family(vectors).floats()]
+    vs = Family(vectors).floats()
     n = len(vs)
     if n % 2 == 0:
         raise EvenCardinality("the family must have odd size")
-    # rotate the frame so that u becomes (0, 1)
-    shift = math.pi / 2 - math.atan2(uy, ux)
-    cs, sn = math.cos(shift), math.sin(shift)
-    angles: list[float] = []
-    for i, v in enumerate(vs):
-        if abs(math.hypot(v.x, v.y) - 1.0) > tol:
-            raise NotUnitVectors(f"vector {i} has Euclidean norm {math.hypot(v.x, v.y)}")
-        x, y = cs * v.x - sn * v.y, sn * v.x + cs * v.y
+    big = max(abs(ux), abs(uy))  # scaled first, so that |u| cannot overflow
+    ux, uy = _unit(ux / big, uy / big)
+    pts: list[tuple[float, float]] = []
+    for i, (vx, vy) in enumerate(vs):
+        if abs(math.hypot(vx, vy) - 1.0) > tol:
+            raise NotUnitVectors(f"vector {i} has Euclidean norm {math.hypot(vx, vy)}")
+        x, y = uy * vx - ux * vy, ux * vx + uy * vy
         if y < -tol:
             raise HalfplaneViolated(f"vector {i} lies below the halfplane")
-        a = math.atan2(max(y, 0.0), x)
-        angles.append(min(max(a, 0.0), math.pi))
-    fixed_axis: list[float | None] = [None] * n
-    order = list(range(n))
-    steps = [_rotation_snapshot(angles, fixed_axis, order)]
+        pts.append(_unit(x, max(y, 0.0)))
+    pinned = [False] * n
+    steps = [_rotation_snapshot(pts, pinned)]
     for _ in range(n):
-        moving = [i for i in order if fixed_axis[i] is None]
-        f = vsum(Vec2(fixed_axis[i], 0.0) for i in order if fixed_axis[i] is not None)
-        m = vsum(Vec2(math.cos(angles[i]), math.sin(angles[i])) for i in moving)
-        theta_ccw = min(math.pi - angles[i] for i in moving)
-        theta_cw = min(angles[i] for i in moving)
-        c = m.cross(f)
+        free = [i for i in range(n) if not pinned[i]]
+        m, fx = vsum(steps[-1].moving), vsum(steps[-1].fixed).x
+        lx, ly = min((pts[i] for i in free), key=lambda p: p[0])
+        hx, hy = max((pts[i] for i in free), key=lambda p: p[0])
+        ccw_turn, cw_turn = _unit(-lx, ly), _unit(hx, -hy)
+        c = -m.y * fx  # m x f, as f lies on the axis
         if abs(c) > 1e-12:
             ccw = c < 0
         else:
             # locally flat: compare the end states of both feasible stops
-            end_ccw = _end_norm(f, m, theta_ccw)
-            end_cw = _end_norm(f, m, -theta_cw)
+            (ax, ay), (bx, by) = _turn((m.x, m.y), ccw_turn), _turn((m.x, m.y), cw_turn)
+            end_ccw, end_cw = math.hypot(fx + ax, ay), math.hypot(fx + bx, by)
             if abs(end_ccw - end_cw) > 1e-12:
                 ccw = end_ccw < end_cw
             else:
                 # still flat: send the vector closest to an axis to its
                 # nearer axis endpoint (final tie goes clockwise)
-                closest = min(moving, key=lambda i: min(angles[i], math.pi - angles[i]))
-                ccw = math.pi - angles[closest] < angles[closest]
-        theta = theta_ccw if ccw else theta_cw
-        target = math.pi if ccw else 0.0
-        for i in moving:
-            angles[i] = angles[i] + theta if ccw else angles[i] - theta
-            angles[i] = min(max(angles[i], 0.0), math.pi)
-        arrivals = [i for i in moving if abs(angles[i] - target) <= 1e-9]
-        pin = arrivals[0]  # lowest index on simultaneous arrivals
-        fixed_axis[pin] = -1.0 if target == math.pi else 1.0
-        angles[pin] = target
-        steps.append(_rotation_snapshot(angles, fixed_axis, order))
-    final = steps[-1].total
+                closest = max(free, key=lambda i: abs(pts[i][0]))
+                ccw = pts[closest][0] < 0
+        turn, target = (ccw_turn, -1.0) if ccw else (cw_turn, 1.0)
+        for i in free:
+            pts[i] = _turn(pts[i], turn)
+        pin = next(i for i in free if pts[i][1] <= 1e-9 and pts[i][0] * target > 0)
+        pinned[pin] = True
+        pts[pin] = (target, 0.0)
+        steps.append(_rotation_snapshot(pts, pinned))
     if abs(round(steps[-1].norm) - steps[-1].norm) > 10 * tol:  # pragma: no cover
         raise TheoremFalsified("final norm is not an integer")
-    return RotationTrace(steps, final)
-
-
-def _end_norm(f: Vec2, m: Vec2, theta: float) -> float:
-    cs, sn = math.cos(theta), math.sin(theta)
-    rotated = Vec2(cs * m.x - sn * m.y, sn * m.x + cs * m.y)
-    return math.hypot(f.x + rotated.x, f.y + rotated.y)
+    return RotationTrace(steps)
 
 
 def choose_signs(

@@ -52,6 +52,14 @@ the library's former symmetry witness verifiers with their helpers. The
 finders must return the first candidate these accept, except that the
 former surrounding rule also took a sum on the boundary, which the
 library now refuses.
+
+`ref_ginzburg_reduce` is the library's former rotation reduction, which
+carried every vector as an angle: `atan2` set up the frame and the angles,
+every turn was an angle difference, the angles were clamped to [0, pi],
+and each snapshot took cos and sin again. It is kept verbatim with its
+snapshot and end-norm helpers, apart from returning the trace without the
+former `final_sum`; `ginzburg_reduce` must pin the same signs at each step
+and give the same norms to rounding.
 """
 
 import functools
@@ -65,17 +73,21 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Sequence
 
-from helly_plane.algorithms import _MAX_TRIES, _check_generic, _grid_fraction
+from helly_plane.algorithms import (
+    _MAX_TRIES, RotationStep, RotationTrace, _check_generic, _grid_fraction,
+)
 from helly_plane.errors import (
     BadInput,
     BadK,
     EpsilonTooLarge,
     EvenCardinality,
+    HalfplaneViolated,
     HypothesisFailed,
     NotConvexBody,
     NotOnBoundary,
     NotPolygonal,
     NotSymmetric,
+    NotUnitVectors,
     PreconditionFailed,
     SamplingExhausted,
     TheoremFalsified,
@@ -959,3 +971,86 @@ def ref_verify_surrounding_witness(body: ConvexBody, w: ViolationWitness) -> boo
         and ref_surrounds_origin(w.a, w.b, w.c)
         and ref_witness_basics(body, w)
     )
+
+
+def _ref_rotation_snapshot(angles, fixed_axis, order):
+    moving = tuple(Vec2(math.cos(angles[i]), math.sin(angles[i])) for i in order if fixed_axis[i] is None)
+    fixed = tuple(Vec2(fixed_axis[i], 0.0) for i in order if fixed_axis[i] is not None)
+    total = vsum(moving) + vsum(fixed)
+    return RotationStep(moving, fixed, total, math.hypot(total.x, total.y))
+
+
+def ref_ginzburg_reduce(
+    vectors: VectorMultiset, u: Vec2, tol: float = DEFAULT_TOL
+) -> RotationTrace:
+    """Rotate a Euclidean halfplane family onto the axis, one pin per step.
+
+    Works in the frame where u points straight up. At each step the not yet
+    pinned vectors rotate rigidly in whichever direction keeps the norm of
+    the running sum from growing, until the first of them reaches (1,0) or
+    (-1,0); that one (lowest index on ties) is pinned. After n steps every
+    vector sits on the horizontal axis and the norm of the sum is an odd
+    integer, hence at least 1.
+    """
+    check_tol(tol)
+    [(ux, uy)] = Family([u]).floats()  # u and the vectors must be of finite numbers
+    if u.is_zero():
+        raise ZeroDirection("halfplane direction must be nonzero")
+    vs = [Vec2(x, y) for x, y in Family(vectors).floats()]
+    n = len(vs)
+    if n % 2 == 0:
+        raise EvenCardinality("the family must have odd size")
+    # rotate the frame so that u becomes (0, 1)
+    shift = math.pi / 2 - math.atan2(uy, ux)
+    cs, sn = math.cos(shift), math.sin(shift)
+    angles: list[float] = []
+    for i, v in enumerate(vs):
+        if abs(math.hypot(v.x, v.y) - 1.0) > tol:
+            raise NotUnitVectors(f"vector {i} has Euclidean norm {math.hypot(v.x, v.y)}")
+        x, y = cs * v.x - sn * v.y, sn * v.x + cs * v.y
+        if y < -tol:
+            raise HalfplaneViolated(f"vector {i} lies below the halfplane")
+        a = math.atan2(max(y, 0.0), x)
+        angles.append(min(max(a, 0.0), math.pi))
+    fixed_axis: list[float | None] = [None] * n
+    order = list(range(n))
+    steps = [_ref_rotation_snapshot(angles, fixed_axis, order)]
+    for _ in range(n):
+        moving = [i for i in order if fixed_axis[i] is None]
+        f = vsum(Vec2(fixed_axis[i], 0.0) for i in order if fixed_axis[i] is not None)
+        m = vsum(Vec2(math.cos(angles[i]), math.sin(angles[i])) for i in moving)
+        theta_ccw = min(math.pi - angles[i] for i in moving)
+        theta_cw = min(angles[i] for i in moving)
+        c = m.cross(f)
+        if abs(c) > 1e-12:
+            ccw = c < 0
+        else:
+            # locally flat: compare the end states of both feasible stops
+            end_ccw = _ref_end_norm(f, m, theta_ccw)
+            end_cw = _ref_end_norm(f, m, -theta_cw)
+            if abs(end_ccw - end_cw) > 1e-12:
+                ccw = end_ccw < end_cw
+            else:
+                # still flat: send the vector closest to an axis to its
+                # nearer axis endpoint (final tie goes clockwise)
+                closest = min(moving, key=lambda i: min(angles[i], math.pi - angles[i]))
+                ccw = math.pi - angles[closest] < angles[closest]
+        theta = theta_ccw if ccw else theta_cw
+        target = math.pi if ccw else 0.0
+        for i in moving:
+            angles[i] = angles[i] + theta if ccw else angles[i] - theta
+            angles[i] = min(max(angles[i], 0.0), math.pi)
+        arrivals = [i for i in moving if abs(angles[i] - target) <= 1e-9]
+        pin = arrivals[0]  # lowest index on simultaneous arrivals
+        fixed_axis[pin] = -1.0 if target == math.pi else 1.0
+        angles[pin] = target
+        steps.append(_ref_rotation_snapshot(angles, fixed_axis, order))
+    if abs(round(steps[-1].norm) - steps[-1].norm) > 10 * tol:  # pragma: no cover
+        raise TheoremFalsified("final norm is not an integer")
+    return RotationTrace(steps)
+
+
+def _ref_end_norm(f: Vec2, m: Vec2, theta: float) -> float:
+    cs, sn = math.cos(theta), math.sin(theta)
+    rotated = Vec2(cs * m.x - sn * m.y, sn * m.x + cs * m.y)
+    return math.hypot(f.x + rotated.x, f.y + rotated.y)

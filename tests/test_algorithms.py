@@ -25,7 +25,7 @@ from helly_plane.generators import (
 from helly_plane.norms import edge_functionals, gauge
 from helly_plane.vectors import Vec2, vsum
 
-from oracles import all_ksums
+from oracles import all_ksums, ref_ginzburg_reduce
 
 F = Fraction
 TOL = 1e-9
@@ -84,6 +84,8 @@ def test_ginzburg_rotated_frame():
 def test_ginzburg_errors():
     with pytest.raises(ZeroDirection):
         ginzburg_reduce([Vec2(0.0, 1.0)], Vec2(0.0, 0.0))
+    with pytest.raises(ZeroDirection):  # a rational u read as the float (0, 0)
+        ginzburg_reduce([Vec2(0.0, 1.0)], Vec2(F(1, 10**400), 0))
     with pytest.raises(EvenCardinality):
         ginzburg_reduce([Vec2(0.0, 1.0)] * 2, Vec2(0.0, 1.0))
     with pytest.raises(NotUnitVectors):
@@ -118,6 +120,59 @@ def test_ginzburg_random_instances():
         vectors, u = gen_euclidean_halfplane_instance(seed)
         trace = ginzburg_reduce(vectors, u)
         _assert_trace_invariants(trace, len(vectors))
+
+
+def test_ginzburg_matches_the_angle_reference():
+    # criterion 8's draws and the generator's first seeds
+    seeds = [20240611 ^ i for i in range(1000)] + list(range(1000))
+    for seed in seeds:
+        vectors, u = gen_euclidean_halfplane_instance(seed)
+        got, want = ginzburg_reduce(vectors, u, TOL), ref_ginzburg_reduce(vectors, u, TOL)
+        for g, w in zip(got.steps, want.steps, strict=True):
+            assert g.fixed == w.fixed, seed  # the same signs pinned, in index order
+            assert len(g.moving) == len(w.moving), seed
+            for p, q in zip(g.moving, w.moving):
+                assert abs(p.x - q.x) <= 1e-12 and abs(p.y - q.y) <= 1e-12, seed
+            assert abs(g.norm - w.norm) <= 1e-12, seed
+
+
+def _circle_point(t):
+    return Vec2(float((1 - t * t) / (1 + t * t)), float(2 * t / (1 + t * t)))
+
+
+def test_ginzburg_on_tie_heavy_families():
+    # duplicates of the axis ends and the top, and of two circle points
+    rng = random.Random(27)
+    for _ in range(300):
+        pool = [Vec2(1.0, 0.0), Vec2(-1.0, 0.0), Vec2(0.0, 1.0)]
+        pool += [_circle_point(F(rng.randint(0, 400), rng.randint(1, 40))) for _ in range(2)]
+        vectors = [rng.choice(pool) for _ in range(rng.choice([1, 3, 5, 7, 9]))]
+        trace = ginzburg_reduce(vectors, Vec2(0.0, 1.0))
+        _assert_trace_invariants(trace, len(vectors))
+        pinned = {(v.x, v.y) for step in trace.steps for v in step.fixed}
+        assert pinned <= {(1.0, 0.0), (-1.0, 0.0)}
+
+
+def test_ginzburg_starts_from_exact_unit_vectors_as_given():
+    vectors = [Vec2(1.0, 0.0), Vec2(0.0, 1.0), Vec2(-1.0, 0.0), Vec2(0.6, 0.8), Vec2(-0.8, 0.6)]
+    assert all(math.hypot(v.x, v.y) == 1.0 for v in vectors)
+    moving = ginzburg_reduce(vectors, Vec2(0.0, 1.0)).steps[0].moving
+    assert [(p.x.hex(), p.y.hex()) for p in moving] == [(v.x.hex(), v.y.hex()) for v in vectors]
+    assert ginzburg_reduce(vectors[:3], Vec2(0.0, 1.0)).steps[0].norm == 1.0
+
+
+@pytest.mark.parametrize("u", [Vec2(1.7e308, 1.7e308), Vec2(5e-324, 5e-324)], ids=["huge", "tiny"])
+def test_ginzburg_reads_only_the_direction_of_u(u):
+    vectors = [Vec2(0.6, 0.8), Vec2(1.0, 0.0), Vec2(0.0, 1.0)]
+    got = ginzburg_reduce(vectors, u)
+    want = ginzburg_reduce(vectors, Vec2(1.0, 1.0))
+    assert [s.to_json() for s in got.steps] == [s.to_json() for s in want.steps]
+
+
+def test_ginzburg_reads_a_zero_vector_let_through_by_a_wide_tol_as_the_right_end():
+    trace = ginzburg_reduce([Vec2(0.0, 0.0)], Vec2(0.0, 1.0), tol=1.0)
+    assert trace.steps[0].moving == (Vec2(1.0, 0.0),)
+    assert trace.steps[-1].norm == 1.0
 
 
 # ---------------------------------------------------------------------------
