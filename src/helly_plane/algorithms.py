@@ -70,8 +70,8 @@ class SignVector:
 
 
 def _unit(x: float, y: float) -> tuple[float, float]:
-    r = math.hypot(x, y)  # 0 only for a zero vector, which passes a unit check at tol >= 1
-    return (x / r, y / r) if r else (1.0, 0.0)
+    r = math.hypot(x, y)
+    return x / r, y / r
 
 
 def _turn(p: tuple[float, float], turn: tuple[float, float]) -> tuple[float, float]:
@@ -112,11 +112,14 @@ def ginzburg_reduce(
     ux, uy = _unit(ux / big, uy / big)
     pts: list[tuple[float, float]] = []
     for i, (vx, vy) in enumerate(vs):
-        if abs(math.hypot(vx, vy) - 1.0) > tol:
-            raise NotUnitVectors(f"vector {i} has Euclidean norm {math.hypot(vx, vy)}")
+        r = math.hypot(vx, vy)
+        if not r or abs(r - 1.0) > tol:  # a zero vector, which |r - 1| <= tol lets by at tol >= 1
+            raise NotUnitVectors(f"vector {i} has Euclidean norm {r}")
         x, y = uy * vx - ux * vy, ux * vx + uy * vy
         if y < -tol:
             raise HalfplaneViolated(f"vector {i} lies below the halfplane")
+        if not x and y <= 0:  # straight below, within tol: the clamp leaves (0, 0)
+            raise HalfplaneViolated(f"vector {i} has no direction in the halfplane")
         pts.append(_unit(x, max(y, 0.0)))
     pinned = [False] * n
     steps = [_rotation_snapshot(pts, pinned)]

@@ -41,13 +41,6 @@ class Vec3:
         return math.sqrt(self.dot(self))
 
 
-def _vsum3(vectors) -> Vec3:
-    total = Vec3(0.0, 0.0, 0.0)
-    for v in vectors:
-        total = total + v
-    return total
-
-
 @dataclass
 class CheckResult:
     name: str
@@ -155,7 +148,7 @@ def _case_remark2_3d() -> GalleryCase:
     def run() -> list[CheckResult]:
         unit = all(abs(v.norm() - 1.0) <= TOL for v in vectors)
         dots_pos = all(u.dot(v) > 0 for v in vectors)
-        tn = _vsum3(vectors).norm()
+        tn = sum(vectors, Vec3(0.0, 0.0, 0.0)).norm()
         expected = eps * n  # 7/100
         return [
             _check("all unit", "True", str(unit), unit),
@@ -179,9 +172,9 @@ def _case_remark4_tetrahedron() -> GalleryCase:
 
     def run() -> list[CheckResult]:
         norms3 = [
-            _vsum3(vectors[i] for i in t).norm() for t in combinations(range(4), 3)
+            sum((vectors[i] for i in t), Vec3(0.0, 0.0, 0.0)).norm() for t in combinations(range(4), 3)
         ]
-        tn = _vsum3(vectors).norm()
+        tn = sum(vectors, Vec3(0.0, 0.0, 0.0)).norm()
         ok3 = all(abs(g - 1.0) <= TOL for g in norms3)
         return [
             _check("all 3-sum norms", "1", f"{norms3}", ok3),

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -199,7 +200,7 @@ def halfplane_certificate(
     nums = dots(tangent, [vs.pts[i] for i in order], vs.scale)
     if is_float(nums[k - 1]):
         projections = [m / nums[k - 1] for m in nums]
-        projection_sum = sum(projections)
+        projection_sum = functools.reduce(operator.add, projections, 0)  # as `vsum` adds
     else:
         projections = [Fraction(m, nums[k - 1]) for m in nums]
         projection_sum = Fraction(sum(nums), nums[k - 1])
@@ -330,7 +331,7 @@ def claim1_triplets(xs: Sequence[Scalar], tol: float = DEFAULT_TOL) -> list[tupl
         raise BadInput(f"values must be numbers; got {values!r}") from None
     if outside:
         raise PreconditionFailed(f"value {outside[0]} is outside [-1, 1]")
-    if not eq(sum(ms), 0, tol):
+    if not eq(functools.reduce(operator.add, ms, 0), 0, tol):  # as `vsum` adds
         raise PreconditionFailed("values do not sum to zero")
     return [
         t

@@ -11,11 +11,14 @@ The reference generators are the `Fraction`-arithmetic generators that
 the lattice generators replaced, and the reference verifiers at the end
 are the `Vec2`/`Fraction` forms of T1's certificate, lemma-conv and Claim 1
 that the lattice verifiers replaced; both must be reproduced value for
-value and type for type. `verify_helly_1d` is the line oracle of the
-three-sum theorems: it judges signed lengths over [-1, 1] with no ball
-and no subset-sum kernel. `ref_verify_helly` and `ref_corollary_check`
-are T2/T3 and COR as they were when each call formed its `Fraction` total
-and that total's gauge, and decided T2/T3's conclusion on the gauge.
+value and type for type. The float sums of T1's certificate and Claim 1
+fold left to right from 0, as builtin `sum` did before CPython 3.12 made
+it compensated, so those references mean the same on every interpreter.
+`verify_helly_1d` is the line oracle of the three-sum theorems: it judges
+signed lengths over [-1, 1] with no ball and no subset-sum kernel.
+`ref_verify_helly` and `ref_corollary_check` are T2/T3 and COR as they
+were when each call formed its `Fraction` total and that total's gauge,
+and decided T2/T3's conclusion on the gauge.
 
 `monotone_chain` is the library's former two-chain hull of sorted
 distinct pairs, and `_polar_less` its former start-vertex order, both kept
@@ -66,6 +69,7 @@ import functools
 import hashlib
 import json
 import math
+import operator
 import random
 from collections import UserList
 from dataclasses import dataclass, field
@@ -663,7 +667,7 @@ def ref_halfplane_certificate(ball, vectors, u, tol=DEFAULT_TOL):
     d = tangent.perp()
     denom = vk.cross(d)
     projections = [v.cross(d) / denom for v in ordered]
-    projection_sum = sum(projections)
+    projection_sum = functools.reduce(operator.add, projections, 0)  # `sum` as before 3.12
     if not ge(projection_sum, 1, tol):
         raise TheoremFalsified(
             f"projection sum {projection_sum} < 1 on a halfplane instance"
@@ -688,7 +692,7 @@ def ref_claim1_triplets(xs, tol=DEFAULT_TOL):
     for i, x in enumerate(values):
         if not le(abs(x), 1, tol):
             raise PreconditionFailed(f"value {i} is outside [-1, 1]")
-    if not eq(sum(values), 0, tol):
+    if not eq(functools.reduce(operator.add, values, 0), 0, tol):  # `sum` as before 3.12
         raise PreconditionFailed("values do not sum to zero")
     return [
         t

@@ -169,10 +169,19 @@ def test_ginzburg_reads_only_the_direction_of_u(u):
     assert [s.to_json() for s in got.steps] == [s.to_json() for s in want.steps]
 
 
-def test_ginzburg_reads_a_zero_vector_let_through_by_a_wide_tol_as_the_right_end():
-    trace = ginzburg_reduce([Vec2(0.0, 0.0)], Vec2(0.0, 1.0), tol=1.0)
-    assert trace.steps[0].moving == (Vec2(1.0, 0.0),)
-    assert trace.steps[-1].norm == 1.0
+def test_ginzburg_refuses_a_vector_with_no_direction_that_a_wide_tol_lets_by():
+    # neither has a direction in the halfplane to rotate: a zero vector, and
+    # one straight below whose frame point the clamp takes to (0, 0)
+    up = Vec2(0.0, 1.0)
+    with pytest.raises(NotUnitVectors, match=r"^vector 1 has Euclidean norm 0\.0$"):
+        ginzburg_reduce([Vec2(1.0, 0.0), Vec2(0.0, 0.0), Vec2(0.0, 1.0)], up, tol=1.0)
+    with pytest.raises(HalfplaneViolated, match=r"^vector 0 has no direction in the halfplane$"):
+        ginzburg_reduce([Vec2(0.0, -0.5)], up, tol=0.5)
+    with pytest.raises(HalfplaneViolated, match=r"^vector 0 lies below the halfplane$"):
+        ginzburg_reduce([Vec2(0.0, -1.0)], up, tol=0.5)
+    # one ulp off straight below still has a direction: the left end
+    trace = ginzburg_reduce([Vec2(-5e-324, -0.5)], up, tol=0.5)
+    assert trace.steps[0].moving == (Vec2(-1.0, 0.0),)
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from helly_plane.errors import NotConvexBody, NotSymmetric
 from helly_plane.generators import (
     gen_asymmetric_body,
+    gen_direction,
     gen_random_ball,
     gen_symmetric_body,
     gen_unit_vectors,
@@ -30,7 +31,7 @@ from helly_plane.symmetry import (
     verify_halfplane_witness,
     verify_surrounding_witness,
 )
-from helly_plane.theorems import lemma_conv_check
+from helly_plane.theorems import lemma_conv_check, verify_theorem1
 from helly_plane.vectors import ORIGIN, Vec2
 
 import oracles
@@ -209,6 +210,21 @@ def test_halfplane_triples_on_symmetric_body_never_sum_inside():
             w = ViolationWitness(a, b, c, a + b + c, WitnessKind.HALFPLANE_INTERIOR_SUM)
             assert not verify_halfplane_witness(body, w)
     assert checked > 100
+
+
+def test_symmetric_bodies_meet_t1_and_lemma_conv_on_their_own_gauge():
+    # the characterization's symmetric half: on a 0-symmetric body's own
+    # gauge, a boundary triple in a closed halfplane sums to gauge >= 1
+    # (T1 at n = 3), and a boundary triple's hull holds the origin exactly
+    # when it holds the triple's sum (lemma-conv)
+    rng = random.Random(13)
+    for s in range(300):
+        body = gen_symmetric_body(s)
+        u = gen_direction(rng)
+        report = verify_theorem1(body, gen_unit_vectors(body, 3, s, halfplane=u), u, 0.0)
+        assert report.hypothesis_holds and report.conclusion_holds, s
+        origin_in, h_in = lemma_conv_check(body, gen_unit_vectors(body, 3, rng.getrandbits(32)), 0.0)
+        assert origin_in == h_in, s
 
 
 def _first_accepted(body, candidates, verify):
