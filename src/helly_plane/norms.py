@@ -42,13 +42,13 @@ import json
 import math
 from fractions import Fraction
 from functools import cached_property
-from itertools import combinations, repeat
+from itertools import chain, combinations, repeat
 from operator import not_
 from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 
 from .errors import BadInput, NotConvexBody, NotPolygonal, NotSymmetric, ZeroDirection
-from .geometry import Family
-from .scalars import DEFAULT_TOL, Scalar, eq, is_float
+from .geometry import Family, _lattice_form
+from .scalars import DEFAULT_TOL, Scalar, eq, float_values, ge, gt, is_float, le
 from .vectors import Vec2
 
 EUCLIDEAN = "euclidean"
@@ -69,7 +69,10 @@ class UnitBall:
     A rational ball is built from its vertex `Family` and `normals` alone:
     its `float_normals` are derived on first read and kept. A float-vertex
     ball is given its `float_normals`, computed in floats. Equality
-    (within one class), hashing and repr go by (kind, vertices).
+    (within one class), hashing and repr go by (kind, vertices). The ball
+    holds its `SubsetSums` packing constants: `_row_bound`, max(|P| + |Q|),
+    and `_packings`, w -> (lane shifts, unit, guards, lane mask, P lanes,
+    Q lanes), once per w.
     """
 
     def __init__(
@@ -86,6 +89,8 @@ class UnitBall:
         self.normals = normals
         self.den = den
         self.symmetric = symmetric
+        self._row_bound = max([abs(p) + abs(q) for p, q in normals]) if normals else 0
+        self._packings: dict = {}
         # a given value takes the place of the derived one
         if float_normals is not None:
             self.float_normals = float_normals
@@ -106,12 +111,6 @@ class UnitBall:
             return '{"type":"euclidean"}'
         # a symmetric cycle's second half is its first negated
         return '{"type":"polygonal","vertices":' + self.vertices.json_text(self.symmetric) + "}"
-
-    @cached_property
-    def _packings(self) -> dict:
-        """w -> (lane shifts, unit, P lanes, Q lanes): the constants of
-        `SubsetSums` packings in fields of w + 1 bits, made once per w."""
-        return {}
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
@@ -272,18 +271,22 @@ def square_ball() -> UnitBall:
 
 
 def gauge(ball: UnitBall, z: Vec2) -> Scalar:
-    """The norm of z: gauge(z) <= 1 exactly when z is in the ball (a rational
-    z rounded to floats past float range is a `BadInput`)."""
-    x, y = z.x, z.y
-    if ball.normals is None or is_float(x, y):  # the Euclidean ball has no normals
-        try:
-            x, y = float(x), float(y)
-        except OverflowError:
-            raise BadInput("a rational coordinate past float range") from None
-        return float_norm(ball)(x, y)
-    b, d = x.denominator, y.denominator
-    nx, ny = x.numerator * d, y.numerator * b  # z == (nx, ny) / (b * d)
-    return Fraction(max(p * nx + q * ny for p, q in ball.normals), ball.den * b * d)
+    """The norm of z: gauge(z) <= 1 exactly when z is in the ball. A
+    coordinate that is not an int, a `Fraction` or a float, a NaN one, and a
+    rational z rounded to floats past float range are a `BadInput`; an
+    infinite float coordinate (an overflowed float sum) is kept."""
+    try:
+        x, y = z.x, z.y
+        if ball.normals is not None and not is_float(x, y):
+            b, d = x.denominator, y.denominator
+            nx, ny = x.numerator * d, y.numerator * b  # z == (nx, ny) / (b * d)
+            return Fraction(max(p * nx + q * ny for p, q in ball.normals), ball.den * b * d)
+        floats = float_values((x, y), finite=False)  # the Euclidean ball has no normals
+    except (AttributeError, TypeError):
+        raise BadInput(f"not a plane vector of numbers: {z!r}") from None
+    if floats is None:
+        raise BadInput("a coordinate that is NaN, or rational past float range")
+    return float_norm(ball)(*floats)
 
 
 def lattice_vertices(ball: UnitBall) -> Optional[tuple[Sequence[tuple[int, int]], int]]:
@@ -307,6 +310,13 @@ def float_norm(ball: UnitBall) -> Callable[[float, float], float]:
     return lambda x, y: max([p * x + q * y for p, q in rows])
 
 
+# rel -> (rel(-1, 0), rel(0, 0), rel(1, 0)) for the `scalars` comparisons:
+# on ints their answers do not depend on tol
+_SIGN_ANSWERS = {
+    eq: (False, True, False), le: (True, True, False), ge: (False, True, True), gt: (False, False, True),
+}
+
+
 class SubsetSums:
     """The subset sums of one family against one ball.
 
@@ -316,20 +326,24 @@ class SubsetSums:
 
     On a ball with integer normals and rational data the gauge of a subset
     sum is m / d, with m the largest of its edge values P·SX + Q·SY and
-    d = den · scale. Each vector is then packed once into one int: lane e
-    holds its edge value r plus R in a field of w + 1 bits, the top bit of
-    each field a guard. R is a bound on |r|: max(|P| + |Q|) times the
-    largest |coordinate|, O(n + edges) work. A k-sum is k int adds, and its lanes
-    hold m_e + kR. Adding (2^w − 1 − d − kR) to every lane sets a guard
-    bit exactly when some m_e > d, and one more sets it when some m_e >= d;
-    with 2^w > d + k·R + 1 no lane ever carries into the next. So
-    `rel(m, d, tol)`, which for ints is `rel(sign(m − d), 0, tol)`, is
-    read off one or two masks, and no `Fraction` is formed; `gauges` reads
-    m back from the lanes. A k-pass sums in C (`map(sum, combinations)`).
-    The packing is made once, with the object, wide enough for k = n, the
-    family's size: a k-pass never repacks, since for k > n there are no
-    subsets. Only an explicit subset longer than the family widens it; a
-    ball keeps the lane constants of each field width it was packed at.
+    d = den · scale. Each vector is then packed once into one int, the sum
+    of its edge values r_e shifted to lanes of w + 1 bits. R is a bound on
+    |r|: the ball's max(|P| + |Q|) times the largest |coordinate|, one pass
+    over the family. A k-sum is k int adds from a start that puts
+    2^w − 1 − d in every lane, so lane e holds m_e + 2^w − 1 − d: with
+    |m_e| <= kR and 2^w > d + k·R + 1 that is in [0, 2^(w+1)), and no lane
+    borrows from or carries into the next. The top bit of a lane, its
+    guard, is then set exactly when m_e > d, and with one more in every
+    lane when m_e >= d. So `rel(m, d, tol)`, which for ints is
+    `rel(sign(m − d), 0, tol)`, is read off one or two masks, and no
+    `Fraction` is formed; the three sign answers of `eq`, `le`, `ge` and
+    `gt` come from a table, and any other comparison is asked them.
+    `gauges` reads m back from the lanes. A k-pass sums in C
+    (`map(sum, combinations)`). The packing is made once, with the object,
+    wide enough for k = n, the family's size: a k-pass never repacks, since
+    for k > n there are no subsets. Only an explicit subset longer than the
+    family widens it; a ball keeps the lane constants of each field width
+    it was packed at.
     (2^w > d + kR would do: the + 1 is slack.)
 
     Otherwise each subset is summed as floats, left to right from 0 in
@@ -348,8 +362,7 @@ class SubsetSums:
         if self._exact:
             # |P·X + Q·Y| <= (|P| + |Q|)·max(|X|, |Y|): any R >= max |r| keeps
             # every mask exact, and R only sets the lane width
-            reach = max([abs(p) + abs(q) for p, q in ball.normals])
-            self._reach = reach * max([abs(c) for xy in fam.pts for c in xy], default=0)
+            self._reach = ball._row_bound * max(map(abs, chain.from_iterable(fam.pts)), default=0)
             self._pack(len(fam.pts))
 
     def tests(
@@ -360,8 +373,9 @@ class SubsetSums:
         subset; `rel` is one of the `scalars` comparisons."""
         if not self._exact:
             return ((t, rel(g, 1, tol)) for t, g in self.gauges(subsets))
-        # for ints rel(m, d) is rel(sign(m - d), 0): ask it once per sign
-        lo, mid, hi = rel(-1, 0, tol), rel(0, 0, tol), rel(1, 0, tol)
+        # for ints rel(m, d) is rel(sign(m - d), 0): read the table, or ask
+        # it once per sign
+        lo, mid, hi = _SIGN_ANSWERS.get(rel) or (rel(-1, 0, tol), rel(0, 0, tol), rel(1, 0, tol))
         if lo != hi and mid in (lo, hi):  # one mask: m > d, or m >= d
             ts, sums = self._sums(subsets, mid == hi)
             return zip(ts, map(bool if hi else not_, map(self._guard.__and__, sums)))
@@ -388,38 +402,35 @@ class SubsetSums:
 
     def _sums(self, subsets: Union[int, Iterable[Sequence[int]]], extra: int = 0):
         """The subsets and their packed sums, each lane raised by
-        2^w − 1 − d − kR + extra, k the subset's length: a lane's guard bit
-        is then set exactly when m_e + extra > d. A k-pass sums in C."""
+        2^w − 1 − d + extra: a lane's guard bit is then set exactly when
+        m_e + extra > d. A k-pass sums in C."""
         if isinstance(subsets, int):
-            start = self._top + extra * self._unit - subsets * self._ru
+            start = self._top + extra * self._unit
             sums = map(sum, combinations(self._lanes, subsets), repeat(start))
             return combinations(range(len(self._pts)), subsets), sums
         ts = list(subsets)
         longest = max(map(len, ts), default=0)
         if longest > self._cap:
             self._pack(longest)
-        lanes, top, ru = self._lanes, self._top + extra * self._unit, self._ru
-        return ts, [sum([lanes[i] for i in t], top - len(t) * ru) for t in ts]
+        lanes, top = self._lanes, self._top + extra * self._unit
+        return ts, [sum([lanes[i] for i in t], top) for t in ts]
 
     def _pack(self, k: int) -> None:
         """Pack each vector into lanes wide enough for sums of k."""
-        ball, pts, reach = self._ball, self._pts, self._reach
-        d = self._scale * ball.den
-        w = (d + k * reach + 1).bit_length()
+        ball, d = self._ball, self._scale * self._ball.den
+        w = (d + k * self._reach + 1).bit_length()
         if w not in ball._packings:
             shifts = range(0, (w + 1) * len(ball.normals), w + 1)
+            unit = sum([1 << e for e in shifts])
             # packing is linear: X·(P lanes) + Y·(Q lanes) holds each r = P·X + Q·Y
             ball._packings[w] = (
-                shifts,
-                sum([1 << e for e in shifts]),
+                shifts, unit, unit << w, (1 << w + 1) - 1,
                 sum([p << e for (p, _), e in zip(ball.normals, shifts)]),
                 sum([q << e for (_, q), e in zip(ball.normals, shifts)]),
             )
-        self._shifts, unit, px, qy = ball._packings[w]
-        self._ru = ru = reach * unit
-        self._lanes = [x * px + y * qy + ru for x, y in pts]
-        self._unit, self._guard, self._top = unit, unit << w, unit * ((1 << w) - 1 - d)
-        self._mask, self._cap = (1 << w + 1) - 1, k
+        self._shifts, self._unit, self._guard, self._mask, px, qy = ball._packings[w]
+        self._lanes = [x * px + y * qy for x, y in self._pts]
+        self._top, self._cap = self._unit * ((1 << w) - 1 - d), k
 
 
 def _float_walk(pts: Sequence[tuple], den: Optional[int], subsets: Union[int, Iterable], f: Callable):
@@ -512,8 +523,10 @@ def edge_functionals(ball: UnitBall) -> list[Vec2]:
 
 
 def boundary_point(ball: UnitBall, direction: Vec2) -> Vec2:
-    """The unique positive multiple of `direction` with gauge 1."""
-    if direction.is_zero():
+    """The unique positive multiple of `direction` with gauge 1. A direction
+    that is not a plane vector of finite numbers is a `BadInput`."""
+    (x, y), _ = _lattice_form((direction,))
+    if x == 0 and y == 0:
         raise ZeroDirection("cannot normalize the zero vector")
     g = gauge(ball, direction)
     return direction.scale(1 / g)

@@ -61,14 +61,16 @@ def lattice_values(xs: Sequence[Scalar]) -> Optional[tuple[list[int], int]]:
     return [x.numerator * (den // x.denominator) for x in xs], den
 
 
-def float_values(xs: Sequence[Scalar]) -> Optional[list[float]]:
+def float_values(xs: Sequence[Scalar], finite: bool = True) -> Optional[list[float]]:
     """Floats and rationals as floats, a rational rounded as `float` rounds
-    it; None when one is not finite. A str raises, as in `lattice_values`."""
+    it; None when one is NaN or past float range, or, when `finite`, an
+    infinite float. A str raises, as in `lattice_values`."""
     try:
         floats = [x if isinstance(x, float) else x.numerator / x.denominator for x in xs]
     except OverflowError:  # a rational past float range
         return None
-    return floats if all(map(math.isfinite, floats)) else None
+    ok = all(map(math.isfinite, floats)) if finite else not any(map(math.isnan, floats))
+    return floats if ok else None
 
 
 def check_tol(tol: float) -> None:

@@ -22,7 +22,7 @@ import json
 import math
 import random
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
 from json.encoder import encode_basestring_ascii
@@ -55,6 +55,8 @@ from .vectors import Vec2
 
 # rng -> the trial's ball
 _Balls = Callable[[random.Random], UnitBall]
+# a value's canonical JSON text: `json.dumps(value, sort_keys=True, separators=(",", ":"))`
+_canonical = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
 
 @dataclass(frozen=True)
@@ -65,9 +67,6 @@ class SuiteConfig:
     mode: str = "exact"
     tol: float = 1e-9
     ball_source: str = "random"
-
-    def to_json(self) -> dict:
-        return asdict(self)
 
 
 @dataclass
@@ -108,19 +107,22 @@ class SuiteReport:
     def vacuous(self) -> int:
         return sum(1 for r in self.records if r.outcome == "vacuous")
 
-    def to_json(self) -> dict:
-        return {
-            "config": self.config.to_json(),
-            "counts": {
-                "pass": self.passes,
-                "fail": self.failures,
-                "vacuous": self.vacuous,
-            },
-            "records": [r.to_json() for r in self.records],
-        }
-
     def to_json_text(self) -> str:
-        return json.dumps(self.to_json(), sort_keys=True, separators=(",", ":"))
+        """The canonical JSON text of the report (sorted keys, separators
+        (",", ":")), written directly: strings escaped as `json.dumps`
+        escapes them, each record as its `TrialRecord.to_json` document."""
+        cfg, enc = self.config, encode_basestring_ascii
+        records = ",".join([
+            f'{{"detail":{enc(r.detail)},"digest":{enc(r.digest)},"outcome":{enc(r.outcome)},'
+            f'"trial":{r.index},"witnesses":{_canonical(r.witnesses) if r.witnesses else "[]"}}}'
+            for r in self.records
+        ])
+        return (
+            f'{{"config":{{"ball_source":{enc(cfg.ball_source)},"mode":{enc(cfg.mode)},'
+            f'"seed":{cfg.seed},"suite":{enc(cfg.suite)},"tol":{_canonical(cfg.tol)},'
+            f'"trials":{cfg.trials}}},"counts":{{"fail":{self.failures},"pass":{self.passes},'
+            f'"vacuous":{self.vacuous}}},"records":[{records}]}}'
+        )
 
 
 @dataclass
@@ -451,9 +453,11 @@ def run_suite(config: SuiteConfig) -> SuiteReport:
     The gallery suite runs one trial per fixed case, whatever `trials` says.
     """
     start = time.perf_counter()
-    for name, kind in (("suite", str), ("trials", int), ("seed", int), ("ball_source", str)):
-        if type(getattr(config, name)) is not kind:
-            raise BadInput(f"{name} must be of type {kind.__name__}; got {getattr(config, name)!r}")
+    check_tol(config.tol)  # first: a bool, str or NaN tol gets the range message
+    for name, kinds in (("suite", (str,)), ("trials", (int,)), ("seed", (int,)),
+                        ("ball_source", (str,)), ("tol", (int, float))):
+        if type(value := getattr(config, name)) not in kinds:
+            raise BadInput(f"{name} must be of type {' or '.join([k.__name__ for k in kinds])}; got {value!r}")
     try:
         trial = _TRIALS[config.suite]
     except KeyError:
@@ -464,7 +468,6 @@ def run_suite(config: SuiteConfig) -> SuiteReport:
         raise BadInput(f"trials must be >= 0; got {config.trials}")
     if config.mode not in ("exact", "float"):
         raise BadInput(f"mode must be 'exact' or 'float'; got {config.mode!r}")
-    check_tol(config.tol)
     trials = len(CASE_NAMES) if config.suite == "gallery" else config.trials
     balls = _ball_source(config)
     records = [trial(config, i, balls) for i in range(trials)]

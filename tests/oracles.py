@@ -49,6 +49,11 @@ digested before each instance wrote its canonical text directly:
 `ref_family_to_json` and `ref_ball_to_json` (the former `Family.to_json`
 and `ball_to_json` bodies), the `_on_ball`, claim1, symmetry and gallery
 payloads, and `ref_digest`, which printed a payload with `json.dumps`.
+`ref_config_to_json`, `ref_report_to_json` and `ref_report_json_text` are
+the former `SuiteConfig.to_json`, `SuiteReport.to_json` and
+`SuiteReport.to_json_text`, verbatim apart from taking their object as an
+argument: the report's document, printed with `json.dumps`, which
+`SuiteReport.to_json_text` now writes directly.
 
 `ref_verify_halfplane_witness` and `ref_verify_surrounding_witness` are
 the library's former symmetry witness verifiers with their helpers. The
@@ -72,7 +77,7 @@ import math
 import operator
 import random
 from collections import UserList
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from itertools import combinations
 from typing import Sequence
@@ -853,6 +858,26 @@ def ref_gallery_payload(case) -> dict:
 def ref_digest(payload) -> str:
     text = json.dumps(payload, sort_keys=True, separators=(",", ":"), default=str)
     return hashlib.sha256(text.encode()).hexdigest()[:12]
+
+
+def ref_config_to_json(config) -> dict:
+    return asdict(config)
+
+
+def ref_report_to_json(report) -> dict:
+    return {
+        "config": ref_config_to_json(report.config),
+        "counts": {
+            "pass": report.passes,
+            "fail": report.failures,
+            "vacuous": report.vacuous,
+        },
+        "records": [r.to_json() for r in report.records],
+    }
+
+
+def ref_report_json_text(report) -> str:
+    return json.dumps(ref_report_to_json(report), sort_keys=True, separators=(",", ":"))
 
 
 # The library's former general-position search, verbatim apart from its

@@ -22,6 +22,7 @@ COMPILED = {
     "normals", "den", "float_normals",
     # the packed form
     "_lanes", "_guard", "_unit", "_top", "_ru", "_reach", "_mask", "_shifts", "_packings",
+    "_row_bound",
 }
 MODULES = sorted(
     p for p in Path(helly_plane.__file__).parent.glob("*.py") if p.name != "norms.py"

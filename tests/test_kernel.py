@@ -438,6 +438,41 @@ def test_subset_tests_on_boundary_points(seed, tol):
     assert_sphere_tests(ball, vectors, tol, EXACT)
 
 
+@pytest.mark.parametrize("tol", [0.0, 1e-9, 1.0])
+def test_sign_table_holds_the_comparisons_answers_on_ints(tol):
+    assert set(norms._SIGN_ANSWERS) == set(RELS)
+    for rel, answers in norms._SIGN_ANSWERS.items():
+        assert answers == (rel(-1, 0, tol), rel(0, 0, tol), rel(1, 0, tol))
+        assert [type(a) for a in answers] == [bool] * 3
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_subset_tests_at_the_equality_boundary(seed):
+    # unit vectors of a rational ball, one of them negated and one halved:
+    # every single but the half, and sums such as u0 + u1 - u0, have gauge 1
+    ball = gen_random_ball(seed)
+    units = list(gen_unit_vectors(ball, 3, seed))
+    vectors = units + [-units[0], units[1].scale(Fraction(1, 2))]
+    asked = []
+
+    def ne(a, b, tol=1e-9):  # no `scalars` comparison: asked its sign answers
+        asked.append((a, b))
+        return not eq(a, b, tol)
+
+    meaning = {**EXACT, ne: lambda g, tol: g != 1}
+    n, ts = len(vectors), subsets(len(vectors))
+    gauges = [gauge(ball, vsum(vectors[i] for i in t)) for t in ts]
+    assert gauges.count(1) > n
+    sums = SubsetSums(ball, vectors)
+    for rel in (*RELS, ne):
+        expected = [(t, meaning[rel](g, 0.0)) for t, g in zip(ts, gauges)]
+        assert list(sums.tests(ts, rel)) == expected
+        got = [pair for k in range(1, n + 1) for pair in sums.tests(k, rel)]
+        assert got == expected
+    # once per sign on each of the n + 1 passes
+    assert asked == [(-1, 0), (0, 0), (1, 0)] * (n + 1)
+
+
 def test_subset_tests_on_float_gauges_near_one():
     # on these balls the float gauge of (c, 0.0) is c, so the family hits
     # gauges at 1 and 1 +- tol exactly, and one ulp either side of each

@@ -1,4 +1,6 @@
+import math
 import random
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -6,6 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from helly_plane.errors import (
+    BadInput,
     NotConvexBody,
     NotPolygonal,
     NotSymmetric,
@@ -17,6 +20,7 @@ from helly_plane.norms import (
     ball_to_json,
     boundary_point,
     edge_functionals,
+    euclidean_ball,
     gauge,
     lattice_vertices,
     make_convex_body,
@@ -151,6 +155,37 @@ def test_boundary_point(square, euclid):
     assert abs(b.x - 0.6) < 1e-12 and abs(b.y - 0.8) < 1e-12
     with pytest.raises(ZeroDirection):
         boundary_point(square, Vec2(0, 0))
+
+
+# the kinds of ball `gauge` and `boundary_point` dispatch on: integer
+# normals, float normals and none
+BAD_INPUT_BALLS = {
+    "square": square_ball(),
+    "float-square": ball_from_json(ball_to_json(square_ball()), "float"),
+    "euclidean": euclidean_ball(),
+}
+NOT_NUMBERS = [Vec2("a", 0), Vec2(0, "a"), Vec2("1", "0"), Vec2(1.0, "0"), Vec2(Decimal(1), 0),
+               Vec2(None, 1), Vec2(1j, 0), (1, 0)]
+
+
+@pytest.mark.parametrize("ball", BAD_INPUT_BALLS, ids=list(BAD_INPUT_BALLS))
+@pytest.mark.parametrize("direction", [Vec2(math.inf, 1.0), Vec2(1.0, -math.inf), Vec2(math.nan, 1.0),
+                                       Vec2(0.0, math.nan)] + NOT_NUMBERS)
+def test_boundary_point_refuses_a_direction_that_is_not_finite_numbers(ball, direction):
+    with pytest.raises(BadInput, match="plane vectors of finite numbers"):
+        boundary_point(BAD_INPUT_BALLS[ball], direction)
+
+
+@pytest.mark.parametrize("ball", BAD_INPUT_BALLS, ids=list(BAD_INPUT_BALLS))
+@pytest.mark.parametrize("z", [Vec2(math.nan, 0.0), Vec2(1, math.nan), *NOT_NUMBERS])
+def test_gauge_refuses_nan_and_non_number_coordinates(ball, z):
+    with pytest.raises(BadInput, match="NaN|not a plane vector of numbers"):
+        gauge(BAD_INPUT_BALLS[ball], z)
+
+
+def test_gauge_keeps_an_infinite_coordinate():
+    # what an overflowed float sum carries on to its verdict
+    assert gauge(euclidean_ball(), Vec2(math.inf, 1.0)) == math.inf
 
 
 def test_vertex_normalization_random_balls():

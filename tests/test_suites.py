@@ -3,10 +3,14 @@ import json
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helly_plane import geometry, norms, suites
 from helly_plane.errors import BadInput, TheoremFalsified, UnknownSuite
-from helly_plane.suites import SUITE_NAMES, SuiteConfig, run_suite
+from helly_plane.suites import SUITE_NAMES, SuiteConfig, SuiteReport, TrialRecord, run_suite
+
+from oracles import ref_report_json_text
 
 
 def test_unknown_suite():
@@ -202,3 +206,34 @@ def test_claim1_check_reports_a_missing_complement(monkeypatch):
     first = next(t for t in set(hits) if tuple(sorted(set(range(6)) - set(t))) not in set(hits))
     assert _claim1_detail(monkeypatch, hits) == f"complement of {first} missing"
 
+
+# strings JSON escapes: quotes, backslashes, control characters and non-ASCII
+odd_text = st.one_of(
+    st.text(),
+    st.text(alphabet='"\\/\x00\x1f\x7f\n\t\u00e9\u2028\ud7ff\U0001f600 ab'),
+)
+# witnesses as the suites print them: subsets, numerals and nested documents
+json_docs = st.recursive(
+    st.one_of(st.integers(), st.floats(), odd_text, st.booleans(), st.none()),
+    lambda inner: st.one_of(st.lists(inner, max_size=3), st.dictionaries(odd_text, inner, max_size=3)),
+    max_leaves=8,
+)
+records = st.lists(
+    st.builds(
+        TrialRecord, st.integers(0, 10**6), odd_text, st.sampled_from(["pass", "fail", "vacuous"]),
+        odd_text, st.lists(json_docs, max_size=3),
+    ),
+    max_size=4,
+)
+configs = st.builds(
+    SuiteConfig, st.sampled_from(SUITE_NAMES) | odd_text, st.integers(0, 10**4),
+    st.integers(-(2**70), 2**70), st.sampled_from(["exact", "float"]) | odd_text,
+    st.integers(0, 10**30) | st.floats(0, 1e300), st.sampled_from(["random", "maxnorm"]) | odd_text,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(config=configs, records=records)
+def test_report_text_is_the_former_printed_document(config, records):
+    report = SuiteReport(config, records, 0.0, lambda rng: None)
+    assert report.to_json_text() == ref_report_json_text(report)

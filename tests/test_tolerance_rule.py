@@ -9,6 +9,8 @@ entry point that takes one, as it is in `run_suite` (`scalars.check_tol`).
 
 import ast
 import math
+from decimal import Decimal
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -96,3 +98,11 @@ def test_bad_tolerance_is_bad_input(name, tol):
 def test_run_suite_refuses_a_bool_tolerance(tol):
     with pytest.raises(BadInput, match="tol must be finite and >= 0"):
         run_suite(SuiteConfig(suite="thm1", trials=2, seed=0, tol=tol))
+
+
+@pytest.mark.parametrize("tol", [Fraction(1, 10**9), Decimal("1e-9")], ids=["fraction", "decimal"])
+def test_run_suite_refuses_a_tolerance_that_is_not_an_int_or_a_float(tol):
+    # refused before trial 0, not when the report prints it
+    with pytest.raises(BadInput, match="tol must be of type int or float"):
+        run_suite(SuiteConfig("thm2", 2, 1, tol=tol))
+    assert '"tol":0,' in run_suite(SuiteConfig("thm2", 2, 1, tol=0)).to_json_text()
