@@ -12,13 +12,11 @@ out in the hot draws), with the values and generator states of
 `rng.randint`/`rng.randrange`. Polygonal boundary points are convex
 combinations of adjacent vertices, so their gauge is 1 exactly, with no
 float slack anywhere in exact mode. Each distribution has one draw, a
-boundary-point draw and a ball-point draw, run on the ball's vertex cycle
-in whatever form it has (`_cycle`: integer pairs, float pairs, or none on
-the Euclidean ball). Float draws give a float `Family`, printed from its
-float pairs: no `Vec2` and no `Fraction` is formed, and each float is
-the one the `Vec2` arithmetic gave (`Fraction`·float is float(F)·float,
-and float(Fraction(r, 1000)) is r / 1000). A boundary draw meets a
-halfplane by one mirror of its pairs (`geometry.dots`).
+boundary-point draw and a ball-point draw, run on the ball's integer
+vertex cycle (`lattice_vertices`, None on the Euclidean ball). Euclidean
+draws give a float `Family`, printed from its float pairs: no `Vec2` and
+no `Fraction` is formed. A boundary draw meets a halfplane by one mirror
+of its pairs (`geometry.dots`).
 """
 
 from __future__ import annotations
@@ -32,8 +30,8 @@ from typing import Optional
 from .errors import BadInput, NotConvexBody
 from .geometry import Family, dots
 from .norms import (
-    ConvexBody, UnitBall, boundary_point, compile_lattice, euclidean_ball, float_norm,
-    lattice_in_ball, lattice_vertices,
+    ConvexBody, UnitBall, boundary_point, compile_lattice, euclidean_ball, lattice_in_ball,
+    lattice_vertices,
 )
 from .scalars import le
 from .vectors import Vec2
@@ -91,14 +89,6 @@ def gen_random_ball(seed: int) -> UnitBall:
     return _symmetric_polygon(seed, UnitBall)
 
 
-def _cycle(ball: UnitBall) -> Optional[tuple[list, Optional[int]]]:
-    """The vertex cycle in one form: `lattice_vertices(ball)`, float pairs
-    over None on a float-vertex ball, or None on the Euclidean ball."""
-    if ball.is_polygonal:
-        return lattice_vertices(ball) or (ball.vertices.floats(), None)
-    return None
-
-
 def gen_unit_vectors(
     ball: UnitBall,
     n: int,
@@ -108,13 +98,13 @@ def gen_unit_vectors(
     """n vectors of gauge exactly 1; with `halfplane` u, all dots u.v >= 0.
 
     The boundary-point draw gives pairs over a denominator (float pairs
-    over None) on every ball, and one mirror meets the halfplane: a
+    over None on the Euclidean ball), and one mirror meets the halfplane: a
     boundary point with a negative dot (`geometry.dots`) is replaced by
     its negation, which is also on the boundary.
     """
     if type(n) is not int or n < 1:
         raise BadInput(f"need an int n >= 1; got {n!r}")
-    pairs, den = _boundary_points(_cycle(ball), seeded_rng(seed), n)
+    pairs, den = _boundary_points(lattice_vertices(ball), seeded_rng(seed), n)
     if halfplane is not None:
         sides = dots(halfplane, pairs, den)
         pairs = [(-x, -y) if d < 0 else (x, y) for (x, y), d in zip(pairs, sides)]
@@ -122,10 +112,10 @@ def gen_unit_vectors(
 
 
 def _boundary_points(cycle: Optional[tuple], rng: random.Random, n: int) -> tuple[list, Optional[int]]:
-    """n boundary points over one denominator, for a `_cycle`: (cos φ, sin φ)
-    on the Euclidean ball, else the point r/1000 of the way from vertex A
-    to vertex B, which is (1000·A + r·(B − A)) / (1000·S) on the lattice
-    and A + t·(B − A) with t = r / 1000 in floats. The draws are
+    """n boundary points over one denominator, for a `lattice_vertices`
+    cycle: (cos φ, sin φ) on the Euclidean ball (None), else the point
+    r/1000 of the way from vertex A to vertex B, which is
+    (1000·A + r·(B − A)) / (1000·S) on the lattice. The draws are
     `_randint`'s loop written out."""
     if cycle is None:
         phis = [rng.uniform(0.0, 2.0 * math.pi) for _ in range(n)]
@@ -142,12 +132,8 @@ def _boundary_points(cycle: Optional[tuple], rng: random.Random, n: int) -> tupl
         r = bits(_OFFSET_BITS)
         while r >= _GRID:
             r = bits(_OFFSET_BITS)
-        if scale is None:
-            t = r / _GRID
-            out.append((ax + t * (bx - ax), ay + t * (by - ay)))
-        else:
-            out.append((_GRID * ax + r * (bx - ax), _GRID * ay + r * (by - ay)))
-    return out, None if scale is None else _GRID * scale
+        out.append((_GRID * ax + r * (bx - ax), _GRID * ay + r * (by - ay)))
+    return out, _GRID * scale
 
 
 def gen_zero_sum_six(ball: UnitBall, seed: int) -> Family:
@@ -157,17 +143,17 @@ def gen_zero_sum_six(ball: UnitBall, seed: int) -> Family:
     the negated sum, redrawing until the closing vector is inside too; a
     +- triple fallback guarantees termination. The five are added from 0
     left to right, as `vsum` adds them; the closing vector is tested on
-    ints on the lattice, else by the float gauge.
+    ints on the lattice, else by `math.hypot` on the Euclidean ball.
     """
     rng = seeded_rng(seed)
-    cycle = _cycle(ball)
+    cycle = lattice_vertices(ball)
     for _ in range(_ZERO_SUM_DRAWS):
         pts, den = _ball_points(cycle, rng, 5)
         x = y = 0
         for px, py in pts:
             x += px
             y += py
-        inside = lattice_in_ball(ball, -x, -y, den) if den else le(float_norm(ball)(-x, -y), 1, 1e-12)
+        inside = lattice_in_ball(ball, -x, -y, den) if den else le(math.hypot(-x, -y), 1, 1e-12)
         if inside:
             return Family.from_lattice(pts + [(-x, -y)], den)
     pts, den = _ball_points(cycle, rng, 3)
@@ -175,12 +161,11 @@ def gen_zero_sum_six(ball: UnitBall, seed: int) -> Family:
 
 
 def _ball_points(cycle: Optional[tuple], rng: random.Random, count: int) -> tuple[list, Optional[int]]:
-    """`count` points of the ball over one denominator, for a `_cycle`:
-    uniform points of the disc on the Euclidean ball, else convex
-    combinations Σ wᵢPᵢ / total of three random vertices, which stay in the
-    ball: integer pairs over the lcm of their denominators on the lattice,
-    Σ (w / total)·P added from 0 left to right in floats. The draws are
-    `_randint`'s loop written out."""
+    """`count` points of the ball over one denominator, for a
+    `lattice_vertices` cycle: uniform points of the disc on the Euclidean
+    ball (None), else convex combinations Σ wᵢPᵢ / total of three random
+    vertices, which stay in the ball: integer pairs over the lcm of their
+    denominators. The draws are `_randint`'s loop written out."""
     points = []
     if cycle is None:
         for _ in range(count):
@@ -199,22 +184,12 @@ def _ball_points(cycle: Optional[tuple], rng: random.Random, count: int) -> tupl
                 i = bits(k)
             picks.append(pairs[i])
         x = y = total = 0
-        weights = []
         for px, py in picks:
             w = bits(_WEIGHT_BITS)
             while w > _GRID:
                 w = bits(_WEIGHT_BITS)
             x, y, total = x + w * px, y + w * py, total + w
-            weights.append(w)
-        total = total or 1
-        if scale is None:  # float vertices: the sum is redone as Σ (w / total)·P
-            x = y = 0
-            for (px, py), w in zip(picks, weights):
-                x += w / total * px
-                y += w / total * py
-        points.append((x, y, total))
-    if scale is None:
-        return [(x, y) for x, y, _ in points], None
+        points.append((x, y, total or 1))
     den = math.lcm(*[t for _, _, t in points])
     return [(x * (den // t), y * (den // t)) for x, y, t in points], den * scale
 

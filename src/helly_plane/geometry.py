@@ -3,8 +3,9 @@ and where the origin lies against a triangle.
 
 `Family` is the one lattice form of a finite point set: a drawn or given
 family of vectors, and the vertex cycle of every polygonal ball or body
-(`norms`), is integer pairs over one scale, or float pairs. `dots` is the
-one halfplane test of such points, from draw to certificate.
+(`norms`), is integer pairs over one scale (a vertex cycle always is), or
+float pairs. `dots` is the one halfplane test of such points, from draw
+to certificate.
 
 Everything here is exact on rational data; predicates that also have to
 serve float data take an optional tolerance which only kicks in for float

@@ -18,15 +18,14 @@ form no `Fraction`; a single `Fraction` is formed per reported gauge
 enumeration per subset. A supporting line at a
 boundary point (`supporting_functional`) is found on the same integer
 normals. Float gauges run on the float normals and round exactly as
-`Fraction * float` does. Every polygon is compiled by `compile_lattice`
-from the lattice form of its points (the generators call it with their
-1/1000 grid directly): integer pairs over one scale when every coordinate
-is rational, float pairs when any coordinate is a float. A ball's vertex
-cycle is a `geometry.Family`, the one lattice form of a point set: on a
-rational ball its integer pairs and their coarsest scale, whose
-`Fraction` vertices are formed on first read; on a float-vertex ball its
-float pairs. A ball is that `Family` plus its compiled normals (on a
-rational ball the float normals are derived on first read).
+`Fraction * float` does. A polygon is the exact polygon its numbers
+denote, and a float is the dyadic rational it denotes (`Fraction(x)`):
+every polygon is compiled by `compile_lattice` from the integer pairs of
+its points over one scale (the generators call it with their 1/1000 grid
+directly). A ball's vertex cycle is a `geometry.Family`, the one lattice
+form of a point set: its integer pairs and their coarsest scale, whose
+`Fraction` vertices are formed on first read. A ball is that `Family`
+plus its compiled normals, whose float normals are derived on first read.
 A ball is printed once, to its canonical text `UnitBall.json_text`,
 straight from the `Family`'s numerals; `ball_to_json` reads that text
 back. Only this module reads the compiled form and the packed lanes.
@@ -59,20 +58,16 @@ class UnitBall:
     """A unit ball; polygonal ones carry their compiled edge normals.
 
     `vertices` is the vertex cycle as a `Family`: integer pairs over a
-    scale on a rational ball, float pairs on a float-vertex ball (one
-    given any float coordinate), and empty on the Euclidean ball.
-    `normals` holds integer pairs (P, Q) with (p, q) == (P, Q) / `den` for
-    the functional z -> p*z.x + q*z.y of each edge, or None when the
-    vertices are floats; `float_normals` holds (float(p), float(q)).
-    `symmetric`: whether the vertex set is closed under negation.
+    scale, and empty on the Euclidean ball. `normals` holds integer pairs
+    (P, Q) with (p, q) == (P, Q) / `den` for the functional
+    z -> p*z.x + q*z.y of each edge, or None on the Euclidean ball;
+    `float_normals` holds (float(p), float(q)), derived on first read and
+    kept. `symmetric`: whether the vertex set is closed under negation.
 
-    A rational ball is built from its vertex `Family` and `normals` alone:
-    its `float_normals` are derived on first read and kept. A float-vertex
-    ball is given its `float_normals`, computed in floats. Equality
-    (within one class), hashing and repr go by (kind, vertices). The ball
-    holds its `SubsetSums` packing constants: `_row_bound`, max(|P| + |Q|),
-    and `_packings`, w -> (lane shifts, unit, guards, lane mask, P lanes,
-    Q lanes), once per w.
+    Equality (within one class), hashing and repr go by (kind, vertices).
+    The ball holds its `SubsetSums` packing constants: `_row_bound`,
+    max(|P| + |Q|), and `_packings`, w -> (lane shifts, unit, guards, lane
+    mask, P lanes, Q lanes), once per w.
     """
 
     def __init__(
@@ -81,7 +76,6 @@ class UnitBall:
         vertices: Family,
         normals: Optional[tuple[tuple[int, int], ...]] = None,
         den: int = 1,
-        float_normals: Optional[tuple[tuple[float, float], ...]] = None,
         symmetric: bool = True,
     ):
         self.kind = kind
@@ -91,16 +85,11 @@ class UnitBall:
         self.symmetric = symmetric
         self._row_bound = max([abs(p) + abs(q) for p, q in normals]) if normals else 0
         self._packings: dict = {}
-        # a given value takes the place of the derived one
-        if float_normals is not None:
-            self.float_normals = float_normals
 
     @cached_property
     def float_normals(self) -> tuple[tuple[float, float], ...]:
-        if self.normals is None:
-            return ()
         den = self.den
-        return tuple([(p / den, q / den) for p, q in self.normals])
+        return tuple([(p / den, q / den) for p, q in self.normals or ()])
 
     @cached_property
     def json_text(self) -> str:
@@ -156,24 +145,23 @@ def make_convex_body(points: Sequence[Vec2]) -> ConvexBody:
 
 
 def _compile_polygon(points: Sequence[Vec2], cls: type) -> UnitBall:
-    """The points' `Family` compiled by `compile_lattice`: on its integer
-    pairs when every coordinate is rational, else on its float pairs."""
+    """The points' `Family` compiled by `compile_lattice` on its integer
+    pairs; a float coordinate is the dyadic rational it denotes."""
     fam = Family(points)
     if not fam.pts:
         raise NotConvexBody("empty vertex list")
+    if fam.scale is None:
+        fam = Family([Vec2(Fraction(v.x), Fraction(v.y)) for v in fam])
     return compile_lattice(fam.pts, fam.scale, cls)
 
 
-def compile_lattice(pairs: Sequence[tuple], scale: Optional[int], cls: type) -> UnitBall:
+def compile_lattice(pairs: Sequence[tuple[int, int]], scale: int, cls: type) -> UnitBall:
     """The one constructor of polygonal balls and bodies: the polygon with
-    vertices the hull of `pairs` / `scale`, checked and compiled on ints,
-    or the hull of the float pairs `pairs` when `scale` is None.
+    vertices the hull of `pairs` / `scale`, checked and compiled on ints.
 
     A `UnitBall` must also be symmetric, and starts at its vertex of
     smallest polar angle; a `ConvexBody` keeps the hull's order. The vertex
-    `Family` puts the cycle on its own coarsest lattice. A float polygon
-    has no integer normals: its float normals are formed here, each row
-    over its own determinant.
+    `Family` puts the cycle on its own coarsest lattice.
 
     Symmetry is decided here, once. A point set closed under negation (its
     sorted distinct pairs, reversed, are their negations) builds one hull
@@ -187,10 +175,6 @@ def compile_lattice(pairs: Sequence[tuple], scale: Optional[int], cls: type) -> 
     symmetric = closed or set(coords) == {(-x, -y) for x, y in coords}
     start = _cycle_start(coords, cls, symmetric)
     vertices = Family.from_lattice(coords[start:] + coords[:start], scale)
-    if scale is None:
-        rows = _edge_rows(vertices.pts, 1, len(coords))
-        float_normals = tuple([(p / det, q / det) for p, q, det in rows])
-        return cls(POLYGONAL, vertices, float_normals=float_normals, symmetric=symmetric)
     rows = _edge_rows(vertices.pts, vertices.scale, len(coords) // 2 if symmetric else len(coords))
     den = math.lcm(*[det for _, _, det in rows])
     normals = [(p * (den // det), q * (den // det)) for p, q, det in rows]
@@ -291,7 +275,7 @@ def gauge(ball: UnitBall, z: Vec2) -> Scalar:
 
 def lattice_vertices(ball: UnitBall) -> Optional[tuple[Sequence[tuple[int, int]], int]]:
     """The vertex cycle as (integer pairs, scale), read off the ball's
-    vertex `Family`, or None for the Euclidean ball and float-vertex balls.
+    vertex `Family`, or None for the Euclidean ball.
     Other modules read the integer cycle only through this."""
     vertices = ball.vertices
     return None if vertices.scale is None else (vertices.pts, vertices.scale)
@@ -348,8 +332,8 @@ class SubsetSums:
 
     Otherwise each subset is summed as floats, left to right from 0 in
     index order, which is bit for bit what `gauge(ball, vsum(...))`
-    computes; rational data on a Euclidean or float-vertex ball is summed
-    exactly, then rounded once. Each subset is enumerated once.
+    computes; rational data on the Euclidean ball is summed exactly, then
+    rounded once. Each subset is enumerated once.
     """
 
     def __init__(self, ball: UnitBall, vectors: Sequence[Vec2]):
@@ -484,7 +468,7 @@ def supporting_functional(
     ball, as (p, q, e): z -> (p*z.x + q*z.y) / e.
 
     v is (x, y) / den on the lattice, or the floats (x, y) when den is None.
-    p, q and e are ints on a ball with integer normals, whatever the data.
+    p, q and e are ints on a polygonal ball, whatever the data.
     An edge is hit where its functional is 1 at v: on ints for rational v
     (`P·X + Q·Y == den·D`), within tol for float v. At a vertex (two hits)
     the two functionals are averaged, which keeps the value 1 at v and
@@ -495,13 +479,11 @@ def supporting_functional(
     """
     if not ball.is_polygonal:
         return x, y, 1 if den is None else den
-    rows, e = (ball.float_normals, 1) if ball.normals is None else (ball.normals, ball.den)
-    if den is not None and ball.normals is not None:
+    rows, e = ball.normals, ball.den
+    if den is not None:
         values = [p * x + q * y for p, q in rows]
         hits = [j for j, m in enumerate(values) if m == e * den]
     else:
-        if den is not None:
-            x, y = x / den, y / den
         values = [p * x + q * y for p, q in ball.float_normals]
         hits = [j for j, m in enumerate(values) if eq(m, 1, tol)]
     if len(hits) == 2:
@@ -513,12 +495,9 @@ def supporting_functional(
 
 def edge_functionals(ball: UnitBall) -> list[Vec2]:
     """The edge functionals in edge order, as coefficient vectors n with
-    n.dot(z) == 1 on the edge: exact `Fraction`s, or floats when the
-    vertices are floats. Polygonal balls only."""
+    n.dot(z) == 1 on the edge, as exact `Fraction`s. Polygonal balls only."""
     if not ball.is_polygonal:
         raise NotPolygonal("the Euclidean ball has no edge functionals")
-    if ball.normals is None:
-        return [Vec2(p, q) for p, q in ball.float_normals]
     return [Vec2(Fraction(p, ball.den), Fraction(q, ball.den)) for p, q in ball.normals]
 
 
@@ -537,12 +516,13 @@ def ball_to_json(ball: UnitBall) -> dict:
     return json.loads(ball.json_text)
 
 
-def ball_from_json(obj: dict, mode: str = "exact") -> UnitBall:
+def ball_from_json(obj: dict) -> UnitBall:
+    """The ball of a JSON document; polygon vertices are read exactly."""
     kind = obj.get("type") if isinstance(obj, dict) else None
     if kind == EUCLIDEAN:
         return euclidean_ball()
     if kind == POLYGONAL:
-        return make_polygonal_ball(load_vectors(obj, mode, "vertices"))
+        return make_polygonal_ball(load_vectors(obj, "exact", "vertices"))
     raise BadInput(f"unknown ball type: {kind!r}")
 
 

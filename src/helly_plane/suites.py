@@ -167,7 +167,7 @@ def _fixed_ball(cfg: SuiteConfig) -> UnitBall:
     elif source == "euclidean":
         ball = euclidean_ball()
     else:
-        ball = ball_from_json(load_json(source), cfg.mode)
+        ball = ball_from_json(load_json(source))
     if cfg.suite == "generic" and not ball.is_polygonal:
         return square_ball()  # make_generic perturbs against polygon edges
     return ball

@@ -4,8 +4,8 @@ For a convex polygon with the origin strictly inside, symmetry about the
 origin is equivalent to two boundary-sum conditions; for an asymmetric body
 both finders below walk candidate triples and return the first one their
 verifier accepts: a counterexample to T1 at n = 3 on the body's own gauge,
-or a triple around the origin whose sum has gauge > 1. A body (a float one
-as the polygon its floats denote) is compiled like a unit ball, so "inside"
+or a triple around the origin whose sum has gauge > 1. A body is compiled
+like a unit ball, on the exact values of its points, so "inside"
 and "on the boundary" are decided by its exact gauge, and every boundary
 point a finder builds is read off its edge functionals: a chord's two
 ends, or a boundary point's edge.
@@ -20,9 +20,7 @@ from typing import Callable, Iterator, Optional, Sequence
 
 from .errors import SearchBudgetExceeded
 from .geometry import Family, origin_position
-from .norms import (
-    ConvexBody, SubsetSums, boundary_point, edge_functionals, lattice_vertices, make_convex_body,
-)
+from .norms import ConvexBody, SubsetSums, boundary_point, edge_functionals, make_convex_body
 from .scalars import eq, gt
 from .theorems import verify_theorem1
 from .vectors import Vec2
@@ -101,14 +99,6 @@ def _boundary_neighbours(body: ConvexBody, p: Vec2) -> list[Vec2]:
     return [verts[(e + 1) % n], verts[e]]
 
 
-def _exact_body(body: ConvexBody) -> ConvexBody:
-    """The body, or the polygon a float body's floats denote: every float
-    is a dyadic rational, so `Fraction(x)` is exact."""
-    if lattice_vertices(body) is not None:
-        return body
-    return make_convex_body([Vec2(Fraction(x), Fraction(y)) for x, y in body.vertices.floats()])
-
-
 def _triple(w: ViolationWitness, kind: WitnessKind) -> Optional[Family]:
     """The `Family` of a, b, c if w is of `kind`, with three distinct points
     and h = a + b + c (read on the lattice of all four), else None."""
@@ -123,7 +113,7 @@ def verify_halfplane_witness(body: ConvexBody, w: ViolationWitness) -> bool:
     counterexample. A closed halfplane through the origin holding a, b, c
     turns until its boundary meets the first of them counterclockwise, p,
     with the rest at angles [0, π] past p: so u ranges over a⊥, b⊥, c⊥."""
-    body, vs = _exact_body(body), _triple(w, WitnessKind.HALFPLANE_INTERIOR_SUM)
+    vs = _triple(w, WitnessKind.HALFPLANE_INTERIOR_SUM)
     if vs is None:
         return False
     reports = (verify_theorem1(body, vs, p.perp(), 0.0) for p in vs if not p.is_zero())
@@ -134,7 +124,7 @@ def verify_surrounding_witness(body: ConvexBody, w: ViolationWitness) -> bool:
     """Re-check a surrounding witness from scratch on one packing of a, b, c:
     the sum strictly outside (which rejects most candidates), each point on
     the boundary, and the origin strictly inside conv{a, b, c}."""
-    body, vs = _exact_body(body), _triple(w, WitnessKind.SURROUNDING_EXTERIOR_SUM)
+    vs = _triple(w, WitnessKind.SURROUNDING_EXTERIOR_SUM)
     if vs is None:
         return False
     sums = SubsetSums(body, vs)
@@ -150,7 +140,6 @@ def _first_verified(
 ) -> Optional[ViolationWitness]:
     """The one place a finder accepts a witness: None for a symmetric body,
     else the first of `candidates(body)` that `verify` accepts."""
-    body = _exact_body(body)
     if is_centrally_symmetric(body):
         return None
     for witness in candidates(body):

@@ -39,6 +39,9 @@ sampled one vector at a time against dicts of `Fraction` (or float) keys;
 wherever it accepted each vector's first candidate, `make_generic` must
 return the same family.
 
+`float_vertex_ball` is the polygon given by the floats of a polygon's
+vertices, which the library compiles as the dyadic rationals they denote.
+
 `VerifyReport` and `is_centrally_symmetric` are the library's former eager
 report and vertex-set symmetry test, copied verbatim: the reference
 verifiers construct the report, and the symmetry decision the compiler
@@ -114,11 +117,13 @@ from helly_plane.norms import (
     edge_functionals,
     gauge,
     lattice_vertices,
+    make_convex_body,
+    make_polygonal_ball,
 )
 from helly_plane.scalars import (
     DEFAULT_TOL, Scalar, check_tol, eq, format_ratio, format_scalar, ge, gt, le, sgn,
 )
-from helly_plane.symmetry import ViolationWitness, WitnessKind, _exact_body
+from helly_plane.symmetry import ViolationWitness, WitnessKind
 from helly_plane.theorems import Certificate, KSum
 from helly_plane.vectors import ORIGIN, Vec2, VectorMultiset, vsum
 
@@ -395,21 +400,23 @@ _HALF_VERTICES = 6
 ZERO_SUM_DRAWS = 10_000
 
 
-def exactify(x):
-    """Rationals (int included) as Fraction, so divisions stay exact; floats as is."""
-    return x if isinstance(x, float) else Fraction(x)
+def float_vertex_ball(polygon):
+    """The polygon given by the floats of a polygon's vertices, a ball or a
+    body as the polygon is: each float the dyadic rational it denotes."""
+    build = make_polygonal_ball if type(polygon) is UnitBall else make_convex_body
+    return build([Vec2(float(v.x), float(v.y)) for v in polygon.vertices])
 
 
 def ref_compile_polygon(points, cls):
-    pts = list(points)
+    # a float coordinate is the dyadic rational it denotes, as in the library
+    pts = [Vec2(Fraction(p.x), Fraction(p.y)) for p in points]
     if not pts:
         raise NotConvexBody("empty vertex list")
     hull = convex_hull(pts)
     if len(hull) < 3:
         raise NotConvexBody("hull is degenerate (a point or a segment)")
     fam = Family(hull)
-    grid = None if fam.scale is None else (fam.pts, fam.scale)
-    coords, scale = grid if grid else ([(v.x, v.y) for v in hull], 1)
+    coords, scale = fam.pts, fam.scale
     start = 0
     if cls is UnitBall:
         if set(coords) != {(-x, -y) for x, y in coords}:
@@ -424,20 +431,9 @@ def ref_compile_polygon(points, cls):
         if not det > 0:
             raise NotConvexBody("origin is not strictly inside")
         rows.append((scale * (by - ay), scale * (ax - bx), det))
-    if grid:
-        den = math.lcm(*[det for _, _, det in rows])
-        normals = tuple([(p * (den // det), q * (den // det)) for p, q, det in rows])
-        float_normals = [(p / den, q / den) for p, q in normals]
-    else:
-        normals, den = None, 1
-        float_normals = [(p / det, q / det) for p, q, det in rows]
-    return cls(
-        POLYGONAL,
-        tuple([Vec2(exactify(v.x), exactify(v.y)) for v in hull[start:] + hull[:start]]),
-        normals,
-        den,
-        tuple(float_normals),
-    )
+    den = math.lcm(*[det for _, _, det in rows])
+    normals = tuple([(p * (den // det), q * (den // det)) for p, q, det in rows])
+    return cls(POLYGONAL, tuple(hull[start:] + hull[:start]), normals, den)
 
 
 def _fraction(rng, lo, hi):
@@ -592,9 +588,8 @@ class VerifyReport:
 
 def is_centrally_symmetric(body: ConvexBody) -> bool:
     """Whether the vertex set equals its own negation, exactly: decided on
-    the integer pairs of the vertex cycle, or the float pairs of a float body."""
-    grid = lattice_vertices(body)
-    have = set(grid[0] if grid is not None else body.vertices.floats())
+    the integer pairs of the vertex cycle."""
+    have = set(lattice_vertices(body)[0])
     return have == {(-x, -y) for x, y in have}
 
 
@@ -982,7 +977,6 @@ def ref_verify_halfplane_witness(body: ConvexBody, w: ViolationWitness) -> bool:
     the sum first: one gauge rejects most of a finder's candidates."""
     # a common closed halfplane bounded through the origin exists exactly
     # when the origin is not strictly inside conv{a, b, c}
-    body = _exact_body(body)
     return (
         w.kind is WitnessKind.HALFPLANE_INTERIOR_SUM
         and ref_strictly_inside(body, w.h)
@@ -993,7 +987,6 @@ def ref_verify_halfplane_witness(body: ConvexBody, w: ViolationWitness) -> bool:
 
 def ref_verify_surrounding_witness(body: ConvexBody, w: ViolationWitness) -> bool:
     """Re-check a surrounding witness from scratch with the exact predicates."""
-    body = _exact_body(body)
     return (
         w.kind is WitnessKind.SURROUNDING_EXTERIOR_SUM
         and not ref_strictly_inside(body, w.h)

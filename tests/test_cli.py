@@ -285,6 +285,24 @@ def test_svg_of_a_sum_past_float_range_exits_2_and_writes_no_file(tmp_path, caps
     assert not svg.exists()
 
 
+# a symmetric 4-gon and a fifth point on an edge, as decimals: the vertices
+# are read exactly in both modes, so the file is that 4-gon in both
+EDGE_POINT_BALLS = {
+    "inside-as-floats": [["-0.5", "-0.6"], ["0.5", "0.6"], ["-0.4", "-0.2"], ["0.4", "0.2"], ["-0.23", "-0.36"]],
+    "outside-as-floats": [["0.3", "-0.1"], ["-0.3", "0.1"], ["-0.9", "-0.8"], ["0.9", "0.8"], ["0.66", "0.44"]],
+}
+
+
+@pytest.mark.parametrize("mode", ["exact", "float"])
+@pytest.mark.parametrize("name", EDGE_POINT_BALLS)
+def test_ball_file_with_a_point_on_an_edge_runs_in_both_modes(name, mode, tmp_path, capsys):
+    doc = {"type": "polygonal", "vertices": EDGE_POINT_BALLS[name]}
+    ball = _write(tmp_path, "b.json", json.dumps(doc))
+    assert main(["verify", "thm2", "--mode", mode, "--trials", "6", "--ball", ball]) == 0
+    assert json.loads(capsys.readouterr().out)["counts"]["pass"] == 6
+    assert len(ball_from_json(doc).vertices) == 4
+
+
 def test_malformed_ball_file_in_verify_exits_2(tmp_path):
     ball = _write(tmp_path, "ball.json", "not json")
     assert main(["verify", "thm1", "--trials", "2", "--ball", ball]) == 2

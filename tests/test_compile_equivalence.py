@@ -7,7 +7,8 @@ both chains. `oracles.ref_compile_polygon` is the compiler as it was before,
 on its own copy of the two-chain hull. Every point set, built as a
 `UnitBall` and as a `ConvexBody`, must compile to the same vertex lattice,
 normals, denominator, float normals and JSON text, or raise the same
-exception with the same message.
+exception with the same message. A float coordinate is the dyadic rational
+it denotes, in the library and in the reference.
 """
 
 import json
@@ -59,13 +60,8 @@ def point_sets(draw, points):
 
 
 def reference_text(ref) -> str:
-    """The JSON text of a reference polygon: `Vec2.to_json` numerals on a
-    rational one, the `repr` of each float on a float one."""
-    if ref.normals is None:
-        vertices = [[repr(float(v.x)), repr(float(v.y))] for v in ref.vertices]
-    else:
-        vertices = [v.to_json() for v in ref.vertices]
-    doc = {"type": "polygonal", "vertices": vertices}
+    """The JSON text of a reference polygon: its `Vec2.to_json` numerals."""
+    doc = {"type": "polygonal", "vertices": [v.to_json() for v in ref.vertices]}
     return json.dumps(doc, sort_keys=True, separators=(",", ":"))
 
 
@@ -83,7 +79,6 @@ def assert_same_compile(got, ref):
     assert type(got) is type(ref)
     fam = Family(ref.vertices)
     assert (got.vertices.pts, got.vertices.scale) == (fam.pts, fam.scale)
-    assert repr(got.vertices.pts) == repr(fam.pts)  # the same float bits, signed zeros too
     assert (got.normals, got.den) == (ref.normals, ref.den)
     assert [(p.hex(), q.hex()) for p, q in got.float_normals] == [
         (p.hex(), q.hex()) for p, q in ref.float_normals
@@ -96,21 +91,18 @@ def assert_same_compile(got, ref):
 def test_compile_matches_the_two_chain_reference(cls, points):
     ref = outcome(oracles.ref_compile_polygon, points, cls)
     assert_same_compile(outcome(BUILDERS[cls], points), ref)
-    fam = Family(points)
-    if fam.scale is not None:
-        # the generators' form: integer pairs over a scale that is not the coarsest
-        pairs = [(3 * x, 3 * y) for x, y in fam.pts]
-        assert_same_compile(outcome(compile_lattice, pairs, 3 * fam.scale, cls), ref)
+    # the generators' form: integer pairs over a scale that is not the
+    # coarsest, of the exact values (a float is the dyadic rational it denotes)
+    fam = Family([Vec2(Fraction(p.x), Fraction(p.y)) for p in points])
+    pairs = [(3 * x, 3 * y) for x, y in fam.pts]
+    assert_same_compile(outcome(compile_lattice, pairs, 3 * fam.scale, cls), ref)
 
 
-def test_float_ball_keeps_its_signed_zeros():
+def test_signed_zeros_are_the_rational_zero():
+    # a ball file is read exactly, and float vertices are the rationals they
+    # denote: -0.0 and 0.0 are both 0, printed "0"
+    text = '{"type":"polygonal","vertices":[["1","0"],["0","1"],["-1","0"],["0","-1"]]}'
     four = [["1", "0"], ["0", "1"], ["-1", "0"], ["0", "-1"]]
-    ball = ball_from_json({"type": "polygonal", "vertices": four}, "float")
-    assert ball.json_text == (
-        '{"type":"polygonal","vertices":[["1.0","0.0"],["0.0","1.0"],["-1.0","0.0"],["0.0","-1.0"]]}'
-    )
-    # a given signed zero prints as given, never a computed negation's
+    assert ball_from_json({"type": "polygonal", "vertices": four}).json_text == text
     ball = make_polygonal_ball([Vec2(1.0, -0.0), Vec2(-0.0, 1.0), Vec2(-1.0, 0.0), Vec2(0.0, -1.0)])
-    assert ball.json_text == (
-        '{"type":"polygonal","vertices":[["1.0","-0.0"],["-0.0","1.0"],["-1.0","0.0"],["0.0","-1.0"]]}'
-    )
+    assert ball.json_text == text and ball.normals is not None

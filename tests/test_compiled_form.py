@@ -21,7 +21,7 @@ import helly_plane
 COMPILED = {
     "normals", "den", "float_normals",
     # the packed form
-    "_lanes", "_guard", "_unit", "_top", "_ru", "_reach", "_mask", "_shifts", "_packings",
+    "_lanes", "_guard", "_unit", "_top", "_reach", "_mask", "_shifts", "_packings",
     "_row_bound",
 }
 MODULES = sorted(

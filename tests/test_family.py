@@ -24,8 +24,8 @@ from helly_plane.errors import BadInput, PreconditionFailed
 from helly_plane.generators import gen_random_ball, gen_unit_vectors
 from helly_plane.geometry import Family
 from helly_plane.norms import (
-    ConvexBody, ball_from_json, ball_to_json, compile_lattice, euclidean_ball, gauge,
-    lattice_vertices, make_polygonal_ball, square_ball,
+    ConvexBody, compile_lattice, euclidean_ball, gauge, lattice_vertices, make_convex_body,
+    make_polygonal_ball, square_ball,
 )
 from helly_plane.suites import SuiteConfig
 from helly_plane.symmetry import is_centrally_symmetric
@@ -122,16 +122,17 @@ def constructed(call) -> list[str]:
 
 @pytest.mark.parametrize("draws", [generators._ZERO_SUM_DRAWS, 0])
 def test_euclidean_draws_build_no_vec2_and_no_fraction(monkeypatch, draws):
-    # the Euclidean ball and float-vertex balls share one float-pair draw;
-    # draws = 0 sends the zero-sum draw to its +- triple fallback
+    # the Euclidean ball's float-pair draw, and the lattice draw on balls
+    # given by float vertices (the dyadic rationals they denote); draws = 0
+    # sends the zero-sum draw to its +- triple fallback
     monkeypatch.setattr(generators, "_ZERO_SUM_DRAWS", draws)
     rng = random.Random(5)
     directions = [generators.gen_direction(rng) for _ in range(5)] + [Vec2(0.6, -0.8), Vec2(0, 1)]
     mixed = [Vec2(1, 0.25), Vec2(-0.5, 1), Vec2(-1, 0.75)]  # int and float coordinates
     balls = [
         euclidean_ball(),
-        ball_from_json(ball_to_json(gen_random_ball(5)), "float"),
-        ball_from_json(ball_to_json(gen_random_ball(20240611)), "float"),
+        oracles.float_vertex_ball(gen_random_ball(5)),
+        oracles.float_vertex_ball(gen_random_ball(20240611)),
         make_polygonal_ball(mixed + [-v for v in mixed]),
     ]
     for ball in balls:
@@ -140,20 +141,20 @@ def test_euclidean_draws_build_no_vec2_and_no_fraction(monkeypatch, draws):
             assert constructed(lambda: gen_unit_vectors(ball, 7, seed)) == []
             assert constructed(lambda: generators.gen_zero_sum_six(ball, seed)) == []
     # the hook does see them: reading a drawn family's vectors forms them
-    floats, rationals = gen_unit_vectors(balls[1], 3, 0), gen_unit_vectors(square_ball(), 3, 0)
+    floats, rationals = gen_unit_vectors(balls[0], 3, 0), gen_unit_vectors(balls[1], 3, 0)
     assert "Vec2" in constructed(lambda: floats.vectors)
     assert "Fraction" in constructed(lambda: rationals.vectors)
 
 
 def test_symmetry_is_decided_on_the_vertex_pairs():
-    # a fresh body, exact or float, symmetric or with one vertex stretched
-    # by 9/8: its vertices are not formed to decide its symmetry
+    # a fresh body, from integer pairs or from floats, symmetric or with one
+    # vertex stretched by 9/8: its vertices are not formed to decide its symmetry
     for seed in range(20):
         pairs, scale = lattice_vertices(gen_random_ball(seed))
         stretched = [(9 * x, 9 * y) if i == 0 else (8 * x, 8 * y) for i, (x, y) in enumerate(pairs)]
         for points, den, symmetric in ((pairs, scale, True), (stretched, 8 * scale, False)):
-            floats = [(x / den, y / den) for x, y in points]
-            for body in (compile_lattice(points, den, ConvexBody), compile_lattice(floats, None, ConvexBody)):
+            floats = make_convex_body([Vec2(x / den, y / den) for x, y in points])
+            for body in (compile_lattice(points, den, ConvexBody), floats):
                 assert constructed(lambda: is_centrally_symmetric(body)) == []
                 assert is_centrally_symmetric(body) is symmetric
                 assert oracles.ref_is_centrally_symmetric(body) is symmetric
@@ -340,9 +341,7 @@ def test_generator_output_is_not_put_on_the_lattice_again(monkeypatch, suite, in
 
 
 def ref_unit_points(grid, n, rng):
-    """`_boundary_points`' draws through `_randint`, unmirrored: on the
-    lattice, or the float expression A + t·(B − A) with t = r / 1000 on
-    float pairs (scale None)."""
+    """`_boundary_points`' draws through `_randint`, unmirrored, on the lattice."""
     pairs, scale = grid
     m = len(pairs)
     out = []
@@ -350,37 +349,22 @@ def ref_unit_points(grid, n, rng):
         i = generators._randint(rng, 0, m - 1)
         (ax, ay), (bx, by) = pairs[i], pairs[(i + 1) % m]
         r = generators._randint(rng, 0, 999)
-        if scale is None:
-            t = r / 1000
-            out.append((ax + t * (bx - ax), ay + t * (by - ay)))
-        else:
-            out.append((1000 * ax + r * (bx - ax), 1000 * ay + r * (by - ay)))
-    return Family.from_lattice(out, None if scale is None else 1000 * scale)
+        out.append((1000 * ax + r * (bx - ax), 1000 * ay + r * (by - ay)))
+    return Family.from_lattice(out, 1000 * scale)
 
 
 def ref_ball_points(grid, rng, count):
     """`_ball_points` through `_randint`: each point on its own, then all
-    over the lcm of their denominators; on float pairs (scale None), each
-    point is Σ (w / total)·P added from 0 left to right."""
+    over the lcm of their denominators."""
     pairs, scale = grid
     m = len(pairs)
     points = []
     for _ in range(count):
         picks = [pairs[generators._randint(rng, 0, m - 1)] for _ in range(3)]
         weights = [generators._randint(rng, 0, 1000) for _ in range(3)]
-        if scale is None:
-            total = sum(weights) or 1
-            x = y = 0
-            for (px, py), w in zip(picks, weights):
-                x += w / total * px
-                y += w / total * py
-            points.append((x, y))
-            continue
         x = sum(w * px for w, (px, _) in zip(weights, picks))
         y = sum(w * py for w, (_, py) in zip(weights, picks))
         points.append((x, y, (sum(weights) or 1) * scale))
-    if scale is None:
-        return points, None
     den = math.lcm(*[d for _, _, d in points])
     return [(x * (den // d), y * (den // d)) for x, y, d in points], den
 
@@ -393,8 +377,11 @@ FLOAT_HEXAGON = {"type": "polygonal", "vertices": [
 DRAW_BALLS = {
     "random": gen_random_ball,
     "maxnorm": lambda seed: square_ball(),
-    "float-of-random": lambda seed: ball_from_json(ball_to_json(gen_random_ball(5)), "float"),
-    "float-hexagon": lambda seed: ball_from_json(FLOAT_HEXAGON, "float"),
+    # balls given by float vertices: lattices of wide dyadic denominators
+    "float-of-random": lambda seed: oracles.float_vertex_ball(gen_random_ball(5)),
+    "float-hexagon": lambda seed: make_polygonal_ball(
+        [Vec2(float(x), float(y)) for x, y in FLOAT_HEXAGON["vertices"]]
+    ),
 }
 
 
@@ -402,15 +389,12 @@ DRAW_BALLS = {
 def test_written_out_draws_read_the_randint_stream(ball_name):
     for seed in range(100):
         ball = DRAW_BALLS[ball_name](seed)
-        grid = generators._cycle(ball)
-        assert (grid[1] is None) == ball_name.startswith("float")
+        grid = lattice_vertices(ball)
         ours, ref = random.Random(seed), random.Random(seed)
         for n in (1, 5, 9):
             got = Family.from_lattice(*generators._boundary_points(grid, ours, n))
             want = ref_unit_points(grid, n, ref)
             assert (got.pts, got.scale) == (want.pts, want.scale)
-            assert repr(got.pts) == repr(want.pts)  # the same float bits, signed zeros too
             points, want_points = generators._ball_points(grid, ours, n), ref_ball_points(grid, ref, n)
             assert points == want_points
-            assert repr(points) == repr(want_points)
         assert ours.getstate() == ref.getstate()

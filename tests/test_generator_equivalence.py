@@ -4,7 +4,8 @@ Each generator is run beside its reference in `oracles` on the same seeds
 and balls, and every output must be equal in value and in type: a
 `Fraction` where the reference gave a `Fraction`, the same float bits
 where it gave a float. Balls cover random polygons, the max-norm ball, a
-hexagon, a thin ball, float-vertex balls and the Euclidean ball.
+hexagon, a thin ball, balls given by float vertices (the exact polygons of
+their dyadic values) and the Euclidean ball.
 """
 
 import random
@@ -27,8 +28,6 @@ from helly_plane.generators import (
 )
 from helly_plane.norms import (
     ConvexBody,
-    ball_from_json,
-    ball_to_json,
     euclidean_ball,
     gauge,
     make_polygonal_ball,
@@ -61,13 +60,12 @@ def _thin():
 
 
 def _float_vertex():
-    vertices = [["0.7", "0.1"], ["-0.2", "0.9"], ["-0.55", "0.35"],
-                ["-0.7", "-0.1"], ["0.2", "-0.9"], ["0.55", "-0.35"]]
-    return ball_from_json({"type": "polygonal", "vertices": vertices}, "float")
+    pts = [Vec2(0.7, 0.1), Vec2(-0.2, 0.9), Vec2(-0.55, 0.35)]
+    return make_polygonal_ball(pts + [-p for p in pts])
 
 
 def _mixed_vertex():
-    # integer and float coordinates in one ball: compiled as a float-vertex ball
+    # integer and float coordinates in one ball: the exact polygon of their values
     pts = [Vec2(1, 0.25), Vec2(-0.5, 1), Vec2(-1, 0.75)]
     return make_polygonal_ball(pts + [-p for p in pts])
 
@@ -77,7 +75,7 @@ FIXED = {
     "hexagon": _hexagon,
     "thin": _thin,
     "float-vertex": _float_vertex,
-    "float-of-random": lambda: ball_from_json(ball_to_json(gen_random_ball(5)), "float"),
+    "float-of-random": lambda: oracles.float_vertex_ball(gen_random_ball(5)),
     "mixed-vertex": _mixed_vertex,
     "euclidean": euclidean_ball,
 }

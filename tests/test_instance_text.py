@@ -21,7 +21,7 @@ import oracles
 from helly_plane import suites
 from helly_plane.generators import gen_random_ball
 from helly_plane.geometry import Family
-from helly_plane.norms import ball_from_json, ball_to_json, euclidean_ball, square_ball
+from helly_plane.norms import ball_to_json, euclidean_ball, make_polygonal_ball, square_ball
 from helly_plane.suites import SUITE_NAMES, SuiteConfig
 from helly_plane.vectors import Vec2
 
@@ -49,11 +49,10 @@ families = st.one_of(lattice_families, float_families, given_families)
 balls = st.one_of(
     st.just(euclidean_ball()),
     st.just(square_ball()),
-    st.just(ball_from_json(FLOAT_HEXAGON, "float")),
+    # balls given by float vertices: numerals over wide dyadic denominators
+    st.just(make_polygonal_ball([Vec2(float(x), float(y)) for x, y in FLOAT_HEXAGON["vertices"]])),
     st.integers(0, 2**32 - 1).map(gen_random_ball),
-    st.integers(0, 2**32 - 1).map(
-        lambda seed: ball_from_json(ball_to_json(gen_random_ball(seed)), "float")
-    ),
+    st.integers(0, 2**32 - 1).map(lambda seed: oracles.float_vertex_ball(gen_random_ball(seed))),
 )
 
 

@@ -27,7 +27,6 @@ from helly_plane.generators import (
 from helly_plane.norms import (
     SubsetSums,
     UnitBall,
-    ball_from_json,
     ball_to_json,
     boundary_point,
     compile_lattice,
@@ -47,7 +46,7 @@ from helly_plane.theorems import (
 )
 from helly_plane.vectors import Vec2, vsum
 
-from oracles import convex_hull, edge_functional, orientation, ray_gauge
+from oracles import convex_hull, edge_functional, float_vertex_ball, orientation, ray_gauge, same
 
 DENOMINATORS = (1, 3, 7, 1000, 1001)
 
@@ -158,16 +157,15 @@ def test_edge_functionals_match_the_fraction_oracle(ball):
 
 @given(ball=balls())
 def test_float_vertex_edge_functionals(ball):
-    fball = ball_from_json(ball_to_json(ball), "float")
+    # a ball given by float vertices is the polygon of their dyadic values:
+    # its functionals are exact, its float normals their correct rounding
+    fball = float_vertex_ball(ball)
     normals = edge_functionals(fball)
-    assert [(n.x, n.y) for n in normals] == list(fball.float_normals)
-    for n, (a, b) in zip(normals, edges(fball)):
-        # float division on the float vertices, as the report digests pin
-        det = a.x * b.y - a.y * b.x
-        assert (n.x.hex(), n.y.hex()) == (((b.y - a.y) / det).hex(), ((a.x - b.x) / det).hex())
-        exact = edge_functional(a, b)
-        assert math.isclose(n.x, exact.x, rel_tol=1e-6, abs_tol=1e-9)
-        assert math.isclose(n.y, exact.y, rel_tol=1e-6, abs_tol=1e-9)
+    assert all(type(c) is Fraction for n in normals for c in (n.x, n.y))
+    assert normals == [edge_functional(a, b) for a, b in edges(fball)]
+    assert [(p.hex(), q.hex()) for p, q in fball.float_normals] == [
+        (float(n.x).hex(), float(n.y).hex()) for n in normals
+    ]
 
 
 @given(ball=st.one_of(balls(), balls(integer_points)))
@@ -215,7 +213,7 @@ def test_subset_gauges_rational(ball, vectors):
 
 @given(
     ball=st.one_of(
-        balls(), balls().map(lambda ball: ball_from_json(ball_to_json(ball), "float")),
+        balls(), balls().map(float_vertex_ball),
         st.just(euclidean_ball()),
     ),
     vectors=st.lists(float_points, min_size=1, max_size=6),
@@ -252,12 +250,17 @@ def test_subset_gauges_euclidean(vectors):
 
 @given(ball=balls(), z=st.one_of(rational_points, float_points), vectors=families)
 def test_float_vertex_ball(ball, z, vectors):
-    fball = ball_from_json(ball_to_json(ball), "float")
-    assert fball.normals is None
-    expected = max(n.x * float(z.x) + n.y * float(z.y) for n in edge_functionals(fball))
-    assert gauge(fball, z).hex() == expected.hex()
+    # compiled on the lattice of its dyadic vertices: exact on rational data,
+    # the float edge maximum on float data
+    fball = float_vertex_ball(ball)
+    assert fball.normals is not None and lattice_vertices(fball) is not None
+    if type(z.x) is float:
+        expected = max(float(n.x) * z.x + float(n.y) * z.y for n in edge_functionals(fball))
+        assert gauge(fball, z).hex() == expected.hex()
+    else:
+        assert gauge(fball, z) == ray_gauge(fball, z)
     for t, g in SubsetSums(fball, vectors).gauges(subsets(len(vectors))):
-        assert g.hex() == gauge(fball, vsum(vectors[i] for i in t)).hex()
+        assert same(g, gauge(fball, vsum(vectors[i] for i in t)))
 
 
 @given(
@@ -288,12 +291,12 @@ def mixed_vertices(ball):
 
 
 # every dispatch of the kernel: integer normals over a denominator or not,
-# float normals from float vertices, the Euclidean ball, and bodies (no
-# opposite edge pairs)
+# over the wide dyadic lattice of float vertices, the Euclidean ball, and
+# bodies (no opposite edge pairs)
 kernel_balls = st.one_of(
     balls(),
     balls(integer_points),
-    balls().map(lambda ball: ball_from_json(ball_to_json(ball), "float")),
+    balls().map(float_vertex_ball),
     balls(integer_points).map(mixed_vertices),
     st.just(square_ball()),
     st.just(euclidean_ball()),
@@ -479,8 +482,7 @@ def test_subset_tests_on_float_gauges_near_one():
     tol = 1e-9
     cs = [1.0, 1.0 + tol, 1.0 - tol]
     cs += [math.nextafter(c, d) for c in cs for d in (0.0, 2.0)]
-    fsquare = ball_from_json(ball_to_json(square_ball()), "float")
-    for ball in (square_ball(), fsquare, euclidean_ball()):
+    for ball in (square_ball(), euclidean_ball()):
         for c in cs:
             assert gauge(ball, Vec2(c, 0.0)) == c
             assert_sphere_tests(ball, [Vec2(c, 0.0)], tol, TOLERANT)

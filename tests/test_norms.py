@@ -29,7 +29,7 @@ from helly_plane.norms import (
 )
 from helly_plane.vectors import Vec2
 
-from oracles import ray_gauge, same
+from oracles import ray_gauge
 
 F = Fraction
 
@@ -158,10 +158,10 @@ def test_boundary_point(square, euclid):
 
 
 # the kinds of ball `gauge` and `boundary_point` dispatch on: integer
-# normals, float normals and none
+# normals (of a square given by rationals or by floats) and none
 BAD_INPUT_BALLS = {
     "square": square_ball(),
-    "float-square": ball_from_json(ball_to_json(square_ball()), "float"),
+    "float-square": make_polygonal_ball([Vec2(float(v.x), float(v.y)) for v in square_ball().vertices]),
     "euclidean": euclidean_ball(),
 }
 NOT_NUMBERS = [Vec2("a", 0), Vec2(0, "a"), Vec2("1", "0"), Vec2(1.0, "0"), Vec2(Decimal(1), 0),
@@ -255,7 +255,8 @@ def test_ball_json_example():
 
 
 def _mixed_point_sets():
-    """Point lists with int or `Fraction` coordinates beside float ones."""
+    """Point lists with int or `Fraction` coordinates beside float ones; the
+    random balls' lists are not symmetric as exact values."""
     pts = [Vec2(1, 0.25), Vec2(-0.5, 1), Vec2(-1, 0.75)]
     sets = [pts + [-v for v in pts], [Vec2(1, 1), Vec2(-1, 1), Vec2(-1, -1), Vec2(1.0, -1)]]
     for seed in (0, 5, 20240611):
@@ -264,28 +265,60 @@ def _mixed_point_sets():
     return sets
 
 
+# a symmetric 4-gon and a fifth point that is on an edge as decimals; as
+# the dyadic rational each float denotes it is just inside (ON_EDGE) or just
+# outside (OFF_EDGE), which float orientation tests get wrong
+ON_EDGE = [Vec2(-0.5, -0.6), Vec2(0.5, 0.6), Vec2(-0.4, -0.2), Vec2(0.4, 0.2), Vec2(-0.23, -0.36)]
+OFF_EDGE = [Vec2(0.3, -0.1), Vec2(-0.3, 0.1), Vec2(-0.9, -0.8), Vec2(0.9, 0.8), Vec2(0.66, 0.44)]
+
+
+def test_a_float_point_just_inside_an_edge_leaves_the_symmetric_4_gon():
+    ball = make_polygonal_ball(ON_EDGE)
+    assert ball.symmetric and sorted(ball.vertices.floats()) == sorted((v.x, v.y) for v in ON_EDGE[:4])
+    assert gauge(ball, Vec2(F(-0.23), F(-0.36))) < 1
+
+
+def test_a_float_point_just_outside_an_edge_is_not_symmetric():
+    four = make_polygonal_ball(OFF_EDGE[:4])
+    assert gauge(four, Vec2(F(0.66), F(0.44))) > 1
+    with pytest.raises(NotSymmetric):
+        make_polygonal_ball(OFF_EDGE)
+    # read as decimals, the fifth point is on the edge: the 4-gon
+    doc = {"type": "polygonal", "vertices": [[repr(v.x), repr(v.y)] for v in OFF_EDGE]}
+    assert ball_from_json(doc).json_text == (
+        '{"type":"polygonal","vertices":[["9/10","4/5"],["-3/10","1/10"],["-9/10","-4/5"],["3/10","-1/10"]]}'
+    )
+
+
+def _built(make, points):
+    try:
+        return make(points)
+    except NotSymmetric as exc:
+        return str(exc)
+
+
 @pytest.mark.parametrize("make", [make_polygonal_ball, make_convex_body])
-def test_mixed_coordinates_compile_on_their_floats(make):
-    # a point set with any float coordinate is a float point set: its
-    # polygon is the polygon of the all-float points
+def test_mixed_coordinates_compile_on_their_exact_values(make):
+    # a float is the dyadic rational it denotes, beside rationals kept as
+    # they are: the polygon of the exact values, or the same refusal
     for points in _mixed_point_sets():
-        got = make(points)
-        want = make([Vec2(float(v.x), float(v.y)) for v in points])
-        assert type(got) is type(want) and lattice_vertices(got) is None and got.normals is None
-        assert same(got.vertices, want.vertices.vectors)
-        assert all(type(c) is float for v in got.vertices for c in (v.x, v.y))
-        assert [(p.hex(), q.hex()) for p, q in got.float_normals] == [
-            (p.hex(), q.hex()) for p, q in want.float_normals
-        ]
+        got = _built(make, points)
+        want = _built(make, [Vec2(F(v.x), F(v.y)) for v in points])
+        assert type(got) is type(want)
+        if isinstance(want, str):
+            assert make is make_polygonal_ball and got == want
+            continue
+        assert got.normals is not None and got.normals == want.normals and got.den == want.den
+        assert lattice_vertices(got) == lattice_vertices(want)
         assert ball_to_json(got) == ball_to_json(want)
 
 
 @pytest.mark.parametrize("make", [make_polygonal_ball, make_convex_body])
-def test_rational_hull_of_mixed_points_is_a_float_polygon(make):
-    # the float point is interior: the hull is the max-norm square, in floats
+def test_rational_hull_of_mixed_points_is_the_exact_polygon(make):
+    # the float point is interior: the hull is the max-norm square, exactly
     points = list(square_ball().vertices) + [Vec2(0.5, 0.0)]
     got = make(points)
-    assert lattice_vertices(got) is None and got.normals is None
-    corners = [["-1.0", "-1.0"], ["-1.0", "1.0"], ["1.0", "-1.0"], ["1.0", "1.0"]]
+    assert lattice_vertices(got) is not None and got.normals is not None
+    corners = [["-1", "-1"], ["-1", "1"], ["1", "-1"], ["1", "1"]]
     assert sorted(ball_to_json(got)["vertices"]) == corners
-    assert gauge(got, Vec2(F(1, 2), 1)) == 1.0 and type(gauge(got, Vec2(1, 0))) is float
+    assert gauge(got, Vec2(F(1, 2), 1)) == 1 and type(gauge(got, Vec2(1, 0))) is F

@@ -9,11 +9,13 @@ Trial counts are chosen to reach the special trials of the suites: thm2's
 antipodal-pair instances (index % 3 == 0) and thm3's collinear instance
 (index 9 on polygonal balls).
 
-The `--ball FILE` rows read a float polygon from a file, which exact mode
-parses into a rational ball and float mode into a float-vertex ball: a
-hexagon, and the float copy of `gen_random_ball(20240611)`, a 10-gon.
-They pin the records, not the whole report: the config holds the file
-path.
+The `--ball FILE` rows read a polygon from a file, whose vertices both
+modes read exactly: a hexagon, and the decimal copy of
+`gen_random_ball(20240611)`, a 10-gon. Float mode then draws the exact
+mode's vectors and rounds them to floats, which
+`test_float_ball_file_runs_draw_the_exact_runs_in_floats` checks trial by
+trial. They pin the records, not the whole report: the config holds the
+file path.
 """
 
 import builtins
@@ -24,7 +26,8 @@ import math
 import pytest
 
 from helly_plane.gallery import CASE_NAMES, run_gallery
-from helly_plane.suites import SuiteConfig, run_suite
+from helly_plane.geometry import Family
+from helly_plane.suites import SuiteConfig, draw_instance, run_suite
 
 # (suite, trials, seed, mode, ball, sha256 of the canonical report text)
 GOLDEN = [
@@ -78,18 +81,17 @@ BALL_FILE_GOLDEN = [
     ("corollary", 30, 5, "exact", "1ab84bcf969bceef42d3aca21d02ab443d8bc067b1e33193a3145d6fbffca671"),
     ("signs", 30, 5, "exact", "9fecf2b5380b3509a01ad8147d259325a2f6f579abe3ba1a87f4a5fcae0d1275"),
     ("generic", 30, 5, "exact", "0d0dd4ae99dd42b5db32e3c7862f950706f61001dd19a89d4a795977c1347e67"),
-    ("thm1", 30, 5, "float", "577b765deeb5a95f5234b56d224fe3cdc518f6a594074c3fff331078c4650039"),
-    ("thm2", 30, 5, "float", "e8b8e8c731fc982c7abfc05e997e86519e3f85a21053e090f33f6e5eb4c77dc0"),
-    ("thm3", 30, 5, "float", "e32e76c90cd7679b6e50c6aff4ea4f00f4f7822035b824a248aee81cf628c757"),
-    ("lemma-conv", 30, 5, "float", "4fb6a51784918d3451965e40f56b65e59140c2c4d6f9baf4512b5a4e14a7fca0"),
-    ("lemma-main", 30, 5, "float", "57be5f4589e502d14e4adb79535a64cbc431f80173ea144b1b4b0feb8ae5d2f4"),
-    ("corollary", 30, 5, "float", "90de6ed6d0d342ea0b90e9738503b832295e9a9f3ecf6088f7a7976b3e66b71c"),
-    ("signs", 30, 5, "float", "69ac227362be5a2842c5a5be8a4b9c0bde9900be2f7c12002e4b2cb41050ac75"),
-    ("generic", 30, 5, "float", "847da0f12d812294736f74935d392bc03012098c382af384143a128f5c5cdbf8"),
+    ("thm1", 30, 5, "float", "8bbe81274babb5286024ac6b105f54701e59a94e4f572455e9b445f07bf0d9f1"),
+    ("thm2", 30, 5, "float", "354f5aa9865a5332684aae96e1554c92b1c4e9188894b97dd4f5dde28faa6ffc"),
+    ("thm3", 30, 5, "float", "d837a6cc6c2414bb98e1d9f7767e1370e9e0a7b4cd2ac286f3ea14cd343ef885"),
+    ("lemma-conv", 30, 5, "float", "531f88bd0ee3aea45487878709d54f62d31f9438b58174bea125e52cbcb76559"),
+    ("lemma-main", 30, 5, "float", "13d8ac6b7231964579d9c52ae269b090d7dcf435c9a9ba6898e16690a63ccb5d"),
+    ("corollary", 30, 5, "float", "0d28a38aed87540a67d2b259b88eda1316e6691333c4181f97926944a4a225d4"),
+    ("signs", 30, 5, "float", "a966d150f91b21df0f9654597e008be69b16ccc35d5178ba9b29bd8914f60cb8"),
+    ("generic", 30, 5, "float", "db2c593c4371e7a99aab1475d79da65e83a49fc51b4baa5fa98735f70a0c51dc"),
 ]
 
-# `ball_to_json` of `gen_random_ball(20240611)` read in float mode: its
-# vertices as floats
+# the vertices of `gen_random_ball(20240611)` as decimals
 RANDOM_BALL_FILE = {"type": "polygonal", "vertices": [
     ["0.694", "0.252"], ["0.47", "0.55"], ["0.244", "0.677"], ["-0.47", "0.656"],
     ["-0.771", "0.245"], ["-0.694", "-0.252"], ["-0.47", "-0.55"], ["-0.244", "-0.677"],
@@ -106,14 +108,14 @@ RANDOM_BALL_FILE_GOLDEN = [
     ("corollary", 30, 5, "exact", "4188f84552e124c07f5073069dc4e3daf4c68474ec2f48649ffbfa3dafeecc87"),
     ("signs", 30, 5, "exact", "cf48a35a6dbc1f94477a8e180716f227c99d7717534a5ce426004e640d1a4800"),
     ("generic", 30, 5, "exact", "a4aec855014b535e397c3bd680e3b6993335bece02dda160c657441c1f5bb9d9"),
-    ("thm1", 30, 5, "float", "ab392617e6fe05d1d87f1526fd99024ec130d4a877f2a70d532939cccebabb9a"),
-    ("thm2", 30, 5, "float", "e41365cc11ea7bbe41e425ae04a5b8a8b861070c5ad2f0323b96ac25fcc0b994"),
-    ("thm3", 30, 5, "float", "df4e881ecfaa72dfeadcbf088b4b90227db16690045a18b187c32460a705cf05"),
-    ("lemma-conv", 30, 5, "float", "54b3442db720808b4ab64160dc272a628d3a472d56f3059b72f1f88dc19352cf"),
-    ("lemma-main", 30, 5, "float", "1075b9c1b885f4710ff7ddbf9209391b5a16dad7f055f5977609b6725ec94be0"),
-    ("corollary", 30, 5, "float", "1ddbf53bdb94de07ef4ffb67c28b9cab14b28ea440c7f86b1ad17732500ba653"),
-    ("signs", 30, 5, "float", "219347994ccc043af72c43d6d60c958e34710891147eb68311c26f3b9aa2e222"),
-    ("generic", 30, 5, "float", "f21f885a03965c69aaf018a93767a06df954957817cd77f9127d5935af732337"),
+    ("thm1", 30, 5, "float", "a74dad6c00c473a7ed4773397f5f6c33518d5ed0c8b4f820b4d18d75e73fcd5c"),
+    ("thm2", 30, 5, "float", "a597d6fc51965e31f45fe2e1bb3b745b1a3df025497a478ad2fe4ec5cb388acc"),
+    ("thm3", 30, 5, "float", "f63394c5d679e2a5cf2922533b093bd674e1c881ca3a481d6ec20764219825bd"),
+    ("lemma-conv", 30, 5, "float", "166fed46dfa008c0c85c92305d847dc0713b20eecbecc2d054f56db52b1eff05"),
+    ("lemma-main", 30, 5, "float", "a2c56556d2ec9230d1dc365b7c99e2fba961392fb77a240819ad8c0b45fc846f"),
+    ("corollary", 30, 5, "float", "496d5afe633c67509b6a35c7eb824403465a407f0a65bc6c73df30c323cd8e18"),
+    ("signs", 30, 5, "float", "4e4cb3b52b9bf80b7969a65c391a7ba398eb8d45fe11a329bac99c87266d346a"),
+    ("generic", 30, 5, "float", "82a8fc74d90fd2a209f5caa8f90d4f47323be130c86a450a91728316d7d3232b"),
 ]
 
 # (check name, expected, actual, passed) per gallery case
@@ -187,6 +189,23 @@ def test_ball_file_digest(tmp_path, suite, trials, seed, mode, digest):
 )
 def test_random_ball_file_digest(tmp_path, suite, trials, seed, mode, digest):
     assert _ball_file_digest(tmp_path, RANDOM_BALL_FILE, suite, trials, seed, mode) == digest
+
+
+@pytest.mark.parametrize("suite", [s for s, _, _, mode, _ in BALL_FILE_GOLDEN if mode == "exact"])
+@pytest.mark.parametrize("doc", [BALL_FILE, RANDOM_BALL_FILE], ids=["hexagon", "random-10-gon"])
+def test_float_ball_file_runs_draw_the_exact_runs_in_floats(tmp_path, doc, suite):
+    # a ball file is read exactly in both modes, so trial i of a float run
+    # prints the exact run's ball and carries the floats of its vectors
+    path = tmp_path / "ball.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    exact, floats = [
+        run_suite(SuiteConfig(suite=suite, trials=30, seed=5, mode=mode, ball_source=str(path)))
+        for mode in ("exact", "float")
+    ]
+    for i in range(30):
+        want, got = [draw_instance(r.config, i, r.balls) for r in (exact, floats)]
+        assert got.ball.json_text == want.ball.json_text, i
+        assert Family(got.vectors).pts == Family(want.vectors).floats(), i
 
 
 def test_thm1_float_rows_hold_under_a_compensated_sum(tmp_path, monkeypatch):

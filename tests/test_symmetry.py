@@ -21,7 +21,6 @@ from helly_plane.symmetry import (
     WitnessKind,
     _boundary_neighbours,
     _chord_ends,
-    _exact_body,
     _halfplane_candidates,
     _surrounding_candidates,
     find_violation_halfplane,
@@ -241,12 +240,11 @@ def _finders_match_the_former_verifiers(body) -> bool:
     took a sum on the boundary. Whether the former rule's own first
     surrounding pick is the finder's."""
     assert not is_centrally_symmetric(body)
-    exact = _exact_body(body)
-    halfplane = _first_accepted(exact, _halfplane_candidates, oracles.ref_verify_halfplane_witness)
-    former = _first_accepted(exact, _surrounding_candidates, oracles.ref_verify_surrounding_witness)
+    halfplane = _first_accepted(body, _halfplane_candidates, oracles.ref_verify_halfplane_witness)
+    former = _first_accepted(body, _surrounding_candidates, oracles.ref_verify_surrounding_witness)
     surrounding = former
-    if gauge(exact, former.h) == 1:
-        surrounding = _first_accepted(exact, _surrounding_candidates, _outside_and_formerly_accepted)
+    if gauge(body, former.h) == 1:
+        surrounding = _first_accepted(body, _surrounding_candidates, _outside_and_formerly_accepted)
     assert find_violation_halfplane(body) == halfplane
     assert find_violation_surrounding(body) == surrounding
     return former == surrounding
@@ -389,7 +387,8 @@ def test_symmetry_is_decided_once_as_the_vertex_set_test_decides_it(shaped):
         body = compile_lattice(pts, 2, ConvexBody)
     except NotConvexBody:
         assume(False)
-    floats = compile_lattice([(x / 2, y / 2) for x, y in pts], None, ConvexBody)
+    # the same points given as floats: each the dyadic rational it denotes
+    floats = make_convex_body([Vec2(x / 2, y / 2) for x, y in pts])
     symmetric = oracles.is_centrally_symmetric(body)
     closed = set(pts) == {(-x, -y) for x, y in pts}
     event(f"{shape}, {'closed' if closed else 'not closed'}: {'symmetric' if symmetric else 'asymmetric'}")

@@ -33,7 +33,6 @@ from helly_plane.generators import (
 )
 from helly_plane.geometry import Family
 from helly_plane.norms import (
-    ball_from_json,
     edge_functionals,
     euclidean_ball,
     make_polygonal_ball,
@@ -58,9 +57,9 @@ def _integer_vertex():
 
 
 def _float_vertex():
-    vertices = [["0.7", "0.1"], ["-0.2", "0.9"], ["-0.55", "0.35"],
-                ["-0.7", "-0.1"], ["0.2", "-0.9"], ["0.55", "-0.35"]]
-    return ball_from_json({"type": "polygonal", "vertices": vertices}, "float")
+    # given by float vertices: the exact polygon of their dyadic values
+    pts = [Vec2(0.7, 0.1), Vec2(-0.2, 0.9), Vec2(-0.55, 0.35)]
+    return make_polygonal_ball(pts + [-p for p in pts])
 
 
 def _short_edges():
@@ -151,8 +150,8 @@ def test_certificates_match_the_reference(name):
 
 
 def test_certificates_on_rational_copies_of_float_vertex_draws():
-    # rational data on a ball with float vertices: the float branch; a shift
-    # by 3**-40 (within the tolerance) puts the lattice beyond 2**53
+    # rational data on a ball given by float vertices, decided on a dyadic
+    # lattice; a shift by 3**-40 (within the tolerance) widens it by 3**40
     ball = _float_vertex()
     for seed in range(12):
         for u, vs in halfplane_families(ball, seed)[::4]:
