@@ -22,7 +22,7 @@ from itertools import combinations
 from typing import Iterable, Iterator, Optional
 
 from .errors import BadInput
-from .scalars import Scalar, float_values, format_ratio, lattice_values, sgn
+from .scalars import Scalar, exact_pairs, float_values, format_ratio, lattice_values, sgn
 from .vectors import Vec2
 
 
@@ -121,6 +121,12 @@ class Family(Sequence):
         except OverflowError:  # int / int past float range
             raise BadInput("a rational coordinate past float range") from None
 
+    def exact(self) -> tuple[list[tuple[int, int]], int]:
+        """The points on the lattice of their exact values: `pts` over
+        `scale`, and float pairs as the dyadic rationals they denote, over
+        one power of two (`scalars.exact_pairs`)."""
+        return (self.pts, self.scale) if self.scale is not None else exact_pairs(self.pts)
+
     def lattice_sum(self, subset: Iterable[int]) -> tuple[Scalar, Scalar]:
         """The sum of the indexed vectors on the lattice: integers over
         `scale`, or floats added left to right from 0 as `vsum` adds them."""
@@ -154,6 +160,16 @@ def _lattice_form(vectors: Sequence[Vec2], rational: bool = True) -> tuple[list,
     if values is None:
         raise BadInput(f"vectors must be plane vectors of finite numbers; got {vectors!r}")
     return values, scale
+
+
+def exact_form(vectors: Sequence[Vec2]) -> tuple[list[tuple[int, int]], int]:
+    """The vectors as integer pairs over one scale, each coordinate its
+    exact value, a float the dyadic rational it denotes; anything but plane
+    vectors of finite numbers is a `BadInput`, as in `_lattice_form`."""
+    try:
+        return exact_pairs([(v.x, v.y) for v in vectors])
+    except (AttributeError, TypeError, ValueError, OverflowError):  # not finite numbers
+        raise BadInput(f"vectors must be plane vectors of finite numbers; got {vectors!r}") from None
 
 
 def _negated(numeral: str) -> str:

@@ -3,32 +3,34 @@
 A polygonal unit ball is stored as its counterclockwise vertex cycle
 (starting at the vertex of smallest polar angle) together with one linear
 functional per edge, normalized to take the value 1 on that edge. The gauge
-of a point is the maximum of the edge functionals, which is exact on
-rational data.
+of a point is the maximum of the edge functionals.
 
-Each ball is compiled once, at construction, into integer edge normals
-(P, Q) over one common denominator. Rational gauges and subset sums then
-run on plain ints. A family's subset sums against a ball
-(`SubsetSums`) are packed lanes on rational data: each vector becomes
-one int holding its edge values P·X + Q·Y in fields with a guard bit,
-packed once, sized for the whole family, so a k-sum is k int adds, every k-sum of
-a family is summed in C, and "norm vs 1" is one or two mask tests that
-form no `Fraction`; a single `Fraction` is formed per reported gauge
-(`gauge`, `SubsetSums.gauges`). Float data keeps its float walk, one
-enumeration per subset. A supporting line at a
-boundary point (`supporting_functional`) is found on the same integer
-normals. Float gauges run on the float normals and round exactly as
-`Fraction * float` does. A polygon is the exact polygon its numbers
-denote, and a float is the dyadic rational it denotes (`Fraction(x)`):
-every polygon is compiled by `compile_lattice` from the integer pairs of
-its points over one scale (the generators call it with their 1/1000 grid
-directly). A ball's vertex cycle is a `geometry.Family`, the one lattice
-form of a point set: its integer pairs and their coarsest scale, whose
-`Fraction` vertices are formed on first read. A ball is that `Family`
-plus its compiled normals, whose float normals are derived on first read.
-A ball is printed once, to its canonical text `UnitBall.json_text`,
-straight from the `Family`'s numerals; `ball_to_json` reads that text
-back. Only this module reads the compiled form and the packed lanes.
+Everything on a polygon is exact, and a float is the dyadic rational it
+denotes (`Fraction(x)`). Each ball is compiled once, at construction,
+into integer edge normals (P, Q) over one common denominator, and every
+point set is read on the lattice of its exact values
+(`scalars.exact_pairs`: a float family over one power of two). A
+polygon is compiled by `compile_lattice` from the integer pairs of its
+points over one scale (the generators call it with their 1/1000 grid
+directly). A family's subset sums against a ball (`SubsetSums`) are
+packed lanes, on rational and float data alike: each vector becomes one
+int holding its edge values P·X + Q·Y in fields with a guard bit, packed
+once, sized for the whole family, so a k-sum is k int adds, every k-sum
+of a family is summed in C, and "norm vs 1" is one or two mask tests that
+form no `Fraction`. On float data the tolerance is applied exactly: a
+gauge within tol of 1 is an integer band around the lane start. A gauge
+is exact: a `Fraction` on rational data, and on float data the exact
+gauge rounded once to a float (`gauge`, `SubsetSums.gauges`). A
+supporting line at a boundary point (`supporting_functional`) and shared
+edge values (`shared_edge_value`) are found on the same integers. Only
+the Euclidean ball sums floats: its gauge is `math.hypot`, and its subset
+sums walk each subset once. A ball's vertex cycle is a `geometry.Family`,
+the one lattice form of a point set: its integer pairs and their coarsest
+scale, whose `Fraction` vertices are formed on first read. A ball is that
+`Family` plus its compiled normals. A ball is printed once, to its
+canonical text `UnitBall.json_text`, straight from the `Family`'s
+numerals; `ball_to_json` reads that text back. Only this module reads the
+compiled form and the packed lanes.
 
 A `ConvexBody`, any convex polygon with the origin strictly inside, is
 built and compiled the same way: the maximum of its edge functionals is
@@ -46,8 +48,8 @@ from operator import not_
 from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 
 from .errors import BadInput, NotConvexBody, NotPolygonal, NotSymmetric, ZeroDirection
-from .geometry import Family, _lattice_form
-from .scalars import DEFAULT_TOL, Scalar, eq, float_values, ge, gt, is_float, le
+from .geometry import Family, _lattice_form, exact_form
+from .scalars import DEFAULT_TOL, Scalar, eq, exact_pairs, float_values, ge, gt, is_float, le
 from .vectors import Vec2
 
 EUCLIDEAN = "euclidean"
@@ -60,9 +62,8 @@ class UnitBall:
     `vertices` is the vertex cycle as a `Family`: integer pairs over a
     scale, and empty on the Euclidean ball. `normals` holds integer pairs
     (P, Q) with (p, q) == (P, Q) / `den` for the functional
-    z -> p*z.x + q*z.y of each edge, or None on the Euclidean ball;
-    `float_normals` holds (float(p), float(q)), derived on first read and
-    kept. `symmetric`: whether the vertex set is closed under negation.
+    z -> p*z.x + q*z.y of each edge, or None on the Euclidean ball.
+    `symmetric`: whether the vertex set is closed under negation.
 
     Equality (within one class), hashing and repr go by (kind, vertices).
     The ball holds its `SubsetSums` packing constants: `_row_bound`,
@@ -85,11 +86,6 @@ class UnitBall:
         self.symmetric = symmetric
         self._row_bound = max([abs(p) + abs(q) for p, q in normals]) if normals else 0
         self._packings: dict = {}
-
-    @cached_property
-    def float_normals(self) -> tuple[tuple[float, float], ...]:
-        den = self.den
-        return tuple([(p / den, q / den) for p, q in self.normals or ()])
 
     @cached_property
     def json_text(self) -> str:
@@ -145,14 +141,13 @@ def make_convex_body(points: Sequence[Vec2]) -> ConvexBody:
 
 
 def _compile_polygon(points: Sequence[Vec2], cls: type) -> UnitBall:
-    """The points' `Family` compiled by `compile_lattice` on its integer
-    pairs; a float coordinate is the dyadic rational it denotes."""
-    fam = Family(points)
-    if not fam.pts:
+    """The points compiled by `compile_lattice` on the integer pairs of
+    their exact values (`geometry.exact_form`): a float coordinate is the
+    dyadic rational it denotes, as in the kernel."""
+    pairs, scale = exact_form(points)
+    if not pairs:
         raise NotConvexBody("empty vertex list")
-    if fam.scale is None:
-        fam = Family([Vec2(Fraction(v.x), Fraction(v.y)) for v in fam])
-    return compile_lattice(fam.pts, fam.scale, cls)
+    return compile_lattice(pairs, scale, cls)
 
 
 def compile_lattice(pairs: Sequence[tuple[int, int]], scale: int, cls: type) -> UnitBall:
@@ -255,22 +250,47 @@ def square_ball() -> UnitBall:
 
 
 def gauge(ball: UnitBall, z: Vec2) -> Scalar:
-    """The norm of z: gauge(z) <= 1 exactly when z is in the ball. A
-    coordinate that is not an int, a `Fraction` or a float, a NaN one, and a
-    rational z rounded to floats past float range are a `BadInput`; an
-    infinite float coordinate (an overflowed float sum) is kept."""
+    """The norm of z: gauge(z) <= 1 exactly when z is in the ball.
+
+    On a polygon it is exact: a `Fraction` on rational z, and on z with a
+    float coordinate the exact gauge of its dyadic value rounded once, inf
+    past float range and for an infinite coordinate (an overflowed float
+    sum). On the Euclidean ball it is `math.hypot` of z's floats, and a
+    rational z past float range is a `BadInput`. A coordinate that is not
+    an int, a `Fraction` or a float, and a NaN one, are a `BadInput`."""
     try:
         x, y = z.x, z.y
         if ball.normals is not None and not is_float(x, y):
             b, d = x.denominator, y.denominator
             nx, ny = x.numerator * d, y.numerator * b  # z == (nx, ny) / (b * d)
             return Fraction(max(p * nx + q * ny for p, q in ball.normals), ball.den * b * d)
-        floats = float_values((x, y), finite=False)  # the Euclidean ball has no normals
+        if ball.normals is None or x != x or y != y:  # the Euclidean ball, or a NaN
+            floats = float_values((x, y), finite=False)
+        else:
+            [(nx, ny)], d = exact_pairs([(x, y)])
+            return _rounded(max(p * nx + q * ny for p, q in ball.normals), ball.den * d)
+    except OverflowError:  # an infinite coordinate
+        return math.inf
     except (AttributeError, TypeError):
         raise BadInput(f"not a plane vector of numbers: {z!r}") from None
     if floats is None:
         raise BadInput("a coordinate that is NaN, or rational past float range")
-    return float_norm(ball)(*floats)
+    return math.hypot(*floats)
+
+
+def _rounded(m: int, d: int) -> float:
+    """m / d rounded once to a float, for m >= 0: inf past float range."""
+    try:
+        return m / d
+    except OverflowError:
+        return math.inf
+
+
+def _band(d: int, tol: float) -> int:
+    """t = floor(d·τ), τ = Fraction(tol): for ints m, |m/d − 1| <= τ exactly
+    when d − t <= m <= d + t."""
+    a, b = tol.as_integer_ratio()
+    return d * a // b
 
 
 def lattice_vertices(ball: UnitBall) -> Optional[tuple[Sequence[tuple[int, int]], int]]:
@@ -284,14 +304,6 @@ def lattice_vertices(ball: UnitBall) -> Optional[tuple[Sequence[tuple[int, int]]
 def lattice_in_ball(ball: UnitBall, x: int, y: int, den: int) -> bool:
     """Whether (x, y) / den is in a ball with a lattice form, on ints."""
     return max(p * x + q * y for p, q in ball.normals) <= ball.den * den
-
-
-def float_norm(ball: UnitBall) -> Callable[[float, float], float]:
-    """The gauge of float coordinates: `math.hypot`, or the largest float edge value."""
-    if ball.kind == EUCLIDEAN:
-        return math.hypot
-    rows = ball.float_normals
-    return lambda x, y: max([p * x + q * y for p, q in rows])
 
 
 # rel -> (rel(-1, 0), rel(0, 0), rel(1, 0)) for the `scalars` comparisons:
@@ -308,81 +320,102 @@ class SubsetSums:
     `combinations` order, or explicit index subsets. The family is read in
     its lattice form (a `Family` passed in keeps its own).
 
-    On a ball with integer normals and rational data the gauge of a subset
-    sum is m / d, with m the largest of its edge values P·SX + Q·SY and
-    d = den · scale. Each vector is then packed once into one int, the sum
-    of its edge values r_e shifted to lanes of w + 1 bits. R is a bound on
-    |r|: the ball's max(|P| + |Q|) times the largest |coordinate|, one pass
-    over the family. A k-sum is k int adds from a start that puts
-    2^w − 1 − d in every lane, so lane e holds m_e + 2^w − 1 − d: with
-    |m_e| <= kR and 2^w > d + k·R + 1 that is in [0, 2^(w+1)), and no lane
-    borrows from or carries into the next. The top bit of a lane, its
-    guard, is then set exactly when m_e > d, and with one more in every
-    lane when m_e >= d. So `rel(m, d, tol)`, which for ints is
-    `rel(sign(m − d), 0, tol)`, is read off one or two masks, and no
-    `Fraction` is formed; the three sign answers of `eq`, `le`, `ge` and
-    `gt` come from a table, and any other comparison is asked them.
-    `gauges` reads m back from the lanes. A k-pass sums in C
-    (`map(sum, combinations)`). The packing is made once, with the object,
-    wide enough for k = n, the family's size: a k-pass never repacks, since
-    for k > n there are no subsets. Only an explicit subset longer than the
-    family widens it; a ball keeps the lane constants of each field width
-    it was packed at.
-    (2^w > d + kR would do: the + 1 is slack.)
+    On a ball with integer normals the family is put once on the lattice
+    of its exact values (`Family.exact`: a float is the dyadic rational it
+    denotes), and the gauge of a subset sum is m / d, with m the largest of
+    its edge values P·SX + Q·SY and d = den · scale. Each vector is then
+    packed once into one int, the sum of its edge values r_e shifted to
+    lanes of w + 1 bits. R is a bound on |r|: the ball's max(|P| + |Q|)
+    times the largest |coordinate|, one pass over the family.
 
-    Otherwise each subset is summed as floats, left to right from 0 in
-    index order, which is bit for bit what `gauge(ball, vsum(...))`
-    computes; rational data on the Euclidean ball is summed exactly, then
-    rounded once. Each subset is enumerated once.
+    "gauge vs 1 within tol" is "m vs the band [d − t, d + t]": t = 0 on
+    rational data, which `scalars` compares exactly, and on float data
+    t = ⌊d·τ⌋ for τ = `Fraction(tol)` (`_band`), so m is in the band
+    exactly when the exact gauge is within tol of 1. A k-sum is k int adds
+    from a start that puts 2^w − 1 − d + c in every lane, so lane e holds
+    m_e + 2^w − 1 − d + c, and its top bit, its guard, is set exactly when
+    m_e + c > d: with c = −t when m is above the band, with c = t + 1 when
+    it is not below it. For c in [−S, S + 1], a slack S >= t, |m_e| <= kR
+    and 2^w > d + S + k·R + 1 every lane stays in [0, 2^(w+1)), and no
+    lane borrows from or carries into the next. `rel(gauge, 1, tol)` is
+    rel's answer at m's place against the band (below, in, above as
+    `rel(-1, 0)`, `rel(0, 0)`, `rel(1, 0)`), so it is read off one or two
+    masks and no `Fraction` is formed; the three answers of `eq`, `le`,
+    `ge` and `gt` come from a table, and any other comparison is asked
+    them. `gauges` reads m back from the lanes. A k-pass sums in C
+    (`map(sum, combinations)`). The packing is made once, with the object,
+    wide enough for k = n, the family's size, and with S = 0 on rational
+    data and S = d on float data, which holds every tol <= 1: a k-pass
+    never repacks, since for k > n there are no subsets. Only an explicit
+    subset longer than the family, or a tol past 1, widens it; a ball
+    keeps the lane constants of each field width it was packed at.
+    (2^w > d + S + kR would do: the + 1 is slack.)
+
+    On the Euclidean ball each subset is summed as floats, left to right
+    from 0 in index order, which is bit for bit what
+    `gauge(ball, vsum(...))` computes; rational data is summed exactly,
+    then rounded once. Each subset is enumerated once.
     """
 
     def __init__(self, ball: UnitBall, vectors: Sequence[Vec2]):
         fam = Family(vectors)
-        self._ball, self._pts, self._scale = ball, fam.pts, fam.scale
-        self._exact = fam.scale is not None and ball.normals is not None
-        # the longest subset the packing holds; -1 on float data, which is
-        # never packed
+        self._ball, self._floats = ball, fam.scale is None
+        self._packed = ball.normals is not None
+        # the longest subset the packing holds; -1 on the Euclidean ball,
+        # which is never packed
         self._cap = -1
-        if self._exact:
-            # |P·X + Q·Y| <= (|P| + |Q|)·max(|X|, |Y|): any R >= max |r| keeps
-            # every mask exact, and R only sets the lane width
-            self._reach = ball._row_bound * max(map(abs, chain.from_iterable(fam.pts)), default=0)
-            self._pack(len(fam.pts))
+        if not self._packed:
+            self._pts, self._scale = fam.pts, fam.scale
+            return
+        self._pts, self._scale = pts, scale = fam.exact()
+        self._d = scale * ball.den
+        # |P·X + Q·Y| <= (|P| + |Q|)·max(|X|, |Y|): any R >= max |r| keeps
+        # every mask exact, and R only sets the lane width
+        self._reach = ball._row_bound * max(map(abs, chain.from_iterable(pts)), default=0)
+        self._slack = self._d if self._floats else 0
+        self._pack(len(pts))
 
     def tests(
         self, subsets: Union[int, Iterable[Sequence[int]]], rel: Callable[..., bool],
         tol: float = DEFAULT_TOL,
     ) -> Iterator[tuple[Sequence[int], bool]]:
         """(subset, rel(gauge of the subset's vector sum, 1, tol)) for each
-        subset; `rel` is one of the `scalars` comparisons."""
-        if not self._exact:
+        subset; `rel` is one of the `scalars` comparisons. On a polygon the
+        gauge is that of the exact sum, and a float family's is compared
+        with 1 exactly, within the band of tol."""
+        if not self._packed:
             return ((t, rel(g, 1, tol)) for t, g in self.gauges(subsets))
-        # for ints rel(m, d) is rel(sign(m - d), 0): read the table, or ask
+        # rel's answer below, in and above the band: read the table, or ask
         # it once per sign
         lo, mid, hi = _SIGN_ANSWERS.get(rel) or (rel(-1, 0, tol), rel(0, 0, tol), rel(1, 0, tol))
-        if lo != hi and mid in (lo, hi):  # one mask: m > d, or m >= d
-            ts, sums = self._sums(subsets, mid == hi)
+        t = _band(self._d, tol) if self._floats else 0
+        if t > self._slack:  # a tol past 1
+            self._slack = t
+            self._pack(self._cap)
+        if lo != hi and mid in (lo, hi):  # one mask: m > d + t, or m >= d - t
+            ts, sums = self._sums(subsets, t + 1 if mid == hi else -t)
             return zip(ts, map(bool if hi else not_, map(self._guard.__and__, sums)))
-        ts, sums = self._sums(subsets)
-        guard, unit, answers = self._guard, self._unit, (lo, mid, hi)
-        # index [m > d] + [m >= d]: 0, 1, 2 for m - d < 0, == 0, > 0
-        return zip(ts, (answers[(s & guard > 0) + (s + unit & guard > 0)] for s in sums))
+        ts, sums = self._sums(subsets, -t)
+        guard, low, answers = self._guard, (2 * t + 1) * self._unit, (lo, mid, hi)
+        # index [m > d + t] + [m >= d - t]: 0, 1, 2 below, in and above the band
+        return zip(ts, (answers[(s & guard > 0) + (s + low & guard > 0)] for s in sums))
 
     def gauges(
         self, subsets: Union[int, Iterable[Sequence[int]]]
     ) -> Iterator[tuple[Sequence[int], Scalar]]:
-        """(subset, gauge of the subset's vector sum) for each subset: one
-        `Fraction` per rational gauge, bit for bit what
-        `gauge(ball, vsum(...))` gives."""
-        if not self._exact:
-            return _float_walk(self._pts, self._scale, subsets, float_norm(self._ball))
+        """(subset, gauge of the subset's vector sum) for each subset. On a
+        polygon it is the gauge of the exact sum: one `Fraction` per
+        rational gauge, bit for bit what `gauge(ball, vsum(...))` gives, and
+        on float data rounded once, as `gauge` rounds. On the Euclidean ball
+        it is bit for bit `gauge(ball, vsum(...))`."""
+        if not self._packed:
+            return _float_walk(self._pts, self._scale, subsets)
         ts, sums = self._sums(subsets)
         mask, shifts = self._mask, self._shifts
         # every lane holds m_e + 2^w - 1 - d, the offset in each lane of the top
-        top, d = self._top & mask, self._scale * self._ball.den
-        return (
-            (t, Fraction(max([s >> e & mask for e in shifts]) - top, d)) for t, s in zip(ts, sums)
-        )
+        top, d = self._top & mask, self._d
+        ratio = _rounded if self._floats else Fraction
+        return ((t, ratio(max([s >> e & mask for e in shifts]) - top, d)) for t, s in zip(ts, sums))
 
     def _sums(self, subsets: Union[int, Iterable[Sequence[int]]], extra: int = 0):
         """The subsets and their packed sums, each lane raised by
@@ -401,28 +434,31 @@ class SubsetSums:
 
     def _pack(self, k: int) -> None:
         """Pack each vector into lanes wide enough for sums of k."""
-        ball, d = self._ball, self._scale * self._ball.den
-        w = (d + k * self._reach + 1).bit_length()
+        ball, d = self._ball, self._d
+        w = (d + self._slack + k * self._reach + 1).bit_length()
         if w not in ball._packings:
-            shifts = range(0, (w + 1) * len(ball.normals), w + 1)
-            unit = sum([1 << e for e in shifts])
-            # packing is linear: X·(P lanes) + Y·(Q lanes) holds each r = P·X + Q·Y
-            ball._packings[w] = (
-                shifts, unit, unit << w, (1 << w + 1) - 1,
-                sum([p << e for (p, _), e in zip(ball.normals, shifts)]),
-                sum([q << e for (_, q), e in zip(ball.normals, shifts)]),
-            )
+            edges = len(ball.normals)
+            # one 1 in every lane: the geometric series 2^(w+1) - 1 divides
+            unit = ((1 << (w + 1) * edges) - 1) // ((1 << w + 1) - 1)
+            # packing is linear: X·(P lanes) + Y·(Q lanes) holds each r = P·X + Q·Y,
+            # the lanes of P and of Q written by Horner's rule from the last edge
+            px = qy = 0
+            for p, q in reversed(ball.normals):
+                px, qy = (px << w + 1) + p, (qy << w + 1) + q
+            ball._packings[w] = (range(0, (w + 1) * edges, w + 1), unit, unit << w, (1 << w + 1) - 1, px, qy)
         self._shifts, self._unit, self._guard, self._mask, px, qy = ball._packings[w]
         self._lanes = [x * px + y * qy for x, y in self._pts]
         self._top, self._cap = self._unit * ((1 << w) - 1 - d), k
 
 
-def _float_walk(pts: Sequence[tuple], den: Optional[int], subsets: Union[int, Iterable], f: Callable):
-    """(t, f(x, y)) for each subset t, (x, y) its sum in floats: float pairs
-    added left to right from 0 in index order, integer pairs over `den`
-    summed exactly and rounded once (past float range, a `BadInput`)."""
+def _float_walk(pts: Sequence[tuple], den: Optional[int], subsets: Union[int, Iterable]):
+    """(t, hypot(x, y)) for each subset t, (x, y) its sum in floats: the
+    Euclidean gauges. Float pairs are added left to right from 0 in index
+    order, integer pairs over `den` summed exactly and rounded once (past
+    float range, a `BadInput`)."""
     if isinstance(subsets, int):
         subsets = combinations(range(len(pts)), subsets)
+    hypot = math.hypot
     try:
         for t in subsets:
             # `Family.lattice_sum` inlined: a call per subset costs a third
@@ -432,7 +468,7 @@ def _float_walk(pts: Sequence[tuple], den: Optional[int], subsets: Union[int, It
                 x, y = pts[i]
                 sx += x
                 sy += y
-            yield t, f(sx, sy) if den is None else f(sx / den, sy / den)
+            yield t, hypot(sx, sy) if den is None else hypot(sx / den, sy / den)
     except OverflowError:  # only int / int raises here
         raise BadInput("a rational sum past float range") from None
 
@@ -440,19 +476,15 @@ def _float_walk(pts: Sequence[tuple], den: Optional[int], subsets: Union[int, It
 def shared_edge_value(ball: UnitBall, vectors: Sequence[Vec2], k: int) -> Optional[tuple]:
     """Two distinct subsets of at most k of the vectors (the empty one too)
     whose sums share a value under the edge functionals, the first pair in
-    `combinations` order by size, or None. The values are `n.dot(vsum(...))`:
-    the ints P·SX + Q·SY over one lattice on rational data (each edge's
-    values summed in C), else the float normals at the float walk's sums."""
-    fam = Family(vectors)
-    pts, scale, sizes = fam.pts, fam.scale, range(k + 1)
+    `combinations` order by size, or None (always on the Euclidean ball,
+    which has none). The values are `n.dot(vsum(...))` of the exact sums,
+    as the ints P·SX + Q·SY on the lattice of the family's exact values
+    (`Family.exact`), each edge's values summed in C."""
+    pts, _ = Family(vectors).exact()
+    sizes = range(k + 1)
     subsets = [t for j in sizes for t in combinations(range(len(pts)), j)]
-    if scale is not None and ball.normals is not None:
-        cols = [[p * x + q * y for x, y in pts] for p, q in ball.normals]
-        values = zip(*[[s for j in sizes for s in map(sum, combinations(col, j))] for col in cols])
-    else:
-        rows = ball.float_normals  # none on the Euclidean ball
-        walk = _float_walk(pts, scale, subsets, lambda x, y: [p * x + q * y for p, q in rows])
-        values = (v for _, v in walk)
+    cols = [[p * x + q * y for x, y in pts] for p, q in ball.normals or ()]
+    values = zip(*[[s for j in sizes for s in map(sum, combinations(col, j))] for col in cols])
     owner: dict = {}
     for t, vs in zip(subsets, values):
         for v in vs:
@@ -467,25 +499,26 @@ def supporting_functional(
     """A functional of value 1 at the boundary point v and at most 1 on the
     ball, as (p, q, e): z -> (p*z.x + q*z.y) / e.
 
-    v is (x, y) / den on the lattice, or the floats (x, y) when den is None.
-    p, q and e are ints on a polygonal ball, whatever the data.
-    An edge is hit where its functional is 1 at v: on ints for rational v
-    (`P·X + Q·Y == den·D`), within tol for float v. At a vertex (two hits)
-    the two functionals are averaged, which keeps the value 1 at v and
-    picks an interior support line. One hit, or three and more when very
-    short edges fall within the tolerance: the first edge attaining the
-    gauge at v is 1 there (up to tol) and at most the gauge everywhere, so
-    it supports the ball at v. The Euclidean ball is supported by v itself.
+    v is (x, y) / den on the lattice, or the floats (x, y) when den is None,
+    read as the dyadic rationals they denote. p, q and e are ints on a
+    polygonal ball, whatever the data. An edge is hit where its functional
+    is 1 at v, decided on ints: exactly for rational v
+    (`P·X + Q·Y == den·D`), within the band of tol for float v, as
+    `SubsetSums` decides it. At a vertex (two hits) the two functionals are
+    averaged, which keeps the value 1 at v and picks an interior support
+    line. One hit, or three and more when very short edges fall within the
+    tolerance: the first edge attaining the gauge at v is 1 there (up to
+    tol) and at most the gauge everywhere, so it supports the ball at v.
+    The Euclidean ball is supported by v itself.
     """
     if not ball.is_polygonal:
         return x, y, 1 if den is None else den
-    rows, e = ball.normals, ball.den
-    if den is not None:
-        values = [p * x + q * y for p, q in rows]
-        hits = [j for j, m in enumerate(values) if m == e * den]
-    else:
-        values = [p * x + q * y for p, q in ball.float_normals]
-        hits = [j for j, m in enumerate(values) if eq(m, 1, tol)]
+    rows, e, t = ball.normals, ball.den, 0
+    if den is None:
+        [(x, y)], den = exact_pairs([(x, y)])
+        t = _band(e * den, tol)
+    values, one = [p * x + q * y for p, q in rows], e * den
+    hits = [j for j, m in enumerate(values) if abs(m - one) <= t]
     if len(hits) == 2:
         (pe, qe), (pf, qf) = rows[hits[0]], rows[hits[1]]
         return pe + pf, qe + qf, 2 * e

@@ -61,6 +61,27 @@ def lattice_values(xs: Sequence[Scalar]) -> Optional[tuple[list[int], int]]:
     return [x.numerator * (den // x.denominator) for x in xs], den
 
 
+def exact_pairs(pts: Sequence[tuple[Scalar, Scalar]]) -> tuple[list[tuple[int, int]], int]:
+    """Pairs of numbers as integer pairs over one common denominator, each
+    coordinate its exact value: a float is the dyadic rational it denotes
+    (`Fraction(x)`). Floats alone share a power of two 2^s: each finite
+    float is k·2^(e − 53), k an int, with `math.frexp`'s exponent e, so
+    with s = 53 − the least e every float times 2^s is an int, which
+    `math.ldexp` forms in C. Floats wider apart than float range holds, and
+    rationals, are read by their `as_integer_ratio`. An infinite float
+    raises OverflowError, a NaN ValueError, and a str AttributeError."""
+    if {type(c) for xy in pts for c in xy} == {float}:
+        s = max(53 - math.frexp(min([abs(c) for xy in pts for c in xy if c], default=1.0))[1], 0)
+        ldexp = math.ldexp
+        try:
+            return [(int(ldexp(x, s)), int(ldexp(y, s))) for x, y in pts], 1 << s
+        except OverflowError:  # x·2^s past float range
+            pass
+    ratios = [(x.as_integer_ratio(), y.as_integer_ratio()) for x, y in pts]
+    den = math.lcm(*{d for xy in ratios for _, d in xy})  # floats share few powers of two
+    return [(a * (den // b), c * (den // e)) for (a, b), (c, e) in ratios], den
+
+
 def float_values(xs: Sequence[Scalar], finite: bool = True) -> Optional[list[float]]:
     """Floats and rationals as floats, a rational rounded as `float` rounds
     it; None when one is NaN or past float range, or, when `finite`, an

@@ -42,6 +42,16 @@ return the same family.
 `float_vertex_ball` is the polygon given by the floats of a polygon's
 vertices, which the library compiles as the dyadic rationals they denote.
 
+`dyadic`, `exact_sum`, `rounded` and `band` are the exact reference for
+float data on a polygon: a float is the `Fraction` it denotes, a subset's
+sum is the exact sum of those, its gauge (the ray oracle's, `ray_gauge`)
+is rounded once to a float, and "gauge vs 1 within tol" is decided on the
+exact gauge against the band [1 - Fraction(tol), 1 + Fraction(tol)].
+`RefSubsetSums` is the library's former `SubsetSums` on float data on a
+polygon, the float walk: float sums left to right from 0, the largest
+float edge value at each, with the correctly rounded edge functionals,
+and `rel(g, 1, tol)` on that float. On any other data it is `SubsetSums`.
+
 `VerifyReport` and `is_centrally_symmetric` are the library's former eager
 report and vertex-set symmetry test, copied verbatim: the reference
 verifiers construct the report, and the symmetry decision the compiler
@@ -405,6 +415,76 @@ def float_vertex_ball(polygon):
     body as the polygon is: each float the dyadic rational it denotes."""
     build = make_polygonal_ball if type(polygon) is UnitBall else make_convex_body
     return build([Vec2(float(v.x), float(v.y)) for v in polygon.vertices])
+
+
+def dyadic(v: Vec2) -> Vec2:
+    """v with each coordinate the `Fraction` it denotes."""
+    return Vec2(Fraction(v.x), Fraction(v.y))
+
+
+def exact_sum(vectors, subset) -> Vec2:
+    """The exact sum of the indexed vectors, each float the `Fraction` it denotes."""
+    zero = Fraction(0)
+    return Vec2(sum([Fraction(vectors[i].x) for i in subset], zero),
+                sum([Fraction(vectors[i].y) for i in subset], zero))
+
+
+def rounded(g: Fraction) -> float:
+    """g rounded once to a float, inf past float range."""
+    try:
+        return float(g)
+    except OverflowError:
+        return math.inf
+
+
+# the meaning of each comparison with 1 within tol, on an exact gauge
+_BAND = {
+    eq: lambda g, tau: abs(g - 1) <= tau,
+    le: lambda g, tau: g <= 1 + tau,
+    ge: lambda g, tau: g >= 1 - tau,
+    gt: lambda g, tau: g > 1 + tau,
+}
+
+
+def band(rel, g: Fraction, tol) -> bool:
+    """rel(g, 1, tol) decided exactly: g within Fraction(tol) of 1 counts as 1."""
+    return _BAND[rel](g, Fraction(tol))
+
+
+class RefSubsetSums(SubsetSums):
+    """The library's former `SubsetSums` on float data on a polygon (the
+    float walk), verbatim apart from its float normals formed here; on any
+    other data the library's."""
+
+    def __init__(self, ball, vectors):
+        super().__init__(ball, vectors)
+        fam = Family(vectors)
+        self._walk = ball.is_polygonal and fam.scale is None
+        self._walk_pts = fam.pts
+        self._rows = tuple([(p / ball.den, q / ball.den) for p, q in ball.normals or ()])
+
+    def tests(self, subsets, rel, tol=DEFAULT_TOL):
+        if not self._walk:
+            return super().tests(subsets, rel, tol)
+        return ((t, rel(g, 1, tol)) for t, g in self.gauges(subsets))
+
+    def gauges(self, subsets):
+        if not self._walk:
+            return super().gauges(subsets)
+        rows = self._rows
+        return _ref_float_walk(self._walk_pts, subsets, lambda x, y: max([p * x + q * y for p, q in rows]))
+
+
+def _ref_float_walk(pts, subsets, f):
+    if isinstance(subsets, int):
+        subsets = combinations(range(len(pts)), subsets)
+    for t in subsets:
+        sx = sy = 0
+        for i in t:
+            x, y = pts[i]
+            sx += x
+            sy += y
+        yield t, f(sx, sy)
 
 
 def ref_compile_polygon(points, cls):

@@ -1,7 +1,7 @@
 """Only `norms` reads a compiled polygon.
 
-The integer edge normals, their common denominator, their float copies
-and the integer vertex cycle are the kernel's own format, and so are the
+The integer edge normals, their common denominator and the integer
+vertex cycle are the kernel's own format, and so are the
 packed lanes of `SubsetSums` and a ball's lane constants. Every other
 module asks `norms` instead (`gauge`, `SubsetSums.tests`/`.gauges`,
 `shared_edge_value`, `edge_functionals`, `lattice_vertices`,
@@ -19,9 +19,9 @@ import pytest
 import helly_plane
 
 COMPILED = {
-    "normals", "den", "float_normals",
+    "normals", "den",
     # the packed form
-    "_lanes", "_guard", "_unit", "_top", "_reach", "_mask", "_shifts", "_packings",
+    "_lanes", "_guard", "_unit", "_top", "_reach", "_slack", "_mask", "_shifts", "_packings",
     "_row_bound",
 }
 MODULES = sorted(
@@ -47,7 +47,7 @@ def _reads(tree: ast.AST) -> list[int]:
 
 def test_reads_are_found():
     tree = ast.parse(
-        "ball.normals\nx = b.den + 1\nf(ball.float_normals)\ng(ball.vertices.pts)\n"
+        "ball.normals\nx = b.den + 1\nf(sums._slack)\ng(ball.vertices.pts)\n"
         "ball.vertices.scale\nball.vertices\nball.vertices.to_json()\nfam.pts, fam.scale\n"
     )
     assert sorted(_reads(tree)) == [1, 2, 3, 4, 5]

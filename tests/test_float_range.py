@@ -15,7 +15,7 @@ import pytest
 
 from helly_plane.algorithms import choose_signs, ginzburg_reduce, make_generic
 from helly_plane.errors import BadInput, EpsilonTooLarge, NotUnitVectors
-from helly_plane.norms import euclidean_ball, gauge, make_polygonal_ball
+from helly_plane.norms import euclidean_ball, gauge, make_polygonal_ball, square_ball
 from helly_plane.theorems import verify_helly, verify_theorem1
 from helly_plane.vectors import Vec2
 
@@ -79,3 +79,26 @@ def test_float_families_keep_their_inf():
     assert report.total_norm == math.inf
     assert gauge(FLOAT_BALL, Vec2(1e308, 1e308)) == math.inf
     assert gauge(FLOAT_BALL, BIG) > 10**399  # exact
+
+
+@pytest.mark.parametrize("ball", [square_ball(), FLOAT_BALL, euclidean_ball()],
+                         ids=["maxnorm", "float-vertex", "euclidean"])
+def test_an_infinite_coordinate_has_gauge_inf(ball):
+    # an edge functional with a zero coefficient must not make 0·inf a NaN
+    for z in (Vec2(math.inf, 0.0), Vec2(0.0, -math.inf), Vec2(math.inf, -math.inf), Vec2(-math.inf, 1)):
+        assert gauge(ball, z) == math.inf
+    with pytest.raises(BadInput):
+        gauge(ball, Vec2(math.inf, math.nan))
+    # a float total past float range: 3e308 overflows the float sum to inf
+    report = verify_helly(ball, [Vec2(1e308, 0.0)] * 3, strict=False)
+    assert report.total_norm == math.inf
+    assert not report.hypothesis_holds
+
+
+def test_a_polygon_mixing_a_float_with_a_rational_past_float_range_compiles_exactly():
+    # each coordinate is put on the lattice as its exact value, as the kernel puts float data
+    for half in (0.5, F(1, 2)):
+        top = [Vec2(F(10**400), half), Vec2(0, 1)]
+        ball = make_polygonal_ball(top + [-v for v in top])
+        assert list(ball.vertices) == [Vec2(F(10**400), F(1, 2)), Vec2(0, 1), Vec2(-F(10**400), F(-1, 2)), Vec2(0, -1)]
+        assert gauge(ball, Vec2(0, 2)) == 2

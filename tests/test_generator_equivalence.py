@@ -45,7 +45,6 @@ def same_polygon(new, ref) -> bool:
         type(new) is type(ref)
         and same(new.vertices, ref.vertices)
         and (new.normals, new.den) == (ref.normals, ref.den)
-        and same(new.float_normals, ref.float_normals)
     )
 
 

@@ -3,14 +3,17 @@
 Balls are drawn with denominators off the 1/1000 grid of the generators
 (1/3, 1/7, 1/1001) as well as with integer vertices. The references are the
 definitions the kernel replaces: the edge functional solved on `Fraction`s,
-the ray-boundary gauge oracle, the float edge-functional maximum, `gauge`
-of a `vsum` (compared with 1 through `scalars` for `SubsetSums.tests`), and a
-`Fraction` monotone chain kept here.
+the ray-boundary gauge oracle, `gauge` of a `vsum` (compared with 1 through
+`scalars` for `SubsetSums.tests`), and a `Fraction` monotone chain kept here.
+Float data on a polygon is checked against the exact reference of
+`oracles`: the ray oracle's gauge of the exact dyadic sum, rounded once,
+and each comparison decided on it within the band Fraction(tol).
 """
 
 import math
 import sys
 from fractions import Fraction
+from functools import partial
 from itertools import combinations
 
 import pytest
@@ -46,7 +49,10 @@ from helly_plane.theorems import (
 )
 from helly_plane.vectors import Vec2, vsum
 
-from oracles import convex_hull, edge_functional, float_vertex_ball, orientation, ray_gauge, same
+from oracles import (
+    band, convex_hull, dyadic, edge_functional, exact_sum, float_vertex_ball, orientation,
+    ray_gauge, rounded, same,
+)
 
 DENOMINATORS = (1, 3, 7, 1000, 1001)
 
@@ -65,6 +71,11 @@ float_points = st.builds(
     st.floats(-3, 3, allow_nan=False, allow_infinity=False),
     st.floats(-3, 3, allow_nan=False, allow_infinity=False),
 )
+
+# the tolerances float data on a polygon is checked at against the exact
+# reference: zero, the default, and bands up to and past the gauge itself
+BANDS = [0.0, 1e-9, 1e-3, 1.0, 1e6]
+BAND_TOLS = st.sampled_from(BANDS)
 
 
 @st.composite
@@ -149,23 +160,16 @@ def test_body_gauge_matches_ray_oracle(seed, z):
 def test_edge_functionals_match_the_fraction_oracle(ball):
     normals = edge_functionals(ball)
     assert normals == [edge_functional(a, b) for a, b in edges(ball)]
-    # the float copies are the correctly rounded functionals, bit for bit
-    assert [(p.hex(), q.hex()) for p, q in ball.float_normals] == [
-        (float(n.x).hex(), float(n.y).hex()) for n in normals
-    ]
 
 
 @given(ball=balls())
 def test_float_vertex_edge_functionals(ball):
     # a ball given by float vertices is the polygon of their dyadic values:
-    # its functionals are exact, its float normals their correct rounding
+    # its functionals are exact
     fball = float_vertex_ball(ball)
     normals = edge_functionals(fball)
     assert all(type(c) is Fraction for n in normals for c in (n.x, n.y))
     assert normals == [edge_functional(a, b) for a, b in edges(fball)]
-    assert [(p.hex(), q.hex()) for p, q in fball.float_normals] == [
-        (float(n.x).hex(), float(n.y).hex()) for n in normals
-    ]
 
 
 @given(ball=st.one_of(balls(), balls(integer_points)))
@@ -190,7 +194,7 @@ def test_lattice_ball_forms_no_fraction_until_its_vertices_are_read(monkeypatch)
     ball = gen_random_ball(11)
     same = compile_lattice(*lattice_vertices(ball), UnitBall)
     ball_to_json(same)
-    assert same.float_normals == ball.float_normals
+    assert (same.normals, same.den) == (ball.normals, ball.den)
     assert formed == []
     vertices = tuple(same.vertices)
     assert len(formed) == 2 * len(vertices)
@@ -199,10 +203,12 @@ def test_lattice_ball_forms_no_fraction_until_its_vertices_are_read(monkeypatch)
     assert same == ball and hash(same) == hash(ball) and repr(same) == repr(ball)
 
 
-@given(ball=balls(), z=float_points)
+@given(ball=st.one_of(balls(), bodies), z=float_points)
 def test_float_gauge_is_bitwise_edge_maximum(ball, z):
-    expected = max(float(n.x) * z.x + float(n.y) * z.y for n in edge_functionals(ball))
-    assert gauge(ball, z).hex() == expected.hex()
+    # the exact edge maximum at z's dyadic value, rounded once
+    exact = max(n.dot(dyadic(z)) for n in edge_functionals(ball))
+    assert exact == ray_gauge(ball, dyadic(z))
+    assert gauge(ball, z).hex() == float(exact).hex()
 
 
 @given(ball=balls(), vectors=st.lists(rational_points, min_size=1, max_size=6))
@@ -217,11 +223,16 @@ def test_subset_gauges_rational(ball, vectors):
         st.just(euclidean_ball()),
     ),
     vectors=st.lists(float_points, min_size=1, max_size=6),
-    tol=st.sampled_from([1e-9, 0.0, 1e-3]),
+    tol=BAND_TOLS,
 )
 def test_subset_gauges_float_bitwise(ball, vectors, tol):
-    for t, g in SubsetSums(ball, vectors).gauges(subsets(len(vectors))):
-        assert g.hex() == gauge(ball, vsum(vectors[i] for i in t)).hex()
+    # on a polygon the exact gauge of each exact sum rounded once, on the
+    # Euclidean ball `gauge` of the float sum, bit for bit
+    ts = subsets(len(vectors))
+    expected, _ = reference(ball, vectors, ts, tol)
+    got = list(SubsetSums(ball, vectors).gauges(ts))
+    assert [t for t, _ in got] == ts
+    assert [g.hex() for _, g in got] == [g.hex() for g in expected]
     # the k-form walks the same float sums as the explicit form: the same
     # gauges bit for bit and the same answers, for every k
     sums = SubsetSums(ball, vectors)
@@ -251,16 +262,16 @@ def test_subset_gauges_euclidean(vectors):
 @given(ball=balls(), z=st.one_of(rational_points, float_points), vectors=families)
 def test_float_vertex_ball(ball, z, vectors):
     # compiled on the lattice of its dyadic vertices: exact on rational data,
-    # the float edge maximum on float data
+    # and on float data the exact gauge of the dyadic values rounded once
     fball = float_vertex_ball(ball)
     assert fball.normals is not None and lattice_vertices(fball) is not None
     if type(z.x) is float:
-        expected = max(float(n.x) * z.x + float(n.y) * z.y for n in edge_functionals(fball))
-        assert gauge(fball, z).hex() == expected.hex()
+        assert gauge(fball, z).hex() == rounded(ray_gauge(fball, dyadic(z))).hex()
     else:
         assert gauge(fball, z) == ray_gauge(fball, z)
-    for t, g in SubsetSums(fball, vectors).gauges(subsets(len(vectors))):
-        assert same(g, gauge(fball, vsum(vectors[i] for i in t)))
+    ts = subsets(len(vectors))
+    expected, _ = reference(fball, vectors, ts, 1e-9)
+    assert same([g for _, g in SubsetSums(fball, vectors).gauges(ts)], expected)
 
 
 @given(
@@ -305,15 +316,35 @@ kernel_balls = st.one_of(
 )
 
 
-def assert_sphere_tests(ball, vectors, tol, meaning=None):
-    """`SubsetSums.tests` against `rel(gauge(vsum), 1, tol)` for every rel and
-    subset, and against `meaning[rel]` of the reference gauge when given;
-    then the k-form of `SubsetSums` for every k = 0..n the same way."""
-    ts = subsets(len(vectors))
+def floats_on_polygon(ball, vectors) -> bool:
+    """Whether the kernel decides float data exactly: a polygon, and a
+    family with a float coordinate."""
+    return ball.is_polygonal and any(type(c) is float for v in vectors for c in (v.x, v.y))
+
+
+def reference(ball, vectors, ts, tol):
+    """The gauges of the sums of the subsets ts, and rel -> the answers of
+    `SubsetSums.tests`. On a polygon and float data: the ray oracle's gauge
+    of each exact dyadic sum, rounded once, and each answer decided on that
+    exact gauge within the band Fraction(tol). Otherwise
+    `gauge(ball, vsum(...))` and `rel(gauge, 1, tol)`."""
+    if floats_on_polygon(ball, vectors):
+        exact = [ray_gauge(ball, exact_sum(vectors, t)) for t in ts]
+        return [rounded(g) for g in exact], lambda rel: [band(rel, g, tol) for g in exact]
     gauges = [gauge(ball, vsum(vectors[i] for i in t)) for t in ts]
+    return gauges, lambda rel: [rel(g, 1, tol) for g in gauges]
+
+
+def assert_sphere_tests(ball, vectors, tol, meaning=None):
+    """`SubsetSums.tests` against the reference answers (`reference`) for
+    every rel and subset, and against `meaning[rel]` of the reference gauge
+    when given; then the k-form of `SubsetSums` for every k = 0..n the
+    same way."""
+    ts = subsets(len(vectors))
+    gauges, answers = reference(ball, vectors, ts, tol)
     for rel in RELS:
         got = list(SubsetSums(ball, vectors).tests(ts, rel, tol))
-        assert got == [(t, rel(g, 1, tol)) for t, g in zip(ts, gauges)]
+        assert got == list(zip(ts, answers(rel)))
         if meaning is not None:
             assert [ok for _, ok in got] == [meaning[rel](g, tol) for g in gauges]
     assert_k_form(ball, vectors, tol, meaning)
@@ -326,11 +357,11 @@ def assert_k_form(ball, vectors, tol, meaning=None):
     shared = SubsetSums(ball, vectors)
     for k in range(n + 1):
         ts = list(combinations(range(n), k))
-        gauges = [gauge(ball, vsum(vectors[i] for i in t)) for t in ts]
+        gauges, answers = reference(ball, vectors, ts, tol)
         for sums in (SubsetSums(ball, vectors), shared):
             for rel in RELS:
                 got = list(sums.tests(k, rel, tol))
-                assert got == [(t, rel(g, 1, tol)) for t, g in zip(ts, gauges)]
+                assert got == list(zip(ts, answers(rel)))
                 assert list(sums.tests(ts, rel, tol)) == got  # the explicit form
                 if meaning is not None:
                     assert [ok for _, ok in got] == [meaning[rel](g, tol) for g in gauges]
@@ -350,7 +381,7 @@ def assert_same_gauges(got, expected):
             assert type(g) is type(ref) and (not isinstance(g, float) or g.hex() == ref.hex())
 
 
-@given(ball=kernel_balls, vectors=families, tol=TOLS)
+@given(ball=kernel_balls, vectors=families, tol=BAND_TOLS)
 def test_subset_tests_match_gauge_against_one(ball, vectors, tol):
     assert_sphere_tests(ball, vectors, tol)
 
@@ -372,13 +403,13 @@ def explicit_subsets(draw, n):
     return draw(st.sampled_from([[()], [triple], [(), *picked, *picked, triple, triple]]))
 
 
-@given(ball=kernel_balls, vectors=families, tol=TOLS, data=st.data())
+@given(ball=kernel_balls, vectors=families, tol=BAND_TOLS, data=st.data())
 def test_kernel_on_explicit_subsets(ball, vectors, tol, data):
     ts = data.draw(explicit_subsets(len(vectors)))
-    gauges = [gauge(ball, vsum(vectors[i] for i in t)) for t in ts]
+    gauges, answers = reference(ball, vectors, ts, tol)
     for rel in RELS:
         got = list(SubsetSums(ball, vectors).tests(iter(ts), rel, tol))
-        assert got == [(t, rel(g, 1, tol)) for t, g in zip(ts, gauges)]
+        assert got == list(zip(ts, answers(rel)))
     got = list(SubsetSums(ball, vectors).gauges(iter(ts)))
     assert [t for t, _ in got] == ts
     for (t, g), ref in zip(got, gauges):
@@ -477,15 +508,46 @@ def test_subset_tests_at_the_equality_boundary(seed):
 
 
 def test_subset_tests_on_float_gauges_near_one():
-    # on these balls the float gauge of (c, 0.0) is c, so the family hits
-    # gauges at 1 and 1 +- tol exactly, and one ulp either side of each
-    tol = 1e-9
-    cs = [1.0, 1.0 + tol, 1.0 - tol]
-    cs += [math.nextafter(c, d) for c in cs for d in (0.0, 2.0)]
-    for ball in (square_ball(), euclidean_ball()):
+    # on these balls the gauge of (c, 0.0) is |c|, so the family hits gauges
+    # at 1 and at 1 +- tol as floats round them, and one ulp either side of
+    # each: on the square decided on the exact c within the band
+    # Fraction(tol), on the Euclidean ball by the float comparison
+    for tol in BANDS:
+        cs = [1.0, 1.0 + tol, 1.0 - tol]
+        cs += [math.nextafter(c, d) for c in cs for d in (-math.inf, math.inf)]
         for c in cs:
-            assert gauge(ball, Vec2(c, 0.0)) == c
-            assert_sphere_tests(ball, [Vec2(c, 0.0)], tol, TOLERANT)
+            z = Vec2(c, 0.0)
+            assert gauge(square_ball(), z) == gauge(euclidean_ball(), z) == abs(c)
+            assert_sphere_tests(square_ball(), [z], tol, {rel: partial(band, rel) for rel in RELS})
+            assert_sphere_tests(euclidean_ball(), [z], tol, TOLERANT)
+        # where 1 + tol is a float, it is the band's edge, inside the band
+        edge, exact = SubsetSums(square_ball(), [Vec2(1.0 + tol, 0.0)]), Fraction(1.0 + tol)
+        assert [ok for _, ok in edge.tests(1, eq, tol)] == [exact <= 1 + Fraction(tol)]
+        assert [ok for _, ok in edge.tests(1, gt, tol)] == [exact > 1 + Fraction(tol)]
+        assert (exact == 1 + Fraction(tol)) == (tol in (0.0, 1.0, 1e6))
+
+
+@pytest.mark.parametrize("tol", BANDS)
+@pytest.mark.parametrize("ball", [
+    square_ball(), gen_random_ball(5), float_vertex_ball(gen_random_ball(7)), gen_asymmetric_body(3),
+], ids=["maxnorm", "random", "float-vertex", "body"])
+def test_kernel_on_subnormal_and_extreme_floats(ball, tol):
+    # one family spans 5e-324 to 1e308: its lattice is exact, sums past
+    # the float maximum have gauge inf, and no comparison rounds
+    tiny, sub = 5e-324, 2.2250738585072014e-308 / 3
+    families = [
+        [Vec2(tiny, 0.0), Vec2(sub, -tiny), Vec2(1e-308, 1.0), Vec2(-1e308, 1e308), Vec2(1e308, 0.5)],
+        [Vec2(1e308, 0.0), Vec2(1.7976931348623157e308, -1e-308), Vec2(0.75, tiny)],
+        [Vec2(1.0, tiny), Vec2(-tiny, 1.0), Vec2(1.0 - 2**-53, sub), Vec2(sub, sub)],
+    ]
+    seen = []
+    for vectors in families:
+        assert_sphere_tests(ball, vectors, tol)
+        ts = subsets(len(vectors))
+        gauges, _ = reference(ball, vectors, ts, tol)
+        assert [g for _, g in SubsetSums(ball, vectors).gauges(ts)] == gauges
+        seen += gauges
+    assert math.inf in seen
 
 
 def test_each_family_is_put_on_the_lattice_once(monkeypatch):
@@ -585,17 +647,17 @@ def test_kernel_on_all_zero_families(ball, n, zero, tol):
     assert_sphere_tests(ball, [Vec2(zero, zero)] * n, tol, EXACT)
 
 
-@given(ball=kernel_balls, vectors=families, tol=TOLS)
+@given(ball=kernel_balls, vectors=families, tol=BAND_TOLS)
 def test_explicit_subsets_longer_than_the_family(ball, vectors, tol):
     n = len(vectors)
     ts = [(0,), (0,) * 40, (n - 1,) * 41, tuple(range(n)) * 3]
-    gauges = [gauge(ball, vsum(vectors[i] for i in t)) for t in ts]
+    gauges, answers = reference(ball, vectors, ts, tol)
     # one-off calls, and a packing made for the family and used for
     # single vectors, which must widen
     shared = SubsetSums(ball, vectors)
     list(shared.tests(1, eq, tol))
     for rel in RELS:
-        expected = [(t, rel(g, 1, tol)) for t, g in zip(ts, gauges)]
+        expected = list(zip(ts, answers(rel)))
         assert list(SubsetSums(ball, vectors).tests(ts, rel, tol)) == expected
         assert list(shared.tests(ts, rel, tol)) == expected
     for got in (list(SubsetSums(ball, vectors).gauges(ts)), list(shared.gauges(ts))):
