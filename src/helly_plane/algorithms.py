@@ -26,7 +26,7 @@ from .errors import (
 from .generators import seeded_rng
 from .geometry import Family
 from .norms import SubsetSums, UnitBall, edge_functionals, gauge, shared_edge_value
-from .scalars import DEFAULT_TOL, Scalar, check_tol, eq, ge
+from .scalars import DEFAULT_TOL, Scalar, check_tol, eq, ge, le, sgn
 from .vectors import Vec2, VectorMultiset, vsum
 
 
@@ -113,10 +113,10 @@ def ginzburg_reduce(
     pts: list[tuple[float, float]] = []
     for i, (vx, vy) in enumerate(vs):
         r = math.hypot(vx, vy)
-        if not r or abs(r - 1.0) > tol:  # a zero vector, which |r - 1| <= tol lets by at tol >= 1
+        if not r or not eq(r, 1.0, tol):  # a zero vector, which eq lets by at tol >= 1
             raise NotUnitVectors(f"vector {i} has Euclidean norm {r}")
         x, y = uy * vx - ux * vy, ux * vx + uy * vy
-        if y < -tol:
+        if not ge(y, 0.0, tol):
             raise HalfplaneViolated(f"vector {i} lies below the halfplane")
         if not x and y <= 0:  # straight below, within tol: the clamp leaves (0, 0)
             raise HalfplaneViolated(f"vector {i} has no direction in the halfplane")
@@ -129,14 +129,14 @@ def ginzburg_reduce(
         lx, ly = min((pts[i] for i in free), key=lambda p: p[0])
         hx, hy = max((pts[i] for i in free), key=lambda p: p[0])
         ccw_turn, cw_turn = _unit(-lx, ly), _unit(hx, -hy)
-        c = -m.y * fx  # m x f, as f lies on the axis
-        if abs(c) > 1e-12:
+        c = sgn(-m.y * fx, 1e-12)  # m x f, as f lies on the axis
+        if c:
             ccw = c < 0
         else:
             # locally flat: compare the end states of both feasible stops
             (ax, ay), (bx, by) = _turn((m.x, m.y), ccw_turn), _turn((m.x, m.y), cw_turn)
             end_ccw, end_cw = math.hypot(fx + ax, ay), math.hypot(fx + bx, by)
-            if abs(end_ccw - end_cw) > 1e-12:
+            if not eq(end_ccw, end_cw, 1e-12):
                 ccw = end_ccw < end_cw
             else:
                 # still flat: send the vector closest to an axis to its
@@ -146,11 +146,11 @@ def ginzburg_reduce(
         turn, target = (ccw_turn, -1.0) if ccw else (cw_turn, 1.0)
         for i in free:
             pts[i] = _turn(pts[i], turn)
-        pin = next(i for i in free if pts[i][1] <= 1e-9 and pts[i][0] * target > 0)
+        pin = next(i for i in free if le(pts[i][1], 0.0) and pts[i][0] * target > 0)
         pinned[pin] = True
         pts[pin] = (target, 0.0)
         steps.append(_rotation_snapshot(pts, pinned))
-    if abs(round(steps[-1].norm) - steps[-1].norm) > 10 * tol:  # pragma: no cover
+    if not eq(steps[-1].norm, round(steps[-1].norm), 10 * tol):  # pragma: no cover
         raise TheoremFalsified("final norm is not an integer")
     return RotationTrace(steps)
 

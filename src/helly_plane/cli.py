@@ -22,6 +22,7 @@ from .algorithms import choose_signs, ginzburg_reduce
 from .errors import HellyPlaneError
 from .gallery import CASE_NAMES, run_gallery
 from .norms import ball_from_json, euclidean_ball, load_json, load_vectors
+from .scalars import DEFAULT_TOL
 from .suites import SUITE_NAMES, SuiteConfig, draw_instance, run_suite
 from .svgout import instance_svg
 from .symmetry import (
@@ -136,7 +137,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, default=1000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--mode", choices=["exact", "float"], default="exact")
-    p.add_argument("--tol", type=float, default=1e-9)
+    p.add_argument("--tol", type=float, default=DEFAULT_TOL)
     p.add_argument("--ball", default="random",
                    help="maxnorm | euclidean | random | path to a ball JSON file")
     p.add_argument("--out", help="write the JSON report here instead of stdout")

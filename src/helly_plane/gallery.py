@@ -19,10 +19,8 @@ from typing import Callable
 from .errors import UnknownCase
 from .geometry import Family, dots
 from .norms import SubsetSums, UnitBall, euclidean_ball, gauge, square_ball
-from .scalars import format_scalar
+from .scalars import eq, format_scalar
 from .vectors import Vec2, vsum
-
-TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -98,10 +96,10 @@ def _case_even_n() -> GalleryCase:
         total = vsum(vectors)
         tn = gauge(ball, total)
         expected = k * eps  # 1/20
-        unit = all(abs(gauge(ball, v) - 1.0) <= TOL for v in vectors)
+        unit = all(eq(gauge(ball, v), 1.0) for v in vectors)
         return [
             _check("all unit", "True", str(unit), unit),
-            _check("total norm", expected, tn, abs(tn - expected) <= TOL),
+            _check("total norm", expected, tn, eq(tn, expected)),
             _check("total norm < 1", "True", str(tn < 1), tn < 1),
         ]
 
@@ -146,14 +144,14 @@ def _case_remark2_3d() -> GalleryCase:
     ]
 
     def run() -> list[CheckResult]:
-        unit = all(abs(v.norm() - 1.0) <= TOL for v in vectors)
+        unit = all(eq(v.norm(), 1.0) for v in vectors)
         dots_pos = all(u.dot(v) > 0 for v in vectors)
         tn = sum(vectors, Vec3(0.0, 0.0, 0.0)).norm()
         expected = eps * n  # 7/100
         return [
             _check("all unit", "True", str(unit), unit),
             _check("all dots > 0", "True", str(dots_pos), dots_pos),
-            _check("total norm", expected, tn, abs(tn - expected) <= TOL),
+            _check("total norm", expected, tn, eq(tn, expected)),
         ]
 
     return GalleryCase("remark2-3d", None, vectors, run)
@@ -175,10 +173,10 @@ def _case_remark4_tetrahedron() -> GalleryCase:
             sum((vectors[i] for i in t), Vec3(0.0, 0.0, 0.0)).norm() for t in combinations(range(4), 3)
         ]
         tn = sum(vectors, Vec3(0.0, 0.0, 0.0)).norm()
-        ok3 = all(abs(g - 1.0) <= TOL for g in norms3)
+        ok3 = all(eq(g, 1.0) for g in norms3)
         return [
             _check("all 3-sum norms", "1", f"{norms3}", ok3),
-            _check("total norm", "0", f"{tn}", abs(tn) <= TOL),
+            _check("total norm", "0", f"{tn}", eq(tn, 0.0)),
         ]
 
     return GalleryCase("remark4-tetrahedron", None, vectors, run)

@@ -17,10 +17,13 @@ packed lanes, on rational and float data alike: each vector becomes one
 int holding its edge values P·X + Q·Y in fields with a guard bit, packed
 once, sized for the whole family, so a k-sum is k int adds, every k-sum
 of a family is summed in C, and "norm vs 1" is one or two mask tests that
-form no `Fraction`. On float data the tolerance is applied exactly: a
-gauge within tol of 1 is an integer band around the lane start. A gauge
-is exact: a `Fraction` on rational data, and on float data the exact
-gauge rounded once to a float (`gauge`, `SubsetSums.gauges`). A
+form no `Fraction`. "Within tol" is decided by the one rule of
+`scalars`, on ints: a gauge within tol of 1 is the integer band
+`scalars.band` around the lane start (t = 0 on rational data), and each
+relation's answers below, in and above it are `scalars.SIGN_ANSWERS`,
+the relations' own answers on ints. A gauge is exact: a `Fraction` on
+rational data, and on float data the exact gauge rounded once to a float
+(`gauge`, `SubsetSums.gauges`). A
 supporting line at a boundary point (`supporting_functional`) and shared
 edge values (`shared_edge_value`) are found on the same integers. Only
 the Euclidean ball sums floats: its gauge is `math.hypot`, and its subset
@@ -49,7 +52,7 @@ from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 
 from .errors import BadInput, NotConvexBody, NotPolygonal, NotSymmetric, ZeroDirection
 from .geometry import Family, _lattice_form, exact_form
-from .scalars import DEFAULT_TOL, Scalar, eq, exact_pairs, float_values, ge, gt, is_float, le
+from .scalars import DEFAULT_TOL, SIGN_ANSWERS, Scalar, band, exact_pairs, float_values, is_float
 from .vectors import Vec2
 
 EUCLIDEAN = "euclidean"
@@ -286,13 +289,6 @@ def _rounded(m: int, d: int) -> float:
         return math.inf
 
 
-def _band(d: int, tol: float) -> int:
-    """t = floor(d·τ), τ = Fraction(tol): for ints m, |m/d − 1| <= τ exactly
-    when d − t <= m <= d + t."""
-    a, b = tol.as_integer_ratio()
-    return d * a // b
-
-
 def lattice_vertices(ball: UnitBall) -> Optional[tuple[Sequence[tuple[int, int]], int]]:
     """The vertex cycle as (integer pairs, scale), read off the ball's
     vertex `Family`, or None for the Euclidean ball.
@@ -304,13 +300,6 @@ def lattice_vertices(ball: UnitBall) -> Optional[tuple[Sequence[tuple[int, int]]
 def lattice_in_ball(ball: UnitBall, x: int, y: int, den: int) -> bool:
     """Whether (x, y) / den is in a ball with a lattice form, on ints."""
     return max(p * x + q * y for p, q in ball.normals) <= ball.den * den
-
-
-# rel -> (rel(-1, 0), rel(0, 0), rel(1, 0)) for the `scalars` comparisons:
-# on ints their answers do not depend on tol
-_SIGN_ANSWERS = {
-    eq: (False, True, False), le: (True, True, False), ge: (False, True, True), gt: (False, False, True),
-}
 
 
 class SubsetSums:
@@ -330,9 +319,10 @@ class SubsetSums:
 
     "gauge vs 1 within tol" is "m vs the band [d − t, d + t]": t = 0 on
     rational data, which `scalars` compares exactly, and on float data
-    t = ⌊d·τ⌋ for τ = `Fraction(tol)` (`_band`), so m is in the band
-    exactly when the exact gauge is within tol of 1. A k-sum is k int adds
-    from a start that puts 2^w − 1 − d + c in every lane, so lane e holds
+    t = ⌊d·τ⌋ for τ = `Fraction(tol)` (`scalars.band`, the rule of the
+    `scalars` relations on ints), so m is in the band exactly when the
+    exact gauge is within tol of 1. A k-sum is k int adds from a start
+    that puts 2^w − 1 − d + c in every lane, so lane e holds
     m_e + 2^w − 1 − d + c, and its top bit, its guard, is set exactly when
     m_e + c > d: with c = −t when m is above the band, with c = t + 1 when
     it is not below it. For c in [−S, S + 1], a slack S >= t, |m_e| <= kR
@@ -341,20 +331,23 @@ class SubsetSums:
     rel's answer at m's place against the band (below, in, above as
     `rel(-1, 0)`, `rel(0, 0)`, `rel(1, 0)`), so it is read off one or two
     masks and no `Fraction` is formed; the three answers of `eq`, `le`,
-    `ge` and `gt` come from a table, and any other comparison is asked
-    them. `gauges` reads m back from the lanes. A k-pass sums in C
-    (`map(sum, combinations)`). The packing is made once, with the object,
-    wide enough for k = n, the family's size, and with S = 0 on rational
-    data and S = d on float data, which holds every tol <= 1: a k-pass
-    never repacks, since for k > n there are no subsets. Only an explicit
-    subset longer than the family, or a tol past 1, widens it; a ball
-    keeps the lane constants of each field width it was packed at.
+    `ge` and `gt` come from `scalars.SIGN_ANSWERS`, and any other
+    comparison is asked them. `gauges` reads m back from the lanes. A
+    k-pass sums in C (`map(sum, combinations)`). The packing is made once,
+    with the object, wide enough for k = n, the family's size, and with
+    S = 0 on rational data and S = d on float data, which holds every
+    tol <= 1: a k-pass never repacks, since for k > n there are no
+    subsets. Only an explicit subset longer than the family, or a tol past
+    1, widens it; a ball keeps the lane constants of each field width it
+    was packed at.
     (2^w > d + S + kR would do: the + 1 is slack.)
 
     On the Euclidean ball each subset is summed as floats, left to right
     from 0 in index order, which is bit for bit what
     `gauge(ball, vsum(...))` computes; rational data is summed exactly,
-    then rounded once. Each subset is enumerated once.
+    then rounded once. Each subset is enumerated once, and its float gauge
+    g is compared with 1 by `rel` itself: g − 1 against tol, the same
+    band on g's exact value (exact for g in [1/2, 2]).
     """
 
     def __init__(self, ball: UnitBall, vectors: Sequence[Vec2]):
@@ -387,8 +380,8 @@ class SubsetSums:
             return ((t, rel(g, 1, tol)) for t, g in self.gauges(subsets))
         # rel's answer below, in and above the band: read the table, or ask
         # it once per sign
-        lo, mid, hi = _SIGN_ANSWERS.get(rel) or (rel(-1, 0, tol), rel(0, 0, tol), rel(1, 0, tol))
-        t = _band(self._d, tol) if self._floats else 0
+        lo, mid, hi = SIGN_ANSWERS.get(rel) or (rel(-1, 0, tol), rel(0, 0, tol), rel(1, 0, tol))
+        t = band(self._d, tol) if self._floats else 0
         if t > self._slack:  # a tol past 1
             self._slack = t
             self._pack(self._cap)
@@ -503,10 +496,10 @@ def supporting_functional(
     read as the dyadic rationals they denote. p, q and e are ints on a
     polygonal ball, whatever the data. An edge is hit where its functional
     is 1 at v, decided on ints: exactly for rational v
-    (`P·X + Q·Y == den·D`), within the band of tol for float v, as
-    `SubsetSums` decides it. At a vertex (two hits) the two functionals are
-    averaged, which keeps the value 1 at v and picks an interior support
-    line. One hit, or three and more when very short edges fall within the
+    (`P·X + Q·Y == den·D`), within the band of tol for float v
+    (`scalars.band`), as `SubsetSums` decides it. At a vertex (two hits)
+    the two functionals are averaged, which keeps the value 1 at v and
+    picks an interior support line. One hit, or three and more when very short edges fall within the
     tolerance: the first edge attaining the gauge at v is 1 there (up to
     tol) and at most the gauge everywhere, so it supports the ball at v.
     The Euclidean ball is supported by v itself.
@@ -516,7 +509,7 @@ def supporting_functional(
     rows, e, t = ball.normals, ball.den, 0
     if den is None:
         [(x, y)], den = exact_pairs([(x, y)])
-        t = _band(e * den, tol)
+        t = band(e * den, tol)
     values, one = [p * x + q * y for p, q in rows], e * den
     hits = [j for j, m in enumerate(values) if abs(m - one) <= t]
     if len(hits) == 2:

@@ -6,6 +6,19 @@ dispatch on operand types: as soon as a float is involved the comparison
 becomes tolerant (default tolerance 1e-9), otherwise it is exact. This is
 what lets every predicate in the library distinguish `>=` from `>` without
 carrying an explicit mode flag around.
+
+This module is the one place where "within tol" is decided, by one rule:
+a float relation compares the difference a − b with tol (`le` is
+a − b <= tol, `ge` a − b >= −tol, `gt` a − b > tol and `eq`
+|a − b| <= tol). By Sterbenz's lemma a − b is exact when a is within a
+factor 2 of b (b/2 <= a <= 2b), and always when b is 0, so there each
+relation is the exact band: Fraction(a) − Fraction(b) against
+Fraction(tol). A gauge compared with 1 is decided exactly whenever it is
+in [1/2, 2], which holds every gauge near the band when tol < 1/2. So
+on floats, as on ints, `eq` is `le` and `ge`, and `gt` is not `le`.
+`band` is the same rule on ints, which the packed kernel of `norms`
+reads, and `SIGN_ANSWERS` holds each relation's answers below, at and
+above its bound, derived from the relations themselves.
 """
 
 from __future__ import annotations
@@ -113,20 +126,32 @@ def eq(a: Scalar, b: Scalar, tol: float = DEFAULT_TOL) -> bool:
 
 def le(a: Scalar, b: Scalar, tol: float = DEFAULT_TOL) -> bool:
     if isinstance(a, float) or isinstance(b, float):
-        return a <= b + tol
+        return a - b <= tol
     return a <= b
 
 
 def ge(a: Scalar, b: Scalar, tol: float = DEFAULT_TOL) -> bool:
     if isinstance(a, float) or isinstance(b, float):
-        return a >= b - tol
+        return a - b >= -tol
     return a >= b
 
 
 def gt(a: Scalar, b: Scalar, tol: float = DEFAULT_TOL) -> bool:
     if isinstance(a, float) or isinstance(b, float):
-        return a > b + tol
+        return a - b > tol
     return a > b
+
+
+# rel -> (rel(-1, 0), rel(0, 0), rel(1, 0)): each relation's answers below,
+# at and above its bound; on ints they do not depend on tol
+SIGN_ANSWERS = {rel: (rel(-1, 0), rel(0, 0), rel(1, 0)) for rel in (eq, le, ge, gt)}
+
+
+def band(d: int, tol: float) -> int:
+    """The rule on ints: t = ⌊d·τ⌋, τ = Fraction(tol), so that for ints m
+    and d > 0, |m/d − 1| <= τ exactly when d − t <= m <= d + t."""
+    a, b = tol.as_integer_ratio()
+    return d * a // b
 
 
 def sgn(x: Scalar, tol: float = 0.0) -> int:

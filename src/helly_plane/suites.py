@@ -42,7 +42,7 @@ from .geometry import Family
 from .norms import (
     SubsetSums, UnitBall, ball_from_json, euclidean_ball, load_json, square_ball,
 )
-from .scalars import check_tol, le
+from .scalars import DEFAULT_TOL, check_tol, le
 from .symmetry import (
     find_violation_halfplane, find_violation_surrounding, is_centrally_symmetric,
     verify_halfplane_witness, verify_surrounding_witness,
@@ -65,7 +65,7 @@ class SuiteConfig:
     trials: int
     seed: int
     mode: str = "exact"
-    tol: float = 1e-9
+    tol: float = DEFAULT_TOL
     ball_source: str = "random"
 
 
@@ -76,15 +76,6 @@ class TrialRecord:
     outcome: str  # "pass" | "fail" | "vacuous"
     detail: str = ""
     witnesses: list = field(default_factory=list)
-
-    def to_json(self) -> dict:
-        return {
-            "trial": self.index,
-            "digest": self.digest,
-            "outcome": self.outcome,
-            "detail": self.detail,
-            "witnesses": self.witnesses,
-        }
 
 
 @dataclass
@@ -110,7 +101,8 @@ class SuiteReport:
     def to_json_text(self) -> str:
         """The canonical JSON text of the report (sorted keys, separators
         (",", ":")), written directly: strings escaped as `json.dumps`
-        escapes them, each record as its `TrialRecord.to_json` document."""
+        escapes them, each record's fields under the keys "detail",
+        "digest", "outcome", "trial" and "witnesses"."""
         cfg, enc = self.config, encode_basestring_ascii
         records = ",".join([
             f'{{"detail":{enc(r.detail)},"digest":{enc(r.digest)},"outcome":{enc(r.outcome)},'
@@ -241,9 +233,8 @@ def _draw_thm2(cfg: SuiteConfig, rng: random.Random, index: int, balls: _Balls) 
 
 
 def _splice(vectors: Family, pair: Family) -> Family:
-    """The family with its last two vectors replaced by `pair`, on one lattice if it can."""
-    if vectors.scale is None or pair.scale is None:
-        return Family(vectors[:-2] + tuple(pair))
+    """The family with its last two vectors replaced by `pair`, on one
+    lattice: both are drawn on a polygon, so both are rational."""
     den = math.lcm(vectors.scale, pair.scale)
     a, b = den // vectors.scale, den // pair.scale
     pts = [(a * x, a * y) for x, y in vectors.pts[:-2]] + [(b * x, b * y) for x, y in pair.pts]

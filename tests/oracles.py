@@ -50,7 +50,10 @@ exact gauge against the band [1 - Fraction(tol), 1 + Fraction(tol)].
 `RefSubsetSums` is the library's former `SubsetSums` on float data on a
 polygon, the float walk: float sums left to right from 0, the largest
 float edge value at each, with the correctly rounded edge functionals,
-and `rel(g, 1, tol)` on that float. On any other data it is `SubsetSums`.
+and that float g compared with 1 by the former float relations of
+`scalars` (`FORMER_RELS`: g <= 1 + tol and so on, with 1 ± tol rounded),
+which the library's relations (g − 1 against tol) replaced. On any other
+data it is `SubsetSums`.
 
 `VerifyReport` and `is_centrally_symmetric` are the library's former eager
 report and vertex-set symmetry test, copied verbatim: the reference
@@ -62,8 +65,9 @@ digested before each instance wrote its canonical text directly:
 `ref_family_to_json` and `ref_ball_to_json` (the former `Family.to_json`
 and `ball_to_json` bodies), the `_on_ball`, claim1, symmetry and gallery
 payloads, and `ref_digest`, which printed a payload with `json.dumps`.
-`ref_config_to_json`, `ref_report_to_json` and `ref_report_json_text` are
-the former `SuiteConfig.to_json`, `SuiteReport.to_json` and
+`ref_config_to_json`, `ref_record_to_json`, `ref_report_to_json` and
+`ref_report_json_text` are the former `SuiteConfig.to_json`,
+`TrialRecord.to_json`, `SuiteReport.to_json` and
 `SuiteReport.to_json_text`, verbatim apart from taking their object as an
 argument: the report's document, printed with `json.dumps`, which
 `SuiteReport.to_json_text` now writes directly.
@@ -451,10 +455,24 @@ def band(rel, g: Fraction, tol) -> bool:
     return _BAND[rel](g, Fraction(tol))
 
 
+# the former float relations of `scalars`, which the float walk compared
+# each gauge with 1 by: b plus or minus tol, rounded, against a
+FORMER_RELS = {
+    eq: lambda a, b, tol: abs(a - b) <= tol,
+    le: lambda a, b, tol: a <= b + tol,
+    ge: lambda a, b, tol: a >= b - tol,
+    gt: lambda a, b, tol: a > b + tol,
+}
+
+
 class RefSubsetSums(SubsetSums):
     """The library's former `SubsetSums` on float data on a polygon (the
-    float walk), verbatim apart from its float normals formed here; on any
-    other data the library's."""
+    float walk), verbatim apart from its float normals formed here, with
+    the former relations `RELS`; on any other data the library's. A
+    subclass with `RELS` empty reads the walk through the live `scalars`
+    relations."""
+
+    RELS = FORMER_RELS
 
     def __init__(self, ball, vectors):
         super().__init__(ball, vectors)
@@ -466,6 +484,7 @@ class RefSubsetSums(SubsetSums):
     def tests(self, subsets, rel, tol=DEFAULT_TOL):
         if not self._walk:
             return super().tests(subsets, rel, tol)
+        rel = self.RELS.get(rel, rel)
         return ((t, rel(g, 1, tol)) for t, g in self.gauges(subsets))
 
     def gauges(self, subsets):
@@ -939,6 +958,16 @@ def ref_config_to_json(config) -> dict:
     return asdict(config)
 
 
+def ref_record_to_json(record) -> dict:
+    return {
+        "trial": record.index,
+        "digest": record.digest,
+        "outcome": record.outcome,
+        "detail": record.detail,
+        "witnesses": record.witnesses,
+    }
+
+
 def ref_report_to_json(report) -> dict:
     return {
         "config": ref_config_to_json(report.config),
@@ -947,7 +976,7 @@ def ref_report_to_json(report) -> dict:
             "fail": report.failures,
             "vacuous": report.vacuous,
         },
-        "records": [r.to_json() for r in report.records],
+        "records": [ref_record_to_json(r) for r in report.records],
     }
 
 

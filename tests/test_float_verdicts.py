@@ -13,7 +13,9 @@ gallery family where a sum sits exactly on the boundary
 pushed in or out by 10^-j (j = 6 ... 14) along an edge normal. The probes
 where the two kernels disagree are pinned in `PROBE_DISAGREEMENTS`: each
 is a vector whose float gauge is the float 1 + tol, and whose exact gauge
-is above the band.
+is above the band. The walk read through the library's own relations
+(g − 1 against tol, exact near 1) disagrees with the kernel on none of
+them: there is one rule for "within tol".
 """
 
 import random
@@ -66,12 +68,12 @@ def _verdict(statement, ball, vs, u, k):
         return type(exc).__name__, str(exc)
 
 
-def _both(monkeypatch, statement, ball, vs, u, k):
+def _both(monkeypatch, statement, ball, vs, u, k, walk=RefSubsetSums):
     """The statement's verdict from the exact kernel and from the float walk."""
     got = _verdict(statement, ball, vs, u, k)
     with monkeypatch.context() as m:
         for module in (theorems, algorithms):
-            m.setattr(module, "SubsetSums", RefSubsetSums)
+            m.setattr(module, "SubsetSums", walk)
         ref = _verdict(statement, ball, vs, u, k)
     return got, ref
 
@@ -171,3 +173,22 @@ def test_near_boundary_probes(monkeypatch):
         for (i,) in outside:
             g = gauge(ball, vs[i])  # exact: one coordinate's magnitude
             assert g == 1.0 + 1e-9 and Fraction(g) > 1 + Fraction(1e-9)
+
+
+class LiveRelationsWalk(RefSubsetSums):
+    """The float walk read through the live `scalars` relations."""
+
+    RELS = {}
+
+
+def test_near_boundary_probes_under_the_one_rule(monkeypatch):
+    # the float gauge of every vector of `PROBE_DISAGREEMENTS` is the float
+    # 1 + tol, whose exact value `scalars` puts above the band, as the
+    # kernel does
+    count = 0
+    for name, j, sign, normal, ball, vs, u in _probes():
+        for statement in ("T1", "T2", "T3", "COR", "signs"):
+            got, ref = _both(monkeypatch, statement, ball, vs, u, 5, LiveRelationsWalk)
+            assert got == ref, (name, j, sign, normal, statement)
+            count += 1
+    assert count == 2 * 4 * 9 * 2 * 5

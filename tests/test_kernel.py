@@ -286,11 +286,11 @@ def test_convex_hull_matches_fraction_chain(points):
 
 
 RELS = (eq, le, ge, gt)
-# the exact meaning of each comparison with 1, and its tolerant one on floats
+# the exact meaning of each comparison with 1, and its tolerant one on a
+# float gauge: the band Fraction(tol) on the float's exact value
 EXACT = {eq: lambda g, tol: g == 1, le: lambda g, tol: g <= 1,
          ge: lambda g, tol: g >= 1, gt: lambda g, tol: g > 1}
-TOLERANT = {eq: lambda g, tol: abs(g - 1) <= tol, le: lambda g, tol: g <= 1 + tol,
-            ge: lambda g, tol: g >= 1 - tol, gt: lambda g, tol: g > 1 + tol}
+TOLERANT = {rel: lambda g, tol, rel=rel: band(rel, Fraction(g), tol) for rel in RELS}
 TOLS = st.sampled_from([1e-9, 0.0, 1e-3])
 
 
@@ -474,8 +474,10 @@ def test_subset_tests_on_boundary_points(seed, tol):
 
 @pytest.mark.parametrize("tol", [0.0, 1e-9, 1.0])
 def test_sign_table_holds_the_comparisons_answers_on_ints(tol):
-    assert set(norms._SIGN_ANSWERS) == set(RELS)
-    for rel, answers in norms._SIGN_ANSWERS.items():
+    assert scalars.SIGN_ANSWERS == {
+        eq: (False, True, False), le: (True, True, False), ge: (False, True, True), gt: (False, False, True),
+    }
+    for rel, answers in scalars.SIGN_ANSWERS.items():
         assert answers == (rel(-1, 0, tol), rel(0, 0, tol), rel(1, 0, tol))
         assert [type(a) for a in answers] == [bool] * 3
 
@@ -510,8 +512,8 @@ def test_subset_tests_at_the_equality_boundary(seed):
 def test_subset_tests_on_float_gauges_near_one():
     # on these balls the gauge of (c, 0.0) is |c|, so the family hits gauges
     # at 1 and at 1 +- tol as floats round them, and one ulp either side of
-    # each: on the square decided on the exact c within the band
-    # Fraction(tol), on the Euclidean ball by the float comparison
+    # each: decided within the band Fraction(tol), on the square on the
+    # exact c, on the Euclidean ball on the float gauge's exact value
     for tol in BANDS:
         cs = [1.0, 1.0 + tol, 1.0 - tol]
         cs += [math.nextafter(c, d) for c in cs for d in (-math.inf, math.inf)]

@@ -29,6 +29,8 @@ from helly_plane.gallery import CASE_NAMES, run_gallery
 from helly_plane.geometry import Family
 from helly_plane.suites import SuiteConfig, draw_instance, run_suite
 
+from oracles import ref_record_to_json
+
 # (suite, trials, seed, mode, ball, sha256 of the canonical report text)
 GOLDEN = [
     ("thm1", 40, 11, "exact", "random", "45c42e1f704834cf2c5b31e331d6019b49cfc1b3745e1303d31690a1c09c571d"),
@@ -169,7 +171,7 @@ def _ball_file_digest(tmp_path, doc, suite, trials, seed, mode) -> str:
     config = SuiteConfig(suite=suite, trials=trials, seed=seed, mode=mode, ball_source=str(path))
     report = run_suite(config)
     assert report.passes == trials
-    text = json.dumps([r.to_json() for r in report.records], sort_keys=True, separators=(",", ":"))
+    text = json.dumps([ref_record_to_json(r) for r in report.records], sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(text.encode()).hexdigest()
 
 

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import strategies as st
 
 from helly_plane.errors import BadInput
 from helly_plane.scalars import (
+    band,
     eq,
     format_scalar,
     ge,
@@ -63,3 +65,52 @@ def test_sgn():
     assert sgn(0) == 0
     assert sgn(1e-12, tol=1e-9) == 0
     assert sgn(1e-6, tol=1e-9) == 1
+
+
+# the exact meaning of each float relation: the difference of the exact
+# values against Fraction(tol)
+EXACT_BAND = {
+    eq: lambda delta, tau: abs(delta) <= tau,
+    le: lambda delta, tau: delta <= tau,
+    ge: lambda delta, tau: delta >= -tau,
+    gt: lambda delta, tau: delta > tau,
+}
+
+
+def _near(b: float, tol: float) -> list[float]:
+    """b and b +- tol as floats round them, and one ulp either side of each."""
+    cs = [b, b + tol, b - tol]
+    return cs + [math.nextafter(c, d) for c in cs for d in (-math.inf, math.inf)]
+
+
+@pytest.mark.parametrize("tol", [0.0, 1e-9, 1e-3, 0.25])
+@pytest.mark.parametrize("b", [0.0, 1.0])
+def test_float_relations_are_the_exact_band(b, tol):
+    # a is within a factor 2 of b (or b is 0), so a - b is exact (Sterbenz)
+    # and each relation is decided on the exact difference
+    for a in _near(b, tol):
+        delta, tau = Fraction(a) - Fraction(b), Fraction(tol)
+        for rel, meaning in EXACT_BAND.items():
+            assert rel(a, b, tol) == meaning(delta, tau), (rel.__name__, a, b, tol)
+        assert eq(a, b, tol) == (le(a, b, tol) and ge(a, b, tol))
+        assert gt(a, b, tol) == (not le(a, b, tol))
+        assert le(a, b, tol) == ge(b, a, tol)
+
+
+def test_the_float_one_plus_tol_is_past_the_band():
+    # the float 1.0 + 1e-9 lies above 1 + Fraction(1e-9), so it is not
+    # within tol of 1 whichever way it is asked; `a <= b + tol` and
+    # `a >= b - tol`, where b +- tol rounds back onto it, said it was
+    a = 1.0 + 1e-9
+    assert Fraction(a) > 1 + Fraction(1e-9)
+    assert eq(a, 1.0) is le(a, 1.0) is ge(1.0, a) is False
+    assert ge(a, 1.0) and gt(a, 1.0)
+
+
+@pytest.mark.parametrize("d", [1, 7, 10**9, 2**90 + 1])
+@pytest.mark.parametrize("tol", [0.0, 1e-9, 1e-3, 0.25, 1.0, 3])
+def test_band_is_the_rule_on_ints(d, tol):
+    # |m/d - 1| <= Fraction(tol) exactly when d - t <= m <= d + t
+    t, tau = band(d, tol), Fraction(tol)
+    for m in (d - t - 1, d - t, d, d + t, d + t + 1):
+        assert (abs(Fraction(m, d) - 1) <= tau) == (d - t <= m <= d + t)

@@ -3,6 +3,9 @@
 `scalars` alone looks at whether a value is a float (`is_float`, `sgn`,
 the comparison helpers); every other module asks it. An inline
 `isinstance(x, float)` elsewhere is a second, drifting copy of that rule.
+So is an inline tolerance comparison (`abs(x - 1.0) <= TOL`, `y < -tol`,
+`c > 1e-12`) and a module's own tolerance constant: "within tol" is
+decided by the `scalars` relations alone.
 A tolerance that is not finite and >= 0 is bad input at every library
 entry point that takes one, as it is in `run_suite` (`scalars.check_tol`).
 """
@@ -62,6 +65,51 @@ def test_offences_are_found():
 def test_no_float_isinstance_outside_scalars(path):
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
     assert _offences(tree) == []
+
+
+def _bare(node: ast.AST):
+    """The nodes of an expression outside the arguments of any call but `abs`."""
+    yield node
+    if isinstance(node, ast.Call) and not (isinstance(node.func, ast.Name) and node.func.id == "abs"):
+        return
+    for child in ast.iter_child_nodes(node):
+        yield from _bare(child)
+
+
+def _tolerance_like(node: ast.AST) -> bool:
+    """A name ending in "tol", or a float literal in (0, 1e-6]."""
+    if isinstance(node, ast.Name):
+        return node.id.lower().endswith("tol")
+    return isinstance(node, ast.Constant) and type(node.value) is float and 0 < abs(node.value) <= 1e-6
+
+
+def _tolerance_offences(tree: ast.AST) -> list[int]:
+    """Comparisons that apply a tolerance inline, and tolerance constants."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Compare):
+            parts = [node.left, *node.comparators]
+            if any(_tolerance_like(n) for part in parts for n in _bare(part)):
+                found.append(node.lineno)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)) and isinstance(node.value, ast.Constant):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            if any(isinstance(t, ast.Name) and _tolerance_like(t) for t in targets):
+                found.append(node.lineno)
+    return found
+
+
+def test_tolerance_offences_are_found():
+    tree = ast.parse(
+        "abs(x - 1.0) <= TOL\nif y < -tol: pass\nabs(c) > 1e-12\nTOL = 1e-9\ntol: float = 1e-9\n"
+        "le(x, 1, tol)\nsgn(c, 1e-12) < 0\nrng.random() < 0.3\neps = 1e-2\nside_tol = tol * 2\n"
+    )
+    assert sorted(_tolerance_offences(tree)) == [1, 2, 3, 4, 5]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+def test_no_inline_tolerance_outside_scalars(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    assert _tolerance_offences(tree) == []
 
 
 BALL = euclidean_ball()
