@@ -26,7 +26,7 @@ from .errors import (
 from .generators import seeded_rng
 from .geometry import Family
 from .norms import SubsetSums, UnitBall, edge_functionals, gauge, shared_edge_value
-from .scalars import DEFAULT_TOL, Scalar, check_tol, eq, ge, le, sgn
+from .scalars import DEFAULT_TOL, Scalar, check_tol, eq, exact_pairs, ge, le, sgn
 from .vectors import Vec2, VectorMultiset, vsum
 
 
@@ -221,10 +221,8 @@ def make_generic(
     """
     if not ball.is_polygonal:
         raise NotPolygonal("general-position perturbation needs a polygonal ball")
-    try:
-        lam, eps = Fraction(lam), Fraction(eps)
-    except (TypeError, ValueError, OverflowError):  # not a finite number
-        raise BadInput(f"lambda and epsilon must be finite numbers; got {lam!r}, {eps!r}") from None
+    [(m, e)], d, _ = exact_pairs([(lam, eps)])  # finite numbers, read exactly
+    lam, eps = Fraction(m, d), Fraction(e, d)
     if not 0 < lam < 1:
         raise BadInput(f"lambda must be in (0, 1); got {lam}")
     if eps <= 0:

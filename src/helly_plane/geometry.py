@@ -4,8 +4,10 @@ and where the origin lies against a triangle.
 `Family` is the one lattice form of a finite point set: a drawn or given
 family of vectors, and the vertex cycle of every polygonal ball or body
 (`norms`), is integer pairs over one scale (a vertex cycle always is), or
-float pairs. `dots` is the one halfplane test of such points, from draw
-to certificate.
+float pairs. Given vectors reach that form through the readers of
+`scalars` (`lattice_pairs`, `exact_pairs`), which decide what a
+coordinate may be. `dots` is the one halfplane test of such points, from
+draw to certificate.
 
 Everything here is exact on rational data; predicates that also have to
 serve float data take an optional tolerance which only kicks in for float
@@ -22,7 +24,7 @@ from itertools import combinations
 from typing import Iterable, Iterator, Optional
 
 from .errors import BadInput
-from .scalars import Scalar, exact_pairs, float_values, format_ratio, lattice_values, sgn
+from .scalars import Scalar, exact_pairs, float_pairs, format_ratio, lattice_pairs, sgn
 from .vectors import Vec2
 
 
@@ -34,9 +36,9 @@ class Family(Sequence):
     Generators and the polygon compiler build it from their pairs
     (`from_lattice`); its `Vec2`s are formed on first read, once, and
     iteration walks them. `Family(vectors)` puts given vectors on the
-    lattice and keeps them (an entry that is not a `Vec2` of finite ints,
-    `Fraction`s or floats is a `BadInput`), and `Family(family)` is the
-    family itself.
+    lattice (`scalars.lattice_pairs`) and keeps them (an entry that is not
+    a `Vec2` of finite ints, `Fraction`s or floats is a `BadInput`), and
+    `Family(family)` is the family itself.
     `==` and `hash` are the tuple's.
     """
 
@@ -44,9 +46,7 @@ class Family(Sequence):
         if type(vectors) is cls:
             return vectors
         vectors = tuple(vectors)
-        values, scale = _lattice_form(vectors)
-        coords = iter(values)
-        fam = cls.from_lattice(list(zip(coords, coords)), scale)
+        fam = cls.from_lattice(*lattice_pairs(_coordinates(vectors)))
         fam.vectors = vectors
         return fam
 
@@ -125,7 +125,7 @@ class Family(Sequence):
         """The points on the lattice of their exact values: `pts` over
         `scale`, and float pairs as the dyadic rationals they denote, over
         one power of two (`scalars.exact_pairs`)."""
-        return (self.pts, self.scale) if self.scale is not None else exact_pairs(self.pts)
+        return (self.pts, self.scale) if self.scale is not None else exact_pairs(self.pts)[:2]
 
     def lattice_sum(self, subset: Iterable[int]) -> tuple[Scalar, Scalar]:
         """The sum of the indexed vectors on the lattice: integers over
@@ -146,29 +146,20 @@ class Family(Sequence):
         return Vec2(Fraction(sx, self.scale), Fraction(sy, self.scale))
 
 
-def _lattice_form(vectors: Sequence[Vec2], rational: bool = True) -> tuple[list, Optional[int]]:
-    """The vectors' coordinates, x then y, as integer numerators over one
-    common denominator, or as floats (denominator None) when any is a
-    float or when `rational` is false. Anything but plane vectors of finite
-    ints, `Fraction`s and floats is a `BadInput`: the one check of every
-    family and direction."""
-    try:
-        coords = [c for v in vectors for c in (v.x, v.y)]
-        values, scale = rational and lattice_values(coords) or (float_values(coords), None)
-    except (AttributeError, TypeError, ValueError):  # no coordinates, or not numbers
-        values = None
-    if values is None:
-        raise BadInput(f"vectors must be plane vectors of finite numbers; got {vectors!r}")
-    return values, scale
+def exact_form(vectors: Sequence[Vec2]) -> tuple[list[tuple[int, int]], int, bool]:
+    """The vectors as `scalars.exact_pairs` reads them: integer pairs over
+    one scale, each coordinate its exact value, a float the dyadic rational
+    it denotes, and whether any coordinate is a float. Anything but plane
+    vectors of finite numbers is a `BadInput`, as for a `Family`."""
+    return exact_pairs(_coordinates(vectors))
 
 
-def exact_form(vectors: Sequence[Vec2]) -> tuple[list[tuple[int, int]], int]:
-    """The vectors as integer pairs over one scale, each coordinate its
-    exact value, a float the dyadic rational it denotes; anything but plane
-    vectors of finite numbers is a `BadInput`, as in `_lattice_form`."""
+def _coordinates(vectors: Sequence[Vec2]) -> list[tuple]:
+    """Each vector's (x, y), for the readers of `scalars`; an entry without
+    them is a `BadInput`. The one path of every family and direction."""
     try:
-        return exact_pairs([(v.x, v.y) for v in vectors])
-    except (AttributeError, TypeError, ValueError, OverflowError):  # not finite numbers
+        return [(v.x, v.y) for v in vectors]
+    except AttributeError:
         raise BadInput(f"vectors must be plane vectors of finite numbers; got {vectors!r}") from None
 
 
@@ -183,7 +174,8 @@ def dots(u: Vec2, pts: Sequence[tuple], scale: Optional[int]) -> list[Scalar]:
     with u put on the lattice when u and the points are rational, else the
     floats `Vec2.dot` gives, from float(u.x), float(u.y) and x / scale.
     A u that is not a plane vector of finite numbers is a `BadInput`."""
-    (ux, uy), u_scale = _lattice_form((u,), scale is not None)
+    pair = _coordinates((u,))
+    [(ux, uy)], u_scale = lattice_pairs(pair) if scale is not None else (float_pairs(pair), None)
     if u_scale is not None:
         return [ux * x + uy * y for x, y in pts]
     if scale is not None:

@@ -47,12 +47,12 @@ import math
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain, combinations, repeat
-from operator import not_
+from operator import not_, truediv
 from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 
 from .errors import BadInput, NotConvexBody, NotPolygonal, NotSymmetric, ZeroDirection
-from .geometry import Family, _lattice_form, exact_form
-from .scalars import DEFAULT_TOL, SIGN_ANSWERS, Scalar, band, exact_pairs, float_values, is_float
+from .geometry import Family, exact_form
+from .scalars import DEFAULT_TOL, SIGN_ANSWERS, Scalar, band, exact_pairs, float_pairs
 from .vectors import Vec2
 
 EUCLIDEAN = "euclidean"
@@ -147,7 +147,7 @@ def _compile_polygon(points: Sequence[Vec2], cls: type) -> UnitBall:
     """The points compiled by `compile_lattice` on the integer pairs of
     their exact values (`geometry.exact_form`): a float coordinate is the
     dyadic rational it denotes, as in the kernel."""
-    pairs, scale = exact_form(points)
+    pairs, scale, _ = exact_form(points)
     if not pairs:
         raise NotConvexBody("empty vertex list")
     return compile_lattice(pairs, scale, cls)
@@ -255,30 +255,27 @@ def square_ball() -> UnitBall:
 def gauge(ball: UnitBall, z: Vec2) -> Scalar:
     """The norm of z: gauge(z) <= 1 exactly when z is in the ball.
 
-    On a polygon it is exact: a `Fraction` on rational z, and on z with a
-    float coordinate the exact gauge of its dyadic value rounded once, inf
-    past float range and for an infinite coordinate (an overflowed float
-    sum). On the Euclidean ball it is `math.hypot` of z's floats, and a
-    rational z past float range is a `BadInput`. A coordinate that is not
-    an int, a `Fraction` or a float, and a NaN one, are a `BadInput`."""
+    On a polygon it is exact, the edge maximum of z on the lattice of its
+    exact value (`scalars.exact_pairs`, the one reader): a `Fraction` on
+    rational z, and on z with a float coordinate rounded once, inf past
+    float range. On the Euclidean ball it is `math.hypot` of z's floats
+    (`scalars.float_pairs`), and a rational z past float range is a
+    `BadInput`. An infinite coordinate (an overflowed float sum) has gauge
+    inf on every ball. A coordinate that is not an int, a `Fraction` or a
+    float, and a NaN one, are a `BadInput`."""
     try:
-        x, y = z.x, z.y
-        if ball.normals is not None and not is_float(x, y):
-            b, d = x.denominator, y.denominator
-            nx, ny = x.numerator * d, y.numerator * b  # z == (nx, ny) / (b * d)
-            return Fraction(max(p * nx + q * ny for p, q in ball.normals), ball.den * b * d)
-        if ball.normals is None or x != x or y != y:  # the Euclidean ball, or a NaN
-            floats = float_values((x, y), finite=False)
-        else:
-            [(nx, ny)], d = exact_pairs([(x, y)])
-            return _rounded(max(p * nx + q * ny for p, q in ball.normals), ball.den * d)
-    except OverflowError:  # an infinite coordinate
-        return math.inf
-    except (AttributeError, TypeError):
+        pt = [(z.x, z.y)]
+    except AttributeError:
         raise BadInput(f"not a plane vector of numbers: {z!r}") from None
-    if floats is None:
-        raise BadInput("a coordinate that is NaN, or rational past float range")
-    return math.hypot(*floats)
+    if ball.normals is None:
+        return math.hypot(*float_pairs(pt, finite=False)[0])
+    try:
+        [(x, y)], d, floats = exact_pairs(pt)
+    except BadInput:  # a coordinate that is no number, a NaN or an infinity
+        float_pairs(pt, finite=False)  # refuses all but an infinity, whose gauge is inf
+        return math.inf
+    m = max(p * x + q * y for p, q in ball.normals)
+    return _rounded(m, ball.den * d) if floats else Fraction(m, ball.den * d)
 
 
 def _rounded(m: int, d: int) -> float:
@@ -508,7 +505,7 @@ def supporting_functional(
         return x, y, 1 if den is None else den
     rows, e, t = ball.normals, ball.den, 0
     if den is None:
-        [(x, y)], den = exact_pairs([(x, y)])
+        [(x, y)], den, _ = exact_pairs([(x, y)])
         t = band(e * den, tol)
     values, one = [p * x + q * y for p, q in rows], e * den
     hits = [j for j, m in enumerate(values) if abs(m - one) <= t]
@@ -528,13 +525,23 @@ def edge_functionals(ball: UnitBall) -> list[Vec2]:
 
 
 def boundary_point(ball: UnitBall, direction: Vec2) -> Vec2:
-    """The unique positive multiple of `direction` with gauge 1. A direction
-    that is not a plane vector of finite numbers is a `BadInput`."""
-    (x, y), _ = _lattice_form((direction,))
+    """The unique positive multiple of `direction` with gauge 1, from the
+    direction on the lattice of its exact value, (X, Y) / d. On a polygon
+    it is (X, Y)·den / m, m / (den·d) being its gauge: `Fraction`s on a
+    rational direction, each float coordinate rounded once on a float one.
+    On the Euclidean ball X and Y are divided by their largest magnitude
+    first, so that the length cannot overflow. A direction that is not a
+    plane vector of finite numbers is a `BadInput`."""
+    [(x, y)], _, floats = exact_form((direction,))
     if x == 0 and y == 0:
         raise ZeroDirection("cannot normalize the zero vector")
-    g = gauge(ball, direction)
-    return direction.scale(1 / g)
+    if ball.normals is None:
+        big = max(abs(x), abs(y))
+        r = math.hypot(x / big, y / big)
+        return Vec2(x / big / r, y / big / r)
+    m = max(p * x + q * y for p, q in ball.normals)
+    ratio = truediv if floats else Fraction
+    return Vec2(ratio(x * ball.den, m), ratio(y * ball.den, m))
 
 
 def ball_to_json(ball: UnitBall) -> dict:

@@ -19,12 +19,23 @@ on floats, as on ints, `eq` is `le` and `ge`, and `gt` is not `le`.
 `band` is the same rule on ints, which the packed kernel of `norms`
 reads, and `SIGN_ANSWERS` holds each relation's answers below, at and
 above its bound, derived from the relations themselves.
+
+This module is also the one place that decides what a number is, and the
+only one that reads one. A coordinate, a Claim 1 value and
+`make_generic`'s λ and ε are finite ints (a bool is one), `Fraction`s or
+floats, told by type (`NUMBERS`); anything else, a NaN and an infinity are
+a `BadInput`. `exact_pairs` is the one reader that puts pairs of numbers
+on the integer lattice of their exact values (a float is the dyadic
+rational it denotes), and `float_pairs` rounds them to floats, each once;
+`lattice_pairs`, the lattice form of a family, tells float data by its
+kinds first and takes the one or the other.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from operator import truediv
 from typing import Optional, Sequence, Union
 
 from .errors import BadInput
@@ -32,6 +43,8 @@ from .errors import BadInput
 Scalar = Union[int, Fraction, float]
 
 DEFAULT_TOL = 1e-9
+
+NUMBERS = frozenset([int, bool, Fraction, float])  # what a coordinate may be, by its type
 
 
 def parse_scalar(text: str, mode: str = "exact") -> Scalar:
@@ -60,51 +73,73 @@ def is_float(*xs: Scalar) -> bool:
     return any(isinstance(x, float) for x in xs)
 
 
-def lattice_values(xs: Sequence[Scalar]) -> Optional[tuple[list[int], int]]:
-    """Rationals as integer numerators over one common denominator.
-
-    Returns `(numerators, den)` with `x == m / den` for each x, or None
-    when any x is a float.
-    """
-    if is_float(*xs):
-        return None
-    # unpack a list, not a generator: a tuple built from a generator is
-    # resized, and such tuples pile up in CPython's free lists (peak memory)
-    den = math.lcm(*[x.denominator for x in xs])
-    return [x.numerator * (den // x.denominator) for x in xs], den
+def _refused(pts: Sequence) -> BadInput:
+    return BadInput(f"values must be finite numbers, vectors plane vectors of finite numbers (ints, "
+                    f"Fractions or floats; not NaN, inf or past float range where rounded); got {pts!r}")
 
 
-def exact_pairs(pts: Sequence[tuple[Scalar, Scalar]]) -> tuple[list[tuple[int, int]], int]:
-    """Pairs of numbers as integer pairs over one common denominator, each
-    coordinate its exact value: a float is the dyadic rational it denotes
-    (`Fraction(x)`). Floats alone share a power of two 2^s: each finite
-    float is k·2^(e − 53), k an int, with `math.frexp`'s exponent e, so
-    with s = 53 − the least e every float times 2^s is an int, which
-    `math.ldexp` forms in C. Floats wider apart than float range holds, and
-    rationals, are read by their `as_integer_ratio`. An infinite float
-    raises OverflowError, a NaN ValueError, and a str AttributeError."""
-    if {type(c) for xy in pts for c in xy} == {float}:
+def exact_pairs(pts: Sequence[tuple[Scalar, Scalar]]) -> tuple[list[tuple[int, int]], int, bool]:
+    """The one exact reader: pairs of numbers as integer pairs over one
+    common denominator, each coordinate its exact value, a float the
+    dyadic rational it denotes (`Fraction(x)`), and whether any coordinate
+    is a float. A coordinate that is not of a kind in `NUMBERS`, a NaN or
+    an infinity, is a `BadInput`.
+
+    Floats alone share a power of two 2^s: each finite float is
+    k·2^(e − 53), k an int, with `math.frexp`'s exponent e, so with
+    s = 53 − the least e every float times 2^s is an int, which
+    `math.ldexp` forms in C. Floats wider apart than float range holds,
+    and rationals, are read by their `as_integer_ratio`."""
+    kinds = {type(c) for xy in pts for c in xy}
+    if kinds == {float}:
         s = max(53 - math.frexp(min([abs(c) for xy in pts for c in xy if c], default=1.0))[1], 0)
         ldexp = math.ldexp
         try:
-            return [(int(ldexp(x, s)), int(ldexp(y, s))) for x, y in pts], 1 << s
-        except OverflowError:  # x·2^s past float range
+            return [(int(ldexp(x, s)), int(ldexp(y, s))) for x, y in pts], 1 << s, True
+        except (OverflowError, ValueError):  # x·2^s past float range, an inf or a NaN
             pass
-    ratios = [(x.as_integer_ratio(), y.as_integer_ratio()) for x, y in pts]
-    den = math.lcm(*{d for xy in ratios for _, d in xy})  # floats share few powers of two
+    return (*_ratio_pairs(pts, kinds), float in kinds)
+
+
+def lattice_pairs(pts: Sequence[tuple[Scalar, Scalar]]) -> tuple[list[tuple], Optional[int]]:
+    """The lattice form of pairs of numbers: `exact_pairs`' integer pairs
+    and denominator when no coordinate is a float, else `float_pairs` and
+    None. Float data is told by its kinds first, so it is never read
+    exactly only to be rounded; the rule and its `BadInput` are the same."""
+    kinds = {type(c) for xy in pts for c in xy}
+    return (float_pairs(pts), None) if float in kinds else _ratio_pairs(pts, kinds)
+
+
+def _ratio_pairs(pts: Sequence[tuple[Scalar, Scalar]], kinds: set) -> tuple[list[tuple[int, int]], int]:
+    """`exact_pairs` read by each coordinate's `as_integer_ratio`, once
+    `kinds`, the set of the coordinates' types, is known."""
+    if not kinds <= NUMBERS:
+        raise _refused(pts)
+    try:
+        ratios = [(x.as_integer_ratio(), y.as_integer_ratio()) for x, y in pts]
+    except (OverflowError, ValueError):  # an inf or a NaN
+        raise _refused(pts) from None
+    den = math.lcm(*[e for xy in ratios for _, e in xy])
     return [(a * (den // b), c * (den // e)) for (a, b), (c, e) in ratios], den
 
 
-def float_values(xs: Sequence[Scalar], finite: bool = True) -> Optional[list[float]]:
-    """Floats and rationals as floats, a rational rounded as `float` rounds
-    it; None when one is NaN or past float range, or, when `finite`, an
-    infinite float. A str raises, as in `lattice_values`."""
-    try:
-        floats = [x if isinstance(x, float) else x.numerator / x.denominator for x in xs]
+def float_pairs(pts: Sequence[tuple[Scalar, Scalar]], finite: bool = True) -> list[tuple[float, float]]:
+    """Pairs of numbers as float pairs, a rational rounded once, as `float`
+    rounds it; a list of finite float pairs comes back as it is. A
+    coordinate that is not of a kind in `NUMBERS`, a NaN, a rational past
+    float range or, when `finite`, an infinity, is a `BadInput`."""
+    # the kinds of all but finite floats, and the floats refused themselves
+    odd = {c if type(c) is float else type(c) for xy in pts for c in xy
+           if type(c) is not float or c - c and (finite or c != c)}
+    if not odd:
+        return pts
+    if not odd <= NUMBERS:
+        raise _refused(pts)
+    try:  # int / int rounds a rational once, as `float` does, and sooner
+        return [(x if type(x) is float else truediv(*x.as_integer_ratio()),
+                 y if type(y) is float else truediv(*y.as_integer_ratio())) for x, y in pts]
     except OverflowError:  # a rational past float range
-        return None
-    ok = all(map(math.isfinite, floats)) if finite else not any(map(math.isnan, floats))
-    return floats if ok else None
+        raise _refused(pts) from None
 
 
 def check_tol(tol: float) -> None:

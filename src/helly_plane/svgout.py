@@ -6,6 +6,7 @@ import math
 from typing import Optional, Sequence
 
 from .errors import BadInput
+from .geometry import Family
 from .norms import UnitBall
 from .vectors import Vec2, vsum
 
@@ -18,13 +19,9 @@ def instance_svg(ball: Optional[UnitBall], vectors: Sequence[Vec2]) -> str:
     """An SVG drawing of the unit ball (or a convex body), the vectors as
     arrows from the origin, and their sum as a heavier arrow."""
     size = 480  # width and height in pixels
-    shape: list[tuple[float, float]] = []
-    try:
-        pts = [Vec2(float(v.x), float(v.y)) for v in vectors]
-        if ball is not None and ball.is_polygonal:
-            shape = ball.vertices.floats()
-    except OverflowError:
-        raise BadInput("a coordinate past float range cannot be drawn") from None
+    # a coordinate past float range is a `BadInput`, as `Family.floats` rounds it
+    pts = [Vec2(x, y) for x, y in Family(vectors).floats()]
+    shape = ball.vertices.floats() if ball is not None and ball.is_polygonal else []
     total = vsum(pts) if pts else None
     values = [c for v in pts + ([total] if total else []) for c in (v.x, v.y)]
     values += [c for x, y in shape for c in (x, y)]

@@ -23,7 +23,6 @@ from itertools import combinations
 from typing import Optional, Sequence
 
 from .errors import (
-    BadInput,
     BadK,
     EvenCardinality,
     HypothesisFailed,
@@ -36,7 +35,7 @@ from .errors import (
 from .geometry import Family, dots, origin_position
 from .norms import SubsetSums, UnitBall, gauge, supporting_functional
 from .scalars import (
-    DEFAULT_TOL, Scalar, check_tol, eq, format_scalar, ge, gt, is_float, lattice_values, le, sgn,
+    DEFAULT_TOL, Scalar, band, check_tol, eq, exact_pairs, format_scalar, ge, gt, is_float, le, sgn,
 )
 from .vectors import Vec2, VectorMultiset
 
@@ -312,29 +311,33 @@ def lemma_main_witness(
     raise TheoremFalsified("no triple of a zero-sum 6-family lands in the ball")
 
 
+_TRIPLES = tuple(combinations(range(6), 3))  # made once: a fresh tuple per triple is slower
+
+
 def claim1_triplets(xs: Sequence[Scalar], tol: float = DEFAULT_TOL) -> list[tuple[int, int, int]]:
     """All triples of six zero-sum reals in [-1, 1] whose sum is back in [-1, 1].
 
     At least 12 of the 20 triples always qualify, and the qualifying set is
     closed under complement; both facts are what the callers test.
-    Rational values are compared as integer numerators m with their common
-    denominator d, `rel(m, d, tol)` as in `norms.SubsetSums`; floats with d = 1.
+    The values are read by `scalars.exact_pairs`, as integer numerators m
+    of their exact values over one denominator d (a float is the dyadic
+    rational it denotes), and decided on ints as `norms.SubsetSums`
+    decides a family: with t = `scalars.band(d, tol)` on float data and
+    t = 0 on rational data, each |m| <= d + t, |Σm| <= t, and a triple
+    qualifies when |its sum| <= d + t. A value that is not a finite int,
+    `Fraction` or float is a `BadInput`.
     """
     check_tol(tol)
     values = list(xs)
     if len(values) != 6:
         raise PreconditionFailed(f"need exactly 6 values, got {len(values)}")
-    try:
-        ms, d = lattice_values(values) or (values, 1)
-        outside = [i for i, m in enumerate(ms) if not le(abs(m), d, tol)]
-    except (AttributeError, TypeError):  # a value that is not a number
-        raise BadInput(f"values must be numbers; got {values!r}") from None
-    if outside:
-        raise PreconditionFailed(f"value {outside[0]} is outside [-1, 1]")
-    if not eq(functools.reduce(operator.add, ms, 0), 0, tol):  # as `vsum` adds
+    pairs, d, floats = exact_pairs([values[0:2], values[2:4], values[4:6]])
+    ms = [*pairs[0], *pairs[1], *pairs[2]]
+    t = band(d, tol) if floats else 0
+    top = d + t
+    if max(map(abs, ms)) > top:
+        outside = next(i for i, m in enumerate(ms) if abs(m) > top)
+        raise PreconditionFailed(f"value {outside} is outside [-1, 1]")
+    if abs(sum(ms)) > t:
         raise PreconditionFailed("values do not sum to zero")
-    return [
-        t
-        for t in combinations(range(6), 3)
-        if le(abs(ms[t[0]] + ms[t[1]] + ms[t[2]]), d, tol)
-    ]
+    return [s for s in _TRIPLES if abs(ms[s[0]] + ms[s[1]] + ms[s[2]]) <= top]

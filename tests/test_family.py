@@ -19,7 +19,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import oracles
-from helly_plane import generators, geometry, scalars, suites, theorems
+from helly_plane import algorithms, generators, geometry, norms, scalars, suites, theorems
 from helly_plane.errors import BadInput, PreconditionFailed
 from helly_plane.generators import gen_random_ball, gen_unit_vectors
 from helly_plane.geometry import Family
@@ -323,15 +323,19 @@ def test_a_trial_forms_no_fraction_for_its_vectors(monkeypatch, suite, index):
 @pytest.mark.parametrize("suite, index", FAMILY_TRIALS)
 def test_generator_output_is_not_put_on_the_lattice_again(monkeypatch, suite, index):
     seen = []
-    original = scalars.lattice_values
 
-    def spy(xs):
-        seen.append(list(xs))
-        return original(xs)
+    def spy(original):
+        def read(pts):  # what a reader is asked, as a flat list of coordinates
+            seen.append([c for xy in pts for c in xy])
+            return original(pts)
+        return read
 
     run = max_norm_trial(monkeypatch, suite, index)
-    for module in (scalars, geometry, theorems):
-        monkeypatch.setattr(module, "lattice_values", spy)
+    for name in ("lattice_pairs", "exact_pairs"):  # the lattice form, and the exact one
+        read = spy(getattr(scalars, name))
+        for module in (scalars, geometry, norms, theorems, algorithms):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, read)
     fam = run().vectors
     coords = [c for v in fam for c in (v.x, v.y)]
     assert all(xs != coords for xs in seen)

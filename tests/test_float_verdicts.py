@@ -16,6 +16,13 @@ is a vector whose float gauge is the float 1 + tol, and whose exact gauge
 is above the band. The walk read through the library's own relations
 (g − 1 against tol, exact near 1) disagrees with the kernel on none of
 them: there is one rule for "within tol".
+
+Claim 1 is decided on the same band: its six values are read exactly and
+compared on ints. It replaced float sums, folded left to right and
+compared through `scalars`, which `oracles.ref_claim1_triplets` keeps.
+Float tuples with values and triple sums at exactly ±1, each value pushed
+by ±10^-j (j = 6 ... 14), are decided both ways; the disagreements are
+pinned in `CLAIM1_DISAGREEMENTS`.
 """
 
 import random
@@ -32,10 +39,12 @@ from helly_plane.generators import (
 )
 from helly_plane.geometry import Family
 from helly_plane.norms import edge_functionals, gauge, square_ball
-from helly_plane.theorems import corollary_check, lemma_main_witness, verify_helly, verify_theorem1
+from helly_plane.theorems import (
+    claim1_triplets, corollary_check, lemma_main_witness, verify_helly, verify_theorem1,
+)
 from helly_plane.vectors import Vec2
 
-from oracles import RefSubsetSums
+from oracles import RefSubsetSums, ref_claim1_triplets
 
 DRAWS = 3000
 TENTHS = [10, 10, 10, 10, 5, 9, 11]  # scale factors of a drawn vector, in tenths
@@ -192,3 +201,75 @@ def test_near_boundary_probes_under_the_one_rule(monkeypatch):
             assert got == ref, (name, j, sign, normal, statement)
             count += 1
     assert count == 2 * 4 * 9 * 2 * 5
+
+
+# float Claim 1 tuples, exact in floats: values at ±1, triple sums at ±1
+# ((0, 1, 2) and (3, 4, 5) in "sums-at-one"), and both
+CLAIM1_CASES = {
+    "values-at-one": [1.0, -1.0, 0.5, -0.5, 0.25, -0.25],
+    "sums-at-one": [0.5, 0.25, 0.25, -0.5, -0.25, -0.25],
+    "both": [1.0, 0.5, -0.5, -1.0, 0.75, -0.75],
+}
+
+# (case, pushed value, push sign) -> what only the band accepts, all at
+# j = 9: the triples whose exact sum is within the band while the float
+# fold of the sum rounds past 1 + tol, or "zero-sum" where the exact total
+# is within tol of 0 and the folded one is not. Every other outcome of the
+# 324 probes agrees, errors included.
+CLAIM1_DISAGREEMENTS = {
+    ("values-at-one", 2, 1): [(0, 2, 3)],
+    ("values-at-one", 3, -1): [(1, 2, 3)],
+    ("values-at-one", 4, -1): [(1, 4, 5)],
+    ("values-at-one", 5, 1): [(0, 4, 5)],
+    ("sums-at-one", 0, 1): "zero-sum",
+    ("sums-at-one", 3, -1): [(3, 4, 5)],
+    ("both", 0, -1): "zero-sum",
+    ("both", 1, 1): "zero-sum",
+    ("both", 2, -1): [(1, 2, 3)],
+    ("both", 4, 1): [(0, 4, 5)],
+    ("both", 4, -1): [(3, 4, 5)],
+    ("both", 5, 1): [(0, 4, 5)],
+    ("both", 5, -1): [(3, 4, 5)],
+}
+
+
+def _claim1(fn, xs):
+    try:
+        return "ok", fn(xs)
+    except HellyPlaneError as exc:
+        return type(exc).__name__, str(exc)
+
+
+def _folded(xs) -> float:
+    """The float sum left to right from 0, as the former Claim 1 added."""
+    total = 0
+    for x in xs:
+        total += x
+    return total
+
+
+def test_claim1_probes_against_the_float_fold():
+    tau = Fraction(1e-9)
+    disagreements = {}
+    count = 0
+    for name, xs in CLAIM1_CASES.items():
+        for i in range(6):
+            for j in range(6, 15):
+                for sign in (1, -1):
+                    ys = list(xs)
+                    ys[i] += sign * 10.0**-j
+                    got, ref = _claim1(claim1_triplets, ys), _claim1(ref_claim1_triplets, ys)
+                    count += 1
+                    if got != ref:
+                        assert j == 9 and got[0] == "ok"
+                        only = sorted(set(got[1]) - set(ref[1])) if ref[0] == "ok" else "zero-sum"
+                        assert ref[0] != "ok" or set(ref[1]) < set(got[1])
+                        disagreements[name, i, sign] = only
+                        # the band is right on the exact values; the fold rounds past tol
+                        parts = [list(t) for t in only] if only != "zero-sum" else [range(6)]
+                        bound = tau if only == "zero-sum" else 1 + tau
+                        for part in parts:
+                            exact = abs(sum(Fraction(ys[k]) for k in part))
+                            assert exact <= bound < Fraction(abs(_folded([ys[k] for k in part])))
+    assert count == 3 * 6 * 9 * 2
+    assert disagreements == CLAIM1_DISAGREEMENTS

@@ -553,21 +553,24 @@ def test_kernel_on_subnormal_and_extreme_floats(ball, tol):
 
 
 def test_each_family_is_put_on_the_lattice_once(monkeypatch):
-    # `scalars.lattice_values`, which `Family(vectors)` puts a family's
-    # coordinates on the lattice with, is counted at every module that binds
-    # it; each verifier call must put each of its families on the lattice once
-    original = scalars.lattice_values
+    # the readers of `scalars` that put coordinates on the lattice,
+    # `lattice_pairs` (which `Family(vectors)` reads a family with) and
+    # `exact_pairs`, are counted at every module that binds them; each
+    # verifier call must put each of its families on the lattice once
+    readers = {scalars.lattice_pairs, scalars.exact_pairs}
     seen = []
 
-    def spy(xs):
-        seen.append(tuple(xs))
-        return original(xs)
+    def spy(original):
+        def read(pts):
+            seen.append(tuple(c for xy in pts for c in xy))
+            return original(pts)
+        return read
 
     for name, module in list(sys.modules.items()):
         if name == "helly_plane" or name.startswith("helly_plane."):
             for attr, value in list(vars(module).items()):
-                if value is original:
-                    monkeypatch.setattr(module, attr, spy)
+                if any(value is r for r in readers):
+                    monkeypatch.setattr(module, attr, spy(value))
 
     ball = gen_random_ball(3)
     # plain tuples of vectors, as a caller passes them: the generators'

@@ -14,7 +14,7 @@ from helly_plane.errors import (
     NotSymmetric,
     ZeroDirection,
 )
-from helly_plane.generators import gen_random_ball
+from helly_plane.generators import antipodal_pair_on_boundary, gen_random_ball
 from helly_plane.norms import (
     ball_from_json,
     ball_to_json,
@@ -155,6 +155,46 @@ def test_boundary_point(square, euclid):
     assert abs(b.x - 0.6) < 1e-12 and abs(b.y - 0.8) < 1e-12
     with pytest.raises(ZeroDirection):
         boundary_point(square, Vec2(0, 0))
+
+
+@pytest.mark.parametrize("ball", [square_ball(), euclidean_ball()], ids=["square", "euclidean"])
+def test_boundary_point_of_a_subnormal_direction(ball):
+    # 1 / gauge overflows to inf here, and inf times 0.0 is NaN
+    assert boundary_point(ball, Vec2(5e-324, 0.0)) == Vec2(1.0, 0.0)
+
+
+def test_boundary_point_at_the_ends_of_float_range():
+    assert boundary_point(square_ball(), Vec2(1e-310, 1e-310)) == Vec2(1.0, 1.0)
+    # |direction| overflows unless the coordinates are divided by the larger first
+    w = boundary_point(euclidean_ball(), Vec2(1.7e308, 1.7e308))
+    assert w.x == w.y and abs(math.hypot(w.x, w.y) - 1) <= 2**-52
+    assert antipodal_pair_on_boundary(square_ball(), Vec2(0.0, 5e-324)) == (Vec2(-1.0, 0.0), Vec2(1.0, 0.0))
+
+
+def test_boundary_point_divides_once(square):
+    # x·(1/g) rounds twice and misses 1.0 for 82 of these k; x / g is exact
+    for k in range(1, 1001):
+        assert gauge(square, boundary_point(square, Vec2(float(k), 0.0))) == 1.0
+
+
+def test_boundary_point_of_a_rational_direction_is_its_exact_fraction():
+    rng = random.Random(35)
+    for seed in range(20):
+        ball = gen_random_ball(seed)
+        for _ in range(20):
+            d = Vec2(F(rng.randint(-50, 50), rng.randint(1, 30)), F(rng.randint(-50, 50), rng.randint(1, 30)))
+            if d.is_zero():
+                continue
+            w = boundary_point(ball, d)
+            assert w == d.scale(1 / gauge(ball, d)) and type(w.x) is type(w.y) is F
+            assert gauge(ball, w) == 1
+
+
+@pytest.mark.parametrize("ball", [square_ball(), euclidean_ball(), gen_random_ball(3)],
+                         ids=["square", "euclidean", "random"])
+@pytest.mark.parametrize("z", [Vec2(math.inf, 1.0), Vec2(F(1, 3), -math.inf), Vec2(-math.inf, math.inf)])
+def test_gauge_of_an_infinite_coordinate_is_inf_on_every_ball(ball, z):
+    assert gauge(ball, z) == math.inf
 
 
 # the kinds of ball `gauge` and `boundary_point` dispatch on: integer
