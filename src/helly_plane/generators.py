@@ -15,7 +15,10 @@ float slack anywhere in exact mode. Each distribution has one draw, a
 boundary-point draw and a ball-point draw, run on the ball's integer
 vertex cycle (`lattice_vertices`, None on the Euclidean ball). Euclidean
 draws give a float `Family`, printed from its float pairs: no `Vec2` and
-no `Fraction` is formed. A boundary draw meets a halfplane by one mirror
+no `Fraction` is formed. Their angles and radii are drawn as
+`b * rng.random()`, `rng.uniform(0.0, b)` written out (`uniform` is
+a + (b − a)·random()): the same float, and the generator left in the
+same state. A boundary draw meets a halfplane by one mirror
 of its pairs (`geometry.dots`).
 """
 
@@ -118,7 +121,8 @@ def _boundary_points(cycle: Optional[tuple], rng: random.Random, n: int) -> tupl
     (1000·A + r·(B − A)) / (1000·S) on the lattice. The draws are
     `_randint`'s loop written out."""
     if cycle is None:
-        phis = [rng.uniform(0.0, 2.0 * math.pi) for _ in range(n)]
+        draw, tau = rng.random, 2.0 * math.pi
+        phis = [tau * draw() for _ in range(n)]
         return [(math.cos(phi), math.sin(phi)) for phi in phis], None
     pairs, scale = cycle
     m, bits = len(pairs), rng.getrandbits
@@ -168,9 +172,10 @@ def _ball_points(cycle: Optional[tuple], rng: random.Random, count: int) -> tupl
     denominators. The draws are `_randint`'s loop written out."""
     points = []
     if cycle is None:
+        draw, tau = rng.random, 2.0 * math.pi
         for _ in range(count):
-            phi = rng.uniform(0.0, 2.0 * math.pi)
-            r = math.sqrt(rng.uniform(0.0, 1.0))
+            phi = tau * draw()
+            r = math.sqrt(draw())
             points.append((r * math.cos(phi), r * math.sin(phi)))
         return points, None
     pairs, scale = cycle
@@ -261,7 +266,7 @@ def gen_euclidean_halfplane_instance(seed: int) -> tuple[Family, Vec2]:
     """Float unit vectors in the closed halfplane of a random direction."""
     rng = seeded_rng(seed)
     n = rng.choice([3, 5, 7, 9])
-    phi = rng.uniform(0.0, 2.0 * math.pi)
+    phi = 2.0 * math.pi * rng.random()
     u = Vec2(math.cos(phi), math.sin(phi))
     vectors = gen_unit_vectors(euclidean_ball(), n, rng.getrandbits(32), halfplane=u)
     return vectors, u

@@ -27,12 +27,13 @@ rational data, and on float data the exact gauge rounded once to a float
 supporting line at a boundary point (`supporting_functional`) and shared
 edge values (`shared_edge_value`) are found on the same integers. Only
 the Euclidean ball sums floats: its gauge is `math.hypot`, and its subset
-sums walk each subset once. A ball's vertex cycle is a `geometry.Family`,
-the one lattice form of a point set: its integer pairs and their coarsest
-scale, whose `Fraction` vertices are formed on first read. A ball is that
-`Family` plus its compiled normals. A ball is printed once, to its
-canonical text `UnitBall.json_text`, straight from the `Family`'s
-numerals; `ball_to_json` reads that text back. Only this module reads the
+sums walk each subset once, placing each gauge against the band by the
+float cuts of `scalars.float_cuts`. A ball's vertex cycle is a
+`geometry.Family`, the one lattice form of a point set: its integer pairs
+and their coarsest scale, whose `Fraction` vertices are formed on first
+read. A ball is that `Family` plus its compiled normals. A ball is
+printed once, to its canonical text `UnitBall.json_text`, straight from
+the `Family`'s numerals; `ball_to_json` reads that text back. Only this module reads the
 compiled form and the packed lanes.
 
 A `ConvexBody`, any convex polygon with the origin strictly inside, is
@@ -52,7 +53,7 @@ from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 
 from .errors import BadInput, NotConvexBody, NotPolygonal, NotSymmetric, ZeroDirection
 from .geometry import Family, exact_form
-from .scalars import DEFAULT_TOL, SIGN_ANSWERS, Scalar, band, exact_pairs, float_pairs
+from .scalars import DEFAULT_TOL, SIGN_ANSWERS, Scalar, band, exact_pairs, float_cuts, float_pairs
 from .vectors import Vec2
 
 EUCLIDEAN = "euclidean"
@@ -343,8 +344,12 @@ class SubsetSums:
     from 0 in index order, which is bit for bit what
     `gauge(ball, vsum(...))` computes; rational data is summed exactly,
     then rounded once. Each subset is enumerated once, and its float gauge
-    g is compared with 1 by `rel` itself: g − 1 against tol, the same
-    band on g's exact value (exact for g in [1/2, 2]).
+    g is placed against the band by the two floats of
+    `scalars.float_cuts(tol)`, read off the `scalars` relations: below it
+    for g < L, above it for g > H. rel's answer there is its sign answer,
+    as on a polygon, so `tests` is `rel(g, 1, tol)` at each gauge (g − 1
+    against tol, the band on g's exact value for g in [1/2, 2]) and no
+    relation is called per subset.
     """
 
     def __init__(self, ball: UnitBall, vectors: Sequence[Vec2]):
@@ -373,11 +378,11 @@ class SubsetSums:
         subset; `rel` is one of the `scalars` comparisons. On a polygon the
         gauge is that of the exact sum, and a float family's is compared
         with 1 exactly, within the band of tol."""
-        if not self._packed:
-            return ((t, rel(g, 1, tol)) for t, g in self.gauges(subsets))
         # rel's answer below, in and above the band: read the table, or ask
         # it once per sign
-        lo, mid, hi = SIGN_ANSWERS.get(rel) or (rel(-1, 0, tol), rel(0, 0, tol), rel(1, 0, tol))
+        lo, mid, hi = answers = SIGN_ANSWERS.get(rel) or (rel(-1, 0, tol), rel(0, 0, tol), rel(1, 0, tol))
+        if not self._packed:
+            return _float_walk(self._pts, self._scale, subsets, answers, float_cuts(tol))
         t = band(self._d, tol) if self._floats else 0
         if t > self._slack:  # a tol past 1
             self._slack = t
@@ -386,7 +391,7 @@ class SubsetSums:
             ts, sums = self._sums(subsets, t + 1 if mid == hi else -t)
             return zip(ts, map(bool if hi else not_, map(self._guard.__and__, sums)))
         ts, sums = self._sums(subsets, -t)
-        guard, low, answers = self._guard, (2 * t + 1) * self._unit, (lo, mid, hi)
+        guard, low = self._guard, (2 * t + 1) * self._unit
         # index [m > d + t] + [m >= d - t]: 0, 1, 2 below, in and above the band
         return zip(ts, (answers[(s & guard > 0) + (s + low & guard > 0)] for s in sums))
 
@@ -441,14 +446,21 @@ class SubsetSums:
         self._top, self._cap = self._unit * ((1 << w) - 1 - d), k
 
 
-def _float_walk(pts: Sequence[tuple], den: Optional[int], subsets: Union[int, Iterable]):
+def _float_walk(
+    pts: Sequence[tuple], den: Optional[int], subsets: Union[int, Iterable],
+    answers: Optional[tuple] = None, cuts: tuple[float, float] = (0.0, 0.0),
+):
     """(t, hypot(x, y)) for each subset t, (x, y) its sum in floats: the
     Euclidean gauges. Float pairs are added left to right from 0 in index
     order, integer pairs over `den` summed exactly and rounded once (past
-    float range, a `BadInput`)."""
+    float range, a `BadInput`). Given a relation's sign `answers` and the
+    `scalars.float_cuts` (L, H) of a tol, it yields in place of each gauge
+    g the relation's answer at g against 1: answers[0] for g < L, [1] for
+    g in [L, H], [2] for g > H."""
     if isinstance(subsets, int):
         subsets = combinations(range(len(pts)), subsets)
     hypot = math.hypot
+    low, high = cuts
     try:
         for t in subsets:
             # `Family.lattice_sum` inlined: a call per subset costs a third
@@ -458,7 +470,8 @@ def _float_walk(pts: Sequence[tuple], den: Optional[int], subsets: Union[int, It
                 x, y = pts[i]
                 sx += x
                 sy += y
-            yield t, hypot(sx, sy) if den is None else hypot(sx / den, sy / den)
+            g = hypot(sx, sy) if den is None else hypot(sx / den, sy / den)
+            yield t, g if answers is None else answers[(g >= low) + (g > high)]
     except OverflowError:  # only int / int raises here
         raise BadInput("a rational sum past float range") from None
 

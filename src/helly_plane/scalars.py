@@ -17,8 +17,11 @@ Fraction(tol). A gauge compared with 1 is decided exactly whenever it is
 in [1/2, 2], which holds every gauge near the band when tol < 1/2. So
 on floats, as on ints, `eq` is `le` and `ge`, and `gt` is not `le`.
 `band` is the same rule on ints, which the packed kernel of `norms`
-reads, and `SIGN_ANSWERS` holds each relation's answers below, at and
-above its bound, derived from the relations themselves.
+reads, and `float_cuts` its float form: the two floats that cut the
+floats >= 0 into those below, in and above the band around 1, which the
+Euclidean walk of `norms` reads. Both cuts are read off `ge` and `gt`
+themselves, and `SIGN_ANSWERS` holds each relation's answers below, at
+and above its bound, derived from the relations themselves.
 
 This module is also the one place that decides what a number is, and the
 only one that reads one. A coordinate, a Claim 1 value and
@@ -34,7 +37,9 @@ kinds first and takes the one or the other.
 from __future__ import annotations
 
 import math
+import struct
 from fractions import Fraction
+from functools import lru_cache
 from operator import truediv
 from typing import Optional, Sequence, Union
 
@@ -142,15 +147,19 @@ def float_pairs(pts: Sequence[tuple[Scalar, Scalar]], finite: bool = True) -> li
         raise _refused(pts) from None
 
 
-def check_tol(tol: float) -> None:
+def check_tol(tol: float, kinds: tuple = (int, Fraction, float)) -> None:
     """Raise BadInput unless the comparison tolerance is a finite number >= 0
-    (a bool is not a number here, as for `run_suite`'s `trials`)."""
+    (a bool is not a number here, as for `run_suite`'s `trials`) whose type
+    is one of `kinds`: a number of a kind outside `NUMBERS`, such as a
+    `Decimal`, is refused by its type."""
     try:
         ok = not isinstance(tol, bool) and 0 <= tol < math.inf  # a NaN fails too
-    except TypeError:  # not a number: a str, None, a complex
+    except (TypeError, ArithmeticError):  # not a number: a str, None, a complex; a Decimal NaN
         ok = False
     if not ok:
         raise BadInput(f"tol must be finite and >= 0; got {tol!r}")
+    if type(tol) not in kinds:
+        raise BadInput(f"tol must be of type {' or '.join([k.__name__ for k in kinds])}; got {tol!r}")
 
 
 def eq(a: Scalar, b: Scalar, tol: float = DEFAULT_TOL) -> bool:
@@ -187,6 +196,33 @@ def band(d: int, tol: float) -> int:
     and d > 0, |m/d − 1| <= τ exactly when d − t <= m <= d + t."""
     a, b = tol.as_integer_ratio()
     return d * a // b
+
+
+@lru_cache(maxsize=16)
+def float_cuts(tol: float) -> tuple[float, float]:
+    """The rule on floats >= 0 against 1: (L, H) such that for every float
+    g >= 0, `ge(g, 1, tol)` is False (g below the band) exactly when
+    g < L, and `gt(g, 1, tol)` is True (g above it) exactly when g > H.
+    g − 1 is monotone in g, so each relation changes its answer once over
+    the floats, and each cut is found by bisection over their IEEE 754
+    bits, which the floats >= 0 order as ints: L is the least float with
+    `ge` true, H the greatest with `gt` false. Kept per tol in a bounded
+    cache (a tol `check_tol` admits is an int, a `Fraction` or a float)."""
+
+    def double(i: int) -> float:
+        return struct.unpack("<d", struct.pack("<q", i))[0]
+
+    def first(holds) -> int:  # the least bits i of a float with holds(float); holds(inf)
+        lo, hi = 0, 0x7FF0_0000_0000_0000  # the bits of 0.0 and of inf
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if holds(double(mid)):
+                hi = mid
+            else:
+                lo = mid + 1
+        return lo
+
+    return double(first(lambda g: ge(g, 1, tol))), double(first(lambda g: gt(g, 1, tol)) - 1)
 
 
 def sgn(x: Scalar, tol: float = 0.0) -> int:

@@ -444,9 +444,8 @@ def run_suite(config: SuiteConfig) -> SuiteReport:
     The gallery suite runs one trial per fixed case, whatever `trials` says.
     """
     start = time.perf_counter()
-    check_tol(config.tol)  # first: a bool, str or NaN tol gets the range message
-    for name, kinds in (("suite", (str,)), ("trials", (int,)), ("seed", (int,)),
-                        ("ball_source", (str,)), ("tol", (int, float))):
+    check_tol(config.tol, (int, float))  # first: a bool, str or NaN tol gets the range message
+    for name, kinds in (("suite", (str,)), ("trials", (int,)), ("seed", (int,)), ("ball_source", (str,))):
         if type(value := getattr(config, name)) not in kinds:
             raise BadInput(f"{name} must be of type {' or '.join([k.__name__ for k in kinds])}; got {value!r}")
     try:

@@ -78,6 +78,14 @@ finders must return the first candidate these accept, except that the
 former surrounding rule also took a sum on the boundary, which the
 library now refuses.
 
+`ref_euclidean_boundary_points`, `ref_euclidean_ball_points` and
+`ref_gen_euclidean_halfplane_instance` are the library's former Euclidean
+draws, verbatim: the Euclidean branches of `_boundary_points` and
+`_ball_points`, and `gen_euclidean_halfplane_instance`, which drew each
+angle and radius by `rng.uniform(0.0, b)`. The library writes that out
+as `b * rng.random()`, and must give the same floats and leave the
+generator in the same state.
+
 `ref_ginzburg_reduce` is the library's former rotation reduction, which
 carried every vector as an angle: `atan2` set up the frame and the angles,
 every turn was an angle difference, the angles were clamped to [0, pi],
@@ -120,7 +128,7 @@ from helly_plane.errors import (
     TooFew,
     ZeroDirection,
 )
-from helly_plane.generators import seeded_rng
+from helly_plane.generators import gen_unit_vectors, seeded_rng
 from helly_plane.geometry import Family, origin_position
 from helly_plane.norms import (
     EUCLIDEAN,
@@ -129,6 +137,7 @@ from helly_plane.norms import (
     UnitBall,
     SubsetSums,
     edge_functionals,
+    euclidean_ball,
     gauge,
     lattice_vertices,
     make_convex_body,
@@ -598,6 +607,29 @@ def _ref_point_in_ball(ball, rng):
     for p, w in zip(picks, weights):
         out = out + p.scale(Fraction(w, total))
     return out
+
+
+def ref_euclidean_boundary_points(rng, n):
+    phis = [rng.uniform(0.0, 2.0 * math.pi) for _ in range(n)]
+    return [(math.cos(phi), math.sin(phi)) for phi in phis], None
+
+
+def ref_euclidean_ball_points(rng, count):
+    points = []
+    for _ in range(count):
+        phi = rng.uniform(0.0, 2.0 * math.pi)
+        r = math.sqrt(rng.uniform(0.0, 1.0))
+        points.append((r * math.cos(phi), r * math.sin(phi)))
+    return points, None
+
+
+def ref_gen_euclidean_halfplane_instance(seed):
+    rng = seeded_rng(seed)
+    n = rng.choice([3, 5, 7, 9])
+    phi = rng.uniform(0.0, 2.0 * math.pi)
+    u = Vec2(math.cos(phi), math.sin(phi))
+    vectors = gen_unit_vectors(euclidean_ball(), n, rng.getrandbits(32), halfplane=u)
+    return vectors, u
 
 
 def ref_gen_direction(rng):

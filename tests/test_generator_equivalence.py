@@ -21,6 +21,7 @@ from helly_plane.generators import (
     gen_claim1_tuple,
     gen_collinear_family,
     gen_direction,
+    gen_euclidean_halfplane_instance,
     gen_random_ball,
     gen_symmetric_body,
     gen_unit_vectors,
@@ -181,3 +182,47 @@ def test_claim1_tuple_and_direction():
     for seed in range(300):
         assert same(gen_claim1_tuple(seed), oracles.ref_gen_claim1_tuple(seed))
         assert same(gen_direction(random.Random(seed)), oracles.ref_gen_direction(random.Random(seed)))
+
+
+# the Euclidean draws write `rng.uniform(0.0, b)` out as `b * rng.random()`
+DRAW_SEEDS = range(2000)
+
+
+def _hex(pairs) -> list[tuple[str, str]]:
+    return [(x.hex(), y.hex()) for x, y in pairs]
+
+
+@pytest.mark.parametrize("draw, ref", [
+    (generators._boundary_points, oracles.ref_euclidean_boundary_points),
+    (generators._ball_points, oracles.ref_euclidean_ball_points),
+], ids=["boundary", "ball"])
+def test_euclidean_draws_are_the_former_uniform_draws(draw, ref):
+    # the same floats, bit for bit, and the generator left in the same state
+    for seed in DRAW_SEEDS:
+        n = 1 + seed % 9
+        rng, ref_rng = random.Random(seed), random.Random(seed)
+        (pairs, den), (ref_pairs, ref_den) = draw(None, rng, n), ref(ref_rng, n)
+        assert den is ref_den is None
+        assert _hex(pairs) == _hex(ref_pairs)
+        assert rng.getstate() == ref_rng.getstate()
+
+
+def test_euclidean_halfplane_instance_is_the_former_draw(monkeypatch):
+    # each generator seeded on the way (the instance's, then its vectors')
+    # is kept, to compare its state after the draw
+    made = []
+
+    def kept(seed):
+        made.append(random.Random(seed))
+        return made[-1]
+
+    monkeypatch.setattr(generators, "seeded_rng", kept)
+    monkeypatch.setattr(oracles, "seeded_rng", kept)
+    for seed in DRAW_SEEDS:
+        made.clear()
+        vectors, u = gen_euclidean_halfplane_instance(seed)
+        ref_vectors, ref_u = oracles.ref_gen_euclidean_halfplane_instance(seed)
+        assert _hex(vectors.pts) == _hex(ref_vectors.pts)
+        assert (u.x.hex(), u.y.hex()) == (ref_u.x.hex(), ref_u.y.hex())
+        assert len(made) == 4
+        assert [r.getstate() for r in made[:2]] == [r.getstate() for r in made[2:]]

@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 
 from helly_plane import geometry, norms, scalars, suites
 from helly_plane.algorithms import choose_signs, make_generic
-from helly_plane.errors import NotConvexBody
+from helly_plane.errors import BadInput, NotConvexBody
 from helly_plane.gallery import gallery_case
 from helly_plane.generators import (
     gen_asymmetric_body, gen_random_ball, gen_unit_vectors, gen_zero_sum_six,
@@ -506,6 +506,68 @@ def test_subset_tests_at_the_equality_boundary(seed):
         got = [pair for k in range(1, n + 1) for pair in sums.tests(k, rel)]
         assert got == expected
     # once per sign on each of the n + 1 passes
+    assert asked == [(-1, 0), (0, 0), (1, 0)] * (n + 1)
+
+
+# tolerances of the Euclidean walk: zero, the least float, the default,
+# bands up to and past the gauge itself, and a rational one
+WALK_TOLS = [0.0, 5e-324, 1e-9, 1e-3, 0.5, 1.0, 1.5, 1e6, Fraction(1, 3)]
+
+
+def _euclidean_families():
+    """Float families (unit vectors, disc points, vectors at gauge 1 and one
+    ulp off it) and rational ones on the Euclidean ball."""
+    ball, tiny = euclidean_ball(), 2**-52
+    yield list(gen_unit_vectors(ball, 7, 11))
+    yield list(gen_zero_sum_six(ball, 5))
+    yield [Vec2(1.0, 0.0), Vec2(0.0, 1.0), Vec2(-1.0, 0.0), Vec2(0.5, 0.0), Vec2(1.0 + tiny, 0.0),
+           Vec2(0.0, -1.0 + tiny / 2), Vec2(0.6, 0.8)]
+    yield [Vec2(Fraction(3, 5), Fraction(4, 5)), Vec2(-1, 0), Vec2(Fraction(1, 3), 0), Vec2(0, 2),
+           Vec2(Fraction(-7, 10), Fraction(1, 1000))]
+
+
+@pytest.mark.parametrize("tol", WALK_TOLS, ids=repr)
+def test_euclidean_subset_tests_are_the_relations_at_the_gauges(tol):
+    # the walk answers each subset by the float cuts of `scalars`: the
+    # relation's own answer at the subset's float gauge, for every k-pass
+    # (k = 0..n + 1) and for explicit subsets
+    for vectors in _euclidean_families():
+        sums, n = SubsetSums(euclidean_ball(), vectors), len(vectors)
+        ts = subsets(n) + [(), (0, 0, 1), (n - 1, 0)]
+        for rel in RELS:
+            for k in [*range(n + 2), ts]:
+                expected = [(t, rel(g, 1, tol)) for t, g in sums.gauges(k)]
+                assert list(sums.tests(k, rel, tol)) == expected, (rel.__name__, k)
+
+
+def test_euclidean_sum_past_float_range_is_bad_input_on_iteration():
+    # rational data is summed exactly and rounded once: past float range it
+    # is a `BadInput` when the walk reaches it, not when it is asked for
+    sums = SubsetSums(euclidean_ball(), [Vec2(Fraction(10**308), 0), Vec2(Fraction(10**308), 1)])
+    assert [ok for _, ok in sums.tests(1, gt)] == [True, True]
+    for walk in (sums.tests(2, ge), sums.tests([(0,), (0, 1)], le), sums.gauges(2)):
+        with pytest.raises(BadInput, match="past float range"):
+            list(walk)
+
+
+def test_euclidean_subset_tests_ask_an_outside_comparison_once_per_pass():
+    # unit vectors and a half, with sums such as u0 + u1 + u2 at gauge 1: a
+    # comparison outside `scalars.SIGN_ANSWERS` is asked its three sign
+    # answers once per pass, as on a polygon
+    vectors = [Vec2(1.0, 0.0), Vec2(0.0, 1.0), Vec2(-1.0, 0.0), Vec2(0.5, 0.0), Vec2(0.0, -1.0)]
+    asked = []
+
+    def ne(a, b, tol=1e-9):
+        asked.append((a, b))
+        return not eq(a, b, tol)
+
+    n, ts = len(vectors), subsets(len(vectors))
+    sums = SubsetSums(euclidean_ball(), vectors)
+    gauges = [g for _, g in sums.gauges(ts)]
+    assert gauges.count(1.0) > n
+    expected = [(t, not eq(g, 1)) for t, g in zip(ts, gauges)]
+    assert list(sums.tests(ts, ne)) == expected
+    assert [pair for k in range(1, n + 1) for pair in sums.tests(k, ne)] == expected
     assert asked == [(-1, 0), (0, 0), (1, 0)] * (n + 1)
 
 

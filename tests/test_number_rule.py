@@ -21,9 +21,10 @@ import pytest
 import helly_plane
 from helly_plane.algorithms import make_generic
 from helly_plane.errors import BadInput
+from helly_plane.generators import gen_unit_vectors
 from helly_plane.geometry import Family
 from helly_plane.norms import make_polygonal_ball, square_ball, supporting_functional
-from helly_plane.theorems import claim1_triplets
+from helly_plane.theorems import claim1_triplets, verify_helly
 from helly_plane.vectors import Vec2
 
 MODULES = sorted(
@@ -73,3 +74,25 @@ def test_supporting_functional_at_a_point_that_is_not_finite_is_bad_input(x, y):
 def test_a_bool_is_an_int():
     assert Family([Vec2(True, False)]).pts == [(1, 0)]
     assert len(claim1_triplets([True, -1, 0, 0, 0, 0])) == 20
+
+
+CLAIM1_VALUES = [0.5, 0.25, 0.25, -0.5, -0.25, -0.25]
+
+
+def test_a_decimal_tolerance_is_bad_input():
+    # a tolerance is a number of a kind in `scalars.NUMBERS`, as a coordinate is
+    units = gen_unit_vectors(square_ball(), 5, 1)
+    with pytest.raises(BadInput, match="tol must be of type int or Fraction or float"):
+        verify_helly(square_ball(), units, False, tol=Decimal("1e-9"))
+    with pytest.raises(BadInput, match="tol must be of type int or Fraction or float"):
+        claim1_triplets(CLAIM1_VALUES, tol=Decimal("1e-9"))
+    with pytest.raises(BadInput, match="tol must be finite and >= 0"):
+        claim1_triplets(CLAIM1_VALUES, tol=Decimal("NaN"))
+
+
+def test_a_fraction_tolerance_is_a_number():
+    units = gen_unit_vectors(square_ball(), 5, 1)
+    tol = Fraction(1, 10**9)
+    reports = [verify_helly(square_ball(), units, False, tol=t) for t in (tol, 1e-9)]
+    assert reports[0].to_json() == reports[1].to_json()
+    assert len(claim1_triplets(CLAIM1_VALUES, tol=tol)) == 20

@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -7,8 +8,10 @@ from hypothesis import strategies as st
 
 from helly_plane.errors import BadInput
 from helly_plane.scalars import (
+    SIGN_ANSWERS,
     band,
     eq,
+    float_cuts,
     format_scalar,
     ge,
     gt,
@@ -114,3 +117,40 @@ def test_band_is_the_rule_on_ints(d, tol):
     t, tau = band(d, tol), Fraction(tol)
     for m in (d - t - 1, d - t, d, d + t, d + t + 1):
         assert (abs(Fraction(m, d) - 1) <= tau) == (d - t <= m <= d + t)
+
+
+# zero, the least float, the default, bands up to and past the gauge itself,
+# the float just below 1 (where g − 1 rounds across the cut), huge ones,
+# and a rational one
+CUT_TOLS = [0, 5e-324, 1e-9, 1e-3, 0.5, 0.9999999999999999, 1, 1.5, 1e6, 1e300, Fraction(1, 3)]
+
+
+def _random_floats(rng: random.Random) -> list[float]:
+    """Floats >= 0: near 1, of any size, and of any bit pattern short of NaN."""
+    near = [rng.uniform(0.0, 2.0) for _ in range(200)]
+    scaled = [rng.random() * 10.0 ** rng.randint(-320, 308) for _ in range(200)]
+    bits = [math.ldexp(rng.random(), rng.randint(-1074, 1024)) for _ in range(200)]
+    return near + scaled + bits
+
+
+@pytest.mark.parametrize("tol", CUT_TOLS, ids=repr)
+def test_float_cuts_split_the_floats_where_the_relations_do(tol):
+    # below L, in [L, H] and above H: every relation answers rel(g, 1, tol)
+    # as its sign answers below, at and above its bound
+    low, high = float_cuts(tol)
+    assert 0.0 <= low and low <= math.nextafter(high, math.inf)
+    probes = [0.0, 1.0, math.inf]
+    for cut in (low, high):
+        probes += [cut, math.nextafter(cut, -math.inf), math.nextafter(cut, math.inf)]
+    probes += _random_floats(random.Random(repr(tol)))
+    for g in (g for g in probes if g >= 0):
+        assert (g < low) == (not ge(g, 1, tol)) and (g > high) == gt(g, 1, tol), g
+        for rel, answers in SIGN_ANSWERS.items():
+            assert rel(g, 1, tol) == answers[(g >= low) + (g > high)], (rel.__name__, g)
+
+
+def test_float_cuts_are_kept_per_tol():
+    assert float_cuts(1e-9) is float_cuts(1e-9)
+    assert float_cuts(0) == float_cuts(0.0) == (1.0, 1.0)
+    assert float_cuts(1) == (0.0, 2.0)
+    assert 0 < float_cuts.cache_info().maxsize <= 64
