@@ -21,6 +21,7 @@ import sys
 from .algorithms import choose_signs, ginzburg_reduce
 from .errors import HellyPlaneError
 from .gallery import CASE_NAMES, run_gallery
+from .geometry import Family
 from .norms import ball_from_json, euclidean_ball, load_json, load_vectors
 from .scalars import DEFAULT_TOL
 from .suites import SUITE_NAMES, SuiteConfig, draw_instance, run_suite
@@ -83,8 +84,9 @@ def _cmd_gallery(args) -> int:
 
 def _cmd_signs(args) -> int:
     ball = ball_from_json(load_json(args.ball))
-    mode = "float" if not ball.is_polygonal else "exact"
-    vectors = load_vectors(load_json(args.vectors), mode)
+    vectors = load_vectors(load_json(args.vectors))
+    if not ball.is_polygonal:  # `choose_signs` reads y within tol on floats only: round once
+        vectors = [Vec2(x, y) for x, y in Family(vectors).floats()]
     sv = choose_signs(ball, vectors)
     print(json.dumps(
         {"signs": sv.signs, "odd_subsets_checked": sv.odd_subsets_checked, "all_pass": True}
@@ -95,8 +97,8 @@ def _cmd_signs(args) -> int:
 
 
 def _cmd_ginzburg(args) -> int:
-    vectors = load_vectors(load_json(args.vectors), "float")
-    u = Vec2.from_json(args.u.split(","), "float")
+    vectors = load_vectors(load_json(args.vectors))
+    u = Vec2.from_json(args.u.split(","))
     trace = ginzburg_reduce(vectors, u)
     for step in trace.steps:
         print(json.dumps(step.to_json()))

@@ -563,22 +563,23 @@ def ball_to_json(ball: UnitBall) -> dict:
 
 
 def ball_from_json(obj: dict) -> UnitBall:
-    """The ball of a JSON document; polygon vertices are read exactly."""
+    """The ball of a JSON document."""
     kind = obj.get("type") if isinstance(obj, dict) else None
     if kind == EUCLIDEAN:
         return euclidean_ball()
     if kind == POLYGONAL:
-        return make_polygonal_ball(load_vectors(obj, "exact", "vertices"))
+        return make_polygonal_ball(load_vectors(obj, "vertices"))
     raise BadInput(f"unknown ball type: {kind!r}")
 
 
-def load_vectors(obj: dict, mode: str = "exact", key: str = "vectors") -> list[Vec2]:
-    """Parse the point list under `key`, as in {"vectors": [[x, y], ...]}."""
+def load_vectors(obj: dict, key: str = "vectors") -> list[Vec2]:
+    """The point list under `key`, as in {"vectors": [[x, y], ...]}, each
+    numeral read to its exact value."""
     try:
         pairs = list(obj[key])
     except (KeyError, TypeError):
         raise BadInput(f"the document has no {key!r} list") from None
-    return [Vec2.from_json(pair, mode) for pair in pairs]
+    return [Vec2.from_json(pair) for pair in pairs]
 
 
 def load_json(path: str):

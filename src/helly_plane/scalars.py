@@ -32,11 +32,22 @@ on the integer lattice of their exact values (a float is the dyadic
 rational it denotes), and `float_pairs` rounds them to floats, each once;
 `lattice_pairs`, the lattice form of a family, tells float data by its
 kinds first and takes the one or the other.
+
+It is also the one place that decides what text denotes a number.
+`parse_scalar` reads a numeral to its exact `Fraction` by one grammar,
+compiled once (`_NUMERAL`): what `Fraction` reads on Python 3.10, the
+oldest supported, whose grammar later versions only add to ("1_000" on
+3.11, "1 /2" on 3.12), so a file means the same numbers on each. A numeral
+whose numerator or denominator as written needs more than `MAX_DIGITS`
+digits, CPython's limit for an int printed to a str, is refused from its
+text, before any int is formed. A numeral is never rounded here, only where
+a family is rounded (`float_pairs`, `geometry.Family.floats`).
 """
 
 from __future__ import annotations
 
 import math
+import re
 import struct
 from fractions import Fraction
 from functools import lru_cache
@@ -52,15 +63,29 @@ DEFAULT_TOL = 1e-9
 NUMBERS = frozenset([int, bool, Fraction, float])  # what a coordinate may be, by its type
 
 
-def parse_scalar(text: str, mode: str = "exact") -> Scalar:
-    """Parse a decimal or "p/q" string. Exact mode returns a Fraction."""
-    try:
-        value = Fraction(str(text))
-        return float(value) if mode == "float" else value
-    except (ValueError, ZeroDivisionError):
-        raise BadInput(f"not a scalar: {text!r}") from None
-    except OverflowError:  # float(value) past float range
-        raise BadInput(f"past float range: {text!r}") from None
+# Python 3.10's `fractions._RATIONAL_FORMAT`, in ASCII digits and spaces (so the
+# interpreter's Unicode tables do not enter) and with a nonzero denominator
+_NUMERAL = re.compile(r"\s*(?P<sign>[-+]?)(?=\d|\.\d)(?P<num>\d*)"  # a sign, then digits or .digit, then
+                      r"(?:/(?P<den>0*[1-9]\d*)|(?:\.(?P<dec>\d*))?(?:E(?P<exp>[-+]?\d+))?)\s*",  # /q, or .d and e
+                      re.IGNORECASE | re.ASCII)
+
+MAX_DIGITS = 4300  # CPython's default limit on the digits of an int read from or printed to str
+
+
+def parse_scalar(text: str) -> Fraction:
+    """The exact value of a numeral, "p/q" or a decimal with an optional
+    fraction part and exponent (`_NUMERAL`). A numeral whose numerator or
+    denominator as written needs more than `MAX_DIGITS` digits is a
+    `BadInput`, told from its text before any int is formed."""
+    m = _NUMERAL.fullmatch(str(text))
+    if m is None:
+        raise BadInput(f"not a scalar: {text!r}")
+    sign, num, den, dec, exp = m.groupdict("").values()  # in the grammar's order; "" where absent
+    e = int(exp or 0) if len(exp.lstrip("+-0")) <= 4 else MAX_DIGITS + 1  # |e| > 9999 is past it either way
+    up, down = max(e, 0), len(dec) + max(-e, 0)  # the powers of ten on the numerator and the denominator
+    if max(len(num + dec) + up, len(den) if den else down + 1) > MAX_DIGITS:
+        raise BadInput(f"a numeral needing more than {MAX_DIGITS} digits: {text!r:.40}")
+    return Fraction(int(sign + num + dec) * 10**up, int(den) if den else 10**down)
 
 
 def format_scalar(x: Scalar) -> str:

@@ -43,12 +43,13 @@ class Vec2:
         return [format_scalar(self.x), format_scalar(self.y)]
 
     @classmethod
-    def from_json(cls, pair: Sequence, mode: str = "exact") -> "Vec2":
+    def from_json(cls, pair: Sequence) -> "Vec2":
+        """The point of a pair of numerals, each read to its exact value."""
         try:
             x, y = pair
         except (TypeError, ValueError):
             raise BadInput(f"a point must be a pair of scalars; got {pair!r}") from None
-        return cls(parse_scalar(x, mode), parse_scalar(y, mode))
+        return cls(parse_scalar(x), parse_scalar(y))
 
 
 ORIGIN = Vec2(0, 0)

@@ -337,3 +337,42 @@ def test_verify_svg_draws_trial_zero_of_every_kind(suite, outline, arrows, tmp_p
         assert {y for _, y in ends} == {"240.0000"}
     if suite == "gallery":
         assert len(_svg_shapes(text)[0]) == 4
+
+
+# numerals the grammar refuses, which some supported Pythons read: a 5001-digit
+# numerator used to be read and then crash the printer with a traceback
+HUGE_BALL = '{"type": "polygonal", "vertices": [["1e5000", "0"], ["0", "1"], ["-1e5000", "0"], ["0", "-1"]]}'
+HUGE_VECS = '{"vectors": [["1e5000", "1"], ["1", "1"], ["-1", "1"]]}'
+UNDERSCORE_POLYGON = '{"vertices": [["1_0", "0"], ["0", "1"], ["-1", "0"], ["0", "-1"]]}'
+
+
+@pytest.mark.parametrize("case", ["ball-vertex", "vector", "underscore"])
+def test_a_numeral_outside_the_grammar_exits_2(case, tmp_path, capsys):
+    if case == "ball-vertex":
+        argv = ["verify", "thm2", "--trials", "2", "--ball", _write(tmp_path, "b.json", HUGE_BALL)]
+    elif case == "vector":
+        argv = ["signs", _write(tmp_path, "v.json", HUGE_VECS), "--ball", _write(tmp_path, "b.json", BALL)]
+    else:
+        argv = ["symmetry", "check", _write(tmp_path, "p.json", UNDERSCORE_POLYGON)]
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and len(err.strip().splitlines()) == 1 and err.startswith("error:")
+
+
+def test_signs_on_the_euclidean_ball_read_y_within_tol(tmp_path, capsys):
+    # the family is rounded once, so a y of -1e-12 is 0 within tol and keeps
+    # its sign; on its exact value it would flip
+    vecs = '{"vectors": [["0.6", "0.8"], ["1", "-1e-12"], ["0.6", "-0.8"], ["-1", "1e-12"], ["0", "1"]]}'
+    argv = ["signs", _write(tmp_path, "v.json", vecs), "--ball", _write(tmp_path, "b.json", '{"type": "euclidean"}')]
+    assert main(argv) == 0
+    assert capsys.readouterr().out == '{"signs": [1, 1, -1, 1, 1], "odd_subsets_checked": 16, "all_pass": true}\n'
+
+
+def test_ginzburg_reads_rational_numerals_to_the_same_floats(tmp_path, capsys):
+    vecs = '{"vectors": [["3/5", "4/5"], ["-3/5", "4/5"], ["0", "1"]]}'
+    assert main(["ginzburg", _write(tmp_path, "v.json", vecs), "--u", "1/2,1"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == "90173c5d7a2df5f7d26dcf18c3fefddf447842baaa87d2d52bfd266ba1b4de07"
+    assert out.splitlines()[-1] == (
+        '{"moving": [], "fixed": [["1.0", "0.0"], ["-1.0", "0.0"], ["1.0", "0.0"]], "sum": ["1.0", "0.0"], "norm": 1.0}'
+    )

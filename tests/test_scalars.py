@@ -1,9 +1,12 @@
 import math
 import random
+import re
+import struct
+import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helly_plane.errors import BadInput
@@ -28,16 +31,63 @@ def test_parse_rational():
     assert parse_scalar("2") == Fraction(2)
 
 
-def test_parse_float_mode():
-    v = parse_scalar("3/4", mode="float")
-    assert isinstance(v, float) and v == 0.75
-
-
-def test_float_mode_past_float_range_is_bad_input():
+def test_numerals_past_float_range_are_read_exactly():
+    # rounding is left to where a family is rounded (`Family.floats`)
     for text in ("1e400", "-1e400", "1" + "0" * 400 + "/3"):
-        with pytest.raises(BadInput, match="past float range"):
-            parse_scalar(text, mode="float")
-        assert parse_scalar(text) == Fraction(text)  # exact mode has no range
+        assert parse_scalar(text) == Fraction(text)
+
+
+# Python 3.11 reads "1_000" and 3.12 "1 /2"; 3.10 reads neither
+@pytest.mark.parametrize("text", ["1_000", "1 /2", "1/ 2", "1e4300", "1e-4300", "1/" + "9" * 4301,
+                                  "9" * 4301, "0." + "0" * 4300, "1/0", "1/000", ".", "1e", "inf",
+                                  "nan", "", "\u0661", "1\u00a0"])
+def test_parse_refuses_what_is_not_a_numeral_of_the_grammar(text):
+    with pytest.raises(BadInput):
+        parse_scalar(text)
+
+
+def test_parse_refuses_a_huge_exponent_from_its_text():
+    # Fraction reads it by forming 10**10000000, which takes seconds
+    start = time.perf_counter()
+    with pytest.raises(BadInput, match="more than 4300 digits"):
+        parse_scalar("1e10000000")
+    assert time.perf_counter() - start < 0.01
+
+
+@pytest.mark.parametrize("text", ["1e4299", "1e-4299", " 1/2 ", "-.5", "1E5", "+1.", "0012.50e+0001",
+                                  "1e00000000000000000000000000005", "9" * 4300, "1/0007"])
+def test_parse_reads_the_grammar_to_the_exact_value(text):
+    assert parse_scalar(text) == Fraction(text)
+
+
+# `fractions._RATIONAL_FORMAT` of Python 3.10, in ASCII
+FRACTION_310 = re.compile(r"""
+    \A\s*(?P<sign>[-+]?)(?=\d|\.\d)(?P<num>\d*)
+    (?:(?:/(?P<denom>\d+))?|(?:\.(?P<decimal>\d*))?(?:E(?P<exp>[-+]?\d+))?)\s*\Z
+""", re.VERBOSE | re.IGNORECASE | re.ASCII)
+
+
+@settings(max_examples=500)
+@given(st.text("0123456789+-./eE_ ", max_size=9))
+def test_parse_reads_what_python_310_reads(text):
+    # ...with a nonzero denominator, and ints of at most 4300 digits as written
+    m = FRACTION_310.match(text)
+    if m is not None:
+        num, den, dec, e = m["num"], m["denom"], m["decimal"] or "", int(m["exp"] or 0)
+        big = max(len(num + dec) + max(e, 0), len(den) if den else 1 + len(dec) + max(-e, 0)) > 4300
+    if m is None or den and not den.strip("0") or big:
+        with pytest.raises(BadInput):
+            parse_scalar(text)
+    else:
+        assert parse_scalar(text) == Fraction(text)
+
+
+def test_a_float_numeral_reads_back_to_the_float():
+    rng = random.Random(20261021)
+    xs = [5e-324, -0.0, 1.7976931348623157e308, -1.7976931348623157e308, 2.2250738585072014e-308]
+    xs += [struct.unpack("<d", struct.pack("<Q", rng.getrandbits(64)))[0] for _ in range(2000)]
+    for x in filter(math.isfinite, xs):
+        assert float(parse_scalar(format_scalar(x))) == x, x
 
 
 def test_format_roundtrip():
