@@ -24,10 +24,10 @@ from .errors import (
     ZeroDirection,
 )
 from .generators import seeded_rng
-from .geometry import Family
+from .geometry import Family, as_direction
 from .norms import SubsetSums, UnitBall, edge_functionals, gauge, shared_edge_value
 from .scalars import DEFAULT_TOL, Scalar, check_tol, eq, exact_pairs, ge, le, sgn
-from .vectors import Vec2, VectorMultiset, vsum
+from .vectors import Vec2, VectorMultiset
 
 
 @dataclass
@@ -79,11 +79,21 @@ def _turn(p: tuple[float, float], turn: tuple[float, float]) -> tuple[float, flo
     return c * x - s * y, s * x + c * y
 
 
-def _rotation_snapshot(pts, pinned):
-    moving = tuple(Vec2(*p) for p, done in zip(pts, pinned) if not done)
-    fixed = tuple(Vec2(*p) for p, done in zip(pts, pinned) if done)
-    total = vsum(moving) + vsum(fixed)
-    return RotationStep(moving, fixed, total, math.hypot(total.x, total.y))
+def _rotation_snapshot(pts, pinned) -> tuple[RotationStep, tuple[float, float], float]:
+    """The step of the points `pts`, the `pinned` ones fixed, with the sum
+    of the moving ones and the x of the sum of the fixed ones: float pairs
+    added left to right from 0, as `vsum` adds the step's `Vec2`s."""
+    moving, fixed = [], []
+    mx = my = fx = fy = 0
+    for (x, y), done in zip(pts, pinned):
+        if done:
+            fixed.append(Vec2(x, y))
+            fx, fy = fx + x, fy + y
+        else:
+            moving.append(Vec2(x, y))
+            mx, my = mx + x, my + y
+    total = Vec2(mx + fx, my + fy)
+    return RotationStep(tuple(moving), tuple(fixed), total, math.hypot(total.x, total.y)), (mx, my), fx
 
 
 def ginzburg_reduce(
@@ -101,7 +111,7 @@ def ginzburg_reduce(
     the norm of the sum is an odd integer, hence at least 1.
     """
     check_tol(tol)
-    [(ux, uy)] = Family([u]).floats()  # u and the vectors must be of finite numbers
+    [(ux, uy)] = as_direction(u).floats()  # u and the vectors must be of finite numbers
     if ux == 0 and uy == 0:
         raise ZeroDirection("halfplane direction must be nonzero")
     vs = Family(vectors).floats()
@@ -122,19 +132,19 @@ def ginzburg_reduce(
             raise HalfplaneViolated(f"vector {i} has no direction in the halfplane")
         pts.append(_unit(x, max(y, 0.0)))
     pinned = [False] * n
-    steps = [_rotation_snapshot(pts, pinned)]
+    step, m, fx = _rotation_snapshot(pts, pinned)
+    steps = [step]
     for _ in range(n):
         free = [i for i in range(n) if not pinned[i]]
-        m, fx = vsum(steps[-1].moving), vsum(steps[-1].fixed).x
         lx, ly = min((pts[i] for i in free), key=lambda p: p[0])
         hx, hy = max((pts[i] for i in free), key=lambda p: p[0])
         ccw_turn, cw_turn = _unit(-lx, ly), _unit(hx, -hy)
-        c = sgn(-m.y * fx, 1e-12)  # m x f, as f lies on the axis
+        c = sgn(-m[1] * fx, 1e-12)  # m x f, as f lies on the axis
         if c:
             ccw = c < 0
         else:
             # locally flat: compare the end states of both feasible stops
-            (ax, ay), (bx, by) = _turn((m.x, m.y), ccw_turn), _turn((m.x, m.y), cw_turn)
+            (ax, ay), (bx, by) = _turn(m, ccw_turn), _turn(m, cw_turn)
             end_ccw, end_cw = math.hypot(fx + ax, ay), math.hypot(fx + bx, by)
             if not eq(end_ccw, end_cw, 1e-12):
                 ccw = end_ccw < end_cw
@@ -149,7 +159,8 @@ def ginzburg_reduce(
         pin = next(i for i in free if le(pts[i][1], 0.0) and pts[i][0] * target > 0)
         pinned[pin] = True
         pts[pin] = (target, 0.0)
-        steps.append(_rotation_snapshot(pts, pinned))
+        step, m, fx = _rotation_snapshot(pts, pinned)
+        steps.append(step)
     if not eq(steps[-1].norm, round(steps[-1].norm), 10 * tol):  # pragma: no cover
         raise TheoremFalsified("final norm is not an integer")
     return RotationTrace(steps)

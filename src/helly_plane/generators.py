@@ -7,9 +7,13 @@ is an integer pair over one known denominator (1000 for drawn
 coordinates, 1000·S on a ball whose vertices are integers over S),
 rejection tests run on ints, and a family is returned as a `Family` of
 those pairs, whose `Fraction`s are formed only if its vectors are read.
-Integers are drawn straight off `rng.getrandbits` (`_randint`, written
-out in the hot draws), with the values and generator states of
-`rng.randint`/`rng.randrange`. Polygonal boundary points are convex
+A halfplane direction is one such family too, one point over 1000
+(`gen_direction`), and the antipodal pair on its boundary line a
+two-point one formed on ints (`antipodal_pair_on_boundary`), so a trial
+forms no `Fraction` for its direction either. Integers are drawn
+straight off `rng.getrandbits` (`_randint`, written out in the hot
+draws: directions, boundary points and ball points), with the values and
+generator states of `rng.randint`/`rng.randrange`. Polygonal boundary points are convex
 combinations of adjacent vertices, so their gauge is 1 exactly, with no
 float slack anywhere in exact mode. Each distribution has one draw, a
 boundary-point draw and a ball-point draw, run on the ball's integer
@@ -18,8 +22,8 @@ draws give a float `Family`, printed from its float pairs: no `Vec2` and
 no `Fraction` is formed. Their angles and radii are drawn as
 `b * rng.random()`, `rng.uniform(0.0, b)` written out (`uniform` is
 a + (b − a)·random()): the same float, and the generator left in the
-same state. A boundary draw meets a halfplane by one mirror
-of its pairs (`geometry.dots`).
+same state. A boundary draw meets a halfplane, a `Vec2` or a drawn
+direction, by one mirror of its pairs (`geometry.dots`).
 """
 
 from __future__ import annotations
@@ -31,10 +35,10 @@ from itertools import combinations
 from typing import Optional
 
 from .errors import BadInput, NotConvexBody
-from .geometry import Family, dots
+from .geometry import Family, as_direction, dots
 from .norms import (
-    ConvexBody, UnitBall, boundary_point, compile_lattice, euclidean_ball, lattice_in_ball,
-    lattice_vertices,
+    ConvexBody, UnitBall, boundary_point, compile_lattice, euclidean_ball, lattice_boundary,
+    lattice_in_ball, lattice_vertices,
 )
 from .scalars import le
 from .vectors import Vec2
@@ -96,7 +100,7 @@ def gen_unit_vectors(
     ball: UnitBall,
     n: int,
     seed: int,
-    halfplane: Optional[Vec2] = None,
+    halfplane: Optional[Vec2 | Family] = None,
 ) -> Family:
     """n vectors of gauge exactly 1; with `halfplane` u, all dots u.v >= 0.
 
@@ -199,12 +203,20 @@ def _ball_points(cycle: Optional[tuple], rng: random.Random, count: int) -> tupl
     return [(x * (den // t), y * (den // t)) for x, y, t in points], den * scale
 
 
-def gen_direction(rng: random.Random) -> Vec2:
-    """A nonzero rational direction."""
+def gen_direction(rng: random.Random) -> Family:
+    """A nonzero rational direction, as the one-point lattice `Family` of
+    (x, y) / 1000 for x, y in -1000..1000 (`geometry.as_direction`); its
+    `[0]` is the `Vec2`. The draws are `_randint`'s loop written out."""
+    bits = rng.getrandbits
     while True:
-        x, y = _randint(rng, -_GRID, _GRID), _randint(rng, -_GRID, _GRID)
-        if x or y:
-            return Vec2(Fraction(x, _GRID), Fraction(y, _GRID))
+        x = bits(_COORD_BITS)
+        while x > 2 * _GRID:
+            x = bits(_COORD_BITS)
+        y = bits(_COORD_BITS)
+        while y > 2 * _GRID:
+            y = bits(_COORD_BITS)
+        if x != _GRID or y != _GRID:
+            return Family.from_lattice([(x - _GRID, y - _GRID)], _GRID)
 
 
 def gen_claim1_tuple(seed: int) -> list[Fraction]:
@@ -272,7 +284,16 @@ def gen_euclidean_halfplane_instance(seed: int) -> tuple[Family, Vec2]:
     return vectors, u
 
 
-def antipodal_pair_on_boundary(ball: UnitBall, u: Vec2) -> tuple[Vec2, Vec2]:
-    """A boundary pair (w, -w) orthogonal to u, so both stay in u's halfplane."""
-    w = boundary_point(ball, u.perp())
-    return w, -w
+def antipodal_pair_on_boundary(ball: UnitBall, u: Vec2 | Family) -> Family:
+    """The boundary pair (w, -w) along u⊥ = (−y, x), so both stay in u's
+    halfplane, as a two-point `Family`. For a rational u on a polygon it is
+    formed on ints, from u on its lattice, (x, y) / d: w is
+    (−y·den, x·den) / m, m = max(Q·x − P·y) over the edge normals
+    (`norms.lattice_boundary`); else w is `boundary_point`'s."""
+    direction = as_direction(u)
+    if not ball.is_polygonal or direction.scale is None:
+        w = boundary_point(ball, direction[0].perp())
+        return Family((w, -w))
+    [(x, y)] = direction.pts
+    wx, wy, m = lattice_boundary(ball, -y, x)
+    return Family.from_lattice([(wx, wy), (-wx, -wy)], m)

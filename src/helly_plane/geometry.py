@@ -6,8 +6,9 @@ family of vectors, and the vertex cycle of every polygonal ball or body
 (`norms`), is integer pairs over one scale (a vertex cycle always is), or
 float pairs. Given vectors reach that form through the readers of
 `scalars` (`lattice_pairs`, `exact_pairs`), which decide what a
-coordinate may be. `dots` is the one halfplane test of such points, from
-draw to certificate.
+coordinate may be. A halfplane direction is a one-point `Family`
+(`as_direction`), and `dots` is the one halfplane test of such points,
+from draw to certificate.
 
 Everything here is exact on rational data; predicates that also have to
 serve float data take an optional tolerance which only kicks in for float
@@ -24,7 +25,7 @@ from itertools import combinations
 from typing import Iterable, Iterator, Optional
 
 from .errors import BadInput
-from .scalars import Scalar, exact_pairs, float_pairs, format_ratio, lattice_pairs, sgn
+from .scalars import Scalar, exact_pairs, format_ratio, lattice_pairs, sgn
 from .vectors import Vec2
 
 
@@ -168,16 +169,26 @@ def _negated(numeral: str) -> str:
     return numeral[1:] if numeral[0] == "-" else numeral if numeral == "0" else "-" + numeral
 
 
-def dots(u: Vec2, pts: Sequence[tuple], scale: Optional[int]) -> list[Scalar]:
+def as_direction(u: Vec2 | Family) -> Family:
+    """A direction u in its lattice form, a one-point `Family`: a drawn
+    direction is one already (`generators.gen_direction`), and a `Vec2` is
+    read once, by the check of every family's entries, so a u that is not a
+    plane vector of finite numbers is a `BadInput`. The one reader of a
+    direction's coordinates."""
+    return u if type(u) is Family and len(u.pts) == 1 else Family((u,))
+
+
+def dots(u: Vec2 | Family, pts: Sequence[tuple], scale: Optional[int]) -> list[Scalar]:
     """u·v for each point v = (x, y) / `scale` (float pairs when `scale` is
     None), up to one positive factor, so every sign is exact: integer dots
-    with u put on the lattice when u and the points are rational, else the
-    floats `Vec2.dot` gives, from float(u.x), float(u.y) and x / scale.
-    A u that is not a plane vector of finite numbers is a `BadInput`."""
-    pair = _coordinates((u,))
-    [(ux, uy)], u_scale = lattice_pairs(pair) if scale is not None else (float_pairs(pair), None)
-    if u_scale is not None:
+    with u on its lattice (`as_direction`) when u and the points are
+    rational, else the floats `Vec2.dot` gives, from u's coordinates and
+    x / scale, each rounded once."""
+    u = as_direction(u)
+    if u.scale is not None and scale is not None:
+        [(ux, uy)] = u.pts
         return [ux * x + uy * y for x, y in pts]
+    [(ux, uy)] = u.floats()
     if scale is not None:
         pts = Family.from_lattice(pts, scale).floats()
     return [ux * x + uy * y for x, y in pts]

@@ -546,15 +546,25 @@ def boundary_point(ball: UnitBall, direction: Vec2) -> Vec2:
     first, so that the length cannot overflow. A direction that is not a
     plane vector of finite numbers is a `BadInput`."""
     [(x, y)], _, floats = exact_form((direction,))
-    if x == 0 and y == 0:
-        raise ZeroDirection("cannot normalize the zero vector")
     if ball.normals is None:
+        if x == 0 and y == 0:
+            raise ZeroDirection("cannot normalize the zero vector")
         big = max(abs(x), abs(y))
         r = math.hypot(x / big, y / big)
         return Vec2(x / big / r, y / big / r)
-    m = max(p * x + q * y for p, q in ball.normals)
+    bx, by, m = lattice_boundary(ball, x, y)
     ratio = truediv if floats else Fraction
-    return Vec2(ratio(x * ball.den, m), ratio(y * ball.den, m))
+    return Vec2(ratio(bx, m), ratio(by, m))
+
+
+def lattice_boundary(ball: UnitBall, x: int, y: int) -> tuple[int, int, int]:
+    """The boundary point of a polygon along the integer direction (x, y),
+    on ints: (x·den, y·den) over m = max(P·x + Q·y), m / den being the
+    gauge of (x, y). The zero direction is a `ZeroDirection`."""
+    m = max(p * x + q * y for p, q in ball.normals)
+    if not m:  # m > 0 off the origin, which is strictly inside
+        raise ZeroDirection("cannot normalize the zero vector")
+    return x * ball.den, y * ball.den, m
 
 
 def ball_to_json(ball: UnitBall) -> dict:
@@ -576,16 +586,22 @@ def load_vectors(obj: dict, key: str = "vectors") -> list[Vec2]:
     """The point list under `key`, as in {"vectors": [[x, y], ...]}, each
     numeral read to its exact value."""
     try:
-        pairs = list(obj[key])
+        pairs = obj[key]
+        pairs = None if isinstance(pairs, str) else list(pairs)  # a numeral is no list
     except (KeyError, TypeError):
-        raise BadInput(f"the document has no {key!r} list") from None
+        pairs = None
+    if pairs is None:
+        raise BadInput(f"the document has no {key!r} list")
     return [Vec2.from_json(pair) for pair in pairs]
 
 
 def load_json(path: str):
-    """A JSON document from a file; text that is not JSON raises BadInput."""
+    """A JSON document from a file, each JSON number kept as the text
+    written, which `Vec2.from_json` reads to its exact value
+    (`scalars.parse_scalar`), never rounded to a float on the way; text
+    that is not JSON raises BadInput."""
     with open(path, encoding="utf-8") as f:
         try:
-            return json.load(f)
+            return json.load(f, parse_float=str, parse_int=str)
         except ValueError as exc:
             raise BadInput(f"{path} is not JSON: {exc}") from None

@@ -174,9 +174,10 @@ def _on_ball(ball: UnitBall, vectors: Family, extra: Optional[dict] = None, **fi
     return Instance(text, ball, vectors, **fields)
 
 
-def _u_extra(u: Vec2) -> dict:
-    """The extra of a halfplane direction u: its numerals, as `Vec2.to_json`."""
-    return {"u": '["{}","{}"]'.format(*u.to_json())}
+def _u_extra(u: Family) -> dict:
+    """The extra of a direction u, a one-point family: its numerals, as
+    `Vec2.to_json` prints them (`Family._printed`)."""
+    return {"u": '["{}","{}"]'.format(*u._printed()[0])}
 
 
 def _halfplane_family(rng: random.Random, ball: UnitBall, n: int):
@@ -227,7 +228,7 @@ def _draw_thm2(cfg: SuiteConfig, rng: random.Random, index: int, balls: _Balls) 
     note = "halfplane family"
     if index % 3 == 0 and ball.is_polygonal and n >= 5:
         # adversarial antipodal pair on the halfplane boundary line
-        vectors = _splice(vectors, Family(antipodal_pair_on_boundary(ball, u)))
+        vectors = _splice(vectors, antipodal_pair_on_boundary(ball, u))
         note += " + antipodal pair"
     return _on_ball(ball, _as_mode(vectors, cfg.mode), _u_extra(u), data=note)
 

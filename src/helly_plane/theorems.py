@@ -17,7 +17,7 @@ from __future__ import annotations
 import functools
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
 from typing import Optional, Sequence
@@ -32,7 +32,7 @@ from .errors import (
     TooFew,
     ZeroDirection,
 )
-from .geometry import Family, dots, origin_position
+from .geometry import Family, as_direction, dots, origin_position
 from .norms import SubsetSums, UnitBall, gauge, supporting_functional
 from .scalars import (
     DEFAULT_TOL, Scalar, band, check_tol, eq, exact_pairs, format_scalar, ge, gt, is_float, le, sgn,
@@ -92,22 +92,37 @@ class Certificate:
     """A projection certificate for the halfplane bound.
 
     The input family is reordered by angle across the closed halfplane of
-    u; `k` is the 1-based position of the middle vector in that order,
-    `tangent` a supporting functional z -> tangent.dot(z) of the ball at the
-    middle vector, and `projections` the coefficients of each vector on the
-    middle vector in the basis {middle vector, tangent.perp()}. Their sum
-    being at least 1 forces the sum of the family out of the open unit ball.
-    `order` lists the indices into `family` in that order; `ordered`, the
-    reordered vectors themselves, is formed on first read.
+    u (as the caller gave it); `k` is the 1-based position of the middle
+    vector in that order, `tangent` a supporting functional
+    z -> tangent.dot(z) of the ball at the middle vector, and `projections`
+    the coefficients of each vector on the middle vector in the basis
+    {middle vector, tangent.perp()}. Their sum being at least 1 forces the
+    sum of the family out of the open unit ball. `order` lists the indices
+    into `family` in that order. The certificate is kept as the tangent's
+    one-point lattice `Family` and `tangent_dots`, its values at the ordered
+    vectors up to one positive factor; `tangent`, `projections` and
+    `ordered`, the reordered vectors themselves, are formed on first read.
     """
 
     k: int
-    u: Vec2
-    tangent: Vec2
+    u: Vec2 | Family
     family: Sequence[Vec2]
     order: Sequence[int]
-    projections: list[Scalar]
     projection_sum: Scalar
+    lattice_tangent: Family = field(repr=False)
+    tangent_dots: list[Scalar] = field(repr=False)
+
+    @functools.cached_property
+    def tangent(self) -> Vec2:
+        return self.lattice_tangent[0]
+
+    @functools.cached_property
+    def projections(self) -> list[Scalar]:
+        """tangent(v) / tangent(middle vector) for each ordered v:
+        `Fraction`s of the integer dots on rational data, else floats."""
+        dots = self.tangent_dots
+        pivot = dots[self.k - 1]
+        return [m / pivot for m in dots] if is_float(pivot) else [Fraction(m, pivot) for m in dots]
 
     @functools.cached_property
     def ordered(self) -> tuple[Vec2, ...]:
@@ -115,7 +130,7 @@ class Certificate:
 
 
 def verify_theorem1(
-    ball: UnitBall, vectors: VectorMultiset, u: Vec2, tol: float = DEFAULT_TOL
+    ball: UnitBall, vectors: VectorMultiset, u: Vec2 | Family, tol: float = DEFAULT_TOL
 ) -> VerifyReport:
     """Check the halfplane bound on one instance.
 
@@ -125,11 +140,12 @@ def verify_theorem1(
     """
     check_tol(tol)
     vs = Family(vectors)
-    sides = dots(u, vs.pts, vs.scale)  # a BadInput unless u is a vector of finite numbers
-    if u.is_zero():
+    u = as_direction(u)  # a BadInput unless u is a vector of finite numbers
+    sides = dots(u, vs.pts, vs.scale)
+    if u.pts[0] == (0, 0):
         raise ZeroDirection("halfplane direction must be nonzero")
     # float dots within tol·|u|, as in `ginzburg_reduce`: only u's direction counts
-    side_tol = tol * math.hypot(u.x, u.y) if is_float(*sides) else tol
+    side_tol = tol * math.hypot(*u.floats()[0]) if is_float(*sides) else tol
     notes = []
     bad = []
     if len(vs) % 2 == 0:
@@ -146,19 +162,22 @@ def verify_theorem1(
     return VerifyReport("T1", len(vs) % 2 == 1 and not bad, conclusion, ball, vs, bad, "; ".join(notes))
 
 
-def _halfplane_angle_cmp(vs: Family, u: Vec2):
+def _halfplane_angle_cmp(vs: Family, u: Vec2 | Family):
     """A sort key for indices into a family of the closed halfplane of u,
     ordering the vectors by angle from the side at -90 degrees from u
     around to +90 degrees.
 
     The signs of cross and dot products are read from the family's lattice
     (or float) pairs. Vectors orthogonal to u are the only antipodal pairs
-    possible here; the one at -90 degrees, where u×v = u.perp()·v is
-    negative (`geometry.dots`), sorts first. Exact duplicates keep input
-    order. Comparisons are raw (no tolerance): a tolerant order is not
-    transitive.
+    possible here; the one at -90 degrees, where u×v = u⊥·v is negative
+    (`geometry.dots`, with u⊥ = (−y, x) formed on u's lattice pairs), sorts
+    first. Exact duplicates keep input order. Comparisons are raw (no
+    tolerance): a tolerant order is not transitive.
     """
     pts = vs.pts
+    u = as_direction(u)
+    [(x, y)] = u.pts
+    perp = Family.from_lattice([(-y, x)], u.scale)
 
     def cmp(i: int, j: int) -> int:
         (ax, ay), (bx, by) = pts[i], pts[j]
@@ -167,13 +186,13 @@ def _halfplane_angle_cmp(vs: Family, u: Vec2):
             return -1 if cross > 0 else 1
         if ax * bx + ay * by >= 0:
             return 0  # same direction: stable sort keeps input order
-        return -1 if sgn(dots(u.perp(), [pts[i]], vs.scale)[0]) < 0 else 1  # antipodal pairs only
+        return -1 if sgn(dots(perp, [pts[i]], vs.scale)[0]) < 0 else 1  # antipodal pairs only
 
     return functools.cmp_to_key(cmp)
 
 
 def halfplane_certificate(
-    ball: UnitBall, vectors: VectorMultiset, u: Vec2, tol: float = DEFAULT_TOL
+    ball: UnitBall, vectors: VectorMultiset, u: Vec2 | Family, tol: float = DEFAULT_TOL
 ) -> Certificate:
     """Construct the projection certificate for a halfplane instance.
 
@@ -183,25 +202,25 @@ def halfplane_certificate(
     already implies the conclusion; both facts are re-checked here.
 
     The projection of v is tangent(v) / tangent(vk) for the middle vector
-    vk, read off `geometry.dots`: on rational data with a rational tangent
-    `Fraction`s of integer dots, the sum one `Fraction` of their sum;
-    otherwise floats.
+    vk, read off `geometry.dots` with the tangent (p, q) / e as a one-point
+    lattice `Family`: on rational data with a rational tangent integer
+    dots, and the sum one `Fraction` of their sum; otherwise floats.
     """
     vs = Family(vectors)
-    report = verify_theorem1(ball, vs, u, tol)
+    direction = as_direction(u)
+    report = verify_theorem1(ball, vs, direction, tol)
     if not report.hypothesis_holds:
         raise HypothesisFailed(report.notes or "hypothesis does not hold")
-    order = sorted(range(len(vs)), key=_halfplane_angle_cmp(vs, u))
+    order = sorted(range(len(vs)), key=_halfplane_angle_cmp(vs, direction))
     k = (len(order) + 1) // 2  # 1-based position of the middle vector
     mid = order[k - 1]
     p, q, e = supporting_functional(ball, *vs.pts[mid], vs.scale, tol)
-    tangent = Vec2(p / e, q / e) if is_float(p, q) else Vec2(Fraction(p, e), Fraction(q, e))
+    floats = is_float(p, q)
+    tangent = Family.from_lattice([(p / e, q / e) if floats else (p, q)], None if floats else e)
     nums = dots(tangent, [vs.pts[i] for i in order], vs.scale)
     if is_float(nums[k - 1]):
-        projections = [m / nums[k - 1] for m in nums]
-        projection_sum = functools.reduce(operator.add, projections, 0)  # as `vsum` adds
+        projection_sum = functools.reduce(operator.add, [m / nums[k - 1] for m in nums], 0)  # as `vsum` adds
     else:
-        projections = [Fraction(m, nums[k - 1]) for m in nums]
         projection_sum = Fraction(sum(nums), nums[k - 1])
     if not ge(projection_sum, 1, tol):
         raise TheoremFalsified(
@@ -209,7 +228,7 @@ def halfplane_certificate(
         )
     if not report.conclusion_holds:  # pragma: no cover - implied by the above
         raise TheoremFalsified("certificate exists but total norm < 1")
-    return Certificate(k, u, tangent, vs, order, projections, projection_sum)
+    return Certificate(k, u, vs, order, projection_sum, tangent, nums)
 
 
 def _three_sum_judge(sums: SubsetSums, k: int, strict: bool, tol: float):

@@ -46,7 +46,7 @@ class Vec2:
     def from_json(cls, pair: Sequence) -> "Vec2":
         """The point of a pair of numerals, each read to its exact value."""
         try:
-            x, y = pair
+            x, y = () if isinstance(pair, str) else pair  # "12" is one numeral, not ("1", "2")
         except (TypeError, ValueError):
             raise BadInput(f"a point must be a pair of scalars; got {pair!r}") from None
         return cls(parse_scalar(x), parse_scalar(y))

@@ -147,7 +147,7 @@ from helly_plane.scalars import (
     DEFAULT_TOL, Scalar, check_tol, eq, format_ratio, format_scalar, ge, gt, le, sgn,
 )
 from helly_plane.symmetry import ViolationWitness, WitnessKind
-from helly_plane.theorems import Certificate, KSum
+from helly_plane.theorems import KSum
 from helly_plane.vectors import ORIGIN, Vec2, VectorMultiset, vsum
 
 
@@ -786,6 +786,18 @@ def ref_supporting_functional(ball, v, tol):
     return max(normals, key=lambda n: n.dot(v))
 
 
+@dataclass
+class Certificate:
+    """The former certificate: every field formed when it is made."""
+
+    k: int
+    u: Vec2
+    tangent: Vec2
+    ordered: tuple
+    projections: list
+    projection_sum: Scalar
+
+
 def ref_halfplane_certificate(ball, vectors, u, tol=DEFAULT_TOL):
     report = ref_verify_theorem1(ball, vectors, u, tol)
     if not report.hypothesis_holds:
@@ -805,7 +817,7 @@ def ref_halfplane_certificate(ball, vectors, u, tol=DEFAULT_TOL):
         )
     if not ge(report.total_norm, 1, tol):
         raise TheoremFalsified("certificate exists but total norm < 1")
-    return Certificate(k, u, tangent, ordered, range(n), projections, projection_sum)
+    return Certificate(k, u, tangent, ordered, projections, projection_sum)
 
 
 def ref_lemma_conv_check(ball, a, b, c, tol=DEFAULT_TOL):

@@ -136,6 +136,17 @@ def test_ginzburg_matches_the_angle_reference():
             assert abs(g.norm - w.norm) <= 1e-12, seed
 
 
+def test_ginzburg_sums_are_the_snapshots_vsums():
+    # each step's total is its moving and fixed vectors summed by `vsum`, bit
+    # for bit, though the reduction folds float pairs and never calls it
+    for seed in range(3000):
+        vectors, u = gen_euclidean_halfplane_instance(seed)
+        for step in ginzburg_reduce(vectors, u, TOL).steps:
+            total = vsum(step.moving) + vsum(step.fixed)
+            assert (step.total.x.hex(), step.total.y.hex()) == (total.x.hex(), total.y.hex()), seed
+            assert step.norm == math.hypot(total.x, total.y), seed
+
+
 def _circle_point(t):
     return Vec2(float((1 - t * t) / (1 + t * t)), float(2 * t / (1 + t * t)))
 

@@ -297,24 +297,19 @@ def max_norm_trial(monkeypatch, suite, index):
     ("thm1", 0), ("thm2", 0), ("thm2", 1), ("thm3", 0), ("lemma-main", 0), ("corollary", 0),
 ])
 def test_a_trial_forms_no_fraction_for_its_vectors(monkeypatch, suite, index):
-    made, directions = [], []
+    made = []
 
     def counted(*args):
         made.append(args)
         return Fraction(*args)
 
-    def direction(rng):
-        directions.append(generators.gen_direction(rng))
-        return directions[-1]
-
     run = max_norm_trial(monkeypatch, suite, index)
     monkeypatch.setattr(generators, "Fraction", counted)
-    monkeypatch.setattr(suites, "gen_direction", direction)
     fam = run().vectors
     assert type(fam) is Family and fam.scale is not None
-    # the generators formed only the halfplane directions' coordinates,
-    # and the family's own `Vec2`s were never formed
-    assert len(made) == 2 * len(directions)
+    # the generators formed no `Fraction`, not even for a halfplane
+    # direction, and the family's own `Vec2`s were never formed
+    assert made == []
     assert "vectors" not in vars(fam)
     list(fam)  # what a witness or a picture reads
     assert "vectors" in vars(fam)

@@ -111,7 +111,7 @@ def _draws(kind: str, statement: str):
         n = rng.choice([3, 5, 7, 9] if statement != "COR" else [5, 7, 9])
         fam = gen_unit_vectors(ball, n, rng.getrandbits(32), halfplane=u)
         if n >= 5 and rng.random() < 0.3:
-            fam = Family(tuple(fam)[:-2] + antipodal_pair_on_boundary(ball, u))
+            fam = Family(tuple(fam)[:-2] + tuple(antipodal_pair_on_boundary(ball, u)))
         yield ball, _floats(fam, rng), u, rng.choice(range(5, n + 1, 2)) if n >= 5 else 0
 
 

@@ -17,6 +17,7 @@ import oracles
 from oracles import same
 from helly_plane import generators
 from helly_plane.generators import (
+    antipodal_pair_on_boundary,
     gen_asymmetric_body,
     gen_claim1_tuple,
     gen_collinear_family,
@@ -27,10 +28,13 @@ from helly_plane.generators import (
     gen_unit_vectors,
     gen_zero_sum_six,
 )
+from helly_plane.geometry import Family
 from helly_plane.norms import (
     ConvexBody,
+    boundary_point,
     euclidean_ball,
     gauge,
+    lattice_vertices,
     make_polygonal_ball,
     square_ball,
 )
@@ -115,7 +119,7 @@ def test_unit_vectors(name, ball, ref):
     for seed in SEEDS:
         n = 1 + seed % 9
         assert same(gen_unit_vectors(ball, n, seed), oracles.ref_gen_unit_vectors(ref, n, seed))
-        d = gen_direction(rng)
+        d = gen_direction(rng)[0]
         for u in (d, Vec2(float(d.x), float(d.y))):
             assert same(
                 gen_unit_vectors(ball, n, seed, halfplane=u),
@@ -181,7 +185,58 @@ def test_collinear_family(name, ball, ref):
 def test_claim1_tuple_and_direction():
     for seed in range(300):
         assert same(gen_claim1_tuple(seed), oracles.ref_gen_claim1_tuple(seed))
-        assert same(gen_direction(random.Random(seed)), oracles.ref_gen_direction(random.Random(seed)))
+        assert same(gen_direction(random.Random(seed))[0], oracles.ref_gen_direction(random.Random(seed)))
+
+
+def test_direction_is_the_former_draw():
+    # a one-point lattice family whose vector is the former `Vec2`, drawn
+    # off the same stream: the generator is left in the same state, draw
+    # after draw
+    for seed in range(2000):
+        rng, ref = random.Random(seed), random.Random(seed)
+        for _ in range(3):
+            u = gen_direction(rng)
+            assert type(u) is Family and len(u) == 1 and u.scale is not None
+            assert same(u[0], oracles.ref_gen_direction(ref))
+        assert rng.getstate() == ref.getstate()
+
+
+def _former_antipodal_pair(ball, u):
+    w = boundary_point(ball, u.perp())
+    return w, -w
+
+
+@pytest.mark.parametrize("name, ball, ref", BALLS, ids=IDS)
+def test_antipodal_pair_is_the_former_boundary_pair(name, ball, ref):
+    # drawn directions, their float copies, and directions whose normal u⊥
+    # points at a vertex (or along an edge's normal, for u a vertex)
+    rng = random.Random(name)
+    drawn = [gen_direction(rng)[0] for _ in range(40)]
+    directions = drawn + [Vec2(float(d.x), float(d.y)) for d in drawn]
+    directions += [v for v in ball.vertices] + [Vec2(v.y, -v.x) for v in ball.vertices]
+    for u in directions:
+        pair, want = antipodal_pair_on_boundary(ball, u), _former_antipodal_pair(ball, u)
+        assert type(pair) is Family and same(pair, want), u
+        assert (pair.pts, pair.scale) == (Family(want).pts, Family(want).scale)
+        assert same(antipodal_pair_on_boundary(ball, Family([u])), want)
+    for u in drawn[:5]:  # a drawn direction, not read as a `Vec2`
+        fam = Family.from_lattice(*Family([u]).exact())
+        assert same(antipodal_pair_on_boundary(ball, fam), _former_antipodal_pair(ball, u))
+
+
+@pytest.mark.parametrize("name, ball, ref", BALLS, ids=IDS)
+def test_ball_points_are_the_former_zero_sum_draw(name, ball, ref):
+    # each point, value and type, off the same stream as the reference's
+    # point in the ball, and the whole draw the reference's zero-sum six
+    grid = lattice_vertices(ball)
+    for seed in range(300):
+        rng, ref_rng = random.Random(seed), random.Random(seed)
+        count = 1 + seed % 5
+        points = Family.from_lattice(*generators._ball_points(grid, rng, count))
+        want = tuple([oracles._ref_point_in_ball(ref, ref_rng) for _ in range(count)])
+        assert same(points, want)
+        assert rng.getstate() == ref_rng.getstate()
+        assert same(gen_zero_sum_six(ball, seed), oracles.ref_gen_zero_sum_six(ref, seed))
 
 
 # the Euclidean draws write `rng.uniform(0.0, b)` out as `b * rng.random()`

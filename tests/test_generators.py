@@ -37,7 +37,7 @@ def test_unit_vectors_halfplane_exact():
     rng = random.Random(5)
     for seed in range(20):
         ball = gen_random_ball(seed + 40)
-        u = gen_direction(rng)
+        u = gen_direction(rng)[0]
         for v in gen_unit_vectors(ball, 6, seed, halfplane=u):
             assert u.dot(v) >= 0
             assert gauge(ball, v) == 1

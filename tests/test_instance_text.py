@@ -80,7 +80,7 @@ def test_ball_and_instance_text_is_the_old_document(ball, fam):
 @given(x=scalars, y=scalars)
 def test_direction_text_is_its_old_document(x, y):
     u = Vec2(x, y)
-    assert suites._u_extra(u) == {"u": canonical(u.to_json())}
+    assert suites._u_extra(Family([u])) == {"u": canonical(u.to_json())}
 
 
 @pytest.fixture(scope="module")
@@ -137,7 +137,7 @@ def test_drawn_instance_text_is_the_old_document(ball_file, suite, mode, source,
         lam, eps, _ = inst.data
         assert (doc["lam"], doc["eps"]) == (str(lam), str(eps))
     if suite == "thm1":
-        assert doc["u"] == inst.data.to_json()
+        assert doc["u"] == inst.data[0].to_json()
 
 
 def test_drawing_and_digesting_calls_no_json_dumps(monkeypatch, ball_file):

@@ -98,7 +98,7 @@ def test_verdicts_are_invariant_under_reversal_negation_and_a_unimodular_map():
     for i in range(DRAWS):
         ball = square if i % 2 else gen_random_ball(rng.getrandbits(32))
         n = (3, 5, 7, 9)[i // 2 % 4]
-        u = gen_direction(rng)
+        u = gen_direction(rng)[0]
         halfplane = u if i % 3 else None
         vectors = list(gen_unit_vectors(ball, n, rng.getrandbits(32), halfplane=halfplane))
         want = _readings(ball, vectors, u)

@@ -23,6 +23,8 @@ from helly_plane.norms import (
     euclidean_ball,
     gauge,
     lattice_vertices,
+    load_json,
+    load_vectors,
     make_convex_body,
     make_polygonal_ball,
     square_ball,
@@ -283,6 +285,26 @@ def test_ball_json_roundtrip(square, hexagon, euclid):
         back = ball_from_json(doc)
         assert back.kind == ball.kind
         assert back.vertices == ball.vertices
+
+
+def test_json_numbers_are_read_as_written(tmp_path):
+    # a JSON number is its text's exact value: neither rounded to the float
+    # 0.1 (whose shortest numeral is "0.1") nor overflowed to inf
+    near = tmp_path / "near.json"
+    near.write_text('{"vectors": [[0.1000000000000000055511151231257827, 1], [-2, 5E-1]]}')
+    big = tmp_path / "big.json"
+    big.write_text('{"type": "polygonal", "vertices": [[1e400, 0], [0, 1], [-1e400, 0], [0, -1]]}')
+    vectors = load_vectors(load_json(str(near)))
+    assert vectors == [Vec2(F(1000000000000000055511151231257827, 10**34), 1), Vec2(-2, F(1, 2))]
+    assert vectors[0].x != F(1, 10)
+    ball = ball_from_json(load_json(str(big)))
+    assert (ball.vertices[0], ball.vertices[1]) == (Vec2(10**400, 0), Vec2(0, 1))
+    assert gauge(ball, Vec2(10**400, 0)) == 1
+    # a number's text is one numeral: neither a point list nor a pair of digits
+    for text, message in (('{"vectors": 12}', "no 'vectors' list"), ('{"vectors": [12]}', "a pair of scalars")):
+        near.write_text(text)
+        with pytest.raises(BadInput, match=message):
+            load_vectors(load_json(str(near)))
 
 
 def test_ball_json_example():

@@ -130,13 +130,13 @@ def halfplane_families(ball, seed):
     rng = random.Random(seed)
     out = []
     for n in (1, 3, 5, 7, 9):
-        u = gen_direction(rng)
+        u = gen_direction(rng)[0]
         vs = gen_unit_vectors(ball, n, rng.getrandbits(32), halfplane=u)
         fu = floats([u])[0]
         out += [(u, vs), (u, floats(vs)), (fu, floats(vs)), (fu, vs)]
         out.append((u, (vs[0], vs[-1], vs[0], vs[0], vs[-1])))
         if ball.is_polygonal and n >= 5:
-            pair = antipodal_pair_on_boundary(ball, u)
+            pair = tuple(antipodal_pair_on_boundary(ball, u))
             out += [(u, vs[:-2] + pair), (u, floats(vs[:-2] + pair)), (u, pair[::-1] + vs[2:])]
     return out
 
@@ -224,7 +224,7 @@ def _points(ball, seed):
 def test_angle_comparator_matches_the_reference(seed):
     rng = random.Random(seed)
     points = _points(gen_random_ball(seed), seed)
-    d = gen_direction(rng)
+    d = gen_direction(rng)[0]
     for u in (d, Vec2(0, 1), Vec2(float(d.x), float(d.y))):
         for ws in (points, floats(points)):
             fam = Family(ws)
